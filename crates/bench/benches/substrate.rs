@@ -5,7 +5,7 @@ use sift_bench::microbench::Criterion;
 use sift_bench::{criterion_group, criterion_main};
 use sift_core::{Conciliator, Epsilon, SiftingConciliator};
 use sift_shmem::max_register::{LockMaxRegister, TreeMaxRegister};
-use sift_shmem::register::{AtomicIndexRegister, LockRegister};
+use sift_shmem::register::LockRegister;
 use sift_shmem::runtime::run_threads;
 use sift_shmem::snapshot::{CoarseSnapshot, WaitFreeSnapshot};
 use sift_sim::rng::SeedSplitter;
@@ -19,16 +19,6 @@ fn bench_objects(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            r.write(i);
-            r.read()
-        });
-    });
-
-    group.bench_function("atomic_index_register_write_read", |b| {
-        let r = AtomicIndexRegister::new();
-        let mut i = 0u32;
-        b.iter(|| {
-            i = i.wrapping_add(1);
             r.write(i);
             r.read()
         });

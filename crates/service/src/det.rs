@@ -9,21 +9,14 @@
 //! behaviour replayable in CI (mirroring the fuzz/conformance golden
 //! digests in `crates/bench/tests/seed_stability.rs`).
 
-use sift_core::Persona;
 use sift_obs::ObsReport;
-use sift_shmem::memory::AtomicMemory;
 use sift_sim::rng::Xoshiro256StarStar;
 
 use crate::fact::{CommitFact, InstanceId};
-use crate::shard::{shard_of, InstanceMemory, Proposal, ShardConfig, ShardCore, ShardStats};
+use crate::shard::{shard_of, Proposal, ShardConfig, ShardCore, ShardStats};
 use crate::shard_obs_report;
 
-/// A single-threaded, seeded service over `S` shards.
-///
-/// Generic over the substrate so the differential tests can replay one
-/// script against `LockFreeMemory` and `CoarseMemory` and compare the
-/// resulting streams; defaults to the runtime's
-/// [`AtomicMemory`].
+/// A single-threaded, seeded service over a fixed number of shards.
 ///
 /// # Examples
 ///
@@ -31,7 +24,7 @@ use crate::shard_obs_report;
 /// use sift_service::det::DeterministicService;
 /// use sift_service::{InstanceId, ShardConfig};
 ///
-/// let mut svc: DeterministicService = DeterministicService::new(4, ShardConfig::default());
+/// let mut svc = DeterministicService::new(4, ShardConfig::default());
 /// svc.propose(InstanceId(1), 10, 0);
 /// svc.propose(InstanceId(1), 20, 1);
 /// let facts = svc.tick_all();
@@ -39,12 +32,12 @@ use crate::shard_obs_report;
 /// assert!([10, 20].contains(&facts[0].value));
 /// ```
 #[derive(Debug)]
-pub struct DeterministicService<M: InstanceMemory = AtomicMemory<Persona>> {
-    shards: Vec<ShardCore<M>>,
+pub struct DeterministicService {
+    shards: Vec<ShardCore>,
     stream: Vec<CommitFact>,
 }
 
-impl<M: InstanceMemory> DeterministicService<M> {
+impl DeterministicService {
     /// Creates `shards` empty shards sharing `config`.
     ///
     /// # Panics
@@ -200,8 +193,7 @@ impl<M: InstanceMemory> DeterministicService<M> {
 
 /// Generates a seeded proposal script: `proposals` entries over
 /// `instances` uniformly random instances with values in `0..values`.
-/// The deterministic golden tests and the differential suite share this
-/// generator.
+/// The deterministic golden tests use this generator.
 ///
 /// # Panics
 ///
@@ -228,8 +220,7 @@ mod tests {
     fn same_script_same_digest() {
         let script = uniform_script(9, 60, 12, 4);
         let run = |window| {
-            let mut svc: DeterministicService =
-                DeterministicService::new(4, ShardConfig::default());
+            let mut svc = DeterministicService::new(4, ShardConfig::default());
             svc.run_script(&script, window);
             svc.digest()
         };
@@ -241,7 +232,7 @@ mod tests {
     #[test]
     fn every_instance_decides_exactly_once() {
         let script = uniform_script(3, 100, 10, 5);
-        let mut svc: DeterministicService = DeterministicService::new(3, ShardConfig::default());
+        let mut svc = DeterministicService::new(3, ShardConfig::default());
         svc.run_script(&script, 7);
         let mut seen = std::collections::HashSet::new();
         for fact in svc.stream() {
@@ -260,11 +251,10 @@ mod tests {
     #[test]
     fn crash_plus_retry_matches_clean_stream() {
         let script = uniform_script(11, 80, 16, 4);
-        let mut clean: DeterministicService = DeterministicService::new(4, ShardConfig::default());
+        let mut clean = DeterministicService::new(4, ShardConfig::default());
         clean.run_script(&script, 0);
 
-        let mut crashed: DeterministicService =
-            DeterministicService::new(4, ShardConfig::default());
+        let mut crashed = DeterministicService::new(4, ShardConfig::default());
         for (position, &(instance, value)) in script.iter().enumerate() {
             crashed.propose(instance, value, position as u64);
         }
@@ -282,7 +272,7 @@ mod tests {
     #[test]
     fn obs_report_aggregates_across_shards() {
         let script = uniform_script(5, 40, 8, 3);
-        let mut svc: DeterministicService = DeterministicService::new(2, ShardConfig::default());
+        let mut svc = DeterministicService::new(2, ShardConfig::default());
         svc.run_script(&script, 4);
         let report = svc.obs_report();
         assert_eq!(report.count("service.proposals"), 40);

@@ -11,7 +11,8 @@
 //! The pieces:
 //!
 //! * [`shard`] — the instance table, batching, and per-batch consensus
-//!   execution over an `ObjectMemory` (substrate-generic);
+//!   execution: a round-robin lockstep over the simulator's
+//!   `sift_sim::Memory`, the model the stacks are checked against;
 //! * [`service`] — the threaded async frontend: shard workers, the
 //!   [`propose`](Service::propose) future, eviction, introspection;
 //! * [`det`] — the deterministic current-thread mode whose commit-fact
@@ -33,7 +34,7 @@ pub mod shard;
 pub use det::DeterministicService;
 pub use fact::{CommitFact, DecideMeta, InstanceId, ServiceError};
 pub use service::{ProposeFuture, Service, ServiceConfig};
-pub use shard::{shard_of, InstanceMemory, Proposal, ShardConfig, ShardCore, ShardStats};
+pub use shard::{shard_of, Proposal, ShardConfig, ShardCore, ShardStats};
 
 use sift_obs::ObsReport;
 

@@ -13,9 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use sift_core::Persona;
 use sift_obs::ObsReport;
-use sift_shmem::memory::AtomicMemory;
 
 use crate::fact::{CommitFact, InstanceId, ServiceError};
 use crate::runtime::{block_on, oneshot};
@@ -43,10 +41,8 @@ impl Default for ServiceConfig {
     }
 }
 
-type Core = ShardCore<AtomicMemory<Persona>>;
-
 struct ShardSlot {
-    core: Mutex<Core>,
+    core: Mutex<ShardCore>,
     /// Set when the shard has proposals waiting for a tick.
     dirty: AtomicBool,
 }

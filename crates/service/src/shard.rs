@@ -4,10 +4,17 @@
 //! instance is a single-shot consensus: the proposals that have
 //! arrived by the time the shard ticks form the instance's *batch*, the
 //! batch becomes the participant set of a fresh conciliator +
-//! adopt-commit stack over an [`ObjectMemory`](sift_shmem::ObjectMemory)
-//! built for exactly that batch, and the stack's decision is frozen
-//! into a [`CommitFact`]. Proposals that arrive after the decision
-//! never re-run consensus — they read the stored fact (idempotence).
+//! adopt-commit stack over a simulator [`Memory`] built for exactly
+//! that batch, and the stack's decision is frozen into a
+//! [`CommitFact`]. Proposals that arrive after the decision never
+//! re-run consensus — they read the stored fact (idempotence).
+//!
+//! A decision runs on one thread, under the shard's lock, as a
+//! round-robin lockstep ([`drive_lockstep`]) — a schedule fixed in
+//! advance over atomic registers and unit-cost snapshots, which is the
+//! model the paper's guarantees are stated for and the memory that
+//! DPOR, the fuzzer and the conformance suites check. Nothing here
+//! touches the threaded substrate (`sift-shmem`).
 //!
 //! The core is single-owner and synchronous; the async frontend in
 //! [`service`](crate::service) wraps one core per shard in a mutex and
@@ -23,12 +30,8 @@ use std::time::Instant;
 use sift_consensus::{ConsensusOutcome, ConsensusProtocol};
 use sift_core::{Epsilon, Persona, SnapshotConciliator};
 use sift_obs::ObsReport;
-use sift_shmem::memory::{
-    ExecuteOps, ObjectMemory, SharedMaxRegister, SharedRegister, SharedSnapshot,
-};
-use sift_shmem::run_lockstep_on;
 use sift_sim::rng::SeedSplitter;
-use sift_sim::{Layout, LayoutBuilder, ProcessId, Value};
+use sift_sim::{drive_lockstep, LayoutBuilder, Memory, ProcessId};
 
 use crate::fact::{CommitFact, DecideMeta, InstanceId, ServiceError};
 use crate::runtime::oneshot;
@@ -36,29 +39,6 @@ use crate::runtime::oneshot;
 /// The completion side of one proposal: resolved with the instance's
 /// commit fact (or a rejection) when the shard processes it.
 pub type Waiter = oneshot::Sender<Result<CommitFact, ServiceError>>;
-
-/// Memory that can be instantiated from a [`Layout`] — what a shard
-/// builds per consensus run. Implemented by every
-/// [`ObjectMemory`] assembly, so shards are generic over the substrate
-/// (the differential tests pin `LockFreeMemory` against
-/// `CoarseMemory`).
-pub trait InstanceMemory: ExecuteOps<Persona> {
-    /// Builds the memory for `layout`.
-    fn for_layout(layout: &Layout) -> Self;
-}
-
-impl<V, R, S, M> InstanceMemory for ObjectMemory<V, R, S, M>
-where
-    V: Value,
-    R: SharedRegister<V>,
-    S: SharedSnapshot<V>,
-    M: SharedMaxRegister<V>,
-    ObjectMemory<V, R, S, M>: ExecuteOps<Persona>,
-{
-    fn for_layout(layout: &Layout) -> Self {
-        ObjectMemory::new(layout)
-    }
-}
 
 /// Per-shard configuration.
 #[derive(Debug, Clone)]
@@ -137,7 +117,7 @@ impl ShardStats {
 
 /// The state of one shard. See the module docs for the lifecycle.
 #[derive(Debug)]
-pub struct ShardCore<M: InstanceMemory> {
+pub struct ShardCore {
     id: u16,
     config: ShardConfig,
     /// Proposals accepted since the last tick, in arrival order.
@@ -152,10 +132,9 @@ pub struct ShardCore<M: InstanceMemory> {
     evicted: HashSet<InstanceId>,
     seq: u64,
     obs: ObsReport,
-    _marker: std::marker::PhantomData<M>,
 }
 
-impl<M: InstanceMemory> ShardCore<M> {
+impl ShardCore {
     /// Creates an empty shard with the given id and configuration.
     pub fn new(id: u16, config: ShardConfig) -> Self {
         Self {
@@ -167,7 +146,6 @@ impl<M: InstanceMemory> ShardCore<M> {
             evicted: HashSet::new(),
             seq: 0,
             obs: ObsReport::new(),
-            _marker: std::marker::PhantomData,
         }
     }
 
@@ -260,7 +238,8 @@ impl<M: InstanceMemory> ShardCore<M> {
     /// Runs the consensus stack for one instance's batch.
     fn decide(&mut self, instance: InstanceId, batch: &[Proposal]) -> CommitFact {
         let n = batch.len();
-        let mut phases = self.config.base_phases.max(1);
+        let max_phases = self.config.max_phases.max(1);
+        let mut phases = self.config.base_phases.clamp(1, max_phases);
         let mut attempt: u64 = 0;
         let (value, decider_phases) = loop {
             let split = self.run_seed(instance, attempt);
@@ -272,8 +251,7 @@ impl<M: InstanceMemory> ShardCore<M> {
                 |b| SnapshotConciliator::allocate(b, n, Epsilon::HALF),
                 |b| sift_adopt_commit_snapshot(b, n),
             );
-            let layout = builder.build();
-            let memory = M::for_layout(&layout);
+            let mut memory: Memory<Persona> = Memory::new(&builder.build());
             let participants: Vec<_> = batch
                 .iter()
                 .enumerate()
@@ -282,7 +260,7 @@ impl<M: InstanceMemory> ShardCore<M> {
                     protocol.participant(ProcessId(i), p.value, &mut rng)
                 })
                 .collect();
-            let outcomes = run_lockstep_on(&memory, participants);
+            let outcomes = drive_lockstep(participants, |_, op| memory.execute(op));
             // Agreement is absolute, so the first decider speaks for
             // all; exhausted participants would have adopted the same
             // value had they been given more phases.
@@ -302,7 +280,7 @@ impl<M: InstanceMemory> ShardCore<M> {
                 self.id
             );
             self.obs.add_count("retries", 1);
-            phases = (phases * 2).min(self.config.max_phases.max(1));
+            phases = (phases * 2).min(max_phases);
         };
         let deciding_tag = batch
             .iter()
@@ -423,9 +401,6 @@ pub fn shard_of(instance: InstanceId, shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sift_shmem::memory::AtomicMemory;
-
-    type Core = ShardCore<AtomicMemory<Persona>>;
 
     fn proposal(instance: u64, value: u64, tag: u64) -> Proposal {
         Proposal {
@@ -439,7 +414,7 @@ mod tests {
 
     #[test]
     fn single_proposal_decides_its_own_value() {
-        let mut core = Core::new(0, ShardConfig::default());
+        let mut core = ShardCore::new(0, ShardConfig::default());
         assert!(core.submit(proposal(7, 42, 1)));
         let facts = core.tick();
         assert_eq!(facts.len(), 1);
@@ -451,7 +426,7 @@ mod tests {
 
     #[test]
     fn conflicting_batch_decides_one_proposed_value() {
-        let mut core = Core::new(3, ShardConfig::default());
+        let mut core = ShardCore::new(3, ShardConfig::default());
         for (i, v) in [5u64, 9, 5, 13].into_iter().enumerate() {
             core.submit(proposal(1, v, i as u64));
         }
@@ -469,7 +444,7 @@ mod tests {
 
     #[test]
     fn repeat_proposals_return_the_original_fact() {
-        let mut core = Core::new(0, ShardConfig::default());
+        let mut core = ShardCore::new(0, ShardConfig::default());
         core.submit(proposal(2, 10, 0));
         let original = core.tick().remove(0);
         // Late proposal with a *different* value: answered from the
@@ -484,7 +459,7 @@ mod tests {
     #[test]
     fn decisions_are_replayable_from_the_seed() {
         let run = || {
-            let mut core = Core::new(1, ShardConfig::default());
+            let mut core = ShardCore::new(1, ShardConfig::default());
             for i in 0..6u64 {
                 core.submit(proposal(4, i % 3, i));
             }
@@ -494,12 +469,30 @@ mod tests {
     }
 
     #[test]
+    fn phase_budget_stays_under_max_phases_when_base_exceeds_it() {
+        let config = ShardConfig {
+            base_phases: 8,
+            max_phases: 2,
+            ..ShardConfig::default()
+        };
+        let mut core = ShardCore::new(0, config);
+        for id in 0..16u64 {
+            for i in 0..6u64 {
+                core.submit(proposal(id, i % 3, i));
+            }
+        }
+        let facts = core.tick();
+        assert_eq!(facts.len(), 16);
+        assert!(facts.iter().all(|f| f.meta.phases <= 2));
+    }
+
+    #[test]
     fn capacity_evicts_oldest_decided_first() {
         let config = ShardConfig {
             capacity: 2,
             ..ShardConfig::default()
         };
-        let mut core = Core::new(0, config);
+        let mut core = ShardCore::new(0, config);
         for id in 0..4u64 {
             core.submit(proposal(id, id, id));
             core.tick();
@@ -526,7 +519,7 @@ mod tests {
 
     #[test]
     fn explicit_evict_only_touches_decided_instances() {
-        let mut core = Core::new(0, ShardConfig::default());
+        let mut core = ShardCore::new(0, ShardConfig::default());
         assert!(!core.evict(InstanceId(9)), "unknown instance");
         core.submit(proposal(9, 1, 0));
         assert!(!core.evict(InstanceId(9)), "still open");
@@ -541,7 +534,7 @@ mod tests {
             capacity: 0,
             ..ShardConfig::default()
         };
-        let mut core = Core::new(0, config);
+        let mut core = ShardCore::new(0, config);
         let (tx, rx) = oneshot::channel();
         core.submit(Proposal {
             instance: InstanceId(5),
@@ -560,17 +553,17 @@ mod tests {
 
     #[test]
     fn crashed_tick_plus_retry_equals_clean_tick() {
-        let feed = |core: &mut Core| {
+        let feed = |core: &mut ShardCore| {
             for i in 0..12u64 {
                 core.submit(proposal(i % 4, i % 3, i));
             }
         };
-        let mut clean = Core::new(2, ShardConfig::default());
+        let mut clean = ShardCore::new(2, ShardConfig::default());
         feed(&mut clean);
         let clean_facts = clean.tick();
 
         for crash_after in 0..=4usize {
-            let mut crashed = Core::new(2, ShardConfig::default());
+            let mut crashed = ShardCore::new(2, ShardConfig::default());
             feed(&mut crashed);
             let mut facts = crashed.tick_crashing(crash_after);
             assert_eq!(facts.len(), crash_after.min(4));
@@ -583,7 +576,7 @@ mod tests {
 
     #[test]
     fn crashed_batches_emit_nothing_and_keep_waiters() {
-        let mut core = Core::new(0, ShardConfig::default());
+        let mut core = ShardCore::new(0, ShardConfig::default());
         core.submit(proposal(1, 10, 0));
         let (tx, rx) = oneshot::channel();
         core.submit(Proposal {

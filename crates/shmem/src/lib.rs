@@ -4,11 +4,9 @@
 //! runtime that drives the same [`Process`](sift_sim::Process) state
 //! machines on OS threads:
 //!
-//! * [`register::LockFreeRegister`] / [`register::PackedRegister`] /
-//!   [`register::AtomicIndexRegister`] — lock-free linearizable MWMR
-//!   registers (an allocation-free inline seqlock cell for ≤16-byte
-//!   trivially-destructible values, pointer publication for the rest, a
-//!   single `AtomicU64` for word-packable ones);
+//! * [`register::LockFreeRegister`] — lock-free linearizable MWMR
+//!   register (an allocation-free inline seqlock cell for ≤16-byte
+//!   trivially-destructible values, pointer publication for the rest);
 //!   [`register::LockRegister`] is the lock-based reference.
 //! * [`snapshot::LockFreeSnapshot`] — lock-free snapshot: versioned
 //!   copy-on-write publication with `O(1)` wait-free scans.
@@ -24,9 +22,6 @@
 //!   reference and [`max_register::TreeMaxRegister`] the switch-trie
 //!   construction from monotone circuits (footnote 1's object, built
 //!   from plain bits).
-//! * [`indexed::IndexedMemory`] — lock-free execution of the
-//!   register-model protocols: personae are published once and
-//!   registers carry word-sized table indices.
 //! * [`memory::AtomicMemory`] + [`runtime::run_threads`] — instantiate a
 //!   protocol's [`Layout`](sift_sim::Layout) over these objects and run
 //!   its participants on threads. `AtomicMemory` uses the lock-free
@@ -54,22 +49,18 @@
 #[allow(unsafe_code)]
 pub mod affinity;
 pub mod history;
-pub mod indexed;
 #[allow(unsafe_code)]
 mod lockfree;
 pub mod max_register;
 pub mod memory;
 pub mod obs;
-pub mod persona_table;
 pub mod register;
 pub mod runtime;
 pub mod snapshot;
 pub mod sync;
 
 pub use history::{history_fingerprint, RecordingMemory};
-pub use indexed::{run_threads_lock_free, IndexedMemory};
 pub use memory::{AtomicMemory, CoarseMemory, ExecuteOps, LockFreeMemory, ObjectMemory};
-pub use persona_table::PersonaTable;
 pub use runtime::{
     run_lockstep, run_lockstep_on, run_lockstep_recorded, run_script_on, run_threads,
     run_threads_recorded, ThreadReport,

@@ -3,16 +3,15 @@
 use crate::lockfree::{inline_ok, Pile, SeqCell, Slot};
 use crate::sync::RwLock;
 
-use sift_sim::{PackValue, Value};
+use sift_sim::Value;
 
 /// A linearizable MWMR register over any value type, built on a
 /// reader-writer lock.
 ///
 /// Each operation holds the lock for a single load or store, so
 /// operations are trivially linearizable (the lock acquisition order is
-/// the linearization order). Not lock-free; see
-/// [`AtomicIndexRegister`] for the lock-free word-sized variant used
-/// with a [`PersonaTable`](crate::persona_table::PersonaTable).
+/// the linearization order). Not lock-free; [`LockFreeRegister`] is
+/// the lock-free counterpart this one is the reference for.
 ///
 /// # Examples
 ///
@@ -73,9 +72,6 @@ impl<V: Value> LockRegister<V> {
 /// that cell retry); the published path keeps the stronger lock-free
 /// guarantee. DESIGN.md ("Inline seqlock registers") argues the
 /// linearizability of both.
-///
-/// For word-sized values [`PackedRegister`] is smaller still (a single
-/// atomic word, no ⊥ sentinel cost).
 ///
 /// # Examples
 ///
@@ -218,110 +214,6 @@ impl<V: Value> Drop for TornWriteGuard<'_, V> {
     }
 }
 
-/// A wait-free MWMR register for word-packable values (`None` is ⊥).
-///
-/// The value is packed into an `AtomicU64` ([`PackValue`] keeps
-/// `pack()` below `u64::MAX`, so `u64::MAX` encodes ⊥): reads are one
-/// atomic load, writes one atomic store — the configuration closest to
-/// the paper's model on real hardware, with no allocation anywhere.
-///
-/// # Examples
-///
-/// ```
-/// use sift_shmem::register::PackedRegister;
-/// let r: PackedRegister<u32> = PackedRegister::new();
-/// assert_eq!(r.read(), None);
-/// r.write(7);
-/// assert_eq!(r.read(), Some(7));
-/// ```
-#[derive(Debug)]
-pub struct PackedRegister<V> {
-    cell: std::sync::atomic::AtomicU64,
-    _marker: std::marker::PhantomData<V>,
-}
-
-/// The word reserved for ⊥ in [`PackedRegister`].
-const BOTTOM: u64 = u64::MAX;
-
-impl<V: PackValue> PackedRegister<V> {
-    /// Creates a register holding ⊥.
-    pub fn new() -> Self {
-        Self {
-            cell: std::sync::atomic::AtomicU64::new(BOTTOM),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Reads the register with one atomic load.
-    pub fn read(&self) -> Option<V> {
-        match self.cell.load(std::sync::atomic::Ordering::SeqCst) {
-            BOTTOM => None,
-            word => Some(V::unpack(word)),
-        }
-    }
-
-    /// Writes `value` with one atomic store.
-    pub fn write(&self, value: V) {
-        let word = value.pack();
-        debug_assert_ne!(word, BOTTOM, "PackValue must stay below u64::MAX");
-        self.cell.store(word, std::sync::atomic::Ordering::SeqCst);
-    }
-}
-
-impl<V> Default for PackedRegister<V>
-where
-    V: PackValue,
-{
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A lock-free MWMR register holding a `u32` index (`None` is ⊥).
-///
-/// The register packs `Some(i)` as `i + 1` into an `AtomicU64`, with 0
-/// for ⊥. Protocols that publish their personae in a
-/// [`PersonaTable`](crate::persona_table::PersonaTable) can then run
-/// entirely on word-sized lock-free registers, the configuration closest
-/// to the paper's model on real hardware.
-///
-/// # Examples
-///
-/// ```
-/// use sift_shmem::register::AtomicIndexRegister;
-/// let r = AtomicIndexRegister::new();
-/// assert_eq!(r.read(), None);
-/// r.write(7);
-/// assert_eq!(r.read(), Some(7));
-/// ```
-#[derive(Debug, Default)]
-pub struct AtomicIndexRegister {
-    cell: std::sync::atomic::AtomicU64,
-}
-
-impl AtomicIndexRegister {
-    /// Creates a register holding ⊥.
-    pub fn new() -> Self {
-        Self {
-            cell: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Reads the register.
-    pub fn read(&self) -> Option<u32> {
-        match self.cell.load(std::sync::atomic::Ordering::SeqCst) {
-            0 => None,
-            v => Some((v - 1) as u32),
-        }
-    }
-
-    /// Writes `index`.
-    pub fn write(&self, index: u32) {
-        self.cell
-            .store(index as u64 + 1, std::sync::atomic::Ordering::SeqCst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,16 +225,6 @@ mod tests {
         r.write(1u32);
         r.write(2u32);
         assert_eq!(r.read(), Some(2));
-    }
-
-    #[test]
-    fn atomic_index_register_round_trip() {
-        let r = AtomicIndexRegister::new();
-        assert_eq!(r.read(), None);
-        r.write(0);
-        assert_eq!(r.read(), Some(0), "index 0 must be distinguishable from ⊥");
-        r.write(u32::MAX);
-        assert_eq!(r.read(), Some(u32::MAX));
     }
 
     #[test]
@@ -392,16 +274,6 @@ mod tests {
         r.write([1, 2, 3]);
         r.write([4, 5, 6]);
         assert_eq!(r.read(), Some([4, 5, 6]));
-    }
-
-    #[test]
-    fn packed_register_round_trip() {
-        let r: PackedRegister<u32> = PackedRegister::new();
-        assert_eq!(r.read(), None);
-        r.write(0);
-        assert_eq!(r.read(), Some(0), "0 must be distinguishable from ⊥");
-        r.write(u32::MAX);
-        assert_eq!(r.read(), Some(u32::MAX));
     }
 
     #[test]
@@ -526,26 +398,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(r.read(), Some((399, 399 * 3)));
-    }
-
-    #[test]
-    fn concurrent_atomic_register_is_safe() {
-        let r = Arc::new(AtomicIndexRegister::new());
-        let handles: Vec<_> = (0..4u32)
-            .map(|i| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        r.write(i);
-                        if let Some(v) = r.read() {
-                            assert!(v < 4);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 }

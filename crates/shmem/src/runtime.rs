@@ -13,8 +13,7 @@
 use std::sync::Arc;
 
 use sift_sim::mc::History;
-use sift_sim::schedule::{RoundRobin, Schedule};
-use sift_sim::{Layout, Op, OpResult, Process, ProcessId, Step};
+use sift_sim::{drive_lockstep, Layout, Op, Process, ProcessId, Step};
 
 use crate::history::RecordingMemory;
 use crate::memory::AtomicMemory;
@@ -157,12 +156,11 @@ where
 }
 
 /// Drives the state machines against the threaded objects in the exact
-/// round-robin order the simulator's engine would use, single-threaded.
-///
-/// Because the engine resumes a state machine immediately after its
-/// operation executes, "one operation per scheduled slot" here is the
-/// same discipline — outputs must match a simulator run under
-/// [`RoundRobin`] exactly, which `tests/cross_runtime.rs` verifies.
+/// round-robin order the simulator's engine would use, single-threaded
+/// — [`sift_sim::drive_lockstep`] over a fresh [`AtomicMemory`].
+/// Outputs must match a simulator run under
+/// [`RoundRobin`](sift_sim::schedule::RoundRobin) exactly, which
+/// `tests/cross_runtime.rs` verifies.
 pub fn run_lockstep<P: Process>(layout: &Layout, processes: Vec<P>) -> Vec<P::Output> {
     run_lockstep_on(&AtomicMemory::new(layout), processes)
 }
@@ -241,44 +239,6 @@ pub fn run_script_on<P: Process, M: crate::memory::ExecuteOps<P::Value>>(
         })
         .collect()
 }
-
-/// A live process paired with the result of its last operation, or
-/// `None` once it has finished.
-type LockstepSlot<P> = Option<(P, Option<OpResult<<P as Process>::Value>>)>;
-
-fn drive_lockstep<P: Process>(
-    processes: Vec<P>,
-    mut execute: impl FnMut(ProcessId, Op<P::Value>) -> OpResult<P::Value>,
-) -> Vec<P::Output> {
-    let mut slots: Vec<LockstepSlot<P>> = processes.into_iter().map(|p| Some((p, None))).collect();
-    let mut outputs: Vec<Option<P::Output>> = (0..slots.len()).map(|_| None).collect();
-    let mut schedule = RoundRobin::new(slots.len());
-    let mut remaining = slots.len();
-    while remaining > 0 {
-        let pid = schedule.next_pid().expect("round robin is infinite");
-        let slot = &mut slots[pid.index()];
-        if let Some((proc_ref, prev)) = slot.as_mut() {
-            match proc_ref.step(prev.take()) {
-                Step::Issue(op) => {
-                    *prev = Some(execute(pid, op));
-                }
-                Step::Done(out) => {
-                    outputs[pid.index()] = Some(out);
-                    *slot = None;
-                    remaining -= 1;
-                }
-            }
-        }
-    }
-    outputs
-        .into_iter()
-        .map(|o| o.expect("lockstep runs every process to completion"))
-        .collect()
-}
-
-/// Convenience alias used by examples: the value type most protocols
-/// store.
-pub type PersonaMemory = AtomicMemory<sift_core::Persona>;
 
 #[cfg(test)]
 mod tests {

@@ -59,11 +59,11 @@
 pub mod adversary;
 pub mod engine;
 pub mod event;
-pub mod explore;
 pub mod fuzz;
 pub mod ids;
 pub mod layout;
 pub mod legacy;
+pub mod lockstep;
 pub mod max_register;
 pub mod mc;
 pub mod memory;
@@ -84,11 +84,12 @@ pub use engine::{AdaptiveView, Engine, RunReport, SparseEntry, SparseReport, Sto
 pub use ids::{MaxRegisterId, ProcessId, RegisterId, SnapshotId};
 pub use layout::{Layout, LayoutBuilder, LayoutOffsets};
 pub use legacy::LegacyEngine;
+pub use lockstep::drive_lockstep;
 pub use memory::{CostModel, Memory, RegisterSemantics, Resolution};
 pub use metrics::Metrics;
 pub use op::{Op, OpKind, OpResult, ScanView};
 pub use process::{Process, Step};
-pub use value::{PackValue, Value};
+pub use value::Value;
 
 // Compile-time audit that everything a parallel trial executor shares
 // across worker threads (layouts, schedules, metrics, seeds) is

@@ -189,6 +189,36 @@ mod tests {
         assert_eq!(total, 10);
     }
 
+    #[derive(Clone)]
+    struct WriteThenRead(RegisterId, u64, u8);
+
+    impl Process for WriteThenRead {
+        type Value = u64;
+        type Output = Option<u64>;
+
+        fn step(&mut self, prev: Option<OpResult<u64>>) -> Step<u64, Option<u64>> {
+            self.2 += 1;
+            match self.2 {
+                1 => Step::Issue(Op::RegisterWrite(self.0, self.1)),
+                2 => Step::Issue(Op::RegisterRead(self.0)),
+                _ => Step::Done(prev.unwrap().expect_register()),
+            }
+        }
+    }
+
+    #[test]
+    fn reads_see_a_write_in_every_interleaving() {
+        // Two ops each: C(4, 2) = 6, and each read follows its own
+        // process's write, so no branch of the walk reads ⊥.
+        let (layout, r) = layout_one();
+        let procs = vec![WriteThenRead(r, 1, 0), WriteThenRead(r, 2, 0)];
+        let total = explore_naive(&layout, procs, 1_000, &mut |view| {
+            assert!(view.outputs.iter().all(|o| o.unwrap().is_some()));
+        })
+        .unwrap();
+        assert_eq!(total, 6);
+    }
+
     #[test]
     fn three_processes_count() {
         // 2 ops each: 6!/(2!2!2!) = 90.

@@ -21,57 +21,6 @@ pub trait Value: Clone + fmt::Debug + Send + Sync + 'static {}
 
 impl<T: Clone + fmt::Debug + Send + Sync + 'static> Value for T {}
 
-/// Values that pack losslessly into a single machine word.
-///
-/// A [`Value`] implementing this trait can live in one `AtomicU64`, so
-/// shared objects holding it (registers, snapshot components) can be
-/// wait-free single-instruction loads and stores instead of pointer
-/// publications. Implementations must round-trip exactly
-/// (`unpack(v.pack()) == v`) and must keep `pack()` strictly below
-/// [`u64::MAX`] — the substrate reserves one bit pattern to encode ⊥.
-///
-/// The blanket impls cover the word-or-smaller unsigned integers and
-/// `bool`; wider or pointer-carrying values take the generic
-/// publication path instead.
-///
-/// # Examples
-///
-/// ```
-/// use sift_sim::PackValue;
-/// assert_eq!(u32::unpack(7u32.pack()), 7);
-/// assert_eq!(bool::unpack(true.pack()), true);
-/// ```
-pub trait PackValue: Value + Copy + Eq {
-    /// Encodes the value into a word, strictly below `u64::MAX`.
-    fn pack(self) -> u64;
-    /// Decodes a word produced by [`pack`](PackValue::pack).
-    fn unpack(word: u64) -> Self;
-}
-
-macro_rules! impl_pack_for_uint {
-    ($($t:ty),+) => {$(
-        impl PackValue for $t {
-            fn pack(self) -> u64 {
-                u64::from(self)
-            }
-            fn unpack(word: u64) -> Self {
-                word as $t
-            }
-        }
-    )+};
-}
-
-impl_pack_for_uint!(u8, u16, u32);
-
-impl PackValue for bool {
-    fn pack(self) -> u64 {
-        u64::from(self)
-    }
-    fn unpack(word: u64) -> Self {
-        word != 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,21 +34,5 @@ mod tests {
         assert_value::<String>();
         assert_value::<Arc<Vec<u8>>>();
         assert_value::<Option<(u64, u32)>>();
-    }
-
-    #[test]
-    fn pack_round_trips_and_stays_below_max() {
-        for v in [0u32, 1, 7, u32::MAX] {
-            assert_eq!(u32::unpack(v.pack()), v);
-            assert!(v.pack() < u64::MAX);
-        }
-        for v in [0u16, u16::MAX] {
-            assert_eq!(u16::unpack(v.pack()), v);
-        }
-        for v in [0u8, u8::MAX] {
-            assert_eq!(u8::unpack(v.pack()), v);
-        }
-        assert!(bool::unpack(true.pack()));
-        assert!(!bool::unpack(false.pack()));
     }
 }

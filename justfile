@@ -66,10 +66,13 @@ conformance:
 
 # Service-level suites: agreement/validity/decide-exactly-once under
 # concurrent async clients, golden-pinned deterministic commit streams,
-# the service-path substrate differential, and the negative paths
+# the served-stack differential (lock-free, lock-based and simulator
+# memory agree on the stack `decide` builds), and the negative paths
 # (evictions, zero capacity, cancellation) — each at worker counts
-# 1, 4, and 8 — plus a small load-generator smoke run.
+# 1, 4, and 8 — plus a small load-generator smoke run. The first line
+# keeps the sift-service → sift-shmem edge cut.
 service:
+    ! cargo tree -p sift-service -e normal --offline | grep -q sift-shmem
     cargo test -q --test service_agreement --test service_determinism \
         --test service_negative --test substrate_differential
     cargo test -q -p sift-service

@@ -200,13 +200,13 @@ fn deterministic_crash_emits_nothing_then_exactly_the_original() {
     };
     let script: Vec<(InstanceId, u64)> = (0..48u64).map(|i| (InstanceId(i % 12), i)).collect();
 
-    let mut shadow: DeterministicService = DeterministicService::new(4, config.clone());
+    let mut shadow = DeterministicService::new(4, config.clone());
     for (pos, &(instance, value)) in script.iter().enumerate() {
         shadow.propose(instance, value, pos as u64);
     }
     shadow.tick_all();
 
-    let mut crashed: DeterministicService = DeterministicService::new(4, config);
+    let mut crashed = DeterministicService::new(4, config);
     for (pos, &(instance, value)) in script.iter().enumerate() {
         crashed.propose(instance, value, pos as u64);
     }

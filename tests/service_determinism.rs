@@ -6,9 +6,9 @@
 //! replayable from a seed in CI. These tests pin it the same way
 //! `crates/bench/tests/seed_stability.rs` pins the fuzzer:
 //!
-//! 1. *Across runs and shard substrates*: the stream digest must not
-//!    move between repeat runs (the lockstep driver is single-threaded,
-//!    so there is no schedule nondeterminism to hide behind).
+//! 1. *Across runs*: the stream digest must not move between repeat
+//!    runs (the lockstep driver is single-threaded, so there is no
+//!    schedule nondeterminism to hide behind).
 //! 2. *Across history*: digests must equal the hardcoded values
 //!    captured when this suite was written. Any intentional change to
 //!    sharding, batching, attempt seeding, or the conciliator stack
@@ -74,7 +74,7 @@ const GOLDEN: [Golden; 4] = [
 
 fn run(case: &Golden) -> u64 {
     let script = uniform_script(case.seed, case.proposals, case.instances, case.values);
-    let mut svc: DeterministicService = DeterministicService::new(
+    let mut svc = DeterministicService::new(
         case.shards,
         ShardConfig {
             seed: case.seed,
@@ -116,7 +116,7 @@ fn distinct_seeds_produce_distinct_streams() {
 fn stream_replay_preserves_decide_exactly_once() {
     for case in &GOLDEN {
         let script = uniform_script(case.seed, case.proposals, case.instances, case.values);
-        let mut svc: DeterministicService = DeterministicService::new(
+        let mut svc = DeterministicService::new(
             case.shards,
             ShardConfig {
                 seed: case.seed,

@@ -1,4 +1,5 @@
-//! Differential testing of the two shared-memory substrates.
+//! Differential testing of the two shared-memory substrates (and, for
+//! the served stack, the simulator memory the service decides on).
 //!
 //! `sift-shmem` ships a lock-free substrate (the default) and the
 //! original lock-based one (kept behind the `coarse-substrate` feature
@@ -387,44 +388,88 @@ fn snapshot_conciliator_outcomes_agree_across_substrates() {
     }
 }
 
-/// Service-path differential: a whole sharded multi-instance service
-/// run — batching, idempotence table, phase-escalating attempts and
-/// all — must produce the *identical* commit-fact stream on both
-/// substrates. This is the end-to-end version of the conciliator
-/// differentials above: any substrate divergence that survives the
-/// protocol stack would surface here as a different decided value,
-/// batch shape, or attempt count, and the stream digest covers all of
-/// them.
+/// Served-stack differential: the exact stack `ShardCore::decide`
+/// allocates for a batch — a `ConsensusProtocol` of `SnapshotConciliator`
+/// and `GafniSnapshotAc` phases, one participant per proposal, randomness
+/// from the service's `(seed, shard, instance, attempt)` streams — driven
+/// by the one lockstep loop over both threaded substrates *and* the
+/// simulator's `Memory` the service decides on. Any substrate divergence
+/// that survives the protocol stack would surface here as a different
+/// decided value, phase count or step count; and each batch is also put
+/// through a real `DeterministicService`, whose fact must name the
+/// outcome of the attempt it reports, so the stack built here cannot
+/// drift from the one that is served.
 #[test]
 fn service_commit_streams_agree_across_substrates() {
+    use sift::adopt_commit::GafniSnapshotAc;
+    use sift::consensus::{ConsensusOutcome, ConsensusProtocol};
     use sift::core::Persona;
-    use sift::service::det::{uniform_script, DeterministicService};
-    use sift::service::ShardConfig;
+    use sift::service::det::DeterministicService;
+    use sift::service::{InstanceId, ShardConfig};
+    use sift::sim::{drive_lockstep, Memory};
 
     for seed in 0..5u64 {
-        let script = uniform_script(seed, 250, 30, 6);
-        let run_on = |streams: &mut Vec<Vec<sift::service::CommitFact>>, coarse: bool| {
+        for k in 1..=8usize {
+            let instance = InstanceId(seed * 8 + k as u64);
+            let values: Vec<u64> = (0..k as u64).map(|i| (i * 7 + seed) % 3).collect();
             let config = ShardConfig {
                 seed,
                 ..ShardConfig::default()
             };
-            // Tick every 8 proposals so batches actually form.
-            if coarse {
-                let mut svc = DeterministicService::<CoarseMemory<Persona>>::new(4, config);
-                svc.run_script(&script, 8);
-                streams.push(svc.stream().to_vec());
-            } else {
-                let mut svc = DeterministicService::<LockFreeMemory<Persona>>::new(4, config);
-                svc.run_script(&script, 8);
-                streams.push(svc.stream().to_vec());
+            let mut svc = DeterministicService::new(1, config.clone());
+            for (tag, &value) in values.iter().enumerate() {
+                svc.propose(instance, value, tag as u64);
             }
-        };
-        let mut streams = Vec::new();
-        run_on(&mut streams, false);
-        run_on(&mut streams, true);
-        assert_eq!(
-            streams[0], streams[1],
-            "seed {seed}: service commit-fact streams diverge across substrates"
-        );
+            let fact = svc.tick_all().remove(0);
+
+            let shard_seed = SeedSplitter::new(seed).seed("shard", 0);
+            let instance_seed = SeedSplitter::new(shard_seed).seed("instance", instance.0);
+            // Attempts 0 and 1 at the budgets `decide` would give them.
+            for (attempt, phases) in [(0u64, config.base_phases), (1, config.base_phases * 2)] {
+                let split =
+                    SeedSplitter::new(SeedSplitter::new(instance_seed).seed("attempt", attempt));
+                let mut b = LayoutBuilder::new();
+                let protocol = ConsensusProtocol::allocate(
+                    &mut b,
+                    k,
+                    phases,
+                    |b| SnapshotConciliator::allocate(b, k, Epsilon::HALF),
+                    |b| GafniSnapshotAc::allocate(b, k, |p: &Persona| p.input()),
+                );
+                let layout = b.build();
+                let participants = || {
+                    values
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &value)| {
+                            let mut rng = split.stream("participant", i as u64);
+                            protocol.participant(ProcessId(i), value, &mut rng)
+                        })
+                        .collect::<Vec<_>>()
+                };
+                let on_lockfree = run_lockstep_on(&LockFreeMemory::new(&layout), participants());
+                let on_coarse = run_lockstep_on(&CoarseMemory::new(&layout), participants());
+                let mut served: Memory<Persona> = Memory::new(&layout);
+                let on_served = drive_lockstep(participants(), |_, op| served.execute(op));
+                let context = format!("seed {seed}, batch {k}, attempt {attempt}");
+                assert_eq!(on_lockfree, on_coarse, "{context}: substrates diverge");
+                assert_eq!(on_lockfree, on_served, "{context}: served memory diverges");
+
+                if u64::from(fact.meta.attempts) == attempt + 1 {
+                    let decision = on_served
+                        .iter()
+                        .find_map(|o| match o {
+                            ConsensusOutcome::Decided(d) => Some(d),
+                            ConsensusOutcome::Exhausted { .. } => None,
+                        })
+                        .unwrap_or_else(|| panic!("{context}: the service decided here"));
+                    assert_eq!(
+                        (fact.value, fact.meta.phases as usize),
+                        (decision.value, decision.phases),
+                        "{context}: the service serves a different stack"
+                    );
+                }
+            }
+        }
     }
 }
