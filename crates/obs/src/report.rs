@@ -53,26 +53,22 @@ impl ObsReport {
 
     /// Adds `n` to the counter `name` (created at zero on first use).
     pub fn add_count(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        with_slot(&mut self.counters, name, |slot| *slot += n);
     }
 
     /// Raises the maximum `name` to `value` if it is higher.
     pub fn observe_max(&mut self, name: &str, value: u64) {
-        let slot = self.maxima.entry(name.to_string()).or_insert(0);
-        *slot = (*slot).max(value);
+        with_slot(&mut self.maxima, name, |slot| *slot = (*slot).max(value));
     }
 
     /// Records one observation of `value` into the histogram `name`.
     pub fn record_hist(&mut self, name: &str, value: u64) {
-        self.hists
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        with_slot(&mut self.hists, name, |hist| hist.record(value));
     }
 
     /// Merges a pre-built histogram into the histogram `name`.
     pub fn merge_hist(&mut self, name: &str, hist: &Histogram) {
-        self.hists.entry(name.to_string()).or_default().merge(hist);
+        with_slot(&mut self.hists, name, |slot| slot.merge(hist));
     }
 
     /// The value of counter `name` (0 when absent).
@@ -134,6 +130,17 @@ impl ObsReport {
         render_map(&mut out, &self.hists, Histogram::to_json);
         out.push_str("}\n}\n");
         out
+    }
+}
+
+/// Applies `update` to the entry `name`, created at its default on
+/// first use. The key is looked up by `&str` first: recording into an
+/// existing entry — every call after the first, on the service's hot
+/// paths — allocates nothing.
+fn with_slot<V: Default>(map: &mut BTreeMap<String, V>, name: &str, update: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(slot) => update(slot),
+        None => update(map.entry(name.to_string()).or_default()),
     }
 }
 

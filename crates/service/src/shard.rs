@@ -3,11 +3,20 @@
 //! A [`ShardCore`] owns every instance whose id hashes to it. Each
 //! instance is a single-shot consensus: the proposals that have
 //! arrived by the time the shard ticks form the instance's *batch*, the
-//! batch becomes the participant set of a fresh conciliator +
-//! adopt-commit stack over a simulator [`Memory`] built for exactly
-//! that batch, and the stack's decision is frozen into a
-//! [`CommitFact`]. Proposals that arrive after the decision never
-//! re-run consensus — they read the stored fact (idempotence).
+//! batch becomes the participant set of a conciliator + adopt-commit
+//! stack over a simulator [`Memory`], and the stack's decision is
+//! frozen into a [`CommitFact`]. Proposals that arrive after the
+//! decision never re-run consensus — they read the stored fact
+//! (idempotence).
+//!
+//! A decision pays only for what its batch needs. A batch of one is
+//! decided without running anything: validity leaves its value as the
+//! only legal output, and the stack would commit it in phase 1. For
+//! larger batches the stack's shape — its layout, and so its memory —
+//! depends only on `(batch size, phase budget)`, never on the instance,
+//! so the shard keeps the stacks it has built and hands each one out
+//! again with its memory [`reset`](Memory::reset) (DESIGN.md, "What a
+//! decision allocates").
 //!
 //! A decision runs on one thread, under the shard's lock, as a
 //! round-robin lockstep ([`drive_lockstep`]) — a schedule fixed in
@@ -23,10 +32,10 @@
 //! execute this exact code, so the deterministic suite exercises the
 //! same batching and decision logic the threaded service runs.
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
 
+use sift_adopt_commit::GafniSnapshotAc;
 use sift_consensus::{ConsensusOutcome, ConsensusProtocol};
 use sift_core::{Epsilon, Persona, SnapshotConciliator};
 use sift_obs::ObsReport;
@@ -51,9 +60,11 @@ pub struct ShardConfig {
     /// later proposals rejected with
     /// [`ServiceError::Evicted`]). `usize::MAX` retains everything.
     pub capacity: usize,
-    /// Phase budget of the first consensus attempt. Unanimous batches
-    /// commit in one phase; contended ones need a few more, and an
-    /// exhausted attempt retries with the budget doubled.
+    /// Phase budget of the first consensus attempt on a batch of two
+    /// or more. Unanimous batches commit in one phase; contended ones
+    /// need a few more, and an exhausted attempt retries with the
+    /// budget doubled. A batch of one never runs the stack and always
+    /// reports one phase, whatever the budget.
     pub base_phases: usize,
     /// Cap for the escalating phase budget.
     pub max_phases: usize,
@@ -132,6 +143,75 @@ pub struct ShardCore {
     evicted: HashSet<InstanceId>,
     seq: u64,
     obs: ObsReport,
+    stacks: StackCache,
+    grouping: Grouping,
+}
+
+/// The stack every batch of two or more is decided by.
+type ServedProtocol = ConsensusProtocol<SnapshotConciliator, GafniSnapshotAc<Persona>>;
+
+/// The stacks this shard has built, each with the memory it runs on,
+/// keyed by `(batch size, phase budget)` — all that a stack's layout
+/// depends on.
+#[derive(Debug, Default)]
+struct StackCache {
+    stacks: Vec<(ServedProtocol, Memory<Persona>)>,
+}
+
+impl StackCache {
+    /// Stacks kept at once. Batch sizes and escalated budgets are few
+    /// in practice; a shard that has seen more shapes than this forgets
+    /// them all and rebuilds what it meets next, so the cache is a
+    /// constant number of stacks, not a function of the traffic.
+    const LIMIT: usize = 32;
+
+    /// The stack for `n` participants and `phases` phases, its memory
+    /// fresh. This is the one place a stack is built.
+    fn checkout(&mut self, n: usize, phases: usize) -> &mut (ServedProtocol, Memory<Persona>) {
+        let cached = self
+            .stacks
+            .iter()
+            .position(|(p, _)| p.process_count() == n && p.max_phases() == phases);
+        let index = match cached {
+            Some(index) => {
+                self.stacks[index].1.reset();
+                index
+            }
+            None => {
+                if self.stacks.len() == Self::LIMIT {
+                    self.stacks.clear();
+                }
+                let mut builder = LayoutBuilder::new();
+                let protocol = ConsensusProtocol::allocate(
+                    &mut builder,
+                    n,
+                    phases,
+                    |b| SnapshotConciliator::allocate(b, n, Epsilon::HALF),
+                    |b| GafniSnapshotAc::allocate(b, n, |p: &Persona| p.input()),
+                );
+                self.stacks.push((protocol, Memory::new(&builder.build())));
+                self.stacks.len() - 1
+            }
+        };
+        &mut self.stacks[index]
+    }
+}
+
+/// What [`ShardCore::tick_crashing`] groups an inbox with, kept between
+/// ticks so a tick allocates nothing to group: the instance → batch
+/// index (empty between ticks) and the batch vectors (each empty
+/// between ticks, capacity retained).
+#[derive(Debug, Default)]
+struct Grouping {
+    index: HashMap<InstanceId, usize>,
+    batches: Vec<Vec<Proposal>>,
+}
+
+impl Grouping {
+    /// A tick over more proposals than this gives its grouping storage
+    /// (and the inbox's) back to the allocator instead of keeping it,
+    /// so one burst does not size the shard for good.
+    const KEEP_UP_TO: usize = 4096;
 }
 
 impl ShardCore {
@@ -146,6 +226,8 @@ impl ShardCore {
             evicted: HashSet::new(),
             seq: 0,
             obs: ObsReport::new(),
+            stacks: StackCache::default(),
+            grouping: Grouping::default(),
         }
     }
 
@@ -200,26 +282,40 @@ impl ShardCore {
         if self.inbox.is_empty() {
             return Vec::new();
         }
-        let inbox = std::mem::take(&mut self.inbox);
+        let mut inbox = std::mem::take(&mut self.inbox);
+        let Grouping {
+            mut index,
+            mut batches,
+        } = std::mem::take(&mut self.grouping);
+        let proposals = inbox.len();
         // Group by instance, keeping both first-arrival instance order
         // and intra-batch arrival order — the batch order is what makes
         // deterministic runs replayable.
-        let mut batches: Vec<(InstanceId, Vec<Proposal>)> = Vec::new();
-        let mut index: HashMap<InstanceId, usize> = HashMap::new();
-        for proposal in inbox {
-            match index.entry(proposal.instance) {
-                Entry::Occupied(slot) => batches[*slot.get()].1.push(proposal),
-                Entry::Vacant(slot) => {
-                    slot.insert(batches.len());
-                    batches.push((proposal.instance, vec![proposal]));
+        let mut groups = 0;
+        for proposal in inbox.drain(..) {
+            let slot = *index.entry(proposal.instance).or_insert(groups);
+            if slot == groups {
+                groups += 1;
+                if batches.len() < groups {
+                    batches.push(Vec::new());
                 }
             }
+            batches[slot].push(proposal);
         }
-        let mut remaining = batches.into_iter();
-        let mut facts = Vec::new();
-        for (instance, batch) in remaining.by_ref().take(crash_after) {
-            let fact = self.decide(instance, &batch);
-            for proposal in batch {
+        index.clear();
+        self.inbox = inbox;
+        let mut facts = Vec::with_capacity(groups.min(crash_after));
+        for (position, batch) in batches[..groups].iter_mut().enumerate() {
+            if position >= crash_after {
+                // Crash point: the undecided batches go back into the
+                // inbox in order, so the post-restart tick regroups
+                // them identically.
+                self.inbox.append(batch);
+                continue;
+            }
+            let instance = batch[0].instance;
+            let fact = self.decide(instance, batch);
+            for proposal in batch.drain(..) {
                 self.complete(proposal, Ok(fact.clone()));
             }
             self.decided.insert(instance, fact.clone());
@@ -227,31 +323,61 @@ impl ShardCore {
             facts.push(fact);
             self.enforce_capacity();
         }
-        // Crash point: the undecided batches go back into the inbox in
-        // order, so the post-restart tick regroups them identically.
-        for (_, batch) in remaining {
-            self.inbox.extend(batch);
+        if proposals <= Grouping::KEEP_UP_TO {
+            self.grouping = Grouping { index, batches };
+        } else {
+            self.inbox.shrink_to(Grouping::KEEP_UP_TO);
         }
         facts
     }
 
-    /// Runs the consensus stack for one instance's batch.
+    /// Decides one instance's batch and mints its fact.
     fn decide(&mut self, instance: InstanceId, batch: &[Proposal]) -> CommitFact {
-        let n = batch.len();
+        let (value, decider_phases, attempts) = match batch {
+            // A lone proposer's value is the only output validity
+            // allows, and the stack would commit it in phase 1 of its
+            // first attempt: the conciliator returns a lone
+            // participant's own persona and adopt-commit commits a lone
+            // proposal. `tests/substrate_differential.rs` holds this
+            // shortcut to the full stack's `(value, phases)`.
+            [lone] => (lone.value, 1, 1),
+            _ => self.run_stack(instance, batch),
+        };
+        let deciding_tag = batch
+            .iter()
+            .find(|p| p.value == value)
+            .map(|p| p.tag)
+            .expect("validity: decided value was proposed by someone in the batch");
+        let fact = CommitFact {
+            instance,
+            value,
+            meta: DecideMeta {
+                shard: self.id,
+                seq: self.seq,
+                batch_size: batch.len() as u32,
+                attempts,
+                phases: decider_phases as u32,
+                deciding_tag,
+            },
+        };
+        self.seq += 1;
+        self.obs.add_count("decided", 1);
+        self.obs.record_hist("batch_size", batch.len() as u64);
+        self.obs.record_hist("phases", decider_phases as u64);
+        self.obs.observe_max("max_batch", batch.len() as u64);
+        fact
+    }
+
+    /// Runs the consensus stack over `batch` until an attempt decides;
+    /// returns the decided value, the phases its decider ran and the
+    /// attempts made.
+    fn run_stack(&mut self, instance: InstanceId, batch: &[Proposal]) -> (u64, usize, u32) {
         let max_phases = self.config.max_phases.max(1);
         let mut phases = self.config.base_phases.clamp(1, max_phases);
         let mut attempt: u64 = 0;
-        let (value, decider_phases) = loop {
+        loop {
             let split = self.run_seed(instance, attempt);
-            let mut builder = LayoutBuilder::new();
-            let protocol = ConsensusProtocol::allocate(
-                &mut builder,
-                n,
-                phases,
-                |b| SnapshotConciliator::allocate(b, n, Epsilon::HALF),
-                |b| sift_adopt_commit_snapshot(b, n),
-            );
-            let mut memory: Memory<Persona> = Memory::new(&builder.build());
+            let (protocol, memory) = self.stacks.checkout(batch.len(), phases);
             let participants: Vec<_> = batch
                 .iter()
                 .enumerate()
@@ -268,7 +394,7 @@ impl ShardCore {
                 ConsensusOutcome::Decided(d) => Some(d),
                 ConsensusOutcome::Exhausted { .. } => None,
             }) {
-                break (decision.value, decision.phases);
+                return (decision.value, decision.phases, attempt as u32 + 1);
             }
             // Every participant exhausted its phases (probability at
             // most (1-δ)^phases per attempt): retry with a doubled
@@ -281,30 +407,7 @@ impl ShardCore {
             );
             self.obs.add_count("retries", 1);
             phases = (phases * 2).min(max_phases);
-        };
-        let deciding_tag = batch
-            .iter()
-            .find(|p| p.value == value)
-            .map(|p| p.tag)
-            .expect("validity: decided value was proposed by someone in the batch");
-        let fact = CommitFact {
-            instance,
-            value,
-            meta: DecideMeta {
-                shard: self.id,
-                seq: self.seq,
-                batch_size: n as u32,
-                attempts: attempt as u32 + 1,
-                phases: decider_phases as u32,
-                deciding_tag,
-            },
-        };
-        self.seq += 1;
-        self.obs.add_count("decided", 1);
-        self.obs.record_hist("batch_size", n as u64);
-        self.obs.record_hist("phases", decider_phases as u64);
-        self.obs.observe_max("max_batch", n as u64);
-        fact
+        }
     }
 
     /// Seed material for `(seed, shard, instance, attempt)`.
@@ -373,15 +476,6 @@ impl ShardCore {
     }
 }
 
-/// The adopt-commit half of the per-instance stack (kept out of the
-/// closure so the turbofish stays readable).
-fn sift_adopt_commit_snapshot(
-    builder: &mut LayoutBuilder,
-    n: usize,
-) -> sift_adopt_commit::GafniSnapshotAc<Persona> {
-    sift_adopt_commit::GafniSnapshotAc::allocate(builder, n, |p: &Persona| p.input())
-}
-
 /// Maps an instance id onto one of `shards` shards with a fixed
 /// splitmix-style mix, so placement is stable across runs, workers, and
 /// processes.
@@ -422,6 +516,28 @@ mod tests {
         assert_eq!(facts[0].meta.batch_size, 1);
         assert_eq!(facts[0].meta.deciding_tag, 1);
         assert_eq!(facts[0].meta.seq, 0);
+    }
+
+    #[test]
+    fn lone_proposal_takes_one_phase_at_every_budget() {
+        for base_phases in [1usize, 2, 4, 8] {
+            let config = ShardConfig {
+                base_phases,
+                ..ShardConfig::default()
+            };
+            let mut core = ShardCore::new(0, config);
+            core.submit(proposal(7, 42, 9));
+            let fact = core.tick().remove(0);
+            assert_eq!((fact.value, fact.meta.deciding_tag), (42, 9));
+            assert_eq!((fact.meta.phases, fact.meta.attempts), (1, 1));
+            let obs = core.obs();
+            assert_eq!((obs.count("decided"), obs.count("retries")), (1, 0));
+            assert_eq!(obs.max("max_batch"), 1);
+            for name in ["batch_size", "phases"] {
+                let hist = obs.hist(name).unwrap();
+                assert_eq!((hist.count(), hist.count_at(1)), (1, 1), "{name}");
+            }
+        }
     }
 
     #[test]
@@ -558,19 +674,78 @@ mod tests {
                 core.submit(proposal(i % 4, i % 3, i));
             }
         };
-        let mut clean = ShardCore::new(2, ShardConfig::default());
-        feed(&mut clean);
-        let clean_facts = clean.tick();
+        // Cold cores, then cores that have already decided other
+        // instances of the same and other shapes: the grouping scratch
+        // and the stacks a tick reuses must not show in its facts.
+        for warm_ticks in [0u64, 3] {
+            let core = || {
+                let mut core = ShardCore::new(2, ShardConfig::default());
+                for tick in 0..warm_ticks {
+                    for i in 0..10u64 {
+                        core.submit(proposal(100 + tick * 10 + i % (tick + 2), i % 4, i));
+                    }
+                    core.tick();
+                }
+                core
+            };
+            let warm_decided = core().obs().count("decided");
+            let mut clean = core();
+            feed(&mut clean);
+            let clean_facts = clean.tick();
 
-        for crash_after in 0..=4usize {
-            let mut crashed = ShardCore::new(2, ShardConfig::default());
-            feed(&mut crashed);
-            let mut facts = crashed.tick_crashing(crash_after);
-            assert_eq!(facts.len(), crash_after.min(4));
-            // Restarted worker retries the surviving inbox.
-            facts.extend(crashed.tick());
-            assert_eq!(facts, clean_facts, "crash_after={crash_after}");
-            assert_eq!(crashed.obs().count("decided"), 4);
+            for crash_after in 0..=4usize {
+                let mut crashed = core();
+                feed(&mut crashed);
+                let mut facts = crashed.tick_crashing(crash_after);
+                assert_eq!(facts.len(), crash_after.min(4));
+                // Restarted worker retries the surviving inbox.
+                facts.extend(crashed.tick());
+                let context = format!("warm_ticks={warm_ticks} crash_after={crash_after}");
+                assert_eq!(facts, clean_facts, "{context}");
+                assert_eq!(crashed.obs().count("decided"), warm_decided + 4);
+                assert_eq!(crashed.obs(), clean.obs(), "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cached_stack_runs_like_a_new_one() {
+        let outcomes = |cache: &mut StackCache, n: usize, phases: usize, seed: u64| {
+            let (protocol, memory) = cache.checkout(n, phases);
+            assert_eq!(
+                (protocol.process_count(), protocol.max_phases()),
+                (n, phases)
+            );
+            assert_eq!(memory.ops_executed(), 0, "handed out fresh");
+            let split = SeedSplitter::new(seed);
+            let participants: Vec<_> = (0..n)
+                .map(|i| {
+                    let mut rng = split.stream("participant", i as u64);
+                    protocol.participant(ProcessId(i), (i as u64 * 7 + seed) % 3, &mut rng)
+                })
+                .collect();
+            drive_lockstep(participants, |_, op| memory.execute(op))
+        };
+        // Shapes repeat, and a retry's doubled budget is a shape of its
+        // own beside the base budget's.
+        let mut warm = StackCache::default();
+        let shapes = [(3, 2), (3, 4), (5, 2), (3, 2), (3, 4), (5, 2), (3, 2)];
+        for (seed, (n, phases)) in shapes.into_iter().enumerate() {
+            assert_eq!(
+                outcomes(&mut warm, n, phases, seed as u64),
+                outcomes(&mut StackCache::default(), n, phases, seed as u64),
+                "n={n} phases={phases} seed={seed}"
+            );
+        }
+        assert_eq!(warm.stacks.len(), 3, "one stack per shape");
+    }
+
+    #[test]
+    fn the_stack_cache_holds_a_constant_number_of_stacks() {
+        let mut cache = StackCache::default();
+        for n in 2..2 + 3 * StackCache::LIMIT {
+            cache.checkout(n, 2);
+            assert!(cache.stacks.len() <= StackCache::LIMIT);
         }
     }
 

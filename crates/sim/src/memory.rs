@@ -154,6 +154,25 @@ impl<V: Value> Memory<V> {
         self.semantics = semantics;
     }
 
+    /// Returns the memory to the state [`Memory::with_cost_model`] built
+    /// it in, keeping the cost model and semantics it was given since:
+    /// every object ⊥, `ops_executed` zero, the [`Resolution::Coin`]
+    /// stream back at its seed. A run after `reset` is
+    /// indistinguishable, by results and by op count, from the same run
+    /// on a new memory for the same layout — which is what lets a
+    /// caller that runs many small protocols keep one memory per layout
+    /// instead of building one per run. Snapshot component vectors are
+    /// reused when nothing else holds them (see
+    /// [`SnapshotObject::reset`]); register and max-register pages are
+    /// dropped.
+    pub fn reset(&mut self) {
+        self.registers.clear();
+        self.max_registers.clear();
+        self.snapshots.iter_mut().for_each(SnapshotObject::reset);
+        self.ops_executed = 0;
+        self.set_semantics(self.semantics);
+    }
+
     /// Executes one operation atomically and returns its result.
     ///
     /// # Panics

@@ -86,6 +86,12 @@ impl<T: Default + Clone> Paged<T> {
         &mut page[i % PAGE]
     }
 
+    /// Drops every materialized page: all entries read as untouched
+    /// again, as in a freshly constructed array of the same length.
+    pub fn clear(&mut self) {
+        self.pages.fill(None);
+    }
+
     /// Iterates the materialized entries as `(index, &entry)`.
     pub fn iter_materialized(&self) -> impl Iterator<Item = (usize, &T)> {
         self.pages.iter().enumerate().flat_map(|(p, page)| {

@@ -89,6 +89,22 @@ impl<V: Value> SnapshotObject<V> {
         ScanView::new(Arc::clone(arc))
     }
 
+    /// Returns the object to its freshly constructed state: every
+    /// component ⊥, both operation counts zero. The component vector is
+    /// cleared in place when no [`ScanView`] still shares it — its
+    /// allocation then serves the next run — and dropped otherwise, so
+    /// a view taken before the reset keeps reading what it scanned.
+    pub fn reset(&mut self) {
+        self.updates = 0;
+        self.scans = 0;
+        if let Some(arc) = &mut self.components {
+            match Arc::get_mut(arc) {
+                Some(components) => components.fill(None),
+                None => self.components = None,
+            }
+        }
+    }
+
     /// Number of update operations executed.
     pub fn update_count(&self) -> u64 {
         self.updates

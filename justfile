@@ -67,14 +67,16 @@ conformance:
 # Service-level suites: agreement/validity/decide-exactly-once under
 # concurrent async clients, golden-pinned deterministic commit streams,
 # the served-stack differential (lock-free, lock-based and simulator
-# memory agree on the stack `decide` builds), and the negative paths
+# memory agree on the stack the shard decides with), and the negative paths
 # (evictions, zero capacity, cancellation) — each at worker counts
-# 1, 4, and 8 — plus a small load-generator smoke run. The first line
-# keeps the sift-service → sift-shmem edge cut.
+# 1, 4, and 8 — the crash-recovery suite, the allocations-per-decision
+# gate, plus a small load-generator smoke run. The first line keeps the
+# sift-service → sift-shmem edge cut.
 service:
     ! cargo tree -p sift-service -e normal --offline | grep -q sift-shmem
     cargo test -q --test service_agreement --test service_determinism \
-        --test service_negative --test substrate_differential
+        --test service_negative --test substrate_differential \
+        --test decide_allocations --test service_crash
     cargo test -q -p sift-service
     SIFT_SERVICE_PROPOSALS=50000 SIFT_SERVICE_INSTANCES=5000 \
         cargo run --release -p sift-bench --bin exp_service

@@ -388,88 +388,129 @@ fn snapshot_conciliator_outcomes_agree_across_substrates() {
     }
 }
 
-/// Served-stack differential: the exact stack `ShardCore::decide`
-/// allocates for a batch — a `ConsensusProtocol` of `SnapshotConciliator`
-/// and `GafniSnapshotAc` phases, one participant per proposal, randomness
-/// from the service's `(seed, shard, instance, attempt)` streams — driven
-/// by the one lockstep loop over both threaded substrates *and* the
-/// simulator's `Memory` the service decides on. Any substrate divergence
-/// that survives the protocol stack would surface here as a different
-/// decided value, phase count or step count; and each batch is also put
-/// through a real `DeterministicService`, whose fact must name the
-/// outcome of the attempt it reports, so the stack built here cannot
-/// drift from the one that is served.
+/// Served-stack differential: the stack `ShardCore` decides a batch
+/// with — a `ConsensusProtocol` of `SnapshotConciliator` and
+/// `GafniSnapshotAc` phases, one participant per proposal, randomness
+/// from the service's `(seed, shard, instance, attempt)` streams — built
+/// fresh here for every attempt and driven by the one lockstep loop over
+/// both threaded substrates *and* the simulator's `Memory` the service
+/// decides on. Any substrate divergence that survives the protocol stack
+/// would surface here as a different decided value, phase count or step
+/// count.
+///
+/// Each batch is also put through real `DeterministicService`s, whose
+/// facts must name the outcome of the attempt they report, so the stack
+/// built here cannot drift from what is served. That is the proof of two
+/// things the shard does instead of building this stack per batch: at
+/// k = 1 it decides without running anything (the fresh stack must agree:
+/// the lone value, one phase, one attempt), and at k > 1 it reuses the
+/// stack and memory it built for an earlier batch of the same shape. One
+/// service is fresh per batch; the other lives through all 40 batches,
+/// so its shard decides on warm stacks across changing batch sizes.
+/// (Under the lockstep schedule every one of these batches commits in
+/// its first attempt, so a retry's doubled budget is not reachable from
+/// here; the shard's unit tests cover the cache across budgets.)
 #[test]
 fn service_commit_streams_agree_across_substrates() {
-    use sift::adopt_commit::GafniSnapshotAc;
-    use sift::consensus::{ConsensusOutcome, ConsensusProtocol};
-    use sift::core::Persona;
     use sift::service::det::DeterministicService;
     use sift::service::{InstanceId, ShardConfig};
-    use sift::sim::{drive_lockstep, Memory};
 
+    let long_lived_config = ShardConfig {
+        seed: 0x5EED,
+        base_phases: 2,
+        ..ShardConfig::default()
+    };
+    let mut long_lived = DeterministicService::new(1, long_lived_config.clone());
     for seed in 0..5u64 {
         for k in 1..=8usize {
             let instance = InstanceId(seed * 8 + k as u64);
             let values: Vec<u64> = (0..k as u64).map(|i| (i * 7 + seed) % 3).collect();
-            let config = ShardConfig {
+            let fresh_config = ShardConfig {
                 seed,
                 ..ShardConfig::default()
             };
-            let mut svc = DeterministicService::new(1, config.clone());
+            let mut fresh = DeterministicService::new(1, fresh_config.clone());
             for (tag, &value) in values.iter().enumerate() {
-                svc.propose(instance, value, tag as u64);
+                fresh.propose(instance, value, tag as u64);
+                long_lived.propose(instance, value, tag as u64);
             }
-            let fact = svc.tick_all().remove(0);
+            let fact = fresh.tick_all().remove(0);
+            assert_fact_names_a_fresh_stacks_outcome(&fresh_config, &values, &fact);
+            let fact = long_lived.tick_all().remove(0);
+            assert_fact_names_a_fresh_stacks_outcome(&long_lived_config, &values, &fact);
+        }
+    }
+}
 
-            let shard_seed = SeedSplitter::new(seed).seed("shard", 0);
-            let instance_seed = SeedSplitter::new(shard_seed).seed("instance", instance.0);
-            // Attempts 0 and 1 at the budgets `decide` would give them.
-            for (attempt, phases) in [(0u64, config.base_phases), (1, config.base_phases * 2)] {
-                let split =
-                    SeedSplitter::new(SeedSplitter::new(instance_seed).seed("attempt", attempt));
-                let mut b = LayoutBuilder::new();
-                let protocol = ConsensusProtocol::allocate(
-                    &mut b,
-                    k,
-                    phases,
-                    |b| SnapshotConciliator::allocate(b, k, Epsilon::HALF),
-                    |b| GafniSnapshotAc::allocate(b, k, |p: &Persona| p.input()),
-                );
-                let layout = b.build();
-                let participants = || {
-                    values
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &value)| {
-                            let mut rng = split.stream("participant", i as u64);
-                            protocol.participant(ProcessId(i), value, &mut rng)
-                        })
-                        .collect::<Vec<_>>()
-                };
-                let on_lockfree = run_lockstep_on(&LockFreeMemory::new(&layout), participants());
-                let on_coarse = run_lockstep_on(&CoarseMemory::new(&layout), participants());
-                let mut served: Memory<Persona> = Memory::new(&layout);
-                let on_served = drive_lockstep(participants(), |_, op| served.execute(op));
-                let context = format!("seed {seed}, batch {k}, attempt {attempt}");
-                assert_eq!(on_lockfree, on_coarse, "{context}: substrates diverge");
-                assert_eq!(on_lockfree, on_served, "{context}: served memory diverges");
+/// Replays `fact`'s instance — `values` proposed in order to shard 0 of
+/// a one-shard service under `config` — on a fresh full stack per
+/// attempt, at the budget the shard gives that attempt: the three
+/// memories must agree on every attempt, and the attempt the fact
+/// reports must have decided the fact's `(value, phases)`.
+fn assert_fact_names_a_fresh_stacks_outcome(
+    config: &sift::service::ShardConfig,
+    values: &[u64],
+    fact: &sift::service::CommitFact,
+) {
+    use sift::adopt_commit::GafniSnapshotAc;
+    use sift::consensus::{ConsensusOutcome, ConsensusProtocol};
+    use sift::core::Persona;
+    use sift::sim::{drive_lockstep, Memory};
 
-                if u64::from(fact.meta.attempts) == attempt + 1 {
-                    let decision = on_served
-                        .iter()
-                        .find_map(|o| match o {
-                            ConsensusOutcome::Decided(d) => Some(d),
-                            ConsensusOutcome::Exhausted { .. } => None,
-                        })
-                        .unwrap_or_else(|| panic!("{context}: the service decided here"));
-                    assert_eq!(
-                        (fact.value, fact.meta.phases as usize),
-                        (decision.value, decision.phases),
-                        "{context}: the service serves a different stack"
-                    );
-                }
-            }
+    let k = values.len();
+    let shard_seed = SeedSplitter::new(config.seed).seed("shard", 0);
+    let instance_seed = SeedSplitter::new(shard_seed).seed("instance", fact.instance.0);
+    // Attempts 0 and 1 always, and as many more as the service made.
+    for attempt in 0..u64::from(fact.meta.attempts).max(2) {
+        let phases = (config.base_phases << attempt).min(config.max_phases);
+        let split = SeedSplitter::new(SeedSplitter::new(instance_seed).seed("attempt", attempt));
+        let mut b = LayoutBuilder::new();
+        let protocol = ConsensusProtocol::allocate(
+            &mut b,
+            k,
+            phases,
+            |b| SnapshotConciliator::allocate(b, k, Epsilon::HALF),
+            |b| GafniSnapshotAc::allocate(b, k, |p: &Persona| p.input()),
+        );
+        let layout = b.build();
+        let participants = || {
+            values
+                .iter()
+                .enumerate()
+                .map(|(i, &value)| {
+                    let mut rng = split.stream("participant", i as u64);
+                    protocol.participant(ProcessId(i), value, &mut rng)
+                })
+                .collect::<Vec<_>>()
+        };
+        let on_lockfree = run_lockstep_on(&LockFreeMemory::new(&layout), participants());
+        let on_coarse = run_lockstep_on(&CoarseMemory::new(&layout), participants());
+        let mut served: Memory<Persona> = Memory::new(&layout);
+        let on_served = drive_lockstep(participants(), |_, op| served.execute(op));
+        let context = format!(
+            "service seed {}, instance {}, batch {k}, attempt {attempt}",
+            config.seed, fact.instance
+        );
+        assert_eq!(on_lockfree, on_coarse, "{context}: substrates diverge");
+        assert_eq!(on_lockfree, on_served, "{context}: served memory diverges");
+
+        let decision = on_served.iter().find_map(|o| match o {
+            ConsensusOutcome::Decided(d) => Some(d),
+            ConsensusOutcome::Exhausted { .. } => None,
+        });
+        if u64::from(fact.meta.attempts) == attempt + 1 {
+            let decision =
+                decision.unwrap_or_else(|| panic!("{context}: the service decided here"));
+            assert_eq!(
+                (fact.value, fact.meta.phases as usize),
+                (decision.value, decision.phases),
+                "{context}: the service serves a different stack"
+            );
+        } else if attempt + 1 < u64::from(fact.meta.attempts) {
+            assert!(
+                decision.is_none(),
+                "{context}: the service retried past a decision"
+            );
         }
     }
 }
