@@ -31,6 +31,8 @@
 //! `SIFT_THREADS`. `scale` multiplies every trial count: 1 is the CI
 //! smoke tier, larger values are the nightly/heavy tier.
 
+use std::process::ExitCode;
+
 use sift_consensus::{
     linear_work_consensus, max_register_consensus, sifting_consensus, ConsensusOutcome,
 };
@@ -117,6 +119,28 @@ pub fn run_sifting_mutant(scale: usize, mutation: sift_core::SiftingMutation) ->
     sifting_claims(scale, "mutant.", &move |b: &mut LayoutBuilder| {
         SiftingConciliator::allocate_mutant(b, SIFTING_N, Epsilon::HALF, mutation)
     })
+}
+
+/// `exp conformance`: the suite at scale `SIFT_TRIALS` (default 1 =
+/// the CI smoke tier; the nightly tier runs a larger scale), its table
+/// — the one `EXPERIMENTS.md` records — and its digest.
+///
+/// Exit code 1 if any claim is refuted.
+pub fn main() -> ExitCode {
+    let scale = crate::default_trials(1);
+    let start = std::time::Instant::now();
+    let results = run(scale);
+    render(&results).print();
+    println!(
+        "conformance digest: {:#018x} (scale {scale})",
+        digest(&results)
+    );
+    eprintln!("total time: {:.1?}", start.elapsed());
+    if !all_pass(&results) {
+        eprintln!("conformance: at least one claim refuted at 99% confidence");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// `true` iff every claim passed.

@@ -17,19 +17,18 @@
 //!   only on the trial count (never the thread count), and chunk
 //!   accumulators are merged in index order at the barrier.
 //!
-//! `SIFT_THREADS=1` therefore reproduces the parallel numbers exactly,
-//! and with the default master seed `0` the per-trial seeds are the
-//! trial indices themselves — the layout the pre-executor serial
-//! harness used — so historical tables are reproduced as well.
+//! One worker therefore reproduces the parallel numbers exactly, and
+//! with the default master seed `0` the per-trial seeds are the trial
+//! indices themselves — the layout the pre-executor serial harness
+//! used — so historical tables are reproduced as well.
 //!
 //! # Knobs
 //!
-//! * `SIFT_THREADS` — worker count (default: available parallelism).
-//! * `SIFT_SEED` — master seed for a batch (default 0).
+//! * [`set_threads`] — worker count (default: available parallelism).
+//! * [`set_master_seed`] — master seed for a batch (default 0).
 //!
-//! Both are also settable programmatically ([`set_threads`],
-//! [`set_master_seed`]), which is what the `--threads`/`--seed` flags
-//! of the `exp_*` binaries do.
+//! This module never reads the environment: [`crate::cli`] parses
+//! `SIFT_THREADS` / `SIFT_SEED` once and calls the setters.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -126,66 +125,39 @@ impl_merge_for_tuples! {
     (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5)
 }
 
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static MASTER_SEED_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
+static THREADS: AtomicUsize = AtomicUsize::new(0);
+static MASTER_SEED: AtomicU64 = AtomicU64::new(0);
 
-/// Serializes tests that mutate the global overrides.
+/// Serializes tests that mutate the global knobs.
 #[cfg(test)]
 pub(crate) fn override_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Overrides the worker count for all subsequent batches (`0` clears
-/// the override). Takes precedence over `SIFT_THREADS`.
+/// Sets the worker count for all subsequent batches (`0` restores the
+/// default: the machine's available parallelism).
 pub fn set_threads(threads: usize) {
-    THREAD_OVERRIDE.store(threads, Ordering::Relaxed);
+    THREADS.store(threads, Ordering::Relaxed);
 }
 
-/// Overrides the master seed for all subsequent batches. Takes
-/// precedence over `SIFT_SEED`.
+/// Sets the master seed for all subsequent batches (default 0).
 pub fn set_master_seed(seed: u64) {
-    MASTER_SEED_OVERRIDE.store(seed, Ordering::Relaxed);
+    MASTER_SEED.store(seed, Ordering::Relaxed);
 }
 
-/// The worker count used by [`map_reduce`]: the [`set_threads`]
-/// override, else `SIFT_THREADS`, else the machine's available
-/// parallelism.
-///
-/// # Panics
-///
-/// Panics if `SIFT_THREADS` is set but not a positive integer.
+/// The worker count used by [`map_reduce`]: the [`set_threads`] value,
+/// else the machine's available parallelism.
 pub fn threads() -> usize {
-    let over = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if over > 0 {
-        return over;
-    }
-    match std::env::var("SIFT_THREADS") {
-        Ok(v) => match v.parse::<usize>() {
-            Ok(t) if t > 0 => t,
-            _ => panic!("SIFT_THREADS must be a positive integer, got {v:?}"),
-        },
-        Err(_) => std::thread::available_parallelism().map_or(1, |p| p.get()),
+    match THREADS.load(Ordering::Relaxed) {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        set => set,
     }
 }
 
-/// The master seed for a batch: the [`set_master_seed`] override, else
-/// `SIFT_SEED`, else 0.
-///
-/// # Panics
-///
-/// Panics if `SIFT_SEED` is set but not an integer.
+/// The master seed for a batch: the [`set_master_seed`] value, else 0.
 pub fn master_seed() -> u64 {
-    let over = MASTER_SEED_OVERRIDE.load(Ordering::Relaxed);
-    if over != u64::MAX {
-        return over;
-    }
-    match std::env::var("SIFT_SEED") {
-        Ok(v) => v
-            .parse::<u64>()
-            .unwrap_or_else(|_| panic!("SIFT_SEED must be a u64, got {v:?}")),
-        Err(_) => 0,
-    }
+    MASTER_SEED.load(Ordering::Relaxed)
 }
 
 /// Derives the seed of trial `index` from the batch's master seed.

@@ -4,6 +4,9 @@
 //! k-delayed → late → adaptive) on both the atomic and the regular
 //! register substrate.
 
+use std::path::Path;
+use std::process::ExitCode;
+
 use sift_core::{
     CilConciliator, Conciliator, EmbeddedConciliator, Epsilon, EscalatingCilConciliator,
     SiftingConciliator, SnapshotConciliator,
@@ -14,24 +17,64 @@ use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::{CrashSubset, RandomInterleave, RoundRobin, Schedule, ScheduleKind};
 use sift_sim::{Engine, LayoutBuilder, ProcessId, RegisterSemantics, Resolution};
 
+use crate::conformance::{self, ClaimResult};
 use crate::exec::Batch;
 use crate::runner::default_trials;
 use crate::stats::RateCounter;
 use crate::table::{fmt_f64, Table};
 
 /// Agreement rates per (conciliator, schedule family), wait-freedom
-/// under crash subsets, and the adversary-lattice sweep.
+/// under crash subsets, and the adversary-lattice sweep: what `exp all`
+/// prints for this entry.
 pub fn run() -> Vec<Table> {
     let mut tables = run_base();
     tables.push(run_lattice(LATTICE_N, default_trials(LATTICE_TRIALS)).table());
     tables
 }
 
-/// The E12/E16 tables alone — the lattice sweep is separate so the
-/// experiment binary can reuse one sweep for the table, the digest,
-/// and the `BENCH_adversary.json` artifact.
-pub fn run_base() -> Vec<Table> {
+/// The E12/E16 tables alone — the lattice sweep is separate so [`main`]
+/// can reuse one sweep for the table, the digest, and the
+/// `BENCH_adversary.json` artifact.
+fn run_base() -> Vec<Table> {
     vec![schedules(), crashes()]
+}
+
+/// `exp adversary`: the [`run`] tables with the lattice digest, plus
+/// the E25 negative conformance tier that pins the obliviousness
+/// boundary. `json` (`SIFT_ADVERSARY_JSON`) receives the lattice sweep
+/// and the negative-tier verdicts — `just bench-json` points it at
+/// `BENCH_adversary.json`.
+///
+/// Exit code 1 if any negative-tier case lands on the wrong side of the
+/// boundary or the JSON could not be written.
+pub fn main(json: Option<&Path>) -> ExitCode {
+    for t in run_base() {
+        t.print();
+    }
+
+    let lattice = run_lattice(LATTICE_N, default_trials(LATTICE_TRIALS));
+    lattice.table().print();
+    println!("lattice digest: {:#018x}\n", lattice.digest());
+
+    let negative = conformance::run_negative(default_trials(1));
+    conformance::render_negative(&negative).print();
+    println!("negative digest: {:#018x}", conformance::digest(&negative));
+
+    if let Some(path) = json {
+        match std::fs::write(path, lattice.to_json(&negative)) {
+            Ok(()) => eprintln!("wrote adversary report to {}", path.display()),
+            Err(e) => {
+                eprintln!("cannot write adversary report to {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+
+    if !conformance::all_pass(&negative) {
+        eprintln!("negative conformance: a case landed on the wrong side of the boundary");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// Instance size of the lattice sweep (adaptive runs scan the live set
@@ -122,9 +165,11 @@ impl LatticeReport {
         table
     }
 
-    /// The sweep as a small JSON document (tracked in
+    /// The sweep, its [`digest`](Self::digest) and the negative tier's
+    /// verdicts as a small JSON document (tracked in
     /// `BENCH_adversary.json`).
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self, negative: &[ClaimResult]) -> String {
+        let comma = |i: usize, len: usize| if i + 1 < len { "," } else { "" };
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"n\": {},\n", self.n));
         out.push_str("  \"cells\": [\n");
@@ -138,7 +183,21 @@ impl LatticeReport {
                 c.agreements,
                 c.agree_rate(),
                 c.mean_distinct(),
-                if i + 1 < self.cells.len() { "," } else { "" },
+                comma(i, self.cells.len()),
+            ));
+        }
+        // The comma on a line of its own is the tracked file's layout.
+        out.push_str(&format!(
+            "  ]\n  ,\n  \"lattice_digest\": \"{:#018x}\",\n  \"negative\": [\n",
+            self.digest()
+        ));
+        for (i, r) in negative.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"id\": \"{}\", \"trials\": {}, \"pass\": {}}}{}\n",
+                r.id,
+                r.trials,
+                r.pass,
+                comma(i, negative.len()),
             ));
         }
         out.push_str("  ]\n}\n");

@@ -30,9 +30,16 @@ where
         .means()
 }
 
+/// Both decay tables: Algorithm 1, then Algorithm 2.
+pub fn run() -> Vec<Table> {
+    let mut tables = snapshot_conciliator();
+    tables.extend(sifting_conciliator());
+    tables
+}
+
 /// E1: Algorithm 1 survivor decay vs `f^{(i)}(n-1)`,
 /// `f(x) = min(ln(x+1), x/2)` (Lemma 1 iterated as in Theorem 1).
-pub fn snapshot_conciliator() -> Vec<Table> {
+fn snapshot_conciliator() -> Vec<Table> {
     let mut table = Table::new(
         "E1 — Algorithm 1 (snapshot conciliator): mean excess personae per round",
         &[
@@ -68,7 +75,7 @@ pub fn snapshot_conciliator() -> Vec<Table> {
 
 /// E4/E5: Algorithm 2 survivor decay vs `x_i = 2^{2-2^{1-i}}(n-1)^{2^{-i}}`
 /// for the aggressive rounds and `8·(3/4)^j` for the tail.
-pub fn sifting_conciliator() -> Vec<Table> {
+fn sifting_conciliator() -> Vec<Table> {
     let mut table = Table::new(
         "E4/E5 — Algorithm 2 (sifting conciliator): mean excess personae per round",
         &[

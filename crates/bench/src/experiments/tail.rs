@@ -79,7 +79,7 @@ pub fn run() -> Vec<Table> {
 /// n = 10⁵ trial schedules millions of events, so these rows exist to
 /// pin the large-n shape — the geometric decay and the within-bound
 /// check — while keeping the thread-invariance CI gate (which runs
-/// `exp_all` twice) inside its wall-clock budget. The n = 64 table
+/// `exp all` twice) inside its wall-clock budget. The n = 64 table
 /// above carries the statistical weight.
 fn run_at_scale() -> Table {
     let mut table = Table::new(

@@ -30,6 +30,9 @@
 //! order — the whole run, including the corpus [`digest`](
 //! FuzzReport::digest), is byte-identical for any `SIFT_THREADS`.
 
+use std::path::Path;
+use std::process::ExitCode;
+
 use sift_core::{
     distinct_per_round, try_check_validity, Conciliator, Epsilon, RoundHistory, SiftingConciliator,
 };
@@ -118,6 +121,55 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
     run_fuzz_with(config, &|b: &mut LayoutBuilder, n: usize| {
         SiftingConciliator::allocate(b, n, Epsilon::HALF)
     })
+}
+
+/// `exp fuzz`: one campaign and its coverage report. Every violation
+/// prints with its shrunk `FixedSchedule` replay script when one
+/// exists; `out` (`SIFT_FUZZ_OUT`) receives the same text — what the
+/// nightly CI job uploads as an artifact.
+///
+/// Exit code 1 if any violation was found or `out` could not be written.
+pub fn main(config: &FuzzConfig, out: Option<&Path>) -> ExitCode {
+    let start = std::time::Instant::now();
+    let report = run_fuzz(config);
+
+    let mut summary = String::new();
+    summary.push_str(&format!(
+        "fuzz campaign: n={} generations={} population={} seed={:#x} extended={}\n",
+        config.n, config.generations, config.population, config.seed, config.extended
+    ));
+    summary.push_str(&format!(
+        "evaluated {} candidates; {} distinct fingerprints; corpus {}; {} violations\n",
+        report.evaluated,
+        report.coverage,
+        report.corpus_len,
+        report.violations.len()
+    ));
+    summary.push_str(&format!("campaign digest: {:#018x}\n", report.digest()));
+    for violation in &report.violations {
+        summary.push_str(&format!("\n{violation}\n"));
+    }
+    print!("{summary}");
+
+    if let Some(path) = out {
+        match std::fs::write(path, &summary) {
+            Ok(()) => eprintln!("wrote campaign report to {}", path.display()),
+            Err(e) => {
+                eprintln!("cannot write campaign report to {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+
+    eprintln!("total time: {:.1?}", start.elapsed());
+    if !report.violations.is_empty() {
+        eprintln!(
+            "fuzz: {} invariant violation(s) found",
+            report.violations.len()
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// Runs a campaign against a deliberately broken sifter — the fuzzer

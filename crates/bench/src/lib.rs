@@ -1,10 +1,12 @@
 //! # sift-bench — experiment harness
 //!
 //! Regenerates every table of the evaluation (see `DESIGN.md`'s
-//! experiment index E1–E21 and `EXPERIMENTS.md` for recorded results).
-//! Each `exp_*` binary prints one experiment's tables; `exp_all` runs
-//! the whole suite. Trial counts scale with the `SIFT_TRIALS`
-//! environment variable; run in `--release`.
+//! experiment index E1–E26 and `EXPERIMENTS.md` for recorded results).
+//! There is one way in: the `exp` binary — `exp <name>` prints one
+//! experiment, `exp all` the whole table suite, `exp list` the
+//! [`experiments::REGISTRY`] they are all rows of. [`cli`] is the only
+//! module that reads the environment or the arguments; everything else
+//! takes its knobs as values. Run in `--release`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,11 +1,11 @@
 //! Harness-side observation collection behind `--obs-json`.
 //!
-//! When enabled (by the `--obs-json` flag, the `SIFT_OBS_JSON`
-//! environment variable, or [`enable`]), every trial that flows through
+//! When enabled (by the `--obs-json` flag or [`enable`]), every trial
+//! that flows through
 //! [`runner`](crate::runner) folds its step accounting into a
 //! process-global [`ObsReport`]; [`collect`] additionally folds in the
 //! substrate's contention counters
-//! ([`sift_shmem::obs::snapshot`]), and [`finish`] writes the merged
+//! ([`sift_shmem::obs::snapshot`]), and [`try_finish`] writes the merged
 //! report as JSON. Disabled (the default), recording is a single
 //! relaxed atomic load per trial.
 //!
@@ -61,7 +61,7 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Acquire)
 }
 
-/// Enables recording and registers `path` as the file [`finish`]
+/// Enables recording and registers `path` as the file [`try_finish`]
 /// writes.
 pub fn set_output(path: impl Into<PathBuf>) {
     enable();
@@ -175,19 +175,6 @@ pub fn try_finish() -> io::Result<Option<PathBuf>> {
     };
     write_json(&path)?;
     Ok(Some(path))
-}
-
-/// Writes the observation file registered with [`set_output`], if any,
-/// reporting the outcome on stderr and continuing on failure. Kept for
-/// callers that treat observability as best-effort; `exp_*` binaries go
-/// through [`cli::finish`](crate::cli::finish), which exits nonzero on
-/// an unwritable path instead.
-pub fn finish() {
-    match try_finish() {
-        Ok(Some(path)) => eprintln!("wrote observations to {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("failed to write observations: {e}"),
-    }
 }
 
 #[cfg(test)]

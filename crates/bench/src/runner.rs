@@ -5,6 +5,8 @@
 //! shared by every worker of the parallel executor
 //! (see [`exec`](crate::exec)).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use sift_core::{distinct_per_round, Conciliator, Persona, RoundHistory, SiftingParticipant};
 use sift_sim::adversary::DelayedChooser;
 use sift_sim::rng::SeedSplitter;
@@ -32,21 +34,21 @@ pub struct Trial {
     pub survivors: Option<Vec<usize>>,
 }
 
-/// Default number of trials, overridable with the `SIFT_TRIALS`
-/// environment variable.
-///
-/// # Panics
-///
-/// Panics if `SIFT_TRIALS` is set but does not parse as a positive
-/// integer — a typo'd trial count silently falling back to the default
-/// would invalidate a sweep without any visible signal.
+static TRIALS: AtomicUsize = AtomicUsize::new(0);
+
+/// Sets the trial count every experiment uses in place of its own
+/// default (`0` restores the defaults). [`crate::cli`] calls this with
+/// `SIFT_TRIALS`.
+pub fn set_trials(trials: usize) {
+    TRIALS.store(trials, Ordering::Relaxed);
+}
+
+/// The trial count for a configuration whose own default is `wanted`:
+/// the [`set_trials`] value, else `wanted`.
 pub fn default_trials(wanted: usize) -> usize {
-    match std::env::var("SIFT_TRIALS") {
-        Ok(v) => match v.parse::<usize>() {
-            Ok(t) if t > 0 => t,
-            _ => panic!("SIFT_TRIALS must be a positive integer, got {v:?}"),
-        },
-        Err(_) => wanted,
+    match TRIALS.load(Ordering::Relaxed) {
+        0 => wanted,
+        set => set,
     }
 }
 
@@ -241,8 +243,8 @@ mod tests {
     }
 
     #[test]
-    fn default_trials_honors_env() {
-        // No env set in tests: fall back to wanted.
+    fn default_trials_fall_back_to_wanted() {
+        // Nothing in this test binary calls `set_trials`.
         assert_eq!(default_trials(42), 42);
     }
 }

@@ -18,9 +18,11 @@
 //!
 //! The result folds the service's own per-shard observations together
 //! with `load.*` counters (throughput, elapsed, client model) into one
-//! [`ObsReport`], which `exp_service` renders and writes as
+//! [`ObsReport`], which [`main`] (`exp service`) renders and writes as
 //! `BENCH_service.json` (see `just bench-json`).
 
+use std::path::Path;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -151,6 +153,74 @@ impl Zipf {
         let u = rng.unit_f64();
         self.cumulative.partition_point(|&c| c < u) as u64
     }
+}
+
+/// `exp service`: one load run — throughput, decision counts, latency
+/// and batch-size quantiles. `json` (`SIFT_SERVICE_JSON`) receives the
+/// merged observation report, per-shard latency histograms included —
+/// `just bench-json` points it at `BENCH_service.json`.
+///
+/// Exit code 1 if any instance failed to decide or the JSON could not be
+/// written.
+pub fn main(config: &LoadConfig, json: Option<&Path>) -> ExitCode {
+    println!(
+        "service load: {} proposals over {} instances (zipf θ={}), \
+         {} shards / {} workers / {} clients, {:?} loop",
+        config.proposals,
+        config.instances,
+        config.zipf_theta,
+        config.shards,
+        config.workers,
+        config.clients,
+        config.mode
+    );
+    let report = run_load(config);
+
+    println!(
+        "decided {} instances in {:.2?} — {:.0} proposals/sec \
+         ({} idempotent hits, {} batched runs, {} rejected)",
+        report.decided,
+        report.elapsed,
+        report.throughput(),
+        report.obs.count("service.idempotent"),
+        report.obs.count("service.decided"),
+        report.rejected,
+    );
+    if let Some(latency) = report.obs.hist("service.latency_ns") {
+        println!(
+            "latency (ns, log-bucket upper bounds): p50 ≤ {}, p99 ≤ {}, p999 ≤ {}",
+            latency.quantile_upper_bound(0.50),
+            latency.quantile_upper_bound(0.99),
+            latency.quantile_upper_bound(0.999),
+        );
+    }
+    if let Some(batch) = report.obs.hist("service.batch_size") {
+        println!(
+            "batch size: p50 ≤ {}, p99 ≤ {}, max observed {}",
+            batch.quantile_upper_bound(0.50),
+            batch.quantile_upper_bound(0.99),
+            report.obs.max("service.max_batch"),
+        );
+    }
+
+    if let Some(path) = json {
+        match std::fs::write(path, report.obs.to_json()) {
+            Ok(()) => eprintln!("wrote service report to {}", path.display()),
+            Err(e) => {
+                eprintln!("cannot write service report to {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+
+    if report.decided < config.instances {
+        eprintln!(
+            "error: only {} of {} instances decided",
+            report.decided, config.instances
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// Runs one load experiment. See the module docs for the workload

@@ -40,11 +40,15 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::path::Path;
+use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 use sift_core::{try_check_validity, Conciliator, Epsilon, SiftingConciliator, SiftingParticipant};
 use sift_obs::{json_string, ObsReport, WindowedReport};
 use sift_service::det::DeterministicService;
-use sift_service::{InstanceId, ShardConfig};
+use sift_service::runtime::block_on;
+use sift_service::{InstanceId, Service, ServiceConfig, ShardConfig};
 use sift_sim::fuzz::{CorpusEntry, Evaluation, FingerprintHasher, Fuzzer, Gene, ScheduleGenome};
 use sift_sim::mc::{replay_report, shrink_schedule_with};
 use sift_sim::rng::SeedSplitter;
@@ -373,8 +377,8 @@ type Build = Box<dyn Fn(&mut LayoutBuilder, usize) -> SiftingConciliator + Sync>
 
 /// The incremental soak driver: one [`step`](Soak::step) is one
 /// deterministic window. [`run_soak`] wraps it for a fixed window
-/// budget; wall-clock drivers (`exp_soak` with `SIFT_SOAK_SECS > 0`)
-/// call `step` until a deadline instead.
+/// budget; the wall-clock mode of [`main`] (`SIFT_SOAK_SECS > 0`) calls
+/// `step` until a deadline instead.
 pub struct Soak {
     config: SoakConfig,
     build: Build,
@@ -1149,6 +1153,140 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
         soak.step();
     }
     soak.finish()
+}
+
+/// Drives the threaded frontend under load with worker kills between
+/// batches: every queued proposal must survive the restarts, and
+/// repeat proposals must come back with their original facts. This is
+/// the non-deterministic (real threads, real wall clock) complement
+/// of the golden-pinned deterministic crash model.
+fn exercise_live_service(seed: u64, deadline: Instant) -> Result<(u64, u64), String> {
+    let mut service = Service::start(ServiceConfig {
+        shards: 8,
+        workers: 4,
+        shard: ShardConfig {
+            seed,
+            ..ShardConfig::default()
+        },
+    });
+    let mut decided = 0u64;
+    let mut restarts = 0u64;
+    let mut round = 0u64;
+    while Instant::now() < deadline {
+        let base = round * 64;
+        let queued: Vec<_> = (0..64u64)
+            .map(|i| service.propose(InstanceId(base + i), i))
+            .collect();
+        service.restart_workers();
+        restarts += 1;
+        let mut originals = Vec::new();
+        for future in queued {
+            let fact = block_on(future)
+                .map_err(|e| format!("queued proposal rejected across a restart: {e:?}"))?;
+            originals.push(fact);
+            decided += 1;
+        }
+        // Idempotence across the kill: repeats answer with the
+        // original facts.
+        for (i, original) in originals.iter().enumerate().step_by(16) {
+            let repeat = service
+                .propose_sync(InstanceId(base + i as u64), 9999)
+                .map_err(|e| format!("repeat proposal rejected: {e:?}"))?;
+            if repeat != *original {
+                return Err(format!(
+                    "idempotence broken across restart: {repeat:?} != {original:?}"
+                ));
+            }
+        }
+        round += 1;
+    }
+    service.shutdown();
+    Ok((decided, restarts))
+}
+
+/// `exp soak` (E26): the soak table, and the trajectory to `json`.
+///
+/// `secs` (`SIFT_SOAK_SECS`) is the wall-clock budget. `0` runs a pure
+/// tick budget of `config.windows` windows — the *deterministic* mode:
+/// the emitted trajectory is byte-identical for a fixed seed at any
+/// `SIFT_THREADS`, and is what `BENCH_conformance.json` golden-pins. A
+/// nonzero budget loops windows until the deadline (window count then
+/// depends on machine speed — not golden) and first exercises the
+/// threaded [`Service`] with mid-load worker kills.
+///
+/// `json` (`SIFT_SOAK_JSON`) is schema-checked before overwriting (a
+/// malformed existing file is refused rather than silently clobbering a
+/// tracked trajectory), and the freshly rendered JSON is self-validated
+/// before it is written.
+///
+/// Exit code 1 if a claim was flagged, a violation was found or an
+/// output target was refused.
+pub fn main(config: &SoakConfig, secs: u64, json: Option<&Path>) -> ExitCode {
+    let start = Instant::now();
+    let report = if secs == 0 {
+        run_soak(config)
+    } else {
+        // Wall-clock soak: reserve a slice of the budget for the
+        // threaded frontend, spend the rest on deterministic windows.
+        let deadline = start + Duration::from_secs(secs);
+        let live_deadline = start + Duration::from_secs((secs / 5).clamp(1, 30));
+        if config.crashes {
+            match exercise_live_service(config.seed, live_deadline) {
+                Ok((decided, restarts)) => eprintln!(
+                    "live service: {decided} proposals decided across {restarts} worker kills"
+                ),
+                Err(message) => {
+                    eprintln!("live service FAILED: {message}");
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
+        let mut soak = Soak::new(config.clone());
+        loop {
+            soak.step();
+            if Instant::now() >= deadline {
+                break;
+            }
+        }
+        soak.finish()
+    };
+
+    report.render().print();
+    let flagged = report.flagged().len();
+
+    if let Some(path) = json {
+        if let Err(message) = crate::schema::validate_target(path) {
+            eprintln!("error: refusing to overwrite trajectory target: {message}");
+            return ExitCode::FAILURE;
+        }
+        let rendered = report.to_json();
+        let name = path
+            .file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_else(|| "BENCH_conformance.json".to_string());
+        if let Err(message) = crate::schema::validate_bench_json(&name, &rendered) {
+            eprintln!("error: rendered trajectory failed self-validation: {message}");
+            return ExitCode::FAILURE;
+        }
+        if let Err(e) = std::fs::write(path, &rendered) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+        eprintln!("wrote conformance trajectory to {}", path.display());
+    }
+
+    for violation in &report.violations {
+        eprintln!("\n{violation}");
+    }
+    eprintln!("total time: {:.1?}", start.elapsed());
+    if flagged > 0 || !report.violations.is_empty() {
+        eprintln!(
+            "soak: {flagged} flagged row(s), {} violation(s)",
+            report.violations.len()
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// [`run_soak`] against a deliberately broken sifter. The

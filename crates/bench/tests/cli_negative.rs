@@ -1,20 +1,34 @@
-//! Negative-path coverage for the shared `exp_*` CLI: malformed
+//! Negative-path coverage for the `exp` command line: malformed
 //! `--obs-json` destinations must produce a clean diagnostic and exit
-//! code 1 (never a panic), and unknown flags must keep exiting 2.
+//! code 1 (never a panic); unknown flags, the deleted flags and
+//! binary names, and a malformed value for *any* knob must exit 2 with
+//! a diagnostic and write nothing.
 //!
-//! Drives the real `exp_fuzz` binary (the cheapest `exp_*` at a tiny
-//! campaign size) via `CARGO_BIN_EXE_`.
+//! Drives the real `exp` binary via `CARGO_BIN_EXE_`, mostly as
+//! `exp fuzz` (the cheapest experiment at a tiny campaign size).
 
 use std::process::Command;
 
-/// A throwaway-cheap `exp_fuzz` invocation.
+use sift_bench::cli::env_knob_names;
+
+/// `exp <name>` with every knob unset, so the caller's environment
+/// cannot leak into a test.
+fn exp(name: &str) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp"));
+    cmd.arg(name);
+    for knob in env_knob_names() {
+        cmd.env_remove(knob);
+    }
+    cmd
+}
+
+/// A throwaway-cheap `exp fuzz` invocation.
 fn exp_fuzz() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp_fuzz"));
+    let mut cmd = exp("fuzz");
     cmd.env("SIFT_FUZZ_N", "3")
         .env("SIFT_FUZZ_GENERATIONS", "1")
         .env("SIFT_FUZZ_POPULATION", "2")
-        .env("SIFT_THREADS", "1")
-        .env_remove("SIFT_OBS_JSON");
+        .env("SIFT_THREADS", "1");
     cmd
 }
 
@@ -96,25 +110,12 @@ fn unknown_flags_keep_exiting_two() {
     assert!(stderr.contains("--no-such-flag"), "stderr: {stderr}");
 }
 
-#[test]
-fn bad_fuzz_env_knob_exits_two_with_a_diagnostic() {
-    let out = exp_fuzz()
-        .env("SIFT_FUZZ_GENERATIONS", "zero")
-        .output()
-        .expect("runs");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("SIFT_FUZZ_GENERATIONS"), "stderr: {stderr}");
-}
-
-/// A throwaway-cheap `exp_soak` invocation (one window, width 1).
+/// A throwaway-cheap `exp soak` invocation (one window, width 1).
 fn exp_soak() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp_soak"));
+    let mut cmd = exp("soak");
     cmd.env("SIFT_SOAK_WINDOWS", "1")
         .env("SIFT_SOAK_WIDTH", "1")
-        .env("SIFT_THREADS", "1")
-        .env_remove("SIFT_SOAK_JSON")
-        .env_remove("SIFT_OBS_JSON");
+        .env("SIFT_THREADS", "1");
     cmd
 }
 
@@ -148,7 +149,7 @@ fn malformed_tracked_soak_trajectory_target_is_refused() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Same refusal through the shared `SIFT_OBS_JSON` path: a tracked
+/// Same refusal through the shared `--obs-json` path: a tracked
 /// `BENCH_*` observation target with schema-violating contents (a
 /// `*_contention` row missing `threads`/`pinning`) must abort the run.
 #[test]
@@ -200,13 +201,99 @@ fn valid_soak_trajectory_target_is_overwritten_end_to_end() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Every knob with a value space smaller than "any string", and
+/// values outside it.
+const MALFORMED: [(&str, &[&str]); 12] = [
+    ("SIFT_TRIALS", &["many", "0", "-3", ""]),
+    ("SIFT_THREADS", &["many", "0", "2.5"]),
+    ("SIFT_SEED", &["seven", "-1", "0x10"]),
+    ("SIFT_FUZZ_N", &["zero", "0"]),
+    ("SIFT_FUZZ_GENERATIONS", &["zero", "0"]),
+    ("SIFT_FUZZ_POPULATION", &["zero", "0"]),
+    ("SIFT_SERVICE_PROPOSALS", &["lots", "0"]),
+    ("SIFT_SERVICE_INSTANCES", &["lots", "0"]),
+    ("SIFT_SERVICE_MODE", &["ajar", ""]),
+    ("SIFT_SOAK_SECS", &["soon", "-1", "1.5"]),
+    ("SIFT_SOAK_WINDOWS", &["zero", "0"]),
+    ("SIFT_SOAK_WIDTH", &["zero", "0"]),
+];
+
+/// The knobs any string is a legal value of: four output paths and the
+/// `0` / not-`0` switch.
+const FREE_FORM: [&str; 5] = [
+    "SIFT_ADVERSARY_JSON",
+    "SIFT_FUZZ_OUT",
+    "SIFT_FUZZ_EXTENDED",
+    "SIFT_SERVICE_JSON",
+    "SIFT_SOAK_JSON",
+];
+
+/// One contract for every knob: the diagnostic names the knob and the
+/// value, the exit code is 2, and nothing runs — no table on stdout, no
+/// artifact at any requested output path. (At the parent commit the
+/// same mistake was a panic, an exit 2 or silently ignored, depending
+/// on the knob.)
 #[test]
-fn bad_soak_env_knob_exits_two_with_a_diagnostic() {
-    let out = exp_soak()
-        .env("SIFT_SOAK_WINDOWS", "zero")
+fn every_knob_rejects_a_malformed_value_the_same_way() {
+    for knob in env_knob_names() {
+        assert!(
+            MALFORMED.iter().any(|(k, _)| *k == knob) ^ FREE_FORM.contains(&knob),
+            "{knob} needs a row in MALFORMED or FREE_FORM"
+        );
+    }
+    let dir = std::env::temp_dir().join(format!("sift-knob-neg-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (knob, values) in MALFORMED {
+        for value in values {
+            // `soak` reads the most knobs and writes two artifacts; the
+            // parse fails before any of it starts.
+            let out = exp_soak()
+                .env("SIFT_SOAK_JSON", dir.join("BENCH_conformance.json"))
+                .arg("--obs-json")
+                .arg(dir.join("obs.json"))
+                .env(knob, value)
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let case = format!("{knob}={value:?}");
+            assert_eq!(out.status.code(), Some(2), "{case}: {stderr}");
+            assert!(stderr.contains(knob), "{case} not named: {stderr}");
+            assert!(
+                stderr.contains(&format!("{value:?}")),
+                "{case}: value not echoed: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+            assert!(out.stdout.is_empty(), "{case}: something ran");
+            assert_eq!(
+                std::fs::read_dir(&dir).unwrap().count(),
+                0,
+                "{case}: something was written"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One spelling per knob: the flags that duplicated `SIFT_TRIALS` /
+/// `SIFT_THREADS` / `SIFT_SEED` and the per-experiment binary names are
+/// gone, not aliased.
+#[test]
+fn deleted_spellings_are_rejected() {
+    for flag in ["--trials", "--threads", "--seed"] {
+        let out = exp_fuzz().args([flag, "2"]).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(flag));
+    }
+    let out = exp("exp_fuzz").output().expect("runs");
+    assert_eq!(out.status.code(), Some(2));
+    // `SIFT_OBS_JSON` duplicated `--obs-json`; set, it is now inert.
+    let dir = std::env::temp_dir().join(format!("sift-obs-env-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = exp_fuzz()
+        .env("SIFT_OBS_JSON", dir.join("obs.json"))
         .output()
         .expect("runs");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("SIFT_SOAK_WINDOWS"), "stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -73,7 +73,8 @@ fn obs_json_file_round_trips_through_finish() {
     let path = std::env::temp_dir().join("sift_obs_determinism_roundtrip.json");
     sift_bench::obs::set_output(path.clone());
     let in_memory = sweep_json(2);
-    sift_bench::cli::finish();
+    let reported = sift_bench::obs::try_finish().expect("the temp dir is writable");
+    assert_eq!(reported.as_deref(), Some(path.as_path()));
     let written = std::fs::read_to_string(&path).expect("finish wrote the file");
     let _ = std::fs::remove_file(&path);
     assert_eq!(written, in_memory);

@@ -275,7 +275,15 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raise the flag under the queue lock. A worker reads it with the
+        // lock held and gives the lock up only inside `wait`; stored
+        // without the lock, the flag and this notify could both land
+        // between that read and that wait, and the worker would sleep
+        // through its own shutdown while `join` below waits for it.
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();

@@ -1,9 +1,11 @@
-// Needs the external `proptest` crate: compiled only with `--features proptest-tests`.
-#![cfg(feature = "proptest-tests")]
 //! Property-based tests of the simulator itself: schedules, memory
 //! objects, and engine accounting invariants.
+//!
+//! The crate's own generators are under test here, so cases come from
+//! an in-file SplitMix64 — deterministic seeds, no external
+//! property-test crate.
 
-use proptest::prelude::*;
+use std::ops::Range;
 
 use sift_sim::schedule::{
     BlockRotation, CrashSubset, RandomInterleave, RepeatingSchedule, RoundRobin, Schedule,
@@ -38,16 +40,63 @@ impl Process for Chatter {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// SplitMix64: tiny, seedable, and equidistributed enough for
+/// generating test cases.
+struct SplitMix64(u64);
 
-    /// Every schedule family produces ids in range and covers every
-    /// process within a bounded horizon.
-    #[test]
-    fn schedules_are_in_range_and_fair(
-        n in 1usize..20,
-        seed in 0u64..10_000,
-    ) {
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform enough in `range` (modulo bias is irrelevant at these
+    /// widths).
+    fn below(&mut self, range: Range<u64>) -> u64 {
+        range.start + self.next() % (range.end - range.start)
+    }
+
+    fn size(&mut self, range: Range<usize>) -> usize {
+        self.below(range.start as u64..range.end as u64) as usize
+    }
+
+    fn vec(&mut self, len: Range<usize>, values: Range<u64>) -> Vec<u64> {
+        (0..self.size(len))
+            .map(|_| self.below(values.clone()))
+            .collect()
+    }
+}
+
+/// Cases per property.
+const CASES: u64 = 128;
+
+/// Runs `body` on [`CASES`] cases; case `i` of suite seed `seed` always
+/// draws the same values, and a failure names it.
+fn cases(seed: u64, mut body: impl FnMut(&mut SplitMix64)) {
+    struct Case(u64, u64);
+    impl Drop for Case {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("property (seed {}) failed at case {}", self.0, self.1);
+            }
+        }
+    }
+    for i in 0..CASES {
+        let _case = Case(seed, i);
+        body(&mut SplitMix64(seed << 32 | i));
+    }
+}
+
+/// Every schedule family produces ids in range and covers every
+/// process within a bounded horizon.
+#[test]
+fn schedules_are_in_range_and_fair() {
+    cases(1, |rng| {
+        let n = rng.size(1..20);
+        let seed = rng.below(0..10_000);
         for kind in ScheduleKind::all() {
             let mut s = kind.build(n, seed);
             let mut seen = vec![false; n];
@@ -57,7 +106,7 @@ proptest! {
                 match s.next_pid() {
                     None => break,
                     Some(pid) => {
-                        prop_assert!(pid.index() < n, "{} out of range", pid);
+                        assert!(pid.index() < n, "{pid} out of range");
                         if !seen[pid.index()] {
                             seen[pid.index()] = true;
                             s.on_done(pid); // treat first visit as completion
@@ -65,87 +114,97 @@ proptest! {
                     }
                 }
             }
-            prop_assert!(
+            assert!(
                 seen.iter().all(|&x| x),
-                "{} did not cover all {} processes",
-                kind.name(),
-                n
+                "{} did not cover all {n} processes",
+                kind.name()
             );
         }
-    }
+    });
+}
 
-    /// The engine charges exactly the operations executed: the sum of
-    /// per-process steps equals the total, and memory op counts agree.
-    #[test]
-    fn engine_accounting_is_conserved(
-        n in 1usize..12,
-        writes in 0u32..5,
-        seed in 0u64..10_000,
-    ) {
+/// The engine charges exactly the operations executed: the sum of
+/// per-process steps equals the total, and memory op counts agree.
+#[test]
+fn engine_accounting_is_conserved() {
+    cases(2, |rng| {
+        let n = rng.size(1..12);
+        let writes = rng.below(0..5) as u32;
+        let seed = rng.below(0..10_000);
         let mut b = LayoutBuilder::new();
         let reg = b.register();
         let layout = b.build();
         let procs: Vec<Chatter> = (0..n)
-            .map(|i| Chatter { reg, id: i as u64, writes_left: writes })
+            .map(|i| Chatter {
+                reg,
+                id: i as u64,
+                writes_left: writes,
+            })
             .collect();
         let report = Engine::new(&layout, procs).run(RandomInterleave::new(n, seed));
         let per_sum: u64 = report.metrics.per_process_steps.iter().sum();
-        prop_assert_eq!(per_sum, report.metrics.total_steps);
-        prop_assert_eq!(report.metrics.total_ops, report.memory.ops_executed());
+        assert_eq!(per_sum, report.metrics.total_steps);
+        assert_eq!(report.metrics.total_ops, report.memory.ops_executed());
         // Each process did `writes` writes + 1 read.
-        prop_assert_eq!(report.metrics.total_ops, (writes as u64 + 1) * n as u64);
-        prop_assert!(report.all_decided());
-    }
+        assert_eq!(report.metrics.total_ops, (writes as u64 + 1) * n as u64);
+        assert!(report.all_decided());
+    });
+}
 
-    /// Register semantics: the final read of a solo suffix returns the
-    /// last value written before it.
-    #[test]
-    fn register_is_last_write_wins(
-        values in prop::collection::vec(0u64..100, 1..20),
-    ) {
+/// Register semantics: the final read of a solo suffix returns the
+/// last value written before it.
+#[test]
+fn register_is_last_write_wins() {
+    cases(3, |rng| {
+        let values = rng.vec(1..20, 0..100);
         let mut b = LayoutBuilder::new();
         let r = b.register();
         let mut mem: Memory<u64> = Memory::new(&b.build());
         for &v in &values {
             mem.execute(Op::RegisterWrite(r, v)).expect_ack();
         }
-        prop_assert_eq!(
+        assert_eq!(
             mem.execute(Op::RegisterRead(r)).expect_register(),
             values.last().copied()
         );
-    }
+    });
+}
 
-    /// Snapshot scans are monotone: a later scan's view dominates an
-    /// earlier one component-wise (components written once).
-    #[test]
-    fn snapshot_views_nest(
-        updates in prop::collection::vec((0usize..6, 0u64..100), 1..20),
-    ) {
+/// Snapshot scans are monotone: a later scan's view dominates an
+/// earlier one component-wise (components written once).
+#[test]
+fn snapshot_views_nest() {
+    cases(4, |rng| {
+        let updates: Vec<(usize, u64)> = (0..rng.size(1..20))
+            .map(|_| (rng.size(0..6), rng.below(0..100)))
+            .collect();
         let mut b = LayoutBuilder::new();
         let s = b.snapshot(6);
         let mut mem: Memory<u64> = Memory::new(&b.build());
         let mut previous: Option<Vec<Option<u64>>> = None;
         for &(component, value) in &updates {
-            mem.execute(Op::SnapshotUpdate(s, component, value)).expect_ack();
+            mem.execute(Op::SnapshotUpdate(s, component, value))
+                .expect_ack();
             let view = mem.execute(Op::SnapshotScan(s)).expect_view();
             let current: Vec<Option<u64>> = view.to_vec();
             if let Some(prev) = &previous {
                 for (a, b) in prev.iter().zip(&current) {
                     if a.is_some() {
-                        prop_assert!(b.is_some(), "component lost a value");
+                        assert!(b.is_some(), "component lost a value");
                     }
                 }
             }
             previous = Some(current);
         }
-    }
+    });
+}
 
-    /// Max register reads are monotone in the key, under any write
-    /// sequence.
-    #[test]
-    fn max_register_is_monotone(
-        keys in prop::collection::vec(0u64..1000, 1..30),
-    ) {
+/// Max register reads are monotone in the key, under any write
+/// sequence.
+#[test]
+fn max_register_is_monotone() {
+    cases(5, |rng| {
+        let keys = rng.vec(1..30, 0..1000);
         let mut b = LayoutBuilder::new();
         let m = b.max_register();
         let mut mem: Memory<u64> = Memory::new(&b.build());
@@ -156,89 +215,93 @@ proptest! {
                 .execute(Op::MaxRead(m))
                 .expect_max()
                 .expect("written at least once");
-            prop_assert_eq!(key, value);
-            prop_assert!(key >= last);
+            assert_eq!(key, value);
+            assert!(key >= last);
             last = key;
         }
-        prop_assert_eq!(last, *keys.iter().max().unwrap());
-    }
+        assert_eq!(last, *keys.iter().max().unwrap());
+    });
+}
 
-    /// Crash subsets never schedule crashed processes and preserve the
-    /// support arithmetic.
-    #[test]
-    fn crash_subset_filters_support(
-        n in 2usize..20,
-        fraction in 0.0f64..0.99,
-        seed in 0u64..10_000,
-    ) {
+/// Crash subsets never schedule crashed processes and preserve the
+/// support arithmetic.
+#[test]
+fn crash_subset_filters_support() {
+    cases(6, |rng| {
+        let n = rng.size(2..20);
+        let fraction = rng.below(0..990) as f64 / 1000.0;
+        let seed = rng.below(0..10_000);
         let mut s = CrashSubset::random(RoundRobin::new(n), n, fraction, seed);
         let crashed: Vec<ProcessId> = s.crashed().collect();
-        prop_assert!(crashed.len() < n, "someone must survive");
-        prop_assert_eq!(s.support().len(), n - crashed.len());
+        assert!(crashed.len() < n, "someone must survive");
+        assert_eq!(s.support().len(), n - crashed.len());
         for _ in 0..100 {
             let pid = s.next_pid().unwrap();
-            prop_assert!(!crashed.contains(&pid));
+            assert!(!crashed.contains(&pid));
         }
-    }
+    });
+}
 
-    /// Deterministic replay: equal seeds give equal schedule prefixes.
-    #[test]
-    fn schedules_replay_deterministically(
-        n in 1usize..16,
-        seed in 0u64..10_000,
-        prefix in 1usize..200,
-    ) {
+/// Deterministic replay: equal seeds give equal schedule prefixes.
+#[test]
+fn schedules_replay_deterministically() {
+    cases(7, |rng| {
+        let n = rng.size(1..16);
+        let seed = rng.below(0..10_000);
+        let prefix = rng.size(1..200);
         for kind in ScheduleKind::all() {
             let mut a = kind.build(n, seed);
             let mut b = kind.build(n, seed);
             for _ in 0..prefix {
-                prop_assert_eq!(a.next_pid(), b.next_pid());
+                assert_eq!(a.next_pid(), b.next_pid());
             }
         }
-    }
+    });
+}
 
-    /// Stutter starves exactly one process at the configured period.
-    #[test]
-    fn stutter_period_is_exact(
-        n in 2usize..10,
-        slow in 0usize..10,
-        period in 2u64..20,
-    ) {
-        let slow = ProcessId(slow % n);
+/// Stutter starves exactly one process at the configured period.
+#[test]
+fn stutter_period_is_exact() {
+    cases(8, |rng| {
+        let n = rng.size(2..10);
+        let slow = ProcessId(rng.size(0..10) % n);
+        let period = rng.below(2..20);
         let mut s = Stutter::new(n, slow, period);
         for i in 1..=(period * 10) {
             let pid = s.next_pid().unwrap();
-            prop_assert_eq!(pid == slow, i % period == 0, "slot {}", i);
+            assert_eq!(pid == slow, i % period == 0, "slot {i}");
         }
-    }
+    });
+}
 
-    /// Block rotation covers all processes exactly once per pass.
-    #[test]
-    fn block_rotation_passes_are_permutations(
-        n in 1usize..12,
-        block in 1usize..5,
-        seed in 0u64..10_000,
-    ) {
+/// Block rotation covers all processes exactly once per pass.
+#[test]
+fn block_rotation_passes_are_permutations() {
+    cases(9, |rng| {
+        let n = rng.size(1..12);
+        let block = rng.size(1..5);
+        let seed = rng.below(0..10_000);
         let mut s = BlockRotation::new(n, block, seed);
         for _pass in 0..3 {
             let mut counts = vec![0usize; n];
             for _ in 0..(n * block) {
                 counts[s.next_pid().unwrap().index()] += 1;
             }
-            prop_assert!(counts.iter().all(|&c| c == block), "{:?}", counts);
+            assert!(counts.iter().all(|&c| c == block), "{counts:?}");
         }
-    }
+    });
+}
 
-    /// Repeating schedules have the support of their pattern.
-    #[test]
-    fn repeating_support_is_pattern_set(
-        pattern in prop::collection::vec(0usize..8, 1..12),
-    ) {
+/// Repeating schedules have the support of their pattern.
+#[test]
+fn repeating_support_is_pattern_set() {
+    cases(10, |rng| {
+        let pattern: Vec<usize> = (0..rng.size(1..12)).map(|_| rng.size(0..8)).collect();
         let s = RepeatingSchedule::from_indices(pattern.clone());
         let mut expect: Vec<usize> = pattern;
         expect.sort_unstable();
         expect.dedup();
         let support: Vec<usize> = s.support().iter().map(|p| p.index()).collect();
-        prop_assert_eq!(support, expect);
-    }
+        assert_eq!(support, expect);
+    });
 }

@@ -16,25 +16,26 @@ fmt-check:
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
-# Tier-1 gate: release build plus the full test suite.
+# Tier-1 gate: release build plus the full test suite (default-members
+# covers the workspace, so this runs every crate's suites).
 tier1:
     cargo build --release
-    cargo test -q --workspace
+    cargo test -q
 
 # The whole suite again with AtomicMemory aliased to the lock-based
 # reference objects (differential coverage of the substrate swap).
 test-coarse:
-    cargo test -q --workspace --features coarse-substrate
+    cargo test -q --features coarse-substrate
 
 # Prove the executor is thread-count invariant: the determinism test
-# suite, then a byte-for-byte diff of exp_all at 1 vs 4 threads.
+# suite, then a byte-for-byte diff of `exp all` at 1 vs 4 threads.
 determinism:
     cargo test -q -p sift-bench --test determinism
-    cargo build --release -p sift-bench --bin exp_all
-    SIFT_TRIALS=20 SIFT_THREADS=1 ./target/release/exp_all > /tmp/sift_t1.txt
-    SIFT_TRIALS=20 SIFT_THREADS=4 ./target/release/exp_all > /tmp/sift_t4.txt
+    cargo build --release -p sift-bench --bin exp
+    SIFT_TRIALS=20 SIFT_THREADS=1 ./target/release/exp all > /tmp/sift_t1.txt
+    SIFT_TRIALS=20 SIFT_THREADS=4 ./target/release/exp all > /tmp/sift_t4.txt
     diff -u /tmp/sift_t1.txt /tmp/sift_t4.txt
-    @echo "exp_all output is byte-identical across thread counts"
+    @echo "exp all output is byte-identical across thread counts"
 
 # Model-checking suites at CI weight: DPOR exploration, linearizability
 # of captured histories, and counterexample replay. Runs in debug (the
@@ -60,7 +61,7 @@ test-obs:
 # per-claim trial counts (default 1 = the smoke tier CI gates on;
 # nightly runs use a larger scale).
 conformance:
-    cargo run --release -p sift-bench --bin exp_conformance
+    cargo run --release -p sift-bench --bin exp -- conformance
     cargo test -q --release -p sift-bench --features mutants --test mutants
     cargo test -q --release -p sift-bench --test seed_stability
 
@@ -79,22 +80,22 @@ service:
         --test decide_allocations --test service_crash
     cargo test -q -p sift-service
     SIFT_SERVICE_PROPOSALS=50000 SIFT_SERVICE_INSTANCES=5000 \
-        cargo run --release -p sift-bench --bin exp_service
+        cargo run --release -p sift-bench --bin exp -- service
 
 # The full E23 load tier: one million proposals over 100k Zipf-skewed
 # instances in one run (the acceptance bound for the service layer),
 # both client models.
 service-load:
-    cargo run --release -p sift-bench --bin exp_service
-    SIFT_SERVICE_MODE=open cargo run --release -p sift-bench --bin exp_service
+    cargo run --release -p sift-bench --bin exp -- service
+    SIFT_SERVICE_MODE=open cargo run --release -p sift-bench --bin exp -- service
 
 # A coverage-guided adversary fuzzing campaign against the sifting
 # conciliator's schedule-independent invariants. Knobs:
-# SIFT_FUZZ_{N,GENERATIONS,POPULATION,SEED,OUT}. Set
+# SIFT_FUZZ_{N,GENERATIONS,POPULATION,OUT}. Set
 # SIFT_FUZZ_EXTENDED=1 to also mutate the environment genes (adversary
 # strength + register semantics) with tier-tagged invariants.
 fuzz:
-    cargo run --release -p sift-bench --bin exp_fuzz
+    cargo run --release -p sift-bench --bin exp -- fuzz
 
 # Soak-mode conformance (E26): the deterministic tick-budget run (6
 # windows of service + sifting + fuzz traffic with crash injection,
@@ -103,27 +104,28 @@ fuzz:
 # for a wall-clock run that also kills live workers under load (the
 # nightly tier uses SIFT_SOAK_SECS=300 SIFT_FUZZ_EXTENDED=1).
 soak:
-    cargo run --release -p sift-bench --bin exp_soak
+    cargo run --release -p sift-bench --bin exp -- soak
     cargo test -q --release --test service_crash --test service_negative
     cargo test -q --release -p sift-bench --test seed_stability soak
     cargo test -q --release -p sift-bench --features mutants --test mutants soak
 
 # The adversary lattice (E24) and the negative conformance tier (E25):
 # agreement vs adversary strength on both substrates, the
-# expected-failure decay claims (exp_adversary exits nonzero if any
+# expected-failure decay claims (`exp adversary` exits nonzero if any
 # negative case has the wrong polarity), the boundary tests, and the
 # torn-publication regularity suite.
 adversary:
-    cargo run --release -p sift-bench --bin exp_adversary
+    cargo run --release -p sift-bench --bin exp -- adversary
     cargo test -q --release -p sift-bench --test adversary_boundary
     cargo test -q --test linearizability --features torn-publication
 
 # Everything CI runs.
 ci: fmt-check clippy tier1 test-coarse test-obs mc determinism conformance adversary service soak
 
-# Regenerate the recorded experiment output (uses all cores).
+# Regenerate the experiment output EXPERIMENTS.md records (uses all
+# cores); the raw copy lands under target/, untracked.
 experiments:
-    cargo run --release -p sift-bench --bin exp_all | tee experiments_output.txt
+    cargo run --release -p sift-bench --bin exp -- all | tee target/experiments_output.txt
 
 # In-tree microbenchmarks.
 bench:
@@ -150,11 +152,11 @@ bench-json:
     SIFT_BENCH_JSON={{justfile_directory()}}/BENCH_sim.json \
     cargo bench -p sift-bench --bench sim_engine
     SIFT_SERVICE_JSON={{justfile_directory()}}/BENCH_service.json \
-    cargo run --release -p sift-bench --bin exp_service
+    cargo run --release -p sift-bench --bin exp -- service
     SIFT_ADVERSARY_JSON={{justfile_directory()}}/BENCH_adversary.json \
-    cargo run --release -p sift-bench --bin exp_adversary
+    cargo run --release -p sift-bench --bin exp -- adversary
     SIFT_SOAK_JSON={{justfile_directory()}}/BENCH_conformance.json \
-    cargo run --release -p sift-bench --bin exp_soak
+    cargo run --release -p sift-bench --bin exp -- soak
 
 # The contention bench with the substrate's counters compiled in:
 # BENCH_obs.json then carries real CAS-retry / retire-pile / latency

@@ -1,10 +1,10 @@
-// Needs the external `proptest` crate: compiled only with `--features proptest-tests`.
-#![cfg(feature = "proptest-tests")]
 //! Property-based tests of the adopt-commit contract (validity,
 //! convergence, coherence) for every implementation under arbitrary
 //! proposals and schedule families.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{cases, schedule_kind, size_in, vec_below};
 
 use sift::adopt_commit::{
     check_ac_properties, AcOutput, AdoptCommit, BinaryAc, DigitAc, FlagsAc, GafniRegisterAc,
@@ -13,16 +13,6 @@ use sift::adopt_commit::{
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::ScheduleKind;
 use sift::sim::{Engine, LayoutBuilder, ProcessId};
-
-fn schedule_kind() -> impl Strategy<Value = ScheduleKind> {
-    prop_oneof![
-        Just(ScheduleKind::RoundRobin),
-        Just(ScheduleKind::RandomInterleave),
-        Just(ScheduleKind::BlockSequential),
-        Just(ScheduleKind::BlockRotation),
-        Just(ScheduleKind::Stutter),
-    ]
-}
 
 fn run_object<A: AdoptCommit<u64>>(
     ac: &A,
@@ -42,58 +32,78 @@ fn run_object<A: AdoptCommit<u64>>(
     report.outputs
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// All five implementations satisfy the spec under arbitrary
-    /// proposals (codes < 16) and any schedule family.
-    #[test]
-    fn all_objects_satisfy_the_spec(
-        kind in schedule_kind(),
-        proposals in prop::collection::vec(0u64..16, 1..10),
-        seed in 0u64..100_000,
-        which in 0usize..5,
-    ) {
-        let n = proposals.len();
-        let mut b = LayoutBuilder::new();
-        let outputs = match which {
-            0 => {
-                let ac = FlagsAc::allocate(&mut b, 16);
-                let layout = b.build();
-                run_object(&ac, &layout, &proposals, kind, seed)
-            }
-            1 => {
-                let ac = DigitAc::for_code_space(&mut b, 16, 2);
-                let layout = b.build();
-                run_object(&ac, &layout, &proposals, kind, seed)
-            }
-            2 => {
-                let ac = DigitAc::for_code_space(&mut b, 16, 4);
-                let layout = b.build();
-                run_object(&ac, &layout, &proposals, kind, seed)
-            }
-            3 => {
-                let ac = GafniSnapshotAc::<u64>::allocate(&mut b, n, |v| *v);
-                let layout = b.build();
-                run_object(&ac, &layout, &proposals, kind, seed)
-            }
-            _ => {
-                let ac = GafniRegisterAc::<u64>::allocate(&mut b, n, |v| *v);
-                let layout = b.build();
-                run_object(&ac, &layout, &proposals, kind, seed)
-            }
-        };
-        prop_assert!(outputs.iter().all(Option::is_some), "termination");
-        check_ac_properties(&proposals, &outputs);
+/// Runs one of the five implementations (`which`) on `proposals`.
+fn run_which(
+    which: usize,
+    proposals: &[u64],
+    kind: ScheduleKind,
+    seed: u64,
+) -> Vec<Option<AcOutput<u64>>> {
+    let n = proposals.len();
+    let mut b = LayoutBuilder::new();
+    match which {
+        0 => {
+            let ac = FlagsAc::allocate(&mut b, 16);
+            let layout = b.build();
+            run_object(&ac, &layout, proposals, kind, seed)
+        }
+        1 => {
+            let ac = DigitAc::for_code_space(&mut b, 16, 2);
+            let layout = b.build();
+            run_object(&ac, &layout, proposals, kind, seed)
+        }
+        2 => {
+            let ac = DigitAc::for_code_space(&mut b, 16, 4);
+            let layout = b.build();
+            run_object(&ac, &layout, proposals, kind, seed)
+        }
+        3 => {
+            let ac = GafniSnapshotAc::<u64>::allocate(&mut b, n, |v| *v);
+            let layout = b.build();
+            run_object(&ac, &layout, proposals, kind, seed)
+        }
+        _ => {
+            let ac = GafniRegisterAc::<u64>::allocate(&mut b, n, |v| *v);
+            let layout = b.build();
+            run_object(&ac, &layout, proposals, kind, seed)
+        }
     }
+}
 
-    /// The binary object used by Algorithm 3's combining stage.
-    #[test]
-    fn binary_object_satisfies_the_spec(
-        kind in schedule_kind(),
-        bits in prop::collection::vec(any::<bool>(), 1..10),
-        seed in 0u64..100_000,
-    ) {
+fn assert_spec(which: usize, proposals: &[u64], kind: ScheduleKind, seed: u64) {
+    let outputs = run_which(which, proposals, kind, seed);
+    assert!(outputs.iter().all(Option::is_some), "termination");
+    check_ac_properties(proposals, &outputs);
+}
+
+/// All five implementations satisfy the spec under arbitrary
+/// proposals (codes < 16) and any schedule family.
+#[test]
+fn all_objects_satisfy_the_spec() {
+    cases("all_objects_satisfy_the_spec", 96, |rng| {
+        let kind = schedule_kind(rng);
+        let proposals = vec_below(rng, 1..10, 16);
+        let seed = rng.range_u64(100_000);
+        let which = size_in(rng, 0..5);
+        assert_spec(which, &proposals, kind, seed);
+    });
+}
+
+/// The case proptest once shrank a failure to: `FlagsAc`, a single
+/// proposer of code 0, under `Stutter` (which has nobody to starve at
+/// `n = 1`).
+#[test]
+fn flags_ac_with_a_lone_stuttering_proposer() {
+    assert_spec(0, &[0], ScheduleKind::Stutter, 0);
+}
+
+/// The binary object used by Algorithm 3's combining stage.
+#[test]
+fn binary_object_satisfies_the_spec() {
+    cases("binary_object_satisfies_the_spec", 96, |rng| {
+        let kind = schedule_kind(rng);
+        let bits: Vec<bool> = (0..size_in(rng, 1..10)).map(|_| rng.coin()).collect();
+        let seed = rng.range_u64(100_000);
         let n = bits.len();
         let mut b = LayoutBuilder::new();
         let ac = BinaryAc::allocate(&mut b);
@@ -107,15 +117,16 @@ proptest! {
         let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
         let proposals: Vec<u64> = bits.iter().map(|&b| u64::from(b)).collect();
         check_ac_properties(&proposals, &report.outputs);
-    }
+    });
+}
 
-    /// Step bounds hold for every implementation in every execution.
-    #[test]
-    fn step_bounds_hold(
-        kind in schedule_kind(),
-        proposals in prop::collection::vec(0u64..64, 2..8),
-        seed in 0u64..100_000,
-    ) {
+/// Step bounds hold for every implementation in every execution.
+#[test]
+fn step_bounds_hold() {
+    cases("step_bounds_hold", 96, |rng| {
+        let kind = schedule_kind(rng);
+        let proposals = vec_below(rng, 2..8, 64);
+        let seed = rng.range_u64(100_000);
         let n = proposals.len();
         // Digit object, base 2, m = 64.
         let mut b = LayoutBuilder::new();
@@ -130,7 +141,7 @@ proptest! {
             .collect();
         let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
         for &steps in &report.metrics.per_process_steps {
-            prop_assert!(steps <= bound, "{} > {}", steps, bound);
+            assert!(steps <= bound, "{steps} > {bound}");
         }
-    }
+    });
 }

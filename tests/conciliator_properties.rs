@@ -1,10 +1,10 @@
-// Needs the external `proptest` crate: compiled only with `--features proptest-tests`.
-#![cfg(feature = "proptest-tests")]
 //! Property-based tests of the conciliator contract (termination,
 //! validity, probabilistic agreement plumbing) across all four
 //! constructions and every schedule family.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{cases, schedule_kind, size_in};
 
 use sift::core::{
     distinct_per_round, CilConciliator, Conciliator, EmbeddedConciliator, Epsilon, MaxConciliator,
@@ -23,27 +23,15 @@ enum Alg {
     Cil,
 }
 
-fn schedule_kind() -> impl Strategy<Value = ScheduleKind> {
-    prop_oneof![
-        Just(ScheduleKind::RoundRobin),
-        Just(ScheduleKind::RandomInterleave),
-        Just(ScheduleKind::BlockSequential),
-        Just(ScheduleKind::BlockRotation),
-        Just(ScheduleKind::Stutter),
-    ]
-}
+const ALGS: [Alg; 5] = [
+    Alg::Snapshot,
+    Alg::Max,
+    Alg::Sifting,
+    Alg::Embedded,
+    Alg::Cil,
+];
 
-fn alg() -> impl Strategy<Value = Alg> {
-    prop_oneof![
-        Just(Alg::Snapshot),
-        Just(Alg::Max),
-        Just(Alg::Sifting),
-        Just(Alg::Embedded),
-        Just(Alg::Cil),
-    ]
-}
-
-/// Runs a conciliator and returns (outputs' inputs, per-process steps).
+/// Runs a conciliator and returns the input carried by each output.
 fn run_alg(alg: Alg, n: usize, inputs: &[u64], seed: u64, kind: ScheduleKind) -> Vec<u64> {
     let split = SeedSplitter::new(seed);
     let schedule = kind.build(n, split.seed("schedule", 0));
@@ -77,53 +65,51 @@ fn run_alg(alg: Alg, n: usize, inputs: &[u64], seed: u64, kind: ScheduleKind) ->
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Termination + validity: every process decides some process's
-    /// input, under every algorithm and schedule family.
-    #[test]
-    fn validity_and_termination(
-        alg in alg(),
-        kind in schedule_kind(),
-        n in 1usize..12,
-        seed in 0u64..10_000,
-        input_mod in 1u64..6,
-    ) {
+/// Termination + validity: every process decides some process's
+/// input, under every algorithm and schedule family.
+#[test]
+fn validity_and_termination() {
+    cases("validity_and_termination", 64, |rng| {
+        let alg = ALGS[size_in(rng, 0..5)];
+        let kind = schedule_kind(rng);
+        let n = size_in(rng, 1..12);
+        let seed = rng.range_u64(10_000);
+        let input_mod = 1 + rng.range_u64(5);
         let inputs: Vec<u64> = (0..n as u64).map(|i| i % input_mod).collect();
         let outputs = run_alg(alg, n, &inputs, seed, kind);
-        prop_assert_eq!(outputs.len(), n);
+        assert_eq!(outputs.len(), n);
         for out in outputs {
-            prop_assert!(inputs.contains(&out), "output {} not an input", out);
+            assert!(inputs.contains(&out), "output {out} not an input");
         }
-    }
+    });
+}
 
-    /// Unanimity in, unanimity out: when all inputs are equal, validity
-    /// forces agreement deterministically.
-    #[test]
-    fn unanimous_inputs_always_agree(
-        alg in alg(),
-        kind in schedule_kind(),
-        n in 1usize..10,
-        seed in 0u64..10_000,
-        value in 0u64..50,
-    ) {
+/// Unanimity in, unanimity out: when all inputs are equal, validity
+/// forces agreement deterministically.
+#[test]
+fn unanimous_inputs_always_agree() {
+    cases("unanimous_inputs_always_agree", 64, |rng| {
+        let alg = ALGS[size_in(rng, 0..5)];
+        let kind = schedule_kind(rng);
+        let n = size_in(rng, 1..10);
+        let seed = rng.range_u64(10_000);
+        let value = rng.range_u64(50);
         let inputs = vec![value; n];
-        let outputs = run_alg(alg, n, &inputs, seed, kind);
-        for out in outputs {
-            prop_assert_eq!(out, value);
+        for out in run_alg(alg, n, &inputs, seed, kind) {
+            assert_eq!(out, value);
         }
-    }
+    });
+}
 
-    /// Round-structured conciliators never invent personae and their
-    /// survivor sets only shrink.
-    #[test]
-    fn survivors_shrink_monotonically(
-        kind in schedule_kind(),
-        n in 2usize..16,
-        seed in 0u64..10_000,
-        use_sifting in any::<bool>(),
-    ) {
+/// Round-structured conciliators never invent personae and their
+/// survivor sets only shrink.
+#[test]
+fn survivors_shrink_monotonically() {
+    cases("survivors_shrink_monotonically", 64, |rng| {
+        let kind = schedule_kind(rng);
+        let n = size_in(rng, 2..16);
+        let seed = rng.range_u64(10_000);
+        let use_sifting = rng.coin();
         let split = SeedSplitter::new(seed);
         let schedule = kind.build(n, split.seed("schedule", 0));
         let mut b = LayoutBuilder::new();
@@ -151,18 +137,19 @@ proptest! {
             distinct_per_round(report.processes.iter().map(|p| p.history()))
         };
         for w in counts.windows(2) {
-            prop_assert!(w[1] <= w[0], "survivors grew: {:?}", counts);
+            assert!(w[1] <= w[0], "survivors grew: {counts:?}");
         }
-    }
+    });
+}
 
-    /// The deterministic step counts of Theorems 1 and 2 hold exactly:
-    /// Algorithm 1 takes 2R ops per process, Algorithm 2 takes R.
-    #[test]
-    fn step_counts_are_exact(
-        kind in schedule_kind(),
-        n in 1usize..16,
-        seed in 0u64..10_000,
-    ) {
+/// The deterministic step counts of Theorems 1 and 2 hold exactly:
+/// Algorithm 1 takes 2R ops per process, Algorithm 2 takes R.
+#[test]
+fn step_counts_are_exact() {
+    cases("step_counts_are_exact", 64, |rng| {
+        let kind = schedule_kind(rng);
+        let n = size_in(rng, 1..16);
+        let seed = rng.range_u64(10_000);
         let split = SeedSplitter::new(seed);
         let mut b = LayoutBuilder::new();
         let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
@@ -176,7 +163,7 @@ proptest! {
             .collect();
         let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
         for &steps in &report.metrics.per_process_steps {
-            prop_assert_eq!(steps, rounds);
+            assert_eq!(steps, rounds);
         }
-    }
+    });
 }

@@ -1,10 +1,10 @@
-// Needs the external `proptest` crate: compiled only with `--features proptest-tests`.
-#![cfg(feature = "proptest-tests")]
 //! Property-based tests of the full consensus stacks: agreement and
 //! validity are *absolute* (never merely probabilistic), under every
 //! schedule family and under crash failures.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{cases, schedule_kind, size_in, vec_below};
 
 use sift::consensus::{
     check_consensus, cil_consensus, linear_work_consensus, max_register_consensus,
@@ -13,16 +13,6 @@ use sift::consensus::{
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::{CrashSubset, RandomInterleave, Schedule, ScheduleKind};
 use sift::sim::{Engine, LayoutBuilder, ProcessId};
-
-fn schedule_kind() -> impl Strategy<Value = ScheduleKind> {
-    prop_oneof![
-        Just(ScheduleKind::RoundRobin),
-        Just(ScheduleKind::RandomInterleave),
-        Just(ScheduleKind::BlockSequential),
-        Just(ScheduleKind::BlockRotation),
-        Just(ScheduleKind::Stutter),
-    ]
-}
 
 fn run_protocol(
     which: usize,
@@ -59,51 +49,49 @@ fn run_protocol(
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Agreement and validity hold in every execution of every stack.
-    #[test]
-    fn consensus_safety_is_absolute(
-        which in 0usize..5,
-        kind in schedule_kind(),
-        inputs in prop::collection::vec(0u64..8, 1..10),
-        seed in 0u64..100_000,
-    ) {
+/// Agreement and validity hold in every execution of every stack.
+#[test]
+fn consensus_safety_is_absolute() {
+    cases("consensus_safety_is_absolute", 48, |rng| {
+        let which = size_in(rng, 0..5);
+        let kind = schedule_kind(rng);
+        let inputs = vec_below(rng, 1..10, 8);
+        let seed = rng.range_u64(100_000);
         let outcomes = run_protocol(which, &inputs, 8, seed, kind);
         check_consensus(&inputs, outcomes.iter());
-    }
+    });
+}
 
-    /// Unanimity decides in exactly one phase (convergence end to end).
-    #[test]
-    fn unanimity_decides_in_one_phase(
-        which in 0usize..4, // CIL conciliator may still need >1 phase
-        kind in schedule_kind(),
-        n in 1usize..8,
-        value in 0u64..8,
-        seed in 0u64..100_000,
-    ) {
+/// Unanimity decides in exactly one phase (convergence end to end).
+#[test]
+fn unanimity_decides_in_one_phase() {
+    cases("unanimity_decides_in_one_phase", 48, |rng| {
+        let which = size_in(rng, 0..4); // CIL conciliator may still need >1 phase
+        let kind = schedule_kind(rng);
+        let n = size_in(rng, 1..8);
+        let value = rng.range_u64(8);
+        let seed = rng.range_u64(100_000);
         let inputs = vec![value; n];
-        let outcomes = run_protocol(which, &inputs, 8, seed, kind);
-        for o in outcomes {
+        for o in run_protocol(which, &inputs, 8, seed, kind) {
             match o {
                 ConsensusOutcome::Decided(d) => {
-                    prop_assert_eq!(d.value, value);
-                    prop_assert_eq!(d.phases, 1);
+                    assert_eq!(d.value, value);
+                    assert_eq!(d.phases, 1);
                 }
-                ConsensusOutcome::Exhausted { .. } => prop_assert!(false, "exhausted"),
+                ConsensusOutcome::Exhausted { .. } => panic!("exhausted"),
             }
         }
-    }
+    });
+}
 
-    /// Wait-freedom: under crash failures, every surviving process still
-    /// decides, and survivors agree.
-    #[test]
-    fn survivors_decide_under_crashes(
-        inputs in prop::collection::vec(0u64..4, 2..10),
-        fraction in 0.0f64..0.9,
-        seed in 0u64..100_000,
-    ) {
+/// Wait-freedom: under crash failures, every surviving process still
+/// decides, and survivors agree.
+#[test]
+fn survivors_decide_under_crashes() {
+    cases("survivors_decide_under_crashes", 48, |rng| {
+        let inputs = vec_below(rng, 2..10, 4);
+        let fraction = rng.unit_f64() * 0.9;
+        let seed = rng.range_u64(100_000);
         let n = inputs.len();
         let split = SeedSplitter::new(seed);
         let mut b = LayoutBuilder::new();
@@ -124,7 +112,7 @@ proptest! {
             .collect();
         let report = Engine::new(&layout, procs).run(schedule);
         let decided: Vec<&ConsensusOutcome> = report.outputs.iter().flatten().collect();
-        prop_assert_eq!(decided.len(), live, "every live process decides");
-        check_consensus(&inputs, decided.into_iter());
-    }
+        assert_eq!(decided.len(), live, "every live process decides");
+        check_consensus(&inputs, decided);
+    });
 }

@@ -1,41 +1,27 @@
-// Needs the external `proptest` crate: compiled only with `--features proptest-tests`.
-#![cfg(feature = "proptest-tests")]
 //! Property-based tests of the replicated log: identical logs on every
 //! replica, validity of every entry, and per-proposer FIFO order —
 //! under arbitrary schedules and command mixes.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{cases, schedule_kind, size_in};
 
 use sift::adopt_commit::DigitAc;
 use sift::consensus::log::ReplicatedLog;
 use sift::core::{Epsilon, SiftingConciliator};
 use sift::sim::rng::SeedSplitter;
-use sift::sim::schedule::ScheduleKind;
 use sift::sim::{Engine, LayoutBuilder, ProcessId};
 
-fn schedule_kind() -> impl Strategy<Value = ScheduleKind> {
-    prop_oneof![
-        Just(ScheduleKind::RoundRobin),
-        Just(ScheduleKind::RandomInterleave),
-        Just(ScheduleKind::BlockSequential),
-        Just(ScheduleKind::BlockRotation),
-        Just(ScheduleKind::Stutter),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Log safety: identical logs, every entry proposed by someone, and
-    /// each replica's own committed commands appear in FIFO order.
-    #[test]
-    fn replicated_log_is_safe(
-        n in 1usize..6,
-        slots in 1usize..6,
-        commands_per_replica in 1usize..4,
-        kind in schedule_kind(),
-        seed in 0u64..100_000,
-    ) {
+/// Log safety: identical logs, every entry proposed by someone, and
+/// each replica's own committed commands appear in FIFO order.
+#[test]
+fn replicated_log_is_safe() {
+    cases("replicated_log_is_safe", 32, |rng| {
+        let n = size_in(rng, 1..6);
+        let slots = size_in(rng, 1..6);
+        let commands_per_replica = size_in(rng, 1..4);
+        let kind = schedule_kind(rng);
+        let seed = rng.range_u64(100_000);
         let mut b = LayoutBuilder::new();
         let log = ReplicatedLog::allocate(
             &mut b,
@@ -57,22 +43,23 @@ proptest! {
                 log.participant(ProcessId(i), commands, &mut rng)
             })
             .collect();
-        let report =
-            Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
+        let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
         let logs = report.unwrap_outputs();
 
         // Agreement: all replicas hold the same log, full length.
         for w in logs.windows(2) {
-            prop_assert_eq!(&w[0], &w[1], "logs diverged");
+            assert_eq!(&w[0], &w[1], "logs diverged");
         }
-        prop_assert_eq!(logs[0].len(), slots);
+        assert_eq!(logs[0].len(), slots);
 
         // Validity: every entry decodes to a real (replica, index).
         for &entry in &logs[0] {
             let proposer = (entry / 10) as usize;
             let index = (entry % 10) as usize;
-            prop_assert!(proposer < n && index < commands_per_replica,
-                "invented entry {}", entry);
+            assert!(
+                proposer < n && index < commands_per_replica,
+                "invented entry {entry}"
+            );
         }
 
         // FIFO per proposer (ignoring trailing re-proposals of the last
@@ -81,10 +68,10 @@ proptest! {
             let mine: Vec<u64> = logs[0].iter().copied().filter(|&e| e / 10 == p).collect();
             let mut deduped = mine.clone();
             deduped.dedup();
-            prop_assert!(
+            assert!(
                 deduped.windows(2).all(|w| w[0] < w[1]),
-                "replica {}'s commands out of order: {:?}", p, mine
+                "replica {p}'s commands out of order: {mine:?}"
             );
         }
-    }
+    });
 }

@@ -1,49 +1,48 @@
-// Needs the external `proptest` crate: compiled only with `--features proptest-tests`.
-#![cfg(feature = "proptest-tests")]
 //! Property-based tests of the observation algebra: report merge is
 //! commutative and associative, histogram merge never loses a count,
 //! and bucketing maps every value into the bucket that contains it.
-//! (The deterministic seed-sampled versions of these properties live in
-//! `sift-obs`'s unit tests; this suite re-checks them under proptest's
-//! adversarial generation when the external crate is available.)
+//! (`sift-obs`'s own suites check the same algebra on hand-picked edge
+//! cases; this one draws the reports at random.)
 
-use proptest::prelude::*;
+mod common;
+
+use common::{any_u64, cases, size_in};
 
 use sift::obs::{bucket_lower_bound, bucket_of, Histogram, ObsReport, BUCKETS};
+use sift::sim::rng::Xoshiro256StarStar;
 
 /// An arbitrary report: a handful of counters, maxima, and histogram
 /// observations over a small shared key space (so merges collide).
-fn report() -> impl Strategy<Value = ObsReport> {
-    let entry = (0usize..4, 0u64..1_000_000);
-    proptest::collection::vec((entry.clone(), entry.clone(), entry), 0..12).prop_map(|triples| {
-        let keys = ["alpha", "beta", "gamma", "delta"];
-        let mut r = ObsReport::new();
-        for ((ck, cv), (mk, mv), (hk, hv)) in triples {
-            r.add_count(keys[ck], cv);
-            r.observe_max(keys[mk], mv);
-            r.record_hist(keys[hk], hv);
-        }
-        r
-    })
+fn report(rng: &mut Xoshiro256StarStar) -> ObsReport {
+    let keys = ["alpha", "beta", "gamma", "delta"];
+    let mut r = ObsReport::new();
+    for _ in 0..size_in(rng, 0..12) {
+        r.add_count(keys[size_in(rng, 0..4)], rng.range_u64(1_000_000));
+        r.observe_max(keys[size_in(rng, 0..4)], rng.range_u64(1_000_000));
+        r.record_hist(keys[size_in(rng, 0..4)], rng.range_u64(1_000_000));
+    }
+    r
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Merge order cannot show: a ⊕ b = b ⊕ a.
-    #[test]
-    fn report_merge_is_commutative(a in report(), b in report()) {
+/// Merge order cannot show: a ⊕ b = b ⊕ a.
+#[test]
+fn report_merge_is_commutative() {
+    cases("report_merge_is_commutative", 64, |rng| {
+        let (a, b) = (report(rng), report(rng));
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        prop_assert_eq!(&ab, &ba);
-        prop_assert_eq!(ab.to_json(), ba.to_json());
-    }
+        assert_eq!(&ab, &ba);
+        assert_eq!(ab.to_json(), ba.to_json());
+    });
+}
 
-    /// Merge grouping cannot show: (a ⊕ b) ⊕ c = a ⊕ (b ⊕ c).
-    #[test]
-    fn report_merge_is_associative(a in report(), b in report(), c in report()) {
+/// Merge grouping cannot show: (a ⊕ b) ⊕ c = a ⊕ (b ⊕ c).
+#[test]
+fn report_merge_is_associative() {
+    cases("report_merge_is_associative", 64, |rng| {
+        let (a, b, c) = (report(rng), report(rng), report(rng));
         let mut left = a.clone();
         left.merge(&b);
         left.merge(&c);
@@ -51,15 +50,16 @@ proptest! {
         bc.merge(&c);
         let mut right = a;
         right.merge(&bc);
-        prop_assert_eq!(left, right);
-    }
+        assert_eq!(left, right);
+    });
+}
 
-    /// Histogram merge conserves counts, bucket by bucket.
-    #[test]
-    fn histogram_merge_never_loses_counts(
-        xs in proptest::collection::vec(any::<u64>(), 0..64),
-        ys in proptest::collection::vec(any::<u64>(), 0..64),
-    ) {
+/// Histogram merge conserves counts, bucket by bucket.
+#[test]
+fn histogram_merge_never_loses_counts() {
+    cases("histogram_merge_never_loses_counts", 64, |rng| {
+        let xs: Vec<u64> = (0..size_in(rng, 0..64)).map(|_| any_u64(rng)).collect();
+        let ys: Vec<u64> = (0..size_in(rng, 0..64)).map(|_| any_u64(rng)).collect();
         let mut a = Histogram::new();
         for &x in &xs {
             a.record(x);
@@ -68,22 +68,25 @@ proptest! {
         for &y in &ys {
             b.record(y);
         }
-        let mut merged = a.clone();
+        let mut merged = a;
         merged.merge(&b);
-        prop_assert_eq!(merged.count(), (xs.len() + ys.len()) as u64);
+        assert_eq!(merged.count(), (xs.len() + ys.len()) as u64);
         for i in 0..BUCKETS {
-            prop_assert_eq!(merged.count_at(i), a.count_at(i) + b.count_at(i));
+            assert_eq!(merged.buckets()[i], a.buckets()[i] + b.buckets()[i]);
         }
-    }
+    });
+}
 
-    /// Every value lands in the bucket whose range contains it.
-    #[test]
-    fn bucketing_is_a_partition(v in any::<u64>()) {
+/// Every value lands in the bucket whose range contains it.
+#[test]
+fn bucketing_is_a_partition() {
+    cases("bucketing_is_a_partition", 64, |rng| {
+        let v = any_u64(rng);
         let i = bucket_of(v);
-        prop_assert!(i < BUCKETS);
-        prop_assert!(bucket_lower_bound(i) <= v);
+        assert!(i < BUCKETS);
+        assert!(bucket_lower_bound(i) <= v);
         if i + 1 < BUCKETS {
-            prop_assert!(v < bucket_lower_bound(i + 1));
+            assert!(v < bucket_lower_bound(i + 1));
         }
-    }
+    });
 }

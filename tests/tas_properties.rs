@@ -1,36 +1,23 @@
-// Needs the external `proptest` crate: compiled only with `--features proptest-tests`.
-#![cfg(feature = "proptest-tests")]
 //! Property-based tests of the test-and-set family across schedules,
 //! sizes, and crash patterns.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{cases, schedule_kind, size_in};
 
 use sift::sim::rng::SeedSplitter;
-use sift::sim::schedule::{CrashSubset, RandomInterleave, Schedule, ScheduleKind};
+use sift::sim::schedule::{CrashSubset, RandomInterleave, Schedule};
 use sift::sim::{Engine, LayoutBuilder, ProcessId};
 use sift::tas::{check_tas_properties, SiftingTas, TasOutcome, TournamentTas, TwoProcessTas};
 
-fn schedule_kind() -> impl Strategy<Value = ScheduleKind> {
-    prop_oneof![
-        Just(ScheduleKind::RoundRobin),
-        Just(ScheduleKind::RandomInterleave),
-        Just(ScheduleKind::BlockSequential),
-        Just(ScheduleKind::BlockRotation),
-        Just(ScheduleKind::Stutter),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The sifting test-and-set: exactly one winner whenever everyone
-    /// finishes, for any size and schedule family.
-    #[test]
-    fn sifting_tas_has_exactly_one_winner(
-        n in 1usize..20,
-        kind in schedule_kind(),
-        seed in 0u64..100_000,
-    ) {
+/// The sifting test-and-set: exactly one winner whenever everyone
+/// finishes, for any size and schedule family.
+#[test]
+fn sifting_tas_has_exactly_one_winner() {
+    cases("sifting_tas_has_exactly_one_winner", 48, |rng| {
+        let n = size_in(rng, 1..20);
+        let kind = schedule_kind(rng);
+        let seed = rng.range_u64(100_000);
         let mut b = LayoutBuilder::new();
         let tas = SiftingTas::allocate(&mut b, n);
         let layout = b.build();
@@ -39,17 +26,18 @@ proptest! {
             .map(|i| tas.participant(ProcessId(i), &mut split.stream("process", i as u64)))
             .collect();
         let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
-        prop_assert!(report.outputs.iter().all(Option::is_some), "termination");
+        assert!(report.outputs.iter().all(Option::is_some), "termination");
         check_tas_properties(&report.outputs);
-    }
+    });
+}
 
-    /// The tournament alone: same guarantee.
-    #[test]
-    fn tournament_tas_has_exactly_one_winner(
-        n in 1usize..16,
-        kind in schedule_kind(),
-        seed in 0u64..100_000,
-    ) {
+/// The tournament alone: same guarantee.
+#[test]
+fn tournament_tas_has_exactly_one_winner() {
+    cases("tournament_tas_has_exactly_one_winner", 48, |rng| {
+        let n = size_in(rng, 1..16);
+        let kind = schedule_kind(rng);
+        let seed = rng.range_u64(100_000);
         let mut b = LayoutBuilder::new();
         let tas = TournamentTas::allocate(&mut b, n);
         let layout = b.build();
@@ -59,16 +47,17 @@ proptest! {
             .collect();
         let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
         check_tas_properties(&report.outputs);
-    }
+    });
+}
 
-    /// Crash tolerance: at most one winner among survivors; every
-    /// survivor terminates.
-    #[test]
-    fn sifting_tas_tolerates_crashes(
-        n in 2usize..16,
-        fraction in 0.0f64..0.9,
-        seed in 0u64..100_000,
-    ) {
+/// Crash tolerance: at most one winner among survivors; every
+/// survivor terminates.
+#[test]
+fn sifting_tas_tolerates_crashes() {
+    cases("sifting_tas_tolerates_crashes", 48, |rng| {
+        let n = size_in(rng, 2..16);
+        let fraction = rng.unit_f64() * 0.9;
+        let seed = rng.range_u64(100_000);
         let mut b = LayoutBuilder::new();
         let tas = SiftingTas::allocate(&mut b, n);
         let layout = b.build();
@@ -85,23 +74,24 @@ proptest! {
             .collect();
         let report = Engine::new(&layout, procs).run(schedule);
         let finished = report.outputs.iter().flatten().count();
-        prop_assert_eq!(finished, live, "all live processes must finish");
+        assert_eq!(finished, live, "all live processes must finish");
         let winners = report
             .outputs
             .iter()
             .flatten()
             .filter(|o| o.is_win())
             .count();
-        prop_assert!(winners <= 1, "{} winners", winners);
-    }
+        assert!(winners <= 1, "{winners} winners");
+    });
+}
 
-    /// Two-process node: the loser never wins against a solo winner.
-    #[test]
-    fn two_process_tas_is_safe(
-        kind in schedule_kind(),
-        seed in 0u64..100_000,
-        both in any::<bool>(),
-    ) {
+/// Two-process node: the loser never wins against a solo winner.
+#[test]
+fn two_process_tas_is_safe() {
+    cases("two_process_tas_is_safe", 48, |rng| {
+        let kind = schedule_kind(rng);
+        let seed = rng.range_u64(100_000);
+        let both = rng.coin();
         let mut b = LayoutBuilder::new();
         let tas = TwoProcessTas::allocate(&mut b);
         let layout = b.build();
@@ -114,7 +104,7 @@ proptest! {
         let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
         check_tas_properties(&report.outputs);
         if !both {
-            prop_assert_eq!(report.outputs[0], Some(TasOutcome::Won), "solo always wins");
+            assert_eq!(report.outputs[0], Some(TasOutcome::Won), "solo always wins");
         }
-    }
+    });
 }
