@@ -10,7 +10,7 @@ use sift_consensus::{
 use sift_core::Persona;
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::RandomInterleave;
-use sift_sim::{Engine, LayoutBuilder, ProcessId};
+use sift_sim::{Engine, LayoutBuilder};
 
 fn run_consensus<C, A>(
     layout: &sift_sim::Layout,
@@ -22,14 +22,10 @@ fn run_consensus<C, A>(
     A: sift_adopt_commit::AdoptCommit<Persona>,
 {
     let split = SeedSplitter::new(seed);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            protocol.participant(ProcessId(i), (i % 4) as u64, &mut rng)
-        })
-        .collect();
-    let report =
-        Engine::new(layout, procs).run(RandomInterleave::new(n, split.seed("schedule", 0)));
+    let procs = split.processes(n, |pid, rng| {
+        protocol.participant(pid, (pid.index() % 4) as u64, rng)
+    });
+    let report = Engine::new(layout, procs).run(RandomInterleave::new(n, split.schedule_seed()));
     assert!(report.all_decided());
 }
 

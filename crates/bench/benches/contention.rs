@@ -42,19 +42,13 @@ const WRITE_EVERY: usize = 64;
 /// single cells).
 const COMPONENTS: usize = 128;
 
-/// The contention sweep: `SIFT_BENCH_THREADS` as a comma-separated
-/// list, defaulting to {2, 4, 8, 16}.
-fn thread_counts() -> Vec<usize> {
-    let parsed = std::env::var("SIFT_BENCH_THREADS").ok().map(|v| {
-        v.split(',')
-            .filter_map(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .collect::<Vec<_>>()
-    });
-    match parsed {
-        Some(ts) if !ts.is_empty() => ts,
-        _ => vec![2, 4, 8, 16],
-    }
+/// The contention sweep: `SIFT_BENCH_THREADS`, defaulting to
+/// {2, 4, 8, 16}.
+fn thread_counts(c: &Criterion) -> Vec<usize> {
+    c.knobs()
+        .threads
+        .clone()
+        .unwrap_or_else(|| vec![2, 4, 8, 16])
 }
 
 /// The pinning policy this host supports, probed once on a scratch
@@ -109,9 +103,10 @@ fn bench_rounds(b: &mut Bencher, threads: usize, pin: bool, op: impl Fn(usize, u
 fn bench_snapshot_contention(c: &mut Criterion) {
     let policy = pinning_policy();
     let pin = policy == "cores";
+    let sweep = thread_counts(c);
     let mut group = c.benchmark_group("snapshot_contention");
     group.pinning(policy);
-    for t in thread_counts() {
+    for t in sweep {
         group.threads(t);
         group.bench_function(format!("lockfree/t{t}"), |b| {
             let snap: LockFreeSnapshot<u64> = LockFreeSnapshot::new(COMPONENTS);
@@ -140,9 +135,10 @@ fn bench_snapshot_contention(c: &mut Criterion) {
 fn bench_register_contention(c: &mut Criterion) {
     let policy = pinning_policy();
     let pin = policy == "cores";
+    let sweep = thread_counts(c);
     let mut group = c.benchmark_group("register_contention");
     group.pinning(policy);
-    for t in thread_counts() {
+    for t in sweep {
         group.threads(t);
         group.bench_function(format!("lockfree/t{t}"), |b| {
             let reg: LockFreeRegister<u64> = LockFreeRegister::new();
@@ -172,9 +168,10 @@ fn bench_register_contention(c: &mut Criterion) {
 fn bench_max_register_contention(c: &mut Criterion) {
     let policy = pinning_policy();
     let pin = policy == "cores";
+    let sweep = thread_counts(c);
     let mut group = c.benchmark_group("max_register_contention");
     group.pinning(policy);
-    for t in thread_counts() {
+    for t in sweep {
         group.threads(t);
         group.bench_function(format!("lockfree/t{t}"), |b| {
             let max: LockFreeMaxRegister<u64> = LockFreeMaxRegister::new();

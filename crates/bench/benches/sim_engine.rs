@@ -29,11 +29,8 @@ use sift_sim::{Engine, LayoutBuilder, Op, OpResult, Process, RegisterId, Step, S
 /// three).
 const SIZES: [usize; 3] = [1_000, 100_000, 1_000_000];
 
-fn sizes() -> Vec<usize> {
-    let cap = std::env::var("SIFT_BENCH_MAX_N")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(usize::MAX);
+fn sizes(c: &Criterion) -> Vec<usize> {
+    let cap = c.knobs().max_n.unwrap_or(usize::MAX);
     SIZES.iter().copied().filter(|&n| n <= cap).collect()
 }
 
@@ -55,8 +52,9 @@ impl Process for Writer {
 }
 
 fn bench_engine_events(c: &mut Criterion) {
+    let sizes = sizes(c);
     let mut group = c.benchmark_group("engine_events");
-    for n in sizes() {
+    for n in sizes {
         // One register per process, addressed by index (the layout is
         // built once; the paged memory materializes only written pages).
         let mut b = LayoutBuilder::new();
@@ -82,8 +80,9 @@ fn bench_engine_events(c: &mut Criterion) {
 }
 
 fn bench_sifting_round(c: &mut Criterion) {
+    let sizes = sizes(c);
     let mut group = c.benchmark_group("sifting_round");
-    for n in sizes() {
+    for n in sizes {
         let mut b = LayoutBuilder::new();
         let conciliator = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
         let layout = b.build();
@@ -94,7 +93,7 @@ fn bench_sifting_round(c: &mut Criterion) {
                 let split = SeedSplitter::new(seed);
                 let c = conciliator.clone();
                 let mut engine = Engine::lazy(&layout, n, move |pid| {
-                    let mut rng = split.stream("process", pid.index() as u64);
+                    let mut rng = split.process_stream(pid);
                     c.participant(pid, pid.index() as u64, &mut rng)
                 });
                 // One full round: every participant writes the round-0

@@ -9,7 +9,7 @@ use sift_shmem::register::LockRegister;
 use sift_shmem::runtime::run_threads;
 use sift_shmem::snapshot::{CoarseSnapshot, WaitFreeSnapshot};
 use sift_sim::rng::SeedSplitter;
-use sift_sim::{LayoutBuilder, ProcessId};
+use sift_sim::LayoutBuilder;
 
 fn bench_objects(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_objects");
@@ -79,12 +79,9 @@ fn bench_threaded_conciliator(c: &mut Criterion) {
                 let conciliator = SiftingConciliator::allocate(&mut builder, n, Epsilon::HALF);
                 let layout = builder.build();
                 let split = SeedSplitter::new(seed);
-                let procs: Vec<_> = (0..n)
-                    .map(|i| {
-                        let mut rng = split.stream("process", i as u64);
-                        conciliator.participant(ProcessId(i), i as u64, &mut rng)
-                    })
-                    .collect();
+                let procs = split.processes(n, |pid, rng| {
+                    conciliator.participant(pid, pid.index() as u64, rng)
+                });
                 run_threads(&layout, procs)
             });
         });

@@ -4,7 +4,7 @@ use sift_bench::microbench::{BenchmarkId, Criterion};
 use sift_bench::{criterion_group, criterion_main};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::RandomInterleave;
-use sift_sim::{Engine, LayoutBuilder, ProcessId};
+use sift_sim::{Engine, LayoutBuilder};
 use sift_tas::{SiftingTas, TournamentTas};
 
 fn bench_tas(c: &mut Criterion) {
@@ -18,10 +18,8 @@ fn bench_tas(c: &mut Criterion) {
                 let tas = SiftingTas::allocate(&mut builder, n);
                 let layout = builder.build();
                 let split = SeedSplitter::new(seed);
-                let procs: Vec<_> = (0..n)
-                    .map(|i| tas.participant(ProcessId(i), &mut split.stream("process", i as u64)))
-                    .collect();
-                Engine::new(&layout, procs).run(RandomInterleave::new(n, split.seed("schedule", 0)))
+                let procs = split.processes(n, |pid, rng| tas.participant(pid, rng));
+                Engine::new(&layout, procs).run(RandomInterleave::new(n, split.schedule_seed()))
             });
         });
         group.bench_with_input(BenchmarkId::new("tournament_tas", n), &n, |b, &n| {
@@ -32,10 +30,8 @@ fn bench_tas(c: &mut Criterion) {
                 let tas = TournamentTas::allocate(&mut builder, n);
                 let layout = builder.build();
                 let split = SeedSplitter::new(seed);
-                let procs: Vec<_> = (0..n)
-                    .map(|i| tas.participant(ProcessId(i), &mut split.stream("process", i as u64)))
-                    .collect();
-                Engine::new(&layout, procs).run(RandomInterleave::new(n, split.seed("schedule", 0)))
+                let procs = split.processes(n, |pid, rng| tas.participant(pid, rng));
+                Engine::new(&layout, procs).run(RandomInterleave::new(n, split.schedule_seed()))
             });
         });
     }

@@ -1,11 +1,13 @@
 //! The `exp` command line: every knob of the harness, parsed once.
 //!
 //! This is the only module of `sift-bench` that reads the process
-//! environment or arguments (bench targets keep
-//! [`microbench::from_env`](crate::microbench::Criterion::from_env) for
-//! `SIFT_BENCH_*`). [`main`] parses the subcommand, the one flag
-//! (`--obs-json PATH`) and every `SIFT_*` variable in [`ENV_KNOBS`]
-//! before anything runs, hands the common ones to the library's setters
+//! environment or arguments, bar one: the bench targets' five
+//! `SIFT_BENCH_*` knobs are read by
+//! [`microbench`](crate::microbench::BenchKnobs), through the same
+//! typed reader and under the same error contract. [`main`] parses the
+//! subcommand, the one flag (`--obs-json PATH`) and every `SIFT_*`
+//! variable in [`ENV_KNOBS`] before anything runs, hands the common
+//! ones to the library's setters
 //! ([`exec::set_threads`], [`exec::set_master_seed`],
 //! [`runner::set_trials`], [`obs::set_output`]) and the rest to the
 //! experiment as a [`Knobs`].
@@ -187,11 +189,15 @@ fn parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Comman
 }
 
 /// Typed reads over an environment lookup.
-struct Env<F>(F);
+pub(crate) struct Env<F>(pub(crate) F);
 
 impl<F: Fn(&str) -> Option<String>> Env<F> {
     /// An unsigned integer, nonzero if `positive`.
-    fn number<T: TryFrom<u64>>(&self, name: &str, positive: bool) -> Result<Option<T>, String> {
+    pub(crate) fn number<T: TryFrom<u64>>(
+        &self,
+        name: &str,
+        positive: bool,
+    ) -> Result<Option<T>, String> {
         let Some(text) = (self.0)(name) else {
             return Ok(None);
         };
@@ -210,7 +216,21 @@ impl<F: Fn(&str) -> Option<String>> Env<F> {
             })
     }
 
-    fn path(&self, name: &str) -> Option<PathBuf> {
+    /// A comma-separated list of positive integers.
+    pub(crate) fn positive_list(&self, name: &str) -> Result<Option<Vec<usize>>, String> {
+        let Some(text) = (self.0)(name) else {
+            return Ok(None);
+        };
+        text.split(',')
+            .map(|item| item.trim().parse::<usize>().ok().filter(|&x| x > 0))
+            .collect::<Option<Vec<usize>>>()
+            .map(Some)
+            .ok_or_else(|| {
+                format!("{name} must be a comma-separated list of positive integers, got {text:?}")
+            })
+    }
+
+    pub(crate) fn path(&self, name: &str) -> Option<PathBuf> {
         (self.0)(name).filter(|p| !p.is_empty()).map(PathBuf::from)
     }
 

@@ -49,7 +49,7 @@ use sift_sim::adversary::AdversaryStrength;
 use sift_sim::fuzz::FingerprintHasher;
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::RandomInterleave;
-use sift_sim::{Engine, LayoutBuilder, ProcessId, RegisterSemantics, Resolution, StopReason};
+use sift_sim::{Engine, LayoutBuilder, RegisterSemantics, Resolution, StopReason};
 
 use crate::exec::{map_reduce, Merge};
 use crate::stats::{cp_lower, Welford, Z_99};
@@ -520,19 +520,16 @@ where
     let conciliator = build(&mut builder);
     let layout = builder.build();
     let split = SeedSplitter::new(seed);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            conciliator.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| {
+        conciliator.participant(pid, pid.index() as u64, rng)
+    });
     let mut engine = Engine::new(&layout, procs);
     // Generous but finite: a livelocking mutant must terminate the
     // trial instead of hanging the suite. 16× the per-process bound
     // (or 64 slots each, whichever is larger) in total.
     let per_proc = conciliator.steps_bound().unwrap_or(64).max(64);
     engine.limit_slots(16 * per_proc * n as u64);
-    let report = engine.run(RandomInterleave::new(n, split.seed("schedule", 0)));
+    let report = engine.run(RandomInterleave::new(n, split.schedule_seed()));
     let survivors = distinct_per_round(report.processes.iter().map(|p| p.history()));
     let agreed = report.all_decided() && report.outputs_agree();
     ConciliatorTrial {
@@ -681,18 +678,15 @@ fn environment_trial(
     let conciliator = SiftingConciliator::allocate(&mut builder, n, Epsilon::HALF);
     let layout = builder.build();
     let split = SeedSplitter::new(seed);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            conciliator.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| {
+        conciliator.participant(pid, pid.index() as u64, rng)
+    });
     let mut engine = Engine::new(&layout, procs);
     let per_proc = conciliator.steps_bound().unwrap_or(64).max(64);
     engine.limit_slots(16 * per_proc * n as u64);
     engine.set_register_semantics(semantics);
     let report = match strength.delay() {
-        None => engine.run(RandomInterleave::new(n, split.seed("schedule", 0))),
+        None => engine.run(RandomInterleave::new(n, split.schedule_seed())),
         Some(delay) => crate::runner::run_sifting_breaker(engine, delay),
     };
     distinct_per_round(report.processes.iter().map(|p| p.history()))
@@ -720,14 +714,9 @@ fn theorem3_claims(scale: usize) -> Vec<ClaimResult> {
             let c = EmbeddedConciliator::allocate(&mut b, n);
             let layout = b.build();
             let split = SeedSplitter::new(seed);
-            let procs: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    c.participant(ProcessId(i), i as u64, &mut rng)
-                })
-                .collect();
-            let report = Engine::new(&layout, procs)
-                .run(RandomInterleave::new(n, split.seed("schedule", 0)));
+            let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
+            let report =
+                Engine::new(&layout, procs).run(RandomInterleave::new(n, split.schedule_seed()));
             let agreed = report.all_decided() && report.outputs_agree();
             let max_indiv = report.metrics.per_process_ops.iter().copied().max();
             (report.metrics.total_ops, max_indiv.unwrap_or(0), agreed)
@@ -794,14 +783,10 @@ where
     let split = SeedSplitter::new(seed);
     let mut input_rng = split.stream("inputs", 0);
     let inputs: Vec<u64> = (0..n).map(|_| input_rng.range_u64(m)).collect();
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            protocol.participant(ProcessId(i), inputs[i], &mut rng)
-        })
-        .collect();
-    let report =
-        Engine::new(&layout, procs).run(RandomInterleave::new(n, split.seed("schedule", 0)));
+    let procs = split.processes(n, |pid, rng| {
+        protocol.participant(pid, inputs[pid.index()], rng)
+    });
+    let report = Engine::new(&layout, procs).run(RandomInterleave::new(n, split.schedule_seed()));
     let outcomes = report.unwrap_outputs();
     let exhausted = outcomes
         .iter()

@@ -268,8 +268,6 @@ pub struct TrialSpec {
     pub index: u64,
     /// Seed of this trial (see [`trial_seed`]).
     pub seed: u64,
-    /// Whether per-round survivor history is collected.
-    pub collect_history: bool,
 }
 
 /// A batch of trials over one protocol configuration — the unit the
@@ -297,7 +295,6 @@ pub struct Batch {
     count: usize,
     kind: ScheduleKind,
     master_seed: u64,
-    collect_history: bool,
 }
 
 impl Batch {
@@ -310,14 +307,7 @@ impl Batch {
             count,
             kind,
             master_seed: master_seed(),
-            collect_history: false,
         }
-    }
-
-    /// Collects per-round survivor history in every trial.
-    pub fn with_history(mut self) -> Self {
-        self.collect_history = true;
-        self
     }
 
     /// Uses an explicit master seed instead of the session default.
@@ -338,7 +328,6 @@ impl Batch {
             kind: self.kind,
             index,
             seed: trial_seed(self.master_seed, index),
-            collect_history: self.collect_history,
         }
     }
 
@@ -367,7 +356,8 @@ impl Batch {
     }
 
     /// Like [`Batch::run`], for participants that record round history
-    /// (survivor experiments). Implies [`Batch::with_history`].
+    /// (survivor experiments): every trial collects per-round survivor
+    /// counts.
     pub fn run_with_history<C, P, A>(
         &self,
         build: impl Fn(&mut LayoutBuilder) -> C + Sync,

@@ -18,7 +18,7 @@
 use sift_core::{Conciliator, Epsilon, SiftingConciliator, SnapshotConciliator};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::RandomInterleave;
-use sift_sim::{Engine, LayoutBuilder, Op, ProcessId};
+use sift_sim::{Engine, LayoutBuilder, Op};
 
 use crate::exec::Batch;
 use crate::runner::default_trials;
@@ -42,12 +42,7 @@ fn sifting_run(n: usize, seed: u64, adaptive: bool) -> (bool, usize) {
     let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
     let layout = b.build();
     let split = SeedSplitter::new(seed);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            c.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
     let engine = Engine::new(&layout, procs);
     let report = if adaptive {
         // Readers of the earliest round go first: nobody is ever sifted.
@@ -62,7 +57,7 @@ fn sifting_run(n: usize, seed: u64, adaptive: bool) -> (bool, usize) {
                 .expect("live processes exist")
         })
     } else {
-        engine.run(RandomInterleave::new(n, split.seed("schedule", 0)))
+        engine.run(RandomInterleave::new(n, split.schedule_seed()))
     };
     let distinct = distinct_outputs(&report, |p| p.origin());
     (distinct <= 1, distinct)
@@ -73,12 +68,7 @@ fn snapshot_run(n: usize, seed: u64, adaptive: bool) -> (bool, usize) {
     let c = SnapshotConciliator::allocate(&mut b, n, Epsilon::HALF);
     let layout = b.build();
     let split = SeedSplitter::new(seed);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            c.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
     let engine = Engine::new(&layout, procs);
     let report = if adaptive {
         // Ascending current-round priority, each process finishing its
@@ -98,7 +88,7 @@ fn snapshot_run(n: usize, seed: u64, adaptive: bool) -> (bool, usize) {
                 .expect("live processes exist")
         })
     } else {
-        engine.run(RandomInterleave::new(n, split.seed("schedule", 0)))
+        engine.run(RandomInterleave::new(n, split.schedule_seed()))
     };
     let distinct = distinct_outputs(&report, |p| p.origin());
     (distinct <= 1, distinct)

@@ -29,8 +29,7 @@ fn run_object<A: AdoptCommit<u64>>(
         .enumerate()
         .map(|(i, &c)| ac.proposer(ProcessId(i), c, c))
         .collect();
-    let report =
-        Engine::new(layout, procs).run(RandomInterleave::new(n, split.seed("schedule", 0)));
+    let report = Engine::new(layout, procs).run(RandomInterleave::new(n, split.schedule_seed()));
     let max = report.metrics.max_individual_steps();
     let outputs: Vec<Option<AcOutput<u64>>> = report.outputs;
     check_ac_properties(&proposals, &outputs);

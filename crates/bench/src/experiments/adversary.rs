@@ -15,7 +15,7 @@ use sift_sim::adversary::AdversaryStrength;
 use sift_sim::fuzz::FingerprintHasher;
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::{CrashSubset, RandomInterleave, RoundRobin, Schedule, ScheduleKind};
-use sift_sim::{Engine, LayoutBuilder, ProcessId, RegisterSemantics, Resolution};
+use sift_sim::{Engine, LayoutBuilder, RegisterSemantics, Resolution};
 
 use crate::conformance::{self, ClaimResult};
 use crate::exec::Batch;
@@ -274,16 +274,11 @@ fn lattice_trial(
     let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
     let layout = b.build();
     let split = SeedSplitter::new(seed);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            c.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
     let mut engine = Engine::new(&layout, procs);
     engine.set_register_semantics(semantics_of(split.seed("regular", 0)));
     let report = match strength.delay() {
-        None => engine.run(RandomInterleave::new(n, split.seed("schedule", 0))),
+        None => engine.run(RandomInterleave::new(n, split.schedule_seed())),
         Some(delay) => crate::runner::run_sifting_breaker(engine, delay),
     };
     use std::collections::HashSet;
@@ -423,14 +418,9 @@ fn crash_run(n: usize, fraction: f64, seed: u64) -> (usize, usize, bool) {
     let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
     let layout = b.build();
     let split = SeedSplitter::new(seed);
-    let schedule = CrashSubset::random(RoundRobin::new(n), n, fraction, split.seed("schedule", 0));
+    let schedule = CrashSubset::random(RoundRobin::new(n), n, fraction, split.schedule_seed());
     let live = schedule.support().len();
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            c.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
     let report = Engine::new(&layout, procs).run(schedule);
     let decided = report.decided().count();
     let valid = report.decided().all(|p| p.input() < n as u64);

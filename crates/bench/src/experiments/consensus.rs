@@ -10,7 +10,7 @@ use sift_core::math::{ceil_log_log, log_star};
 use sift_core::Persona;
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::RandomInterleave;
-use sift_sim::{Engine, LayoutBuilder, ProcessId};
+use sift_sim::{Engine, LayoutBuilder};
 
 use crate::exec::Batch;
 use crate::runner::default_trials;
@@ -38,14 +38,10 @@ where
     let split = SeedSplitter::new(seed);
     let mut input_rng = split.stream("inputs", 0);
     let inputs: Vec<u64> = (0..n).map(|_| input_rng.range_u64(m)).collect();
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            protocol.participant(ProcessId(i), inputs[i], &mut rng)
-        })
-        .collect();
-    let report =
-        Engine::new(&layout, procs).run(RandomInterleave::new(n, split.seed("schedule", 0)));
+    let procs = split.processes(n, |pid, rng| {
+        protocol.participant(pid, inputs[pid.index()], rng)
+    });
+    let report = Engine::new(&layout, procs).run(RandomInterleave::new(n, split.schedule_seed()));
     let mean_individual = report.metrics.mean_individual_steps();
     let outcomes = report.unwrap_outputs();
     sift_consensus::check_consensus(&inputs, outcomes.iter());

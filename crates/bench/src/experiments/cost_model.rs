@@ -8,7 +8,7 @@
 use sift_core::{Conciliator, Epsilon, SiftingConciliator, SnapshotConciliator};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::RoundRobin;
-use sift_sim::{CostModel, Engine, LayoutBuilder, Memory, ProcessId};
+use sift_sim::{CostModel, Engine, LayoutBuilder, Memory};
 
 use crate::table::Table;
 
@@ -17,12 +17,7 @@ fn alg1_steps(n: usize, model: CostModel) -> u64 {
     let c = SnapshotConciliator::allocate(&mut b, n, Epsilon::HALF);
     let layout = b.build();
     let split = SeedSplitter::new(1);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            c.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
     let memory = Memory::with_cost_model(&layout, model);
     let report = Engine::with_memory(memory, procs).run(RoundRobin::new(n));
     report.metrics.max_individual_steps()
@@ -33,12 +28,7 @@ fn alg2_steps(n: usize) -> u64 {
     let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
     let layout = b.build();
     let split = SeedSplitter::new(1);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            c.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
     let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
     report.metrics.max_individual_steps()
 }

@@ -8,7 +8,7 @@ use sift_core::analysis::duplicate_priority_probability;
 use sift_core::{Epsilon, Persona, PersonaSpec, SnapshotConciliator};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::ScheduleKind;
-use sift_sim::{LayoutBuilder, ProcessId};
+use sift_sim::LayoutBuilder;
 
 use crate::exec::Batch;
 use crate::runner::{default_trials, run_trial};
@@ -24,12 +24,8 @@ fn has_duplicate(n: usize, rounds: usize, range: u64, seed: u64) -> bool {
         priority_range: range,
         write_probs: Vec::new(),
     };
-    let personae: Vec<Persona> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            Persona::generate(ProcessId(i), 0, &spec, &mut rng)
-        })
-        .collect();
+    let personae: Vec<Persona> =
+        split.processes(n, |pid, rng| Persona::generate(pid, 0, &spec, rng));
     for round in 0..rounds {
         let mut seen = HashSet::new();
         for p in &personae {

@@ -47,13 +47,9 @@ pub fn run() -> Vec<Table> {
                     let tas = SiftingTas::allocate(&mut b, n);
                     let layout = b.build();
                     let split = SeedSplitter::new(spec.seed);
-                    let procs: Vec<_> = (0..n)
-                        .map(|i| {
-                            tas.participant(ProcessId(i), &mut split.stream("process", i as u64))
-                        })
-                        .collect();
+                    let procs = split.processes(n, |pid, rng| tas.participant(pid, rng));
                     let report =
-                        Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
+                        Engine::new(&layout, procs).run(kind.build(n, split.schedule_seed()));
                     check_tas_properties(&report.outputs);
                     let mut trial = TasTrial {
                         survivors: report

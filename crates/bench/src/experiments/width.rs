@@ -7,7 +7,7 @@ use sift_core::compact::{register_width, CompactSiftingConciliator};
 use sift_core::Epsilon;
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::RandomInterleave;
-use sift_sim::{Engine, LayoutBuilder, ProcessId};
+use sift_sim::{Engine, LayoutBuilder};
 
 use crate::exec::Batch;
 use crate::runner::default_trials;
@@ -68,14 +68,11 @@ pub fn run() -> Vec<Table> {
                 let bits = c.register_bits();
                 let layout = b.build();
                 let split = SeedSplitter::new(spec.seed);
-                let procs: Vec<_> = (0..n)
-                    .map(|i| {
-                        let mut rng = split.stream("process", i as u64);
-                        c.participant(ProcessId(i), i as u64 % m, &mut rng)
-                    })
-                    .collect();
+                let procs = split.processes(n, |pid, rng| {
+                    c.participant(pid, pid.index() as u64 % m, rng)
+                });
                 let report = Engine::new(&layout, procs)
-                    .run(RandomInterleave::new(n, split.seed("schedule", 0)));
+                    .run(RandomInterleave::new(n, split.schedule_seed()));
                 let outs: Vec<u64> = report.unwrap_outputs();
                 (outs.windows(2).all(|w| w[0] == w[1]), bits)
             },

@@ -43,7 +43,7 @@ use sift_sim::fuzz::{
 };
 use sift_sim::mc::{replay_report, shrink_schedule_with};
 use sift_sim::rng::SeedSplitter;
-use sift_sim::{Engine, LayoutBuilder, ProcessId, RunReport, StopReason};
+use sift_sim::{Engine, LayoutBuilder, RunReport, StopReason};
 
 use crate::exec::map_reduce;
 
@@ -248,12 +248,9 @@ pub(crate) fn evaluate(
         .expect("the sifting conciliator is bounded");
     let case = SeedSplitter::new(case_seed);
     let factory = || {
-        (0..n)
-            .map(|i| {
-                let mut rng = case.stream("process", i as u64);
-                conciliator.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect::<Vec<_>>()
+        case.processes(n, |pid, rng| {
+            conciliator.participant(pid, pid.index() as u64, rng)
+        })
     };
 
     let env = genome.environment();
@@ -425,12 +422,7 @@ mod tests {
         let c = SiftingConciliator::allocate(&mut b, 4, Epsilon::HALF);
         let layout = b.build();
         let split = SeedSplitter::new(5);
-        let procs: Vec<_> = (0..4)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(4, |pid, rng| c.participant(pid, pid.index() as u64, rng));
         let report = Engine::new(&layout, procs).run(sift_sim::schedule::RoundRobin::new(4));
         assert_eq!(report.stop_reason, StopReason::AllDone);
         check_invariants(4, c.steps_bound().unwrap(), true, &report).unwrap();

@@ -15,18 +15,56 @@
 //! Configuration is injected, not global: [`Criterion::with_budget`]
 //! takes the per-benchmark measure window directly (tests use this —
 //! nothing here mutates the process environment).
-//! [`Criterion::from_env`] (what [`criterion_group!`] uses) reads
-//!
-//! * `SIFT_BENCH_MS` — measure window per benchmark in ms, default 200;
-//! * `SIFT_BENCH_JSON` — if set, a path to which the run's results are
-//!   written as machine-readable JSON (one file per bench target; the
-//!   file is overwritten, so point different targets at different
-//!   paths or run one target per file). Cargo runs bench binaries with
-//!   the *package* directory as cwd, so pass an absolute path to land
-//!   the file somewhere predictable (`just bench-json` does).
+//! [`Criterion::from_env`] (what
+//! [`criterion_main!`](crate::criterion_main) uses) reads the five
+//! `SIFT_BENCH_*` knobs of [`BenchKnobs`] — the only place a bench
+//! target's environment is read — under `exp`'s error contract: a
+//! malformed value is a diagnostic on stderr naming the knob and the
+//! value, exit code 2, nothing measured or written.
 
 use std::hint::black_box;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+use crate::cli::Env;
+
+/// Every environment variable a bench target reads.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BenchKnobs {
+    /// `SIFT_BENCH_MS` — measure window per benchmark in ms (200).
+    pub budget_ms: Option<u64>,
+    /// `SIFT_BENCH_JSON` — if set, a path to which the run's results
+    /// are written as machine-readable JSON (one file per bench target;
+    /// the file is overwritten, so point different targets at different
+    /// paths or run one target per file). Cargo runs bench binaries
+    /// with the *package* directory as cwd, so pass an absolute path to
+    /// land the file somewhere predictable (`just bench-json` does).
+    pub json: Option<PathBuf>,
+    /// `SIFT_BENCH_OBS_JSON` — if set, where the observation report
+    /// goes (see [`Criterion::write_obs_json_if_requested`]).
+    pub obs_json: Option<PathBuf>,
+    /// `SIFT_BENCH_THREADS` — a comma-separated thread sweep for
+    /// `benches/contention.rs` (default: its own `{2, 4, 8, 16}`).
+    pub threads: Option<Vec<usize>>,
+    /// `SIFT_BENCH_MAX_N` — caps the process scales
+    /// `benches/sim_engine.rs` sweeps (default: all of them).
+    pub max_n: Option<usize>,
+}
+
+impl BenchKnobs {
+    /// Reads every knob through `env`; the error names the knob and the
+    /// value it could not use.
+    fn parse(env: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let env = Env(env);
+        Ok(Self {
+            budget_ms: env.number("SIFT_BENCH_MS", false)?,
+            json: env.path("SIFT_BENCH_JSON"),
+            obs_json: env.path("SIFT_BENCH_OBS_JSON"),
+            threads: env.positive_list("SIFT_BENCH_THREADS")?,
+            max_n: env.number("SIFT_BENCH_MAX_N", true)?,
+        })
+    }
+}
 
 /// One finished benchmark measurement.
 #[derive(Debug, Clone)]
@@ -53,33 +91,45 @@ pub struct BenchResult {
 /// Top-level handle mirroring `criterion::Criterion`.
 #[derive(Debug)]
 pub struct Criterion {
-    budget: Duration,
+    knobs: BenchKnobs,
     results: Vec<BenchResult>,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Self::from_env()
-    }
 }
 
 impl Criterion {
     /// Builds a harness with an explicit per-benchmark measure budget.
     pub fn with_budget(budget: Duration) -> Self {
         Self {
-            budget,
+            knobs: BenchKnobs {
+                budget_ms: Some(budget.as_millis() as u64),
+                ..BenchKnobs::default()
+            },
             results: Vec::new(),
         }
     }
 
-    /// Builds a harness configured from `SIFT_BENCH_MS` (default 200ms
-    /// per benchmark).
+    /// Builds a harness configured from the process environment's
+    /// `SIFT_BENCH_*` variables; a malformed one ends the process with
+    /// exit code 2 before anything is measured.
     pub fn from_env() -> Self {
-        let ms = std::env::var("SIFT_BENCH_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(200);
-        Self::with_budget(Duration::from_millis(ms))
+        match BenchKnobs::parse(|name| std::env::var(name).ok()) {
+            Ok(knobs) => Self {
+                knobs,
+                results: Vec::new(),
+            },
+            Err(message) => {
+                eprintln!("{message}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// The knobs this harness was configured with.
+    pub fn knobs(&self) -> &BenchKnobs {
+        &self.knobs
+    }
+
+    fn budget(&self) -> Duration {
+        Duration::from_millis(self.knobs.budget_ms.unwrap_or(200))
     }
 
     /// Starts a named group of benchmarks.
@@ -102,15 +152,13 @@ impl Criterion {
     /// if that variable is set. Called by [`criterion_main!`] after all
     /// groups run; harmless to call when the variable is absent.
     pub fn write_json_if_requested(&self) {
-        let Ok(path) = std::env::var("SIFT_BENCH_JSON") else {
+        let Some(path) = &self.knobs.json else {
             return;
         };
-        if path.is_empty() {
-            return;
-        }
-        match std::fs::write(&path, results_to_json(&self.results)) {
-            Ok(()) => eprintln!("wrote {} bench results to {path}", self.results.len()),
-            Err(e) => eprintln!("failed to write bench json to {path}: {e}"),
+        let shown = path.display();
+        match std::fs::write(path, results_to_json(&self.results)) {
+            Ok(()) => eprintln!("wrote {} bench results to {shown}", self.results.len()),
+            Err(e) => eprintln!("failed to write bench json to {shown}: {e}"),
         }
     }
 
@@ -121,15 +169,13 @@ impl Criterion {
     /// (`just bench-obs` turns both on). Called by [`criterion_main!`]
     /// after all groups run.
     pub fn write_obs_json_if_requested(&self) {
-        let Ok(path) = std::env::var("SIFT_BENCH_OBS_JSON") else {
+        let Some(path) = &self.knobs.obs_json else {
             return;
         };
-        if path.is_empty() {
-            return;
-        }
-        match crate::obs::write_json(std::path::Path::new(&path)) {
-            Ok(()) => eprintln!("wrote bench observations to {path}"),
-            Err(e) => eprintln!("failed to write bench observations to {path}: {e}"),
+        let shown = path.display();
+        match crate::obs::write_json(path) {
+            Ok(()) => eprintln!("wrote bench observations to {shown}"),
+            Err(e) => eprintln!("failed to write bench observations to {shown}: {e}"),
         }
     }
 }
@@ -229,7 +275,7 @@ impl BenchGroup<'_> {
         id: impl std::fmt::Display,
         mut f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
-        let mut b = Bencher::new(self.criterion.budget, self.sample_size);
+        let mut b = Bencher::new(self.criterion.budget(), self.sample_size);
         f(&mut b);
         self.record(&id.to_string(), &b);
         self
@@ -242,7 +288,7 @@ impl BenchGroup<'_> {
         input: &I,
         mut f: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
-        let mut b = Bencher::new(self.criterion.budget, self.sample_size);
+        let mut b = Bencher::new(self.criterion.budget(), self.sample_size);
         f(&mut b, input);
         let id = id.id.clone();
         self.record(&id, &b);
@@ -407,6 +453,46 @@ mod tests {
         assert!(results[1].median_ns >= 0.0);
         assert_eq!(results[1].threads, Some(8));
         assert_eq!(results[1].pinning.as_deref(), Some("cores"));
+    }
+
+    fn knobs_from(env: &[(&str, &str)]) -> Result<BenchKnobs, String> {
+        BenchKnobs::parse(|name| {
+            env.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn malformed_knobs_are_errors_naming_the_knob_and_the_value() {
+        for (knob, value) in [
+            ("SIFT_BENCH_MAX_N", "1e5"),
+            ("SIFT_BENCH_MS", "abc"),
+            ("SIFT_BENCH_THREADS", "2,x"),
+            ("SIFT_BENCH_THREADS", "2,0"),
+        ] {
+            let message = knobs_from(&[(knob, value)]).unwrap_err();
+            assert!(
+                message.contains(knob) && message.contains(&format!("{value:?}")),
+                "{message}"
+            );
+        }
+        assert_eq!(knobs_from(&[]), Ok(BenchKnobs::default()));
+        let set = knobs_from(&[
+            ("SIFT_BENCH_MS", "20"),
+            ("SIFT_BENCH_THREADS", "2, 8"),
+            ("SIFT_BENCH_MAX_N", "100000"),
+            ("SIFT_BENCH_JSON", "out.json"),
+            ("SIFT_BENCH_OBS_JSON", ""),
+        ]);
+        let expected = BenchKnobs {
+            budget_ms: Some(20),
+            json: Some(PathBuf::from("out.json")),
+            obs_json: None, // an empty path is unset
+            threads: Some(vec![2, 8]),
+            max_n: Some(100_000),
+        };
+        assert_eq!(set, Ok(expected));
     }
 
     #[test]

@@ -92,35 +92,25 @@ pub(crate) fn run_sifting_breaker(
     engine.run_adaptive(|view| chooser.choose(&view))
 }
 
-fn run_generic<C, P>(
+/// Builds the conciliator, its `n` participants (process `i` proposes
+/// `i`) and the `kind` schedule from `seed`, and runs them. Returns the
+/// report and the inputs.
+fn run_once<C: Conciliator>(
     n: usize,
     seed: u64,
     kind: ScheduleKind,
     build: impl Fn(&mut LayoutBuilder) -> C,
-    collect_history: bool,
-) -> Trial
-where
-    C: Conciliator<Participant = P>,
-    P: Process<Value = Persona, Output = Persona> + RoundHistory,
-{
+) -> (RunReport<C::Participant>, Vec<u64>) {
     let mut builder = LayoutBuilder::new();
     let conciliator = build(&mut builder);
     let layout = builder.build();
     let split = SeedSplitter::new(seed);
-    let schedule = kind.build(n, split.seed("schedule", 0));
-    let mut inputs = Vec::with_capacity(n);
-    let participants: Vec<P> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            let input = i as u64;
-            inputs.push(input);
-            conciliator.participant(ProcessId(i), input, &mut rng)
-        })
-        .collect();
-    let report = Engine::new(&layout, participants).run(schedule);
-    let survivors =
-        collect_history.then(|| distinct_per_round(report.processes.iter().map(|p| p.history())));
-    summarize(report, &inputs, survivors)
+    let schedule = kind.build(n, split.schedule_seed());
+    let inputs: Vec<u64> = (0..n as u64).collect();
+    let participants = split.processes(n, |pid, rng| {
+        conciliator.participant(pid, inputs[pid.index()], rng)
+    });
+    (Engine::new(&layout, participants).run(schedule), inputs)
 }
 
 /// Runs one trial of a history-recording conciliator, collecting
@@ -135,7 +125,9 @@ where
     C: Conciliator<Participant = P>,
     P: Process<Value = Persona, Output = Persona> + RoundHistory,
 {
-    run_generic(n, seed, kind, build, true)
+    let (report, inputs) = run_once(n, seed, kind, build);
+    let survivors = distinct_per_round(report.processes.iter().map(|p| p.history()));
+    summarize(report, &inputs, Some(survivors))
 }
 
 /// Runs one trial of any conciliator (no survivor collection).
@@ -148,21 +140,7 @@ pub fn run_trial<C>(
 where
     C: Conciliator,
 {
-    let mut builder = LayoutBuilder::new();
-    let conciliator = build(&mut builder);
-    let layout = builder.build();
-    let split = SeedSplitter::new(seed);
-    let schedule = kind.build(n, split.seed("schedule", 0));
-    let mut inputs = Vec::with_capacity(n);
-    let participants: Vec<C::Participant> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            let input = i as u64;
-            inputs.push(input);
-            conciliator.participant(ProcessId(i), input, &mut rng)
-        })
-        .collect();
-    let report = Engine::new(&layout, participants).run(schedule);
+    let (report, inputs) = run_once(n, seed, kind, build);
     summarize(report, &inputs, None)
 }
 

@@ -53,7 +53,7 @@ use sift_sim::fuzz::{CorpusEntry, Evaluation, FingerprintHasher, Fuzzer, Gene, S
 use sift_sim::mc::{replay_report, shrink_schedule_with};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::{CrashSubset, RandomInterleave, Schedule};
-use sift_sim::{Engine, LayoutBuilder, ProcessId, RunReport, StopReason};
+use sift_sim::{Engine, LayoutBuilder, RunReport, StopReason};
 
 use crate::conformance::{ALPHA, SLACK};
 use crate::exec::map_reduce;
@@ -947,16 +947,13 @@ fn sift_trial(
         .steps_bound()
         .expect("the sifting conciliator is bounded");
     let split = SeedSplitter::new(seed);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            conciliator.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| {
+        conciliator.participant(pid, pid.index() as u64, rng)
+    });
     let mut engine = Engine::new(&layout, procs);
     engine.enable_trace();
     engine.limit_slots(16 * n as u64 * (steps_bound + 2));
-    let schedule_seed = split.seed("schedule", 0);
+    let schedule_seed = split.schedule_seed();
     let base = RandomInterleave::new(n, schedule_seed);
     let (report, support): (RunReport<SiftingParticipant>, Vec<usize>) = if crash {
         let schedule = CrashSubset::random(base, n, SIFT_CRASH_FRACTION, split.seed("crash", 0));
@@ -1083,12 +1080,9 @@ fn shrink_with(
         .expect("the sifting conciliator is bounded");
     let split = SeedSplitter::new(trial_seed);
     let factory = || {
-        (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                conciliator.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect::<Vec<_>>()
+        split.processes(n, |pid, rng| {
+            conciliator.participant(pid, pid.index() as u64, rng)
+        })
     };
     let check = |r: &RunReport<SiftingParticipant>| check_replay(property, n, steps_bound, r);
     if check(&replay_report(&layout, factory(), &script)).is_err() {
@@ -1134,12 +1128,9 @@ fn replay_violation_with(
         .steps_bound()
         .expect("the sifting conciliator is bounded");
     let split = SeedSplitter::new(violation.seed);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            conciliator.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| {
+        conciliator.participant(pid, pid.index() as u64, rng)
+    });
     let report = replay_report(&layout, procs, script);
     check_replay(property, n, steps_bound, &report).err()
 }

@@ -86,7 +86,7 @@ pub struct Decision {
 /// use sift_core::{Epsilon, Persona, SnapshotConciliator};
 /// use sift_sim::rng::SeedSplitter;
 /// use sift_sim::schedule::RoundRobin;
-/// use sift_sim::{Engine, LayoutBuilder, ProcessId};
+/// use sift_sim::{Engine, LayoutBuilder};
 ///
 /// let n = 8;
 /// let mut b = LayoutBuilder::new();
@@ -99,12 +99,9 @@ pub struct Decision {
 /// );
 /// let layout = b.build();
 /// let split = SeedSplitter::new(1);
-/// let procs: Vec<_> = (0..n)
-///     .map(|i| {
-///         let mut rng = split.stream("process", i as u64);
-///         protocol.participant(ProcessId(i), (i % 3) as u64, &mut rng)
-///     })
-///     .collect();
+/// let procs = split.processes(n, |pid, rng| {
+///     protocol.participant(pid, (pid.index() % 3) as u64, rng)
+/// });
 /// let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
 /// let values: Vec<u64> = report
 ///     .unwrap_outputs()
@@ -408,12 +405,9 @@ mod tests {
             let (layout, protocol) = snapshot_stack(n, 32);
             let split = SeedSplitter::new(seed);
             let inputs: Vec<u64> = (0..n).map(|i| (i % 4) as u64).collect();
-            let procs: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    protocol.participant(ProcessId(i), inputs[i], &mut rng)
-                })
-                .collect();
+            let procs = split.processes(n, |pid, rng| {
+                protocol.participant(pid, inputs[pid.index()], rng)
+            });
             let report = Engine::new(&layout, procs).run(RandomInterleave::new(n, seed + 100));
             let outcomes = report.unwrap_outputs();
             check_consensus(&inputs, outcomes.iter());
@@ -425,12 +419,7 @@ mod tests {
         let n = 6;
         let (layout, protocol) = snapshot_stack(n, 8);
         let split = SeedSplitter::new(4);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                protocol.participant(ProcessId(i), 42, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| protocol.participant(pid, 42, rng));
         let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
         for outcome in report.unwrap_outputs() {
             let d = outcome.unwrap_decided();
@@ -448,12 +437,9 @@ mod tests {
         for seed in 0..trials {
             let (layout, protocol) = snapshot_stack(n, 32);
             let split = SeedSplitter::new(seed);
-            let procs: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    protocol.participant(ProcessId(i), i as u64, &mut rng)
-                })
-                .collect();
+            let procs = split.processes(n, |pid, rng| {
+                protocol.participant(pid, pid.index() as u64, rng)
+            });
             let report = Engine::new(&layout, procs).run(RandomInterleave::new(n, seed + 7));
             total_phases += report
                 .unwrap_outputs()
@@ -483,12 +469,9 @@ mod tests {
             let layout = b.build();
             let split = SeedSplitter::new(seed);
             let inputs: Vec<u64> = (0..n).map(|i| (i as u64 * 7) % m).collect();
-            let procs: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    protocol.participant(ProcessId(i), inputs[i], &mut rng)
-                })
-                .collect();
+            let procs = split.processes(n, |pid, rng| {
+                protocol.participant(pid, inputs[pid.index()], rng)
+            });
             let report = Engine::new(&layout, procs).run(RandomInterleave::new(n, seed + 900));
             let outcomes = report.unwrap_outputs();
             check_consensus(&inputs, outcomes.iter());
@@ -500,12 +483,9 @@ mod tests {
         let n = 4;
         let (layout, protocol) = snapshot_stack(n, 8);
         let split = SeedSplitter::new(11);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                protocol.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| {
+            protocol.participant(pid, pid.index() as u64, rng)
+        });
         let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
         let metrics = report.metrics.clone();
         let decisions: Vec<Decision> = report
@@ -571,12 +551,9 @@ mod tests {
         );
         let layout = b.build();
         let split = sift_sim::rng::SeedSplitter::new(5);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                protocol.participant(sift_sim::ProcessId(i), i as u64, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| {
+            protocol.participant(pid, pid.index() as u64, rng)
+        });
         let report =
             sift_sim::Engine::new(&layout, procs).run(sift_sim::schedule::RoundRobin::new(n));
         let outcomes = report.unwrap_outputs();

@@ -32,7 +32,7 @@ use crate::framework::{ConsensusOutcome, ConsensusParticipant, ConsensusProtocol
 /// use sift_core::{Epsilon, SiftingConciliator};
 /// use sift_sim::rng::SeedSplitter;
 /// use sift_sim::schedule::RoundRobin;
-/// use sift_sim::{Engine, LayoutBuilder, ProcessId};
+/// use sift_sim::{Engine, LayoutBuilder};
 ///
 /// let n = 4;
 /// let mut b = LayoutBuilder::new();
@@ -46,12 +46,7 @@ use crate::framework::{ConsensusOutcome, ConsensusParticipant, ConsensusProtocol
 /// );
 /// let layout = b.build();
 /// let split = SeedSplitter::new(9);
-/// let procs: Vec<_> = (0..n)
-///     .map(|i| {
-///         let mut rng = split.stream("process", i as u64);
-///         log.participant(ProcessId(i), vec![i as u64], &mut rng)
-///     })
-///     .collect();
+/// let procs = split.processes(n, |pid, rng| log.participant(pid, vec![pid.index() as u64], rng));
 /// let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
 /// let logs = report.unwrap_outputs();
 /// assert!(logs.windows(2).all(|w| w[0] == w[1]), "identical logs");
@@ -247,16 +242,13 @@ mod tests {
         );
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                // Process i's commands: i*10, i*10+1, …
-                let commands: Vec<u64> = (0..3).map(|k| (i as u64) * 10 + k).collect();
-                log.participant(ProcessId(i), commands, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| {
+            // Process i's commands: i*10, i*10+1, …
+            let commands: Vec<u64> = (0..3).map(|k| (pid.index() as u64) * 10 + k).collect();
+            log.participant(pid, commands, rng)
+        });
         let report =
-            Engine::new(&layout, procs).run(RandomInterleave::new(n, split.seed("schedule", 0)));
+            Engine::new(&layout, procs).run(RandomInterleave::new(n, split.schedule_seed()));
         report.unwrap_outputs()
     }
 
@@ -313,14 +305,11 @@ mod tests {
         );
         let layout = b.build();
         let split = SeedSplitter::new(3);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                log.participant(ProcessId(i), vec![i as u64 + 1], &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| {
+            log.participant(pid, vec![pid.index() as u64 + 1], rng)
+        });
         let report = Engine::new(&layout, procs)
-            .run(ScheduleKind::RandomInterleave.build(n, split.seed("schedule", 0)));
+            .run(ScheduleKind::RandomInterleave.build(n, split.schedule_seed()));
         let logs = report.unwrap_outputs();
         assert!(logs.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(logs[0].len(), 3);

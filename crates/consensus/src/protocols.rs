@@ -38,7 +38,7 @@ pub type CilConsensus = ConsensusProtocol<CilConciliator, GafniRegisterAc<Person
 /// use sift_consensus::{check_consensus, snapshot_consensus};
 /// use sift_sim::rng::SeedSplitter;
 /// use sift_sim::schedule::RoundRobin;
-/// use sift_sim::{Engine, LayoutBuilder, ProcessId};
+/// use sift_sim::{Engine, LayoutBuilder};
 ///
 /// let n = 6;
 /// let mut b = LayoutBuilder::new();
@@ -46,12 +46,7 @@ pub type CilConsensus = ConsensusProtocol<CilConciliator, GafniRegisterAc<Person
 /// let layout = b.build();
 /// let split = SeedSplitter::new(8);
 /// let inputs: Vec<u64> = (0..n as u64).collect();
-/// let procs: Vec<_> = (0..n)
-///     .map(|i| {
-///         let mut rng = split.stream("process", i as u64);
-///         protocol.participant(ProcessId(i), inputs[i], &mut rng)
-///     })
-///     .collect();
+/// let procs = split.processes(n, |pid, rng| protocol.participant(pid, inputs[pid.index()], rng));
 /// let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
 /// let outcomes = report.unwrap_outputs();
 /// check_consensus(&inputs, outcomes.iter());
@@ -137,7 +132,7 @@ mod tests {
     use crate::framework::check_consensus;
     use sift_sim::rng::SeedSplitter;
     use sift_sim::schedule::{BlockSequential, RandomInterleave};
-    use sift_sim::{Engine, ProcessId};
+    use sift_sim::Engine;
 
     fn run_stack<C, A>(
         layout: sift_sim::Layout,
@@ -151,12 +146,9 @@ mod tests {
     {
         let n = inputs.len();
         let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                protocol.participant(ProcessId(i), inputs[i], &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| {
+            protocol.participant(pid, inputs[pid.index()], rng)
+        });
         let report = Engine::new(&layout, procs).run(RandomInterleave::new(n, seed + 1));
         report.unwrap_outputs()
     }
@@ -207,12 +199,7 @@ mod tests {
         let p = linear_work_consensus(&mut b, n, 4, 2);
         let layout = b.build();
         let split = SeedSplitter::new(3);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                p.participant(ProcessId(i), inputs[i], &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| p.participant(pid, inputs[pid.index()], rng));
         let report = Engine::new(&layout, procs).run(BlockSequential::in_order(n));
         let max_individual = report.metrics.max_individual_steps();
         let outcomes = report.unwrap_outputs();

@@ -27,19 +27,14 @@ use crate::persona::{Persona, PersonaSpec};
 /// use sift_core::{CilConciliator, Conciliator};
 /// use sift_sim::rng::SeedSplitter;
 /// use sift_sim::schedule::RoundRobin;
-/// use sift_sim::{Engine, LayoutBuilder, ProcessId};
+/// use sift_sim::{Engine, LayoutBuilder};
 ///
 /// let n = 16;
 /// let mut b = LayoutBuilder::new();
 /// let c = CilConciliator::allocate(&mut b, n);
 /// let layout = b.build();
 /// let split = SeedSplitter::new(21);
-/// let procs: Vec<_> = (0..n)
-///     .map(|i| {
-///         let mut rng = split.stream("process", i as u64);
-///         c.participant(ProcessId(i), i as u64, &mut rng)
-///     })
-///     .collect();
+/// let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
 /// let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
 /// assert!(report.all_decided());
 /// ```
@@ -183,12 +178,7 @@ mod tests {
         let c = CilConciliator::allocate(&mut b, n);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
         Engine::new(&layout, procs).run(schedule)
     }
 

@@ -127,19 +127,14 @@ pub fn register_width(n: u64, m: u64, epsilon: Epsilon) -> RegisterWidth {
 /// use sift_core::Epsilon;
 /// use sift_sim::rng::SeedSplitter;
 /// use sift_sim::schedule::RoundRobin;
-/// use sift_sim::{Engine, LayoutBuilder, ProcessId};
+/// use sift_sim::{Engine, LayoutBuilder};
 ///
 /// let n = 32;
 /// let mut b = LayoutBuilder::new();
 /// let c = CompactSiftingConciliator::allocate(&mut b, n, 8, Epsilon::HALF);
 /// let layout = b.build();
 /// let split = SeedSplitter::new(5);
-/// let procs: Vec<_> = (0..n)
-///     .map(|i| {
-///         let mut rng = split.stream("process", i as u64);
-///         c.participant(ProcessId(i), (i % 8) as u64, &mut rng)
-///     })
-///     .collect();
+/// let procs = split.processes(n, |pid, rng| c.participant(pid, (pid.index() % 8) as u64, rng));
 /// let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
 /// let outputs = report.unwrap_outputs();
 /// assert!(outputs.iter().all(|&v| v < 8), "validity");
@@ -325,12 +320,9 @@ mod tests {
         let c = CompactSiftingConciliator::allocate(&mut b, n, m, Epsilon::HALF);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), i as u64 % m, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| {
+            c.participant(pid, pid.index() as u64 % m, rng)
+        });
         Engine::new(&layout, procs).run(schedule)
     }
 

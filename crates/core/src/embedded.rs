@@ -63,19 +63,14 @@ impl InnerRun {
 /// use sift_core::{Conciliator, EmbeddedConciliator};
 /// use sift_sim::rng::SeedSplitter;
 /// use sift_sim::schedule::RoundRobin;
-/// use sift_sim::{Engine, LayoutBuilder, ProcessId};
+/// use sift_sim::{Engine, LayoutBuilder};
 ///
 /// let n = 32;
 /// let mut b = LayoutBuilder::new();
 /// let c = EmbeddedConciliator::allocate(&mut b, n);
 /// let layout = b.build();
 /// let split = SeedSplitter::new(5);
-/// let procs: Vec<_> = (0..n)
-///     .map(|i| {
-///         let mut rng = split.stream("process", i as u64);
-///         c.participant(ProcessId(i), i as u64, &mut rng)
-///     })
-///     .collect();
+/// let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
 /// let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
 /// assert!(report.all_decided());
 /// ```
@@ -370,12 +365,7 @@ mod tests {
         };
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
         Engine::new(&layout, procs).run(schedule)
     }
 

@@ -33,7 +33,7 @@
 //! use sift_core::{Conciliator, Epsilon, SiftingConciliator};
 //! use sift_sim::rng::SeedSplitter;
 //! use sift_sim::schedule::RandomInterleave;
-//! use sift_sim::{Engine, LayoutBuilder, ProcessId};
+//! use sift_sim::{Engine, LayoutBuilder};
 //!
 //! let n = 100;
 //! let mut builder = LayoutBuilder::new();
@@ -43,13 +43,10 @@
 //! // Schedule randomness and process randomness come from disjoint
 //! // streams: the adversary is oblivious by construction.
 //! let split = SeedSplitter::new(2024);
-//! let schedule = RandomInterleave::new(n, split.seed("schedule", 0));
-//! let participants: Vec<_> = (0..n)
-//!     .map(|i| {
-//!         let mut rng = split.stream("process", i as u64);
-//!         conciliator.participant(ProcessId(i), (i % 5) as u64, &mut rng)
-//!     })
-//!     .collect();
+//! let schedule = RandomInterleave::new(n, split.schedule_seed());
+//! let participants = split.processes(n, |pid, rng| {
+//!     conciliator.participant(pid, (pid.index() % 5) as u64, rng)
+//! });
 //!
 //! let report = Engine::new(&layout, participants).run(schedule);
 //! let outputs = report.unwrap_outputs();

@@ -32,19 +32,14 @@ use crate::persona::{Persona, PersonaSpec};
 /// use sift_core::{Conciliator, Epsilon, SiftingConciliator};
 /// use sift_sim::rng::SeedSplitter;
 /// use sift_sim::schedule::RoundRobin;
-/// use sift_sim::{Engine, LayoutBuilder, ProcessId};
+/// use sift_sim::{Engine, LayoutBuilder};
 ///
 /// let n = 64;
 /// let mut b = LayoutBuilder::new();
 /// let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
 /// let layout = b.build();
 /// let split = SeedSplitter::new(11);
-/// let procs: Vec<_> = (0..n)
-///     .map(|i| {
-///         let mut rng = split.stream("process", i as u64);
-///         c.participant(ProcessId(i), i as u64, &mut rng)
-///     })
-///     .collect();
+/// let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
 /// let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
 /// // Each participant takes exactly R steps.
 /// assert!(report.metrics.per_process_steps.iter().all(|&s| s == c.rounds() as u64));
@@ -335,12 +330,7 @@ mod tests {
         let c = SiftingConciliator::allocate(&mut b, n, epsilon);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
         Engine::new(&layout, procs).run(schedule)
     }
 
@@ -521,12 +511,7 @@ mod mutant_tests {
         let c = SiftingConciliator::allocate_mutant(&mut b, n, Epsilon::HALF, mutation);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
         (layout, c, procs)
     }
 

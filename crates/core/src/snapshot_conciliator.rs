@@ -29,19 +29,14 @@ use crate::persona::{Persona, PersonaSpec};
 /// use sift_core::{Conciliator, Epsilon, SnapshotConciliator};
 /// use sift_sim::rng::SeedSplitter;
 /// use sift_sim::schedule::RoundRobin;
-/// use sift_sim::{Engine, LayoutBuilder, ProcessId};
+/// use sift_sim::{Engine, LayoutBuilder};
 ///
 /// let n = 8;
 /// let mut b = LayoutBuilder::new();
 /// let c = SnapshotConciliator::allocate(&mut b, n, Epsilon::HALF);
 /// let layout = b.build();
 /// let split = SeedSplitter::new(7);
-/// let procs: Vec<_> = (0..n)
-///     .map(|i| {
-///         let mut rng = split.stream("process", i as u64);
-///         c.participant(ProcessId(i), i as u64, &mut rng)
-///     })
-///     .collect();
+/// let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
 /// let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
 /// let outputs = report.unwrap_outputs();
 /// // Validity: every output is some process's input.
@@ -252,12 +247,9 @@ mod tests {
         let c = SnapshotConciliator::allocate(&mut b, n, epsilon);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), 100 + i as u64, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| {
+            c.participant(pid, 100 + pid.index() as u64, rng)
+        });
         Engine::new(&layout, procs).run(schedule)
     }
 

@@ -54,11 +54,6 @@ impl DeterministicService {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Enqueues one proposal on its shard (fire-and-forget; facts are
     /// read back from [`tick_all`](Self::tick_all) or
     /// [`fact`](Self::fact)).

@@ -1,7 +1,7 @@
 //! History-recording instrumentation for the threaded substrate.
 //!
-//! [`RecordingMemory`] wraps an [`AtomicMemory`] and logs every
-//! operation as a [`HistoryEntry`]: a global atomic ticket clock is
+//! [`RecordingMemory`] wraps a memory — any [`ExecuteOps`] — and logs
+//! every operation as a [`HistoryEntry`]: a global atomic ticket clock is
 //! drawn immediately before and immediately after each `execute`, so
 //! the recorded `[invoked, responded]` interval always contains the
 //! operation's linearization point. Recorded real-time precedence
@@ -20,9 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use sift_sim::fuzz::FingerprintHasher;
 use sift_sim::mc::{History, HistoryEntry, ObjectKey};
-use sift_sim::{Layout, Op, OpResult, ProcessId, Value};
+use sift_sim::{Op, OpResult, ProcessId, Value};
 
-use crate::memory::{AtomicMemory, ExecuteOps};
+use crate::memory::ExecuteOps;
 use crate::sync::Mutex;
 
 /// Digests a history's register-write interleaving signature: the
@@ -46,29 +46,20 @@ pub fn history_fingerprint<V: Value>(history: &History<V>) -> u64 {
     h.finish()
 }
 
-/// An [`ExecuteOps`] memory (an [`AtomicMemory`] unless overridden)
-/// that records every operation with invocation/response timestamps.
+/// An [`ExecuteOps`] memory wrapped so that every operation is recorded
+/// with invocation/response timestamps.
 ///
-/// The memory parameter makes the instrumentation reusable for
-/// differential and adversarial testing: wrap a
-/// [`LockFreeMemory`](crate::memory::LockFreeMemory) or
-/// [`CoarseMemory`](crate::memory::CoarseMemory) explicitly via
-/// [`over`](RecordingMemory::over), or wrap a deliberately broken
-/// memory to check that the linearizability checker rejects its
-/// histories.
+/// The memory is the caller's: wrap a
+/// [`LockFreeMemory`](crate::memory::LockFreeMemory) or a
+/// [`CoarseMemory`](crate::memory::CoarseMemory) via
+/// [`over`](RecordingMemory::over) for differential testing, or a
+/// deliberately broken memory to check that the linearizability
+/// checker rejects its histories.
 #[derive(Debug)]
-pub struct RecordingMemory<V, M = AtomicMemory<V>> {
+pub struct RecordingMemory<V, M> {
     memory: M,
     clock: AtomicU64,
     log: Mutex<Vec<HistoryEntry<V>>>,
-}
-
-impl<V: Value> RecordingMemory<V> {
-    /// Builds recording memory for `layout` over the default
-    /// [`AtomicMemory`] substrate.
-    pub fn new(layout: &Layout) -> Self {
-        Self::over(AtomicMemory::new(layout))
-    }
 }
 
 impl<V: Value, M: ExecuteOps<V>> RecordingMemory<V, M> {
@@ -117,31 +108,48 @@ impl<V: Value, M: ExecuteOps<V>> RecordingMemory<V, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::{CoarseMemory, LockFreeMemory};
     use sift_sim::mc::check_linearizable;
-    use sift_sim::LayoutBuilder;
+    use sift_sim::{Layout, LayoutBuilder};
+
+    /// Runs a test body once per named memory: `$recorder` builds a
+    /// fresh [`RecordingMemory`] over the lock-free objects on the
+    /// first pass and over their lock-based references on the second.
+    macro_rules! on_both_memories {
+        (|$recorder:ident| $body:block) => {{
+            let $recorder =
+                |layout: &Layout| RecordingMemory::over(LockFreeMemory::<u64>::new(layout));
+            $body
+            let $recorder =
+                |layout: &Layout| RecordingMemory::over(CoarseMemory::<u64>::new(layout));
+            $body
+        }};
+    }
 
     #[test]
     fn records_intervals_and_results() {
         let mut b = LayoutBuilder::new();
         let r = b.register();
         let layout = b.build();
-        let mem = RecordingMemory::<u64>::new(&layout);
-        mem.execute_as(ProcessId(0), Op::RegisterWrite(r, 7))
-            .expect_ack();
-        assert_eq!(
-            mem.execute_as(ProcessId(1), Op::RegisterRead(r))
-                .expect_register(),
-            Some(7)
-        );
-        assert_eq!(mem.recorded_ops(), 2);
-        let history = mem.into_history();
-        history.check_well_formed().unwrap();
-        assert_eq!(history.len(), 2);
-        let e = &history.entries()[0];
-        assert_eq!(e.pid, ProcessId(0));
-        assert!(e.invoked < e.responded);
-        assert!(e.responded < history.entries()[1].invoked);
-        check_linearizable(&layout, &history).unwrap();
+        on_both_memories!(|recorder| {
+            let mem = recorder(&layout);
+            mem.execute_as(ProcessId(0), Op::RegisterWrite(r, 7))
+                .expect_ack();
+            assert_eq!(
+                mem.execute_as(ProcessId(1), Op::RegisterRead(r))
+                    .expect_register(),
+                Some(7)
+            );
+            assert_eq!(mem.recorded_ops(), 2);
+            let history = mem.into_history();
+            history.check_well_formed().unwrap();
+            assert_eq!(history.len(), 2);
+            let e = &history.entries()[0];
+            assert_eq!(e.pid, ProcessId(0));
+            assert!(e.invoked < e.responded);
+            assert!(e.responded < history.entries()[1].invoked);
+            check_linearizable(&layout, &history).unwrap();
+        });
     }
 
     #[test]
@@ -150,20 +158,22 @@ mod tests {
         let r = b.register();
         let layout = b.build();
 
-        let write_then_read = |w: u64| {
-            let mem = RecordingMemory::<u64>::new(&layout);
-            mem.execute_as(ProcessId(0), Op::RegisterWrite(r, w));
-            mem.execute_as(ProcessId(1), Op::RegisterRead(r));
-            mem.fingerprint()
-        };
-        // Same interleaving, different payloads: same fingerprint.
-        assert_eq!(write_then_read(7), write_then_read(9));
+        on_both_memories!(|recorder| {
+            let write_then_read = |w: u64| {
+                let mem = recorder(&layout);
+                mem.execute_as(ProcessId(0), Op::RegisterWrite(r, w));
+                mem.execute_as(ProcessId(1), Op::RegisterRead(r));
+                mem.fingerprint()
+            };
+            // Same interleaving, different payloads: same fingerprint.
+            assert_eq!(write_then_read(7), write_then_read(9));
 
-        // Reordered interleaving: different fingerprint.
-        let mem = RecordingMemory::<u64>::new(&layout);
-        mem.execute_as(ProcessId(1), Op::RegisterRead(r));
-        mem.execute_as(ProcessId(0), Op::RegisterWrite(r, 7));
-        assert_ne!(mem.fingerprint(), write_then_read(7));
+            // Reordered interleaving: different fingerprint.
+            let mem = recorder(&layout);
+            mem.execute_as(ProcessId(1), Op::RegisterRead(r));
+            mem.execute_as(ProcessId(0), Op::RegisterWrite(r, 7));
+            assert_ne!(mem.fingerprint(), write_then_read(7));
+        });
     }
 
     #[test]
@@ -171,10 +181,12 @@ mod tests {
         let mut b = LayoutBuilder::new();
         let r = b.register();
         let layout = b.build();
-        let mem = RecordingMemory::<u64>::new(&layout);
-        mem.execute_as(ProcessId(0), Op::RegisterWrite(r, 3));
-        let live = mem.fingerprint();
-        assert_eq!(live, history_fingerprint(&mem.into_history()));
+        on_both_memories!(|recorder| {
+            let mem = recorder(&layout);
+            mem.execute_as(ProcessId(0), Op::RegisterWrite(r, 3));
+            let live = mem.fingerprint();
+            assert_eq!(live, history_fingerprint(&mem.into_history()));
+        });
     }
 
     #[test]
@@ -183,11 +195,13 @@ mod tests {
         let r0 = b.register();
         let r1 = b.register();
         let layout = b.build();
-        let on = |reg| {
-            let mem = RecordingMemory::<u64>::new(&layout);
-            mem.execute_as(ProcessId(0), Op::RegisterWrite(reg, 1));
-            mem.fingerprint()
-        };
-        assert_ne!(on(r0), on(r1));
+        on_both_memories!(|recorder| {
+            let on = |reg| {
+                let mem = recorder(&layout);
+                mem.execute_as(ProcessId(0), Op::RegisterWrite(reg, 1));
+                mem.fingerprint()
+            };
+            assert_ne!(on(r0), on(r1));
+        });
     }
 }

@@ -24,9 +24,9 @@
 //!   from plain bits).
 //! * [`memory::AtomicMemory`] + [`runtime::run_threads`] — instantiate a
 //!   protocol's [`Layout`](sift_sim::Layout) over these objects and run
-//!   its participants on threads. `AtomicMemory` uses the lock-free
-//!   objects; building with the `coarse-substrate` feature switches it
-//!   to the lock-based references for differential testing.
+//!   its participants on threads. `AtomicMemory` is
+//!   [`memory::LockFreeMemory`]; the lock-based references assemble into
+//!   [`memory::CoarseMemory`], and the test suites run over both.
 //!
 //! Statistical claims are measured on the simulator, where the adversary
 //! is controlled; this crate shows the algorithms running on real
@@ -62,6 +62,6 @@ pub mod sync;
 pub use history::{history_fingerprint, RecordingMemory};
 pub use memory::{AtomicMemory, CoarseMemory, ExecuteOps, LockFreeMemory, ObjectMemory};
 pub use runtime::{
-    run_lockstep, run_lockstep_on, run_lockstep_recorded, run_script_on, run_threads,
+    drive_threads, run_lockstep_on, run_lockstep_recorded, run_script_on, run_threads,
     run_threads_recorded, ThreadReport,
 };

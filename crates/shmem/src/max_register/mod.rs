@@ -8,8 +8,8 @@
 //!   [`AtomicMemory`](crate::memory::AtomicMemory) uses by default.
 //! * [`LockMaxRegister`] — a mutex-guarded compare-and-keep cell; the
 //!   direct analogue of the simulator's object, kept as the reference
-//!   implementation (the `coarse-substrate` feature switches the
-//!   runtime back to it for differential testing).
+//!   implementation ([`CoarseMemory`](crate::memory::CoarseMemory)
+//!   assembles it; the test suites run over both memories).
 //! * [`TreeMaxRegister`] — the Aspnes–Attiya–Censor-Hillel bounded max
 //!   register: a binary trie of atomic switch bits over the key space,
 //!   with values parked at the leaves. Reads and writes touch

@@ -13,11 +13,11 @@
 //! * [`CoarseMemory`] — the lock-based references ([`LockRegister`],
 //!   [`CoarseSnapshot`], [`LockMaxRegister`]).
 //!
-//! [`AtomicMemory`] — the alias the runtime and every protocol harness
-//! use — is `LockFreeMemory` by default and `CoarseMemory` when the
-//! crate is built with the `coarse-substrate` feature, so the whole
-//! test suite doubles as a differential test between the two
-//! substrates.
+//! [`AtomicMemory`] — the default the runtime's conveniences and the
+//! benchmark ledger use — is `LockFreeMemory`. `CoarseMemory` is the
+//! reference it is checked against: both are always compiled, and the
+//! runtime, history, cross-runtime, linearizability and differential
+//! suites run over each of them in the one default build.
 
 use sift_sim::{Layout, MaxRegisterId, Op, OpResult, RegisterId, ScanView, SnapshotId, Value};
 
@@ -128,9 +128,9 @@ pub trait ExecuteOps<V: Value>: Send + Sync {
 /// written once runs on both runtimes unchanged.
 ///
 /// Generic over the three object implementations; use the
-/// [`AtomicMemory`] alias unless you are explicitly pinning a
-/// substrate (as the differential tests and benches do via
-/// [`LockFreeMemory`] / [`CoarseMemory`]).
+/// [`AtomicMemory`] alias unless you are comparing substrates (as the
+/// differential tests and benches do via [`LockFreeMemory`] /
+/// [`CoarseMemory`]).
 ///
 /// All objects are linearizable; operations take `&self` and are safe to
 /// call from any number of threads.
@@ -168,15 +168,10 @@ pub type LockFreeMemory<V> =
 /// Memory assembled from the lock-based reference objects.
 pub type CoarseMemory<V> = ObjectMemory<V, LockRegister<V>, CoarseSnapshot<V>, LockMaxRegister<V>>;
 
-/// The substrate the runtime uses: [`LockFreeMemory`] by default,
-/// [`CoarseMemory`] under the `coarse-substrate` feature.
-#[cfg(not(feature = "coarse-substrate"))]
+/// The default memory — what [`run_threads`](crate::runtime::run_threads)
+/// builds, since its caller does not pass one: always
+/// [`LockFreeMemory`].
 pub type AtomicMemory<V> = LockFreeMemory<V>;
-
-/// The substrate the runtime uses: [`LockFreeMemory`] by default,
-/// [`CoarseMemory`] under the `coarse-substrate` feature.
-#[cfg(feature = "coarse-substrate")]
-pub type AtomicMemory<V> = CoarseMemory<V>;
 
 impl<V, R, S, M> ObjectMemory<V, R, S, M>
 where

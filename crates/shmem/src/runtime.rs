@@ -9,14 +9,20 @@
 //! objects. The statistical experiments therefore run on the simulator;
 //! this runtime demonstrates the algorithms working on real atomics and
 //! measures wall-clock cost.
-
-use std::sync::Arc;
+//!
+//! A run is processes + memory + driver. The processes come from
+//! [`SeedSplitter::processes`](sift_sim::rng::SeedSplitter::processes);
+//! the memory is an argument (any [`ExecuteOps`]) or, in the
+//! [`run_threads`] convenience, the one default, [`AtomicMemory`]; and
+//! there are two drivers — [`drive_threads`] here and
+//! [`sift_sim::drive_lockstep`] — of which every `run_*` function below
+//! is a short call.
 
 use sift_sim::mc::History;
-use sift_sim::{drive_lockstep, Layout, Op, Process, ProcessId, Step};
+use sift_sim::{drive_lockstep, Layout, Op, OpResult, Process, ProcessId, Step};
 
 use crate::history::RecordingMemory;
-use crate::memory::AtomicMemory;
+use crate::memory::{AtomicMemory, ExecuteOps};
 
 /// Outcome of one threaded run.
 #[derive(Debug)]
@@ -41,8 +47,56 @@ impl<O: PartialEq> ThreadReport<O> {
     }
 }
 
-/// Runs each process state machine on its own OS thread against
-/// [`AtomicMemory`] built from `layout`, blocking until all finish.
+/// Runs each process state machine to completion on its own OS thread,
+/// executing every issued operation through `execute`, and blocks until
+/// all have finished — the threaded mirror of
+/// [`sift_sim::drive_lockstep`], and the crate's one thread-spawning
+/// loop.
+///
+/// # Panics
+///
+/// Panics if a process thread panics (after the other threads have run
+/// to completion; the scope joins them all).
+pub fn drive_threads<P>(
+    processes: Vec<P>,
+    execute: impl Fn(ProcessId, Op<P::Value>) -> OpResult<P::Value> + Sync,
+) -> ThreadReport<P::Output>
+where
+    P: Process + Send,
+    P::Output: Send,
+{
+    let execute = &execute;
+    let (outputs, ops) = std::thread::scope(|scope| {
+        let handles: Vec<_> = processes
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut proc)| {
+                scope.spawn(move || {
+                    let mut ops = 0u64;
+                    let mut prev = None;
+                    loop {
+                        match proc.step(prev.take()) {
+                            Step::Issue(op) => {
+                                ops += 1;
+                                prev = Some(execute(ProcessId(i), op));
+                            }
+                            Step::Done(output) => return (output, ops),
+                        }
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("process thread panicked"))
+            .unzip()
+    });
+    ThreadReport { outputs, ops }
+}
+
+/// Runs each process state machine on its own OS thread against a
+/// fresh [`AtomicMemory`] built from `layout`, blocking until all
+/// finish.
 ///
 /// # Examples
 ///
@@ -50,19 +104,14 @@ impl<O: PartialEq> ThreadReport<O> {
 /// use sift_core::{Conciliator, Epsilon, SiftingConciliator};
 /// use sift_shmem::runtime::run_threads;
 /// use sift_sim::rng::SeedSplitter;
-/// use sift_sim::{LayoutBuilder, ProcessId};
+/// use sift_sim::LayoutBuilder;
 ///
 /// let n = 4;
 /// let mut b = LayoutBuilder::new();
 /// let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
 /// let layout = b.build();
 /// let split = SeedSplitter::new(1);
-/// let procs: Vec<_> = (0..n)
-///     .map(|i| {
-///         let mut rng = split.stream("process", i as u64);
-///         c.participant(ProcessId(i), i as u64, &mut rng)
-///     })
-///     .collect();
+/// let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
 /// let report = run_threads(&layout, procs);
 /// assert_eq!(report.outputs.len(), n);
 /// ```
@@ -72,119 +121,59 @@ impl<O: PartialEq> ThreadReport<O> {
 /// Panics if a process thread panics.
 pub fn run_threads<P>(layout: &Layout, processes: Vec<P>) -> ThreadReport<P::Output>
 where
-    P: Process + Send + 'static,
-    P::Output: Send + 'static,
+    P: Process + Send,
+    P::Output: Send,
 {
-    let memory: Arc<AtomicMemory<P::Value>> = Arc::new(AtomicMemory::new(layout));
-    let handles: Vec<_> = processes
-        .into_iter()
-        .map(|mut proc| {
-            let memory = Arc::clone(&memory);
-            std::thread::spawn(move || {
-                let mut ops = 0u64;
-                let mut prev = None;
-                loop {
-                    match proc.step(prev.take()) {
-                        Step::Issue(op) => {
-                            ops += 1;
-                            prev = Some(memory.execute(op));
-                        }
-                        Step::Done(output) => return (output, ops),
-                    }
-                }
-            })
-        })
-        .collect();
-    let mut outputs = Vec::with_capacity(handles.len());
-    let mut ops = Vec::with_capacity(handles.len());
-    for handle in handles {
-        let (output, count) = handle.join().expect("process thread panicked");
-        outputs.push(output);
-        ops.push(count);
-    }
-    ThreadReport { outputs, ops }
+    let memory = AtomicMemory::new(layout);
+    drive_threads(processes, |_, op| memory.execute(op))
 }
 
-/// Runs each process state machine on its own OS thread against a
-/// [`RecordingMemory`], returning the report together with the captured
-/// concurrent [`History`] (see
+/// [`drive_threads`] over a [`RecordingMemory`] wrapped around
+/// `memory`: returns the report together with the captured concurrent
+/// [`History`] (see
 /// [`check_linearizable`](sift_sim::mc::check_linearizable)).
 ///
 /// # Panics
 ///
 /// Panics if a process thread panics.
-pub fn run_threads_recorded<P>(
-    layout: &Layout,
+pub fn run_threads_recorded<P, M>(
+    memory: M,
     processes: Vec<P>,
 ) -> (ThreadReport<P::Output>, History<P::Value>)
 where
-    P: Process + Send + 'static,
-    P::Output: Send + 'static,
+    P: Process + Send,
+    P::Output: Send,
+    M: ExecuteOps<P::Value>,
 {
-    let memory: Arc<RecordingMemory<P::Value>> = Arc::new(RecordingMemory::new(layout));
-    let handles: Vec<_> = processes
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut proc)| {
-            let memory = Arc::clone(&memory);
-            std::thread::spawn(move || {
-                let mut ops = 0u64;
-                let mut prev = None;
-                loop {
-                    match proc.step(prev.take()) {
-                        Step::Issue(op) => {
-                            ops += 1;
-                            prev = Some(memory.execute_as(ProcessId(i), op));
-                        }
-                        Step::Done(output) => return (output, ops),
-                    }
-                }
-            })
-        })
-        .collect();
-    let mut outputs = Vec::with_capacity(handles.len());
-    let mut ops = Vec::with_capacity(handles.len());
-    for handle in handles {
-        let (output, count) = handle.join().expect("process thread panicked");
-        outputs.push(output);
-        ops.push(count);
-    }
-    let Ok(memory) = Arc::try_unwrap(memory) else {
-        unreachable!("all process threads joined, so no clone outlives us");
-    };
-    (ThreadReport { outputs, ops }, memory.into_history())
+    let memory = RecordingMemory::over(memory);
+    let report = drive_threads(processes, |pid, op| memory.execute_as(pid, op));
+    (report, memory.into_history())
 }
 
-/// Drives the state machines against the threaded objects in the exact
-/// round-robin order the simulator's engine would use, single-threaded
-/// — [`sift_sim::drive_lockstep`] over a fresh [`AtomicMemory`].
-/// Outputs must match a simulator run under
+/// Drives the state machines against `memory` — any [`ExecuteOps`]
+/// implementation — in the exact round-robin order the simulator's
+/// engine would use, single-threaded: [`sift_sim::drive_lockstep`] over
+/// the threaded objects. Outputs must match a simulator run under
 /// [`RoundRobin`](sift_sim::schedule::RoundRobin) exactly, which
-/// `tests/cross_runtime.rs` verifies.
-pub fn run_lockstep<P: Process>(layout: &Layout, processes: Vec<P>) -> Vec<P::Output> {
-    run_lockstep_on(&AtomicMemory::new(layout), processes)
-}
-
-/// [`run_lockstep`] against a caller-provided memory — any
-/// [`ExecuteOps`](crate::memory::ExecuteOps) implementation. This is
-/// what differential tests use to drive the *same* deterministic
-/// schedule through both substrates (e.g.
-/// [`LockFreeMemory`](crate::memory::LockFreeMemory) versus
-/// [`CoarseMemory`](crate::memory::CoarseMemory)) and compare outcomes.
-pub fn run_lockstep_on<P: Process, M: crate::memory::ExecuteOps<P::Value>>(
+/// `tests/cross_runtime.rs` verifies on both substrates
+/// ([`LockFreeMemory`](crate::memory::LockFreeMemory) and
+/// [`CoarseMemory`](crate::memory::CoarseMemory)); the differential
+/// tests drive the *same* deterministic schedule through each and
+/// compare outcomes.
+pub fn run_lockstep_on<P: Process, M: ExecuteOps<P::Value>>(
     memory: &M,
     processes: Vec<P>,
 ) -> Vec<P::Output> {
     drive_lockstep(processes, |_, op| memory.execute(op))
 }
 
-/// [`run_lockstep`] over a [`RecordingMemory`]: returns the outputs and
-/// the captured (sequential) history.
-pub fn run_lockstep_recorded<P: Process>(
-    layout: &Layout,
+/// [`run_lockstep_on`] over a [`RecordingMemory`] wrapped around
+/// `memory`: returns the outputs and the captured (sequential) history.
+pub fn run_lockstep_recorded<P: Process, M: ExecuteOps<P::Value>>(
+    memory: M,
     processes: Vec<P>,
 ) -> (Vec<P::Output>, History<P::Value>) {
-    let memory = RecordingMemory::new(layout);
+    let memory = RecordingMemory::over(memory);
     let outputs = drive_lockstep(processes, |pid, op| memory.execute_as(pid, op));
     (outputs, memory.into_history())
 }
@@ -197,15 +186,15 @@ pub fn run_lockstep_recorded<P: Process>(
 /// and processes the script starves end with `None`.
 ///
 /// This is the substrate half of the differential fuzz harness: the
-/// same script replayed here on [`LockFreeMemory`](crate::memory::
-/// LockFreeMemory) and [`CoarseMemory`](crate::memory::CoarseMemory)
-/// (or through the simulator's `replay_script`) must produce identical
-/// outputs.
+/// same script replayed here on
+/// [`LockFreeMemory`](crate::memory::LockFreeMemory) and
+/// [`CoarseMemory`](crate::memory::CoarseMemory) (or through the
+/// simulator's `replay_script`) must produce identical outputs.
 ///
 /// # Panics
 ///
 /// Panics if the script names a process index out of range.
-pub fn run_script_on<P: Process, M: crate::memory::ExecuteOps<P::Value>>(
+pub fn run_script_on<P: Process, M: ExecuteOps<P::Value>>(
     memory: &M,
     processes: Vec<P>,
     script: &[usize],
@@ -243,12 +232,30 @@ pub fn run_script_on<P: Process, M: crate::memory::ExecuteOps<P::Value>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::{CoarseMemory, LockFreeMemory};
     use sift_core::{
         CilConciliator, Conciliator, EmbeddedConciliator, Epsilon, SiftingConciliator,
         SnapshotConciliator,
     };
     use sift_sim::rng::SeedSplitter;
     use sift_sim::{LayoutBuilder, ProcessId};
+
+    /// Runs `procs()` on threads over each named memory — the lock-free
+    /// objects, then their lock-based references — and hands each
+    /// report to `check`.
+    fn on_both_memories<P>(
+        layout: &Layout,
+        procs: impl Fn() -> Vec<P>,
+        mut check: impl FnMut(ThreadReport<P::Output>),
+    ) where
+        P: Process + Send,
+        P::Output: Send,
+    {
+        let lock_free = LockFreeMemory::new(layout);
+        check(drive_threads(procs(), |_, op| lock_free.execute(op)));
+        let coarse = CoarseMemory::new(layout);
+        check(drive_threads(procs(), |_, op| coarse.execute(op)));
+    }
 
     #[test]
     fn sifting_conciliator_runs_on_threads() {
@@ -257,19 +264,39 @@ mod tests {
         let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
         let layout = b.build();
         let split = SeedSplitter::new(2);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect();
-        let report = run_threads(&layout, procs);
-        assert_eq!(report.outputs.len(), n);
-        for p in &report.outputs {
-            assert!(p.input() < n as u64, "validity on threads");
+        let procs = || split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
+        on_both_memories(&layout, procs, |report| {
+            assert_eq!(report.outputs.len(), n);
+            for p in &report.outputs {
+                assert!(p.input() < n as u64, "validity on threads");
+            }
+            let rounds = c.rounds() as u64;
+            assert!(report.ops.iter().all(|&o| o == rounds));
+        });
+    }
+
+    /// Finishes at once, or panics on its first step.
+    struct Faulty {
+        panics: bool,
+    }
+
+    impl Process for Faulty {
+        type Value = u64;
+        type Output = ();
+
+        fn step(&mut self, _prev: Option<OpResult<u64>>) -> Step<u64, ()> {
+            assert!(!self.panics, "process bug");
+            Step::Done(())
         }
-        let rounds = c.rounds() as u64;
-        assert!(report.ops.iter().all(|&o| o == rounds));
+    }
+
+    /// The documented contract of `run_threads`: a panicking process
+    /// fails the run — it neither hangs the join nor yields a report.
+    #[test]
+    #[should_panic(expected = "process thread panicked")]
+    fn a_panicking_process_fails_the_run() {
+        let procs = vec![Faulty { panics: false }, Faulty { panics: true }];
+        drive_threads(procs, |_, _| unreachable!("no process issues an operation"));
     }
 
     #[test]
@@ -284,12 +311,7 @@ mod tests {
         let layout = b.build();
         let split = SeedSplitter::new(11);
         let make_procs = || -> Vec<_> {
-            (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    c.participant(ProcessId(i), i as u64, &mut rng)
-                })
-                .collect()
+            split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng))
         };
         // Record the charged slot script of a random interleaving.
         let mut engine = Engine::new(&layout, make_procs());
@@ -305,12 +327,11 @@ mod tests {
             .collect();
 
         let sim_outputs = replay_script(&layout, make_procs(), &script);
-        let substrate_outputs = run_script_on(&AtomicMemory::new(&layout), make_procs(), &script);
-        assert_eq!(sim_outputs.len(), substrate_outputs.len());
-        for (a, b) in sim_outputs.iter().zip(&substrate_outputs) {
-            assert_eq!(a, b);
-        }
-        assert!(substrate_outputs.iter().all(Option::is_some));
+        assert!(sim_outputs.iter().all(Option::is_some));
+        let on_lock_free = run_script_on(&LockFreeMemory::new(&layout), make_procs(), &script);
+        let on_coarse = run_script_on(&CoarseMemory::new(&layout), make_procs(), &script);
+        assert_eq!(sim_outputs, on_lock_free);
+        assert_eq!(sim_outputs, on_coarse);
     }
 
     #[test]
@@ -320,18 +341,16 @@ mod tests {
         let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
         let layout = b.build();
         let split = SeedSplitter::new(12);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect();
+        let procs = || split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
         // Only p0 is ever scheduled, and generously enough to finish.
         let script = vec![0usize; 4 * c.rounds()];
-        let outputs = run_script_on(&AtomicMemory::new(&layout), procs, &script);
-        assert!(outputs[0].is_some());
-        assert!(outputs[1].is_none());
-        assert!(outputs[2].is_none());
+        let on_lock_free = run_script_on(&LockFreeMemory::new(&layout), procs(), &script);
+        let on_coarse = run_script_on(&CoarseMemory::new(&layout), procs(), &script);
+        for outputs in [on_lock_free, on_coarse] {
+            assert!(outputs[0].is_some());
+            assert!(outputs[1].is_none());
+            assert!(outputs[2].is_none());
+        }
     }
 
     #[test]
@@ -341,16 +360,16 @@ mod tests {
         let c = SnapshotConciliator::allocate(&mut b, n, Epsilon::HALF);
         let layout = b.build();
         let split = SeedSplitter::new(3);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), 100 + i as u64, &mut rng)
+        let procs = || {
+            split.processes(n, |pid, rng| {
+                c.participant(pid, 100 + pid.index() as u64, rng)
             })
-            .collect();
-        let report = run_threads(&layout, procs);
-        for p in &report.outputs {
-            assert!((100..106).contains(&p.input()));
-        }
+        };
+        on_both_memories(&layout, procs, |report| {
+            for p in &report.outputs {
+                assert!((100..106).contains(&p.input()));
+            }
+        });
     }
 
     #[test]
@@ -360,44 +379,35 @@ mod tests {
         let c = EmbeddedConciliator::allocate(&mut b, n);
         let layout = b.build();
         let split = SeedSplitter::new(4);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect();
-        let report = run_threads(&layout, procs);
+        let procs = || split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
         let bound = c.steps_bound().unwrap();
-        for (&ops, p) in report.ops.iter().zip(&report.outputs) {
-            assert!(ops <= bound);
-            assert!(p.input() < n as u64);
-        }
+        on_both_memories(&layout, procs, |report| {
+            for (&ops, p) in report.ops.iter().zip(&report.outputs) {
+                assert!(ops <= bound);
+                assert!(p.input() < n as u64);
+            }
+        });
     }
 
     #[test]
     fn cil_conciliator_usually_agrees_on_threads() {
         let n = 4;
-        let mut agreements = 0;
-        let trials = 20;
-        for seed in 0..trials {
+        let (mut agreements, mut runs) = (0, 0);
+        for seed in 0..20 {
             let mut b = LayoutBuilder::new();
             let c = CilConciliator::allocate(&mut b, n);
             let layout = b.build();
             let split = SeedSplitter::new(seed);
-            let procs: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    c.participant(ProcessId(i), i as u64, &mut rng)
-                })
-                .collect();
-            let report = run_threads(&layout, procs);
-            if report.outputs_agree() {
-                agreements += 1;
-            }
+            let procs =
+                || split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
+            on_both_memories(&layout, procs, |report| {
+                runs += 1;
+                agreements += u32::from(report.outputs_agree());
+            });
         }
         assert!(
-            agreements * 2 > trials,
-            "agreement rate {agreements}/{trials} suspiciously low"
+            agreements * 2 > runs,
+            "agreement rate {agreements}/{runs} suspiciously low"
         );
     }
 
@@ -409,14 +419,17 @@ mod tests {
         let ac = GafniSnapshotAc::<u64>::allocate(&mut b, n, |v| *v);
         let layout = b.build();
         let proposals: Vec<u64> = (0..n as u64).map(|i| i % 2).collect();
-        let procs: Vec<_> = proposals
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| ac.proposer(ProcessId(i), c, c))
-            .collect();
-        let report = run_threads(&layout, procs);
-        let outputs: Vec<_> = report.outputs.into_iter().map(Some).collect();
-        check_ac_properties(&proposals, &outputs);
+        let procs = || -> Vec<_> {
+            proposals
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| ac.proposer(ProcessId(i), c, c))
+                .collect()
+        };
+        on_both_memories(&layout, procs, |report| {
+            let outputs: Vec<_> = report.outputs.into_iter().map(Some).collect();
+            check_ac_properties(&proposals, &outputs);
+        });
     }
 
     #[test]
@@ -428,12 +441,11 @@ mod tests {
             let tas = SiftingTas::allocate(&mut b, n);
             let layout = b.build();
             let split = SeedSplitter::new(seed);
-            let procs: Vec<_> = (0..n)
-                .map(|i| tas.participant(ProcessId(i), &mut split.stream("process", i as u64)))
-                .collect();
-            let report = run_threads(&layout, procs);
-            let outputs: Vec<_> = report.outputs.into_iter().map(Some).collect();
-            check_tas_properties(&outputs);
+            let procs = || split.processes(n, |pid, rng| tas.participant(pid, rng));
+            on_both_memories(&layout, procs, |report| {
+                let outputs: Vec<_> = report.outputs.into_iter().map(Some).collect();
+                check_tas_properties(&outputs);
+            });
         }
     }
 
@@ -446,13 +458,13 @@ mod tests {
         let layout = b.build();
         let split = SeedSplitter::new(6);
         let inputs: Vec<u64> = (0..n as u64).map(|i| i % 2).collect();
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                protocol.participant(ProcessId(i), inputs[i], &mut rng)
+        let procs = || {
+            split.processes(n, |pid, rng| {
+                protocol.participant(pid, inputs[pid.index()], rng)
             })
-            .collect();
-        let report = run_threads(&layout, procs);
-        check_consensus(&inputs, report.outputs.iter());
+        };
+        on_both_memories(&layout, procs, |report| {
+            check_consensus(&inputs, report.outputs.iter());
+        });
     }
 }

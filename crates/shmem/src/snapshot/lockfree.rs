@@ -56,8 +56,7 @@ struct VersionedState<V> {
 ///
 /// See the [module docs](self) for the algorithm and the comparison
 /// with [`CoarseSnapshot`](super::CoarseSnapshot) (the lock-based
-/// reference implementation, selected by the `coarse-substrate`
-/// feature).
+/// reference implementation).
 ///
 /// Linearization points:
 ///

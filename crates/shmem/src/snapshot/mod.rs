@@ -8,8 +8,9 @@
 //!   interference. What the runtime uses by default.
 //! * [`CoarseSnapshot`] — a reader-writer lock around the component
 //!   vector. Simple and obviously linearizable; kept as the reference
-//!   implementation (the `coarse-substrate` feature switches the
-//!   runtime back to it for differential testing and benchmarking).
+//!   implementation ([`CoarseMemory`](crate::memory::CoarseMemory)
+//!   assembles it; the test suites run over both memories, and
+//!   `benches/substrate.rs` times it beside the lock-free one).
 //! * [`WaitFreeSnapshot`] — the classic Afek et al. construction from
 //!   single-writer registers (double collect with embedded-scan
 //!   helping). Built here to demonstrate that the model's snapshot

@@ -15,6 +15,8 @@
 //! derived from disjoint, labelled streams of the master seed, so no
 //! information can flow from coins to the schedule.
 
+use crate::ids::ProcessId;
+
 /// SplitMix64 generator (Steele, Lea, Flood 2014).
 ///
 /// A tiny, fast generator with a 64-bit state that equidistributes over all
@@ -154,23 +156,48 @@ impl Xoshiro256StarStar {
 /// Splits a master seed into independent labelled streams.
 ///
 /// The split is a keyed hash of `(master, label, index)`: streams with
-/// different labels or indices are computationally independent. Used to
-/// enforce the oblivious-adversary separation between schedule randomness
-/// and process randomness.
+/// different labels or indices are computationally independent.
+///
+/// # The seed-label contract
+///
+/// A run is processes + memory + driver, and the oblivious-adversary
+/// model (§1.1) fixes the adversary's schedule independently of the
+/// processes' coins. Two labels encode that, and they are private to
+/// this module:
+///
+/// * process `i` draws its coins from the stream `("process", i)` —
+///   [`processes`](Self::processes) builds a whole cohort that way and
+///   [`process_stream`](Self::process_stream) hands out one stream (for
+///   [`Engine::lazy`](crate::engine::Engine::lazy) factories);
+/// * the adversary's schedule is seeded by `("schedule", 0)` —
+///   [`schedule_seed`](Self::schedule_seed).
+///
+/// Every golden digest in the tree depends on those two spellings, so
+/// callers go through the three methods and never name the labels
+/// (CI's lint job greps for a stray `.stream("process"` or
+/// `.seed("schedule"`). Any *other* randomness a harness needs (crash
+/// subsets, inputs, register semantics) takes its own label through
+/// [`seed`](Self::seed) / [`stream`](Self::stream).
 ///
 /// # Examples
 ///
 /// ```
 /// use sift_sim::rng::SeedSplitter;
 /// let split = SeedSplitter::new(99);
-/// let mut schedule_rng = split.stream("schedule", 0);
-/// let mut process_rng = split.stream("process", 3);
-/// assert_ne!(schedule_rng.next_u64(), process_rng.next_u64());
+/// let schedule_seed = split.schedule_seed();
+/// let first_coins = split.processes(4, |_pid, rng| rng.next_u64());
+/// assert!(!first_coins.contains(&schedule_seed));
+/// assert_ne!(split.seed("crashes", 0), schedule_seed);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct SeedSplitter {
     master: u64,
 }
+
+/// Label of the per-process coin streams.
+const PROCESS: &str = "process";
+/// Label of the adversary's schedule seed.
+const SCHEDULE: &str = "schedule";
 
 impl SeedSplitter {
     /// Creates a splitter over `master`.
@@ -201,6 +228,29 @@ impl SeedSplitter {
     /// Returns a fresh generator for the stream `(label, index)`.
     pub fn stream(&self, label: &str, index: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(self.seed(label, index))
+    }
+
+    /// The generator process `pid` draws its coins from.
+    pub fn process_stream(&self, pid: ProcessId) -> Xoshiro256StarStar {
+        self.stream(PROCESS, pid.index() as u64)
+    }
+
+    /// Builds the `n` processes of a run: `build` is called once per
+    /// process id, in order, with that process's own coin stream.
+    pub fn processes<P>(
+        &self,
+        n: usize,
+        mut build: impl FnMut(ProcessId, &mut Xoshiro256StarStar) -> P,
+    ) -> Vec<P> {
+        (0..n)
+            .map(|i| build(ProcessId(i), &mut self.process_stream(ProcessId(i))))
+            .collect()
+    }
+
+    /// The seed of the adversary's schedule, independent of every
+    /// process stream.
+    pub fn schedule_seed(&self) -> u64 {
+        self.seed(SCHEDULE, 0)
     }
 }
 
@@ -304,15 +354,29 @@ mod tests {
     #[test]
     fn splitter_streams_are_independent() {
         let split = SeedSplitter::new(7);
-        let mut a = split.stream("schedule", 0);
-        let mut b = split.stream("process", 0);
-        let mut c = split.stream("schedule", 1);
-        let av: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let bv: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        let cv: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();
+        let first8 =
+            |mut g: Xoshiro256StarStar| -> Vec<u64> { (0..8).map(|_| g.next_u64()).collect() };
+        let av = first8(split.stream("schedule", 0));
+        let bv = first8(split.stream("process", 0));
+        let cv = first8(split.stream("schedule", 1));
         assert_ne!(av, bv);
         assert_ne!(av, cv);
         assert_ne!(bv, cv);
+
+        // The named accessors are those same streams, bit for bit: this
+        // is what keeps every golden digest where it is.
+        assert_eq!(split.schedule_seed(), split.seed("schedule", 0));
+        assert_eq!(
+            first8(Xoshiro256StarStar::seed_from_u64(split.schedule_seed())),
+            av
+        );
+        let cohort = split.processes(5, |pid, rng| (pid, first8(rng.clone())));
+        for (i, (pid, coins)) in cohort.iter().enumerate() {
+            assert_eq!(*pid, ProcessId(i));
+            assert_eq!(*coins, first8(split.stream("process", i as u64)));
+            assert_eq!(*coins, first8(split.process_stream(*pid)));
+            assert_ne!(*coins, av, "process and schedule streams stay distinct");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::tournament::{TournamentParticipant, TournamentTas};
 /// ```
 /// use sift_sim::rng::SeedSplitter;
 /// use sift_sim::schedule::RandomInterleave;
-/// use sift_sim::{Engine, LayoutBuilder, ProcessId};
+/// use sift_sim::{Engine, LayoutBuilder};
 /// use sift_tas::{check_tas_properties, SiftingTas};
 ///
 /// let n = 32;
@@ -43,11 +43,9 @@ use crate::tournament::{TournamentParticipant, TournamentTas};
 /// let tas = SiftingTas::allocate(&mut b, n);
 /// let layout = b.build();
 /// let split = SeedSplitter::new(4);
-/// let procs: Vec<_> = (0..n)
-///     .map(|i| tas.participant(ProcessId(i), &mut split.stream("process", i as u64)))
-///     .collect();
+/// let procs = split.processes(n, |pid, rng| tas.participant(pid, rng));
 /// let report = Engine::new(&layout, procs)
-///     .run(RandomInterleave::new(n, split.seed("schedule", 0)));
+///     .run(RandomInterleave::new(n, split.schedule_seed()));
 /// check_tas_properties(&report.outputs);
 /// ```
 #[derive(Debug, Clone)]
@@ -242,9 +240,7 @@ mod tests {
         let tas = SiftingTas::allocate(&mut b, n);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..n)
-            .map(|i| tas.participant(ProcessId(i), &mut split.stream("process", i as u64)))
-            .collect();
+        let procs = split.processes(n, |pid, rng| tas.participant(pid, rng));
         Engine::new(&layout, procs).run(schedule)
     }
 
@@ -268,11 +264,8 @@ mod tests {
                 let tas = SiftingTas::allocate(&mut b, n);
                 let layout = b.build();
                 let split = SeedSplitter::new(seed);
-                let procs: Vec<_> = (0..n)
-                    .map(|i| tas.participant(ProcessId(i), &mut split.stream("process", i as u64)))
-                    .collect();
-                let report =
-                    Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
+                let procs = split.processes(n, |pid, rng| tas.participant(pid, rng));
+                let report = Engine::new(&layout, procs).run(kind.build(n, split.schedule_seed()));
                 check_tas_properties(&report.outputs);
             }
         }

@@ -29,7 +29,7 @@ use crate::two_process::{TwoProcessTas, TwoProcessTasParticipant};
 /// ```
 /// use sift_sim::rng::SeedSplitter;
 /// use sift_sim::schedule::RoundRobin;
-/// use sift_sim::{Engine, LayoutBuilder, ProcessId};
+/// use sift_sim::{Engine, LayoutBuilder};
 /// use sift_tas::{check_tas_properties, TournamentTas};
 ///
 /// let n = 5;
@@ -37,9 +37,7 @@ use crate::two_process::{TwoProcessTas, TwoProcessTasParticipant};
 /// let tas = TournamentTas::allocate(&mut b, n);
 /// let layout = b.build();
 /// let split = SeedSplitter::new(2);
-/// let procs: Vec<_> = (0..n)
-///     .map(|i| tas.participant(ProcessId(i), &mut split.stream("process", i as u64)))
-///     .collect();
+/// let procs = split.processes(n, |pid, rng| tas.participant(pid, rng));
 /// let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
 /// check_tas_properties(&report.outputs);
 /// ```
@@ -176,9 +174,7 @@ mod tests {
         let tas = TournamentTas::allocate(&mut b, n);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..n)
-            .map(|i| tas.participant(ProcessId(i), &mut split.stream("process", i as u64)))
-            .collect();
+        let procs = split.processes(n, |pid, rng| tas.participant(pid, rng));
         Engine::new(&layout, procs).run(schedule).outputs
     }
 

@@ -31,7 +31,7 @@ const NODE_PHASES: usize = 24;
 /// ```
 /// use sift_sim::rng::SeedSplitter;
 /// use sift_sim::schedule::RoundRobin;
-/// use sift_sim::{Engine, LayoutBuilder};
+/// use sift_sim::{Engine, LayoutBuilder, ProcessId};
 /// use sift_tas::{check_tas_properties, TwoProcessTas};
 ///
 /// let mut b = LayoutBuilder::new();
@@ -39,8 +39,8 @@ const NODE_PHASES: usize = 24;
 /// let layout = b.build();
 /// let split = SeedSplitter::new(3);
 /// let procs = vec![
-///     tas.participant(false, &mut split.stream("process", 0)),
-///     tas.participant(true, &mut split.stream("process", 1)),
+///     tas.participant(false, &mut split.process_stream(ProcessId(0))),
+///     tas.participant(true, &mut split.process_stream(ProcessId(1))),
 /// ];
 /// let report = Engine::new(&layout, procs).run(RoundRobin::new(2));
 /// check_tas_properties(&report.outputs);
@@ -126,8 +126,8 @@ mod tests {
         let layout = b.build();
         let split = SeedSplitter::new(seed);
         let procs = vec![
-            tas.participant(false, &mut split.stream("process", 0)),
-            tas.participant(true, &mut split.stream("process", 1)),
+            tas.participant(false, &mut split.process_stream(ProcessId(0))),
+            tas.participant(true, &mut split.process_stream(ProcessId(1))),
         ];
         let report = Engine::new(&layout, procs).run(schedule);
         report.outputs
@@ -148,7 +148,7 @@ mod tests {
         let tas = TwoProcessTas::allocate(&mut b);
         let layout = b.build();
         let split = SeedSplitter::new(9);
-        let procs = vec![tas.participant(true, &mut split.stream("process", 0))];
+        let procs = vec![tas.participant(true, &mut split.process_stream(ProcessId(0)))];
         let report = Engine::new(&layout, procs).run(RoundRobin::new(1));
         assert_eq!(report.outputs[0], Some(TasOutcome::Won));
     }

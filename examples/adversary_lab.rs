@@ -10,7 +10,7 @@ use sift::core::{
 };
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::ScheduleKind;
-use sift::sim::{Engine, LayoutBuilder, ProcessId};
+use sift::sim::{Engine, LayoutBuilder};
 use std::collections::HashSet;
 
 const N: usize = 48;
@@ -25,13 +25,10 @@ fn trial<C: Conciliator>(
     let conciliator = build(&mut builder);
     let layout = builder.build();
     let split = SeedSplitter::new(seed);
-    let schedule = kind.build(N, split.seed("schedule", 0));
-    let participants: Vec<_> = (0..N)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            conciliator.participant(ProcessId(i), (i % 5) as u64, &mut rng)
-        })
-        .collect();
+    let schedule = kind.build(N, split.schedule_seed());
+    let participants = split.processes(N, |pid, rng| {
+        conciliator.participant(pid, (pid.index() % 5) as u64, rng)
+    });
     let report = Engine::new(&layout, participants).run(schedule);
     let distinct: HashSet<_> = report.decided().map(|p| p.origin()).collect();
     (distinct.len() == 1, report.metrics.max_individual_steps())

@@ -13,7 +13,7 @@
 use sift::consensus::{linear_work_consensus, ConsensusOutcome};
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::{CrashSubset, RandomInterleave, Schedule};
-use sift::sim::{Engine, LayoutBuilder, ProcessId};
+use sift::sim::{Engine, LayoutBuilder};
 
 /// A replica's view of the cluster.
 struct Replica {
@@ -47,7 +47,7 @@ fn main() {
     // crashing before taking any step (a crash is indistinguishable from
     // never being scheduled).
     let schedule = CrashSubset::random(
-        RandomInterleave::new(n, split.seed("schedule", 0)),
+        RandomInterleave::new(n, split.schedule_seed()),
         n,
         0.25,
         split.seed("crashes", 0),
@@ -55,13 +55,9 @@ fn main() {
     let crashed: Vec<usize> = schedule.crashed().map(|p| p.index()).collect();
     let live = schedule.support().len();
 
-    let participants: Vec<_> = replicas
-        .iter()
-        .map(|r| {
-            let mut rng = split.stream("process", r.id as u64);
-            protocol.participant(ProcessId(r.id), r.nomination, &mut rng)
-        })
-        .collect();
+    let participants = split.processes(n, |pid, rng| {
+        protocol.participant(pid, replicas[pid.index()].nomination, rng)
+    });
 
     let report = Engine::new(&layout, participants).run(schedule);
 

@@ -22,7 +22,7 @@ fn main() {
         .collect();
 
     let report =
-        Engine::new(&layout, participants).run(RandomInterleave::new(n, split.seed("schedule", 0)));
+        Engine::new(&layout, participants).run(RandomInterleave::new(n, split.schedule_seed()));
     check_tas_properties(&report.outputs);
 
     let winner = report

@@ -6,7 +6,7 @@
 use sift::consensus::{sifting_consensus, ConsensusOutcome};
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::RandomInterleave;
-use sift::sim::{Engine, LayoutBuilder, ProcessId};
+use sift::sim::{Engine, LayoutBuilder};
 
 fn main() {
     let n = 16; // processes
@@ -23,16 +23,13 @@ fn main() {
     //    process randomness come from disjoint streams, so the adversary
     //    is oblivious by construction.
     let split = SeedSplitter::new(42);
-    let schedule = RandomInterleave::new(n, split.seed("schedule", 0));
+    let schedule = RandomInterleave::new(n, split.schedule_seed());
 
     // 3. Give each process an input and mint its participant.
     let inputs: Vec<u64> = (0..n as u64).map(|i| i % m).collect();
-    let participants: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            protocol.participant(ProcessId(i), inputs[i], &mut rng)
-        })
-        .collect();
+    let participants = split.processes(n, |pid, rng| {
+        protocol.participant(pid, inputs[pid.index()], rng)
+    });
 
     // 4. Run to completion under the oblivious schedule.
     let report = Engine::new(&layout, participants).run(schedule);

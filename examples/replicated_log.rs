@@ -53,7 +53,7 @@ fn main() {
         .collect();
 
     let report =
-        Engine::new(&layout, participants).run(RandomInterleave::new(n, split.seed("schedule", 0)));
+        Engine::new(&layout, participants).run(RandomInterleave::new(n, split.schedule_seed()));
 
     let total_steps = report.metrics.total_steps;
     let logs = report.unwrap_outputs();

@@ -12,7 +12,7 @@ use sift::core::{
 };
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::RandomInterleave;
-use sift::sim::{Engine, LayoutBuilder, ProcessId};
+use sift::sim::{Engine, LayoutBuilder};
 
 const N: usize = 512;
 const TRIALS: u64 = 40;
@@ -28,14 +28,9 @@ where
         let c = build(&mut b);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..N)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(N, |pid, rng| c.participant(pid, pid.index() as u64, rng));
         let report =
-            Engine::new(&layout, procs).run(RandomInterleave::new(N, split.seed("schedule", 0)));
+            Engine::new(&layout, procs).run(RandomInterleave::new(N, split.schedule_seed()));
         let counts = distinct_per_round(report.processes.iter().map(|p| p.history()));
         if sums.len() < counts.len() {
             sums.resize(counts.len(), 0.0);

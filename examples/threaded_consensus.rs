@@ -10,7 +10,7 @@
 use sift::consensus::{snapshot_consensus, ConsensusOutcome};
 use sift::shmem::runtime::run_threads;
 use sift::sim::rng::SeedSplitter;
-use sift::sim::{LayoutBuilder, ProcessId};
+use sift::sim::LayoutBuilder;
 
 fn main() {
     // The value domain: candidate configurations, interned to codes.
@@ -27,12 +27,9 @@ fn main() {
 
     let split = SeedSplitter::new(2026);
     let inputs: Vec<u64> = (0..n as u64).map(|i| i % configs.len() as u64).collect();
-    let participants: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            protocol.participant(ProcessId(i), inputs[i], &mut rng)
-        })
-        .collect();
+    let participants = split.processes(n, |pid, rng| {
+        protocol.participant(pid, inputs[pid.index()], rng)
+    });
 
     // Each participant runs on its own OS thread against lock-based
     // linearizable registers and snapshots.

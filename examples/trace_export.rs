@@ -16,7 +16,7 @@ use sift::core::{distinct_per_round, Conciliator, Epsilon, RoundHistory, Sifting
 use sift::sim::obs::{check_trace_shape, perfetto_from_ring};
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::RandomInterleave;
-use sift::sim::{Engine, LayoutBuilder, ProcessId};
+use sift::sim::{Engine, LayoutBuilder};
 
 const N: usize = 16;
 const RING_CAPACITY: usize = 4096;
@@ -26,16 +26,13 @@ fn main() {
     let conciliator = SiftingConciliator::allocate(&mut builder, N, Epsilon::HALF);
     let layout = builder.build();
     let split = SeedSplitter::new(12);
-    let processes: Vec<_> = (0..N)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            conciliator.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let processes = split.processes(N, |pid, rng| {
+        conciliator.participant(pid, pid.index() as u64, rng)
+    });
 
     let mut engine = Engine::new(&layout, processes);
     engine.enable_trace_ring(RING_CAPACITY);
-    let report = engine.run(RandomInterleave::new(N, split.seed("schedule", 0)));
+    let report = engine.run(RandomInterleave::new(N, split.schedule_seed()));
 
     let survival: Vec<(u64, u64)> =
         distinct_per_round(report.processes.iter().map(|p| p.history()))

@@ -28,7 +28,7 @@ fn run_object<A: AdoptCommit<u64>>(
         .enumerate()
         .map(|(i, &c)| ac.proposer(ProcessId(i), c, c))
         .collect();
-    let report = Engine::new(layout, procs).run(kind.build(n, split.seed("schedule", 0)));
+    let report = Engine::new(layout, procs).run(kind.build(n, split.schedule_seed()));
     report.outputs
 }
 
@@ -114,7 +114,7 @@ fn binary_object_satisfies_the_spec() {
             .enumerate()
             .map(|(i, &bit)| ac.propose_bit(ProcessId(i), bit))
             .collect();
-        let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
+        let report = Engine::new(&layout, procs).run(kind.build(n, split.schedule_seed()));
         let proposals: Vec<u64> = bits.iter().map(|&b| u64::from(b)).collect();
         check_ac_properties(&proposals, &report.outputs);
     });
@@ -139,7 +139,7 @@ fn step_bounds_hold() {
             .enumerate()
             .map(|(i, &c)| ac.proposer(ProcessId(i), c, c))
             .collect();
-        let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
+        let report = Engine::new(&layout, procs).run(kind.build(n, split.schedule_seed()));
         for &steps in &report.metrics.per_process_steps {
             assert!(steps <= bound, "{steps} > {bound}");
         }

@@ -12,7 +12,7 @@ use sift::core::{
 };
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::ScheduleKind;
-use sift::sim::{Engine, LayoutBuilder, ProcessId};
+use sift::sim::{Engine, LayoutBuilder};
 
 #[derive(Debug, Clone, Copy)]
 enum Alg {
@@ -34,19 +34,14 @@ const ALGS: [Alg; 5] = [
 /// Runs a conciliator and returns the input carried by each output.
 fn run_alg(alg: Alg, n: usize, inputs: &[u64], seed: u64, kind: ScheduleKind) -> Vec<u64> {
     let split = SeedSplitter::new(seed);
-    let schedule = kind.build(n, split.seed("schedule", 0));
+    let schedule = kind.build(n, split.schedule_seed());
     let mut b = LayoutBuilder::new();
 
     macro_rules! go {
         ($c:expr) => {{
             let c = $c;
             let layout = b.build();
-            let procs: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    c.participant(ProcessId(i), inputs[i], &mut rng)
-                })
-                .collect();
+            let procs = split.processes(n, |pid, rng| c.participant(pid, inputs[pid.index()], rng));
             let report = Engine::new(&layout, procs).run(schedule);
             report
                 .unwrap_outputs()
@@ -111,28 +106,18 @@ fn survivors_shrink_monotonically() {
         let seed = rng.range_u64(10_000);
         let use_sifting = rng.coin();
         let split = SeedSplitter::new(seed);
-        let schedule = kind.build(n, split.seed("schedule", 0));
+        let schedule = kind.build(n, split.schedule_seed());
         let mut b = LayoutBuilder::new();
         let counts = if use_sifting {
             let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
             let layout = b.build();
-            let procs: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    c.participant(ProcessId(i), i as u64, &mut rng)
-                })
-                .collect();
+            let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
             let report = Engine::new(&layout, procs).run(schedule);
             distinct_per_round(report.processes.iter().map(|p| p.history()))
         } else {
             let c = SnapshotConciliator::allocate(&mut b, n, Epsilon::HALF);
             let layout = b.build();
-            let procs: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    c.participant(ProcessId(i), i as u64, &mut rng)
-                })
-                .collect();
+            let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
             let report = Engine::new(&layout, procs).run(schedule);
             distinct_per_round(report.processes.iter().map(|p| p.history()))
         };
@@ -155,13 +140,8 @@ fn step_counts_are_exact() {
         let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
         let layout = b.build();
         let rounds = c.rounds() as u64;
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), 0, &mut rng)
-            })
-            .collect();
-        let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
+        let procs = split.processes(n, |pid, rng| c.participant(pid, 0, rng));
+        let report = Engine::new(&layout, procs).run(kind.build(n, split.schedule_seed()));
         for &steps in &report.metrics.per_process_steps {
             assert_eq!(steps, rounds);
         }

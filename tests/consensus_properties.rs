@@ -12,7 +12,7 @@ use sift::consensus::{
 };
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::{CrashSubset, RandomInterleave, Schedule, ScheduleKind};
-use sift::sim::{Engine, LayoutBuilder, ProcessId};
+use sift::sim::{Engine, LayoutBuilder};
 
 fn run_protocol(
     which: usize,
@@ -23,19 +23,14 @@ fn run_protocol(
 ) -> Vec<ConsensusOutcome> {
     let n = inputs.len();
     let split = SeedSplitter::new(seed);
-    let schedule = kind.build(n, split.seed("schedule", 0));
+    let schedule = kind.build(n, split.schedule_seed());
     let mut b = LayoutBuilder::new();
 
     macro_rules! go {
         ($p:expr) => {{
             let p = $p;
             let layout = b.build();
-            let procs: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    p.participant(ProcessId(i), inputs[i], &mut rng)
-                })
-                .collect();
+            let procs = split.processes(n, |pid, rng| p.participant(pid, inputs[pid.index()], rng));
             Engine::new(&layout, procs).run(schedule).unwrap_outputs()
         }};
     }
@@ -98,18 +93,13 @@ fn survivors_decide_under_crashes() {
         let p = sifting_consensus(&mut b, n, 4, 2);
         let layout = b.build();
         let schedule = CrashSubset::random(
-            RandomInterleave::new(n, split.seed("schedule", 0)),
+            RandomInterleave::new(n, split.schedule_seed()),
             n,
             fraction,
             split.seed("crashes", 0),
         );
         let live = schedule.support().len();
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                p.participant(ProcessId(i), inputs[i], &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| p.participant(pid, inputs[pid.index()], rng));
         let report = Engine::new(&layout, procs).run(schedule);
         let decided: Vec<&ConsensusOutcome> = report.outputs.iter().flatten().collect();
         assert_eq!(decided.len(), live, "every live process decides");

@@ -1,53 +1,51 @@
 //! Cross-runtime equivalence: the same protocol state machines run on
 //! the deterministic simulator and on the threaded substrate, and a
-//! lockstep driver over the threaded objects reproduces the simulator's
-//! outcome exactly.
+//! lockstep driver over the threaded objects — the lock-free ones and
+//! their lock-based references — reproduces the simulator's outcome
+//! exactly.
 
 use sift::core::{Conciliator, Epsilon, SiftingConciliator, SnapshotConciliator};
-use sift::shmem::{run_lockstep, run_threads};
+use sift::shmem::{drive_threads, run_lockstep_on, CoarseMemory, LockFreeMemory};
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::RoundRobin;
-use sift::sim::{Engine, LayoutBuilder, ProcessId};
+use sift::sim::{Engine, Layout, LayoutBuilder, Process};
 
-fn sifting_participants(
-    n: usize,
-    seed: u64,
-) -> (sift::sim::Layout, Vec<sift::core::SiftingParticipant>) {
+fn sifting_participants(n: usize, seed: u64) -> (Layout, Vec<sift::core::SiftingParticipant>) {
     let mut b = LayoutBuilder::new();
     let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
     let layout = b.build();
     let split = SeedSplitter::new(seed);
-    let procs = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            c.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
     (layout, procs)
 }
 
-/// The simulator's engine resumes a state machine immediately after its
-/// op executes, so "one op per scheduled slot" in the lockstep driver is
-/// the same discipline — outcomes must match exactly.
+/// Asserts that a lockstep run of `build()`'s processes over each
+/// threaded memory decides exactly what the simulator decides under
+/// round robin. The simulator's engine resumes a state machine
+/// immediately after its op executes, so "one op per scheduled slot"
+/// in the lockstep driver is the same discipline.
+fn assert_lockstep_matches_simulator<P>(n: usize, seed: u64, build: impl Fn() -> (Layout, Vec<P>))
+where
+    P: Process<Value = sift::core::Persona, Output = sift::core::Persona>,
+{
+    let inputs =
+        |outputs: Vec<P::Output>| -> Vec<u64> { outputs.into_iter().map(|p| p.input()).collect() };
+    let (layout, procs) = build();
+    let sim = inputs(
+        Engine::new(&layout, procs)
+            .run(RoundRobin::new(n))
+            .unwrap_outputs(),
+    );
+    let lock_free = inputs(run_lockstep_on(&LockFreeMemory::new(&layout), build().1));
+    let coarse = inputs(run_lockstep_on(&CoarseMemory::new(&layout), build().1));
+    assert_eq!(sim, lock_free, "seed {seed}: lock-free");
+    assert_eq!(sim, coarse, "seed {seed}: lock-based");
+}
+
 #[test]
 fn lockstep_threads_match_simulator_exactly() {
     for seed in 0..20 {
-        let n = 9;
-        let (layout, procs) = sifting_participants(n, seed);
-        let sim_outputs: Vec<u64> = Engine::new(&layout, procs)
-            .run(RoundRobin::new(n))
-            .unwrap_outputs()
-            .into_iter()
-            .map(|p| p.input())
-            .collect();
-
-        let (layout2, procs2) = sifting_participants(n, seed);
-        let atomic_outputs: Vec<u64> = run_lockstep(&layout2, procs2)
-            .into_iter()
-            .map(|p| p.input())
-            .collect();
-
-        assert_eq!(sim_outputs, atomic_outputs, "seed {seed}");
+        assert_lockstep_matches_simulator(9, seed, || sifting_participants(9, seed));
     }
 }
 
@@ -55,37 +53,21 @@ fn lockstep_threads_match_simulator_exactly() {
 fn lockstep_matches_for_snapshot_conciliator_too() {
     for seed in 0..10 {
         let n = 6;
-        let build = |seed: u64| {
+        assert_lockstep_matches_simulator(n, seed, || {
             let mut b = LayoutBuilder::new();
             let c = SnapshotConciliator::allocate(&mut b, n, Epsilon::HALF);
             let layout = b.build();
             let split = SeedSplitter::new(seed);
-            let procs: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    c.participant(ProcessId(i), 10 + i as u64, &mut rng)
-                })
-                .collect();
+            let procs = split.processes(n, |pid, rng| {
+                c.participant(pid, 10 + pid.index() as u64, rng)
+            });
             (layout, procs)
-        };
-        let (layout, procs) = build(seed);
-        let sim: Vec<u64> = Engine::new(&layout, procs)
-            .run(RoundRobin::new(n))
-            .unwrap_outputs()
-            .into_iter()
-            .map(|p| p.input())
-            .collect();
-        let (layout2, procs2) = build(seed);
-        let atomic: Vec<u64> = run_lockstep(&layout2, procs2)
-            .into_iter()
-            .map(|p| p.input())
-            .collect();
-        assert_eq!(sim, atomic, "seed {seed}");
+        });
     }
 }
 
 /// Free-running threads (the OS schedules) still satisfy validity and
-/// exact step counts.
+/// exact step counts, on either memory.
 #[test]
 fn free_threads_preserve_protocol_invariants() {
     let n = 6;
@@ -94,9 +76,16 @@ fn free_threads_preserve_protocol_invariants() {
         let mut b = LayoutBuilder::new();
         SiftingConciliator::allocate(&mut b, n, Epsilon::HALF).rounds() as u64
     };
-    let report = run_threads(&layout, procs);
-    for p in &report.outputs {
-        assert!(p.input() < n as u64);
+    let lock_free = LockFreeMemory::new(&layout);
+    let coarse = CoarseMemory::new(&layout);
+    let reports = [
+        drive_threads(procs, |_, op| lock_free.execute(op)),
+        drive_threads(sifting_participants(n, 5).1, |_, op| coarse.execute(op)),
+    ];
+    for report in reports {
+        for p in &report.outputs {
+            assert!(p.input() < n as u64);
+        }
+        assert!(report.ops.iter().all(|&o| o == rounds));
     }
-    assert!(report.ops.iter().all(|&o| o == rounds));
 }

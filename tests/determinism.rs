@@ -17,12 +17,7 @@ fn run_sifting(master: u64, schedule_seed: u64) -> (Vec<u64>, Metrics) {
     let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
     let layout = b.build();
     let split = SeedSplitter::new(master);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            c.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
     let report = Engine::new(&layout, procs).run(RandomInterleave::new(n, schedule_seed));
     let outputs = report
         .outputs
@@ -70,12 +65,7 @@ fn schedule_seed_changes_only_the_schedule() {
         let c = SnapshotConciliator::allocate(&mut b, n, Epsilon::HALF);
         let layout = b.build();
         let split = SeedSplitter::new(1234);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), value, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| c.participant(pid, value, rng));
         let report = Engine::new(&layout, procs).run(RandomInterleave::new(n, schedule_seed));
         outputs_per_seed.push(
             report
@@ -102,12 +92,7 @@ fn sifting_report(
     let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
     let layout = b.build();
     let split = SeedSplitter::new(master);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            c.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
     if legacy {
         let mut engine = LegacyEngine::new(&layout, procs);
         engine.enable_trace();
@@ -184,12 +169,7 @@ fn event_engine_matches_legacy_under_slot_limits() {
         let layout = b.build();
         let split = SeedSplitter::new(5);
         let build = |c: &SiftingConciliator| {
-            (0..16)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    c.participant(ProcessId(i), i as u64, &mut rng)
-                })
-                .collect::<Vec<_>>()
+            split.processes(16, |pid, rng| c.participant(pid, pid.index() as u64, rng))
         };
         let mut old_e = LegacyEngine::new(&layout, build(&c));
         old_e.limit_slots(limit);
@@ -215,12 +195,7 @@ fn sifting_report_with_semantics(
     let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
     let layout = b.build();
     let split = SeedSplitter::new(master);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            c.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
     let mut engine = Engine::new(&layout, procs);
     engine.enable_trace();
     engine.set_register_semantics(semantics);

@@ -368,12 +368,7 @@ fn sifting_conciliator_is_valid_under_all_traces_of_two() {
         let layout = builder.build();
         let factory = || {
             let split = SeedSplitter::new(seed);
-            (0..2)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    c.participant(ProcessId(i), inputs[i], &mut rng)
-                })
-                .collect::<Vec<_>>()
+            split.processes(2, |pid, rng| c.participant(pid, inputs[pid.index()], rng))
         };
         let stats: McStats = check_dpor(&layout, factory, McOptions::new(500_000), |outputs| {
             try_check_validity(&inputs, outputs)?;
@@ -399,12 +394,7 @@ fn sifting_conciliator_is_valid_under_one_crash() {
         let layout = builder.build();
         let factory = || {
             let split = SeedSplitter::new(seed);
-            (0..2)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    c.participant(ProcessId(i), inputs[i], &mut rng)
-                })
-                .collect::<Vec<_>>()
+            split.processes(2, |pid, rng| c.participant(pid, inputs[pid.index()], rng))
         };
         check_dpor(
             &layout,

@@ -7,10 +7,11 @@
 //! histories instead of taking the locks' word for it. Workloads are
 //! generated from the in-tree seeded RNG (the workspace is offline, so
 //! no property-testing crate; seeds make every failure reproducible) and
-//! run both free-threaded and in lockstep. A hand-built
+//! run both free-threaded and in lockstep, over the lock-free objects
+//! and over their lock-based references alike. A hand-built
 //! non-linearizable history keeps the checker itself honest.
 
-use sift::shmem::{run_lockstep_recorded, run_threads_recorded};
+use sift::shmem::{run_lockstep_recorded, run_threads_recorded, CoarseMemory, LockFreeMemory};
 use sift::sim::mc::{check_linearizable, History, HistoryEntry, ObjectKey};
 use sift::sim::rng::{SeedSplitter, Xoshiro256StarStar};
 use sift::sim::{
@@ -93,18 +94,6 @@ fn mixed_instance(seed: u64, n: usize, ops_per_proc: usize) -> (Layout, Vec<Rand
     (layout, procs)
 }
 
-/// A workload touching exactly one primitive, for focused histories of
-/// each lock-free object in isolation.
-fn focused_workload(
-    rng: &mut Xoshiro256StarStar,
-    pid: ProcessId,
-    layout_op: impl Fn(&mut Xoshiro256StarStar, ProcessId) -> Op<u64>,
-    len: usize,
-) -> RandomWorkload {
-    let ops = (0..len).map(|_| layout_op(rng, pid)).collect();
-    RandomWorkload { ops, next: 0 }
-}
-
 /// A pre-generated operation sequence over an arbitrary value type —
 /// the value-generic sibling of [`RandomWorkload`], for histories of
 /// the register paths whose representation depends on the value type
@@ -126,6 +115,29 @@ impl<V: Value> Process for TypedWorkload<V> {
         } else {
             Step::Done(self.ops.len())
         }
+    }
+}
+
+/// Captures a free-threaded history of `procs` over each memory — the
+/// lock-free objects, then their lock-based references — and checks
+/// that it records all `expected_ops` operations, is well formed, and
+/// linearizes.
+fn check_threaded_histories<P>(layout: &Layout, procs: Vec<P>, expected_ops: usize, seed: u64)
+where
+    P: Process<Output = usize> + Clone + Send,
+    P::Value: PartialEq,
+{
+    let runs = [
+        run_threads_recorded(LockFreeMemory::new(layout), procs.clone()),
+        run_threads_recorded(CoarseMemory::new(layout), procs),
+    ];
+    for (report, history) in runs {
+        assert_eq!(report.total_ops(), expected_ops as u64, "seed {seed}");
+        assert_eq!(history.len(), expected_ops, "seed {seed}");
+        history
+            .check_well_formed()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        check_linearizable(layout, &history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 
@@ -153,9 +165,7 @@ fn check_register_histories<V: Value + PartialEq>(tag: &str, mut value: impl FnM
                 TypedWorkload { ops, next: 0 }
             })
             .collect();
-        let (_, history) = run_threads_recorded(&layout, procs);
-        history.check_well_formed().unwrap();
-        check_linearizable(&layout, &history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        check_threaded_histories(&layout, procs, 4 * 8, seed);
     }
 }
 
@@ -182,45 +192,17 @@ fn check_max_register_histories<V: Value + PartialEq>(tag: &str, mut value: impl
                 TypedWorkload { ops, next: 0 }
             })
             .collect();
-        let (_, history) = run_threads_recorded(&layout, procs);
-        history.check_well_formed().unwrap();
-        check_linearizable(&layout, &history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        check_threaded_histories(&layout, procs, 4 * 8, seed);
     }
 }
 
-/// Threaded histories of the lock-free register alone must linearize.
+/// Threaded histories of the register alone must linearize.
 #[test]
 fn threaded_register_histories_linearize() {
-    for seed in 0..10 {
-        let mut b = LayoutBuilder::new();
-        let regs = b.registers(2);
-        let layout = b.build();
-        let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..4)
-            .map(|i| {
-                let mut rng = split.stream("reg", i as u64);
-                focused_workload(
-                    &mut rng,
-                    ProcessId(i),
-                    |rng, _| {
-                        let r = regs[rng.range_u64(regs.len() as u64) as usize];
-                        if rng.range_u64(2) == 0 {
-                            Op::RegisterRead(r)
-                        } else {
-                            Op::RegisterWrite(r, rng.next_u64() % 50)
-                        }
-                    },
-                    8,
-                )
-            })
-            .collect();
-        let (_, history) = run_threads_recorded(&layout, procs);
-        history.check_well_formed().unwrap();
-        check_linearizable(&layout, &history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-    }
+    check_register_histories("reg", |v| v);
 }
 
-/// Threaded histories of the lock-free snapshot alone must linearize.
+/// Threaded histories of the snapshot alone must linearize.
 #[test]
 fn threaded_snapshot_histories_linearize() {
     for seed in 0..10 {
@@ -231,56 +213,26 @@ fn threaded_snapshot_histories_linearize() {
         let procs: Vec<_> = (0..4)
             .map(|i| {
                 let mut rng = split.stream("snap", i as u64);
-                focused_workload(
-                    &mut rng,
-                    ProcessId(i),
-                    |rng, pid| {
+                let ops = (0..8)
+                    .map(|_| {
                         if rng.range_u64(2) == 0 {
                             Op::SnapshotScan(snap)
                         } else {
-                            Op::SnapshotUpdate(snap, pid.index(), rng.next_u64() % 50)
+                            Op::SnapshotUpdate(snap, i, rng.next_u64() % 50)
                         }
-                    },
-                    8,
-                )
+                    })
+                    .collect();
+                RandomWorkload { ops, next: 0 }
             })
             .collect();
-        let (_, history) = run_threads_recorded(&layout, procs);
-        history.check_well_formed().unwrap();
-        check_linearizable(&layout, &history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        check_threaded_histories(&layout, procs, 4 * 8, seed);
     }
 }
 
-/// Threaded histories of the lock-free max register alone must
-/// linearize.
+/// Threaded histories of the max register alone must linearize.
 #[test]
 fn threaded_max_register_histories_linearize() {
-    for seed in 0..10 {
-        let mut b = LayoutBuilder::new();
-        let m = b.max_register();
-        let layout = b.build();
-        let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..4)
-            .map(|i| {
-                let mut rng = split.stream("max", i as u64);
-                focused_workload(
-                    &mut rng,
-                    ProcessId(i),
-                    |rng, _| {
-                        if rng.range_u64(2) == 0 {
-                            Op::MaxRead(m)
-                        } else {
-                            Op::MaxWrite(m, rng.range_u64(10), rng.next_u64() % 50)
-                        }
-                    },
-                    8,
-                )
-            })
-            .collect();
-        let (_, history) = run_threads_recorded(&layout, procs);
-        history.check_well_formed().unwrap();
-        check_linearizable(&layout, &history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-    }
+    check_max_register_histories("max", |v| v);
 }
 
 /// The inline seqlock register path (16-byte payloads): threaded
@@ -324,13 +276,7 @@ fn threaded_published_max_register_histories_linearize() {
 fn threaded_histories_linearize() {
     for seed in 0..20 {
         let (layout, procs) = mixed_instance(seed, 4, 8);
-        let (report, history) = run_threads_recorded(&layout, procs);
-        assert_eq!(report.total_ops(), 4 * 8, "seed {seed}");
-        assert_eq!(history.len(), 4 * 8, "seed {seed}");
-        history
-            .check_well_formed()
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        check_linearizable(&layout, &history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        check_threaded_histories(&layout, procs, 4 * 8, seed);
     }
 }
 
@@ -340,12 +286,17 @@ fn threaded_histories_linearize() {
 fn lockstep_histories_linearize() {
     for seed in 0..10 {
         let (layout, procs) = mixed_instance(seed, 5, 6);
-        let (outputs, history) = run_lockstep_recorded(&layout, procs);
-        assert_eq!(outputs, vec![6; 5], "seed {seed}");
-        history
-            .check_well_formed()
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        check_linearizable(&layout, &history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let runs = [
+            run_lockstep_recorded(LockFreeMemory::new(&layout), procs.clone()),
+            run_lockstep_recorded(CoarseMemory::new(&layout), procs),
+        ];
+        for (outputs, history) in runs {
+            assert_eq!(outputs, vec![6; 5], "seed {seed}");
+            history
+                .check_well_formed()
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            check_linearizable(&layout, &history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        }
     }
 }
 

@@ -10,7 +10,7 @@ use sift::adopt_commit::DigitAc;
 use sift::consensus::log::ReplicatedLog;
 use sift::core::{Epsilon, SiftingConciliator};
 use sift::sim::rng::SeedSplitter;
-use sift::sim::{Engine, LayoutBuilder, ProcessId};
+use sift::sim::{Engine, LayoutBuilder};
 
 /// Log safety: identical logs, every entry proposed by someone, and
 /// each replica's own committed commands appear in FIFO order.
@@ -33,17 +33,14 @@ fn replicated_log_is_safe() {
         );
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                // Replica i proposes commands i*10, i*10+1, … (< 64).
-                let commands: Vec<u64> = (0..commands_per_replica as u64)
-                    .map(|k| (i as u64) * 10 + k)
-                    .collect();
-                log.participant(ProcessId(i), commands, &mut rng)
-            })
-            .collect();
-        let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
+        let procs = split.processes(n, |pid, rng| {
+            // Replica i proposes commands i*10, i*10+1, … (< 64).
+            let commands: Vec<u64> = (0..commands_per_replica as u64)
+                .map(|k| (pid.index() as u64) * 10 + k)
+                .collect();
+            log.participant(pid, commands, rng)
+        });
+        let report = Engine::new(&layout, procs).run(kind.build(n, split.schedule_seed()));
         let logs = report.unwrap_outputs();
 
         // Agreement: all replicas hold the same log, full length.

@@ -12,7 +12,7 @@ use sift::core::{
 };
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::RandomInterleave;
-use sift::sim::{Engine, LayoutBuilder, ProcessId};
+use sift::sim::{Engine, LayoutBuilder};
 use sift_bench::exec::map_reduce;
 use sift_bench::stats::RoundExcess;
 
@@ -29,14 +29,8 @@ where
     let c = build(&mut b);
     let layout = b.build();
     let split = SeedSplitter::new(seed);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            c.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
-    let report =
-        Engine::new(&layout, procs).run(RandomInterleave::new(n, split.seed("schedule", 0)));
+    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
+    let report = Engine::new(&layout, procs).run(RandomInterleave::new(n, split.schedule_seed()));
     let counts = distinct_per_round(report.processes.iter().map(|p| p.history()));
     let total = report.metrics.total_steps;
     let agreed = {
@@ -114,14 +108,9 @@ fn theorem3_total_work_and_agreement() {
             let c = EmbeddedConciliator::allocate(&mut b, n);
             let layout = b.build();
             let split = SeedSplitter::new(seed);
-            let procs: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    c.participant(ProcessId(i), i as u64, &mut rng)
-                })
-                .collect();
-            let report = Engine::new(&layout, procs)
-                .run(RandomInterleave::new(n, split.seed("schedule", 0)));
+            let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
+            let report =
+                Engine::new(&layout, procs).run(RandomInterleave::new(n, split.schedule_seed()));
             use std::collections::HashSet;
             let outs: HashSet<_> = report.decided().map(|p| p.origin()).collect();
             (report.metrics.total_steps, u64::from(outs.len() == 1))

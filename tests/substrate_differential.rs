@@ -1,17 +1,18 @@
 //! Differential testing of the two shared-memory substrates (and, for
 //! the served stack, the simulator memory the service decides on).
 //!
-//! `sift-shmem` ships a lock-free substrate (the default) and the
-//! original lock-based one (kept behind the `coarse-substrate` feature
-//! for exactly this purpose). Both types are always compiled, so one
-//! binary can drive the *same* deterministic lockstep schedule through
-//! each and demand observational equality: identical operation results
-//! on raw workloads, and identical conciliator outcomes end to end. Any
+//! `sift-shmem` ships a lock-free substrate (`LockFreeMemory`, what
+//! `AtomicMemory` names) and the original lock-based one
+//! (`CoarseMemory`, kept as the reference for exactly this purpose).
+//! Both are always compiled, so one binary drives the *same*
+//! deterministic lockstep schedule through each and demands
+//! observational equality: identical operation results on raw
+//! workloads, and identical conciliator outcomes end to end. Any
 //! divergence would mean one substrate is not implementing the atomic
 //! object semantics the protocols are verified against.
 
 use sift::core::{Conciliator, Epsilon, SiftingConciliator, SnapshotConciliator};
-use sift::shmem::{run_lockstep_on, run_script_on, AtomicMemory, CoarseMemory, LockFreeMemory};
+use sift::shmem::{run_lockstep_on, run_script_on, CoarseMemory, LockFreeMemory};
 use sift::sim::mc::replay_report;
 use sift::sim::rng::{SeedSplitter, Xoshiro256StarStar};
 use sift::sim::{LayoutBuilder, Op, OpResult, Process, ProcessId, Step, Value};
@@ -212,12 +213,7 @@ fn sifting_conciliator_outcomes_agree_across_substrates() {
         let layout = b.build();
         let make_procs = || {
             let split = SeedSplitter::new(seed);
-            (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    c.participant(ProcessId(i), i as u64, &mut rng)
-                })
-                .collect::<Vec<_>>()
+            split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng))
         };
         let on_lockfree = run_lockstep_on(&LockFreeMemory::new(&layout), make_procs());
         let on_coarse = run_lockstep_on(&CoarseMemory::new(&layout), make_procs());
@@ -232,11 +228,6 @@ fn sifting_conciliator_outcomes_agree_across_substrates() {
 /// survivor sets). Coverage-guided schedules exercise interleavings
 /// hand-written differential seeds never reach: solo bursts, stalled
 /// front-runners, crash-truncated prefixes.
-///
-/// Runs against the [`AtomicMemory`] alias, so executing the test suite
-/// once with the default substrate and once under
-/// `--features coarse-substrate` (the `just test-coarse` tier) is the
-/// cross-configuration half of the differential.
 #[test]
 fn fuzz_corpus_replays_agree_across_substrates_and_engine() {
     let config = FuzzConfig {
@@ -262,24 +253,20 @@ fn fuzz_corpus_replays_agree_across_substrates_and_engine() {
     let layout = b.build();
     let make_procs = |seed: u64| {
         let split = SeedSplitter::new(seed);
-        (0..config.n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect::<Vec<_>>()
+        split.processes(config.n, |pid, rng| {
+            c.participant(pid, pid.index() as u64, rng)
+        })
     };
 
     for (idx, script) in campaign.corpus_scripts.iter().enumerate() {
         // Corpus scripts name processes 0..n of the campaign's size.
         let seed = 900 + idx as u64;
         let on_engine = replay_report(&layout, make_procs(seed), script).outputs;
-        let on_atomic = run_script_on(&AtomicMemory::new(&layout), make_procs(seed), script);
         let on_lockfree = run_script_on(&LockFreeMemory::new(&layout), make_procs(seed), script);
         let on_coarse = run_script_on(&CoarseMemory::new(&layout), make_procs(seed), script);
         assert_eq!(
-            on_engine, on_atomic,
-            "corpus script {idx}: engine vs atomic"
+            on_engine, on_lockfree,
+            "corpus script {idx}: engine vs lock-free"
         );
         assert_eq!(
             on_lockfree, on_coarse,
@@ -330,12 +317,9 @@ fn fuzz_corpus_replays_agree_between_atomic_and_always_new_regular() {
     let layout = b.build();
     let make_procs = |seed: u64| {
         let split = SeedSplitter::new(seed);
-        (0..config.n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect::<Vec<_>>()
+        split.processes(config.n, |pid, rng| {
+            c.participant(pid, pid.index() as u64, rng)
+        })
     };
 
     for (idx, script) in campaign.corpus_scripts.iter().enumerate() {
@@ -375,12 +359,9 @@ fn snapshot_conciliator_outcomes_agree_across_substrates() {
         let layout = b.build();
         let make_procs = || {
             let split = SeedSplitter::new(seed);
-            (0..n)
-                .map(|i| {
-                    let mut rng = split.stream("process", i as u64);
-                    c.participant(ProcessId(i), 100 + i as u64, &mut rng)
-                })
-                .collect::<Vec<_>>()
+            split.processes(n, |pid, rng| {
+                c.participant(pid, 100 + pid.index() as u64, rng)
+            })
         };
         let on_lockfree = run_lockstep_on(&LockFreeMemory::new(&layout), make_procs());
         let on_coarse = run_lockstep_on(&CoarseMemory::new(&layout), make_procs());

@@ -22,10 +22,8 @@ fn sifting_tas_has_exactly_one_winner() {
         let tas = SiftingTas::allocate(&mut b, n);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..n)
-            .map(|i| tas.participant(ProcessId(i), &mut split.stream("process", i as u64)))
-            .collect();
-        let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
+        let procs = split.processes(n, |pid, rng| tas.participant(pid, rng));
+        let report = Engine::new(&layout, procs).run(kind.build(n, split.schedule_seed()));
         assert!(report.outputs.iter().all(Option::is_some), "termination");
         check_tas_properties(&report.outputs);
     });
@@ -42,10 +40,8 @@ fn tournament_tas_has_exactly_one_winner() {
         let tas = TournamentTas::allocate(&mut b, n);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs: Vec<_> = (0..n)
-            .map(|i| tas.participant(ProcessId(i), &mut split.stream("process", i as u64)))
-            .collect();
-        let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
+        let procs = split.processes(n, |pid, rng| tas.participant(pid, rng));
+        let report = Engine::new(&layout, procs).run(kind.build(n, split.schedule_seed()));
         check_tas_properties(&report.outputs);
     });
 }
@@ -63,15 +59,13 @@ fn sifting_tas_tolerates_crashes() {
         let layout = b.build();
         let split = SeedSplitter::new(seed);
         let schedule = CrashSubset::random(
-            RandomInterleave::new(n, split.seed("schedule", 0)),
+            RandomInterleave::new(n, split.schedule_seed()),
             n,
             fraction,
             split.seed("crashes", 0),
         );
         let live = schedule.support().len();
-        let procs: Vec<_> = (0..n)
-            .map(|i| tas.participant(ProcessId(i), &mut split.stream("process", i as u64)))
-            .collect();
+        let procs = split.processes(n, |pid, rng| tas.participant(pid, rng));
         let report = Engine::new(&layout, procs).run(schedule);
         let finished = report.outputs.iter().flatten().count();
         assert_eq!(finished, live, "all live processes must finish");
@@ -96,12 +90,12 @@ fn two_process_tas_is_safe() {
         let tas = TwoProcessTas::allocate(&mut b);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let mut procs = vec![tas.participant(false, &mut split.stream("process", 0))];
+        let mut procs = vec![tas.participant(false, &mut split.process_stream(ProcessId(0)))];
         if both {
-            procs.push(tas.participant(true, &mut split.stream("process", 1)));
+            procs.push(tas.participant(true, &mut split.process_stream(ProcessId(1))));
         }
         let n = procs.len();
-        let report = Engine::new(&layout, procs).run(kind.build(n, split.seed("schedule", 0)));
+        let report = Engine::new(&layout, procs).run(kind.build(n, split.schedule_seed()));
         check_tas_properties(&report.outputs);
         if !both {
             assert_eq!(report.outputs[0], Some(TasOutcome::Won), "solo always wins");

@@ -11,12 +11,7 @@ fn sifting_engine(n: usize, seed: u64) -> (Engine<sift::core::SiftingParticipant
     let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
     let layout = b.build();
     let split = SeedSplitter::new(seed);
-    let procs: Vec<_> = (0..n)
-        .map(|i| {
-            let mut rng = split.stream("process", i as u64);
-            c.participant(ProcessId(i), i as u64, &mut rng)
-        })
-        .collect();
+    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
     (Engine::new(&layout, procs), c.rounds())
 }
 
@@ -70,12 +65,7 @@ fn register_cost_model_multiplies_snapshot_charges() {
         let c = SnapshotConciliator::allocate(&mut b, n, Epsilon::HALF);
         let layout = b.build();
         let split = SeedSplitter::new(4);
-        let procs: Vec<_> = (0..n)
-            .map(|i| {
-                let mut rng = split.stream("process", i as u64);
-                c.participant(ProcessId(i), i as u64, &mut rng)
-            })
-            .collect();
+        let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
         let memory = Memory::with_cost_model(&layout, model);
         Engine::with_memory(memory, procs).run(RoundRobin::new(n))
     };
