@@ -240,10 +240,9 @@ pub fn run_load(config: &LoadConfig) -> LoadReport {
         shard: ShardConfig {
             seed: config.seed,
             capacity: config.capacity,
-            // Load batches are mostly singletons or near-unanimous;
-            // start small and let exhausted attempts escalate.
+            // Every batch commits in phase 1 (round robin), so the
+            // budget only sizes each stack's layout: keep it small.
             base_phases: 2,
-            ..ShardConfig::default()
         },
     }));
     let zipf = Arc::new(Zipf::new(config.instances, config.zipf_theta));

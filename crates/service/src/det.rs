@@ -144,7 +144,7 @@ impl DeterministicService {
 
     /// FNV-1a digest of the full commit-fact stream, metadata included.
     /// Two runs produce equal digests iff they decided the same values
-    /// with the same batches, attempts, phases, and deciding proposals.
+    /// with the same batches, phases, and deciding proposals.
     pub fn digest(&self) -> u64 {
         let mut hash: u64 = 0xcbf29ce484222325;
         let mut mix = |word: u64| {

@@ -46,7 +46,7 @@ pub struct DecideMeta {
     pub seq: u64,
     /// Number of proposals batched into the deciding consensus run.
     pub batch_size: u32,
-    /// Consensus attempts run (1 unless phase escalation retried).
+    /// Consensus runs made: the constant 1, the shard never retries.
     pub attempts: u32,
     /// Conciliator + adopt-commit phases the first decider used.
     pub phases: u32,

@@ -218,7 +218,7 @@ impl Service {
     /// not the workers, so they survive unchanged; every shard is
     /// re-marked dirty so the restarted workers immediately retry the
     /// interrupted work. Decisions are a deterministic function of
-    /// `(seed, shard, instance, attempt)` and batch content, so a retry
+    /// `(seed, shard, instance)` and batch content, so a retry
     /// either finds the fact already in the table or re-decides it
     /// identically — the recovery invariant `tests/service_crash.rs`
     /// checks.

@@ -13,17 +13,20 @@
 //! decided without running anything: validity leaves its value as the
 //! only legal output, and the stack would commit it in phase 1. For
 //! larger batches the stack's shape — its layout, and so its memory —
-//! depends only on `(batch size, phase budget)`, never on the instance,
-//! so the shard keeps the stacks it has built and hands each one out
-//! again with its memory [`reset`](Memory::reset) (DESIGN.md, "What a
-//! decision allocates").
+//! depends only on the batch size (the phase budget is a constant of the
+//! shard), never on the instance, so the shard keeps the stacks it has
+//! built and hands each one out again with its memory
+//! [`reset`](Memory::reset) (DESIGN.md, "What a decision allocates").
 //!
 //! A decision runs on one thread, under the shard's lock, as a
 //! round-robin lockstep ([`drive_lockstep`]) — a schedule fixed in
 //! advance over atomic registers and unit-cost snapshots, which is the
 //! model the paper's guarantees are stated for and the memory that
-//! DPOR, the fuzzer and the conformance suites check. Nothing here
-//! touches the threaded substrate (`sift-shmem`).
+//! DPOR, the fuzzer and the conformance suites check. Under it every
+//! update lands before any scan, so every batch commits in phase 1 and
+//! the stack runs once per decision, with no retry (DESIGN.md, "What
+//! this layer does not provide"). Nothing here touches the threaded
+//! substrate (`sift-shmem`).
 //!
 //! The core is single-owner and synchronous; the async frontend in
 //! [`service`](crate::service) wraps one core per shard in a mutex and
@@ -53,21 +56,19 @@ pub type Waiter = oneshot::Sender<Result<CommitFact, ServiceError>>;
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Master seed; every consensus run draws its randomness from
-    /// `(seed, shard, instance, attempt)`, so decisions are replayable.
+    /// `(seed, shard, instance)`, so decisions are replayable.
     pub seed: u64,
     /// Decided facts retained per shard. When the table exceeds this,
     /// the oldest decided instances are evicted (their facts dropped,
     /// later proposals rejected with
     /// [`ServiceError::Evicted`]). `usize::MAX` retains everything.
     pub capacity: usize,
-    /// Phase budget of the first consensus attempt on a batch of two
-    /// or more. Unanimous batches commit in one phase; contended ones
-    /// need a few more, and an exhausted attempt retries with the
-    /// budget doubled. A batch of one never runs the stack and always
-    /// reports one phase, whatever the budget.
+    /// Phase budget of the one consensus run on a batch of two or more
+    /// (0 is treated as 1). Under the served round-robin schedule every
+    /// batch commits in phase 1, so the budget sizes the stack's layout
+    /// and changes no fact. A batch of one never runs the stack and
+    /// always reports one phase, whatever the budget.
     pub base_phases: usize,
-    /// Cap for the escalating phase budget.
-    pub max_phases: usize,
 }
 
 impl Default for ShardConfig {
@@ -76,7 +77,6 @@ impl Default for ShardConfig {
             seed: 0,
             capacity: usize::MAX,
             base_phases: 4,
-            max_phases: 64,
         }
     }
 }
@@ -151,27 +151,33 @@ pub struct ShardCore {
 type ServedProtocol = ConsensusProtocol<SnapshotConciliator, GafniSnapshotAc<Persona>>;
 
 /// The stacks this shard has built, each with the memory it runs on,
-/// keyed by `(batch size, phase budget)` — all that a stack's layout
-/// depends on.
-#[derive(Debug, Default)]
+/// keyed by batch size — all that a stack's layout depends on, the
+/// phase budget being one constant per shard.
+#[derive(Debug)]
 struct StackCache {
+    phases: usize,
     stacks: Vec<(ServedProtocol, Memory<Persona>)>,
 }
 
 impl StackCache {
-    /// Stacks kept at once. Batch sizes and escalated budgets are few
-    /// in practice; a shard that has seen more shapes than this forgets
-    /// them all and rebuilds what it meets next, so the cache is a
-    /// constant number of stacks, not a function of the traffic.
+    /// Stacks kept at once. Batch sizes are few in practice; a shard
+    /// that has seen more of them than this forgets them all and
+    /// rebuilds what it meets next, so the cache is a constant number
+    /// of stacks, not a function of the traffic.
     const LIMIT: usize = 32;
 
-    /// The stack for `n` participants and `phases` phases, its memory
-    /// fresh. This is the one place a stack is built.
-    fn checkout(&mut self, n: usize, phases: usize) -> &mut (ServedProtocol, Memory<Persona>) {
-        let cached = self
-            .stacks
-            .iter()
-            .position(|(p, _)| p.process_count() == n && p.max_phases() == phases);
+    /// An empty cache whose stacks all get `phases` phases.
+    fn new(phases: usize) -> Self {
+        Self {
+            phases,
+            stacks: Vec::new(),
+        }
+    }
+
+    /// The stack for `n` participants, its memory fresh. This is the
+    /// one place a stack is built.
+    fn checkout(&mut self, n: usize) -> &mut (ServedProtocol, Memory<Persona>) {
+        let cached = self.stacks.iter().position(|(p, _)| p.process_count() == n);
         let index = match cached {
             Some(index) => {
                 self.stacks[index].1.reset();
@@ -185,7 +191,7 @@ impl StackCache {
                 let protocol = ConsensusProtocol::allocate(
                     &mut builder,
                     n,
-                    phases,
+                    self.phases,
                     |b| SnapshotConciliator::allocate(b, n, Epsilon::HALF),
                     |b| GafniSnapshotAc::allocate(b, n, |p: &Persona| p.input()),
                 );
@@ -219,6 +225,7 @@ impl ShardCore {
     pub fn new(id: u16, config: ShardConfig) -> Self {
         Self {
             id,
+            stacks: StackCache::new(config.base_phases.max(1)),
             config,
             inbox: Vec::new(),
             decided: HashMap::new(),
@@ -226,7 +233,6 @@ impl ShardCore {
             evicted: HashSet::new(),
             seq: 0,
             obs: ObsReport::new(),
-            stacks: StackCache::default(),
             grouping: Grouping::default(),
         }
     }
@@ -274,7 +280,7 @@ impl ShardCore {
     /// batch's proposals return to the inbox *untouched* — no fact, no
     /// sequence number, no observation, waiters intact. Because batch
     /// grouping depends only on arrival order and decisions only on
-    /// `(seed, shard, instance, attempt)` and batch content, a retry
+    /// `(seed, shard, instance)` and batch content, a retry
     /// tick after the "restart" decides exactly the facts this tick
     /// would have (provided no new proposals interleave), which is the
     /// crash-recovery invariant the soak tier checks.
@@ -333,14 +339,14 @@ impl ShardCore {
 
     /// Decides one instance's batch and mints its fact.
     fn decide(&mut self, instance: InstanceId, batch: &[Proposal]) -> CommitFact {
-        let (value, decider_phases, attempts) = match batch {
+        let (value, decider_phases) = match batch {
             // A lone proposer's value is the only output validity
-            // allows, and the stack would commit it in phase 1 of its
-            // first attempt: the conciliator returns a lone
-            // participant's own persona and adopt-commit commits a lone
-            // proposal. `tests/substrate_differential.rs` holds this
-            // shortcut to the full stack's `(value, phases)`.
-            [lone] => (lone.value, 1, 1),
+            // allows, and the stack would commit it in phase 1: the
+            // conciliator returns a lone participant's own persona and
+            // adopt-commit commits a lone proposal.
+            // `tests/substrate_differential.rs` holds this shortcut to
+            // the full stack's `(value, phases)`.
+            [lone] => (lone.value, 1),
             _ => self.run_stack(instance, batch),
         };
         let deciding_tag = batch
@@ -355,7 +361,7 @@ impl ShardCore {
                 shard: self.id,
                 seq: self.seq,
                 batch_size: batch.len() as u32,
-                attempts,
+                attempts: 1,
                 phases: decider_phases as u32,
                 deciding_tag,
             },
@@ -368,53 +374,46 @@ impl ShardCore {
         fact
     }
 
-    /// Runs the consensus stack over `batch` until an attempt decides;
-    /// returns the decided value, the phases its decider ran and the
-    /// attempts made.
-    fn run_stack(&mut self, instance: InstanceId, batch: &[Proposal]) -> (u64, usize, u32) {
-        let max_phases = self.config.max_phases.max(1);
-        let mut phases = self.config.base_phases.clamp(1, max_phases);
-        let mut attempt: u64 = 0;
-        loop {
-            let split = self.run_seed(instance, attempt);
-            let (protocol, memory) = self.stacks.checkout(batch.len(), phases);
-            let participants: Vec<_> = batch
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let mut rng = split.stream("participant", i as u64);
-                    protocol.participant(ProcessId(i), p.value, &mut rng)
-                })
-                .collect();
-            let outcomes = drive_lockstep(participants, |_, op| memory.execute(op));
-            // Agreement is absolute, so the first decider speaks for
-            // all; exhausted participants would have adopted the same
-            // value had they been given more phases.
-            if let Some(decision) = outcomes.iter().find_map(|o| match o {
+    /// Runs the consensus stack over `batch` once, at the shard's phase
+    /// budget; returns the decided value and the phases its decider ran.
+    /// Panics if every participant exhausts its phases, which round
+    /// robin cannot produce: better a dead shard than an undecided fact.
+    fn run_stack(&mut self, instance: InstanceId, batch: &[Proposal]) -> (u64, usize) {
+        let split = self.run_seed(instance);
+        let (protocol, memory) = self.stacks.checkout(batch.len());
+        let participants: Vec<_> = batch
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let mut rng = split.stream("participant", i as u64);
+                protocol.participant(ProcessId(i), p.value, &mut rng)
+            })
+            .collect();
+        let outcomes = drive_lockstep(participants, |_, op| memory.execute(op));
+        // Agreement is absolute, so the first decider speaks for all;
+        // exhausted participants would have adopted the same value had
+        // they been given more phases.
+        let decision = outcomes
+            .iter()
+            .find_map(|o| match o {
                 ConsensusOutcome::Decided(d) => Some(d),
                 ConsensusOutcome::Exhausted { .. } => None,
-            }) {
-                return (decision.value, decision.phases, attempt as u32 + 1);
-            }
-            // Every participant exhausted its phases (probability at
-            // most (1-δ)^phases per attempt): retry with a doubled
-            // budget and fresh randomness.
-            attempt += 1;
-            assert!(
-                attempt < 64,
-                "shard {} instance {instance}: 64 consensus attempts all exhausted",
-                self.id
-            );
-            self.obs.add_count("retries", 1);
-            phases = (phases * 2).min(max_phases);
-        }
+            })
+            .unwrap_or_else(|| {
+                panic!(
+                    "shard {} instance {instance}: every participant exhausted its phases",
+                    self.id
+                )
+            });
+        (decision.value, decision.phases)
     }
 
-    /// Seed material for `(seed, shard, instance, attempt)`.
-    fn run_seed(&self, instance: InstanceId, attempt: u64) -> SeedSplitter {
+    /// Seed material for `(seed, shard, instance)`; the constant
+    /// `("attempt", 0)` link is what every pinned digest was minted under.
+    fn run_seed(&self, instance: InstanceId) -> SeedSplitter {
         let shard_seed = SeedSplitter::new(self.config.seed).seed("shard", self.id as u64);
         let instance_seed = SeedSplitter::new(shard_seed).seed("instance", instance.0);
-        SeedSplitter::new(SeedSplitter::new(instance_seed).seed("attempt", attempt))
+        SeedSplitter::new(SeedSplitter::new(instance_seed).seed("attempt", 0))
     }
 
     /// Resolves one proposal, recording latency; a dropped receiver
@@ -531,7 +530,7 @@ mod tests {
             assert_eq!((fact.value, fact.meta.deciding_tag), (42, 9));
             assert_eq!((fact.meta.phases, fact.meta.attempts), (1, 1));
             let obs = core.obs();
-            assert_eq!((obs.count("decided"), obs.count("retries")), (1, 0));
+            assert_eq!(obs.count("decided"), 1);
             assert_eq!(obs.max("max_batch"), 1);
             for name in ["batch_size", "phases"] {
                 let hist = obs.hist(name).unwrap();
@@ -585,21 +584,21 @@ mod tests {
     }
 
     #[test]
-    fn phase_budget_stays_under_max_phases_when_base_exceeds_it() {
-        let config = ShardConfig {
-            base_phases: 8,
-            max_phases: 2,
-            ..ShardConfig::default()
-        };
-        let mut core = ShardCore::new(0, config);
-        for id in 0..16u64 {
+    fn a_zero_phase_budget_is_treated_as_one() {
+        let facts = |base_phases| {
+            let config = ShardConfig {
+                base_phases,
+                ..ShardConfig::default()
+            };
+            let mut core = ShardCore::new(0, config);
             for i in 0..6u64 {
-                core.submit(proposal(id, i % 3, i));
+                core.submit(proposal(1, i % 3, i));
             }
-        }
-        let facts = core.tick();
-        assert_eq!(facts.len(), 16);
-        assert!(facts.iter().all(|f| f.meta.phases <= 2));
+            core.tick()
+        };
+        let zero = facts(0);
+        assert_eq!(zero, facts(1));
+        assert_eq!(zero[0].meta.phases, 1);
     }
 
     #[test]
@@ -710,12 +709,9 @@ mod tests {
 
     #[test]
     fn a_cached_stack_runs_like_a_new_one() {
-        let outcomes = |cache: &mut StackCache, n: usize, phases: usize, seed: u64| {
-            let (protocol, memory) = cache.checkout(n, phases);
-            assert_eq!(
-                (protocol.process_count(), protocol.max_phases()),
-                (n, phases)
-            );
+        let outcomes = |cache: &mut StackCache, n: usize, seed: u64| {
+            let (protocol, memory) = cache.checkout(n);
+            assert_eq!((protocol.process_count(), protocol.max_phases()), (n, 2));
             assert_eq!(memory.ops_executed(), 0, "handed out fresh");
             let split = SeedSplitter::new(seed);
             let participants: Vec<_> = (0..n)
@@ -726,25 +722,22 @@ mod tests {
                 .collect();
             drive_lockstep(participants, |_, op| memory.execute(op))
         };
-        // Shapes repeat, and a retry's doubled budget is a shape of its
-        // own beside the base budget's.
-        let mut warm = StackCache::default();
-        let shapes = [(3, 2), (3, 4), (5, 2), (3, 2), (3, 4), (5, 2), (3, 2)];
-        for (seed, (n, phases)) in shapes.into_iter().enumerate() {
+        let mut warm = StackCache::new(2);
+        for (seed, n) in [3, 4, 5, 3, 4, 5, 3].into_iter().enumerate() {
             assert_eq!(
-                outcomes(&mut warm, n, phases, seed as u64),
-                outcomes(&mut StackCache::default(), n, phases, seed as u64),
-                "n={n} phases={phases} seed={seed}"
+                outcomes(&mut warm, n, seed as u64),
+                outcomes(&mut StackCache::new(2), n, seed as u64),
+                "n={n} seed={seed}"
             );
         }
-        assert_eq!(warm.stacks.len(), 3, "one stack per shape");
+        assert_eq!(warm.stacks.len(), 3, "one stack per batch size");
     }
 
     #[test]
     fn the_stack_cache_holds_a_constant_number_of_stacks() {
-        let mut cache = StackCache::default();
+        let mut cache = StackCache::new(2);
         for n in 2..2 + 3 * StackCache::LIMIT {
-            cache.checkout(n, 2);
+            cache.checkout(n);
             assert!(cache.stacks.len() <= StackCache::LIMIT);
         }
     }

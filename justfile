@@ -68,13 +68,15 @@ conformance:
 # memory agree on the stack the shard decides with), and the negative paths
 # (evictions, zero capacity, cancellation) — each at worker counts
 # 1, 4, and 8 — the crash-recovery suite, the allocations-per-decision
-# gate, plus a small load-generator smoke run. The first line keeps the
+# gate, the served-stack ↔ engine pin in cross_runtime (phase 1 under
+# round robin, phase 2 reachable when interleaved), plus a small
+# load-generator smoke run. The first line keeps the
 # sift-service → sift-shmem edge cut.
 service:
     ! cargo tree -p sift-service -e normal --offline | grep -q sift-shmem
     cargo test -q --test service_agreement --test service_determinism \
         --test service_negative --test substrate_differential \
-        --test decide_allocations --test service_crash
+        --test decide_allocations --test service_crash --test cross_runtime
     cargo test -q -p sift-service
     SIFT_SERVICE_PROPOSALS=50000 SIFT_SERVICE_INSTANCES=5000 \
         cargo run --release -p sift-bench --bin exp -- service

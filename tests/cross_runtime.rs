@@ -2,13 +2,17 @@
 //! the deterministic simulator and on the threaded substrate, and a
 //! lockstep driver over the threaded objects — the lock-free ones and
 //! their lock-based references — reproduces the simulator's outcome
-//! exactly.
+//! exactly. The last test pins the same boundary for the stack the
+//! service decides with: round robin, the served schedule, never leaves
+//! phase 1; a checked random interleaving does.
 
-use sift::core::{Conciliator, Epsilon, SiftingConciliator, SnapshotConciliator};
+use sift::adopt_commit::GafniSnapshotAc;
+use sift::consensus::{ConsensusOutcome, ConsensusProtocol};
+use sift::core::{Conciliator, Epsilon, Persona, SiftingConciliator, SnapshotConciliator};
 use sift::shmem::{drive_threads, run_lockstep_on, CoarseMemory, LockFreeMemory};
 use sift::sim::rng::SeedSplitter;
-use sift::sim::schedule::RoundRobin;
-use sift::sim::{Engine, Layout, LayoutBuilder, Process};
+use sift::sim::schedule::{RandomInterleave, RoundRobin};
+use sift::sim::{drive_lockstep, Engine, Layout, LayoutBuilder, Memory, Process, ProcessId};
 
 fn sifting_participants(n: usize, seed: u64) -> (Layout, Vec<sift::core::SiftingParticipant>) {
     let mut b = LayoutBuilder::new();
@@ -88,4 +92,57 @@ fn free_threads_preserve_protocol_invariants() {
         }
         assert!(report.ops.iter().all(|&o| o == rounds));
     }
+}
+
+/// Where the served stack's phase machinery is dead and where it is
+/// live. `drive_lockstep` over `Memory` (what `ShardCore` runs) and
+/// `Engine::run(RoundRobin)` are the same schedule and agree outcome for
+/// outcome, always deciding in phase 1: every update lands before any
+/// scan. Under `Engine::run(RandomInterleave)` — a schedule the checked
+/// lanes draw, the service never — some runs need phase 2, and the four
+/// phases the shard budgets by default are never exhausted.
+#[test]
+fn served_stack_decides_in_phase_one_under_round_robin_only() {
+    let mut needed_phase_two = 0;
+    for k in [2usize, 4, 8] {
+        let mut b = LayoutBuilder::new();
+        let protocol = ConsensusProtocol::allocate(
+            &mut b,
+            k,
+            4,
+            |b| SnapshotConciliator::allocate(b, k, Epsilon::HALF),
+            |b| GafniSnapshotAc::allocate(b, k, |p: &Persona| p.input()),
+        );
+        let layout = b.build();
+        for seed in 0..100u64 {
+            let participants = || {
+                let split = SeedSplitter::new(seed);
+                (0..k)
+                    .map(|i| {
+                        let mut rng = split.stream("participant", i as u64);
+                        protocol.participant(ProcessId(i), (i as u64 * 7 + seed) % 3, &mut rng)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            // `unwrap_decided` panics on an exhausted participant.
+            let phases = |outcomes: Vec<ConsensusOutcome>| -> Vec<usize> {
+                let phases = outcomes.into_iter().map(|o| o.unwrap_decided().phases);
+                phases.collect()
+            };
+
+            let mut memory: Memory<Persona> = Memory::new(&layout);
+            let served = drive_lockstep(participants(), |_, op| memory.execute(op));
+            let round_robin = Engine::new(&layout, participants())
+                .run(RoundRobin::new(k))
+                .unwrap_outputs();
+            assert_eq!(served, round_robin, "k={k} seed={seed}");
+            assert_eq!(phases(served), vec![1; k], "k={k} seed={seed}");
+
+            let interleaved = Engine::new(&layout, participants())
+                .run(RandomInterleave::new(k, seed))
+                .unwrap_outputs();
+            needed_phase_two += usize::from(phases(interleaved).contains(&2));
+        }
+    }
+    assert_eq!(needed_phase_two, 8, "of 300 random interleavings");
 }

@@ -11,7 +11,7 @@
 //!    schedule nondeterminism to hide behind).
 //! 2. *Across history*: digests must equal the hardcoded values
 //!    captured when this suite was written. Any intentional change to
-//!    sharding, batching, attempt seeding, or the conciliator stack
+//!    sharding, batching, run seeding, or the conciliator stack
 //!    shifts them — bump the constants consciously in the same commit
 //!    and say why, exactly like a golden-file test.
 
@@ -146,4 +146,40 @@ fn stream_replay_preserves_decide_exactly_once() {
             case.seed
         );
     }
+}
+
+/// The served schedule never reaches past phase 1: under
+/// `drive_lockstep`'s round robin every update lands before any scan,
+/// so the phase budget changes no fact. 200 ticks, each proposing k
+/// conflicting values to a fresh instance for every k in 2..=40 (7 800
+/// batches per budget). This is the sweep that lets the shard run its
+/// stack once, with no retry.
+#[test]
+fn every_batch_commits_in_phase_one_at_every_budget() {
+    let digest = |base_phases: usize| {
+        let config = ShardConfig {
+            seed: 0xE5CA,
+            base_phases,
+            ..ShardConfig::default()
+        };
+        let mut svc = DeterministicService::new(4, config);
+        for tick in 0..200u64 {
+            for k in 2..=40u64 {
+                for i in 0..k {
+                    svc.propose(InstanceId(tick * 64 + k), (i * 7 + tick) % k, i);
+                }
+            }
+            for fact in svc.tick_all() {
+                assert_eq!(
+                    (fact.meta.phases, fact.meta.attempts),
+                    (1, 1),
+                    "base_phases {base_phases}: {fact:?}"
+                );
+            }
+        }
+        assert_eq!(svc.stream().len(), 200 * 39);
+        svc.digest()
+    };
+    let digests = [1, 2, 4, 8].map(digest);
+    assert_eq!(digests, [digests[0]; 4], "the phase budget moved a fact");
 }

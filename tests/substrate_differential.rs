@@ -372,25 +372,22 @@ fn snapshot_conciliator_outcomes_agree_across_substrates() {
 /// Served-stack differential: the stack `ShardCore` decides a batch
 /// with — a `ConsensusProtocol` of `SnapshotConciliator` and
 /// `GafniSnapshotAc` phases, one participant per proposal, randomness
-/// from the service's `(seed, shard, instance, attempt)` streams — built
-/// fresh here for every attempt and driven by the one lockstep loop over
-/// both threaded substrates *and* the simulator's `Memory` the service
+/// from the service's `(seed, shard, instance)` streams — built fresh
+/// here for every batch and driven by the one lockstep loop over both
+/// threaded substrates *and* the simulator's `Memory` the service
 /// decides on. Any substrate divergence that survives the protocol stack
 /// would surface here as a different decided value, phase count or step
 /// count.
 ///
 /// Each batch is also put through real `DeterministicService`s, whose
-/// facts must name the outcome of the attempt they report, so the stack
-/// built here cannot drift from what is served. That is the proof of two
-/// things the shard does instead of building this stack per batch: at
-/// k = 1 it decides without running anything (the fresh stack must agree:
-/// the lone value, one phase, one attempt), and at k > 1 it reuses the
-/// stack and memory it built for an earlier batch of the same shape. One
-/// service is fresh per batch; the other lives through all 40 batches,
-/// so its shard decides on warm stacks across changing batch sizes.
-/// (Under the lockstep schedule every one of these batches commits in
-/// its first attempt, so a retry's doubled budget is not reachable from
-/// here; the shard's unit tests cover the cache across budgets.)
+/// facts must name the outcome of that one run, so the stack built here
+/// cannot drift from what is served. That is the proof of two things the
+/// shard does instead of building this stack per batch: at k = 1 it
+/// decides without running anything (the fresh stack must agree: the
+/// lone value, one phase), and at k > 1 it reuses the stack and memory it
+/// built for an earlier batch of the same size. One service is fresh per
+/// batch; the other lives through all 40 batches, so its shard decides
+/// on warm stacks across changing batch sizes.
 #[test]
 fn service_commit_streams_agree_across_substrates() {
     use sift::service::det::DeterministicService;
@@ -424,10 +421,9 @@ fn service_commit_streams_agree_across_substrates() {
 }
 
 /// Replays `fact`'s instance — `values` proposed in order to shard 0 of
-/// a one-shard service under `config` — on a fresh full stack per
-/// attempt, at the budget the shard gives that attempt: the three
-/// memories must agree on every attempt, and the attempt the fact
-/// reports must have decided the fact's `(value, phases)`.
+/// a one-shard service under `config` — on a fresh full stack at the
+/// shard's phase budget: the three memories must agree, and the run must
+/// have decided the fact's `(value, phases)`.
 fn assert_fact_names_a_fresh_stacks_outcome(
     config: &sift::service::ShardConfig,
     values: &[u64],
@@ -441,57 +437,47 @@ fn assert_fact_names_a_fresh_stacks_outcome(
     let k = values.len();
     let shard_seed = SeedSplitter::new(config.seed).seed("shard", 0);
     let instance_seed = SeedSplitter::new(shard_seed).seed("instance", fact.instance.0);
-    // Attempts 0 and 1 always, and as many more as the service made.
-    for attempt in 0..u64::from(fact.meta.attempts).max(2) {
-        let phases = (config.base_phases << attempt).min(config.max_phases);
-        let split = SeedSplitter::new(SeedSplitter::new(instance_seed).seed("attempt", attempt));
-        let mut b = LayoutBuilder::new();
-        let protocol = ConsensusProtocol::allocate(
-            &mut b,
-            k,
-            phases,
-            |b| SnapshotConciliator::allocate(b, k, Epsilon::HALF),
-            |b| GafniSnapshotAc::allocate(b, k, |p: &Persona| p.input()),
-        );
-        let layout = b.build();
-        let participants = || {
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, &value)| {
-                    let mut rng = split.stream("participant", i as u64);
-                    protocol.participant(ProcessId(i), value, &mut rng)
-                })
-                .collect::<Vec<_>>()
-        };
-        let on_lockfree = run_lockstep_on(&LockFreeMemory::new(&layout), participants());
-        let on_coarse = run_lockstep_on(&CoarseMemory::new(&layout), participants());
-        let mut served: Memory<Persona> = Memory::new(&layout);
-        let on_served = drive_lockstep(participants(), |_, op| served.execute(op));
-        let context = format!(
-            "service seed {}, instance {}, batch {k}, attempt {attempt}",
-            config.seed, fact.instance
-        );
-        assert_eq!(on_lockfree, on_coarse, "{context}: substrates diverge");
-        assert_eq!(on_lockfree, on_served, "{context}: served memory diverges");
+    let split = SeedSplitter::new(SeedSplitter::new(instance_seed).seed("attempt", 0));
+    let mut b = LayoutBuilder::new();
+    let protocol = ConsensusProtocol::allocate(
+        &mut b,
+        k,
+        config.base_phases,
+        |b| SnapshotConciliator::allocate(b, k, Epsilon::HALF),
+        |b| GafniSnapshotAc::allocate(b, k, |p: &Persona| p.input()),
+    );
+    let layout = b.build();
+    let participants = || {
+        values
+            .iter()
+            .enumerate()
+            .map(|(i, &value)| {
+                let mut rng = split.stream("participant", i as u64);
+                protocol.participant(ProcessId(i), value, &mut rng)
+            })
+            .collect::<Vec<_>>()
+    };
+    let on_lockfree = run_lockstep_on(&LockFreeMemory::new(&layout), participants());
+    let on_coarse = run_lockstep_on(&CoarseMemory::new(&layout), participants());
+    let mut served: Memory<Persona> = Memory::new(&layout);
+    let on_served = drive_lockstep(participants(), |_, op| served.execute(op));
+    let context = format!(
+        "service seed {}, instance {}, batch {k}",
+        config.seed, fact.instance
+    );
+    assert_eq!(on_lockfree, on_coarse, "{context}: substrates diverge");
+    assert_eq!(on_lockfree, on_served, "{context}: served memory diverges");
 
-        let decision = on_served.iter().find_map(|o| match o {
+    let decision = on_served
+        .iter()
+        .find_map(|o| match o {
             ConsensusOutcome::Decided(d) => Some(d),
             ConsensusOutcome::Exhausted { .. } => None,
-        });
-        if u64::from(fact.meta.attempts) == attempt + 1 {
-            let decision =
-                decision.unwrap_or_else(|| panic!("{context}: the service decided here"));
-            assert_eq!(
-                (fact.value, fact.meta.phases as usize),
-                (decision.value, decision.phases),
-                "{context}: the service serves a different stack"
-            );
-        } else if attempt + 1 < u64::from(fact.meta.attempts) {
-            assert!(
-                decision.is_none(),
-                "{context}: the service retried past a decision"
-            );
-        }
-    }
+        })
+        .unwrap_or_else(|| panic!("{context}: the service decided here"));
+    assert_eq!(
+        (fact.value, fact.meta.phases as usize, fact.meta.attempts),
+        (decision.value, decision.phases, 1),
+        "{context}: the service serves a different stack"
+    );
 }
