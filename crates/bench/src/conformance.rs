@@ -8,8 +8,9 @@
 //! violation rate at 99% confidence ([`cp_lower`]). The claim *fails*
 //! only when the data excludes the paper's bound at that confidence —
 //! so a passing verdict is robust to sampling noise at smoke trial
-//! counts, while a genuinely broken protocol (see the `mutants` feature
-//! of `sift-core`) is refuted decisively.
+//! counts, while a genuinely broken protocol (the biased-coin sifter
+//! `tests/mutants.rs` hands to [`sifting_claims`]) is refuted
+//! decisively.
 //!
 //! Two claim shapes:
 //!
@@ -43,7 +44,7 @@ use sift_core::analysis::{
 use sift_core::math::ceil_log_log;
 use sift_core::{
     distinct_per_round, Conciliator, EmbeddedConciliator, Epsilon, RoundHistory,
-    SiftingConciliator, SnapshotConciliator,
+    SnapshotConciliator,
 };
 use sift_sim::adversary::AdversaryStrength;
 use sift_sim::fuzz::FingerprintHasher;
@@ -52,6 +53,7 @@ use sift_sim::schedule::RandomInterleave;
 use sift_sim::{Engine, LayoutBuilder, RegisterSemantics, Resolution, StopReason};
 
 use crate::exec::{map_reduce, Merge};
+use crate::runner::{sifter, TrialFixture};
 use crate::stats::{cp_lower, Welford, Z_99};
 use crate::table::{fmt_f64, Table};
 
@@ -95,30 +97,10 @@ pub fn run(scale: usize) -> Vec<ClaimResult> {
     assert!(scale > 0, "scale must be positive");
     let mut results = Vec::new();
     results.extend(algorithm1_claims(scale));
-    results.extend(sifting_claims(scale, "", &|b: &mut LayoutBuilder| {
-        SiftingConciliator::allocate(b, SIFTING_N, Epsilon::HALF)
-    }));
+    results.extend(sifting_claims(scale, "", &sifter));
     results.extend(theorem3_claims(scale));
     results.extend(consensus_claims(scale));
     results
-}
-
-/// Runs only the Algorithm 2 claims (Lemmas 2–4, Theorem 2) against a
-/// deliberately broken sifter — the conformance half of mutation
-/// testing. With [`SiftingMutation::BiasedCoin`] the disagreement and
-/// decay claims must fail at smoke trial counts.
-///
-/// Only the `BiasedCoin` mutant is safe here: `StuckRead` can livelock
-/// under an infinite schedule and is instead caught by the slot-limited
-/// fuzzer (see [`crate::fuzz`]).
-///
-/// [`SiftingMutation::BiasedCoin`]: sift_core::SiftingMutation::BiasedCoin
-#[cfg(feature = "mutants")]
-pub fn run_sifting_mutant(scale: usize, mutation: sift_core::SiftingMutation) -> Vec<ClaimResult> {
-    assert!(scale > 0, "scale must be positive");
-    sifting_claims(scale, "mutant.", &move |b: &mut LayoutBuilder| {
-        SiftingConciliator::allocate_mutant(b, SIFTING_N, Epsilon::HALF, mutation)
-    })
 }
 
 /// `exp conformance`: the suite at scale `SIFT_TRIALS` (default 1 =
@@ -422,26 +404,41 @@ fn algorithm1_claims(scale: usize) -> Vec<ClaimResult> {
 
 // ---------------------------------------------------------------------
 // Claim group B: Algorithm 2 (Lemmas 2–4, Theorem 2). Shared with the
-// mutant entry point, so trials are slot-limited (a broken sifter may
+// mutation tests, so trials are slot-limited (a broken sifter may
 // livelock where the correct one terminates).
 // ---------------------------------------------------------------------
 
 const SIFTING_N: usize = 128;
 const SIFTING_TRIALS: usize = 60;
 
-fn sifting_claims(
+/// The Algorithm 2 claims (Lemmas 2–4, Theorem 2), ids prefixed with
+/// `prefix`, against the sifter `build` allocates for the suite's `n`.
+/// [`run`] passes the unmodified protocol; the mutation tests pass a
+/// biased-coin sifter, whose disagreement and decay claims must fail
+/// at smoke trial counts. A conciliator that can livelock under an
+/// infinite schedule is truncated by the slot budget and fails the
+/// step claim.
+///
+/// # Panics
+///
+/// Panics if `scale == 0`.
+pub fn sifting_claims<C>(
     scale: usize,
     prefix: &str,
-    build: &(impl Fn(&mut LayoutBuilder) -> SiftingConciliator + Sync),
-) -> Vec<ClaimResult> {
+    build: &(impl Fn(&mut LayoutBuilder, usize) -> C + Sync),
+) -> Vec<ClaimResult>
+where
+    C: Conciliator,
+    C::Participant: RoundHistory,
+{
+    assert!(scale > 0, "scale must be positive");
     let n = SIFTING_N;
     let trials = SIFTING_TRIALS * scale;
     let master = claim_seed(2);
 
-    let mut b = LayoutBuilder::new();
-    let probe = build(&mut b);
-    let steps_bound = probe.steps_bound().expect("Algorithm 2 is bounded");
-    let rounds = probe.rounds();
+    // Theorem 2: one charged op per round, so the step bound is R.
+    let steps_bound = TrialFixture::new(n, |b| build(b, n)).steps_bound();
+    let rounds = steps_bound as usize;
     let aggressive = ceil_log_log(n as u64) as usize;
     let bounds: Vec<f64> = (1..=rounds)
         .map(|i| sifting_expected_excess(n as u64, i as u32))
@@ -451,7 +448,7 @@ fn sifting_claims(
         trials,
         |index| {
             let seed = crate::exec::trial_seed(master, index);
-            conciliator_trial(n, seed, build)
+            conciliator_trial(n, seed, |b| build(b, n))
         },
         || (PerRound::default(), 0u64, 0u64),
         |(per_round, steps, disagree), t| {
@@ -516,19 +513,12 @@ where
     C: Conciliator,
     C::Participant: RoundHistory,
 {
-    let mut builder = LayoutBuilder::new();
-    let conciliator = build(&mut builder);
-    let layout = builder.build();
+    let fixture = TrialFixture::new(n, build);
     let split = SeedSplitter::new(seed);
-    let procs = split.processes(n, |pid, rng| {
-        conciliator.participant(pid, pid.index() as u64, rng)
-    });
-    let mut engine = Engine::new(&layout, procs);
-    // Generous but finite: a livelocking mutant must terminate the
-    // trial instead of hanging the suite. 16× the per-process bound
-    // (or 64 slots each, whichever is larger) in total.
-    let per_proc = conciliator.steps_bound().unwrap_or(64).max(64);
-    engine.limit_slots(16 * per_proc * n as u64);
+    let mut engine = Engine::new(fixture.layout(), fixture.participants(&split));
+    // A livelocking mutant must terminate the trial instead of hanging
+    // the suite.
+    engine.limit_slots(fixture.slot_budget());
     let report = engine.run(RandomInterleave::new(n, split.schedule_seed()));
     let survivors = distinct_per_round(report.processes.iter().map(|p| p.history()));
     let agreed = report.all_decided() && report.outputs_agree();
@@ -621,9 +611,7 @@ fn negative_decay_case(
     let trials = SIFTING_TRIALS * scale;
     let master = claim_seed(seed_idx);
 
-    let mut b = LayoutBuilder::new();
-    let probe = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
-    let rounds = probe.rounds();
+    let rounds = TrialFixture::new(n, |b| sifter(b, n)).steps_bound() as usize;
     let aggressive = ceil_log_log(n as u64) as usize;
     let bounds: Vec<f64> = (1..=rounds)
         .map(|i| sifting_expected_excess(n as u64, i as u32))
@@ -674,16 +662,10 @@ fn environment_trial(
     strength: AdversaryStrength,
     semantics: RegisterSemantics,
 ) -> Vec<usize> {
-    let mut builder = LayoutBuilder::new();
-    let conciliator = SiftingConciliator::allocate(&mut builder, n, Epsilon::HALF);
-    let layout = builder.build();
+    let fixture = TrialFixture::new(n, |b| sifter(b, n));
     let split = SeedSplitter::new(seed);
-    let procs = split.processes(n, |pid, rng| {
-        conciliator.participant(pid, pid.index() as u64, rng)
-    });
-    let mut engine = Engine::new(&layout, procs);
-    let per_proc = conciliator.steps_bound().unwrap_or(64).max(64);
-    engine.limit_slots(16 * per_proc * n as u64);
+    let mut engine = Engine::new(fixture.layout(), fixture.participants(&split));
+    engine.limit_slots(fixture.slot_budget());
     engine.set_register_semantics(semantics);
     let report = match strength.delay() {
         None => engine.run(RandomInterleave::new(n, split.schedule_seed())),
@@ -710,13 +692,10 @@ fn theorem3_claims(scale: usize) -> Vec<ClaimResult> {
         trials,
         |index| {
             let seed = crate::exec::trial_seed(master, index);
-            let mut b = LayoutBuilder::new();
-            let c = EmbeddedConciliator::allocate(&mut b, n);
-            let layout = b.build();
+            let fixture = TrialFixture::new(n, |b| EmbeddedConciliator::allocate(b, n));
             let split = SeedSplitter::new(seed);
-            let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
-            let report =
-                Engine::new(&layout, procs).run(RandomInterleave::new(n, split.schedule_seed()));
+            let report = Engine::new(fixture.layout(), fixture.participants(&split))
+                .run(RandomInterleave::new(n, split.schedule_seed()));
             let agreed = report.all_decided() && report.outputs_agree();
             let max_indiv = report.metrics.per_process_ops.iter().copied().max();
             (report.metrics.total_ops, max_indiv.unwrap_or(0), agreed)

@@ -15,13 +15,13 @@
 //! empirical face of the adaptive-adversary lower bounds
 //! (Attiya–Censor) the paper contrasts itself against.
 
-use sift_core::{Conciliator, Epsilon, SiftingConciliator, SnapshotConciliator};
+use sift_core::{Epsilon, SnapshotConciliator};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::RandomInterleave;
-use sift_sim::{Engine, LayoutBuilder, Op};
+use sift_sim::{Engine, Op};
 
 use crate::exec::Batch;
-use crate::runner::default_trials;
+use crate::runner::{default_trials, sifter, TrialFixture};
 use crate::stats::{RateCounter, Welford};
 use crate::table::{fmt_f64, Table};
 
@@ -38,12 +38,9 @@ where
 }
 
 fn sifting_run(n: usize, seed: u64, adaptive: bool) -> (bool, usize) {
-    let mut b = LayoutBuilder::new();
-    let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
-    let layout = b.build();
+    let fixture = TrialFixture::new(n, |b| sifter(b, n));
     let split = SeedSplitter::new(seed);
-    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
-    let engine = Engine::new(&layout, procs);
+    let engine = Engine::new(fixture.layout(), fixture.participants(&split));
     let report = if adaptive {
         // Readers of the earliest round go first: nobody is ever sifted.
         engine.run_adaptive(|view| {
@@ -64,12 +61,9 @@ fn sifting_run(n: usize, seed: u64, adaptive: bool) -> (bool, usize) {
 }
 
 fn snapshot_run(n: usize, seed: u64, adaptive: bool) -> (bool, usize) {
-    let mut b = LayoutBuilder::new();
-    let c = SnapshotConciliator::allocate(&mut b, n, Epsilon::HALF);
-    let layout = b.build();
+    let fixture = TrialFixture::new(n, |b| SnapshotConciliator::allocate(b, n, Epsilon::HALF));
     let split = SeedSplitter::new(seed);
-    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
-    let engine = Engine::new(&layout, procs);
+    let engine = Engine::new(fixture.layout(), fixture.participants(&split));
     let report = if adaptive {
         // Ascending current-round priority, each process finishing its
         // update+scan pair before the next starts: everyone sees only

@@ -19,7 +19,7 @@ use sift_sim::{Engine, LayoutBuilder, RegisterSemantics, Resolution};
 
 use crate::conformance::{self, ClaimResult};
 use crate::exec::Batch;
-use crate::runner::default_trials;
+use crate::runner::{default_trials, sifter, TrialFixture};
 use crate::stats::RateCounter;
 use crate::table::{fmt_f64, Table};
 
@@ -270,12 +270,9 @@ fn lattice_trial(
     strength: AdversaryStrength,
     semantics_of: fn(u64) -> RegisterSemantics,
 ) -> (bool, usize) {
-    let mut b = LayoutBuilder::new();
-    let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
-    let layout = b.build();
+    let fixture = TrialFixture::new(n, |b| sifter(b, n));
     let split = SeedSplitter::new(seed);
-    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
-    let mut engine = Engine::new(&layout, procs);
+    let mut engine = Engine::new(fixture.layout(), fixture.participants(&split));
     engine.set_register_semantics(semantics_of(split.seed("regular", 0)));
     let report = match strength.delay() {
         None => engine.run(RandomInterleave::new(n, split.schedule_seed())),
@@ -414,14 +411,11 @@ fn crashes() -> Table {
 }
 
 fn crash_run(n: usize, fraction: f64, seed: u64) -> (usize, usize, bool) {
-    let mut b = LayoutBuilder::new();
-    let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
-    let layout = b.build();
+    let fixture = TrialFixture::new(n, |b| sifter(b, n));
     let split = SeedSplitter::new(seed);
     let schedule = CrashSubset::random(RoundRobin::new(n), n, fraction, split.schedule_seed());
     let live = schedule.support().len();
-    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
-    let report = Engine::new(&layout, procs).run(schedule);
+    let report = Engine::new(fixture.layout(), fixture.participants(&split)).run(schedule);
     let decided = report.decided().count();
     let valid = report.decided().all(|p| p.input() < n as u64);
     (live, decided, valid)

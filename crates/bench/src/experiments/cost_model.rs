@@ -5,31 +5,26 @@
 //! of the model as "practically irrelevant but theoretically
 //! significant" (§5), made quantitative.
 
-use sift_core::{Conciliator, Epsilon, SiftingConciliator, SnapshotConciliator};
+use sift_core::{Epsilon, SnapshotConciliator};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::RoundRobin;
-use sift_sim::{CostModel, Engine, LayoutBuilder, Memory};
+use sift_sim::{CostModel, Engine, Memory};
 
+use crate::runner::{sifter, TrialFixture};
 use crate::table::Table;
 
 fn alg1_steps(n: usize, model: CostModel) -> u64 {
-    let mut b = LayoutBuilder::new();
-    let c = SnapshotConciliator::allocate(&mut b, n, Epsilon::HALF);
-    let layout = b.build();
-    let split = SeedSplitter::new(1);
-    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
-    let memory = Memory::with_cost_model(&layout, model);
+    let fixture = TrialFixture::new(n, |b| SnapshotConciliator::allocate(b, n, Epsilon::HALF));
+    let procs = fixture.participants(&SeedSplitter::new(1));
+    let memory = Memory::with_cost_model(fixture.layout(), model);
     let report = Engine::with_memory(memory, procs).run(RoundRobin::new(n));
     report.metrics.max_individual_steps()
 }
 
 fn alg2_steps(n: usize) -> u64 {
-    let mut b = LayoutBuilder::new();
-    let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
-    let layout = b.build();
-    let split = SeedSplitter::new(1);
-    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
-    let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
+    let fixture = TrialFixture::new(n, |b| sifter(b, n));
+    let procs = fixture.participants(&SeedSplitter::new(1));
+    let report = Engine::new(fixture.layout(), procs).run(RoundRobin::new(n));
     report.metrics.max_individual_steps()
 }
 

@@ -3,15 +3,18 @@
 //! [`sift_sim::fuzz`] owns proposal, coverage, and the corpus; this
 //! module owns what needs a concrete protocol: candidate *evaluation*.
 //! Each candidate genome is compiled to an oblivious schedule, run
-//! against a fresh [`SiftingConciliator`] instance under a generous
-//! slot budget, checked against the protocol's schedule-independent
-//! invariants, and — when a violation reproduces under deterministic
-//! replay of its charged script — greedily shrunk to a 1-minimal
+//! against a fresh instance of the conciliator under test (any
+//! round-structured [`Conciliator`]; [`run_fuzz`] picks the unmodified
+//! sifter) under a generous slot budget, checked against the protocol's
+//! schedule-independent invariants, and — when a violation reproduces
+//! under deterministic replay of its charged script — greedily shrunk
+//! to a 1-minimal
 //! [`FixedSchedule`](sift_sim::schedule::FixedSchedule) script via
 //! [`shrink_schedule_with`].
 //!
 //! The invariants hold for **every** oblivious schedule, so any failure
-//! is a protocol bug (or a deliberately broken `mutants` build):
+//! is a protocol bug (or a deliberately broken conciliator handed to
+//! [`run_fuzz_with`] — the mutation tests in `tests/mutants.rs`):
 //!
 //! 1. *Step bound*: no process performs more than
 //!    [`steps_bound`](sift_core::Conciliator::steps_bound) charged ops.
@@ -33,19 +36,17 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use sift_core::{
-    distinct_per_round, try_check_validity, Conciliator, Epsilon, RoundHistory, SiftingConciliator,
-};
-
+use sift_core::{distinct_per_round, try_check_validity, Conciliator, Persona, RoundHistory};
 use sift_sim::fuzz::{
     interleaving_signature, Evaluation, FingerprintHasher, FuzzFailure, FuzzViolation, Fuzzer,
     ScheduleGenome,
 };
 use sift_sim::mc::{replay_report, shrink_schedule_with};
 use sift_sim::rng::SeedSplitter;
-use sift_sim::{Engine, LayoutBuilder, RunReport, StopReason};
+use sift_sim::{Engine, LayoutBuilder, Process, RunReport, StopReason};
 
 use crate::exec::map_reduce;
+use crate::runner::{sifter, TrialFixture};
 
 /// Parameters of one fuzzing campaign.
 #[derive(Debug, Clone)]
@@ -115,12 +116,11 @@ impl FuzzReport {
 }
 
 /// Runs a fuzzing campaign against the unmodified
-/// [`SiftingConciliator`]. On correct code this finds schedules, not
-/// bugs: expect `violations` to be empty and the corpus to grow.
+/// [`SiftingConciliator`](sift_core::SiftingConciliator). On correct
+/// code this finds schedules, not bugs: expect `violations` to be empty
+/// and the corpus to grow.
 pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
-    run_fuzz_with(config, &|b: &mut LayoutBuilder, n: usize| {
-        SiftingConciliator::allocate(b, n, Epsilon::HALF)
-    })
+    run_fuzz_with(config, &sifter)
 }
 
 /// `exp fuzz`: one campaign and its coverage report. Every violation
@@ -172,22 +172,17 @@ pub fn main(config: &FuzzConfig, out: Option<&Path>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs a campaign against a deliberately broken sifter — the fuzzer
-/// half of mutation testing. `StuckRead` must be caught within the
-/// default smoke budget: reader-first schedules push its per-process
-/// ops past the bound (shrunk to a minimal script), and its persona
-/// convergence livelocks the tail round-robin (reported unshrunk).
-#[cfg(feature = "mutants")]
-pub fn run_fuzz_mutant(config: &FuzzConfig, mutation: sift_core::SiftingMutation) -> FuzzReport {
-    run_fuzz_with(config, &move |b: &mut LayoutBuilder, n: usize| {
-        SiftingConciliator::allocate_mutant(b, n, Epsilon::HALF, mutation)
-    })
-}
-
-fn run_fuzz_with(
+/// [`run_fuzz`] against any round-structured conciliator `build`
+/// allocates for the campaign's `n` — how the mutation tests hand the
+/// fuzzer a deliberately broken sifter.
+pub fn run_fuzz_with<C>(
     config: &FuzzConfig,
-    build: &(impl Fn(&mut LayoutBuilder, usize) -> SiftingConciliator + Sync),
-) -> FuzzReport {
+    build: &(impl Fn(&mut LayoutBuilder, usize) -> C + Sync),
+) -> FuzzReport
+where
+    C: Conciliator,
+    C::Participant: RoundHistory,
+{
     assert!(config.n > 0, "need at least one process");
     assert!(config.population > 0, "need a nonempty generation");
     let split = SeedSplitter::new(config.seed);
@@ -234,33 +229,27 @@ fn run_fuzz_with(
 
 /// Evaluates one candidate genome: run, fingerprint, invariant check,
 /// replay pre-check, shrink.
-pub(crate) fn evaluate(
+pub(crate) fn evaluate<C>(
     n: usize,
     case_seed: u64,
     genome: &ScheduleGenome,
-    build: &impl Fn(&mut LayoutBuilder, usize) -> SiftingConciliator,
-) -> Evaluation {
-    let mut builder = LayoutBuilder::new();
-    let conciliator = build(&mut builder, n);
-    let layout = builder.build();
-    let steps_bound = conciliator
-        .steps_bound()
-        .expect("the sifting conciliator is bounded");
+    build: &impl Fn(&mut LayoutBuilder, usize) -> C,
+) -> Evaluation
+where
+    C: Conciliator,
+    C::Participant: RoundHistory,
+{
+    let fixture = TrialFixture::new(n, |b| build(b, n));
+    let layout = fixture.layout();
+    let steps_bound = fixture.steps_bound();
     let case = SeedSplitter::new(case_seed);
-    let factory = || {
-        case.processes(n, |pid, rng| {
-            conciliator.participant(pid, pid.index() as u64, rng)
-        })
-    };
+    let factory = || fixture.participants(&case);
 
     let env = genome.environment();
     let schedule = genome.compile(n);
-    // A correct sifter finishes every process in R charged ops; skipped
-    // slots of finished processes also count against the budget, so
-    // leave 4× headroom past the compiled prefix before calling a run
-    // livelocked.
-    let budget = schedule.prefix_len() as u64 + 4 * n as u64 * (steps_bound + 2);
-    let mut engine = Engine::new(&layout, factory());
+    // The livelock budget starts counting past the compiled prefix.
+    let budget = schedule.prefix_len() as u64 + fixture.slot_budget();
+    let mut engine = Engine::new(layout, factory());
     engine.enable_trace();
     engine.limit_slots(budget);
     engine.set_register_semantics(env.semantics);
@@ -288,18 +277,16 @@ pub(crate) fn evaluate(
     let fingerprint = h.finish();
 
     let oblivious = env.strength.is_oblivious();
-    let property = |r: &RunReport<sift_core::SiftingParticipant>| {
-        check_invariants(n, steps_bound, oblivious, r)
-    };
+    let property = |r: &RunReport<C::Participant>| check_invariants(n, steps_bound, oblivious, r);
     let failure = property(&report).err().map(|message| {
         // A violation that reproduces under deterministic replay of the
         // charged script shrinks to a 1-minimal script; one that
         // depends on the infinite schedule tail (the slot-limit
         // livelock — replays of the finite script exhaust the schedule
         // instead) is reported unshrunk.
-        if property(&replay_report(&layout, factory(), &script)).is_err() {
+        if property(&replay_report(layout, factory(), &script)).is_err() {
             let (shrunk, message) =
-                shrink_schedule_with(&layout, &factory, script.clone(), &property);
+                shrink_schedule_with(layout, &factory, script.clone(), &property);
             FuzzFailure {
                 message,
                 shrunk: Some(shrunk),
@@ -326,12 +313,15 @@ pub(crate) fn evaluate(
 /// are *oblivious-tier* claims (the paper states its complexity bounds
 /// against the oblivious adversary only), so runs driven by a
 /// stronger-than-oblivious chooser skip them.
-pub(crate) fn check_invariants(
+pub(crate) fn check_invariants<P>(
     n: usize,
     steps_bound: u64,
     oblivious: bool,
-    report: &RunReport<sift_core::SiftingParticipant>,
-) -> Result<(), String> {
+    report: &RunReport<P>,
+) -> Result<(), String>
+where
+    P: Process<Output = Persona> + RoundHistory,
+{
     if oblivious {
         for (pid, &ops) in report.metrics.per_process_ops.iter().enumerate() {
             if ops > steps_bound {
@@ -418,14 +408,12 @@ mod tests {
 
     #[test]
     fn invariant_checker_accepts_a_clean_run() {
-        let mut b = LayoutBuilder::new();
-        let c = SiftingConciliator::allocate(&mut b, 4, Epsilon::HALF);
-        let layout = b.build();
-        let split = SeedSplitter::new(5);
-        let procs = split.processes(4, |pid, rng| c.participant(pid, pid.index() as u64, rng));
-        let report = Engine::new(&layout, procs).run(sift_sim::schedule::RoundRobin::new(4));
+        let fixture = TrialFixture::new(4, |b| sifter(b, 4));
+        let procs = fixture.participants(&SeedSplitter::new(5));
+        let report =
+            Engine::new(fixture.layout(), procs).run(sift_sim::schedule::RoundRobin::new(4));
         assert_eq!(report.stop_reason, StopReason::AllDone);
-        check_invariants(4, c.steps_bound().unwrap(), true, &report).unwrap();
+        check_invariants(4, fixture.steps_bound(), true, &report).unwrap();
     }
 
     /// The extended pool drives candidates through every environment —

@@ -1,5 +1,9 @@
 //! Shared trial machinery: build a protocol, run it under a schedule,
-//! collect agreement/step/survivor data.
+//! collect agreement/step/survivor data. [`TrialFixture`] is the one
+//! place a conciliator trial is built; the experiments' [`run_trial`]
+//! and the checkers ([`fuzz`](crate::fuzz), [`soak`](crate::soak),
+//! [`conformance`](crate::conformance)) all mint their participants
+//! from it.
 //!
 //! Builders are reusable (`Fn`, not `FnOnce`) so one closure can be
 //! shared by every worker of the parallel executor
@@ -7,12 +11,15 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use sift_core::{distinct_per_round, Conciliator, Persona, RoundHistory, SiftingParticipant};
+use sift_core::{
+    distinct_per_round, Conciliator, Epsilon, Persona, RoundHistory, SiftingConciliator,
+};
 use sift_sim::adversary::DelayedChooser;
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::ScheduleKind;
 use sift_sim::{
-    AdaptiveView, Engine, LayoutBuilder, Metrics, Op, Process, ProcessId, RunReport, StopReason,
+    AdaptiveView, Engine, Layout, LayoutBuilder, Metrics, Op, Process, ProcessId, RunReport,
+    StopReason,
 };
 
 /// Result of one conciliator trial.
@@ -58,12 +65,16 @@ pub fn default_trials(wanted: usize) -> usize {
 /// Starving first-round reads of the writes they should have seen keeps
 /// every persona alive — the construction that defeats sifting once the
 /// adversary can inspect process state.
-pub(crate) fn breaker_extract(view: &AdaptiveView<'_, SiftingParticipant>) -> ProcessId {
+pub(crate) fn breaker_extract<P>(view: &AdaptiveView<'_, P>) -> ProcessId
+where
+    P: Process + RoundHistory,
+{
     view.live
         .iter()
         .min_by_key(|(pid, proc, op)| {
             let is_writer = matches!(op, Op::RegisterWrite(_, _));
-            (proc.round(), is_writer, pid.index())
+            // One history entry per completed round.
+            (proc.history().len(), is_writer, pid.index())
         })
         .map(|(pid, _, _)| *pid)
         .expect("run_adaptive only consults a nonempty live set")
@@ -84,33 +95,98 @@ pub(crate) fn breaker_decide(stale: Option<&ProcessId>, live: &[ProcessId]) -> P
 /// delay 0 is the fully adaptive adversary, larger delays the weaker
 /// `Delayed(k)` lattice points (free functions rather than closures so
 /// every caller drives byte-identical adversary behavior).
-pub(crate) fn run_sifting_breaker(
-    engine: Engine<SiftingParticipant>,
-    delay: usize,
-) -> RunReport<SiftingParticipant> {
+pub(crate) fn run_sifting_breaker<P>(engine: Engine<P>, delay: usize) -> RunReport<P>
+where
+    P: Process + RoundHistory,
+{
     let mut chooser = DelayedChooser::new(delay, breaker_extract, breaker_decide);
     engine.run_adaptive(|view| chooser.choose(&view))
 }
 
-/// Builds the conciliator, its `n` participants (process `i` proposes
-/// `i`) and the `kind` schedule from `seed`, and runs them. Returns the
-/// report and the inputs.
+/// The unmodified Algorithm 2 build (`ε = 1/2`) every checker runs
+/// against by default.
+pub fn sifter(builder: &mut LayoutBuilder, n: usize) -> SiftingConciliator {
+    SiftingConciliator::allocate(builder, n, Epsilon::HALF)
+}
+
+/// The seed-independent ingredients of a conciliator trial, built in
+/// one place: the layout, the conciliator allocated in it, and — for
+/// the checkers — its worst-case step bound and the slot budget past
+/// which a run counts as livelocked. Participants are minted per seed,
+/// so one fixture serves a run, its replays and its shrink.
+#[derive(Debug)]
+pub struct TrialFixture<C> {
+    n: usize,
+    layout: Layout,
+    conciliator: C,
+    steps_bound: Option<u64>,
+}
+
+impl<C: Conciliator> TrialFixture<C> {
+    /// Allocates `build`'s conciliator for `n` processes in a fresh
+    /// layout.
+    pub fn new(n: usize, build: impl FnOnce(&mut LayoutBuilder) -> C) -> Self {
+        let mut builder = LayoutBuilder::new();
+        let conciliator = build(&mut builder);
+        Self {
+            n,
+            layout: builder.build(),
+            steps_bound: conciliator.steps_bound(),
+            conciliator,
+        }
+    }
+
+    /// The layout the conciliator's objects live in.
+    pub fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
+    /// The conciliator's worst-case charged ops per participant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the conciliator only has an expected bound.
+    pub fn steps_bound(&self) -> u64 {
+        self.steps_bound
+            .expect("a checked trial needs a worst-case step bound")
+    }
+
+    /// Scheduled slots after which a run counts as livelocked: a
+    /// correct participant finishes in `steps_bound` charged ops, and
+    /// skipped slots of finished processes count too, so leave 4×
+    /// headroom over `n · (steps_bound + 2)`.
+    pub fn slot_budget(&self) -> u64 {
+        4 * self.n as u64 * (self.steps_bound() + 2)
+    }
+
+    /// The inputs [`participants`](Self::participants) propose:
+    /// process `i` proposes `i`.
+    pub fn inputs(&self) -> Vec<u64> {
+        (0..self.n as u64).collect()
+    }
+
+    /// Mints the `n` participants, each drawing its coins from its own
+    /// stream of `split`.
+    pub fn participants(&self, split: &SeedSplitter) -> Vec<C::Participant> {
+        split.processes(self.n, |pid, rng| {
+            self.conciliator.participant(pid, pid.index() as u64, rng)
+        })
+    }
+}
+
+/// Runs `build`'s conciliator under the `kind` schedule, both seeded
+/// from `seed`. Returns the report and the inputs.
 fn run_once<C: Conciliator>(
     n: usize,
     seed: u64,
     kind: ScheduleKind,
     build: impl Fn(&mut LayoutBuilder) -> C,
 ) -> (RunReport<C::Participant>, Vec<u64>) {
-    let mut builder = LayoutBuilder::new();
-    let conciliator = build(&mut builder);
-    let layout = builder.build();
+    let fixture = TrialFixture::new(n, build);
     let split = SeedSplitter::new(seed);
     let schedule = kind.build(n, split.schedule_seed());
-    let inputs: Vec<u64> = (0..n as u64).collect();
-    let participants = split.processes(n, |pid, rng| {
-        conciliator.participant(pid, inputs[pid.index()], rng)
-    });
-    (Engine::new(&layout, participants).run(schedule), inputs)
+    let report = Engine::new(fixture.layout(), fixture.participants(&split)).run(schedule);
+    (report, fixture.inputs())
 }
 
 /// Runs one trial of a history-recording conciliator, collecting

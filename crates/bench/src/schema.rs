@@ -416,17 +416,18 @@ mod tests {
 
     #[test]
     fn the_tracked_files_validate() {
-        // Guard the actual tracked trajectory files when present (the
-        // test runs from the crate dir; the files live at the root).
+        // Guard the actual tracked trajectory files at the workspace
+        // root. A file that cannot be read fails the test: a wrong path
+        // must not pass by checking nothing.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         for name in [
             "BENCH_shmem.json",
             "BENCH_conformance.json",
             "BENCH_adversary.json",
         ] {
-            let path = std::path::Path::new("../..").join(name);
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                validate_bench_json(name, &text).unwrap_or_else(|e| panic!("{name}: {e}"));
-            }
+            let text = std::fs::read_to_string(root.join(name))
+                .unwrap_or_else(|e| panic!("tracked file {name} is unreadable: {e}"));
+            validate_bench_json(name, &text).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 }

@@ -14,8 +14,10 @@
 //!    The recovery claim is that the two canonical commit streams
 //!    stay byte-identical; exactly-once and validity are checked on
 //!    every new fact.
-//! 2. **Sifting lane** — seeded [`SiftingConciliator`] trials at two
-//!    scales under random interleaving, half of them with a random
+//! 2. **Sifting lane** — seeded trials of the conciliator under test
+//!    (the unmodified [`SiftingConciliator`] unless [`run_soak_with`]
+//!    is handed another) at two scales under random interleaving, half
+//!    of them with a random
 //!    quarter of the processes crashed ([`CrashSubset`]). Step-count
 //!    exactness (crash-free trials), liveness of the surviving
 //!    support, agreement, and validity are re-checked per trial, and
@@ -44,7 +46,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use sift_core::{try_check_validity, Conciliator, Epsilon, SiftingConciliator, SiftingParticipant};
+use sift_core::{try_check_validity, Conciliator, Persona, RoundHistory, SiftingConciliator};
 use sift_obs::{json_string, ObsReport, WindowedReport};
 use sift_service::det::DeterministicService;
 use sift_service::runtime::block_on;
@@ -53,10 +55,11 @@ use sift_sim::fuzz::{CorpusEntry, Evaluation, FingerprintHasher, Fuzzer, Gene, S
 use sift_sim::mc::{replay_report, shrink_schedule_with};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::{CrashSubset, RandomInterleave, Schedule};
-use sift_sim::{Engine, LayoutBuilder, RunReport, StopReason};
+use sift_sim::{Engine, LayoutBuilder, Process, RunReport, StopReason};
 
 use crate::conformance::{ALPHA, SLACK};
 use crate::exec::map_reduce;
+use crate::runner::{sifter, TrialFixture};
 use crate::service_load::Zipf;
 use crate::stats::cp_lower;
 use crate::table::Table;
@@ -373,15 +376,16 @@ impl SoakReport {
     }
 }
 
-type Build = Box<dyn Fn(&mut LayoutBuilder, usize) -> SiftingConciliator + Sync>;
+/// Allocates the conciliator under test for `n` processes.
+type Build<C> = Box<dyn Fn(&mut LayoutBuilder, usize) -> C + Sync>;
 
 /// The incremental soak driver: one [`step`](Soak::step) is one
 /// deterministic window. [`run_soak`] wraps it for a fixed window
 /// budget; the wall-clock mode of [`main`] (`SIFT_SOAK_SECS > 0`) calls
 /// `step` until a deadline instead.
-pub struct Soak {
+pub struct Soak<C = SiftingConciliator> {
     config: SoakConfig,
-    build: Build,
+    build: Build<C>,
     split: SeedSplitter,
     window: u64,
     live: DeterministicService,
@@ -396,7 +400,7 @@ pub struct Soak {
     fuzz_coverage: usize,
 }
 
-impl fmt::Debug for Soak {
+impl<C> fmt::Debug for Soak<C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Soak")
             .field("config", &self.config)
@@ -407,31 +411,19 @@ impl fmt::Debug for Soak {
     }
 }
 
-/// The unmodified protocol build every non-mutant soak runs against.
-fn default_build() -> Build {
-    Box::new(|b: &mut LayoutBuilder, n: usize| SiftingConciliator::allocate(b, n, Epsilon::HALF))
-}
-
 impl Soak {
     /// A soak against the unmodified [`SiftingConciliator`].
     pub fn new(config: SoakConfig) -> Self {
-        Self::with_build(config, default_build())
+        Self::with_build(config, Box::new(sifter))
     }
+}
 
-    /// A soak against a deliberately broken sifter — the soak half of
-    /// mutation testing. The sliding-window checker must flag the
-    /// mutant within a bounded number of windows.
-    #[cfg(feature = "mutants")]
-    pub fn new_mutant(config: SoakConfig, mutation: sift_core::SiftingMutation) -> Self {
-        Self::with_build(
-            config,
-            Box::new(move |b: &mut LayoutBuilder, n: usize| {
-                SiftingConciliator::allocate_mutant(b, n, Epsilon::HALF, mutation)
-            }),
-        )
-    }
-
-    fn with_build(config: SoakConfig, build: Build) -> Self {
+impl<C> Soak<C>
+where
+    C: Conciliator,
+    C::Participant: RoundHistory,
+{
+    fn with_build(config: SoakConfig, build: Build<C>) -> Self {
         assert!(config.width > 0, "need at least one window of width");
         let split = SeedSplitter::new(config.seed);
         let shard_config = ShardConfig {
@@ -462,30 +454,13 @@ impl Soak {
         self.window
     }
 
-    /// Every claim key checked each window.
-    fn claim_keys() -> Vec<(&'static str, usize)> {
-        let mut keys = vec![
-            ("service.recovery", SERVICE_SHARDS),
-            ("service.exactly_once", SERVICE_SHARDS),
-            ("service.validity", SERVICE_SHARDS),
-            ("fuzz.invariants", FUZZ_N),
-        ];
-        for &n in &SIFT_SCALES {
-            keys.push(("sift.steps", n));
-            keys.push(("sift.liveness", n));
-            keys.push(("sift.disagreement", n));
-            keys.push(("sift.validity", n));
-        }
-        keys
-    }
-
     /// Runs one window: service traffic with crash injection, sifting
     /// trials, one fuzz generation, then the sliding-window check.
     /// Returns the rows emitted for this window.
     pub fn step(&mut self) -> &[SoakRow] {
         let window = self.window;
         let wsplit = SeedSplitter::new(self.split.seed("window", window));
-        let mut tally: BTreeMap<(String, usize), (u64, u64)> = Self::claim_keys()
+        let mut tally: BTreeMap<(String, usize), (u64, u64)> = claim_keys()
             .into_iter()
             .map(|(claim, scale)| ((claim.to_string(), scale), (0, 0)))
             .collect();
@@ -896,6 +871,23 @@ impl Soak {
     }
 }
 
+/// Every claim key checked each window.
+fn claim_keys() -> Vec<(&'static str, usize)> {
+    let mut keys = vec![
+        ("service.recovery", SERVICE_SHARDS),
+        ("service.exactly_once", SERVICE_SHARDS),
+        ("service.validity", SERVICE_SHARDS),
+        ("fuzz.invariants", FUZZ_N),
+    ];
+    for &n in &SIFT_SCALES {
+        keys.push(("sift.steps", n));
+        keys.push(("sift.liveness", n));
+        keys.push(("sift.disagreement", n));
+        keys.push(("sift.validity", n));
+    }
+    keys
+}
+
 /// Violation-rate bound of a claim. Zero except for disagreement,
 /// which the conciliator is only required to reach with probability
 /// `1 - ε` (ε = 1/2 here).
@@ -934,28 +926,25 @@ struct SiftOutcome {
 
 /// Runs one seeded sifting trial, optionally with a crashed quarter of
 /// the processes, and checks the per-trial claims.
-fn sift_trial(
+fn sift_trial<C>(
     n: usize,
     seed: u64,
     crash: bool,
-    build: &impl Fn(&mut LayoutBuilder, usize) -> SiftingConciliator,
-) -> SiftOutcome {
-    let mut builder = LayoutBuilder::new();
-    let conciliator = build(&mut builder, n);
-    let layout = builder.build();
-    let steps_bound = conciliator
-        .steps_bound()
-        .expect("the sifting conciliator is bounded");
+    build: &impl Fn(&mut LayoutBuilder, usize) -> C,
+) -> SiftOutcome
+where
+    C: Conciliator,
+    C::Participant: RoundHistory,
+{
+    let fixture = TrialFixture::new(n, |b| build(b, n));
+    let steps_bound = fixture.steps_bound();
     let split = SeedSplitter::new(seed);
-    let procs = split.processes(n, |pid, rng| {
-        conciliator.participant(pid, pid.index() as u64, rng)
-    });
-    let mut engine = Engine::new(&layout, procs);
+    let mut engine = Engine::new(fixture.layout(), fixture.participants(&split));
     engine.enable_trace();
-    engine.limit_slots(16 * n as u64 * (steps_bound + 2));
+    engine.limit_slots(fixture.slot_budget());
     let schedule_seed = split.schedule_seed();
     let base = RandomInterleave::new(n, schedule_seed);
-    let (report, support): (RunReport<SiftingParticipant>, Vec<usize>) = if crash {
+    let (report, support): (RunReport<C::Participant>, Vec<usize>) = if crash {
         let schedule = CrashSubset::random(base, n, SIFT_CRASH_FRACTION, split.seed("crash", 0));
         let support = schedule.support().iter().map(|p| p.index()).collect();
         (engine.run(schedule), support)
@@ -1026,12 +1015,15 @@ fn replay_property_of(claim: &str) -> Option<ReplayProperty> {
     }
 }
 
-fn check_replay(
+fn check_replay<P>(
     property: ReplayProperty,
     n: usize,
     steps_bound: u64,
-    report: &RunReport<SiftingParticipant>,
-) -> Result<(), String> {
+    report: &RunReport<P>,
+) -> Result<(), String>
+where
+    P: Process<Output = Persona> + RoundHistory,
+{
     match property {
         ReplayProperty::StepOverBound => {
             for (pid, &ops) in report.metrics.per_process_ops.iter().enumerate() {
@@ -1065,28 +1057,25 @@ fn check_replay(
 /// reproduces under deterministic replay of the charged script, and
 /// greedily shrinks it. `None` means the violation did not reproduce
 /// from the finite script (tail-dependent) — reported unshrunk.
-fn shrink_with(
-    build: &impl Fn(&mut LayoutBuilder, usize) -> SiftingConciliator,
+fn shrink_with<C>(
+    build: &impl Fn(&mut LayoutBuilder, usize) -> C,
     property: ReplayProperty,
     n: usize,
     trial_seed: u64,
     script: Vec<usize>,
-) -> Option<(Vec<usize>, String)> {
-    let mut builder = LayoutBuilder::new();
-    let conciliator = build(&mut builder, n);
-    let layout = builder.build();
-    let steps_bound = conciliator
-        .steps_bound()
-        .expect("the sifting conciliator is bounded");
+) -> Option<(Vec<usize>, String)>
+where
+    C: Conciliator,
+    C::Participant: RoundHistory,
+{
+    let fixture = TrialFixture::new(n, |b| build(b, n));
+    let layout = fixture.layout();
+    let steps_bound = fixture.steps_bound();
     let split = SeedSplitter::new(trial_seed);
-    let factory = || {
-        split.processes(n, |pid, rng| {
-            conciliator.participant(pid, pid.index() as u64, rng)
-        })
-    };
-    let check = |r: &RunReport<SiftingParticipant>| check_replay(property, n, steps_bound, r);
-    if check(&replay_report(&layout, factory(), &script)).is_err() {
-        Some(shrink_schedule_with(&layout, &factory, script, &check))
+    let factory = || fixture.participants(&split);
+    let check = |r: &RunReport<C::Participant>| check_replay(property, n, steps_bound, r);
+    if check(&replay_report(layout, factory(), &script)).is_err() {
+        Some(shrink_schedule_with(layout, &factory, script, &check))
     } else {
         None
     }
@@ -1098,48 +1087,49 @@ fn shrink_with(
 /// a replayable property are supported; service-lane violations return
 /// `None`.
 pub fn replay_violation(violation: &SoakViolation) -> Option<String> {
-    replay_violation_with(violation, &default_build())
+    replay_violation_with(violation, &sifter)
 }
 
-/// [`replay_violation`] against a mutant build — verifies that a
-/// script shrunk from a mutant soak still witnesses the bug.
-#[cfg(feature = "mutants")]
-pub fn replay_violation_mutant(
+/// [`replay_violation`] against the conciliator `build` allocates —
+/// verifies that a script shrunk from a [`run_soak_with`] run still
+/// witnesses the bug under a from-seed rebuild.
+pub fn replay_violation_with<C>(
     violation: &SoakViolation,
-    mutation: sift_core::SiftingMutation,
-) -> Option<String> {
-    let build: Build = Box::new(move |b: &mut LayoutBuilder, n: usize| {
-        SiftingConciliator::allocate_mutant(b, n, Epsilon::HALF, mutation)
-    });
-    replay_violation_with(violation, &build)
-}
-
-fn replay_violation_with(
-    violation: &SoakViolation,
-    build: &impl Fn(&mut LayoutBuilder, usize) -> SiftingConciliator,
-) -> Option<String> {
+    build: &impl Fn(&mut LayoutBuilder, usize) -> C,
+) -> Option<String>
+where
+    C: Conciliator,
+    C::Participant: RoundHistory,
+{
     let script = violation.script.as_ref()?;
     let property = replay_property_of(&violation.claim)?;
     let n = violation.scale;
-    let mut builder = LayoutBuilder::new();
-    let conciliator = build(&mut builder, n);
-    let layout = builder.build();
-    let steps_bound = conciliator
-        .steps_bound()
-        .expect("the sifting conciliator is bounded");
-    let split = SeedSplitter::new(violation.seed);
-    let procs = split.processes(n, |pid, rng| {
-        conciliator.participant(pid, pid.index() as u64, rng)
-    });
-    let report = replay_report(&layout, procs, script);
-    check_replay(property, n, steps_bound, &report).err()
+    let fixture = TrialFixture::new(n, |b| build(b, n));
+    let procs = fixture.participants(&SeedSplitter::new(violation.seed));
+    let report = replay_report(fixture.layout(), procs, script);
+    check_replay(property, n, fixture.steps_bound(), &report).err()
 }
 
 /// Runs a soak for `config.windows` windows against the unmodified
 /// protocol. On correct code expect every row to pass and the
 /// violation list to stay empty.
 pub fn run_soak(config: &SoakConfig) -> SoakReport {
-    let mut soak = Soak::new(config.clone());
+    run_soak_with(config, sifter)
+}
+
+/// [`run_soak`] against any round-structured conciliator `build`
+/// allocates. Handed a deliberately broken sifter (the mutation tests
+/// in `tests/mutants.rs`), the sliding-window checker must flag it
+/// within a bounded number of windows and shrink a replayable witness.
+pub fn run_soak_with<C>(
+    config: &SoakConfig,
+    build: impl Fn(&mut LayoutBuilder, usize) -> C + Sync + 'static,
+) -> SoakReport
+where
+    C: Conciliator,
+    C::Participant: RoundHistory,
+{
+    let mut soak = Soak::with_build(config.clone(), Box::new(build));
     for _ in 0..config.windows {
         soak.step();
     }
@@ -1280,18 +1270,6 @@ pub fn main(config: &SoakConfig, secs: u64, json: Option<&Path>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// [`run_soak`] against a deliberately broken sifter. The
-/// sliding-window checker must flag the mutant's claims within a
-/// bounded number of windows and shrink a replayable witness.
-#[cfg(feature = "mutants")]
-pub fn run_soak_mutant(config: &SoakConfig, mutation: sift_core::SiftingMutation) -> SoakReport {
-    let mut soak = Soak::new_mutant(config.clone(), mutation);
-    for _ in 0..config.windows {
-        soak.step();
-    }
-    soak.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1318,7 +1296,7 @@ mod tests {
         );
         assert!(report.all_pass(), "flagged: {:?}", report.flagged());
         // Every claim key appears in every window.
-        assert_eq!(report.rows.len(), 2 * Soak::claim_keys().len());
+        assert_eq!(report.rows.len(), 2 * claim_keys().len());
         assert!(report.fuzz_evaluated > 0);
         assert!(report.service_decided > 0);
     }
@@ -1362,7 +1340,7 @@ mod tests {
         let config = tiny();
         let mut soak = Soak::new(config.clone());
         let first = soak.step().len();
-        assert_eq!(first, Soak::claim_keys().len());
+        assert_eq!(first, claim_keys().len());
         soak.step();
         let stepped = soak.finish();
         assert_eq!(stepped.digest(), run_soak(&config).digest());

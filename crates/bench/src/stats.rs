@@ -39,15 +39,6 @@ impl Summary {
         }
         w.summary()
     }
-
-    /// Summarizes an iterator of integer samples.
-    pub fn of_counts(samples: impl IntoIterator<Item = u64>) -> Self {
-        let mut w = Welford::new();
-        for x in samples {
-            w.push(x as f64);
-        }
-        w.summary()
-    }
 }
 
 /// Streaming mean/variance accumulator (Welford's algorithm) with an
@@ -119,18 +110,6 @@ impl Welford {
         } else {
             self.mean
         }
-    }
-
-    /// One-sided normal-approximation upper confidence bound on the
-    /// population mean: `mean + z·s/√n`. With [`Z_99`] this is the
-    /// conformance suite's 99% mean test.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no samples were absorbed.
-    pub fn mean_ucb(&self, z: f64) -> f64 {
-        let s = self.summary();
-        s.mean + z * s.std_dev / (s.count as f64).sqrt()
     }
 
     /// One-sided normal-approximation lower confidence bound on the
@@ -217,35 +196,6 @@ pub fn binomial_cdf(k: u64, n: u64, p: f64) -> f64 {
         cdf += ln_pmf.exp();
     }
     cdf.min(1.0)
-}
-
-/// One-sided Clopper–Pearson **upper** confidence bound at confidence
-/// `1 - alpha` on a binomial success probability, having observed `x`
-/// successes in `n` trials: the largest `p` not rejected by
-/// `P(X ≤ x) ≥ alpha`.
-///
-/// # Panics
-///
-/// Panics if `n == 0`, `x > n`, or `alpha` is outside `(0, 1)`.
-pub fn cp_upper(x: u64, n: u64, alpha: f64) -> f64 {
-    assert!(n > 0, "need at least one trial");
-    assert!(x <= n, "successes {x} exceed trials {n}");
-    assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
-    if x >= n {
-        return 1.0;
-    }
-    // binomial_cdf(x, n, ·) is strictly decreasing in p: bisect for the
-    // p where it crosses alpha. 60 iterations pin p to ~1e-18.
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if binomial_cdf(x, n, mid) > alpha {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
 }
 
 /// One-sided Clopper–Pearson **lower** confidence bound at confidence
@@ -520,12 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_of_counts() {
-        let s = Summary::of_counts([2u64, 4, 6]);
-        assert!((s.mean - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "empty sample")]
     fn empty_sample_panics() {
         Summary::of(&[]);
@@ -660,19 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn cp_upper_matches_the_zero_successes_closed_form() {
-        // x = 0: the upper bound solves (1-p)^n = alpha, i.e.
-        // p = 1 - alpha^(1/n).
-        for (n, alpha) in [(10u64, 0.05f64), (100, 0.01), (400, 0.01)] {
-            let expect = 1.0 - alpha.powf(1.0 / n as f64);
-            assert!(
-                (cp_upper(0, n, alpha) - expect).abs() < 1e-9,
-                "n={n} alpha={alpha}"
-            );
-        }
-    }
-
-    #[test]
     fn cp_lower_matches_the_all_successes_closed_form() {
         // x = n: the lower bound solves p^n = alpha.
         for (n, alpha) in [(10u64, 0.05f64), (100, 0.01)] {
@@ -683,20 +614,18 @@ mod tests {
             );
         }
         assert_eq!(cp_lower(0, 50, 0.01), 0.0);
-        assert_eq!(cp_upper(50, 50, 0.01), 1.0);
     }
 
     #[test]
     fn cp_interval_brackets_the_empirical_rate() {
-        // The one-sided bounds must straddle x/n and tighten with n.
+        // The lower bound must sit below x/n and tighten with n.
         for (x, n) in [(3u64, 20u64), (17, 100), (250, 1000)] {
             let rate = x as f64 / n as f64;
             let lo = cp_lower(x, n, 0.01);
-            let hi = cp_upper(x, n, 0.01);
-            assert!(lo < rate && rate < hi, "({x},{n}): {lo} < {rate} < {hi}");
+            assert!(lo < rate, "({x},{n}): {lo} < {rate}");
         }
-        let wide = cp_upper(5, 50, 0.01) - cp_lower(5, 50, 0.01);
-        let tight = cp_upper(50, 500, 0.01) - cp_lower(50, 500, 0.01);
+        let wide = 0.1 - cp_lower(5, 50, 0.01);
+        let tight = 0.1 - cp_lower(50, 500, 0.01);
         assert!(tight < wide, "more trials must tighten the interval");
     }
 
@@ -706,23 +635,6 @@ mod tests {
         let (x, n, alpha) = (9u64, 60u64, 0.01);
         let lo = cp_lower(x, n, alpha);
         assert!((1.0 - binomial_cdf(x - 1, n, lo) - alpha).abs() < 1e-9);
-        let hi = cp_upper(x, n, alpha);
-        assert!((binomial_cdf(x, n, hi) - alpha).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_ucb_sits_above_the_mean_by_the_z_margin() {
-        let mut w = Welford::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            w.push(x);
-        }
-        let s = w.summary();
-        let expect = s.mean + Z_99 * s.std_dev / 2.0;
-        assert!((w.mean_ucb(Z_99) - expect).abs() < 1e-12);
-        let mut constant = Welford::new();
-        constant.push(5.0);
-        constant.push(5.0);
-        assert_eq!(constant.mean_ucb(Z_99), 5.0);
     }
 
     #[test]
@@ -731,9 +643,10 @@ mod tests {
         for x in [1.0, 2.0, 3.0, 4.0] {
             w.push(x);
         }
-        let mean = w.mean();
-        assert!((w.mean_ucb(Z_99) - mean - (mean - w.mean_lcb(Z_99))).abs() < 1e-12);
-        assert!(w.mean_lcb(Z_99) < mean);
+        let s = w.summary();
+        let ucb = s.mean + Z_99 * s.std_dev / 2.0;
+        assert!((ucb - s.mean - (s.mean - w.mean_lcb(Z_99))).abs() < 1e-12);
+        assert!(w.mean_lcb(Z_99) < s.mean);
     }
 
     #[test]

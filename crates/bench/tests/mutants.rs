@@ -1,29 +1,227 @@
-//! Mutation testing of the test-stack itself: the deliberately broken
-//! sifting variants behind `sift-core`'s `mutants` feature must be
-//! caught within the CI smoke budget, or the fuzzer and conformance
-//! layers are theater.
-//!
-//! Run with `cargo test -p sift-bench --features mutants --test mutants`
-//! (the `just conformance` / CI `conformance-smoke` recipes do).
+//! Mutation testing of the test-stack itself: two deliberately broken
+//! sifters, written here as ordinary test code over `sift-core`'s
+//! public API, must be caught within the CI smoke budget by the same
+//! generic entry points that check the shipped protocol
+//! (`conformance::sifting_claims`, `fuzz::run_fuzz_with`,
+//! `soak::run_soak_with`) — or the fuzzer, conformance and soak layers
+//! are theater. Runs under the plain `cargo test`.
 //!
 //! Division of labor (see `DESIGN.md`):
 //!
-//! * `BiasedCoin` is *statistical* — every single run looks fine, only
-//!   the disagreement rate is wrong, so the conformance layer's
+//! * [`biased_coin`] is *statistical* — every single run looks fine,
+//!   only the disagreement rate is wrong, so the conformance layer's
 //!   Clopper–Pearson test must refute it.
-//! * `StuckRead` is *schedule-dependent* — reader-first interleavings
+//! * [`StuckRead`] is *schedule-dependent* — reader-first interleavings
 //!   push a process past the exact `R`-step bound of Theorem 2, and its
 //!   persona convergence livelocks round-robin tails; the fuzzer must
 //!   find both and shrink the reproducible one to a minimal script.
-#![cfg(feature = "mutants")]
 
 use sift_bench::conformance;
-use sift_bench::fuzz::{run_fuzz_mutant, FuzzConfig};
-use sift_core::SiftingMutation;
+use sift_bench::fuzz::{run_fuzz_with, FuzzConfig};
+use sift_bench::runner::{sifter, TrialFixture};
+use sift_core::{Conciliator, Epsilon, Persona, RoundHistory, SiftingConciliator};
+use sift_sim::rng::{SeedSplitter, Xoshiro256StarStar};
+use sift_sim::schedule::{FixedSchedule, RepeatingSchedule};
+use sift_sim::{
+    Engine, LayoutBuilder, Op, OpResult, Process, ProcessId, RegisterId, Step, StopReason,
+};
+
+/// Every write probability doubled (`min(1, 2·p_i)`): the `1/2` tail
+/// becomes all-writers, so tail rounds stop sifting and the
+/// disagreement rate blows past `ε`. Caught by a Clopper–Pearson check,
+/// not by any single run.
+fn biased_coin(builder: &mut LayoutBuilder, n: usize) -> SiftingConciliator {
+    let tuned = sifter(&mut LayoutBuilder::new(), n);
+    let doubled = tuned
+        .write_probabilities()
+        .iter()
+        .map(|p| (2.0 * p).min(1.0))
+        .collect();
+    SiftingConciliator::with_probabilities(builder, n, doubled, Epsilon::HALF)
+}
+
+/// Off-by-one at the round-advance boundary, wrapped around any
+/// register-reading participant: a read that finds the register still
+/// empty does **not** reach the participant, and the read is reissued.
+/// Invisible under writer-first interleavings, but any schedule that
+/// runs a reader before the round's first writer makes the reader
+/// exceed the exact `R`-step bound of Theorem 2.
+struct StuckRead<P> {
+    inner: P,
+    last_read: Option<RegisterId>,
+}
+
+impl<P: Process<Value = Persona>> Process for StuckRead<P> {
+    type Value = Persona;
+    type Output = P::Output;
+
+    fn step(&mut self, prev: Option<OpResult<Persona>>) -> Step<Persona, P::Output> {
+        if let (Some(OpResult::RegisterValue(None)), Some(reg)) = (&prev, self.last_read) {
+            return Step::Issue(Op::RegisterRead(reg));
+        }
+        let step = self.inner.step(prev);
+        self.last_read = match &step {
+            Step::Issue(Op::RegisterRead(reg)) => Some(*reg),
+            _ => None,
+        };
+        step
+    }
+}
+
+impl<P: RoundHistory> RoundHistory for StuckRead<P> {
+    fn history(&self) -> &[ProcessId] {
+        self.inner.history()
+    }
+}
+
+/// A conciliator whose participants are all [`StuckRead`].
+struct StuckReadConciliator<C>(C);
+
+impl<C: Conciliator> Conciliator for StuckReadConciliator<C> {
+    type Participant = StuckRead<C::Participant>;
+
+    fn participant(
+        &self,
+        pid: ProcessId,
+        input: u64,
+        rng: &mut Xoshiro256StarStar,
+    ) -> Self::Participant {
+        StuckRead {
+            inner: self.0.participant(pid, input, rng),
+            last_read: None,
+        }
+    }
+
+    fn steps_bound(&self) -> Option<u64> {
+        self.0.steps_bound()
+    }
+
+    fn agreement_probability(&self) -> f64 {
+        self.0.agreement_probability()
+    }
+}
+
+fn stuck_read(builder: &mut LayoutBuilder, n: usize) -> StuckReadConciliator<SiftingConciliator> {
+    StuckReadConciliator(sifter(builder, n))
+}
+
+#[test]
+fn biased_coin_doubles_probabilities_and_saturates_the_tail() {
+    let mutant = biased_coin(&mut LayoutBuilder::new(), 256);
+    let reference = sifter(&mut LayoutBuilder::new(), 256);
+    for (i, (&m, &r)) in mutant
+        .write_probabilities()
+        .iter()
+        .zip(reference.write_probabilities())
+        .enumerate()
+    {
+        assert!((m - (2.0 * r).min(1.0)).abs() < 1e-12, "round {i}");
+    }
+    // Tail rounds write with certainty: the 3/4 decay of Lemma 4 is
+    // gone.
+    assert!(mutant.write_probabilities()[mutant.aggressive_rounds()..]
+        .iter()
+        .all(|&p| p == 1.0));
+}
+
+#[test]
+fn stuck_read_is_transparent_while_no_read_returns_empty() {
+    // The control the wrapper needs: driven through a run in which
+    // every read finds a persona, `StuckRead` must yield the wrapped
+    // participant's exact op sequence — so whatever the checkers flag
+    // below is the reissued read's doing, not the wrapping's.
+    let n = 4;
+    let split = SeedSplitter::new(3);
+    let plain = TrialFixture::new(n, |b| sifter(b, n)).participants(&split);
+    let wrapped = TrialFixture::new(n, |b| stuck_read(b, n)).participants(&split);
+    let mut reads = 0;
+    for (mut plain, mut wrapped) in plain.into_iter().zip(wrapped) {
+        let seen = plain.persona().clone();
+        let mut prev = None;
+        loop {
+            let step = plain.step(prev.clone());
+            assert_eq!(format!("{step:?}"), format!("{:?}", wrapped.step(prev)));
+            prev = Some(match step {
+                Step::Issue(Op::RegisterWrite(..)) => OpResult::Ack,
+                Step::Issue(Op::RegisterRead(_)) => {
+                    reads += 1;
+                    OpResult::RegisterValue(Some(seen.clone()))
+                }
+                Step::Issue(other) => panic!("a sifter issues register ops only, got {other:?}"),
+                Step::Done(_) => break,
+            });
+        }
+        assert_eq!(plain.history(), wrapped.history());
+    }
+    assert!(
+        reads > 0,
+        "seed 3 gave all-write personae: nothing was checked"
+    );
+}
+
+#[test]
+fn stuck_read_exceeds_the_exact_step_bound_under_reader_first_schedules() {
+    // Find a seed where p0 reads in round 0 (wants_write is pre-flipped
+    // into the persona), then schedule p0 before any writer: the mutant
+    // reissues the read, so p0 is charged more than one op for round 0
+    // and busts the exact R-step bound.
+    for seed in 0..64 {
+        let split = SeedSplitter::new(seed);
+        let fixture = TrialFixture::new(4, |b| stuck_read(b, 4));
+        if fixture.participants(&split)[0]
+            .inner
+            .persona()
+            .wants_write(0)
+        {
+            continue;
+        }
+        let rounds = fixture.steps_bound();
+        // p0 solo twice (two charged reads of the empty register), then
+        // everyone round-robin to completion.
+        let mut script = vec![0usize, 0];
+        for _ in 0..2 * rounds {
+            script.extend(0..4);
+        }
+        let report = Engine::new(fixture.layout(), fixture.participants(&split))
+            .run(FixedSchedule::from_indices(script));
+        assert!(
+            report.metrics.per_process_ops[0] > rounds,
+            "seed {seed}: expected p0 to exceed {rounds} ops, took {}",
+            report.metrics.per_process_ops[0]
+        );
+        return;
+    }
+    panic!("no seed in 0..64 gave p0 a round-0 read");
+}
+
+#[test]
+fn stuck_read_livelocks_where_the_correct_protocol_terminates() {
+    // Solo schedule: a correct participant finishes in exactly R ops
+    // (writes and empty reads both advance the round), while the mutant
+    // spins on its first read round forever — the termination violation
+    // the fuzzer reports as a slot-limit hit.
+    let split = SeedSplitter::new(0);
+    let plain = TrialFixture::new(4, |b| sifter(b, 4));
+    let rounds = plain.steps_bound();
+    let procs = plain.participants(&split);
+    let p0_reads_somewhere = (0..rounds as usize).any(|r| !procs[0].persona().wants_write(r));
+    assert!(p0_reads_somewhere, "seed 0 gave an all-write persona");
+    let solo = vec![0usize; 4 * rounds as usize];
+    let report = Engine::new(plain.layout(), procs).run(FixedSchedule::from_indices(solo));
+    assert_eq!(report.metrics.per_process_ops[0], rounds);
+    assert!(report.outputs[0].is_some());
+
+    let fixture = TrialFixture::new(4, |b| stuck_read(b, 4));
+    let mut engine = Engine::new(fixture.layout(), fixture.participants(&split));
+    engine.limit_slots(4 * rounds);
+    let report = engine.run(RepeatingSchedule::new(vec![ProcessId(0)]));
+    assert_eq!(report.stop_reason, StopReason::SlotLimit);
+    assert!(report.outputs[0].is_none());
+}
 
 #[test]
 fn conformance_refutes_the_biased_coin_mutant() {
-    let results = conformance::run_sifting_mutant(1, SiftingMutation::BiasedCoin);
+    let results = conformance::sifting_claims(1, "mutant.", &biased_coin);
     assert!(
         !conformance::all_pass(&results),
         "the biased-coin mutant must fail at least one sifting claim"
@@ -41,20 +239,8 @@ fn conformance_refutes_the_biased_coin_mutant() {
 }
 
 #[test]
-fn conformance_passes_the_identity_mutant() {
-    // `SiftingMutation::None` compiles the mutant plumbing but leaves
-    // the protocol intact: the same claims must still pass, so a
-    // failure above really is the mutation's doing.
-    let results = conformance::run_sifting_mutant(1, SiftingMutation::None);
-    assert!(
-        conformance::all_pass(&results),
-        "the identity mutant must pass every claim: {results:?}"
-    );
-}
-
-#[test]
 fn fuzzer_catches_and_shrinks_the_stuck_read_mutant() {
-    let report = run_fuzz_mutant(&FuzzConfig::default(), SiftingMutation::StuckRead);
+    let report = run_fuzz_with(&FuzzConfig::default(), &stuck_read);
     assert!(
         !report.violations.is_empty(),
         "the stuck-read mutant must violate an invariant within the smoke budget"
@@ -83,16 +269,6 @@ fn fuzzer_catches_and_shrinks_the_stuck_read_mutant() {
     assert!(rendered.contains("FixedSchedule::from_indices"));
 }
 
-#[test]
-fn fuzzer_reports_no_violations_on_the_identity_mutant() {
-    let report = run_fuzz_mutant(&FuzzConfig::default(), SiftingMutation::None);
-    assert!(
-        report.violations.is_empty(),
-        "identity mutant must be clean, got: {}",
-        report.violations[0]
-    );
-}
-
 mod soak_mutants {
     //! The soak tier's half of mutation testing: the sliding-window
     //! checker must flag an injected mutant within a bounded number of
@@ -100,8 +276,8 @@ mod soak_mutants {
     //! lanes), and every replayable witness must still reproduce under
     //! a from-seed rebuild of the mutant — the claims in E26.
 
-    use sift_bench::soak::{replay_violation_mutant, run_soak_mutant, SoakConfig};
-    use sift_core::SiftingMutation;
+    use super::{biased_coin, stuck_read};
+    use sift_bench::soak::{replay_violation, replay_violation_with, run_soak_with, SoakConfig};
 
     /// The soak must flag a mutant no later than this window (both
     /// mutants empirically flag in window 0; 2 leaves slack for claim
@@ -117,7 +293,7 @@ mod soak_mutants {
 
     #[test]
     fn soak_flags_the_biased_coin_mutant_within_bounded_windows() {
-        let report = run_soak_mutant(&config(4), SiftingMutation::BiasedCoin);
+        let report = run_soak_with(&config(4), biased_coin);
         // The statistical mutant: single runs look fine, but the
         // window LCB of the disagreement rate must clear ε = 1/2.
         let first_flag = report
@@ -143,14 +319,14 @@ mod soak_mutants {
             witness.script.as_ref().unwrap().len() <= witness.shrunk_from,
             "shrinking must not grow the script"
         );
-        let reproduced = replay_violation_mutant(witness, SiftingMutation::BiasedCoin)
+        let reproduced = replay_violation_with(witness, &biased_coin)
             .expect("the shrunk script must reproduce the disagreement");
         assert!(reproduced.contains("disagree"), "got: {reproduced}");
     }
 
     #[test]
     fn soak_flags_and_shrinks_the_stuck_read_mutant() {
-        let report = run_soak_mutant(&config(2), SiftingMutation::StuckRead);
+        let report = run_soak_with(&config(2), stuck_read);
         // The schedule-dependent mutant: the fuzz lane's step-bound
         // invariant and the sifting lane's step/liveness claims all
         // see it.
@@ -168,7 +344,7 @@ mod soak_mutants {
             );
         }
         // At least one violation carries a shrunk FixedSchedule script
-        // that replays against the mutant build.
+        // that replays against the mutant.
         let (witness, script) = report
             .violations
             .iter()
@@ -176,7 +352,7 @@ mod soak_mutants {
             .min_by_key(|(_, s)| s.len())
             .expect("a step-bound violation must shrink to a replayable script");
         assert!(!script.is_empty() && script.len() <= witness.shrunk_from);
-        let reproduced = replay_violation_mutant(witness, SiftingMutation::StuckRead)
+        let reproduced = replay_violation_with(witness, &stuck_read)
             .expect("the shrunk script must reproduce under the mutant");
         assert!(
             reproduced.contains("step bound"),
@@ -185,23 +361,9 @@ mod soak_mutants {
         // Polarity: the same script must NOT witness on the intact
         // protocol — the bug is the mutation's, not the schedule's.
         assert_eq!(
-            sift_bench::soak::replay_violation(witness),
+            replay_violation(witness),
             None,
             "the witness script must be clean on the unmodified protocol"
         );
-    }
-
-    #[test]
-    fn soak_passes_the_identity_mutant() {
-        // Polarity control: the mutant plumbing with `None` compiled
-        // in must pass every claim and record no violations, so the
-        // failures above really are the mutations' doing.
-        let report = run_soak_mutant(&config(2), SiftingMutation::None);
-        assert!(
-            report.violations.is_empty(),
-            "identity mutant must be clean, got: {}",
-            report.violations[0]
-        );
-        assert!(report.all_pass(), "flagged: {:?}", report.flagged());
     }
 }

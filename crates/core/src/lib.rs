@@ -78,7 +78,5 @@ pub use escalating::{EscalatingCilConciliator, EscalatingCilParticipant};
 pub use max_conciliator::{MaxConciliator, MaxParticipant};
 pub use params::{Epsilon, InvalidEpsilon};
 pub use persona::{Persona, PersonaSpec};
-#[cfg(feature = "mutants")]
-pub use sifting::SiftingMutation;
 pub use sifting::{SiftingConciliator, SiftingParticipant};
 pub use snapshot_conciliator::{SnapshotConciliator, SnapshotParticipant};

@@ -50,33 +50,6 @@ pub struct SiftingConciliator {
     probs: Arc<Vec<f64>>,
     n: usize,
     epsilon: Epsilon,
-    #[cfg(feature = "mutants")]
-    mutation: SiftingMutation,
-}
-
-/// Deliberately broken sifting variants, compiled only under the
-/// `mutants` feature, used to mutation-test the fuzzer and the
-/// statistical conformance suite: a healthy test-stack must catch every
-/// variant within its CI smoke budget.
-#[cfg(feature = "mutants")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiftingMutation {
-    /// The unmodified protocol.
-    None,
-    /// Every write probability doubled (`min(1, 2·p_i)`): the `1/2`
-    /// tail becomes all-writers, so tail rounds stop sifting and the
-    /// disagreement rate blows past `ε`. A *statistical* mutant —
-    /// caught by the conformance layer's Clopper–Pearson check, not by
-    /// any single run.
-    BiasedCoin,
-    /// Off-by-one at the round-advance boundary: a read that finds the
-    /// round's register still empty does **not** advance the round and
-    /// reissues the read. A *schedule-dependent* mutant: invisible
-    /// under writer-first interleavings, but any schedule that runs a
-    /// reader before the round's first writer makes the reader exceed
-    /// the exact `R`-step bound of Theorem 2 — which the fuzzer's
-    /// step-bound invariant catches and shrinks.
-    StuckRead,
 }
 
 impl SiftingConciliator {
@@ -107,38 +80,6 @@ impl SiftingConciliator {
             .collect()
     }
 
-    /// Allocates a deliberately broken variant (see [`SiftingMutation`])
-    /// for mutation-testing the fuzzer and conformance suites.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[cfg(feature = "mutants")]
-    pub fn allocate_mutant(
-        builder: &mut LayoutBuilder,
-        n: usize,
-        epsilon: Epsilon,
-        mutation: SiftingMutation,
-    ) -> Self {
-        assert!(n > 0, "need at least one process");
-        let mut probs = Self::tuned_probabilities(n, epsilon);
-        if mutation == SiftingMutation::BiasedCoin {
-            for p in &mut probs {
-                *p = (2.0 * *p).min(1.0);
-            }
-        }
-        let mut c = Self::with_probabilities(builder, n, probs, epsilon);
-        c.mutation = mutation;
-        c
-    }
-
-    /// The active mutation (`None` for instances built by
-    /// [`allocate`](Self::allocate)).
-    #[cfg(feature = "mutants")]
-    pub fn mutation(&self) -> SiftingMutation {
-        self.mutation
-    }
-
     /// Allocates an instance with explicit per-round write
     /// probabilities, for ablations (e.g. all-`1/2` sifting, the
     /// Alistarh–Aspnes-style schedule).
@@ -164,8 +105,6 @@ impl SiftingConciliator {
             probs: Arc::new(probs),
             n,
             epsilon,
-            #[cfg(feature = "mutants")]
-            mutation: SiftingMutation::None,
         }
     }
 
@@ -278,15 +217,7 @@ impl Process for SiftingParticipant {
             match result {
                 OpResult::Ack => {} // our write: persona survives
                 OpResult::RegisterValue(Some(seen)) => self.persona = seen,
-                OpResult::RegisterValue(None) => {
-                    // Mutant: treat an empty register as "round not
-                    // started" and spin on the read instead of
-                    // advancing — an off-by-one at the round boundary.
-                    #[cfg(feature = "mutants")]
-                    if self.shared.mutation == SiftingMutation::StuckRead {
-                        return Step::Issue(Op::RegisterRead(self.shared.registers[self.round]));
-                    }
-                }
+                OpResult::RegisterValue(None) => {} // empty register: survive
                 other => panic!("unexpected result {other:?}"),
             }
             self.history.push(self.persona.origin());
@@ -488,116 +419,5 @@ mod tests {
         let mut b = LayoutBuilder::new();
         let c = SiftingConciliator::allocate(&mut b, 16, Epsilon::HALF);
         let _ = c.participant_with_persona(Persona::bare(ProcessId(0), 1));
-    }
-}
-
-#[cfg(all(test, feature = "mutants"))]
-mod mutant_tests {
-    use super::*;
-    use sift_sim::rng::SeedSplitter;
-    use sift_sim::schedule::FixedSchedule;
-    use sift_sim::Engine;
-
-    fn mutant_procs(
-        n: usize,
-        seed: u64,
-        mutation: SiftingMutation,
-    ) -> (
-        sift_sim::Layout,
-        SiftingConciliator,
-        Vec<SiftingParticipant>,
-    ) {
-        let mut b = LayoutBuilder::new();
-        let c = SiftingConciliator::allocate_mutant(&mut b, n, Epsilon::HALF, mutation);
-        let layout = b.build();
-        let split = SeedSplitter::new(seed);
-        let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
-        (layout, c, procs)
-    }
-
-    #[test]
-    fn none_mutation_is_the_unmodified_protocol() {
-        let (_, c, _) = mutant_procs(16, 1, SiftingMutation::None);
-        assert_eq!(c.mutation(), SiftingMutation::None);
-        let mut b = LayoutBuilder::new();
-        let reference = SiftingConciliator::allocate(&mut b, 16, Epsilon::HALF);
-        assert_eq!(c.write_probabilities(), reference.write_probabilities());
-    }
-
-    #[test]
-    fn biased_coin_doubles_probabilities_and_saturates_the_tail() {
-        let (_, c, _) = mutant_procs(256, 1, SiftingMutation::BiasedCoin);
-        let mut b = LayoutBuilder::new();
-        let reference = SiftingConciliator::allocate(&mut b, 256, Epsilon::HALF);
-        for (i, (&m, &r)) in c
-            .write_probabilities()
-            .iter()
-            .zip(reference.write_probabilities())
-            .enumerate()
-        {
-            assert!((m - (2.0 * r).min(1.0)).abs() < 1e-12, "round {i}");
-        }
-        // Tail rounds write with certainty: the 3/4 decay of Lemma 4 is
-        // gone.
-        assert_eq!(
-            c.write_probabilities()[c.aggressive_rounds()..],
-            vec![1.0; c.rounds() - c.aggressive_rounds()][..]
-        );
-    }
-
-    #[test]
-    fn stuck_read_exceeds_the_exact_step_bound_under_reader_first_schedules() {
-        // Find a seed where p0 reads in round 0 (wants_write is
-        // pre-flipped into the persona), then schedule p0 before any
-        // writer: the mutant reissues the read, so p0 is charged more
-        // than one op for round 0 and busts the exact R-step bound.
-        for seed in 0..64 {
-            let (layout, c, procs) = mutant_procs(4, seed, SiftingMutation::StuckRead);
-            if procs[0].persona().wants_write(0) {
-                continue;
-            }
-            let rounds = c.rounds() as u64;
-            // p0 solo twice (two charged reads of the empty register),
-            // then everyone round-robin to completion.
-            let mut script = vec![0usize, 0];
-            for _ in 0..2 * rounds {
-                script.extend(0..4);
-            }
-            let report = Engine::new(&layout, procs).run(FixedSchedule::from_indices(script));
-            assert!(
-                report.metrics.per_process_ops[0] > rounds,
-                "seed {seed}: expected p0 to exceed {rounds} ops, took {}",
-                report.metrics.per_process_ops[0]
-            );
-            return;
-        }
-        panic!("no seed in 0..64 gave p0 a round-0 read");
-    }
-
-    #[test]
-    fn stuck_read_livelocks_where_the_correct_protocol_terminates() {
-        // Solo schedule: a correct participant finishes in exactly R
-        // ops (writes and empty reads both advance the round), while
-        // the mutant spins on its first read round forever — the
-        // termination violation the fuzzer reports as a slot-limit hit.
-        let (layout, c, procs) = mutant_procs(4, 0, SiftingMutation::None);
-        let rounds = c.rounds() as u64;
-        let p0_reads_somewhere = (0..c.rounds()).any(|r| !procs[0].persona().wants_write(r));
-        assert!(p0_reads_somewhere, "seed 0 gave an all-write persona");
-        let solo: Vec<usize> = vec![0; 4 * c.rounds()];
-        let report = Engine::new(&layout, procs).run(
-            sift_sim::schedule::FixedSchedule::from_indices(solo.iter().copied()),
-        );
-        assert_eq!(report.metrics.per_process_ops[0], rounds);
-        assert!(report.outputs[0].is_some());
-
-        let (layout, _, procs) = mutant_procs(4, 0, SiftingMutation::StuckRead);
-        let mut engine = Engine::new(&layout, procs);
-        engine.limit_slots(4 * rounds);
-        let report = engine.run(sift_sim::schedule::RepeatingSchedule::new(vec![ProcessId(
-            0,
-        )]));
-        assert_eq!(report.stop_reason, sift_sim::StopReason::SlotLimit);
-        assert!(report.outputs[0].is_none());
     }
 }

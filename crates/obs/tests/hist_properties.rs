@@ -8,7 +8,8 @@
 use sift_obs::{bucket_lower_bound, bucket_of, AtomicHistogram, Histogram, BUCKETS};
 
 /// SplitMix64: tiny, seedable, and equidistributed enough for
-/// generating test values.
+/// generating test values. A copy, not `sift_sim::rng`'s: `sift-obs`
+/// sits below `sift-sim`.
 struct SplitMix64(u64);
 
 impl SplitMix64 {

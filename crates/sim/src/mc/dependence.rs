@@ -76,14 +76,6 @@ impl Access {
         }
     }
 
-    /// Returns `true` if this access can change object state.
-    pub fn is_mutation(self) -> bool {
-        matches!(
-            self,
-            Access::RegisterWrite(_) | Access::SnapshotUpdate(_, _) | Access::MaxWrite(_, _)
-        )
-    }
-
     /// The [`OpKind`] this access was derived from.
     pub fn kind(self) -> OpKind {
         match self {
@@ -252,8 +244,6 @@ mod tests {
             Op::MaxWrite(MaxRegisterId(0), 7, 70u64).access(),
             Access::MaxWrite(MaxRegisterId(0), 7)
         );
-        assert!(Access::RegisterWrite(r(0)).is_mutation());
-        assert!(!Access::MaxRead(MaxRegisterId(0)).is_mutation());
         assert_eq!(Access::RegisterRead(r(3)).kind(), OpKind::RegisterRead);
     }
 

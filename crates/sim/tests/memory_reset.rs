@@ -3,29 +3,18 @@
 //! (the service's per-shard stack cache) has to get, op for op, what a
 //! fresh memory would have returned.
 //!
-//! `sift-sim` is dependency-free, so randomness comes from an in-file
-//! SplitMix64 — deterministic seeds, no external property-test crate.
+//! `sift-sim` is dependency-free, so randomness comes from its own
+//! `SplitMix64` — deterministic seeds, no external property-test crate.
 
+use sift_sim::rng::SplitMix64;
 use sift_sim::snapshot::SnapshotObject;
 use sift_sim::{
     Layout, LayoutBuilder, MaxRegisterId, Memory, Op, RegisterId, RegisterSemantics, Resolution,
     SnapshotId,
 };
 
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound as u64) as usize
-    }
+fn below(rng: &mut SplitMix64, bound: usize) -> usize {
+    (rng.next_u64() % bound as u64) as usize
 }
 
 const SNAPSHOT_COMPONENTS: [usize; 2] = [3, 5];
@@ -54,26 +43,30 @@ fn objects() -> Objects {
 /// 1/8ths) of the op clock its issuer last ran at, so register reads
 /// overlap writes and the regular semantics have something to resolve.
 fn script(objects: &Objects, seed: u64, len: usize) -> Vec<(Op<u32>, u64)> {
-    let mut rng = SplitMix64(seed);
+    let mut rng = SplitMix64::new(seed);
     (0..len)
         .map(|_| {
-            let value = rng.next() as u32;
-            let op = match rng.below(6) {
-                0 => Op::RegisterRead(objects.registers[rng.below(6)]),
-                1 => Op::RegisterWrite(objects.registers[rng.below(6)], value),
+            let value = rng.next_u64() as u32;
+            let op = match below(&mut rng, 6) {
+                0 => Op::RegisterRead(objects.registers[below(&mut rng, 6)]),
+                1 => Op::RegisterWrite(objects.registers[below(&mut rng, 6)], value),
                 2 => {
-                    let s = rng.below(2);
+                    let s = below(&mut rng, 2);
                     Op::SnapshotUpdate(
                         objects.snapshots[s],
-                        rng.below(SNAPSHOT_COMPONENTS[s]),
+                        below(&mut rng, SNAPSHOT_COMPONENTS[s]),
                         value,
                     )
                 }
-                3 => Op::SnapshotScan(objects.snapshots[rng.below(2)]),
-                4 => Op::MaxRead(objects.max_registers[rng.below(3)]),
-                _ => Op::MaxWrite(objects.max_registers[rng.below(3)], rng.next() % 64, value),
+                3 => Op::SnapshotScan(objects.snapshots[below(&mut rng, 2)]),
+                4 => Op::MaxRead(objects.max_registers[below(&mut rng, 3)]),
+                _ => Op::MaxWrite(
+                    objects.max_registers[below(&mut rng, 3)],
+                    rng.next_u64() % 64,
+                    value,
+                ),
             };
-            (op, rng.next() % 9)
+            (op, rng.next_u64() % 9)
         })
         .collect()
 }

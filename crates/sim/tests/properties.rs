@@ -1,12 +1,12 @@
 //! Property-based tests of the simulator itself: schedules, memory
 //! objects, and engine accounting invariants.
 //!
-//! The crate's own generators are under test here, so cases come from
-//! an in-file SplitMix64 — deterministic seeds, no external
-//! property-test crate.
+//! Cases come from the crate's own `SplitMix64` — deterministic seeds,
+//! no external property-test crate.
 
 use std::ops::Range;
 
+use sift_sim::rng::SplitMix64;
 use sift_sim::schedule::{
     BlockRotation, CrashSubset, RandomInterleave, RepeatingSchedule, RoundRobin, Schedule,
     ScheduleKind, Stutter,
@@ -40,23 +40,14 @@ impl Process for Chatter {
     }
 }
 
-/// SplitMix64: tiny, seedable, and equidistributed enough for
-/// generating test cases.
-struct SplitMix64(u64);
+/// Test-case draws over [`SplitMix64`].
+struct Draw(SplitMix64);
 
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
+impl Draw {
     /// Uniform enough in `range` (modulo bias is irrelevant at these
     /// widths).
     fn below(&mut self, range: Range<u64>) -> u64 {
-        range.start + self.next() % (range.end - range.start)
+        range.start + self.0.next_u64() % (range.end - range.start)
     }
 
     fn size(&mut self, range: Range<usize>) -> usize {
@@ -75,7 +66,7 @@ const CASES: u64 = 128;
 
 /// Runs `body` on [`CASES`] cases; case `i` of suite seed `seed` always
 /// draws the same values, and a failure names it.
-fn cases(seed: u64, mut body: impl FnMut(&mut SplitMix64)) {
+fn cases(seed: u64, mut body: impl FnMut(&mut Draw)) {
     struct Case(u64, u64);
     impl Drop for Case {
         fn drop(&mut self) {
@@ -86,7 +77,7 @@ fn cases(seed: u64, mut body: impl FnMut(&mut SplitMix64)) {
     }
     for i in 0..CASES {
         let _case = Case(seed, i);
-        body(&mut SplitMix64(seed << 32 | i));
+        body(&mut Draw(SplitMix64::new(seed << 32 | i)));
     }
 }
 

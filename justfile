@@ -12,11 +12,13 @@ fmt:
 fmt-check:
     cargo fmt --all -- --check
 
-# Lint everything; warnings are errors, as in CI. The grep keeps the
-# two seed labels (process coins, adversary schedule) inside rng.rs.
+# Lint everything; warnings are errors, as in CI. The first grep keeps
+# the two seed labels (process coins, adversary schedule) inside rng.rs;
+# the second keeps mutation testing from becoming a build mode again.
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
     ! grep -rnE '\.(stream|seed)\("(process|schedule)"' --include=*.rs --exclude=rng.rs crates src tests examples
+    ! grep -rn 'feature = "mutants"' crates src tests
 
 # Tier-1 gate: release build plus the full test suite (default-members
 # covers the workspace, so this runs every crate's suites).
@@ -59,7 +61,7 @@ test-obs:
 # nightly runs use a larger scale).
 conformance:
     cargo run --release -p sift-bench --bin exp -- conformance
-    cargo test -q --release -p sift-bench --features mutants --test mutants
+    cargo test -q --release -p sift-bench --test mutants
     cargo test -q --release -p sift-bench --test seed_stability
 
 # Service-level suites: agreement/validity/decide-exactly-once under
@@ -106,7 +108,7 @@ soak:
     cargo run --release -p sift-bench --bin exp -- soak
     cargo test -q --release --test service_crash --test service_negative
     cargo test -q --release -p sift-bench --test seed_stability soak
-    cargo test -q --release -p sift-bench --features mutants --test mutants soak
+    cargo test -q --release -p sift-bench --test mutants soak
 
 # The adversary lattice (E24) and the negative conformance tier (E25):
 # agreement vs adversary strength on both substrates, the
