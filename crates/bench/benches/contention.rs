@@ -3,8 +3,8 @@
 //! thread counts.
 //!
 //! Worker threads are spawned once per benchmark, pinned round-robin
-//! to cores (when the platform supports it — each row's `pinning`
-//! field records whether it did), and coordinated with barriers; each
+//! to cores (when the platform supports it — the first line printed
+//! says whether it did), and coordinated with barriers; each
 //! measured iteration is one *round* in which every worker drives a
 //! fixed, interleaved operation sequence through one shared object.
 //! All workers start a round together, so the substrates see genuine
@@ -13,15 +13,11 @@
 //! proportional to t-thread throughput.
 //!
 //! The contention groups sweep `t ∈ {2, 4, 8, 16}` by default;
-//! `SIFT_BENCH_THREADS` (a comma-separated list) overrides the sweep —
-//! CI's bench-smoke runs the `2,8` subset. Every contention row in the
-//! JSON output carries explicit `threads` and `pinning` fields, so the
-//! sweep is machine-diffable without parsing ids. `just bench-json`
-//! runs this target with `SIFT_BENCH_JSON=BENCH_shmem.json` to refresh
-//! the tracked baseline.
+//! `SIFT_BENCH_THREADS` (a comma-separated list) overrides the sweep.
+//! Every contention row's id ends in its thread count (`lockfree/t8`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, OnceLock};
 use std::thread;
 
 use sift_bench::microbench::{Bencher, Criterion};
@@ -51,15 +47,16 @@ fn thread_counts(c: &Criterion) -> Vec<usize> {
         .unwrap_or_else(|| vec![2, 4, 8, 16])
 }
 
-/// The pinning policy this host supports, probed once on a scratch
-/// thread: `"cores"` when workers can be pinned round-robin to cores,
-/// `"none"` when affinity calls fail (non-Linux or restricted).
-fn pinning_policy() -> &'static str {
-    if thread::spawn(|| pin_to_core(0)).join().unwrap_or(false) {
-        "cores"
-    } else {
-        "none"
-    }
+/// Whether workers can be pinned round-robin to cores, probed (and
+/// printed) once on a scratch thread: affinity calls fail on non-Linux
+/// or restricted hosts, and the scheduler places the workers there.
+fn pin_workers() -> bool {
+    static PIN: OnceLock<bool> = OnceLock::new();
+    *PIN.get_or_init(|| {
+        let pin = thread::spawn(|| pin_to_core(0)).join().unwrap_or(false);
+        println!("worker pinning: {}", if pin { "cores" } else { "none" });
+        pin
+    })
 }
 
 /// Runs `op(thread, k)` for `OPS` values of `k` on each of `threads`
@@ -101,13 +98,10 @@ fn bench_rounds(b: &mut Bencher, threads: usize, pin: bool, op: impl Fn(usize, u
 }
 
 fn bench_snapshot_contention(c: &mut Criterion) {
-    let policy = pinning_policy();
-    let pin = policy == "cores";
+    let pin = pin_workers();
     let sweep = thread_counts(c);
     let mut group = c.benchmark_group("snapshot_contention");
-    group.pinning(policy);
     for t in sweep {
-        group.threads(t);
         group.bench_function(format!("lockfree/t{t}"), |b| {
             let snap: LockFreeSnapshot<u64> = LockFreeSnapshot::new(COMPONENTS);
             bench_rounds(b, t, pin, |t, k| {
@@ -133,13 +127,10 @@ fn bench_snapshot_contention(c: &mut Criterion) {
 }
 
 fn bench_register_contention(c: &mut Criterion) {
-    let policy = pinning_policy();
-    let pin = policy == "cores";
+    let pin = pin_workers();
     let sweep = thread_counts(c);
     let mut group = c.benchmark_group("register_contention");
-    group.pinning(policy);
     for t in sweep {
-        group.threads(t);
         group.bench_function(format!("lockfree/t{t}"), |b| {
             let reg: LockFreeRegister<u64> = LockFreeRegister::new();
             assert!(reg.is_inline(), "u64 registers must take the inline path");
@@ -166,13 +157,10 @@ fn bench_register_contention(c: &mut Criterion) {
 }
 
 fn bench_max_register_contention(c: &mut Criterion) {
-    let policy = pinning_policy();
-    let pin = policy == "cores";
+    let pin = pin_workers();
     let sweep = thread_counts(c);
     let mut group = c.benchmark_group("max_register_contention");
-    group.pinning(policy);
     for t in sweep {
-        group.threads(t);
         group.bench_function(format!("lockfree/t{t}"), |b| {
             let max: LockFreeMaxRegister<u64> = LockFreeMaxRegister::new();
             assert!(

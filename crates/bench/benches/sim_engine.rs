@@ -9,13 +9,12 @@
 //! * `sifting_round` — one full round of Algorithm 2 (every
 //!   participant writes its persona to the round register and reads it
 //!   back: `2n` scheduled events) on the lazy engine. This is the
-//!   tracked headline number: the n = 10⁶ row must stay in single-digit
+//!   headline number: the n = 10⁶ row must stay in single-digit
 //!   seconds.
 //!
-//! `just bench-json` runs this target with
-//! `SIFT_BENCH_JSON=BENCH_sim.json` to refresh the tracked baseline;
-//! the CI `sim-scale-smoke` job runs the n = 10⁵ tier on every PR and
-//! the full 10⁶ tier nightly.
+//! The CI `sim-scale-smoke` job runs the n = 10⁵ tier on every PR and
+//! the full 10⁶ tier nightly; the ledger's `sim-sift` workload is the
+//! tracked measurement of this layer.
 
 use sift_bench::microbench::{BenchmarkId, Criterion};
 use sift_bench::{criterion_group, criterion_main};

@@ -1,7 +1,7 @@
 //! The `exp` command line: every knob of the harness, parsed once.
 //!
 //! This is the only module of `sift-bench` that reads the process
-//! environment or arguments, bar one: the bench targets' five
+//! environment or arguments, bar one: the bench targets' three
 //! `SIFT_BENCH_*` knobs are read by
 //! [`microbench`](crate::microbench::BenchKnobs), through the same
 //! typed reader and under the same error contract. [`main`] parses the
@@ -41,7 +41,6 @@ pub const ENV_KNOBS: &str = "\
   SIFT_SERVICE_PROPOSALS  service: total proposals (1000000)
   SIFT_SERVICE_INSTANCES  service: instance-id space (100000)
   SIFT_SERVICE_MODE       service: client model, `closed` (default) or `open`
-  SIFT_SERVICE_JSON       service: write the merged observation report to this path
   SIFT_SOAK_SECS          soak: wall-clock budget in seconds; 0, the default, is the deterministic tick budget
   SIFT_SOAK_WINDOWS       soak: windows in tick-budget mode (6)
   SIFT_SOAK_WIDTH         soak: sliding-window width of the checker (4)
@@ -72,8 +71,6 @@ pub struct Knobs {
     pub fuzz_out: Option<PathBuf>,
     /// `SIFT_SERVICE_{PROPOSALS,INSTANCES,MODE}`.
     pub service: LoadConfig,
-    /// `SIFT_SERVICE_JSON`.
-    pub service_json: Option<PathBuf>,
     /// `SIFT_SOAK_{WINDOWS,WIDTH}` and `SIFT_FUZZ_EXTENDED`.
     pub soak: SoakConfig,
     /// `SIFT_SOAK_SECS`.
@@ -283,7 +280,6 @@ impl Knobs {
                 mode: mode.unwrap_or(service.mode),
                 ..service
             },
-            service_json: env.path("SIFT_SERVICE_JSON"),
             soak: SoakConfig {
                 windows: env
                     .number("SIFT_SOAK_WINDOWS", true)?
@@ -399,7 +395,7 @@ mod tests {
     #[test]
     fn help_documents_every_knob() {
         let text = help(None);
-        assert_eq!(env_knob_names().count(), 17);
+        assert_eq!(env_knob_names().count(), 16);
         assert!(env_knob_names().all(|name| name.starts_with("SIFT_")));
         assert!(text.contains(ENV_KNOBS) && text.contains(&experiments::list()));
     }

@@ -173,7 +173,7 @@ pub static REGISTRY: [Experiment; 20] = [
         index: "E23",
         about: "Zipf-skewed load on the sharded service; exit 1 if an instance is undecided",
         entry: Main {
-            run: |knobs| crate::service_load::main(&knobs.service, knobs.service_json.as_deref()),
+            run: |knobs| crate::service_load::main(&knobs.service),
             in_all: None,
         },
     },

@@ -28,7 +28,7 @@ pub fn run() -> Vec<Table> {
     // Decimal large-n rows (10^4, 10^5, 10^6) ride alongside the
     // original power-of-two sweep: the event engine makes the
     // million-process rows a few seconds of work, and the decimal
-    // points line up with the BENCH_sim.json throughput sweep.
+    // points line up with the `sim_engine` bench's throughput sweep.
     for &n in &[
         4usize,
         16,

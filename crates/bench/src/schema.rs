@@ -1,16 +1,13 @@
 //! Schema validation for the tracked `BENCH_*.json` trajectory files.
 //!
-//! The repo tracks several append-style trajectory files
-//! (`BENCH_shmem.json`, `BENCH_conformance.json`, …) that CI diffs and
-//! downstream tooling parses. A binary pointed at the wrong path — or
+//! The repo tracks verdict files (`BENCH_conformance.json`,
+//! `BENCH_adversary.json`) that CI diffs and downstream tooling
+//! parses. A binary pointed at the wrong path — or
 //! at a file another tool half-wrote — used to clobber it silently;
 //! now every writer calls [`validate_target`] first and refuses (exit
 //! 1, clear message) when the existing content does not parse as the
 //! trajectory schema its filename promises:
 //!
-//! * `BENCH_shmem*.json` — a `benches` array whose `*_contention` rows
-//!   carry a numeric `threads` and a `pinning` of `"cores"` or
-//!   `"none"` (the fields the CI bench-smoke gate asserts on).
 //! * `BENCH_conformance*.json` — a `rows` array where every row
 //!   carries the sliding-window fields: string `claim`, numeric
 //!   `scale`/`window`/`trials`/`violations`/`lcb`/`bound`, boolean
@@ -259,28 +256,7 @@ fn require_num(row: &Json, field: &str, context: &str) -> Result<(), String> {
 /// need to be well-formed JSON.
 pub fn validate_bench_json(name: &str, text: &str) -> Result<(), String> {
     let doc = parse(text)?;
-    if name.starts_with("BENCH_shmem") {
-        let benches = doc
-            .get("benches")
-            .and_then(Json::items)
-            .ok_or("BENCH_shmem: missing \"benches\" array")?;
-        for (i, row) in benches.iter().enumerate() {
-            let group = row.get("group").and_then(Json::as_str).unwrap_or("");
-            if group.ends_with("_contention") {
-                let context = format!("BENCH_shmem row {i} ({group})");
-                require_num(row, "threads", &context)?;
-                match row.get("pinning").and_then(Json::as_str) {
-                    Some("cores") | Some("none") => {}
-                    Some(other) => {
-                        return Err(format!("{context}: bad pinning {other:?}"));
-                    }
-                    None => {
-                        return Err(format!("{context}: missing required field \"pinning\""));
-                    }
-                }
-            }
-        }
-    } else if name.starts_with("BENCH_conformance") {
+    if name.starts_with("BENCH_conformance") {
         let rows = doc
             .get("rows")
             .and_then(Json::items)
@@ -357,27 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn shmem_rows_need_threads_and_pinning() {
-        let good = r#"{"benches": [
-            {"group": "register_contention", "id": "x/t2", "median_ns": 1.0,
-             "threads": 2, "pinning": "cores"},
-            {"group": "quiescent_scan", "id": "y/n128", "median_ns": 2.0}
-        ]}"#;
-        validate_bench_json("BENCH_shmem.json", good).unwrap();
-        let missing = r#"{"benches": [
-            {"group": "register_contention", "id": "x/t2", "median_ns": 1.0}
-        ]}"#;
-        let err = validate_bench_json("BENCH_shmem.json", missing).unwrap_err();
-        assert!(err.contains("threads"), "{err}");
-        let bad_pin = r#"{"benches": [
-            {"group": "register_contention", "id": "x/t2", "threads": 2,
-             "pinning": "numa"}
-        ]}"#;
-        let err = validate_bench_json("BENCH_shmem.json", bad_pin).unwrap_err();
-        assert!(err.contains("pinning"), "{err}");
-    }
-
-    #[test]
     fn conformance_rows_need_the_window_fields() {
         let good = r#"{"rows": [
             {"claim": "sift.steps", "scale": 16, "window": 0, "trials": 8,
@@ -420,11 +375,7 @@ mod tests {
         // root. A file that cannot be read fails the test: a wrong path
         // must not pass by checking nothing.
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        for name in [
-            "BENCH_shmem.json",
-            "BENCH_conformance.json",
-            "BENCH_adversary.json",
-        ] {
+        for name in ["BENCH_conformance.json", "BENCH_adversary.json"] {
             let text = std::fs::read_to_string(root.join(name))
                 .unwrap_or_else(|e| panic!("tracked file {name} is unreadable: {e}"));
             validate_bench_json(name, &text).unwrap_or_else(|e| panic!("{name}: {e}"));

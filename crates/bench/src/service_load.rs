@@ -18,10 +18,9 @@
 //!
 //! The result folds the service's own per-shard observations together
 //! with `load.*` counters (throughput, elapsed, client model) into one
-//! [`ObsReport`], which [`main`] (`exp service`) renders and writes as
-//! `BENCH_service.json` (see `just bench-json`).
+//! [`ObsReport`], which [`main`] (`exp service`) renders and hands to
+//! the `--obs-json` collector.
 
-use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -156,13 +155,11 @@ impl Zipf {
 }
 
 /// `exp service`: one load run — throughput, decision counts, latency
-/// and batch-size quantiles. `json` (`SIFT_SERVICE_JSON`) receives the
-/// merged observation report, per-shard latency histograms included —
-/// `just bench-json` points it at `BENCH_service.json`.
+/// and batch-size quantiles. The merged observation report, per-shard
+/// latency histograms included, goes to the `--obs-json` collector.
 ///
-/// Exit code 1 if any instance failed to decide or the JSON could not be
-/// written.
-pub fn main(config: &LoadConfig, json: Option<&Path>) -> ExitCode {
+/// Exit code 1 if any instance failed to decide.
+pub fn main(config: &LoadConfig) -> ExitCode {
     println!(
         "service load: {} proposals over {} instances (zipf θ={}), \
          {} shards / {} workers / {} clients, {:?} loop",
@@ -203,15 +200,7 @@ pub fn main(config: &LoadConfig, json: Option<&Path>) -> ExitCode {
         );
     }
 
-    if let Some(path) = json {
-        match std::fs::write(path, report.obs.to_json()) {
-            Ok(()) => eprintln!("wrote service report to {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot write service report to {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    crate::obs::record_report(&report.obs);
 
     if report.decided < config.instances {
         eprintln!(

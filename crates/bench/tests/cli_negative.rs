@@ -150,16 +150,16 @@ fn malformed_tracked_soak_trajectory_target_is_refused() {
 }
 
 /// Same refusal through the shared `--obs-json` path: a tracked
-/// `BENCH_*` observation target with schema-violating contents (a
-/// `*_contention` row missing `threads`/`pinning`) must abort the run.
+/// `BENCH_*` target with schema-violating contents (a row missing the
+/// sliding-window fields) must abort the run.
 #[test]
 fn malformed_tracked_obs_target_is_refused() {
     let dir = std::env::temp_dir().join(format!("sift-obs-neg-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let target = dir.join("BENCH_shmem.json");
+    let target = dir.join("BENCH_conformance.json");
     std::fs::write(
         &target,
-        br#"{"benches": [{"group": "reg_contention", "id": "x", "median_ns": 5}]}"#,
+        br#"{"rows": [{"claim": "sift.steps", "trials": 8}]}"#,
     )
     .unwrap();
 
@@ -173,6 +173,43 @@ fn malformed_tracked_obs_target_is_refused() {
     assert!(
         stderr.contains("refusing to overwrite trajectory target"),
         "diagnostic missing: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Polarity for `--obs-json` on an experiment that builds its own
+/// report: `exp service` must hand it to the collector. (At the parent
+/// commit the flag was accepted and the file held none of the run's
+/// counters — no `load.*`, `service.*` or `shardNNN.*` key.)
+#[test]
+fn service_obs_json_carries_the_runs_counters() {
+    let dir = std::env::temp_dir().join(format!("sift-service-obs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let target = dir.join("obs.json");
+    let out = exp("service")
+        .env("SIFT_SERVICE_PROPOSALS", "2000")
+        .env("SIFT_SERVICE_INSTANCES", "200")
+        .arg("--obs-json")
+        .arg(&target)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let doc = sift_bench::schema::parse(&std::fs::read_to_string(&target).unwrap()).unwrap();
+    let count = |key| {
+        doc.get("counters")
+            .unwrap()
+            .get(key)
+            .and_then(|v| v.as_num())
+    };
+    assert_eq!(count("load.decided"), Some(200.0));
+    assert_eq!(count("service.decided"), Some(200.0));
+    assert!(
+        doc.get("histograms")
+            .unwrap()
+            .get("shard000.latency_ns")
+            .is_some(),
+        "per-shard latency histograms ride along"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -218,13 +255,12 @@ const MALFORMED: [(&str, &[&str]); 12] = [
     ("SIFT_SOAK_WIDTH", &["zero", "0"]),
 ];
 
-/// The knobs any string is a legal value of: four output paths and the
+/// The knobs any string is a legal value of: three output paths and the
 /// `0` / not-`0` switch.
-const FREE_FORM: [&str; 5] = [
+const FREE_FORM: [&str; 4] = [
     "SIFT_ADVERSARY_JSON",
     "SIFT_FUZZ_OUT",
     "SIFT_FUZZ_EXTENDED",
-    "SIFT_SERVICE_JSON",
     "SIFT_SOAK_JSON",
 ];
 

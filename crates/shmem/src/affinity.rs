@@ -2,8 +2,8 @@
 //!
 //! The bench harness pins each worker thread to a core so the measured
 //! contention profile is a property of the primitives, not of where the
-//! scheduler happened to place the threads; BENCH_shmem.json rows
-//! record whether pinning actually took effect. The workspace carries
+//! scheduler happened to place the threads; the contention bench prints
+//! whether pinning actually took effect. The workspace carries
 //! no `libc` dependency, so on x86-64 Linux the single call this needs
 //! — `sched_setaffinity(2)` on the calling thread — is made as a raw
 //! syscall; everywhere else [`pin_to_core`] reports failure and the

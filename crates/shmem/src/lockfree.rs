@@ -634,20 +634,6 @@ unsafe fn decode<T>(words: [u64; INLINE_WORDS]) -> T {
 pub(crate) struct SeqCell<T> {
     seq: AtomicU64,
     words: [AtomicU64; INLINE_WORDS],
-    /// Torn-publication mode: the validated image this write displaced
-    /// (the committed payload at the sequence the writer claimed from).
-    #[cfg(feature = "torn-publication")]
-    prev: [AtomicU64; INLINE_WORDS],
-    /// Torn-publication mode: which window `prev` belongs to. During an
-    /// odd window `s + 1` it holds `s` until the new payload words are
-    /// fully stored, then `s + 1` — so it doubles as the *committed*
-    /// marker that tells readers the new image is safe to decode.
-    #[cfg(feature = "torn-publication")]
-    prev_seq: AtomicU64,
-    /// Torn-publication mode: parity stream deciding whether an
-    /// in-window reader observes the new or the old image.
-    #[cfg(feature = "torn-publication")]
-    torn_coin: AtomicU64,
     _marker: PhantomData<T>,
 }
 
@@ -658,19 +644,12 @@ impl<T: Send> SeqCell<T> {
         Self {
             seq: AtomicU64::new(0),
             words: std::array::from_fn(|_| AtomicU64::new(0)),
-            #[cfg(feature = "torn-publication")]
-            prev: std::array::from_fn(|_| AtomicU64::new(0)),
-            #[cfg(feature = "torn-publication")]
-            prev_seq: AtomicU64::new(0),
-            #[cfg(feature = "torn-publication")]
-            torn_coin: AtomicU64::new(0),
             _marker: PhantomData,
         }
     }
 
     /// Writes `value`: claim (CAS to odd), store words, publish (store
     /// to even).
-    #[cfg(not(feature = "torn-publication"))]
     pub(crate) fn write(&self, value: T) {
         let words = encode(&value);
         let mut spins = 0u32;
@@ -703,147 +682,6 @@ impl<T: Send> SeqCell<T> {
         crate::obs::note_inline_register_write();
     }
 
-    /// Writes `value` under torn-publication semantics: the full write
-    /// is the split-phase protocol run to completion, so the cell's
-    /// committed states are identical to the plain seqlock's.
-    #[cfg(feature = "torn-publication")]
-    pub(crate) fn write(&self, value: T) {
-        let claimed = self.begin_torn_write(value);
-        self.finish_torn_write(claimed);
-    }
-
-    /// Claims the cell and stores the new payload, but does **not**
-    /// publish: the sequence is left odd, so concurrent readers sit in
-    /// the torn window until [`finish_torn_write`](Self::finish_torn_write)
-    /// runs. Returns the even sequence the write claimed from.
-    ///
-    /// Protocol (window `s + 1`, claimed from even `s`):
-    ///
-    /// 1. take a *validated* snapshot of the committed words at `s`
-    ///    (skipped when `s == 0`: the displaced value is ⊥);
-    /// 2. CAS `s → s + 1`. The sequence is monotone, so success proves
-    ///    it never moved since the snapshot validated — the snapshot
-    ///    *is* the image this write displaces;
-    /// 3. store the snapshot into `prev`, then `prev_seq := s`
-    ///    (`Release`): readers may now serve the old value;
-    /// 4. store the new payload words, then `prev_seq := s + 1`
-    ///    (`Release`): the committed marker — readers may now choose
-    ///    either image.
-    #[cfg(feature = "torn-publication")]
-    pub(crate) fn begin_torn_write(&self, value: T) -> u64 {
-        let words = encode(&value);
-        let mut spins = 0u32;
-        let (cur, displaced) = loop {
-            let s = self.seq.load(Ordering::Acquire);
-            if s & 1 == 0 {
-                let snapshot = if s == 0 {
-                    None
-                } else {
-                    let image: [u64; INLINE_WORDS] =
-                        std::array::from_fn(|i| self.words[i].load(Ordering::Relaxed));
-                    fence(Ordering::Acquire);
-                    if self.seq.load(Ordering::Relaxed) != s {
-                        crate::obs::note_inline_write_retry();
-                        backoff(&mut spins);
-                        continue;
-                    }
-                    Some(image)
-                };
-                match self
-                    .seq
-                    .compare_exchange(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
-                {
-                    Ok(_) => break (s, snapshot),
-                    Err(_) => {
-                        crate::obs::note_inline_write_retry();
-                        backoff(&mut spins);
-                        continue;
-                    }
-                }
-            }
-            crate::obs::note_inline_write_retry();
-            backoff(&mut spins);
-        };
-        if let Some(image) = displaced {
-            for (w, v) in self.prev.iter().zip(image) {
-                w.store(v, Ordering::Relaxed);
-            }
-        }
-        self.prev_seq.store(cur, Ordering::Release);
-        fence(Ordering::Release);
-        for (w, v) in self.words.iter().zip(words) {
-            w.store(v, Ordering::Relaxed);
-        }
-        self.prev_seq.store(cur + 1, Ordering::Release);
-        cur
-    }
-
-    /// Publishes a write begun by [`begin_torn_write`](Self::begin_torn_write):
-    /// stores the even sequence, closing the torn window.
-    #[cfg(feature = "torn-publication")]
-    pub(crate) fn finish_torn_write(&self, claimed: u64) {
-        self.seq.store(claimed + 2, Ordering::Release);
-        crate::obs::note_inline_register_write();
-    }
-
-    /// One attempt at serving a read that landed in the odd window
-    /// `s1`. `Some(...)` is a successfully validated answer; `None`
-    /// means the window state was mid-transition and the caller should
-    /// retry.
-    ///
-    /// The window has two reader-visible phases, distinguished by
-    /// `prev_seq`:
-    ///
-    /// * `prev_seq == s1 - 1` — the old image is installed in `prev`
-    ///   but the new words are not yet committed: the read must resolve
-    ///   to the *old* value (⊥ when `s1 == 1`).
-    /// * `prev_seq == s1` — both images are complete and stable: the
-    ///   read draws a parity coin and resolves to either. This is the
-    ///   sub-window where genuine new/old inversions (the regular-
-    ///   register behaviour Wing–Gong atomic checking rejects) arise.
-    ///
-    /// Any other `prev_seq` value means the writer has not reached step
-    /// 3 yet, or the world moved on — retry. Both decode paths
-    /// re-validate `seq` *and* `prev_seq` behind an `Acquire` fence, so
-    /// a stable pair proves the loaded words are one complete `encode`
-    /// image (`prev` is only mutated before `prev_seq := s1 - 1`, the
-    /// new words only before `prev_seq := s1`, and no later writer can
-    /// touch either without first moving `seq`).
-    #[cfg(feature = "torn-publication")]
-    fn read_torn(&self, s1: u64) -> Option<Option<T>> {
-        debug_assert!(s1 & 1 == 1);
-        let ps = self.prev_seq.load(Ordering::Acquire);
-        if ps != s1 && ps != s1 - 1 {
-            return None;
-        }
-        let take_new = ps == s1 && self.torn_coin.fetch_add(1, Ordering::Relaxed) & 1 == 0;
-        if take_new {
-            let words = std::array::from_fn(|i| self.words[i].load(Ordering::Relaxed));
-            fence(Ordering::Acquire);
-            if self.seq.load(Ordering::Relaxed) == s1 && self.prev_seq.load(Ordering::Relaxed) == ps
-            {
-                // Safety: `prev_seq == s1` was stable across the word
-                // loads, so the new-image words are one complete
-                // `encode` (see above).
-                return Some(Some(unsafe { decode(words) }));
-            }
-            return None;
-        }
-        if s1 == 1 {
-            // First-ever write in flight: the displaced value is ⊥.
-            return Some(None);
-        }
-        let words = std::array::from_fn(|i| self.prev[i].load(Ordering::Relaxed));
-        fence(Ordering::Acquire);
-        if self.seq.load(Ordering::Relaxed) == s1 && self.prev_seq.load(Ordering::Relaxed) == ps {
-            // Safety: `seq`/`prev_seq` were stable across the loads, so
-            // `prev` holds the writer's validated snapshot of the
-            // committed image at `s1 - 1` (see above).
-            return Some(Some(unsafe { decode(words) }));
-        }
-        None
-    }
-
     /// Reads the current value (`None` is ⊥): pure loads, validated by
     /// the sequence word.
     pub(crate) fn read(&self) -> Option<T> {
@@ -861,15 +699,6 @@ impl<T: Send> SeqCell<T> {
                     // the word loads, so `words` is one complete
                     // `encode` image (see the type docs).
                     return Some(unsafe { decode(words) });
-                }
-            } else {
-                // Torn-publication mode: a read that lands in a
-                // writer's odd window may resolve to the old *or* the
-                // new image instead of retrying — the injected
-                // regular-register (non-atomic) behaviour.
-                #[cfg(feature = "torn-publication")]
-                if let Some(resolved) = self.read_torn(s1) {
-                    return resolved;
                 }
             }
             crate::obs::note_inline_read_retry();

@@ -4,8 +4,8 @@
 //! Compiled to **no-ops unless the `obs` cargo feature is enabled**:
 //! the hook functions below are empty `#[inline(always)]` stubs in the
 //! default build, so the substrate hot paths compile to exactly the
-//! uninstrumented code (the negative test in this module and the CI
-//! bench-smoke comparison hold the line). With the feature on, hooks
+//! uninstrumented code (the negative test in this module holds the
+//! line). With the feature on, hooks
 //! record into process-global [`sift_obs`] primitives:
 //!
 //! * striped relaxed counters for the hot events — slot CAS retries

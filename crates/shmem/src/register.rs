@@ -150,70 +150,6 @@ impl<V: Value> LockFreeRegister<V> {
     }
 }
 
-/// A torn write held open mid-publication (torn-publication mode).
-///
-/// Returned by [`LockFreeRegister::torn_write`]: the new payload is
-/// fully stored and committed, but the sequence is still odd, so
-/// concurrent readers resolve inside the torn window — alternately to
-/// the new and the displaced value. Dropping or
-/// [`finish`](Self::finish)ing the guard publishes the write and closes
-/// the window.
-///
-/// This split-phase API exists for deterministic test choreography:
-/// histories exhibiting genuine new/old inversions can be produced
-/// without racing the (nanoseconds-wide) natural window.
-#[cfg(feature = "torn-publication")]
-#[must_use = "dropping the guard immediately closes the torn window"]
-pub struct TornWriteGuard<'a, V: Value> {
-    cell: &'a SeqCell<V>,
-    claimed: u64,
-    done: bool,
-}
-
-#[cfg(feature = "torn-publication")]
-impl<V: Value> LockFreeRegister<V> {
-    /// Begins a torn write of `value`, holding the publication window
-    /// open until the returned guard is finished or dropped. Reads
-    /// issued while the guard lives resolve to the new or the old value
-    /// on an alternating parity coin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the register uses the pointer-publication
-    /// representation (oversized or `Drop`-carrying payloads): torn
-    /// publication is injected only on the inline seqlock path.
-    pub fn torn_write(&self, value: V) -> TornWriteGuard<'_, V> {
-        match &self.repr {
-            Repr::Inline(cell) => TornWriteGuard {
-                claimed: cell.begin_torn_write(value),
-                cell,
-                done: false,
-            },
-            Repr::Published(_) => {
-                panic!("torn writes require the inline seqlock representation")
-            }
-        }
-    }
-}
-
-#[cfg(feature = "torn-publication")]
-impl<V: Value> TornWriteGuard<'_, V> {
-    /// Publishes the write, closing the torn window.
-    pub fn finish(mut self) {
-        self.done = true;
-        self.cell.finish_torn_write(self.claimed);
-    }
-}
-
-#[cfg(feature = "torn-publication")]
-impl<V: Value> Drop for TornWriteGuard<'_, V> {
-    fn drop(&mut self) {
-        if !self.done {
-            self.cell.finish_torn_write(self.claimed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,97 +242,5 @@ mod tests {
         }
         let (_, k) = r.read().expect("someone wrote");
         assert_eq!(k, 499, "final value is some writer's last write");
-    }
-
-    /// Inside a held-open torn window the parity coin alternates
-    /// between the committed new image and the displaced old one, and
-    /// finishing the guard restores plain last-write-wins reads.
-    #[cfg(feature = "torn-publication")]
-    #[test]
-    fn torn_window_serves_both_old_and_new() {
-        let r: LockFreeRegister<(u64, u64)> = LockFreeRegister::new();
-        r.write((1, 1));
-        let guard = r.torn_write((2, 2));
-        let seen: Vec<_> = (0..4).map(|_| r.read()).collect();
-        assert!(
-            seen.contains(&Some((2, 2))),
-            "window must expose the new value"
-        );
-        assert!(
-            seen.contains(&Some((1, 1))),
-            "window must expose the old value"
-        );
-        guard.finish();
-        assert_eq!(r.read(), Some((2, 2)));
-    }
-
-    /// The first-ever write's torn window exposes ⊥ as the old value.
-    #[cfg(feature = "torn-publication")]
-    #[test]
-    fn first_torn_window_serves_bottom_as_old() {
-        let r: LockFreeRegister<u64> = LockFreeRegister::new();
-        let guard = r.torn_write(7);
-        let seen: Vec<_> = (0..4).map(|_| r.read()).collect();
-        assert!(seen.contains(&Some(7)));
-        assert!(
-            seen.contains(&None),
-            "displaced value of the first write is ⊥"
-        );
-        drop(guard);
-        assert_eq!(r.read(), Some(7));
-    }
-
-    /// New/old inversion — the signature regular-but-not-atomic
-    /// behaviour: a later read returns the *old* value after an earlier
-    /// read already returned the new one.
-    #[cfg(feature = "torn-publication")]
-    #[test]
-    fn torn_window_produces_new_old_inversion() {
-        let r: LockFreeRegister<u64> = LockFreeRegister::new();
-        r.write(10);
-        let guard = r.torn_write(20);
-        let first = r.read();
-        let second = r.read();
-        guard.finish();
-        assert_eq!(
-            (first, second),
-            (Some(20), Some(10)),
-            "parity coin starts on the new image, then serves the old"
-        );
-    }
-
-    /// Under concurrency every torn read is still one of the two
-    /// neighbouring committed values — never a mix of their words.
-    #[cfg(feature = "torn-publication")]
-    #[test]
-    fn concurrent_torn_reads_never_tear_words() {
-        let r = Arc::new(LockFreeRegister::new());
-        let writer = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                for k in 1..400u64 {
-                    let guard = r.torn_write((k, k * 3));
-                    std::hint::spin_loop();
-                    guard.finish();
-                }
-            })
-        };
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    for _ in 0..2000 {
-                        if let Some((a, b)) = r.read() {
-                            assert_eq!(b, a * 3, "torn read mixed two images");
-                        }
-                    }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for h in readers {
-            h.join().unwrap();
-        }
-        assert_eq!(r.read(), Some((399, 399 * 3)));
     }
 }

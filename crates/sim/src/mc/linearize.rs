@@ -208,9 +208,10 @@ impl Error for NotRegular {}
 /// value of some write **overlapping** it, or of a latest write
 /// **preceding** it (⊥ counts as the initial virtual write). Unlike
 /// atomicity, regularity permits new/old inversions between concurrent
-/// reads, so torn-publication register histories that fail
-/// [`check_linearizable`] can still pass here — this is exactly the
-/// boundary the `torn-publication` substrate mode is pinned against.
+/// reads, so histories of a regular register that fail
+/// [`check_linearizable`] can still pass here — this is the boundary
+/// `tests/linearizability.rs` pins against the model's
+/// [`RegisterSemantics::Regular`](crate::RegisterSemantics::Regular).
 ///
 /// Register subhistories are checked with the per-read regularity
 /// predicate (no search needed — regularity is a local property of each

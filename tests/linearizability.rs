@@ -12,11 +12,11 @@
 //! non-linearizable history keeps the checker itself honest.
 
 use sift::shmem::{run_lockstep_recorded, run_threads_recorded, CoarseMemory, LockFreeMemory};
-use sift::sim::mc::{check_linearizable, History, HistoryEntry, ObjectKey};
+use sift::sim::mc::{check_linearizable, check_regular, History, HistoryEntry, ObjectKey};
 use sift::sim::rng::{SeedSplitter, Xoshiro256StarStar};
 use sift::sim::{
-    Layout, LayoutBuilder, MaxRegisterId, Op, OpResult, Process, ProcessId, RegisterId, SnapshotId,
-    Step, Value,
+    Layout, LayoutBuilder, MaxRegisterId, Memory, Op, OpResult, Process, ProcessId, RegisterId,
+    RegisterSemantics, Resolution, SnapshotId, Step, Value,
 };
 
 /// A process that performs a pre-generated random operation sequence
@@ -415,77 +415,78 @@ fn non_linearizable_max_register_history_is_rejected() {
 }
 
 // ---------------------------------------------------------------------
-// The regularity boundary: torn-publication histories must fail the
-// Wing–Gong atomic checker yet pass `check_regular` — and genuinely
-// broken (word-tearing) histories must fail both.
+// The regularity boundary, taken from the model's regular register
+// (`RegisterSemantics::Regular`, the one E24/E25 stand on): what it
+// serves must pass `check_regular`, new/old inversions must fail the
+// Wing–Gong atomic checker — and genuinely broken (word-tearing)
+// histories must fail both.
 // ---------------------------------------------------------------------
 
-/// A history captured from the real torn-publication substrate: with
-/// the publication window held open, successive reads of the inline
-/// seqlock register observe the new value and then the old one — the
-/// new/old inversion Lamport regularity permits and atomicity forbids.
-/// The checker pair must agree with the theory on both counts.
-#[cfg(feature = "torn-publication")]
+/// A layout of `count` registers and a model memory over it with
+/// regular registers resolved by `resolution`.
+fn regular_registers(
+    count: usize,
+    resolution: Resolution,
+) -> (Layout, Vec<RegisterId>, Memory<u64>) {
+    let mut b = LayoutBuilder::new();
+    let registers = b.registers(count);
+    let layout = b.build();
+    let mut mem = Memory::new(&layout);
+    mem.set_semantics(RegisterSemantics::Regular(resolution));
+    (layout, registers, mem)
+}
+
+fn entry(pid: usize, op: Op<u64>, result: OpResult<u64>, span: (u64, u64)) -> HistoryEntry<u64> {
+    HistoryEntry {
+        pid: ProcessId(pid),
+        op,
+        result,
+        invoked: span.0,
+        responded: span.1,
+    }
+}
+
+/// A read of `r` by the reader of the two boundary cases, process 1.
+fn reader_saw(r: RegisterId, value: Option<u64>, span: (u64, u64)) -> HistoryEntry<u64> {
+    entry(1, Op::RegisterRead(r), OpResult::RegisterValue(value), span)
+}
+
+/// With a write of 20 still in flight for the reader — its epoch stays
+/// before that write across both reads — the model's regular register
+/// serves the new value and then the old one: the new/old inversion
+/// Lamport regularity permits and atomicity forbids. The checker pair
+/// must agree with the theory on both counts.
 #[test]
 fn torn_publication_histories_are_regular_but_not_atomic() {
-    use sift::shmem::register::LockFreeRegister;
-    use sift::sim::mc::check_regular;
+    let (layout, registers, mut mem) = regular_registers(1, Resolution::AlwaysNew);
+    let r = registers[0];
+    mem.execute_for(Op::RegisterWrite(r, 10), 0).expect_ack();
+    let before_second_write = mem.ops_executed();
+    mem.execute_for(Op::RegisterWrite(r, 20), before_second_write)
+        .expect_ack();
+    let after_second_write = mem.ops_executed();
+    let first = mem
+        .execute_for(Op::RegisterRead(r), before_second_write)
+        .expect_register();
+    mem.set_semantics(RegisterSemantics::Regular(Resolution::AlwaysOld));
+    let second = mem
+        .execute_for(Op::RegisterRead(r), before_second_write)
+        .expect_register();
+    let settled = mem
+        .execute_for(Op::RegisterRead(r), after_second_write)
+        .expect_register();
+    assert_eq!(first, Some(20), "the overlapping read resolved new");
+    assert_eq!(second, Some(10), "the overlapping read resolved old");
+    assert_eq!(settled, Some(20), "a read after the write is forced new");
 
-    let mut b = LayoutBuilder::new();
-    let r = b.register();
-    let layout = b.build();
-
-    // Drive the real cell: complete a write of 10, then hold a torn
-    // write of 20 open while two reads go through the odd-seq window.
-    let reg: LockFreeRegister<u64> = LockFreeRegister::new();
-    reg.write(10);
-    let guard = reg.torn_write(20);
-    let first = reg.read();
-    let second = reg.read();
-    guard.finish();
-    let settled = reg.read();
-    assert_eq!(first, Some(20), "window parity starts on the new value");
-    assert_eq!(second, Some(10), "second read is served the old value");
-    assert_eq!(settled, Some(20), "the window closes on the new value");
-
-    // The same execution as a timed history: the torn write spans the
-    // two reads, the settled read follows its response.
+    // The same execution as a timed history: the write of 20 spans the
+    // two overlapping reads, the settled read follows its response.
     let history = History::from_entries(vec![
-        HistoryEntry {
-            pid: ProcessId(0),
-            op: Op::RegisterWrite(r, 10u64),
-            result: OpResult::Ack,
-            invoked: 0,
-            responded: 1,
-        },
-        HistoryEntry {
-            pid: ProcessId(0),
-            op: Op::RegisterWrite(r, 20u64),
-            result: OpResult::Ack,
-            invoked: 2,
-            responded: 9,
-        },
-        HistoryEntry {
-            pid: ProcessId(1),
-            op: Op::RegisterRead(r),
-            result: OpResult::RegisterValue(first),
-            invoked: 3,
-            responded: 4,
-        },
-        HistoryEntry {
-            pid: ProcessId(1),
-            op: Op::RegisterRead(r),
-            result: OpResult::RegisterValue(second),
-            invoked: 5,
-            responded: 6,
-        },
-        HistoryEntry {
-            pid: ProcessId(1),
-            op: Op::RegisterRead(r),
-            result: OpResult::RegisterValue(settled),
-            invoked: 10,
-            responded: 11,
-        },
+        entry(0, Op::RegisterWrite(r, 10), OpResult::Ack, (0, 1)),
+        entry(0, Op::RegisterWrite(r, 20), OpResult::Ack, (2, 9)),
+        reader_saw(r, first, (3, 4)),
+        reader_saw(r, second, (5, 6)),
+        reader_saw(r, settled, (10, 11)),
     ]);
     history.check_well_formed().unwrap();
     let err =
@@ -495,54 +496,105 @@ fn torn_publication_histories_are_regular_but_not_atomic() {
         .expect("both reads resolve to an overlapping or latest-preceding write");
 }
 
-/// The first-ever torn window serves ⊥ as its old value: atomically
-/// inexplicable once a read has already returned the new value, but
-/// regular — the write has not responded, so no completed write
-/// precedes the ⊥ read.
-#[cfg(feature = "torn-publication")]
+/// While the first-ever write is in flight (reader epoch 0) the old
+/// value is ⊥: atomically inexplicable once a read has already
+/// returned the new value, but regular — the write has not responded,
+/// so no completed write precedes the ⊥ read.
 #[test]
 fn first_torn_window_bottom_reads_are_regular_but_not_atomic() {
-    use sift::shmem::register::LockFreeRegister;
-    use sift::sim::mc::check_regular;
-
-    let mut b = LayoutBuilder::new();
-    let r = b.register();
-    let layout = b.build();
-
-    let reg: LockFreeRegister<u64> = LockFreeRegister::new();
-    let guard = reg.torn_write(7);
-    let first = reg.read();
-    let second = reg.read();
-    guard.finish();
+    let (layout, registers, mut mem) = regular_registers(1, Resolution::AlwaysNew);
+    let r = registers[0];
+    mem.execute_for(Op::RegisterWrite(r, 7), 0).expect_ack();
+    let first = mem.execute_for(Op::RegisterRead(r), 0).expect_register();
+    mem.set_semantics(RegisterSemantics::Regular(Resolution::AlwaysOld));
+    let second = mem.execute_for(Op::RegisterRead(r), 0).expect_register();
     assert_eq!((first, second), (Some(7), None));
 
     let history = History::from_entries(vec![
-        HistoryEntry {
-            pid: ProcessId(0),
-            op: Op::RegisterWrite(r, 7u64),
-            result: OpResult::Ack,
-            invoked: 0,
-            responded: 7,
-        },
-        HistoryEntry {
-            pid: ProcessId(1),
-            op: Op::RegisterRead(r),
-            result: OpResult::RegisterValue(first),
-            invoked: 1,
-            responded: 2,
-        },
-        HistoryEntry {
-            pid: ProcessId(1),
-            op: Op::RegisterRead(r),
-            result: OpResult::RegisterValue(second),
-            invoked: 3,
-            responded: 4,
-        },
+        entry(0, Op::RegisterWrite(r, 7), OpResult::Ack, (0, 7)),
+        reader_saw(r, first, (1, 2)),
+        reader_saw(r, second, (3, 4)),
     ]);
     history.check_well_formed().unwrap();
     let err = check_linearizable(&layout, &history).expect_err("7-then-⊥ must not linearize");
     assert_eq!(err.object, ObjectKey::Register(r));
     check_regular(&layout, &history).expect("⊥ is legal while the first write is in flight");
+}
+
+/// A seeded run of the model's regular register: 2–3 processes issue
+/// random reads and distinct-valued writes over two registers, each
+/// through `execute_for` with its real previous-step clock as `epoch`.
+/// Returns the run as two timed histories: `spans`, where an operation
+/// lasts from its process's previous step to its own, (epoch, clock] —
+/// the interval over which the regular register calls a write
+/// concurrent with a read — and `steps`, where it is the instant of its
+/// own step, as the schedule ran it. Times are doubled so the open end
+/// of a span stays strictly after whatever responded at the epoch.
+fn regular_register_run(seed: u64, resolution: Resolution) -> (Layout, [History<u64>; 2]) {
+    let (layout, registers, mut mem) = regular_registers(2, resolution);
+    let mut rng = SeedSplitter::new(seed).stream("regular", 0);
+    let mut last_step = vec![0u64; 2 + rng.range_u64(2) as usize];
+    let (mut spans, mut steps) = (History::new(), History::new());
+    for step in 0..24u64 {
+        let pid = rng.range_u64(last_step.len() as u64) as usize;
+        let r = registers[rng.range_u64(2) as usize];
+        let op = if rng.coin() {
+            Op::RegisterWrite(r, step + 1)
+        } else {
+            Op::RegisterRead(r)
+        };
+        let epoch = last_step[pid];
+        let result = mem.execute_for(op.clone(), epoch);
+        let clock = mem.ops_executed();
+        last_step[pid] = clock;
+        spans.push(entry(
+            pid,
+            op.clone(),
+            result.clone(),
+            (2 * epoch + 1, 2 * clock),
+        ));
+        steps.push(entry(pid, op, result, (2 * clock - 1, 2 * clock)));
+    }
+    spans.check_well_formed().unwrap();
+    (layout, [spans, steps])
+}
+
+/// E24/E25's verdicts rest on the model's regular register being
+/// Lamport-regular and no weaker. Over its spans every resolution's
+/// history passes `check_regular` — and also `check_linearizable`: with
+/// honest epochs a stale read always fits just before the write that
+/// displaced its value, inside its own span, so what the register
+/// weakens is *where* in the span a read takes effect, and an inversion
+/// like the two above needs a reader held in flight across two reads.
+/// Against the schedule's own steps the stale reads show: `AlwaysNew`
+/// is the atomic register, `AlwaysOld` is not in a pinned share of
+/// seeds — the loop is not vacuous.
+#[test]
+fn the_models_regular_register_is_lamport_regular() {
+    let mut stale_seeds = 0;
+    for seed in 0..200u64 {
+        for resolution in [
+            Resolution::AlwaysNew,
+            Resolution::AlwaysOld,
+            Resolution::Coin(seed),
+        ] {
+            let (layout, [spans, steps]) = regular_register_run(seed, resolution);
+            check_regular(&layout, &spans)
+                .unwrap_or_else(|e| panic!("seed {seed} under {resolution:?}: {e}"));
+            check_linearizable(&layout, &spans)
+                .unwrap_or_else(|e| panic!("seed {seed} under {resolution:?}: {e}"));
+            let stepwise = || check_linearizable(&layout, &steps);
+            match resolution {
+                Resolution::AlwaysNew => stepwise().unwrap_or_else(|e| panic!("seed {seed}: {e}")),
+                Resolution::AlwaysOld => stale_seeds += u32::from(stepwise().is_err()),
+                Resolution::Coin(_) => {}
+            }
+        }
+    }
+    assert_eq!(
+        stale_seeds, 195,
+        "seeds whose AlwaysOld run served a stale read"
+    );
 }
 
 /// Regularity is not a free pass: word-tearing histories — reads
@@ -552,7 +604,6 @@ fn first_torn_window_bottom_reads_are_regular_but_not_atomic() {
 #[test]
 fn word_torn_histories_fail_even_the_regularity_checker() {
     use sift::shmem::RecordingMemory;
-    use sift::sim::mc::check_regular;
 
     for seed in 0..8u64 {
         let mut b = LayoutBuilder::new();
