@@ -62,12 +62,15 @@ fn pin_workers() -> bool {
 /// Runs `op(thread, k)` for `OPS` values of `k` on each of `threads`
 /// persistent workers, once per measured iteration, with all workers
 /// released into the round together. Workers are pinned round-robin
-/// across the host's cores when `pin` holds.
+/// across the host's cores when `pin` holds. Prints the substrate's
+/// contention counters for the whole benchmark (warm-up included) once
+/// the workers have joined; the lock-based rows print zeros.
 fn bench_rounds(b: &mut Bencher, threads: usize, pin: bool, op: impl Fn(usize, usize) + Sync) {
     let cores = thread::available_parallelism().map_or(1, |n| n.get());
     let start = Barrier::new(threads + 1);
     let end = Barrier::new(threads + 1);
     let stop = AtomicBool::new(false);
+    sift_shmem::obs::reset();
     thread::scope(|scope| {
         for t in 0..threads {
             let (start, end, stop, op) = (&start, &end, &stop, &op);
@@ -95,6 +98,16 @@ fn bench_rounds(b: &mut Bencher, threads: usize, pin: bool, op: impl Fn(usize, u
         stop.store(true, Ordering::Relaxed);
         start.wait();
     });
+    let snap = sift_shmem::obs::snapshot();
+    println!(
+        "substrate: cas_retries={} republish_conflicts={} inline_write_retries={} \
+         inline_read_retries={} reclaim_passes={}",
+        snap.slot_cas_retries,
+        snap.republish_conflicts,
+        snap.inline_write_retries,
+        snap.inline_read_retries,
+        snap.reclaim_passes,
+    );
 }
 
 fn bench_snapshot_contention(c: &mut Criterion) {

@@ -3,11 +3,12 @@
 //! When enabled (by the `--obs-json` flag or [`enable`]), every trial
 //! that flows through
 //! [`runner`](crate::runner) folds its step accounting into a
-//! process-global [`ObsReport`]; [`collect`] additionally folds in the
-//! substrate's contention counters
-//! ([`sift_shmem::obs::snapshot`]), and [`try_finish`] writes the merged
+//! process-global [`ObsReport`], and [`try_finish`] writes the merged
 //! report as JSON. Disabled (the default), recording is a single
-//! relaxed atomic load per trial.
+//! relaxed atomic load per trial. Every experiment runs on the
+//! simulator, so the report carries trial and service keys only — the
+//! threaded substrate's counters (`sift_shmem::obs`) are read where
+//! threads actually contend, by `benches/contention.rs`.
 //!
 //! # Determinism
 //!
@@ -16,10 +17,7 @@
 //! associative (property-tested in `sift-obs`), the trial set itself
 //! depends only on `(master_seed, trial_index)`, and every value
 //! recorded here is an integer, so the merged report — and its JSON
-//! rendering — is byte-identical at any thread count. (Substrate
-//! counters are genuinely schedule-dependent; they are all zero unless
-//! the substrate was built with the `obs` feature, which the
-//! determinism suite does not enable.)
+//! rendering — is byte-identical at any thread count.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -27,32 +25,28 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use sift_obs::ObsReport;
-use sift_sim::Metrics;
+use sift_sim::{Metrics, OpKind, StopReason};
 
 use crate::runner::Trial;
-use sift_sim::StopReason;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static COLLECTOR: Mutex<Option<ObsReport>> = Mutex::new(None);
 static OUTPUT: Mutex<Option<PathBuf>> = Mutex::new(None);
 
-/// Counter names per op kind, indexed by
-/// [`sift_sim::metrics::op_kind_index`].
-const OP_NAMES: [&str; 6] = [
-    "register_read",
-    "register_write",
-    "snapshot_update",
-    "snapshot_scan",
-    "max_read",
-    "max_write",
+/// Every op kind, for the `sim.ops.*` keys.
+const OP_KINDS: [OpKind; 6] = [
+    OpKind::RegisterRead,
+    OpKind::RegisterWrite,
+    OpKind::SnapshotUpdate,
+    OpKind::SnapshotScan,
+    OpKind::MaxRead,
+    OpKind::MaxWrite,
 ];
 
 /// Turns trial recording on and clears previously collected
-/// observations (including the substrate's counters, so one process
-/// can take several measurement windows).
+/// observations (so one process can take several measurement windows).
 pub fn enable() {
     *COLLECTOR.lock().unwrap_or_else(|e| e.into_inner()) = Some(ObsReport::new());
-    sift_shmem::obs::reset();
     ENABLED.store(true, Ordering::Release);
 }
 
@@ -70,8 +64,8 @@ pub fn set_output(path: impl Into<PathBuf>) {
 
 /// Folds one trial into the global report (no-op unless enabled).
 /// Called by the shared trial runner; custom experiments that bypass it
-/// can call this — or [`record_metrics`] / [`record_report`] — from
-/// their own per-trial code.
+/// can call this — or [`record_report`] — from their own per-trial
+/// code.
 pub fn record_trial(trial: &Trial) {
     if !is_enabled() {
         return;
@@ -88,15 +82,6 @@ pub fn record_trial(trial: &Trial) {
         r.observe_max("sim.max_rounds", survivors.len() as u64);
     }
     record_report(&r);
-}
-
-/// Folds one run's step accounting into the global report (no-op
-/// unless enabled).
-pub fn record_metrics(metrics: &Metrics) {
-    if !is_enabled() {
-        return;
-    }
-    record_report(&metrics_report(metrics));
 }
 
 /// Merges an arbitrary pre-built report (no-op unless enabled).
@@ -117,8 +102,10 @@ fn metrics_report(metrics: &Metrics) -> ObsReport {
     r.add_count("sim.total_steps", metrics.total_steps);
     r.add_count("sim.total_ops", metrics.total_ops);
     r.add_count("sim.skipped_slots", metrics.skipped_slots);
-    for (name, &count) in OP_NAMES.iter().zip(&metrics.ops_by_kind) {
+    for kind in OP_KINDS {
+        let count = metrics.ops_of_kind(kind);
         if count > 0 {
+            let name = sift_sim::obs::op_kind_name(kind);
             r.add_count(&format!("sim.ops.{name}"), count);
         }
     }
@@ -130,16 +117,13 @@ fn metrics_report(metrics: &Metrics) -> ObsReport {
 }
 
 /// The merged observations so far: everything recorded through this
-/// module plus the substrate's current counters (`substrate.*` keys —
-/// all zero unless `sift-shmem` was built with its `obs` feature).
+/// module.
 pub fn collect() -> ObsReport {
-    let mut report = COLLECTOR
+    COLLECTOR
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .clone()
-        .unwrap_or_default();
-    report.merge(&sift_shmem::obs::snapshot().to_report());
-    report
+        .unwrap_or_default()
 }
 
 /// Writes the merged observations as JSON to `path`.
@@ -180,7 +164,6 @@ pub fn try_finish() -> io::Result<Option<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sift_sim::OpKind;
 
     /// Serializes tests that toggle the global collector (shared with
     /// other test binaries' threads only within this process).
@@ -229,11 +212,20 @@ mod tests {
     fn disabled_recording_is_a_no_op() {
         let _guard = obs_lock();
         ENABLED.store(false, Ordering::Release);
+        let before = collect();
         let mut unique = ObsReport::new();
         unique.add_count("test.disabled_marker", 1);
         record_report(&unique);
-        record_metrics(&sample_metrics());
-        assert_eq!(collect().count("test.disabled_marker"), 0);
+        record_trial(&Trial {
+            agreed: true,
+            distinct_outputs: 1,
+            metrics: sample_metrics(),
+            stop_reason: StopReason::AllDone,
+            survivors: None,
+        });
+        // Only tests holding `obs_lock` enable recording, so nothing
+        // else can have moved the collector either.
+        assert_eq!(collect(), before);
     }
 
     #[test]
@@ -248,11 +240,6 @@ mod tests {
         let report = collect();
         assert_eq!(report.count("test.enabled_marker"), 4);
         assert_eq!(report.hist("test.enabled_hist").unwrap().count(), 2);
-        // The substrate fold contributes its (constant) enabled marker.
-        assert_eq!(
-            report.count("substrate.enabled"),
-            sift_shmem::obs::enabled() as u64
-        );
         ENABLED.store(false, Ordering::Release);
     }
 
@@ -266,26 +253,6 @@ mod tests {
         enable();
         assert_eq!(collect().count("test.stale_marker"), 0);
         ENABLED.store(false, Ordering::Release);
-    }
-
-    #[test]
-    fn op_names_align_with_kind_indices() {
-        use sift_sim::metrics::op_kind_index;
-        let kinds = [
-            OpKind::RegisterRead,
-            OpKind::RegisterWrite,
-            OpKind::SnapshotUpdate,
-            OpKind::SnapshotScan,
-            OpKind::MaxRead,
-            OpKind::MaxWrite,
-        ];
-        for kind in kinds {
-            assert_eq!(
-                OP_NAMES[op_kind_index(kind)],
-                sift_sim::obs::op_kind_name(kind),
-                "bench obs names must match the simulator's"
-            );
-        }
     }
 
     /// Clears the registered output path (tests only — production code

@@ -39,9 +39,9 @@
 //! `sched_setaffinity` syscall for bench core pinning); everything
 //! else forbids it.
 //!
-//! Building with the `obs` feature turns on the [`obs`] module's
-//! contention counters and per-op latency histograms; without it every
-//! recording hook is an empty inline stub.
+//! The [`obs`] module's contention and reclamation counters are
+//! compiled into every build; each hook sits off the uncontended fast
+//! path.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -178,11 +178,6 @@ impl<T: Send> Pile<T> {
     pub(crate) fn enter(&self) -> ReadGuard<'_, T> {
         let stripe = stripe_index();
         let pin = self.epoch.0.load(Ordering::SeqCst);
-        // The extra sequence load exists only in `obs` builds; a stale
-        // pin (epoch behind the live sequence) is sound but keeps
-        // retired nodes alive up to one extra reclaim interval.
-        #[cfg(feature = "obs")]
-        crate::obs::note_guard_entry(pin < self.seq.load(Ordering::Relaxed));
         let word = &self.stripes[stripe].0;
         let mut old = word.load(Ordering::SeqCst);
         loop {
@@ -205,7 +200,6 @@ impl<T: Send> Pile<T> {
     /// occasionally attempts reclamation.
     fn retire(&self, node: *mut Node<T>) {
         debug_assert!(!node.is_null());
-        crate::obs::note_retire();
         let stamp = self.seq.fetch_add(1, Ordering::SeqCst);
         // Safety: unlinked and not yet pushed — no other writer touches
         // `stamp`; concurrent readers may hold `&Node`, hence atomic.
@@ -679,7 +673,6 @@ impl<T: Send> SeqCell<T> {
             w.store(v, Ordering::Relaxed);
         }
         self.seq.store(cur + 2, Ordering::Release);
-        crate::obs::note_inline_register_write();
     }
 
     /// Reads the current value (`None` is ⊥): pure loads, validated by
@@ -838,7 +831,6 @@ impl<T: Send> CombiningMax<T> {
         // Dominated fast path: most writes under contention lose to the
         // running maximum and finish with this single shared load.
         if self.root.done.load(Ordering::Acquire) >= tag {
-            crate::obs::note_combine_covered();
             return;
         }
         let words = encode(&value);
@@ -850,7 +842,6 @@ impl<T: Send> CombiningMax<T> {
         loop {
             let d = self.root.done.load(Ordering::Acquire);
             if d >= tag {
-                crate::obs::note_combine_covered();
                 return;
             }
             let c = self.root.claim.load(Ordering::Relaxed);
@@ -897,7 +888,9 @@ impl<T: Send> CombiningMax<T> {
         }
         self.root.done.store(best_tag, Ordering::Release);
         self.root.claim.store(best_tag, Ordering::Release);
-        crate::obs::note_combine_install(batch);
+        if batch > 1 {
+            crate::obs::note_combine_install(batch);
+        }
     }
 
     /// Reads the current maximum entry: pure loads, validated on the

@@ -200,10 +200,6 @@ where
     ///
     /// Panics if an object id is out of range for the layout.
     pub fn execute(&self, op: Op<V>) -> OpResult<V> {
-        #[cfg(feature = "obs")]
-        let (kind, start) = (op.kind(), std::time::Instant::now());
-        #[cfg(feature = "obs")]
-        let _latency = crate::obs::LatencyRecorder { kind, start };
         match op {
             Op::RegisterRead(id) => OpResult::RegisterValue(self.register(id).read()),
             Op::RegisterWrite(id, v) => {

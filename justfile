@@ -14,13 +14,14 @@ fmt-check:
 
 # Lint everything; warnings are errors, as in CI. The first grep keeps
 # the two seed labels (process coins, adversary schedule) inside rng.rs;
-# the others keep mutation testing and the regular register from
-# becoming build modes again.
+# the other two keep the workspace at one build configuration: no
+# `cfg(feature …)` in any source file, no `[features]` table in any
+# manifest.
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
     ! grep -rnE '\.(stream|seed)\("(process|schedule)"' --include=*.rs --exclude=rng.rs crates src tests examples
-    ! grep -rn 'feature = "mutants"' crates src tests
-    ! grep -rn 'feature = "torn[-]publication"' crates src tests
+    ! grep -rnE 'cfg!?\(.*feature' --include=*.rs crates src tests examples
+    ! grep -rn '^\[features\]' Cargo.toml crates/*/Cargo.toml
 
 # Tier-1 gate: release build plus the full test suite (default-members
 # covers the workspace, so this runs every crate's suites).
@@ -38,9 +39,10 @@ determinism:
     diff -u /tmp/sift_t1.txt /tmp/sift_t4.txt
     @echo "exp all output is byte-identical across thread counts"
 
-# Model-checking suites at CI weight: DPOR exploration, linearizability
-# of captured histories, and counterexample replay. Runs in debug (the
-# non-ignored instances are small); `mc-full` covers the heavy tier.
+# The model-checking suites on their own: DPOR exploration,
+# linearizability of captured histories, and counterexample replay, in
+# debug exactly as `tier1` runs them (the non-ignored instances are
+# small); `mc-full` covers the heavy tier.
 mc:
     cargo test -q --test exhaustive --test linearizability --test mc_replay
 
@@ -49,12 +51,6 @@ mc:
 # mode is mandatory — debug would take many minutes).
 mc-full:
     cargo test --release --test exhaustive --test linearizability --test mc_replay -- --include-ignored
-
-# The suites that touch the instrumentation, with the substrate's
-# counters compiled in (`obs` feature).
-test-obs:
-    cargo test -q -p sift-shmem --features obs
-    cargo test -q -p sift-bench --features obs
 
 # The statistical conformance suite (E22): every quantitative claim of
 # the paper as a one-sided 99% hypothesis test, plus the mutation tests
@@ -74,10 +70,11 @@ conformance:
 # 1, 4, and 8 — the crash-recovery suite, the allocations-per-decision
 # gate, the served-stack ↔ engine pin in cross_runtime (phase 1 under
 # round robin, phase 2 reachable when interleaved), plus a small
-# load-generator smoke run. The first line keeps the
-# sift-service → sift-shmem edge cut.
+# load-generator smoke run. The first two lines keep the
+# sift-service → sift-shmem and sift-bench → sift-shmem edges cut.
 service:
     ! cargo tree -p sift-service -e normal --offline | grep -q sift-shmem
+    ! cargo tree -p sift-bench -e normal --offline | grep -q sift-shmem
     cargo test -q --test service_agreement --test service_determinism \
         --test service_negative --test substrate_differential \
         --test decide_allocations --test service_crash --test cross_runtime
@@ -122,7 +119,7 @@ adversary:
     cargo test -q --release -p sift-bench --test adversary_boundary
 
 # Everything CI runs.
-ci: fmt-check clippy tier1 test-obs mc determinism conformance adversary service soak
+ci: fmt-check clippy tier1 determinism conformance adversary service soak
 
 # Regenerate the experiment output EXPERIMENTS.md records (uses all
 # cores); the raw copy lands under target/, untracked.
