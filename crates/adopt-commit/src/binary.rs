@@ -4,7 +4,7 @@
 use sift_sim::{LayoutBuilder, ProcessId, Value};
 
 use crate::flags::{FlagsAc, FlagsProposer};
-use crate::spec::{AcOutput, AdoptCommit};
+use crate::spec::AdoptCommit;
 
 /// A binary adopt-commit object: codes are `0` and `1`, cost is `O(1)`
 /// (7 register operations at most).
@@ -61,9 +61,6 @@ impl<V: Value> AdoptCommit<V> for BinaryAc {
         <FlagsAc as AdoptCommit<V>>::steps_bound(&self.inner)
     }
 }
-
-/// Convenience alias for binary adopt-commit results over bare bits.
-pub type BitOutput = AcOutput<u64>;
 
 #[cfg(test)]
 mod tests {

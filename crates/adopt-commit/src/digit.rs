@@ -55,7 +55,7 @@ impl DigitAc {
     /// # Panics
     ///
     /// Panics if `base < 2` or `digits == 0`.
-    pub fn allocate(builder: &mut LayoutBuilder, base: u64, digits: usize) -> Self {
+    pub(crate) fn allocate(builder: &mut LayoutBuilder, base: u64, digits: usize) -> Self {
         assert!(base >= 2, "base must be at least 2");
         assert!(digits > 0, "need at least one digit position");
         let mk = |builder: &mut LayoutBuilder| {
@@ -94,18 +94,8 @@ impl DigitAc {
         Self::allocate(builder, base, digits)
     }
 
-    /// The digit base.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// The number of digit positions.
-    pub fn digits(&self) -> usize {
-        self.digits
-    }
-
     /// The size of the code space (`base^digits`), saturating.
-    pub fn code_space(&self) -> u64 {
+    pub(crate) fn code_space(&self) -> u64 {
         self.base.saturating_pow(self.digits as u32)
     }
 
@@ -445,10 +435,10 @@ mod tests {
     fn for_code_space_sizes() {
         let mut b = LayoutBuilder::new();
         let ac = DigitAc::for_code_space(&mut b, 100, 10);
-        assert_eq!(ac.digits(), 2);
-        assert_eq!(ac.base(), 10);
+        assert_eq!(ac.digits, 2);
+        assert_eq!(ac.base, 10);
         let ac2 = DigitAc::for_code_space(&mut b, 101, 10);
-        assert_eq!(ac2.digits(), 3);
+        assert_eq!(ac2.digits, 3);
     }
 
     #[test]

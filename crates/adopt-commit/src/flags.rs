@@ -67,11 +67,6 @@ impl FlagsAc {
             m,
         }
     }
-
-    /// Size of the code space.
-    pub fn code_space(&self) -> usize {
-        self.m
-    }
 }
 
 impl<V: Value> AdoptCommit<V> for FlagsAc {

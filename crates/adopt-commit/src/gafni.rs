@@ -37,7 +37,7 @@ use crate::spec::{AcOutput, AdoptCommit, Verdict};
 
 /// Shared code extractor: recovers a value's code. Must agree with the
 /// codes passed to [`AdoptCommit::proposer`].
-pub type CodeOf<V> = Arc<dyn Fn(&V) -> u64 + Send + Sync>;
+pub(crate) type CodeOf<V> = Arc<dyn Fn(&V) -> u64 + Send + Sync>;
 
 fn decide<V: Value>(
     cand: bool,
@@ -122,11 +122,6 @@ impl<V: Value> GafniSnapshotAc<V> {
             n,
             code_of: Arc::new(code_of),
         }
-    }
-
-    /// Number of processes the instance was sized for.
-    pub fn process_count(&self) -> usize {
-        self.n
     }
 }
 
@@ -308,11 +303,6 @@ impl<V: Value> GafniRegisterAc<V> {
             n,
             code_of: Arc::new(code_of),
         }
-    }
-
-    /// Number of processes the instance was sized for.
-    pub fn process_count(&self) -> usize {
-        self.n
     }
 }
 

@@ -30,7 +30,7 @@ pub mod flags;
 pub mod gafni;
 pub mod spec;
 
-pub use binary::{BinaryAc, BitOutput};
+pub use binary::BinaryAc;
 pub use digit::{DigitAc, DigitProposer};
 pub use flags::{FlagsAc, FlagsProposer};
 pub use gafni::{GafniRegisterAc, GafniRegisterProposer, GafniSnapshotAc, GafniSnapshotProposer};

@@ -6,9 +6,9 @@
 //! [`microbench`](crate::microbench::BenchKnobs), through the same
 //! typed reader and under the same error contract. [`main`] parses the
 //! subcommand, the one flag (`--obs-json PATH`) and every `SIFT_*`
-//! variable in [`ENV_KNOBS`] before anything runs, hands the common
+//! variable in `ENV_KNOBS` before anything runs, hands the common
 //! ones to the library's setters
-//! ([`exec::set_threads`], [`exec::set_master_seed`],
+//! ([`exec::set_threads`], `exec::set_master_seed`,
 //! [`runner::set_trials`], [`obs::set_output`]) and the rest to the
 //! experiment as a [`Knobs`].
 //!
@@ -28,7 +28,7 @@ use crate::{exec, obs, runner};
 /// Every environment variable `exp` reads, one per line, as `--help`
 /// prints them. A numeric knob rejects anything but a number in its
 /// range; a path set to the empty string counts as unset.
-pub const ENV_KNOBS: &str = "\
+pub(crate) const ENV_KNOBS: &str = "\
   SIFT_TRIALS             trials per configuration; the scale of `conformance` (default: per experiment)
   SIFT_THREADS            worker threads; never changes stdout (default: available parallelism)
   SIFT_SEED               master seed; 0, the default, is the historical seed layout
@@ -47,7 +47,7 @@ pub const ENV_KNOBS: &str = "\
   SIFT_SOAK_JSON          soak: write the conformance trajectory to this path
 ";
 
-/// The names in [`ENV_KNOBS`].
+/// The names in `ENV_KNOBS`.
 pub fn env_knob_names() -> impl Iterator<Item = &'static str> {
     ENV_KNOBS
         .lines()

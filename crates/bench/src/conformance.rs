@@ -5,7 +5,7 @@
 //! seeded trials, count the trials violating the claimed event (or
 //! exceeding a Markov threshold derived from a claimed expectation), and
 //! compute the Clopper–Pearson **lower** confidence bound on the true
-//! violation rate at 99% confidence ([`cp_lower`]). The claim *fails*
+//! violation rate at 99% confidence (`cp_lower`). The claim *fails*
 //! only when the data excludes the paper's bound at that confidence —
 //! so a passing verdict is robust to sampling noise at smoke trial
 //! counts, while a genuinely broken protocol (the biased-coin sifter
@@ -26,7 +26,7 @@
 //!   *lower* confidence bound does not exceed the paper's bound (only
 //!   then does the data exclude the claimed expectation).
 //!
-//! Trials fan out over [`map_reduce`](crate::exec::map_reduce) with
+//! Trials fan out over [`map_reduce`] with
 //! per-claim fixed master seeds, so the whole suite — including the
 //! [`digest`] of its rendered verdicts — is byte-identical for any
 //! `SIFT_THREADS`. `scale` multiplies every trial count: 1 is the CI
@@ -108,8 +108,8 @@ pub fn run(scale: usize) -> Vec<ClaimResult> {
 /// — the one `EXPERIMENTS.md` records — and its digest.
 ///
 /// Exit code 1 if any claim is refuted.
-pub fn main() -> ExitCode {
-    let scale = crate::default_trials(1);
+pub(crate) fn main() -> ExitCode {
+    let scale = crate::runner::default_trials(1);
     let start = std::time::Instant::now();
     let results = run(scale);
     render(&results).print();
@@ -132,7 +132,7 @@ pub fn all_pass(results: &[ClaimResult]) -> bool {
 
 /// Renders the suite as one table (the layout recorded in
 /// `EXPERIMENTS.md`).
-pub fn render(results: &[ClaimResult]) -> Table {
+pub(crate) fn render(results: &[ClaimResult]) -> Table {
     let mut table = claims_table(
         "E22 — conformance: the paper's bounds as 99% hypothesis tests",
         results,
@@ -147,7 +147,7 @@ pub fn render(results: &[ClaimResult]) -> Table {
 }
 
 /// Renders the negative tier (see [`run_negative`]) as its own table.
-pub fn render_negative(results: &[ClaimResult]) -> Table {
+pub(crate) fn render_negative(results: &[ClaimResult]) -> Table {
     let mut table = claims_table(
         "E25 — negative conformance: the obliviousness boundary as expected-failure tests",
         results,
@@ -958,6 +958,6 @@ mod tests {
             assert!(r.pass, "claim {} failed: {:?}", r.id, r);
         }
         let table = render(&results);
-        assert_eq!(table.row_count(), results.len());
+        assert_eq!(table.rows().len(), results.len());
     }
 }

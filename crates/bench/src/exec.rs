@@ -12,7 +12,7 @@
 //! order:
 //!
 //! * Per-trial seeds depend only on `(master_seed, trial_index)` (see
-//!   [`trial_seed`]), never on which worker runs the trial.
+//!   `trial_seed`), never on which worker runs the trial.
 //! * Trials are folded into fixed-size chunks whose boundaries depend
 //!   only on the trial count (never the thread count), and chunk
 //!   accumulators are merged in index order at the barrier.
@@ -25,7 +25,7 @@
 //! # Knobs
 //!
 //! * [`set_threads`] — worker count (default: available parallelism).
-//! * [`set_master_seed`] — master seed for a batch (default 0).
+//! * `set_master_seed` — master seed for a batch (default 0).
 //!
 //! This module never reads the environment: [`crate::cli`] parses
 //! `SIFT_THREADS` / `SIFT_SEED` once and calls the setters.
@@ -87,7 +87,7 @@ impl<T> Merge for Vec<T> {
 }
 
 /// Per-trial step accounting rides the executor's shared merge path by
-/// delegating to [`Metrics::merge`] — the one element-wise summing
+/// delegating to [`Metrics::merge`](sift_sim::Metrics::merge) — the one element-wise summing
 /// implementation, so the simulator's aggregation and the harness's
 /// cannot drift apart.
 impl Merge for sift_sim::Metrics {
@@ -142,13 +142,13 @@ pub fn set_threads(threads: usize) {
 }
 
 /// Sets the master seed for all subsequent batches (default 0).
-pub fn set_master_seed(seed: u64) {
+pub(crate) fn set_master_seed(seed: u64) {
     MASTER_SEED.store(seed, Ordering::Relaxed);
 }
 
 /// The worker count used by [`map_reduce`]: the [`set_threads`] value,
 /// else the machine's available parallelism.
-pub fn threads() -> usize {
+pub(crate) fn threads() -> usize {
     match THREADS.load(Ordering::Relaxed) {
         0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
         set => set,
@@ -156,7 +156,7 @@ pub fn threads() -> usize {
 }
 
 /// The master seed for a batch: the [`set_master_seed`] value, else 0.
-pub fn master_seed() -> u64 {
+pub(crate) fn master_seed() -> u64 {
     MASTER_SEED.load(Ordering::Relaxed)
 }
 
@@ -166,7 +166,7 @@ pub fn master_seed() -> u64 {
 /// the layout the pre-executor serial harness used, preserved so
 /// historical tables reproduce exactly. Any other master seed is
 /// expanded through [`SeedSplitter`] into decorrelated per-trial seeds.
-pub fn trial_seed(master: u64, index: u64) -> u64 {
+pub(crate) fn trial_seed(master: u64, index: u64) -> u64 {
     if master == 0 {
         index
     } else {
@@ -266,7 +266,7 @@ pub struct TrialSpec {
     pub kind: ScheduleKind,
     /// Index of this trial within its batch.
     pub index: u64,
-    /// Seed of this trial (see [`trial_seed`]).
+    /// Seed of this trial (see `trial_seed`).
     pub seed: u64,
 }
 
@@ -300,7 +300,7 @@ pub struct Batch {
 impl Batch {
     /// A batch of `count` trials of an `n`-process protocol under the
     /// `kind` adversary, seeded from the session master seed
-    /// ([`master_seed`]).
+    /// (`master_seed`).
     pub fn new(n: usize, count: usize, kind: ScheduleKind) -> Self {
         Self {
             n,
@@ -316,13 +316,8 @@ impl Batch {
         self
     }
 
-    /// Number of trials in the batch.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// The spec of trial `index`.
-    pub fn spec(&self, index: u64) -> TrialSpec {
+    pub(crate) fn spec(&self, index: u64) -> TrialSpec {
         TrialSpec {
             n: self.n,
             kind: self.kind,
@@ -386,7 +381,7 @@ impl Batch {
     /// adaptive adversaries).
     ///
     /// [`Engine`]: sift_sim::Engine
-    pub fn run_with<T, A>(
+    pub(crate) fn run_with<T, A>(
         &self,
         run: impl Fn(TrialSpec) -> T + Sync,
         init: impl Fn() -> A + Sync,

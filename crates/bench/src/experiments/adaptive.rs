@@ -90,7 +90,7 @@ fn snapshot_run(n: usize, seed: u64, adaptive: bool) -> (bool, usize) {
 
 /// Agreement under the oblivious random schedule versus the adaptive
 /// breaker, for both conciliators.
-pub fn run() -> Vec<Table> {
+pub(super) fn run() -> Vec<Table> {
     let mut table = Table::new(
         "E20 — oblivious vs adaptive adversary (n = 64, distinct inputs)",
         &[

@@ -64,7 +64,7 @@ fn worst_steps<A: AdoptCommit<u64>>(
 
 /// Cost (max proposer steps) of each adopt-commit object versus `m`,
 /// with every run property-checked.
-pub fn run() -> Vec<Table> {
+pub(crate) fn run() -> Vec<Table> {
     let mut table = Table::new(
         "E14 — adopt-commit cost vs code space m (n = 16 proposers, worst observed steps)",
         &[

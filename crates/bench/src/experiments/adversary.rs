@@ -26,7 +26,7 @@ use crate::table::{fmt_f64, Table};
 /// Agreement rates per (conciliator, schedule family), wait-freedom
 /// under crash subsets, and the adversary-lattice sweep: what `exp all`
 /// prints for this entry.
-pub fn run() -> Vec<Table> {
+pub(crate) fn run() -> Vec<Table> {
     let mut tables = run_base();
     tables.push(run_lattice(LATTICE_N, default_trials(LATTICE_TRIALS)).table());
     tables
@@ -47,7 +47,7 @@ fn run_base() -> Vec<Table> {
 ///
 /// Exit code 1 if any negative-tier case lands on the wrong side of the
 /// boundary or the JSON could not be written.
-pub fn main(json: Option<&Path>) -> ExitCode {
+pub(crate) fn main(json: Option<&Path>) -> ExitCode {
     for t in run_base() {
         t.print();
     }
@@ -112,7 +112,7 @@ impl LatticeCell {
     }
 
     /// Mean distinct outputs per trial.
-    pub fn mean_distinct(&self) -> f64 {
+    pub(crate) fn mean_distinct(&self) -> f64 {
         if self.trials == 0 {
             0.0
         } else {
@@ -133,7 +133,7 @@ pub struct LatticeReport {
 
 impl LatticeReport {
     /// Renders the sweep as the E24 table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut table = Table::new(
             format!(
                 "E24 — agreement vs adversary strength (sifting, n = {}, distinct inputs)",
@@ -168,7 +168,7 @@ impl LatticeReport {
     /// The sweep, its [`digest`](Self::digest) and the negative tier's
     /// verdicts as a small JSON document (tracked in
     /// `BENCH_adversary.json`).
-    pub fn to_json(&self, negative: &[ClaimResult]) -> String {
+    pub(crate) fn to_json(&self, negative: &[ClaimResult]) -> String {
         let comma = |i: usize, len: usize| if i + 1 < len { "," } else { "" };
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"n\": {},\n", self.n));

@@ -10,7 +10,7 @@ use crate::table::{fmt_f64, Table};
 
 /// Measures the disagreement rate of both conciliators across ε,
 /// checking it stays below the budget.
-pub fn run() -> Vec<Table> {
+pub(crate) fn run() -> Vec<Table> {
     let mut table = Table::new(
         "E2/E6 — disagreement rate vs ε (Theorems 1 and 2)",
         &[

@@ -13,7 +13,7 @@ use crate::table::{fmt_mean_ci, Table};
 
 /// Measures worst-process step counts for each conciliator under the
 /// round-robin and block-sequential (solo) adversaries.
-pub fn run() -> Vec<Table> {
+pub(super) fn run() -> Vec<Table> {
     let mut table = Table::new(
         "E11 — max individual steps: CIL vs escalating CIL vs Algorithm 1 (max) vs Algorithm 2",
         &[

@@ -70,7 +70,7 @@ where
 
 /// Corollary 1 and 2/3 stacks swept over `n`, plus the Corollary 2
 /// crossover sweep over `m`.
-pub fn run() -> Vec<Table> {
+pub(crate) fn run() -> Vec<Table> {
     vec![n_sweep(), m_sweep()]
 }
 

@@ -30,7 +30,7 @@ fn alg2_steps(n: usize) -> u64 {
 
 /// Algorithm 1's per-process cost under both snapshot cost models,
 /// against Algorithm 2's register-only cost.
-pub fn run() -> Vec<Table> {
+pub(super) fn run() -> Vec<Table> {
     let mut table = Table::new(
         "E21 — snapshot cost-model ablation (steps per process, ε = 1/2)",
         &[

@@ -14,7 +14,7 @@ use crate::table::{fmt_f64, fmt_mean_ci, Table};
 
 /// Measures Algorithm 3's total and individual step complexity and
 /// agreement rate across `n`, next to Algorithm 2's deterministic total.
-pub fn run() -> Vec<Table> {
+pub(super) fn run() -> Vec<Table> {
     let mut table = Table::new(
         "E7/E10 — Algorithm 3 (CIL + embedded sifter) vs Algorithm 2 totals",
         &[

@@ -13,7 +13,7 @@ use crate::stats::{Last, RateCounter};
 use crate::table::{fmt_f64, Table};
 
 /// Steps and agreement for the max-register Algorithm 1 at large `n`.
-pub fn run() -> Vec<Table> {
+pub(crate) fn run() -> Vec<Table> {
     let mut table = Table::new(
         "E15 — Algorithm 1 over max registers (footnote 1), ε = 1/2",
         &[

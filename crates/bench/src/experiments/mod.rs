@@ -2,7 +2,7 @@
 //!
 //! One module per table/figure of `DESIGN.md`'s experiment index
 //! (E1–E26), and [`REGISTRY`]: the only list of experiments in the
-//! repository. The `exp` binary dispatches over it, [`run_all`] is its
+//! repository. The `exp` binary dispatches over it, `run_all` is its
 //! `all`-flagged entries in order, and [`list`] — what `exp list`
 //! prints and what the README's experiment table must equal — is its
 //! rendering.
@@ -11,20 +11,20 @@
 //! the paper's analytical bound, so the output is directly comparable.
 //! Trial counts scale with `SIFT_TRIALS` (see [`crate::cli`]).
 
-pub mod adaptive;
+mod adaptive;
 pub mod adopt_commit;
 pub mod adversary;
 pub mod agreement;
-pub mod baselines;
+mod baselines;
 pub mod consensus;
-pub mod cost_model;
-pub mod linear_work;
+mod cost_model;
+mod linear_work;
 pub mod max_register;
 pub mod priority_range;
 pub mod steps;
 pub mod survivors;
-pub mod tail;
-pub mod test_and_set;
+mod tail;
+mod test_and_set;
 pub mod width;
 
 use std::fmt::Write as _;
@@ -219,7 +219,7 @@ impl Experiment {
     }
 
     /// Runs the experiment, printing its output.
-    pub fn run(&self, knobs: &Knobs) -> ExitCode {
+    pub(crate) fn run(&self, knobs: &Knobs) -> ExitCode {
         match self.entry {
             Tables(tables) => {
                 print_tables(tables());
@@ -249,7 +249,7 @@ pub fn list() -> String {
 ///
 /// This regenerates the full "evaluation section" recorded in
 /// `EXPERIMENTS.md`.
-pub fn run_all() -> Vec<Table> {
+pub(crate) fn run_all() -> Vec<Table> {
     REGISTRY
         .iter()
         .filter_map(Experiment::in_all)

@@ -39,7 +39,7 @@ fn has_duplicate(n: usize, rounds: usize, range: u64, seed: u64) -> bool {
 
 /// Duplicate frequency and agreement rate as the priority range shrinks
 /// below the paper's choice.
-pub fn run() -> Vec<Table> {
+pub(crate) fn run() -> Vec<Table> {
     let mut table = Table::new(
         "E13 — priority range ablation (Algorithm 1, n = 64, ε = 1/2)",
         &[

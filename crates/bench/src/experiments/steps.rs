@@ -11,7 +11,7 @@ use crate::table::Table;
 
 /// Measures per-process step counts (deterministic for both algorithms)
 /// across a wide `n` sweep, next to the paper's formulas.
-pub fn run() -> Vec<Table> {
+pub(crate) fn run() -> Vec<Table> {
     let mut table = Table::new(
         "E3 — individual step complexity vs n (ε = 1/2)",
         &[

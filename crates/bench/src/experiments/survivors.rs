@@ -31,7 +31,7 @@ where
 }
 
 /// Both decay tables: Algorithm 1, then Algorithm 2.
-pub fn run() -> Vec<Table> {
+pub(crate) fn run() -> Vec<Table> {
     let mut tables = snapshot_conciliator();
     tables.extend(sifting_conciliator());
     tables

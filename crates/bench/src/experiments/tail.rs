@@ -15,7 +15,7 @@ use crate::table::{fmt_f64, Table};
 /// Measures the disagreement rate of Algorithm 2 as a function of the
 /// number of `p = 1/2` tail rounds, against Lemma 4's
 /// `8·(3/4)^j` prediction.
-pub fn run() -> Vec<Table> {
+pub(super) fn run() -> Vec<Table> {
     let mut table = Table::new(
         "E18 — Algorithm 2 tail: disagreement vs extra rounds j beyond ⌈loglog n⌉ (n = 64)",
         &[

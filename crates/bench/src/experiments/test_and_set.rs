@@ -23,7 +23,7 @@ struct TasTrial {
 
 /// Loser/winner cost split of the sifting test-and-set versus a plain
 /// tournament, across `n`.
-pub fn run() -> Vec<Table> {
+pub(super) fn run() -> Vec<Table> {
     let mut table = Table::new(
         "E17 — sifting test-and-set vs plain tournament (random schedule)",
         &[

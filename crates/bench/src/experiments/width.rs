@@ -16,7 +16,7 @@ use crate::table::{fmt_f64, Table};
 
 /// Register widths across `(n, m)` plus the compact conciliator's
 /// measured agreement rate.
-pub fn run() -> Vec<Table> {
+pub(crate) fn run() -> Vec<Table> {
     let mut widths = Table::new(
         "E19a — sifting register width in bits (ε = 1/2)",
         &[

@@ -129,7 +129,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
 /// nightly CI job uploads as an artifact.
 ///
 /// Exit code 1 if any violation was found or `out` could not be written.
-pub fn main(config: &FuzzConfig, out: Option<&Path>) -> ExitCode {
+pub(crate) fn main(config: &FuzzConfig, out: Option<&Path>) -> ExitCode {
     let start = std::time::Instant::now();
     let report = run_fuzz(config);
 

@@ -20,13 +20,13 @@ pub mod microbench;
 pub mod obs;
 pub mod runner;
 pub mod schema;
-pub mod service_load;
+mod service_load;
 pub mod soak;
 pub mod stats;
 pub mod table;
 
 pub use conformance::{all_pass, ClaimResult};
 pub use exec::{map_reduce, Batch, Merge, TrialSpec};
-pub use runner::{default_trials, run_trial, run_trial_with_history, Trial};
-pub use stats::{Last, Peak, RateCounter, RoundExcess, Summary, Truncations, Welford};
+pub use runner::{run_trial, Trial};
+pub use stats::{Peak, RateCounter, RoundExcess, Summary, Welford};
 pub use table::Table;

@@ -12,7 +12,7 @@
 //! reports the **median** batch's per-iteration time, which shrugs off
 //! one-sided scheduling noise far better than a single long mean.
 //!
-//! Configuration is injected, not global: [`Criterion::with_budget`]
+//! Configuration is injected, not global: `Criterion::with_budget`
 //! takes the per-benchmark measure window directly (tests use this —
 //! nothing here mutates the process environment).
 //! [`Criterion::from_env`] (what
@@ -61,7 +61,8 @@ pub struct Criterion {
 
 impl Criterion {
     /// Builds a harness with an explicit per-benchmark measure budget.
-    pub fn with_budget(budget: Duration) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_budget(budget: Duration) -> Self {
         Self {
             knobs: BenchKnobs {
                 budget_ms: Some(budget.as_millis() as u64),
@@ -73,6 +74,7 @@ impl Criterion {
     /// Builds a harness configured from the process environment's
     /// `SIFT_BENCH_*` variables; a malformed one ends the process with
     /// exit code 2 before anything is measured.
+    #[doc(hidden)]
     pub fn from_env() -> Self {
         match BenchKnobs::parse(|name| std::env::var(name).ok()) {
             Ok(knobs) => Self { knobs },

@@ -51,7 +51,7 @@ pub fn enable() {
 }
 
 /// Whether trial recording is on.
-pub fn is_enabled() -> bool {
+pub(crate) fn is_enabled() -> bool {
     ENABLED.load(Ordering::Acquire)
 }
 
@@ -66,7 +66,7 @@ pub fn set_output(path: impl Into<PathBuf>) {
 /// Called by the shared trial runner; custom experiments that bypass it
 /// can call this — or [`record_report`] — from their own per-trial
 /// code.
-pub fn record_trial(trial: &Trial) {
+pub(crate) fn record_trial(trial: &Trial) {
     if !is_enabled() {
         return;
     }
@@ -85,7 +85,7 @@ pub fn record_trial(trial: &Trial) {
 }
 
 /// Merges an arbitrary pre-built report (no-op unless enabled).
-pub fn record_report(report: &ObsReport) {
+pub(crate) fn record_report(report: &ObsReport) {
     if !is_enabled() {
         return;
     }
@@ -133,7 +133,7 @@ pub fn collect() -> ObsReport {
 /// [`schema::validate_target`](crate::schema::validate_target)): such a
 /// target almost always means the output path is pointed at the wrong
 /// file.
-pub fn write_json(path: &Path) -> io::Result<()> {
+pub(crate) fn write_json(path: &Path) -> io::Result<()> {
     if let Err(message) = crate::schema::validate_target(path) {
         return Err(io::Error::other(format!(
             "refusing to overwrite trajectory target: {message}"

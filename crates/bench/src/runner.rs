@@ -34,7 +34,7 @@ pub struct Trial {
     /// Why the engine stopped. Anything but [`StopReason::AllDone`]
     /// means the run was truncated and `agreed` reflects an incomplete
     /// execution; aggregations count truncations separately (see
-    /// [`Truncations`](crate::stats::Truncations)).
+    /// `Truncations`).
     pub stop_reason: StopReason,
     /// Distinct-persona counts per round, when the participant records
     /// history.
@@ -52,7 +52,7 @@ pub fn set_trials(trials: usize) {
 
 /// The trial count for a configuration whose own default is `wanted`:
 /// the [`set_trials`] value, else `wanted`.
-pub fn default_trials(wanted: usize) -> usize {
+pub(crate) fn default_trials(wanted: usize) -> usize {
     match TRIALS.load(Ordering::Relaxed) {
         0 => wanted,
         set => set,
@@ -155,13 +155,13 @@ impl<C: Conciliator> TrialFixture<C> {
     /// correct participant finishes in `steps_bound` charged ops, and
     /// skipped slots of finished processes count too, so leave 4×
     /// headroom over `n · (steps_bound + 2)`.
-    pub fn slot_budget(&self) -> u64 {
+    pub(crate) fn slot_budget(&self) -> u64 {
         4 * self.n as u64 * (self.steps_bound() + 2)
     }
 
     /// The inputs [`participants`](Self::participants) propose:
     /// process `i` proposes `i`.
-    pub fn inputs(&self) -> Vec<u64> {
+    pub(crate) fn inputs(&self) -> Vec<u64> {
         (0..self.n as u64).collect()
     }
 
@@ -191,7 +191,7 @@ fn run_once<C: Conciliator>(
 
 /// Runs one trial of a history-recording conciliator, collecting
 /// per-round survivor counts.
-pub fn run_trial_with_history<C, P>(
+pub(crate) fn run_trial_with_history<C, P>(
     n: usize,
     seed: u64,
     kind: ScheduleKind,

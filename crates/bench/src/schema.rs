@@ -4,7 +4,7 @@
 //! `BENCH_adversary.json`) that CI diffs and downstream tooling
 //! parses. A binary pointed at the wrong path — or
 //! at a file another tool half-wrote — used to clobber it silently;
-//! now every writer calls [`validate_target`] first and refuses (exit
+//! now every writer calls `validate_target` first and refuses (exit
 //! 1, clear message) when the existing content does not parse as the
 //! trajectory schema its filename promises:
 //!
@@ -47,7 +47,7 @@ impl Json {
     }
 
     /// The array items, if this is an array.
-    pub fn items(&self) -> Option<&[Json]> {
+    pub(crate) fn items(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -58,14 +58,6 @@ impl Json {
     pub fn as_num(&self) -> Option<f64> {
         match self {
             Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -283,7 +275,7 @@ pub fn validate_bench_json(name: &str, text: &str) -> Result<(), String> {
 /// file is a fresh start; an existing file must already conform to the
 /// schema its name promises, otherwise the caller is almost certainly
 /// pointed at the wrong path and must refuse to clobber it.
-pub fn validate_target(path: &Path) -> Result<(), String> {
+pub(crate) fn validate_target(path: &Path) -> Result<(), String> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         // Missing file (or unreadable — the write will surface that
@@ -320,7 +312,7 @@ mod tests {
             doc.get("a").unwrap().items().unwrap()[2].as_num(),
             Some(-300.0)
         );
-        assert_eq!(doc.get("b").unwrap().as_str(), Some("x\ny"));
+        assert_eq!(doc.get("b"), Some(&Json::Str("x\ny".into())));
         assert_eq!(doc.get("c"), Some(&Json::Bool(true)));
         assert_eq!(doc.get("d"), Some(&Json::Null));
     }

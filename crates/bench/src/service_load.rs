@@ -42,7 +42,7 @@ pub enum LoadMode {
 
 impl LoadMode {
     /// Parses `"open"` / `"closed"` (ASCII case-insensitive).
-    pub fn parse(s: &str) -> Option<LoadMode> {
+    pub(crate) fn parse(s: &str) -> Option<LoadMode> {
         if s.eq_ignore_ascii_case("open") {
             Some(LoadMode::Open)
         } else if s.eq_ignore_ascii_case("closed") {
@@ -98,7 +98,7 @@ impl Default for LoadConfig {
 
 /// Result of one load run.
 #[derive(Debug, Clone)]
-pub struct LoadReport {
+pub(crate) struct LoadReport {
     /// The service's merged per-shard observations plus `load.*` keys.
     pub obs: ObsReport,
     /// Wall-clock duration of the proposal phase.
@@ -114,7 +114,7 @@ pub struct LoadReport {
 
 impl LoadReport {
     /// Proposals per second.
-    pub fn throughput(&self) -> f64 {
+    pub(crate) fn throughput(&self) -> f64 {
         self.proposals as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 }
@@ -122,7 +122,7 @@ impl LoadReport {
 /// Zipf(θ) sampler over ranks `0..n` via inverse CDF on a precomputed
 /// cumulative table (deterministic given the caller's RNG).
 #[derive(Debug)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cumulative: Vec<f64>,
 }
 
@@ -132,7 +132,7 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `n == 0` or `theta` is negative or non-finite.
-    pub fn new(n: u64, theta: f64) -> Self {
+    pub(crate) fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0, "need at least one rank");
         assert!(theta >= 0.0 && theta.is_finite(), "bad zipf theta {theta}");
         let mut cumulative = Vec::with_capacity(n as usize);
@@ -148,7 +148,7 @@ impl Zipf {
     }
 
     /// Draws one rank.
-    pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut Xoshiro256StarStar) -> u64 {
         let u = rng.unit_f64();
         self.cumulative.partition_point(|&c| c < u) as u64
     }
@@ -159,7 +159,7 @@ impl Zipf {
 /// latency histograms included, goes to the `--obs-json` collector.
 ///
 /// Exit code 1 if any instance failed to decide.
-pub fn main(config: &LoadConfig) -> ExitCode {
+pub(crate) fn main(config: &LoadConfig) -> ExitCode {
     println!(
         "service load: {} proposals over {} instances (zipf θ={}), \
          {} shards / {} workers / {} clients, {:?} loop",
@@ -220,7 +220,7 @@ pub fn main(config: &LoadConfig) -> ExitCode {
 ///
 /// Panics if a client thread panics or the configuration is degenerate
 /// (zero proposals, clients, shards, or workers).
-pub fn run_load(config: &LoadConfig) -> LoadReport {
+pub(crate) fn run_load(config: &LoadConfig) -> LoadReport {
     assert!(config.proposals > 0, "need at least one proposal");
     assert!(config.clients > 0, "need at least one client");
     let service = Arc::new(Service::start(ServiceConfig {

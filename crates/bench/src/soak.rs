@@ -65,7 +65,7 @@ use crate::stats::cp_lower;
 use crate::table::Table;
 
 /// Sifting-lane scales checked every window.
-pub const SIFT_SCALES: [usize; 2] = [16, 48];
+pub(crate) const SIFT_SCALES: [usize; 2] = [16, 48];
 /// Sifting trials per scale per window.
 const SIFT_TRIALS: usize = 8;
 /// Fraction of processes crashed in a crash-injected sifting trial.
@@ -77,7 +77,7 @@ const SHRINK_CAP: usize = 1500;
 const HARVEST_PER_SCALE: usize = 2;
 
 /// Shards of the persistent service pair.
-pub const SERVICE_SHARDS: usize = 8;
+pub(crate) const SERVICE_SHARDS: usize = 8;
 /// Per-shard decided-fact capacity — deliberately small so the soak
 /// traffic exercises eviction tombstones.
 const SERVICE_CAPACITY: usize = 12;
@@ -99,7 +99,7 @@ const SERVICE_EVICTED_PROBES: usize = 2;
 const SERVICE_EVICTED_LAG: u64 = 4;
 
 /// Processes in the fuzz lane's candidate schedules.
-pub const FUZZ_N: usize = 6;
+pub(crate) const FUZZ_N: usize = 6;
 /// Fuzz candidates evaluated per window.
 const FUZZ_POPULATION: usize = 6;
 
@@ -110,7 +110,7 @@ pub struct SoakConfig {
     /// crash plans from disjoint labelled streams of it.
     pub seed: u64,
     /// Windows to run under [`run_soak`] (a wall-clock driver calls
-    /// [`Soak::step`] directly instead).
+    /// `Soak::step` directly instead).
     pub windows: usize,
     /// Sliding-window width of the conformance checker.
     pub width: usize,
@@ -267,7 +267,7 @@ impl SoakReport {
     }
 
     /// Renders the final window's rows as a console table.
-    pub fn render(&self) -> Table {
+    pub(crate) fn render(&self) -> Table {
         let mut table = Table::new(
             "E26 soak conformance (sliding-window LCBs, final window)",
             &[
@@ -383,7 +383,7 @@ type Build<C> = Box<dyn Fn(&mut LayoutBuilder, usize) -> C + Sync>;
 /// deterministic window. [`run_soak`] wraps it for a fixed window
 /// budget; the wall-clock mode of [`main`] (`SIFT_SOAK_SECS > 0`) calls
 /// `step` until a deadline instead.
-pub struct Soak<C = SiftingConciliator> {
+pub(crate) struct Soak<C = SiftingConciliator> {
     config: SoakConfig,
     build: Build<C>,
     split: SeedSplitter,
@@ -413,7 +413,7 @@ impl<C> fmt::Debug for Soak<C> {
 
 impl Soak {
     /// A soak against the unmodified [`SiftingConciliator`].
-    pub fn new(config: SoakConfig) -> Self {
+    pub(crate) fn new(config: SoakConfig) -> Self {
         Self::with_build(config, Box::new(sifter))
     }
 }
@@ -449,15 +449,10 @@ where
         }
     }
 
-    /// Windows run so far.
-    pub fn windows_run(&self) -> u64 {
-        self.window
-    }
-
     /// Runs one window: service traffic with crash injection, sifting
     /// trials, one fuzz generation, then the sliding-window check.
     /// Returns the rows emitted for this window.
-    pub fn step(&mut self) -> &[SoakRow] {
+    pub(crate) fn step(&mut self) -> &[SoakRow] {
         let window = self.window;
         let wsplit = SeedSplitter::new(self.split.seed("window", window));
         let mut tally: BTreeMap<(String, usize), (u64, u64)> = claim_keys()
@@ -507,7 +502,7 @@ where
     }
 
     /// Finishes the soak and reports the trajectory.
-    pub fn finish(self) -> SoakReport {
+    pub(crate) fn finish(self) -> SoakReport {
         SoakReport {
             windows_run: self.window,
             rows: self.rows,
@@ -1202,7 +1197,7 @@ fn exercise_live_service(seed: u64, deadline: Instant) -> Result<(u64, u64), Str
 ///
 /// Exit code 1 if a claim was flagged, a violation was found or an
 /// output target was refused.
-pub fn main(config: &SoakConfig, secs: u64, json: Option<&Path>) -> ExitCode {
+pub(crate) fn main(config: &SoakConfig, secs: u64, json: Option<&Path>) -> ExitCode {
     let start = Instant::now();
     let report = if secs == 0 {
         run_soak(config)

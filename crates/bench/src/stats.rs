@@ -2,7 +2,7 @@
 //!
 //! Workers of the parallel executor fold trial results into chunk-local
 //! accumulators which are merged at the barrier (see
-//! [`Merge`](crate::exec::Merge)), so sweeps never materialize a full
+//! [`Merge`]), so sweeps never materialize a full
 //! `Vec<f64>` of samples. [`Welford`] is the workhorse; [`Summary`] is
 //! its frozen, printable form.
 
@@ -24,21 +24,6 @@ pub struct Summary {
     pub min: f64,
     /// Maximum sample.
     pub max: f64,
-}
-
-impl Summary {
-    /// Summarizes `samples` (single streaming pass).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty.
-    pub fn of(samples: &[f64]) -> Self {
-        let mut w = Welford::new();
-        for &x in samples {
-            w.push(x);
-        }
-        w.summary()
-    }
 }
 
 /// Streaming mean/variance accumulator (Welford's algorithm) with an
@@ -104,7 +89,7 @@ impl Welford {
     }
 
     /// The running mean (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -120,7 +105,7 @@ impl Welford {
     /// # Panics
     ///
     /// Panics if no samples were absorbed.
-    pub fn mean_lcb(&self, z: f64) -> f64 {
+    pub(crate) fn mean_lcb(&self, z: f64) -> f64 {
         let s = self.summary();
         s.mean - z * s.std_dev / (s.count as f64).sqrt()
     }
@@ -176,7 +161,7 @@ impl Merge for Welford {
 ///
 /// Terms that underflow `exp` contribute 0, which only matters when the
 /// whole CDF is far below any confidence threshold we test against.
-pub fn binomial_cdf(k: u64, n: u64, p: f64) -> f64 {
+pub(crate) fn binomial_cdf(k: u64, n: u64, p: f64) -> f64 {
     assert!((0.0..=1.0).contains(&p), "p must be a probability, got {p}");
     if p == 0.0 {
         return 1.0;
@@ -210,7 +195,7 @@ pub fn binomial_cdf(k: u64, n: u64, p: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `n == 0`, `x > n`, or `alpha` is outside `(0, 1)`.
-pub fn cp_lower(x: u64, n: u64, alpha: f64) -> f64 {
+pub(crate) fn cp_lower(x: u64, n: u64, alpha: f64) -> f64 {
     assert!(n > 0, "need at least one trial");
     assert!(x <= n, "successes {x} exceed trials {n}");
     assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
@@ -232,7 +217,7 @@ pub fn cp_lower(x: u64, n: u64, alpha: f64) -> f64 {
 
 /// z-quantile for one-sided 99% confidence, used by the conformance
 /// suite's mean tests (`Φ(2.326) ≈ 0.99`).
-pub const Z_99: f64 = 2.326;
+pub(crate) const Z_99: f64 = 2.326;
 
 /// An online success-rate counter (for agreement probabilities).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -254,17 +239,17 @@ impl RateCounter {
     }
 
     /// Number of successes.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Number of trials.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.total
     }
 
     /// The empirical rate (0 when no trials were recorded).
-    pub fn rate(&self) -> f64 {
+    pub(crate) fn rate(&self) -> f64 {
         if self.total == 0 {
             0.0
         } else {
@@ -286,17 +271,17 @@ pub struct Peak(u64);
 
 impl Peak {
     /// Creates a zeroed peak tracker.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Absorbs one sample.
-    pub fn record(&mut self, x: u64) {
+    pub(crate) fn record(&mut self, x: u64) {
         self.0 = self.0.max(x);
     }
 
     /// The maximum sample seen (0 when empty).
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0
     }
 }
@@ -310,21 +295,21 @@ impl Merge for Peak {
 /// Keeps the value recorded by the highest-indexed trial (chunk merges
 /// preserve trial order, so "last wins" is deterministic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Last<T>(Option<T>);
+pub(crate) struct Last<T>(Option<T>);
 
 impl<T> Last<T> {
     /// Creates an empty holder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self(None)
     }
 
     /// Records a value, replacing any earlier one.
-    pub fn record(&mut self, value: T) {
+    pub(crate) fn record(&mut self, value: T) {
         self.0 = Some(value);
     }
 
     /// The last recorded value, if any.
-    pub fn get(&self) -> Option<&T> {
+    pub(crate) fn get(&self) -> Option<&T> {
         self.0.as_ref()
     }
 }
@@ -366,11 +351,6 @@ impl RoundExcess {
     pub fn means(&self) -> Vec<f64> {
         self.sums.iter().map(|s| s / self.trials as f64).collect()
     }
-
-    /// Number of trials absorbed.
-    pub fn trials(&self) -> u64 {
-        self.trials
-    }
 }
 
 impl Merge for RoundExcess {
@@ -389,7 +369,7 @@ impl Merge for RoundExcess {
 /// [`StopReason`] — reported separately instead of being silently
 /// folded into "disagreed".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Truncations {
+pub(crate) struct Truncations {
     /// Runs stopped because the (finite) schedule ran out of slots.
     pub schedule_exhausted: u64,
     /// Runs stopped by an explicit slot limit.
@@ -398,12 +378,12 @@ pub struct Truncations {
 
 impl Truncations {
     /// Creates a zeroed counter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one run's stop reason.
-    pub fn record(&mut self, reason: StopReason) {
+    pub(crate) fn record(&mut self, reason: StopReason) {
         match reason {
             StopReason::AllDone => {}
             StopReason::ScheduleExhausted => self.schedule_exhausted += 1,
@@ -412,13 +392,13 @@ impl Truncations {
     }
 
     /// Total truncated runs.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.schedule_exhausted + self.slot_limit
     }
 
     /// A table footnote describing the truncations, or `None` when every
     /// run completed (the common case — tables stay unchanged).
-    pub fn note(&self) -> Option<String> {
+    pub(crate) fn note(&self) -> Option<String> {
         (self.total() > 0).then(|| {
             format!(
                 "{} truncated run(s) not counted as disagreement: \
@@ -442,9 +422,17 @@ impl Merge for Truncations {
 mod tests {
     use super::*;
 
+    fn summary_of(samples: &[f64]) -> Summary {
+        let mut w = Welford::new();
+        for &x in samples {
+            w.push(x);
+        }
+        w.summary()
+    }
+
     #[test]
     fn summary_of_constant_sample() {
-        let s = Summary::of(&[4.0, 4.0, 4.0]);
+        let s = summary_of(&[4.0, 4.0, 4.0]);
         assert_eq!(s.count, 3);
         assert_eq!(s.mean, 4.0);
         assert_eq!(s.std_dev, 0.0);
@@ -455,7 +443,7 @@ mod tests {
 
     #[test]
     fn summary_of_known_sample() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
+        let s = summary_of(&[1.0, 2.0, 3.0, 4.0]);
         assert!((s.mean - 2.5).abs() < 1e-12);
         // Variance = (2.25+0.25+0.25+2.25)/3 = 5/3.
         assert!((s.std_dev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
@@ -465,14 +453,14 @@ mod tests {
 
     #[test]
     fn summary_of_single_sample() {
-        let s = Summary::of(&[7.0]);
+        let s = summary_of(&[7.0]);
         assert_eq!(s.std_dev, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "empty sample")]
     fn empty_sample_panics() {
-        Summary::of(&[]);
+        summary_of(&[]);
     }
 
     #[test]
@@ -570,7 +558,7 @@ mod tests {
         let mut b = RoundExcess::new();
         b.record(&[2, 1]);
         a.merge(b);
-        assert_eq!(a.trials(), 2);
+        assert_eq!(a.trials, 2);
         let means = a.means();
         // Round 1: (3 + 1)/2 = 2; round 2: (1 + 0)/2 = 0.5; round 3: 0/2.
         assert_eq!(means, vec![2.0, 0.5, 0.0]);

@@ -17,7 +17,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given title and column headers.
-    pub fn new(title: impl Into<String>, columns: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, columns: &[&str]) -> Self {
         Self {
             title: title.into(),
             columns: columns.iter().map(|c| c.to_string()).collect(),
@@ -31,7 +31,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell count does not match the column count.
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(
             cells.len(),
             self.columns.len(),
@@ -43,7 +43,7 @@ impl Table {
     }
 
     /// Appends a free-form footnote printed under the table.
-    pub fn note(&mut self, note: impl Into<String>) -> &mut Self {
+    pub(crate) fn note(&mut self, note: impl Into<String>) -> &mut Self {
         self.notes.push(note.into());
         self
     }
@@ -53,18 +53,14 @@ impl Table {
         &self.title
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Access to raw rows (for tests).
-    pub fn rows(&self) -> &[Vec<String>] {
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> &[Vec<String>] {
         &self.rows
     }
 
     /// Renders the table as aligned Markdown.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -98,13 +94,13 @@ impl Table {
     }
 
     /// Prints the rendered table to stdout.
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         println!("{}", self.render());
     }
 }
 
 /// Formats a float with 3 significant decimals, trimming noise.
-pub fn fmt_f64(x: f64) -> String {
+pub(crate) fn fmt_f64(x: f64) -> String {
     if x == 0.0 {
         "0".to_string()
     } else if x.abs() >= 100.0 {
@@ -117,7 +113,7 @@ pub fn fmt_f64(x: f64) -> String {
 }
 
 /// Formats `mean ± ci` compactly.
-pub fn fmt_mean_ci(mean: f64, ci: f64) -> String {
+pub(crate) fn fmt_mean_ci(mean: f64, ci: f64) -> String {
     format!("{} ± {}", fmt_f64(mean), fmt_f64(ci))
 }
 
@@ -136,7 +132,7 @@ mod tests {
         assert!(s.contains("| n    | value |"));
         assert!(s.contains("| 16   | 1.25  |"));
         assert!(s.contains("_a footnote_"));
-        assert_eq!(t.row_count(), 2);
+        assert_eq!(t.rows().len(), 2);
         assert_eq!(t.title(), "Demo");
     }
 

@@ -23,7 +23,7 @@ use sift_sim::rng::Xoshiro256StarStar;
 use sift_sim::{LayoutBuilder, OpResult, Process, ProcessId, Step};
 
 /// Default number of pre-allocated phases.
-pub const DEFAULT_MAX_PHASES: usize = 64;
+pub(crate) const DEFAULT_MAX_PHASES: usize = 64;
 
 /// The result of a consensus participant.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,11 +164,6 @@ where
         self.n
     }
 
-    /// The phase objects (for analysis and tests).
-    pub fn phase(&self, index: usize) -> &(C, A) {
-        &self.phases[index]
-    }
-
     /// Upper bound on the probability of exhausting all phases:
     /// `(1 - δ)^max_phases`, where `δ` is the first phase conciliator's
     /// guaranteed agreement probability.
@@ -245,16 +240,6 @@ pub struct ConsensusParticipant<C: Conciliator, A: AdoptCommit<Persona>> {
 }
 
 impl<C: Conciliator, A: AdoptCommit<Persona>> ConsensusParticipant<C, A> {
-    /// The preference going into the current phase.
-    pub fn preference(&self) -> u64 {
-        self.preference
-    }
-
-    /// The current phase index (0-based).
-    pub fn phase_index(&self) -> usize {
-        self.phase_index
-    }
-
     fn decide(&mut self, value: u64) -> Step<Persona, ConsensusOutcome> {
         self.stage = Stage::Finished;
         Step::Done(ConsensusOutcome::Decided(Decision {
@@ -525,7 +510,7 @@ mod tests {
 
     #[test]
     fn exhaustion_probability_is_negligible_by_default() {
-        let (_, protocol) = snapshot_stack(4, crate::DEFAULT_MAX_PHASES);
+        let (_, protocol) = snapshot_stack(4, DEFAULT_MAX_PHASES);
         assert!(protocol.exhaustion_probability() < 1e-15);
         let (_, small) = snapshot_stack(4, 2);
         assert!((small.exhaustion_probability() - 0.25).abs() < 1e-12);

@@ -30,7 +30,6 @@ pub mod protocols;
 
 pub use framework::{
     check_consensus, ConsensusOutcome, ConsensusParticipant, ConsensusProtocol, Decision,
-    DEFAULT_MAX_PHASES,
 };
 pub use log::{LogParticipant, ReplicatedLog};
 pub use protocols::{

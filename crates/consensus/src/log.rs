@@ -105,14 +105,8 @@ where
     }
 
     /// Number of log slots.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Returns `true` if the log has zero slots (never, by
-    /// construction).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Creates the participant for `pid` with its local command queue.
@@ -159,16 +153,6 @@ pub struct LogParticipant<C: Conciliator, A: AdoptCommit<Persona>> {
 }
 
 impl<C: Conciliator, A: AdoptCommit<Persona>> LogParticipant<C, A> {
-    /// The log entries decided so far.
-    pub fn decided(&self) -> &[u64] {
-        &self.decided
-    }
-
-    /// Commands still waiting to be committed.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     fn proposal(&self) -> u64 {
         *self.queue.front().expect("queue never empties below one")
     }

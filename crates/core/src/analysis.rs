@@ -10,7 +10,7 @@ use crate::math::{ceil_log2, ceil_log_4_3, ceil_log_log, lemma1_f_iter, log_star
 use crate::params::Epsilon;
 
 /// Theorem 1: round count `R = log* n + ⌈log(1/ε)⌉ + 1` of Algorithm 1.
-pub fn theorem1_rounds(n: u64, epsilon: Epsilon) -> u64 {
+pub(crate) fn theorem1_rounds(n: u64, epsilon: Epsilon) -> u64 {
     (log_star(n) + ceil_log2(epsilon.inverse()) + 1) as u64
 }
 

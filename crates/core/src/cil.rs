@@ -59,13 +59,8 @@ impl CilConciliator {
     }
 
     /// The per-attempt write probability `1/(4n)`.
-    pub fn write_probability(&self) -> f64 {
+    pub(crate) fn write_probability(&self) -> f64 {
         1.0 / (4.0 * self.n as f64)
-    }
-
-    /// Number of processes.
-    pub fn process_count(&self) -> usize {
-        self.n
     }
 }
 
@@ -88,7 +83,6 @@ impl Conciliator for CilConciliator {
             persona,
             rng: own,
             phase: Phase::Read,
-            attempts: 0,
         }
     }
 
@@ -116,14 +110,6 @@ pub struct CilParticipant {
     persona: Persona,
     rng: Xoshiro256StarStar,
     phase: Phase,
-    attempts: u64,
-}
-
-impl CilParticipant {
-    /// Number of read attempts made so far.
-    pub fn attempts(&self) -> u64 {
-        self.attempts
-    }
 }
 
 impl Process for CilParticipant {
@@ -134,7 +120,6 @@ impl Process for CilParticipant {
         match self.phase {
             Phase::Read => {
                 self.phase = Phase::AwaitRead;
-                self.attempts += 1;
                 Step::Issue(Op::RegisterRead(self.shared.proposal))
             }
             Phase::AwaitRead => {

@@ -146,7 +146,6 @@ pub struct CompactSiftingConciliator {
     n: usize,
     m: u64,
     input_bits: u32,
-    epsilon: Epsilon,
 }
 
 impl CompactSiftingConciliator {
@@ -182,23 +181,17 @@ impl CompactSiftingConciliator {
             n,
             m,
             input_bits: width.input_bits,
-            epsilon,
         }
     }
 
     /// Number of rounds `R`.
-    pub fn rounds(&self) -> usize {
+    pub(crate) fn rounds(&self) -> usize {
         self.probs.len()
     }
 
     /// Bits actually stored per register.
     pub fn register_bits(&self) -> u32 {
         self.input_bits + self.rounds() as u32 + 1
-    }
-
-    /// The agreement probability `1 - ε`.
-    pub fn agreement_probability(&self) -> f64 {
-        1.0 - self.epsilon.get()
     }
 
     /// Creates the participant for `pid` with input `input`.
@@ -362,7 +355,6 @@ mod tests {
         let mut b = LayoutBuilder::new();
         let c = CompactSiftingConciliator::allocate(&mut b, 1 << 20, 2, Epsilon::HALF);
         assert!(c.register_bits() <= 20, "bits = {}", c.register_bits());
-        assert!((c.agreement_probability() - 0.5).abs() < 1e-12);
     }
 
     #[test]

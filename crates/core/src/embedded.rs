@@ -119,17 +119,12 @@ impl EmbeddedConciliator {
     }
 
     /// The per-iteration proposal-write probability `1/(4n)`.
-    pub fn write_probability(&self) -> f64 {
+    pub(crate) fn write_probability(&self) -> f64 {
         1.0 / (4.0 * self.n as f64)
     }
 
-    /// Number of processes.
-    pub fn process_count(&self) -> usize {
-        self.n
-    }
-
     /// Worst-case iterations of the main loop (inner rounds + 1).
-    pub fn loop_bound(&self) -> u64 {
+    pub(crate) fn loop_bound(&self) -> u64 {
         let inner_steps = match &self.inner {
             Inner::Sifting(c) => c.steps_bound().expect("sifting is bounded"),
             Inner::Max(c) => c.steps_bound().expect("max variant is bounded"),
@@ -238,11 +233,6 @@ pub struct EmbeddedParticipant {
 }
 
 impl EmbeddedParticipant {
-    /// The persona this participant entered with.
-    pub fn persona(&self) -> &Persona {
-        &self.persona
-    }
-
     fn leave(&mut self, result: Persona, side: usize) -> Step<Persona, Persona> {
         self.result = Some(result.clone());
         self.phase = Phase::AwaitOutputWrite { side };

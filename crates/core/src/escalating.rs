@@ -67,13 +67,13 @@ impl EscalatingCilConciliator {
 
     /// The write probability of attempt `k` (0-based):
     /// `min(1, 2^k/(4n))`.
-    pub fn write_probability(&self, attempt: u32) -> f64 {
+    pub(crate) fn write_probability(&self, attempt: u32) -> f64 {
         let base = 1.0 / (4.0 * self.n as f64);
         (base * 2f64.powi(attempt as i32)).min(1.0)
     }
 
     /// Attempts until the probability saturates at 1: `⌈log₂ 4n⌉ + 1`.
-    pub fn max_attempts(&self) -> u32 {
+    pub(crate) fn max_attempts(&self) -> u32 {
         (4 * self.n as u64).next_power_of_two().trailing_zeros() + 1
     }
 }
@@ -130,13 +130,6 @@ pub struct EscalatingCilParticipant {
     rng: Xoshiro256StarStar,
     attempt: u32,
     phase: Phase,
-}
-
-impl EscalatingCilParticipant {
-    /// Attempts made so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
 }
 
 impl Process for EscalatingCilParticipant {

@@ -33,7 +33,7 @@ pub fn log_star(n: u64) -> u32 {
 /// # Panics
 ///
 /// Panics if `x` is not positive and finite.
-pub fn ceil_log2(x: f64) -> u32 {
+pub(crate) fn ceil_log2(x: f64) -> u32 {
     assert!(
         x.is_finite() && x > 0.0,
         "ceil_log2 needs a positive finite input"
@@ -99,13 +99,13 @@ pub fn ceil_log_4_3(x: f64) -> u32 {
 }
 
 /// The contraction map of Lemma 1: `f(x) = min(ln(x+1), x/2)`.
-pub fn lemma1_f(x: f64) -> f64 {
+pub(crate) fn lemma1_f(x: f64) -> f64 {
     ((x + 1.0).ln()).min(x / 2.0)
 }
 
 /// `i`-fold composition `f^{(i)}(x)` of [`lemma1_f`] (Theorem 1's
 /// predicted expected excess after `i` rounds, starting from `x`).
-pub fn lemma1_f_iter(x: f64, i: u32) -> f64 {
+pub(crate) fn lemma1_f_iter(x: f64, i: u32) -> f64 {
     let mut v = x;
     for _ in 0..i {
         v = lemma1_f(v);
@@ -118,7 +118,7 @@ pub fn lemma1_f_iter(x: f64, i: u32) -> f64 {
 /// excess after `i` aggressive rounds.
 ///
 /// `x_0 = n - 1` by definition; `i = 0` returns exactly that.
-pub fn sifting_x(n: u64, i: u32) -> f64 {
+pub(crate) fn sifting_x(n: u64, i: u32) -> f64 {
     let x0 = (n.saturating_sub(1)) as f64;
     if i == 0 {
         return x0;
@@ -155,7 +155,8 @@ pub fn sifting_p(n: u64, i: u32) -> f64 {
 
 /// Harmonic number `H_k = Σ_{j=1..k} 1/j` (used in Lemma 1's analysis
 /// checks).
-pub fn harmonic(k: u64) -> f64 {
+#[cfg(test)]
+pub(crate) fn harmonic(k: u64) -> f64 {
     (1..=k).map(|j| 1.0 / j as f64).sum()
 }
 

@@ -67,16 +67,6 @@ impl MaxConciliator {
         }
     }
 
-    /// Number of rounds `R`.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// The priority range `⌈R n²/ε⌉`.
-    pub fn priority_range(&self) -> u64 {
-        self.priority_range
-    }
-
     fn spec(&self) -> PersonaSpec {
         PersonaSpec {
             priority_rounds: self.rounds,
@@ -134,13 +124,8 @@ pub struct MaxParticipant {
 
 impl MaxParticipant {
     /// The persona currently held.
-    pub fn persona(&self) -> &Persona {
+    pub(crate) fn persona(&self) -> &Persona {
         &self.persona
-    }
-
-    /// The round about to be executed (0-based).
-    pub fn round(&self) -> usize {
-        self.round
     }
 }
 
@@ -209,7 +194,7 @@ mod tests {
     fn parameters_match_snapshot_variant() {
         let mut b = LayoutBuilder::new();
         let c = MaxConciliator::allocate(&mut b, 1 << 16, Epsilon::HALF);
-        assert_eq!(c.rounds(), 6);
+        assert_eq!(c.rounds, 6);
         assert_eq!(c.steps_bound(), Some(12));
     }
 

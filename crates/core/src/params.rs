@@ -41,7 +41,7 @@ impl Epsilon {
     }
 
     /// `1/ε`.
-    pub fn inverse(self) -> f64 {
+    pub(crate) fn inverse(self) -> f64 {
         1.0 / self.0
     }
 }

@@ -120,7 +120,7 @@ impl Persona {
     }
 
     /// The shared-coin bit used by Algorithm 3's combining stage.
-    pub fn coin(&self) -> bool {
+    pub(crate) fn coin(&self) -> bool {
         self.0.coin
     }
 
@@ -144,13 +144,8 @@ impl Persona {
         self.0.choose_write[round]
     }
 
-    /// Number of priority rounds the persona carries.
-    pub fn priority_rounds(&self) -> usize {
-        self.0.priorities.len()
-    }
-
     /// Number of sifting rounds the persona carries choices for.
-    pub fn sifting_rounds(&self) -> usize {
+    pub(crate) fn sifting_rounds(&self) -> usize {
         self.0.choose_write.len()
     }
 }
@@ -225,7 +220,7 @@ mod tests {
         for r in 0..64 {
             assert!((1..=10).contains(&p.priority(r)));
         }
-        assert_eq!(p.priority_rounds(), 64);
+        assert_eq!(p.0.priorities.len(), 64);
         assert_eq!(p.sifting_rounds(), 0);
     }
 
@@ -250,7 +245,7 @@ mod tests {
         let p = Persona::bare(ProcessId(3), 77);
         assert_eq!(p.input(), 77);
         assert_eq!(p.origin(), ProcessId(3));
-        assert_eq!(p.priority_rounds(), 0);
+        assert_eq!(p.0.priorities.len(), 0);
         assert_eq!(p.sifting_rounds(), 0);
         assert!(!p.coin());
     }

@@ -123,11 +123,6 @@ impl SiftingConciliator {
         ceil_log_log(self.n as u64) as usize
     }
 
-    /// Number of processes.
-    pub fn process_count(&self) -> usize {
-        self.n
-    }
-
     fn spec(&self) -> PersonaSpec {
         PersonaSpec {
             priority_rounds: 0,
@@ -138,7 +133,7 @@ impl SiftingConciliator {
 
     /// Creates a participant that carries a pre-built persona (used by
     /// Algorithm 3, whose personae also carry the combining-stage coin).
-    pub fn participant_with_persona(&self, persona: Persona) -> SiftingParticipant {
+    pub(crate) fn participant_with_persona(&self, persona: Persona) -> SiftingParticipant {
         assert!(
             persona.sifting_rounds() >= self.rounds(),
             "persona carries too few sifting choices"
@@ -154,7 +149,7 @@ impl SiftingConciliator {
 
     /// The persona spec participants use (exposed so embedding protocols
     /// can extend it).
-    pub fn persona_spec(&self) -> PersonaSpec {
+    pub(crate) fn persona_spec(&self) -> PersonaSpec {
         self.spec()
     }
 }

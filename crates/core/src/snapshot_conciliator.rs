@@ -103,11 +103,6 @@ impl SnapshotConciliator {
         self.priority_range
     }
 
-    /// Number of processes.
-    pub fn process_count(&self) -> usize {
-        self.n
-    }
-
     fn spec(&self) -> PersonaSpec {
         PersonaSpec {
             priority_rounds: self.rounds,

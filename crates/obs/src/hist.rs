@@ -146,7 +146,7 @@ impl Histogram {
     /// Renders the histogram as a stable JSON object: total count plus
     /// a sparse `[lower_bound, count]` bucket list (empty buckets are
     /// omitted, so the rendering does not depend on [`BUCKETS`]).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn render_json(&self) -> String {
         let mut out = String::from("{\"count\": ");
         out.push_str(&self.count().to_string());
         out.push_str(", \"buckets\": [");
@@ -301,7 +301,7 @@ mod tests {
         let mut h = Histogram::new();
         h.record(0);
         h.record_n(4, 3);
-        let json = h.to_json();
+        let json = h.render_json();
         assert_eq!(json, "{\"count\": 4, \"buckets\": [[0, 1], [4, 3]]}");
     }
 

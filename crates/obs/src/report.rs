@@ -47,7 +47,8 @@ impl ObsReport {
     }
 
     /// Returns `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.maxima.is_empty() && self.hists.is_empty()
     }
 
@@ -119,7 +120,7 @@ impl ObsReport {
 
     /// Renders the report as a stable JSON object. Key order is the
     /// `BTreeMap` order, histograms render sparsely (see
-    /// [`Histogram::to_json`]), so equal reports produce byte-equal
+    /// `Histogram::render_json`), so equal reports produce byte-equal
     /// JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
@@ -127,7 +128,7 @@ impl ObsReport {
         out.push_str("},\n  \"maxima\": {");
         render_map(&mut out, &self.maxima, |v| v.to_string());
         out.push_str("},\n  \"histograms\": {");
-        render_map(&mut out, &self.hists, Histogram::to_json);
+        render_map(&mut out, &self.hists, Histogram::render_json);
         out.push_str("}\n}\n");
         out
     }

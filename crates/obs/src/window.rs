@@ -34,7 +34,6 @@ use std::collections::VecDeque;
 pub struct WindowedReport {
     width: usize,
     windows: VecDeque<ObsReport>,
-    pushed: u64,
 }
 
 impl WindowedReport {
@@ -48,13 +47,7 @@ impl WindowedReport {
         Self {
             width,
             windows: VecDeque::with_capacity(width),
-            pushed: 0,
         }
-    }
-
-    /// The configured window width.
-    pub fn width(&self) -> usize {
-        self.width
     }
 
     /// Windows currently retained (at most `width`).
@@ -67,18 +60,12 @@ impl WindowedReport {
         self.windows.is_empty()
     }
 
-    /// Total windows ever pushed (retained or rolled off).
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
     /// Appends one window, rolling the oldest off when full.
     pub fn push(&mut self, report: ObsReport) {
         if self.windows.len() == self.width {
             self.windows.pop_front();
         }
         self.windows.push_back(report);
-        self.pushed += 1;
     }
 
     /// The merge of every retained window (empty report before the
@@ -90,11 +77,6 @@ impl WindowedReport {
             merged.merge(window);
         }
         merged
-    }
-
-    /// The retained windows, oldest first.
-    pub fn windows(&self) -> impl Iterator<Item = &ObsReport> {
-        self.windows.iter()
     }
 }
 
@@ -125,7 +107,6 @@ mod tests {
             ring.push(w.clone());
         }
         assert_eq!(ring.len(), 3);
-        assert_eq!(ring.pushed(), 5);
         let mut manual = ObsReport::new();
         for w in &all[2..] {
             manual.merge(w);
@@ -147,7 +128,7 @@ mod tests {
         // The violation from the first window rolled off.
         assert_eq!(ring.merged().count("violations"), 0);
         assert_eq!(ring.merged().count("trials"), 6);
-        assert_eq!(ring.windows().count(), 2);
+        assert_eq!(ring.len(), 2);
     }
 
     #[test]

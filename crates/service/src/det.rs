@@ -83,7 +83,7 @@ impl DeterministicService {
     /// shard `s` decides only its first `crash_after[s]` instance
     /// batches this tick (missing entries mean "no crash"); the rest
     /// stay queued for the next tick (see
-    /// [`ShardCore::tick_crashing`]). An immediate follow-up
+    /// `ShardCore::tick_crashing`). An immediate follow-up
     /// [`tick_all`](Self::tick_all) — the "restart" — decides exactly
     /// what the crash suppressed, so crash + retry leaves every
     /// *per-shard* stream byte-identical to a crash-free run (only the
@@ -116,13 +116,6 @@ impl DeterministicService {
     /// The stored fact for `instance`, if decided and retained.
     pub fn fact(&self, instance: InstanceId) -> Option<&CommitFact> {
         self.shards[shard_of(instance, self.shards.len())].fact(instance)
-    }
-
-    /// Explicitly evicts a decided instance (see
-    /// [`ShardCore::evict`]).
-    pub fn evict(&mut self, instance: InstanceId) -> bool {
-        let shard = shard_of(instance, self.shards.len());
-        self.shards[shard].evict(instance)
     }
 
     /// The commit-fact stream so far, in tick order (shard order within
@@ -172,11 +165,6 @@ impl DeterministicService {
             .iter()
             .map(ShardCore::stats)
             .fold(ShardStats::default(), ShardStats::merge)
-    }
-
-    /// Per-shard stats, in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards.iter().map(ShardCore::stats).collect()
     }
 
     /// The merged observation report (per-shard `shardNNN.*` keys plus

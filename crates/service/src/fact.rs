@@ -18,13 +18,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstanceId(pub u64);
 
-impl InstanceId {
-    /// The raw id.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
 impl From<u64> for InstanceId {
     fn from(raw: u64) -> Self {
         InstanceId(raw)
@@ -104,7 +97,7 @@ mod tests {
     #[test]
     fn instance_id_round_trips() {
         let id: InstanceId = 7u64.into();
-        assert_eq!(id.get(), 7);
+        assert_eq!(id.0, 7);
         assert_eq!(id.to_string(), "inst:7");
     }
 

@@ -18,9 +18,9 @@
 //! * [`det`] — the deterministic current-thread mode whose commit-fact
 //!   stream digest is golden-pinned in CI;
 //! * [`runtime`] — the minimal in-tree async runtime (`block_on`,
-//!   oneshot channels, a small thread-pool executor). The workspace
-//!   builds fully offline, so no external runtime (tokio) is linked;
-//!   the API surface is future-based and would port to one directly.
+//!   oneshot channels). The workspace builds fully offline, so no
+//!   external runtime (tokio) is linked; the API surface is
+//!   future-based and would port to one directly.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,7 +41,9 @@ use sift_obs::ObsReport;
 /// Merges per-shard observation reports into one: every key appears
 /// both per shard (`shardNNN.<key>`) and aggregated (`service.<key>`).
 /// Shard ids render zero-padded so the JSON key order is shard order.
-pub fn shard_obs_report<'a>(shards: impl Iterator<Item = (u16, &'a ObsReport)>) -> ObsReport {
+pub(crate) fn shard_obs_report<'a>(
+    shards: impl Iterator<Item = (u16, &'a ObsReport)>,
+) -> ObsReport {
     let mut merged = ObsReport::new();
     for (id, obs) in shards {
         for (key, value) in obs.counters() {

@@ -128,7 +128,7 @@ impl Service {
     /// [`propose`](Self::propose) with a caller-chosen tag (echoed in
     /// [`DecideMeta::deciding_tag`](crate::DecideMeta::deciding_tag) if
     /// this proposal's value wins).
-    pub fn propose_tagged(&self, instance: InstanceId, value: u64, tag: u64) -> ProposeFuture {
+    fn propose_tagged(&self, instance: InstanceId, value: u64, tag: u64) -> ProposeFuture {
         let (tx, rx) = oneshot::channel();
         let shard = shard_of(instance, self.inner.slots.len());
         let slot = &self.inner.slots[shard];
@@ -181,23 +181,16 @@ impl Service {
 
     /// Aggregated table introspection across all shards.
     pub fn stats(&self) -> ShardStats {
-        self.shard_stats()
-            .into_iter()
-            .fold(ShardStats::default(), ShardStats::merge)
-    }
-
-    /// Per-shard table introspection, in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.inner
             .slots
             .iter()
             .map(|slot| slot.core.lock().unwrap_or_else(|e| e.into_inner()).stats())
-            .collect()
+            .fold(ShardStats::default(), ShardStats::merge)
     }
 
     /// A live snapshot of the merged observation report (per-shard
     /// `shardNNN.*` keys plus `service.*` aggregates).
-    pub fn obs_report(&self) -> ObsReport {
+    pub(crate) fn obs_report(&self) -> ObsReport {
         let shards: Vec<(u16, ObsReport)> = self
             .inner
             .slots
@@ -241,11 +234,7 @@ impl Service {
     /// waiters resolve with their facts), and returns the final merged
     /// observation report.
     pub fn shutdown(mut self) -> ObsReport {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.notify();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.stop_workers();
         // Workers drain before exiting, but a proposal may have raced
         // past the final worker pass; settle every shard here.
         for slot in &self.inner.slots {
@@ -253,6 +242,27 @@ impl Service {
             core.tick();
         }
         self.obs_report()
+    }
+
+    /// Raises `shutdown`, wakes every worker and joins them (each
+    /// drains its shards before exiting).
+    fn stop_workers(&mut self) {
+        self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.notify();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
+    }
+}
+
+/// A service that goes out of scope without [`shutdown`](Service::shutdown)
+/// (an early return, a panicking test) still stops its workers: left
+/// detached they would hold the shard tables and wake every millisecond
+/// for the life of the process. After `shutdown` there is nothing left
+/// to join.
+impl Drop for Service {
+    fn drop(&mut self) {
+        self.stop_workers();
     }
 }
 
@@ -408,5 +418,69 @@ mod tests {
             let fact = block_on(f).expect("queued proposal resolves on shutdown");
             assert_eq!(fact.value, i as u64);
         }
+    }
+
+    #[test]
+    fn a_dropped_service_joins_its_workers() {
+        let service = Service::start(ServiceConfig::default());
+        service.propose_sync(InstanceId(2), 4).unwrap();
+        let inner = Arc::downgrade(&service.inner);
+        drop(service);
+        assert!(
+            inner.upgrade().is_none(),
+            "a worker outlived the service and still holds the shard tables"
+        );
+    }
+
+    /// Counts wake-ups instead of unparking a thread: what an executor's
+    /// task waker looks like to the future.
+    struct CountingWaker(std::sync::atomic::AtomicUsize);
+
+    impl std::task::Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    #[test]
+    fn a_pending_proposal_wakes_a_non_thread_waker() {
+        use std::future::Future;
+        use std::task::{Context, Poll, Waker};
+
+        let mut service = Service::start(ServiceConfig {
+            shards: 1,
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        // Kill the worker so the first poll is certain to find the
+        // proposal undecided.
+        service.inner.abort.store(true, Ordering::Release);
+        service.inner.notify();
+        for worker in service.workers.drain(..) {
+            worker.join().unwrap();
+        }
+        let mut future = std::pin::pin!(service.propose(InstanceId(3), 9));
+        let wakes = Arc::new(CountingWaker(Default::default()));
+        let waker = Waker::from(Arc::clone(&wakes));
+        let mut cx = Context::from_waker(&waker);
+        assert!(future.as_mut().poll(&mut cx).is_pending());
+        assert_eq!(wakes.0.load(Ordering::Acquire), 0);
+
+        // A new worker finds the shard dirty and decides.
+        service.inner.abort.store(false, Ordering::Release);
+        service.workers = spawn_workers(&service.inner, 1);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while wakes.0.load(Ordering::Acquire) == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the decision never woke the waker"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        match future.as_mut().poll(&mut cx) {
+            Poll::Ready(Ok(fact)) => assert_eq!(fact.value, 9),
+            other => panic!("woken but not ready with the fact: {other:?}"),
+        }
+        service.shutdown();
     }
 }

@@ -48,10 +48,6 @@ use sift_sim::{drive_lockstep, LayoutBuilder, Memory, ProcessId};
 use crate::fact::{CommitFact, DecideMeta, InstanceId, ServiceError};
 use crate::runtime::oneshot;
 
-/// The completion side of one proposal: resolved with the instance's
-/// commit fact (or a rejection) when the shard processes it.
-pub type Waiter = oneshot::Sender<Result<CommitFact, ServiceError>>;
-
 /// Per-shard configuration.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
@@ -91,10 +87,11 @@ pub struct Proposal {
     /// Client-chosen tag, echoed in [`DecideMeta::deciding_tag`] if
     /// this proposal's value wins.
     pub tag: u64,
-    /// Completion channel; `None` for fire-and-forget submission (the
-    /// deterministic driver reads facts from [`ShardCore::tick`]
-    /// instead).
-    pub waiter: Option<Waiter>,
+    /// Completion channel, resolved with the instance's commit fact (or
+    /// a rejection) when the shard processes the proposal; `None` for
+    /// fire-and-forget submission (the deterministic driver reads facts
+    /// from `ShardCore::tick` instead).
+    pub waiter: Option<oneshot::Sender<Result<CommitFact, ServiceError>>>,
     /// Submission time for latency accounting; `None` in deterministic
     /// mode, which must not read the wall clock.
     pub submitted: Option<Instant>,
@@ -116,7 +113,7 @@ pub struct ShardStats {
 
 impl ShardStats {
     /// Key-wise sum, for aggregating across shards.
-    pub fn merge(self, other: ShardStats) -> ShardStats {
+    pub(crate) fn merge(self, other: ShardStats) -> ShardStats {
         ShardStats {
             pending: self.pending + other.pending,
             waiters: self.waiters + other.waiters,
@@ -222,7 +219,7 @@ impl Grouping {
 
 impl ShardCore {
     /// Creates an empty shard with the given id and configuration.
-    pub fn new(id: u16, config: ShardConfig) -> Self {
+    pub(crate) fn new(id: u16, config: ShardConfig) -> Self {
         Self {
             id,
             stacks: StackCache::new(config.base_phases.max(1)),
@@ -238,13 +235,13 @@ impl ShardCore {
     }
 
     /// This shard's id.
-    pub fn id(&self) -> u16 {
+    pub(crate) fn id(&self) -> u16 {
         self.id
     }
 
     /// Accepts one proposal. Decided instances answer immediately from
     /// the table; evicted ones reject immediately; open ones batch
-    /// until the next [`tick`](Self::tick).
+    /// until the next `tick`.
     ///
     /// Returns `true` if the proposal is waiting for a tick (the
     /// caller should schedule one).
@@ -271,7 +268,7 @@ impl ShardCore {
     /// per still-open instance, completes all waiters, and applies the
     /// eviction policy. Returns the newly minted facts in decision
     /// order.
-    pub fn tick(&mut self) -> Vec<CommitFact> {
+    pub(crate) fn tick(&mut self) -> Vec<CommitFact> {
         self.tick_crashing(usize::MAX)
     }
 
@@ -284,7 +281,7 @@ impl ShardCore {
     /// tick after the "restart" decides exactly the facts this tick
     /// would have (provided no new proposals interleave), which is the
     /// crash-recovery invariant the soak tier checks.
-    pub fn tick_crashing(&mut self, crash_after: usize) -> Vec<CommitFact> {
+    pub(crate) fn tick_crashing(&mut self, crash_after: usize) -> Vec<CommitFact> {
         if self.inbox.is_empty() {
             return Vec::new();
         }
@@ -444,7 +441,7 @@ impl ShardCore {
     /// Explicitly evicts a *decided* instance: drops its fact and
     /// leaves a tombstone. Returns `false` if the instance is not
     /// currently decided (open, unknown, or already evicted).
-    pub fn evict(&mut self, instance: InstanceId) -> bool {
+    pub(crate) fn evict(&mut self, instance: InstanceId) -> bool {
         if self.decided.remove(&instance).is_none() {
             return false;
         }
@@ -455,12 +452,12 @@ impl ShardCore {
     }
 
     /// The stored fact for `instance`, if it is decided and retained.
-    pub fn fact(&self, instance: InstanceId) -> Option<&CommitFact> {
+    pub(crate) fn fact(&self, instance: InstanceId) -> Option<&CommitFact> {
         self.decided.get(&instance)
     }
 
     /// Current table introspection (see [`ShardStats`]).
-    pub fn stats(&self) -> ShardStats {
+    pub(crate) fn stats(&self) -> ShardStats {
         ShardStats {
             pending: self.inbox.len(),
             waiters: self.inbox.iter().filter(|p| p.waiter.is_some()).count(),
@@ -470,7 +467,7 @@ impl ShardCore {
     }
 
     /// This shard's observations so far.
-    pub fn obs(&self) -> &ObsReport {
+    pub(crate) fn obs(&self) -> &ObsReport {
         &self.obs
     }
 }

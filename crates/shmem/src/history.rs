@@ -30,7 +30,7 @@ use crate::sync::Mutex;
 /// order, with value payloads erased. Feeds the fuzzer's coverage
 /// fingerprint, letting substrate-level histories distinguish schedules
 /// whose final outputs coincide but whose interleavings differ.
-pub fn history_fingerprint<V: Value>(history: &History<V>) -> u64 {
+pub(crate) fn history_fingerprint<V: Value>(history: &History<V>) -> u64 {
     let mut h = FingerprintHasher::new();
     for entry in history.entries() {
         h.write_usize(entry.pid.index());
@@ -88,12 +88,7 @@ impl<V: Value, M: ExecuteOps<V>> RecordingMemory<V, M> {
         result
     }
 
-    /// Number of operations recorded so far.
-    pub fn recorded_ops(&self) -> usize {
-        self.log.lock().len()
-    }
-
-    /// The [`history_fingerprint`] of everything recorded so far,
+    /// The `history_fingerprint` of everything recorded so far,
     /// without consuming the recorder.
     pub fn fingerprint(&self) -> u64 {
         history_fingerprint(&History::from_entries(self.log.lock().clone()))
@@ -140,7 +135,6 @@ mod tests {
                     .expect_register(),
                 Some(7)
             );
-            assert_eq!(mem.recorded_ops(), 2);
             let history = mem.into_history();
             history.check_well_formed().unwrap();
             assert_eq!(history.len(), 2);

@@ -59,7 +59,7 @@ pub mod runtime;
 pub mod snapshot;
 pub mod sync;
 
-pub use history::{history_fingerprint, RecordingMemory};
+pub use history::RecordingMemory;
 pub use memory::{AtomicMemory, CoarseMemory, ExecuteOps, LockFreeMemory, ObjectMemory};
 pub use runtime::{
     drive_threads, run_lockstep_on, run_lockstep_recorded, run_script_on, run_threads,

@@ -60,7 +60,7 @@ impl<V: Value> TreeMaxRegister<V> {
     }
 
     /// The key-space size `2^bits`.
-    pub fn key_space(&self) -> u64 {
+    pub(crate) fn key_space(&self) -> u64 {
         1u64 << self.bits
     }
 

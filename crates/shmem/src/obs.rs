@@ -12,7 +12,7 @@
 //! counted. Hooks record into process-global [`sift_obs`] primitives:
 //!
 //! * striped relaxed counters — slot CAS retries
-//!   ([`Slot::publish_max`](crate::lockfree) and the combining root
+//!   (`Slot::publish_max` and the combining root
 //!   claim), snapshot republish conflicts (`publish_with` rebuild
 //!   loops), inline-cell write/read retries;
 //! * reclamation — passes, nodes freed, a histogram of nodes freed per
@@ -25,7 +25,7 @@
 //! All recording is `Relaxed` and strictly one-directional (the
 //! substrate never reads an observation), so the instrumentation
 //! cannot perturb the `SeqCst` linearization and reclamation arguments
-//! of [`lockfree`](crate::lockfree) — see DESIGN.md, "Observability".
+//! of `lockfree` — see DESIGN.md, "Observability".
 //!
 //! Counters are global to the process (not per-object): the protocols
 //! allocate thousands of short-lived piles per trial, and the questions
@@ -34,7 +34,7 @@
 //! [`reset`] rezeroes everything between measurement windows;
 //! [`snapshot`] freezes the current values.
 
-use sift_obs::{AtomicHistogram, Histogram, MaxTracker, ObsReport, StripedCounter};
+use sift_obs::{AtomicHistogram, Histogram, MaxTracker, StripedCounter};
 
 /// A frozen copy of every substrate counter.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -67,10 +67,10 @@ pub struct SubstrateSnapshot {
 }
 
 impl SubstrateSnapshot {
-    /// Folds the snapshot into an [`ObsReport`] under `substrate.*`
-    /// keys.
-    pub fn to_report(&self) -> ObsReport {
-        let mut r = ObsReport::new();
+    /// Folds the snapshot into an `ObsReport` under `substrate.*` keys.
+    #[cfg(test)]
+    pub(crate) fn to_report(&self) -> sift_obs::ObsReport {
+        let mut r = sift_obs::ObsReport::new();
         r.add_count("substrate.slot_cas_retries", self.slot_cas_retries);
         r.add_count("substrate.republish_conflicts", self.republish_conflicts);
         r.add_count("substrate.inline_write_retries", self.inline_write_retries);

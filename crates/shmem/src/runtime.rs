@@ -40,13 +40,6 @@ impl<O> ThreadReport<O> {
     }
 }
 
-impl<O: PartialEq> ThreadReport<O> {
-    /// Returns `true` if all outputs are equal.
-    pub fn outputs_agree(&self) -> bool {
-        self.outputs.windows(2).all(|w| w[0] == w[1])
-    }
-}
-
 /// Runs each process state machine to completion on its own OS thread,
 /// executing every issued operation through `execute`, and blocks until
 /// all have finished — the threaded mirror of
@@ -402,7 +395,7 @@ mod tests {
                 || split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
             on_both_memories(&layout, procs, |report| {
                 runs += 1;
-                agreements += u32::from(report.outputs_agree());
+                agreements += u32::from(report.outputs.windows(2).all(|w| w[0] == w[1]));
             });
         }
         assert!(

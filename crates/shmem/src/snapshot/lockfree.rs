@@ -54,7 +54,7 @@ struct VersionedState<V> {
 
 /// A lock-free linearizable snapshot object.
 ///
-/// See the [module docs](self) for the algorithm and the comparison
+/// See the module docs for the algorithm and the comparison
 /// with [`CoarseSnapshot`](super::CoarseSnapshot) (the lock-based
 /// reference implementation).
 ///
@@ -106,16 +106,6 @@ impl<V: Value> LockFreeSnapshot<V> {
         snap
     }
 
-    /// Number of components.
-    pub fn len(&self) -> usize {
-        self.components
-    }
-
-    /// Returns `true` if the object has no components.
-    pub fn is_empty(&self) -> bool {
-        self.components == 0
-    }
-
     /// Atomically replaces component `component` with `value`.
     ///
     /// # Panics
@@ -151,7 +141,8 @@ impl<V: Value> LockFreeSnapshot<V> {
     }
 
     /// The number of updates that have linearized so far.
-    pub fn version(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn version(&self) -> u64 {
         let guard = self.pile.enter();
         self.root
             .load(&guard)
@@ -168,8 +159,6 @@ mod tests {
     #[test]
     fn empty_scan_is_all_bottom() {
         let snap: LockFreeSnapshot<u32> = LockFreeSnapshot::new(4);
-        assert_eq!(snap.len(), 4);
-        assert!(!snap.is_empty());
         assert_eq!(snap.version(), 0);
         let view = snap.scan();
         assert_eq!(&view[..], &[None, None, None, None]);

@@ -67,16 +67,6 @@ impl<V: Value> WaitFreeSnapshot<V> {
         }
     }
 
-    /// Number of components.
-    pub fn len(&self) -> usize {
-        self.registers.len()
-    }
-
-    /// Returns `true` if the object has zero components.
-    pub fn is_empty(&self) -> bool {
-        self.registers.is_empty()
-    }
-
     fn collect(&self) -> Vec<Entry<V>> {
         self.registers
             .iter()
@@ -144,8 +134,6 @@ mod tests {
         s.update(2, 7u32);
         s.update(0, 5u32);
         assert_eq!(&s.scan()[..], &[Some(5), None, Some(7)]);
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
     }
 
     #[test]

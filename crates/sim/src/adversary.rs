@@ -174,14 +174,9 @@ impl<O, X, D> DelayedChooser<O, X, D> {
         }
     }
 
-    /// The observation delay in steps.
-    pub fn delay(&self) -> usize {
-        self.delay
-    }
-
     /// Chooses the next process for [`Engine::run_adaptive`]: extracts
     /// the current observation, then decides on the one from
-    /// [`delay`](Self::delay) steps ago.
+    /// `delay` steps ago.
     ///
     /// [`Engine::run_adaptive`]: crate::engine::Engine::run_adaptive
     pub fn choose<P>(&mut self, view: &AdaptiveView<'_, P>) -> ProcessId

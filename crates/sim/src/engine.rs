@@ -21,14 +21,14 @@
 //!
 //! Internally the engine treats the schedule as an event stream: slots
 //! are prefetched in flat buckets (a calendar queue keyed by schedule
-//! position, [`event::SlotQueue`](crate::event)) whenever the schedule
+//! position, `event::SlotQueue`) whenever the schedule
 //! declares itself
 //! [`completion_oblivious`](crate::schedule::Schedule::completion_oblivious),
 //! and process state machines live in an arena addressed through a
 //! dense `ProcessId → slot` table
-//! ([`event::ProcessTable`](crate::event)). With
+//! (`event::ProcessTable`). With
 //! [`Engine::lazy`], processes (and, via the paged
-//! [`Memory`](crate::memory::Memory), their registers) materialize on
+//! [`Memory`], their registers) materialize on
 //! first touch: a schedule that only ever exercises 100 of a million
 //! declared processes allocates proportionally to those 100. The
 //! pre-refactor per-step loop survives as
@@ -143,7 +143,7 @@ impl<P: Process> Engine<P> {
     }
 
     /// [`Engine::lazy`] over explicitly constructed memory.
-    pub fn lazy_with_memory(
+    pub(crate) fn lazy_with_memory(
         memory: Memory<P::Value>,
         n: usize,
         factory: impl FnMut(ProcessId) -> P + 'static,
@@ -167,9 +167,9 @@ impl<P: Process> Engine<P> {
 
     /// Enables the bounded step-event ring: the last `capacity` charged
     /// operations are retained in [`RunReport::ring`], at fixed memory
-    /// cost regardless of run length (unlike [`enable_trace`]
-    /// (Self::enable_trace), which keeps everything). Both sinks can be
-    /// on at once.
+    /// cost regardless of run length (unlike
+    /// [`enable_trace`](Self::enable_trace), which keeps everything).
+    /// Both sinks can be on at once.
     ///
     /// # Panics
     ///
@@ -191,7 +191,7 @@ impl<P: Process> Engine<P> {
 
     /// Switches the register semantics of this engine's memory (atomic
     /// by default; see
-    /// [`RegisterSemantics`](crate::memory::RegisterSemantics)). Under
+    /// [`RegisterSemantics`]). Under
     /// regular semantics, a register read by a process whose previous
     /// step preceded the latest write to that register resolves old or
     /// new per the configured resolution — the simulator-side model of
@@ -564,21 +564,6 @@ impl<P: Process> SparseReport<P> {
     }
 }
 
-impl<P: Process> SparseReport<P>
-where
-    P::Output: PartialEq,
-{
-    /// Returns `true` if all decided outputs are equal (vacuously true
-    /// when fewer than two touched processes decided).
-    pub fn outputs_agree(&self) -> bool {
-        let mut decided = self.decided().map(|(_, o)| o);
-        match decided.next() {
-            None => true,
-            Some(first) => decided.all(|o| o == first),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -726,7 +711,7 @@ mod tests {
         engine.enable_trace_ring(2);
         let report = engine.run(RoundRobin::new(2));
         let ring = report.ring.expect("ring enabled");
-        assert_eq!(ring.total_pushed(), 4);
+        assert_eq!(ring.len(), 2);
         assert_eq!(ring.dropped(), 2);
         // The last two charged slots are the two reads.
         let slots: Vec<u64> = ring.events().map(|e| e.slot).collect();

@@ -33,25 +33,15 @@ use crate::schedule::Schedule;
 /// A packed bitset over `0..len`, used for SoA bookkeeping (finished
 /// processes, schedule support) instead of `Vec<bool>`.
 ///
-/// # Examples
-///
-/// ```
-/// use sift_sim::event::BitSet;
-/// let mut b = BitSet::new(130);
-/// b.set(0);
-/// b.set(129);
-/// assert!(b.get(0) && b.get(129) && !b.get(64));
-/// assert_eq!(b.count_ones(), 2);
-/// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BitSet {
+pub(crate) struct BitSet {
     words: Vec<u64>,
     len: usize,
 }
 
 impl BitSet {
     /// Creates a bitset over `0..len`, all bits clear.
-    pub fn new(len: usize) -> Self {
+    pub(crate) fn new(len: usize) -> Self {
         Self {
             words: vec![0; len.div_ceil(64)],
             len,
@@ -59,18 +49,14 @@ impl BitSet {
     }
 
     /// Number of addressable bits.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Returns `true` if the set addresses zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Grows the addressable range to at least `len` bits (new bits
     /// clear); never shrinks.
-    pub fn grow(&mut self, len: usize) {
+    pub(crate) fn grow(&mut self, len: usize) {
         if len > self.len {
             self.len = len;
             self.words.resize(len.div_ceil(64), 0);
@@ -81,8 +67,8 @@ impl BitSet {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.len()`.
-    pub fn set(&mut self, i: usize) {
+    /// Panics if `i` is out of range.
+    pub(crate) fn set(&mut self, i: usize) {
         assert!(i < self.len, "bit {i} out of range 0..{}", self.len);
         self.words[i / 64] |= 1 << (i % 64);
     }
@@ -91,14 +77,15 @@ impl BitSet {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.len()`.
-    pub fn get(&self, i: usize) -> bool {
+    /// Panics if `i` is out of range.
+    pub(crate) fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of range 0..{}", self.len);
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
     /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
@@ -424,7 +411,6 @@ mod tests {
     fn bitset_set_get_count() {
         let mut b = BitSet::new(100);
         assert_eq!(b.len(), 100);
-        assert!(!b.is_empty());
         b.set(0);
         b.set(63);
         b.set(64);

@@ -25,12 +25,12 @@ pub struct Corpus {
 
 impl Corpus {
     /// Creates an empty corpus.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends a novel entry.
-    pub fn push(&mut self, entry: CorpusEntry) {
+    pub(crate) fn push(&mut self, entry: CorpusEntry) {
         self.entries.push(entry);
     }
 

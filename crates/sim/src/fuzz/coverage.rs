@@ -89,28 +89,18 @@ pub struct CoverageMap {
 
 impl CoverageMap {
     /// Creates an empty map.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records `fingerprint`; returns `true` if it was novel.
-    pub fn observe(&mut self, fingerprint: u64) -> bool {
+    pub(crate) fn observe(&mut self, fingerprint: u64) -> bool {
         self.seen.insert(fingerprint)
     }
 
-    /// Returns `true` without recording if `fingerprint` would be novel.
-    pub fn is_novel(&self, fingerprint: u64) -> bool {
-        !self.seen.contains(&fingerprint)
-    }
-
     /// Number of distinct fingerprints observed.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.seen.len()
-    }
-
-    /// Returns `true` if nothing was observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
     }
 }
 
@@ -180,13 +170,10 @@ mod tests {
     #[test]
     fn coverage_map_tracks_novelty() {
         let mut map = CoverageMap::new();
-        assert!(map.is_empty());
-        assert!(map.is_novel(7));
+        assert_eq!(map.len(), 0);
         assert!(map.observe(7));
         assert!(!map.observe(7));
-        assert!(!map.is_novel(7));
         assert!(map.observe(8));
         assert_eq!(map.len(), 2);
-        assert!(!map.is_empty());
     }
 }

@@ -196,7 +196,7 @@ impl ScheduleGenome {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn random_extended(n: usize, rng: &mut Xoshiro256StarStar) -> Self {
+    pub(crate) fn random_extended(n: usize, rng: &mut Xoshiro256StarStar) -> Self {
         assert!(n > 0, "need at least one process");
         let count = 1 + rng.range_u64(6) as usize;
         Self {
@@ -206,13 +206,13 @@ impl ScheduleGenome {
 
     /// Produces a mutated copy: insert, delete, replace, or swap one
     /// gene.
-    pub fn mutate(&self, n: usize, rng: &mut Xoshiro256StarStar) -> Self {
+    pub(crate) fn mutate(&self, n: usize, rng: &mut Xoshiro256StarStar) -> Self {
         self.mutate_impl(n, rng, false)
     }
 
     /// [`mutate`](Self::mutate), drawing replacement/inserted genes
     /// from the extended pool.
-    pub fn mutate_extended(&self, n: usize, rng: &mut Xoshiro256StarStar) -> Self {
+    pub(crate) fn mutate_extended(&self, n: usize, rng: &mut Xoshiro256StarStar) -> Self {
         self.mutate_impl(n, rng, true)
     }
 
@@ -246,7 +246,7 @@ impl ScheduleGenome {
     }
 
     /// The gene sequence.
-    pub fn genes(&self) -> &[Gene] {
+    pub(crate) fn genes(&self) -> &[Gene] {
         &self.genes
     }
 
@@ -355,11 +355,6 @@ impl GenomeSchedule {
     pub fn prefix_len(&self) -> usize {
         self.prefix.len()
     }
-
-    /// The processes never crashed by the genome (the schedule support).
-    pub fn alive(&self) -> &[ProcessId] {
-        &self.alive
-    }
 }
 
 impl Schedule for GenomeSchedule {
@@ -417,7 +412,7 @@ mod tests {
             Gene::RoundRobin { rounds: 1 },
         ]);
         let s = g.compile(3);
-        assert_eq!(s.alive(), &[ProcessId(1), ProcessId(2)]);
+        assert_eq!(s.alive, &[ProcessId(1), ProcessId(2)]);
         assert_eq!(s.prefix, vec![ProcessId(1), ProcessId(2)]);
     }
 
@@ -429,7 +424,7 @@ mod tests {
             Gene::Crash { victim: 0 },
         ]);
         let s = g.compile(2);
-        assert_eq!(s.alive().len(), 1);
+        assert_eq!(s.alive.len(), 1);
     }
 
     #[test]
@@ -479,7 +474,7 @@ mod tests {
             g = g.mutate(4, &mut r);
             assert!(!g.genes().is_empty());
             let s = g.compile(4);
-            assert!(!s.alive().is_empty());
+            assert!(!s.alive.is_empty());
         }
     }
 
@@ -538,7 +533,7 @@ mod tests {
             }
             // Every extended genome must still compile and run.
             let s = g.compile(4);
-            assert!(!s.alive().is_empty());
+            assert!(!s.alive.is_empty());
         }
         assert!(saw_adversary && saw_semantics);
     }
@@ -551,7 +546,7 @@ mod tests {
             g = g.mutate_extended(4, &mut r);
             assert!(!g.genes().is_empty());
             let s = g.compile(4);
-            assert!(!s.alive().is_empty());
+            assert!(!s.alive.is_empty());
         }
     }
 

@@ -155,11 +155,6 @@ impl Fuzzer {
         self
     }
 
-    /// Number of processes candidate schedules are compiled for.
-    pub fn process_count(&self) -> usize {
-        self.n
-    }
-
     /// Draws the next generation of candidate genomes.
     ///
     /// While the corpus is empty every candidate is a fresh random

@@ -117,7 +117,8 @@ impl Layout {
     /// Composite protocols (e.g. a conciliator plus an adopt-commit
     /// object) build their layout by appending sub-layouts and shifting
     /// the sub-protocol ids by the returned offsets.
-    pub fn append(&mut self, other: &Layout) -> LayoutOffsets {
+    #[cfg(test)]
+    pub(crate) fn append(&mut self, other: &Layout) -> LayoutOffsets {
         let offsets = LayoutOffsets {
             registers: self.registers,
             snapshots: self.snapshots.len(),
@@ -131,8 +132,9 @@ impl Layout {
 }
 
 /// Id offsets returned by [`Layout::append`].
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LayoutOffsets {
+pub(crate) struct LayoutOffsets {
     /// Offset to add to the appended layout's register indices.
     pub registers: usize,
     /// Offset to add to the appended layout's snapshot indices.
@@ -141,9 +143,10 @@ pub struct LayoutOffsets {
     pub max_registers: usize,
 }
 
+#[cfg(test)]
 impl LayoutOffsets {
     /// Identity offsets (no shift).
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Self {
             registers: 0,
             snapshots: 0,
@@ -152,17 +155,17 @@ impl LayoutOffsets {
     }
 
     /// Shifts a register id allocated against the appended layout.
-    pub fn register(&self, id: RegisterId) -> RegisterId {
+    pub(crate) fn register(&self, id: RegisterId) -> RegisterId {
         RegisterId(id.index() + self.registers)
     }
 
     /// Shifts a snapshot id allocated against the appended layout.
-    pub fn snapshot(&self, id: SnapshotId) -> SnapshotId {
+    pub(crate) fn snapshot(&self, id: SnapshotId) -> SnapshotId {
         SnapshotId(id.index() + self.snapshots)
     }
 
     /// Shifts a max-register id allocated against the appended layout.
-    pub fn max_register(&self, id: MaxRegisterId) -> MaxRegisterId {
+    pub(crate) fn max_register(&self, id: MaxRegisterId) -> MaxRegisterId {
         MaxRegisterId(id.index() + self.max_registers)
     }
 }

@@ -58,7 +58,7 @@
 
 pub mod adversary;
 pub mod engine;
-pub mod event;
+mod event;
 pub mod fuzz;
 pub mod ids;
 pub mod layout;
@@ -70,7 +70,7 @@ pub mod memory;
 pub mod metrics;
 pub mod obs;
 pub mod op;
-pub mod paged;
+mod paged;
 pub mod process;
 pub mod register;
 pub mod rng;
@@ -82,7 +82,7 @@ pub mod value;
 pub use adversary::{AdversaryStrength, DelayedChooser};
 pub use engine::{AdaptiveView, Engine, RunReport, SparseEntry, SparseReport, StopReason};
 pub use ids::{MaxRegisterId, ProcessId, RegisterId, SnapshotId};
-pub use layout::{Layout, LayoutBuilder, LayoutOffsets};
+pub use layout::{Layout, LayoutBuilder};
 pub use legacy::LegacyEngine;
 pub use lockstep::drive_lockstep;
 pub use memory::{CostModel, Memory, RegisterSemantics, Resolution};

@@ -72,17 +72,20 @@ impl<V: Value> MaxRegister<V> {
     }
 
     /// Returns the current maximum entry without counting a read.
-    pub fn peek(&self) -> Option<(u64, &V)> {
+    #[cfg(test)]
+    pub(crate) fn peek(&self) -> Option<(u64, &V)> {
         self.entry.as_ref().map(|(k, v)| (*k, v))
     }
 
     /// Number of write operations executed.
-    pub fn write_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn write_count(&self) -> u64 {
         self.writes
     }
 
     /// Number of read operations executed.
-    pub fn read_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn read_count(&self) -> u64 {
         self.reads
     }
 }

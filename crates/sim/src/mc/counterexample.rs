@@ -4,7 +4,7 @@
 //! maximal execution — typically longer than necessary and cluttered
 //! with steps of innocent processes. This module turns it into a
 //! minimal, *replayable* artifact: a plain process-id script for
-//! [`FixedSchedule`](crate::schedule::FixedSchedule). Crashes need no
+//! [`FixedSchedule`]. Crashes need no
 //! explicit representation — in a finite schedule, a crashed process is
 //! simply one that never appears again, so every shrunk counterexample
 //! replays through the ordinary deterministic [`Engine`].
@@ -53,7 +53,7 @@ pub fn replay_report<P: Process>(
 /// Extracts the replay script of an explored execution: the process ids
 /// of its [`Step`](McEvent::Step) events, in order. Crash events
 /// contribute nothing — the crashed process simply stops appearing.
-pub fn script_of_events(events: &[McEvent]) -> Vec<usize> {
+pub(crate) fn script_of_events(events: &[McEvent]) -> Vec<usize> {
     events
         .iter()
         .filter_map(|e| match e {
@@ -75,7 +75,7 @@ pub fn script_of_events(events: &[McEvent]) -> Vec<usize> {
 /// Panics if the initial `script` does not reproduce a failure (the
 /// caller should only pass scripts extracted from a violating
 /// execution).
-pub fn shrink_schedule<P, O>(
+pub(crate) fn shrink_schedule<P, O>(
     layout: &Layout,
     factory: &impl Fn() -> Vec<P>,
     script: Vec<usize>,
@@ -89,7 +89,7 @@ where
     })
 }
 
-/// Like [`shrink_schedule`], but the property judges the full replay
+/// Like `shrink_schedule`, but the property judges the full replay
 /// [`RunReport`] — final process state machines, metrics, and stop
 /// reason included — which is what the fuzzer's deterministic
 /// invariants (survivor monotonicity, exact step bounds) need.

@@ -15,7 +15,8 @@
 //! [`Op`] with its value payload erased but its *addressing* payload
 //! (register id, snapshot component, max-register key) retained, which
 //! is what makes the reduction *dynamic*: two `SnapshotUpdate`s to
-//! different components commute even though their [`OpKind`]s collide.
+//! different components commute even though their
+//! [`OpKind`](crate::op::OpKind)s collide.
 //!
 //! | pair (same object)                  | dependent?              |
 //! |-------------------------------------|-------------------------|
@@ -35,7 +36,7 @@
 //! value is retained (ties do not overwrite).
 
 use crate::ids::{MaxRegisterId, ProcessId, RegisterId, SnapshotId};
-use crate::op::{Op, OpKind};
+use crate::op::Op;
 
 /// The shared object an operation addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,23 +69,11 @@ pub enum Access {
 
 impl Access {
     /// The object this access addresses.
-    pub fn object(self) -> ObjectKey {
+    pub(crate) fn object(self) -> ObjectKey {
         match self {
             Access::RegisterRead(id) | Access::RegisterWrite(id) => ObjectKey::Register(id),
             Access::SnapshotScan(id) | Access::SnapshotUpdate(id, _) => ObjectKey::Snapshot(id),
             Access::MaxRead(id) | Access::MaxWrite(id, _) => ObjectKey::MaxRegister(id),
-        }
-    }
-
-    /// The [`OpKind`] this access was derived from.
-    pub fn kind(self) -> OpKind {
-        match self {
-            Access::RegisterRead(_) => OpKind::RegisterRead,
-            Access::RegisterWrite(_) => OpKind::RegisterWrite,
-            Access::SnapshotScan(_) => OpKind::SnapshotScan,
-            Access::SnapshotUpdate(_, _) => OpKind::SnapshotUpdate,
-            Access::MaxRead(_) => OpKind::MaxRead,
-            Access::MaxWrite(_, _) => OpKind::MaxWrite,
         }
     }
 
@@ -96,7 +85,7 @@ impl Access {
     /// explorer (it only costs reduction), so value-equality refinements
     /// (two writes of the same value commute) are deliberately not
     /// attempted — `Access` carries no values.
-    pub fn dependent(self, other: Access) -> bool {
+    pub(crate) fn dependent(self, other: Access) -> bool {
         use Access::*;
         if self.object() != other.object() {
             return false;
@@ -124,7 +113,7 @@ impl Access {
 impl<V> Op<V> {
     /// Classifies this operation's memory footprint for the dependence
     /// relation (see [`Access`]).
-    pub fn access(&self) -> Access {
+    pub(crate) fn access(&self) -> Access {
         match self {
             Op::RegisterRead(id) => Access::RegisterRead(*id),
             Op::RegisterWrite(id, _) => Access::RegisterWrite(*id),
@@ -155,7 +144,7 @@ pub enum McEvent {
 
 impl McEvent {
     /// The process the event belongs to.
-    pub fn pid(self) -> ProcessId {
+    pub(crate) fn pid(self) -> ProcessId {
         match self {
             McEvent::Step { pid, .. } | McEvent::Crash { pid } => pid,
         }
@@ -166,7 +155,7 @@ impl McEvent {
     /// a crash commutes with any other process's step (it touches no
     /// memory) but conflicts with other crashes (they compete for the
     /// shared crash budget, so one may disable the other).
-    pub fn independent(self, other: McEvent) -> bool {
+    pub(crate) fn independent(self, other: McEvent) -> bool {
         if self.pid() == other.pid() {
             return false;
         }
@@ -187,7 +176,7 @@ impl McEvent {
 /// (reachable from each other by swapping adjacent independent events).
 /// The signature is computed by a greedy topological sort of the
 /// execution's dependence partial order (program order plus
-/// [`McEvent::independent`]), always emitting the ready event of the
+/// `McEvent::independent`), always emitting the ready event of the
 /// smallest process id. Used by tests to prove the DPOR explorer covers
 /// every trace the naive enumerator covers.
 pub fn trace_signature(events: &[McEvent]) -> Vec<usize> {
@@ -244,7 +233,6 @@ mod tests {
             Op::MaxWrite(MaxRegisterId(0), 7, 70u64).access(),
             Access::MaxWrite(MaxRegisterId(0), 7)
         );
-        assert_eq!(Access::RegisterRead(r(3)).kind(), OpKind::RegisterRead);
     }
 
     #[test]

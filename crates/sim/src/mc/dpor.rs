@@ -7,7 +7,7 @@
 //! enumerator, but prunes with **sleep sets** (Godefroid): after a
 //! branch explores event `e` from a node, `e` is added to the sleep set
 //! of the later sibling branches; a child inherits every slept event
-//! that is [independent](crate::mc::McEvent::independent) of the edge
+//! that is independent of the edge
 //! taken. A node whose every enabled event is asleep is abandoned — any
 //! continuation from it would be trace-equivalent to an execution some
 //! earlier sibling already covered. Because every live process always
@@ -102,7 +102,7 @@ pub struct McStats {
 
 /// A safety violation reported by the visitor, with the exact event
 /// sequence that produced it (unshrunk; see
-/// [`shrink_schedule`](crate::mc::shrink_schedule)).
+/// `shrink_schedule`).
 #[derive(Debug, Clone)]
 pub struct RawViolation {
     /// The visitor's error message.

@@ -80,7 +80,7 @@ impl<V: Value> History<V> {
     }
 
     /// The distinct objects touched by the history, sorted.
-    pub fn objects(&self) -> Vec<ObjectKey> {
+    pub(crate) fn objects(&self) -> Vec<ObjectKey> {
         let mut keys: Vec<ObjectKey> = self.entries.iter().map(HistoryEntry::object).collect();
         keys.sort_unstable();
         keys.dedup();

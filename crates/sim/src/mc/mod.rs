@@ -15,7 +15,7 @@
 //!   crash-fault injection ([`McOptions::max_crashes`]).
 //! * [`counterexample`] shrinks violating schedules into minimal
 //!   replayable [`FixedSchedule`](crate::schedule::FixedSchedule)
-//!   scripts ([`check_dpor`], [`shrink_schedule`]).
+//!   scripts ([`check_dpor`], `shrink_schedule`).
 //! * [`history`] and [`linearize`] record concurrent operation
 //!   histories and check them against the sequential object
 //!   specifications with a Wing–Gong search ([`check_linearizable`]) —
@@ -30,8 +30,7 @@ pub mod linearize;
 pub mod naive;
 
 pub use counterexample::{
-    check_dpor, replay_report, replay_script, script_of_events, shrink_schedule,
-    shrink_schedule_with, CheckError, Violation,
+    check_dpor, replay_report, replay_script, shrink_schedule_with, CheckError, Violation,
 };
 pub use dependence::{trace_signature, Access, McEvent, ObjectKey};
 pub use dpor::{explore_dpor, McError, McOptions, McStats, RawViolation};

@@ -83,7 +83,7 @@ pub enum RegisterSemantics {
 /// mem.execute(Op::RegisterWrite(r, 7)).expect_ack();
 /// assert_eq!(mem.execute(Op::RegisterRead(r)).expect_register(), Some(7));
 /// ```
-/// Registers and max registers are stored in [`Paged`] arrays: a layout
+/// Registers and max registers are stored in `Paged` arrays: a layout
 /// may declare O(n) slots (one per process, one per round, …) but the
 /// backing storage materializes per page on first access, so a run that
 /// touches 100 processes of a million-slot layout allocates ~kilobytes,
@@ -128,11 +128,6 @@ impl<V: Value> Memory<V> {
             coin: None,
             ops_executed: 0,
         }
-    }
-
-    /// The cost model in effect.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost_model
     }
 
     /// The register semantics in effect.
@@ -253,7 +248,7 @@ impl<V: Value> Memory<V> {
     }
 
     /// Step cost of `op` under the configured cost model.
-    pub fn cost(&self, op: &Op<V>) -> u64 {
+    pub(crate) fn cost(&self, op: &Op<V>) -> u64 {
         match (self.cost_model, op) {
             (CostModel::RegisterImplemented, Op::SnapshotScan(id))
             | (CostModel::RegisterImplemented, Op::SnapshotUpdate(id, _, _)) => {
@@ -270,12 +265,14 @@ impl<V: Value> Memory<V> {
 
     /// Read-only access to a register, for probes and assertions.
     /// Registers never operated on read as ⊥ without materializing.
-    pub fn peek_register(&self, id: RegisterId) -> Option<&V> {
+    #[cfg(test)]
+    pub(crate) fn peek_register(&self, id: RegisterId) -> Option<&V> {
         self.registers.get(id.index()).and_then(Register::peek)
     }
 
     /// Read-only access to a max register, for probes and assertions.
-    pub fn peek_max_register(&self, id: MaxRegisterId) -> Option<(u64, &V)> {
+    #[cfg(test)]
+    pub(crate) fn peek_max_register(&self, id: MaxRegisterId) -> Option<(u64, &V)> {
         self.max_registers
             .get(id.index())
             .and_then(MaxRegister::peek)
@@ -361,7 +358,6 @@ mod tests {
         assert_eq!(mem.cost(&Op::SnapshotScan(s)), 16);
         assert_eq!(mem.cost(&Op::SnapshotUpdate(s, 0, 1)), 16);
         assert_eq!(mem.cost(&Op::RegisterRead(r)), 1);
-        assert_eq!(mem.cost_model(), CostModel::RegisterImplemented);
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl RingSink {
         self.pushed += 1;
     }
 
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of currently retained events.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -105,11 +100,6 @@ impl RingSink {
     /// Returns `true` if nothing was pushed yet.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// Total events pushed over the sink's lifetime.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// Events evicted to stay within capacity.
@@ -276,7 +266,6 @@ mod tests {
             ring.push(ev(slot, slot as usize % 2, OpKind::RegisterRead));
         }
         assert_eq!(ring.len(), 3);
-        assert_eq!(ring.total_pushed(), 7);
         assert_eq!(ring.dropped(), 4);
         let slots: Vec<u64> = ring.events().map(|e| e.slot).collect();
         assert_eq!(slots, vec![4, 5, 6]);

@@ -42,7 +42,8 @@ pub enum Op<V> {
 
 impl<V> Op<V> {
     /// Returns `true` if this operation only reads shared state.
-    pub fn is_read(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_read(&self) -> bool {
         matches!(
             self,
             Op::RegisterRead(_) | Op::SnapshotScan(_) | Op::MaxRead(_)
@@ -120,16 +121,6 @@ impl<V> ScanView<V> {
     /// without copying), e.g. to cache the last materialized scan.
     pub fn as_arc(&self) -> &Arc<Vec<Option<V>>> {
         &self.components
-    }
-
-    /// Number of components in the snapshot object.
-    pub fn len(&self) -> usize {
-        self.components.len()
-    }
-
-    /// Returns `true` if the snapshot object has no components.
-    pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
     }
 
     /// Iterates over `(component, value)` pairs for non-empty components.

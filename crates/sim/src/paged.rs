@@ -22,17 +22,22 @@ const PAGE: usize = 1024;
 ///
 /// # Examples
 ///
+/// The type is crate-private; [`Memory`](crate::memory::Memory) shows
+/// it at work:
+///
 /// ```
-/// use sift_sim::paged::Paged;
-/// let mut p: Paged<u32> = Paged::new(1_000_000);
-/// assert_eq!(p.materialized(), 0);
-/// *p.get_mut(123_456) = 7;
-/// assert_eq!(p.get(123_456), Some(&7));
-/// assert_eq!(p.get(0), None);
-/// assert_eq!(p.materialized(), 1024, "one page");
+/// use sift_sim::{LayoutBuilder, Memory, Op};
+/// let mut b = LayoutBuilder::new();
+/// let regs = b.registers(1_000_000);
+/// let mut mem: Memory<u32> = Memory::new(&b.build());
+/// assert_eq!(mem.materialized_registers(), 0);
+/// mem.execute(Op::RegisterWrite(regs[123_456], 7)).expect_ack();
+/// let read = mem.execute(Op::RegisterRead(regs[123_456]));
+/// assert_eq!(read.expect_register(), Some(7));
+/// assert_eq!(mem.materialized_registers(), 1024, "one page");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Paged<T> {
+pub(crate) struct Paged<T> {
     pages: Vec<Option<Box<[T]>>>,
     len: usize,
 }
@@ -40,26 +45,16 @@ pub struct Paged<T> {
 impl<T: Default + Clone> Paged<T> {
     /// Creates a paged array of logical length `len` with no pages
     /// materialized.
-    pub fn new(len: usize) -> Self {
+    pub(crate) fn new(len: usize) -> Self {
         Self {
             pages: vec![None; len.div_ceil(PAGE)],
             len,
         }
     }
 
-    /// Logical length (the layout's declared slot count).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the logical length is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Entries whose backing page has been materialized. Untouched
     /// entries cost nothing beyond the page table itself.
-    pub fn materialized(&self) -> usize {
+    pub(crate) fn materialized(&self) -> usize {
         self.pages.iter().filter(|p| p.is_some()).count() * PAGE
     }
 
@@ -67,8 +62,8 @@ impl<T: Default + Clone> Paged<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.len()`.
-    pub fn get(&self, i: usize) -> Option<&T> {
+    /// Panics if `i` is out of range.
+    pub(crate) fn get(&self, i: usize) -> Option<&T> {
         assert!(i < self.len, "index {i} out of range 0..{}", self.len);
         self.pages[i / PAGE].as_ref().map(|page| &page[i % PAGE])
     }
@@ -78,8 +73,8 @@ impl<T: Default + Clone> Paged<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.len()`.
-    pub fn get_mut(&mut self, i: usize) -> &mut T {
+    /// Panics if `i` is out of range.
+    pub(crate) fn get_mut(&mut self, i: usize) -> &mut T {
         assert!(i < self.len, "index {i} out of range 0..{}", self.len);
         let page =
             self.pages[i / PAGE].get_or_insert_with(|| vec![T::default(); PAGE].into_boxed_slice());
@@ -88,12 +83,13 @@ impl<T: Default + Clone> Paged<T> {
 
     /// Drops every materialized page: all entries read as untouched
     /// again, as in a freshly constructed array of the same length.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.pages.fill(None);
     }
 
     /// Iterates the materialized entries as `(index, &entry)`.
-    pub fn iter_materialized(&self) -> impl Iterator<Item = (usize, &T)> {
+    #[cfg(test)]
+    pub(crate) fn iter_materialized(&self) -> impl Iterator<Item = (usize, &T)> {
         self.pages.iter().enumerate().flat_map(|(p, page)| {
             page.iter().flat_map(move |entries| {
                 entries
@@ -112,7 +108,6 @@ mod tests {
     #[test]
     fn untouched_pages_cost_nothing() {
         let p: Paged<u64> = Paged::new(1_000_000);
-        assert_eq!(p.len(), 1_000_000);
         assert_eq!(p.materialized(), 0);
         assert_eq!(p.get(999_999), None);
     }
@@ -166,7 +161,6 @@ mod tests {
     #[test]
     fn zero_length_is_empty() {
         let p: Paged<u8> = Paged::new(0);
-        assert!(p.is_empty());
         assert_eq!(p.materialized(), 0);
     }
 }

@@ -66,7 +66,7 @@ impl<V: Value> Register<V> {
 
     /// Writes `value` at global op-clock time `now`, recording the
     /// timestamps the regular-register read path consults.
-    pub fn write_at(&mut self, value: V, now: u64) {
+    pub(crate) fn write_at(&mut self, value: V, now: u64) {
         if self.first_write_at == 0 {
             self.first_write_at = now;
         }
@@ -90,7 +90,7 @@ impl<V: Value> Register<V> {
     ///   before `epoch` it is the last write preceding the read; when
     ///   it executed after `epoch` it overlaps the read. Either way a
     ///   regular register may return it.
-    pub fn read_stale(&mut self, epoch: u64) -> Option<&V> {
+    pub(crate) fn read_stale(&mut self, epoch: u64) -> Option<&V> {
         self.reads += 1;
         if self.last_write_at <= epoch {
             self.value.as_ref()
@@ -104,23 +104,26 @@ impl<V: Value> Register<V> {
     /// Whether a write has executed strictly after op-clock `epoch`
     /// (i.e. a read by a process last scheduled at `epoch` overlaps a
     /// write under the regular-register model).
-    pub fn written_since(&self, epoch: u64) -> bool {
+    pub(crate) fn written_since(&self, epoch: u64) -> bool {
         self.last_write_at > epoch
     }
 
     /// Returns the current value without counting a read (for probes and
     /// assertions, not for protocol logic).
-    pub fn peek(&self) -> Option<&V> {
+    #[cfg(test)]
+    pub(crate) fn peek(&self) -> Option<&V> {
         self.value.as_ref()
     }
 
     /// Number of write operations executed.
-    pub fn write_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn write_count(&self) -> u64 {
         self.writes
     }
 
     /// Number of read operations executed.
-    pub fn read_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn read_count(&self) -> u64 {
         self.reads
     }
 }

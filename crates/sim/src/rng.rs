@@ -205,11 +205,6 @@ impl SeedSplitter {
         Self { master }
     }
 
-    /// Returns the master seed this splitter was created with.
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
     /// Derives the 64-bit seed of the stream `(label, index)`.
     pub fn seed(&self, label: &str, index: u64) -> u64 {
         // FNV-1a over the label, mixed with master and index through
@@ -384,6 +379,6 @@ mod tests {
         let s1 = SeedSplitter::new(1234);
         let s2 = SeedSplitter::new(1234);
         assert_eq!(s1.seed("x", 9), s2.seed("x", 9));
-        assert_eq!(s1.master(), 1234);
+        assert_eq!(s1.master, 1234);
     }
 }

@@ -41,7 +41,7 @@ impl RoundRobin {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn starting_at(n: usize, start: usize) -> Self {
+    pub(crate) fn starting_at(n: usize, start: usize) -> Self {
         assert!(n > 0, "round-robin needs at least one process");
         Self { n, next: start % n }
     }

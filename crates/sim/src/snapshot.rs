@@ -50,13 +50,8 @@ impl<V: Value> SnapshotObject<V> {
     }
 
     /// Number of components.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Returns `true` if the object has zero components.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     fn materialize(&mut self) -> &mut Arc<Vec<Option<V>>> {
@@ -183,7 +178,6 @@ mod tests {
         assert_eq!(s.update_count(), 1);
         assert_eq!(s.scan_count(), 2);
         assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
     }
 
     #[test]

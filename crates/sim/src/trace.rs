@@ -23,7 +23,7 @@ pub struct Trace {
 
 impl Trace {
     /// Creates an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

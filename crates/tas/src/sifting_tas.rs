@@ -94,11 +94,6 @@ impl SiftingTas {
         self.probs.len()
     }
 
-    /// The underlying tournament (for analysis).
-    pub fn tournament(&self) -> &TournamentTas {
-        &self.tournament
-    }
-
     /// Creates the participant for `pid`.
     ///
     /// # Panics
@@ -123,7 +118,6 @@ impl SiftingTas {
             persona,
             rng: own,
             round: 0,
-            sift_ops: 0,
             stage: Stage::Sift,
         }
     }
@@ -148,16 +142,10 @@ pub struct SiftingTasParticipant {
     persona: Persona,
     rng: Xoshiro256StarStar,
     round: usize,
-    sift_ops: u64,
     stage: Stage,
 }
 
 impl SiftingTasParticipant {
-    /// Operations spent in the sift prefix (what losers pay).
-    pub fn sift_ops(&self) -> u64 {
-        self.sift_ops
-    }
-
     /// Whether this participant reached the tournament.
     pub fn reached_tournament(&self) -> bool {
         matches!(self.stage, Stage::Tournament { .. } | Stage::Finished)
@@ -182,7 +170,6 @@ impl Process for SiftingTasParticipant {
                         continue;
                     }
                     let reg = self.shared.registers[self.round];
-                    self.sift_ops += 1;
                     self.stage = Stage::AwaitSift;
                     return if self.persona.wants_write(self.round) {
                         Step::Issue(Op::RegisterWrite(reg, self.persona.clone()))

@@ -70,16 +70,6 @@ impl TournamentTas {
         }
     }
 
-    /// Number of tournament levels a participant climbs.
-    pub fn levels(&self) -> u32 {
-        self.leaf_base.trailing_zeros()
-    }
-
-    /// Number of participants supported.
-    pub fn capacity(&self) -> usize {
-        self.n
-    }
-
     /// Creates the participant for `pid`.
     ///
     /// # Panics
@@ -210,8 +200,8 @@ mod tests {
     fn levels_are_logarithmic() {
         let mut b = LayoutBuilder::new();
         let tas = TournamentTas::allocate(&mut b, 9);
-        assert_eq!(tas.levels(), 4, "9 participants pad to 16 leaves");
-        assert_eq!(tas.capacity(), 9);
+        assert_eq!(tas.leaf_base, 16, "9 participants pad to 16 leaves");
+        assert_eq!(tas.n, 9);
     }
 
     #[test]

@@ -12,16 +12,52 @@ fmt:
 fmt-check:
     cargo fmt --all -- --check
 
-# Lint everything; warnings are errors, as in CI. The first grep keeps
-# the two seed labels (process coins, adversary schedule) inside rng.rs;
-# the other two keep the workspace at one build configuration: no
-# `cfg(feature …)` in any source file, no `[features]` table in any
-# manifest.
-clippy:
+# Lint everything; warnings are errors, as in CI — `unreachable_pub`
+# among them (`[workspace.lints]`), and rustdoc's (a link from public
+# docs to a private item is one). The first grep keeps the two seed
+# labels (process coins, adversary schedule) inside rng.rs; the other
+# two keep the workspace at one build configuration: no `cfg(feature …)`
+# in any source file, no `[features]` table in any manifest.
+clippy: api-audit
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     ! grep -rnE '\.(stream|seed)\("(process|schedule)"' --include=*.rs --exclude=rng.rs crates src tests examples
     ! grep -rnE 'cfg!?\(.*feature' --include=*.rs crates src tests examples
     ! grep -rn '^\[features\]' Cargo.toml crates/*/Cargo.toml
+
+# Per crate: how many distinct `pub` item names its `src/` declares, and
+# which of them no `.rs` file outside that `src/` mentions (DESIGN.md,
+# "What `pub` means"). A type on that list is there because a public
+# signature names it; a `pub fn`, `const` or `static` never is, so one
+# fails the recipe. `#[doc(hidden)]` items (reached through a macro)
+# are skipped.
+api-audit:
+    #!/usr/bin/env bash
+    set -eu
+    total=0; unnamed=0; bad=0
+    for dir in crates/*/; do
+        items=$(find "${dir}src" -name '*.rs' -exec cat {} + | awk '
+            /#\[doc\(hidden\)\]/ { hidden = 1; next }
+            match($0, /^[ \t]*pub ((unsafe|const|async) )*(fn|struct|enum|trait|type|const|static) +[A-Za-z_][A-Za-z0-9_]*/) {
+                if (!hidden) { n = split(substr($0, RSTART, RLENGTH), w, " "); print w[n - 1], w[n] }
+            }
+            { hidden = 0 }' | sort -u -k2,2)
+        count=0; orphans=""
+        while read -r kind name; do
+            count=$((count + 1))
+            if ! grep -rlw --include='*.rs' -- "$name" crates src tests examples benchmark/src | grep -qv "^${dir}src/"; then
+                orphans="$orphans $kind:$name"
+                case $kind in fn | const | static) bad=$((bad + 1)) ;; esac
+            fi
+        done <<<"$items"
+        echo "$(basename "$dir"): $count pub names, $(wc -w <<<"$orphans") never named outside its src:$orphans"
+        total=$((total + count)); unnamed=$((unnamed + $(wc -w <<<"$orphans")))
+    done
+    echo "total: $total pub names, $unnamed never named outside their crate's src"
+    if [ "$bad" -ne 0 ]; then
+        echo "api-audit: $bad pub fn/const/static named by nothing outside its crate (demote or delete it)" >&2
+        exit 1
+    fi
 
 # Tier-1 gate: release build plus the full test suite (default-members
 # covers the workspace, so this runs every crate's suites).

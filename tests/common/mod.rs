@@ -22,7 +22,7 @@ impl Drop for Case<'_> {
 
 /// Runs `body` on `count` cases. Case `i` of `property` always draws
 /// from the same stream, whatever the other cases consumed.
-pub fn cases(property: &str, count: u64, mut body: impl FnMut(&mut Xoshiro256StarStar)) {
+pub(crate) fn cases(property: &str, count: u64, mut body: impl FnMut(&mut Xoshiro256StarStar)) {
     let split = SeedSplitter::new(0x9E37_79B9);
     for i in 0..count {
         let _case = Case(property, i);
@@ -31,17 +31,17 @@ pub fn cases(property: &str, count: u64, mut body: impl FnMut(&mut Xoshiro256Sta
 }
 
 /// Uniform in `range`.
-pub fn in_range(rng: &mut Xoshiro256StarStar, range: Range<u64>) -> u64 {
+pub(crate) fn in_range(rng: &mut Xoshiro256StarStar, range: Range<u64>) -> u64 {
     range.start + rng.range_u64(range.end - range.start)
 }
 
 /// Uniform in `range`, as a size.
-pub fn size_in(rng: &mut Xoshiro256StarStar, range: Range<usize>) -> usize {
+pub(crate) fn size_in(rng: &mut Xoshiro256StarStar, range: Range<usize>) -> usize {
     in_range(rng, range.start as u64..range.end as u64) as usize
 }
 
 /// A vector of `len` values below `bound`.
-pub fn vec_below(rng: &mut Xoshiro256StarStar, len: Range<usize>, bound: u64) -> Vec<u64> {
+pub(crate) fn vec_below(rng: &mut Xoshiro256StarStar, len: Range<usize>, bound: u64) -> Vec<u64> {
     (0..size_in(rng, len))
         .map(|_| rng.range_u64(bound))
         .collect()
@@ -49,13 +49,13 @@ pub fn vec_below(rng: &mut Xoshiro256StarStar, len: Range<usize>, bound: u64) ->
 
 /// A `u64` of uniformly random magnitude: every bit length is as likely
 /// as any other, so small values and values near `u64::MAX` both occur.
-pub fn any_u64(rng: &mut Xoshiro256StarStar) -> u64 {
+pub(crate) fn any_u64(rng: &mut Xoshiro256StarStar) -> u64 {
     let shift = rng.range_u64(65);
     rng.next_u64().checked_shr(shift as u32).unwrap_or(0)
 }
 
 /// One of the five schedule families.
-pub fn schedule_kind(rng: &mut Xoshiro256StarStar) -> ScheduleKind {
+pub(crate) fn schedule_kind(rng: &mut Xoshiro256StarStar) -> ScheduleKind {
     let all = ScheduleKind::all();
     all[rng.range_u64(all.len() as u64) as usize]
 }

@@ -20,14 +20,18 @@ enum Alg {
     Max,
     Sifting,
     Embedded,
+    /// Algorithm 3 around the max-register Algorithm 1 (§4's closing
+    /// remark).
+    EmbeddedMax,
     Cil,
 }
 
-const ALGS: [Alg; 5] = [
+const ALGS: [Alg; 6] = [
     Alg::Snapshot,
     Alg::Max,
     Alg::Sifting,
     Alg::Embedded,
+    Alg::EmbeddedMax,
     Alg::Cil,
 ];
 
@@ -56,6 +60,7 @@ fn run_alg(alg: Alg, n: usize, inputs: &[u64], seed: u64, kind: ScheduleKind) ->
         Alg::Max => go!(MaxConciliator::allocate(&mut b, n, Epsilon::HALF)),
         Alg::Sifting => go!(SiftingConciliator::allocate(&mut b, n, Epsilon::HALF)),
         Alg::Embedded => go!(EmbeddedConciliator::allocate(&mut b, n)),
+        Alg::EmbeddedMax => go!(EmbeddedConciliator::allocate_with_max_inner(&mut b, n)),
         Alg::Cil => go!(CilConciliator::allocate(&mut b, n)),
     }
 }
@@ -65,7 +70,7 @@ fn run_alg(alg: Alg, n: usize, inputs: &[u64], seed: u64, kind: ScheduleKind) ->
 #[test]
 fn validity_and_termination() {
     cases("validity_and_termination", 64, |rng| {
-        let alg = ALGS[size_in(rng, 0..5)];
+        let alg = ALGS[size_in(rng, 0..ALGS.len())];
         let kind = schedule_kind(rng);
         let n = size_in(rng, 1..12);
         let seed = rng.range_u64(10_000);
@@ -84,7 +89,7 @@ fn validity_and_termination() {
 #[test]
 fn unanimous_inputs_always_agree() {
     cases("unanimous_inputs_always_agree", 64, |rng| {
-        let alg = ALGS[size_in(rng, 0..5)];
+        let alg = ALGS[size_in(rng, 0..ALGS.len())];
         let kind = schedule_kind(rng);
         let n = size_in(rng, 1..10);
         let seed = rng.range_u64(10_000);

@@ -113,7 +113,7 @@ fn broken_adopt_commit_yields_shrunk_replayable_violation() {
         .outputs
         .iter()
         .flatten()
-        .filter(|o| o.verdict == Verdict::Commit)
+        .filter(|o| o.is_commit())
         .count();
     assert_eq!(both_commit, 2, "both proposers commit different codes");
     assert_ne!(

@@ -2,10 +2,9 @@
 //! preserve the protocol stack's guarantees per *instance* while many
 //! asynchronous clients hammer many instances at once.
 //!
-//! Each test drives N concurrent clients (async tasks on the in-tree
-//! [`Pool`] executor — the offline stand-in for a tokio runtime)
-//! proposing conflicting values across K instances, then asserts, per
-//! instance:
+//! Each test drives N concurrent clients (scoped OS threads, each
+//! waiting on its proposals with [`block_on`]) proposing conflicting
+//! values across K instances, then asserts, per instance:
 //!
 //! * **agreement / decide-exactly-once** — every client observes the
 //!   same commit fact, and the shard table records exactly one decision;
@@ -19,9 +18,8 @@
 //! sequential ticks; workers > shards = idle spinners).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use sift::service::runtime::{block_on, Pool};
+use sift::service::runtime::block_on;
 use sift::service::{CommitFact, InstanceId, Service, ServiceConfig, ShardConfig};
 
 /// Worker counts every scenario is exercised at (acceptance criterion).
@@ -38,35 +36,48 @@ fn service(workers: usize, shards: usize, seed: u64) -> Service {
     })
 }
 
-/// Runs `clients` async tasks, each proposing its own conflicting value
-/// to every one of `instances` instances, and returns each client's
+/// Runs `clients` client threads, each driving `client(index)` to
+/// completion with [`block_on`], and returns their outputs in client
+/// order.
+fn run_clients<T, F>(clients: usize, client: impl Fn(usize) -> F + Sync) -> Vec<T>
+where
+    T: Send,
+    F: std::future::Future<Output = T>,
+{
+    std::thread::scope(|scope| {
+        let client = &client;
+        let handles: Vec<_> = (0..clients)
+            .map(|index| scope.spawn(move || block_on(client(index))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread panicked"))
+            .collect()
+    })
+}
+
+/// Runs `clients` clients, each proposing its own conflicting value to
+/// every one of `instances` instances, and returns each client's
 /// observed facts, keyed by instance.
 fn conflicting_clients(
-    service: &Arc<Service>,
+    service: &Service,
     clients: usize,
     instances: u64,
 ) -> Vec<HashMap<InstanceId, CommitFact>> {
-    let pool = Pool::new(clients.min(8));
-    let handles: Vec<_> = (0..clients)
-        .map(|client| {
-            let service = Arc::clone(service);
-            pool.spawn(async move {
-                let mut observed = HashMap::new();
-                for raw in 0..instances {
-                    let instance = InstanceId(raw);
-                    // Client c proposes value c: every instance sees a
-                    // full spread of conflicting proposals.
-                    let fact = service
-                        .propose(instance, client as u64)
-                        .await
-                        .expect("proposal must resolve");
-                    observed.insert(instance, fact);
-                }
-                observed
-            })
-        })
-        .collect();
-    handles.into_iter().map(|h| h.join()).collect()
+    run_clients(clients, |client| async move {
+        let mut observed = HashMap::new();
+        for raw in 0..instances {
+            let instance = InstanceId(raw);
+            // Client c proposes value c: every instance sees a
+            // full spread of conflicting proposals.
+            let fact = service
+                .propose(instance, client as u64)
+                .await
+                .expect("proposal must resolve");
+            observed.insert(instance, fact);
+        }
+        observed
+    })
 }
 
 #[test]
@@ -74,7 +85,7 @@ fn concurrent_conflicting_clients_agree_per_instance() {
     for workers in WORKER_COUNTS {
         let clients = 6;
         let instances = 40u64;
-        let service = Arc::new(service(workers, 4, 0xA6));
+        let service = service(workers, 4, 0xA6);
         let observed = conflicting_clients(&service, clients, instances);
 
         for raw in 0..instances {
@@ -97,7 +108,6 @@ fn concurrent_conflicting_clients_agree_per_instance() {
 
         // Decide-exactly-once: the shard tables hold exactly one fact
         // per instance, nothing pending, nothing leaked.
-        let service = Arc::try_unwrap(service).ok().expect("all clients joined");
         let stats = service.stats();
         assert_eq!(stats.decided, instances as usize, "workers={workers}");
         assert_eq!(stats.pending, 0, "workers={workers}");
@@ -144,31 +154,26 @@ fn interleaved_instances_decide_independently() {
     for workers in WORKER_COUNTS {
         // More shards than workers and more instances than shards:
         // every shard multiplexes several instances per tick.
-        let service = Arc::new(service(workers, 8, 0x5EED));
-        let pool = Pool::new(4);
+        let service = service(workers, 8, 0x5EED);
+        let shared = &service;
         let instances = 64u64;
-        let handles: Vec<_> = (0..4usize)
-            .map(|client| {
-                let service = Arc::clone(&service);
-                pool.spawn(async move {
-                    // Stripe instances across clients in different
-                    // orders so shard inboxes interleave instances.
-                    let mut facts = Vec::new();
-                    for step in 0..instances {
-                        let raw = (step * 17 + client as u64 * 13) % instances;
-                        let fact = service
-                            .propose(InstanceId(raw), client as u64 + 100)
-                            .await
-                            .expect("proposal resolves");
-                        facts.push((InstanceId(raw), fact));
-                    }
-                    facts
-                })
-            })
-            .collect();
+        let per_client = run_clients(4, |client| async move {
+            // Stripe instances across clients in different orders so
+            // shard inboxes interleave instances.
+            let mut facts = Vec::new();
+            for step in 0..instances {
+                let raw = (step * 17 + client as u64 * 13) % instances;
+                let fact = shared
+                    .propose(InstanceId(raw), client as u64 + 100)
+                    .await
+                    .expect("proposal resolves");
+                facts.push((InstanceId(raw), fact));
+            }
+            facts
+        });
         let mut by_instance: HashMap<InstanceId, CommitFact> = HashMap::new();
-        for handle in handles {
-            for (instance, fact) in handle.join() {
+        for facts in per_client {
+            for (instance, fact) in facts {
                 match by_instance.entry(instance) {
                     std::collections::hash_map::Entry::Vacant(slot) => {
                         slot.insert(fact);
@@ -187,7 +192,6 @@ fn interleaved_instances_decide_independently() {
                 fact.value
             );
         }
-        let service = Arc::try_unwrap(service).ok().expect("all clients joined");
         assert_eq!(service.stats().decided, instances as usize);
         service.shutdown();
     }
