@@ -11,6 +11,7 @@ use sift_core::{
     CilConciliator, Conciliator, EmbeddedConciliator, Epsilon, EscalatingCilConciliator,
     SiftingConciliator, SnapshotConciliator,
 };
+use sift_obs::json::Json;
 use sift_sim::adversary::AdversaryStrength;
 use sift_sim::fuzz::FingerprintHasher;
 use sift_sim::rng::SeedSplitter;
@@ -61,13 +62,11 @@ pub(crate) fn main(json: Option<&Path>) -> ExitCode {
     println!("negative digest: {:#018x}", conformance::digest(&negative));
 
     if let Some(path) = json {
-        match std::fs::write(path, lattice.to_json(&negative)) {
-            Ok(()) => eprintln!("wrote adversary report to {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot write adversary report to {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+        if let Err(e) = crate::schema::write_tracked(path, &lattice.to_json(&negative)) {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
+        eprintln!("wrote adversary report to {}", path.display());
     }
 
     if !conformance::all_pass(&negative) {
@@ -168,40 +167,30 @@ impl LatticeReport {
     /// The sweep, its [`digest`](Self::digest) and the negative tier's
     /// verdicts as a small JSON document (tracked in
     /// `BENCH_adversary.json`).
-    pub(crate) fn to_json(&self, negative: &[ClaimResult]) -> String {
-        let comma = |i: usize, len: usize| if i + 1 < len { "," } else { "" };
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"n\": {},\n", self.n));
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"strength\": \"{}\", \"substrate\": \"{}\", \"trials\": {}, \
-                 \"agreements\": {}, \"agree_rate\": {:.4}, \"mean_distinct\": {:.4}}}{}\n",
-                c.strength,
-                c.substrate,
-                c.trials,
-                c.agreements,
-                c.agree_rate(),
-                c.mean_distinct(),
-                comma(i, self.cells.len()),
-            ));
-        }
-        // The comma on a line of its own is the tracked file's layout.
-        out.push_str(&format!(
-            "  ]\n  ,\n  \"lattice_digest\": \"{:#018x}\",\n  \"negative\": [\n",
-            self.digest()
-        ));
-        for (i, r) in negative.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"trials\": {}, \"pass\": {}}}{}\n",
-                r.id,
-                r.trials,
-                r.pass,
-                comma(i, negative.len()),
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+    pub(crate) fn to_json(&self, negative: &[ClaimResult]) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            Json::obj([
+                ("strength", c.strength.as_str().into()),
+                ("substrate", c.substrate.into()),
+                ("trials", c.trials.into()),
+                ("agreements", c.agreements.into()),
+                ("agree_rate", Json::fixed(c.agree_rate(), 4)),
+                ("mean_distinct", Json::fixed(c.mean_distinct(), 4)),
+            ])
+        });
+        let negative = negative.iter().map(|r| {
+            Json::obj([
+                ("id", r.id.as_str().into()),
+                ("trials", r.trials.into()),
+                ("pass", r.pass.into()),
+            ])
+        });
+        Json::obj([
+            ("n", self.n.into()),
+            ("cells", Json::Arr(cells.collect())),
+            ("lattice_digest", format!("{:#018x}", self.digest()).into()),
+            ("negative", Json::Arr(negative.collect())),
+        ])
     }
 
     /// FNV digest over the integer tallies — the seed-stability

@@ -19,7 +19,7 @@ pub mod fuzz;
 pub mod microbench;
 pub mod obs;
 pub mod runner;
-pub mod schema;
+mod schema;
 mod service_load;
 pub mod soak;
 pub mod stats;

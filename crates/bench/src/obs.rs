@@ -20,11 +20,11 @@
 //! rendering — is byte-identical at any thread count.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use sift_obs::ObsReport;
+use sift_obs::{json::Json, ObsReport};
 use sift_sim::{Metrics, OpKind, StopReason};
 
 use crate::runner::Trial;
@@ -126,23 +126,9 @@ pub fn collect() -> ObsReport {
         .unwrap_or_default()
 }
 
-/// Writes the merged observations as JSON to `path`.
-///
-/// Refuses to clobber a tracked `BENCH_*.json` trajectory file whose
-/// existing content does not match the schema its name promises (see
-/// [`schema::validate_target`](crate::schema::validate_target)): such a
-/// target almost always means the output path is pointed at the wrong
-/// file.
-pub(crate) fn write_json(path: &Path) -> io::Result<()> {
-    if let Err(message) = crate::schema::validate_target(path) {
-        return Err(io::Error::other(format!(
-            "refusing to overwrite trajectory target: {message}"
-        )));
-    }
-    std::fs::write(path, collect().to_json())
-}
-
-/// Writes the observation file registered with [`set_output`], if any.
+/// Writes the merged observations as JSON to the file registered with
+/// [`set_output`], if any, through `schema::write_tracked` (which
+/// refuses to clobber a malformed tracked `BENCH_*.json` file).
 ///
 /// Returns the path written (`None` when no output was requested) so
 /// the caller owns the user-facing success/error reporting; the I/O
@@ -151,13 +137,14 @@ pub(crate) fn write_json(path: &Path) -> io::Result<()> {
 /// # Errors
 ///
 /// Propagates the underlying filesystem error (missing parent
-/// directory, parent is a file, permission, invalid path, ...).
+/// directory, parent is a file, permission, invalid path, ...) or the
+/// refusal.
 pub fn try_finish() -> io::Result<Option<PathBuf>> {
     let path = OUTPUT.lock().unwrap_or_else(|e| e.into_inner()).clone();
     let Some(path) = path else {
         return Ok(None);
     };
-    write_json(&path)?;
+    crate::schema::write_tracked(&path, &Json::from(&collect()))?;
     Ok(Some(path))
 }
 

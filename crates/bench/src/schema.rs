@@ -1,12 +1,13 @@
-//! Schema validation for the tracked `BENCH_*.json` trajectory files.
+//! The tracked `BENCH_*.json` verdict files: their schema, and the one
+//! way to write them.
 //!
 //! The repo tracks verdict files (`BENCH_conformance.json`,
 //! `BENCH_adversary.json`) that CI diffs and downstream tooling
-//! parses. A binary pointed at the wrong path — or
-//! at a file another tool half-wrote — used to clobber it silently;
-//! now every writer calls `validate_target` first and refuses (exit
-//! 1, clear message) when the existing content does not parse as the
-//! trajectory schema its filename promises:
+//! parses. A binary pointed at the wrong path — or at a file another
+//! tool half-wrote — used to clobber it silently; now every writer goes
+//! through [`write_tracked`], which refuses (exit 1, clear message)
+//! when the existing content does not parse as the schema its filename
+//! promises:
 //!
 //! * `BENCH_conformance*.json` — a `rows` array where every row
 //!   carries the sliding-window fields: string `claim`, numeric
@@ -14,240 +15,19 @@
 //!   `pass`.
 //! * any other `BENCH_*.json` — well-formed JSON.
 //!
-//! The parser is a minimal recursive-descent JSON reader — the
-//! workspace is dependency-free, so no serde.
+//! Parsing and rendering are [`sift_obs::json`]'s; this module holds
+//! only the domain rules.
 
+use std::io;
 use std::path::Path;
 
-/// A parsed JSON value (just enough structure for validation).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (all parsed as f64; the tracked files stay well
-    /// inside f64's exact-integer range).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up `key` in an object; `None` for other variants.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The array items, if this is an array.
-    pub(crate) fn items(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document.
-pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected {:?} at byte {}, found {:?}",
-            byte as char,
-            *pos,
-            bytes.get(*pos).map(|&b| b as char)
-        ))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|x| x.is_finite())
-        .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        // Surrogate pairs are not needed by any tracked
-                        // file; map lone surrogates to the replacement
-                        // character rather than failing.
-                        out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(&b) => {
-                // Multi-byte UTF-8 sequences pass through byte by byte;
-                // the input came from a &str so they are valid.
-                let len = match b {
-                    0x00..=0x7F => 1,
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    _ => 4,
-                };
-                let end = (*pos + len).min(bytes.len());
-                out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|_| "bad utf-8")?);
-                *pos = end;
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        fields.push((key, parse_value(bytes, pos)?));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn require_num(row: &Json, field: &str, context: &str) -> Result<(), String> {
-    match row.get(field) {
-        Some(Json::Num(_)) => Ok(()),
-        Some(_) => Err(format!("{context}: field {field:?} is not a number")),
-        None => Err(format!("{context}: missing required field {field:?}")),
-    }
-}
+use sift_obs::json::{self, Json};
 
 /// Validates `text` against the row schema its filename (`name`, the
 /// file stem or full basename) promises. Unknown `BENCH_*` kinds only
 /// need to be well-formed JSON.
-pub fn validate_bench_json(name: &str, text: &str) -> Result<(), String> {
-    let doc = parse(text)?;
+pub(crate) fn validate_bench_json(name: &str, text: &str) -> Result<(), String> {
+    let doc = json::parse(text)?;
     if name.starts_with("BENCH_conformance") {
         let rows = doc
             .get("rows")
@@ -255,16 +35,18 @@ pub fn validate_bench_json(name: &str, text: &str) -> Result<(), String> {
             .ok_or("BENCH_conformance: missing \"rows\" array")?;
         for (i, row) in rows.iter().enumerate() {
             let context = format!("BENCH_conformance row {i}");
-            match row.get("claim") {
-                Some(Json::Str(_)) => {}
-                _ => return Err(format!("{context}: missing string field \"claim\"")),
+            if row.get("claim").and_then(Json::as_str).is_none() {
+                return Err(format!("{context}: missing string field \"claim\""));
             }
             for field in ["scale", "window", "trials", "violations", "lcb", "bound"] {
-                require_num(row, field, &context)?;
+                match row.get(field) {
+                    Some(Json::Num(_)) => {}
+                    Some(_) => return Err(format!("{context}: field {field:?} is not a number")),
+                    None => return Err(format!("{context}: missing required field {field:?}")),
+                }
             }
-            match row.get("pass") {
-                Some(Json::Bool(_)) => {}
-                _ => return Err(format!("{context}: missing boolean field \"pass\"")),
+            if row.get("pass").and_then(Json::as_bool).is_none() {
+                return Err(format!("{context}: missing boolean field \"pass\""));
             }
         }
     }
@@ -285,10 +67,7 @@ pub(crate) fn validate_target(path: &Path) -> Result<(), String> {
     if text.trim().is_empty() {
         return Ok(());
     }
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or_default();
+    let name = file_name(path);
     if !name.starts_with("BENCH_") {
         return Ok(());
     }
@@ -300,27 +79,65 @@ pub(crate) fn validate_target(path: &Path) -> Result<(), String> {
     })
 }
 
+fn file_name(path: &Path) -> &str {
+    path.file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or_default()
+}
+
+/// Writes `doc` to `path`, the one way every JSON artifact (`exp soak`,
+/// `exp adversary`, `--obs-json`) reaches disk: [`validate_target`]
+/// (a malformed tracked target is refused and left untouched), render,
+/// validate the rendering against the schema `path`'s name promises,
+/// write.
+///
+/// # Errors
+///
+/// The refusal, a failed self-validation, or the filesystem error.
+pub(crate) fn write_tracked(path: &Path, doc: &Json) -> io::Result<()> {
+    validate_target(path).map_err(|message| {
+        io::Error::other(format!(
+            "refusing to overwrite trajectory target: {message}"
+        ))
+    })?;
+    let rendered = json::write(doc);
+    validate_bench_json(file_name(path), &rendered).map_err(|message| {
+        io::Error::other(format!("rendered JSON failed self-validation: {message}"))
+    })?;
+    std::fs::write(path, rendered)
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display())))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn parses_the_basic_shapes() {
-        let doc = parse(r#"{"a": [1, 2.5, -3e2], "b": "x\ny", "c": true, "d": null}"#).unwrap();
-        assert_eq!(doc.get("a").unwrap().items().unwrap().len(), 3);
-        assert_eq!(
-            doc.get("a").unwrap().items().unwrap()[2].as_num(),
-            Some(-300.0)
-        );
-        assert_eq!(doc.get("b"), Some(&Json::Str("x\ny".into())));
+        let doc = json::parse(r#"{"a": [1, 2.5, -3e2], "b": "x\ny", "c": true, "d": null}"#);
+        let doc = doc.unwrap();
+        let a = doc.get("a").and_then(Json::items).unwrap();
+        assert_eq!(a, ["1", "2.5", "-3e2"].map(|n| Json::Num(n.into())));
+        assert_eq!(doc.get("b"), Some(&Json::from("x\ny")));
         assert_eq!(doc.get("c"), Some(&Json::Bool(true)));
         assert_eq!(doc.get("d"), Some(&Json::Null));
     }
 
+    /// The validator accepts exactly what CI's Python `json.load` does.
+    /// (At the parent any run of `[0-9+-.eE]` that `f64::from_str` took
+    /// was a number, and raw control characters passed.)
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "{} trailing", "nul"] {
-            assert!(parse(bad).is_err(), "{bad:?} should not parse");
+        let malformed = [
+            "", "{", "[1,]", "{} x", "nul", "[NaN]", "{'a':1}", "[+1]", "[1.]", "[.5]", "[01]",
+            "[-.5]", "[1.e3]", "[1e]", "[-]", "\"\n\"", "\"\t\"", r#""\x""#, r#""\u1""#,
+        ];
+        for bad in malformed {
+            let verdict = validate_bench_json("BENCH_any.json", bad);
+            assert!(verdict.is_err(), "{bad:?} should not parse");
+        }
+        for good in ["0", "-0.0e-0", "[1E+2]", r#""é\/""#, " [] "] {
+            validate_bench_json("BENCH_any.json", good).expect(good);
         }
     }
 
@@ -371,6 +188,8 @@ mod tests {
             let text = std::fs::read_to_string(root.join(name))
                 .unwrap_or_else(|e| panic!("tracked file {name} is unreadable: {e}"));
             validate_bench_json(name, &text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            // Tracked bytes are exactly what the writer renders.
+            assert_eq!(json::write(&json::parse(&text).unwrap()), text, "{name}");
         }
     }
 }

@@ -47,7 +47,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use sift_core::{try_check_validity, Conciliator, Persona, RoundHistory, SiftingConciliator};
-use sift_obs::{json_string, ObsReport, WindowedReport};
+use sift_obs::{json::Json, ObsReport, WindowedReport};
 use sift_service::det::DeterministicService;
 use sift_service::runtime::block_on;
 use sift_service::{InstanceId, Service, ServiceConfig, ShardConfig};
@@ -299,80 +299,52 @@ impl SoakReport {
         ));
         table
     }
+}
 
-    /// The tracked `BENCH_conformance.json` rendering: the full row
-    /// trajectory plus violations. Deliberately carries no thread
-    /// count — the bytes are invariant under `SIFT_THREADS`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"suite\": \"soak\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
-        out.push_str(&format!("  \"windows\": {},\n", self.windows_run));
-        out.push_str(&format!("  \"width\": {},\n", self.config.width));
-        out.push_str(&format!("  \"crashes\": {},\n", self.config.crashes));
-        out.push_str(&format!("  \"extended\": {},\n", self.config.extended));
-        out.push_str(&format!("  \"digest\": \"{:#018x}\",\n", self.digest()));
-        out.push_str(&format!(
-            "  \"service_digest\": \"{:#018x}\",\n",
-            self.service_digest
-        ));
-        out.push_str("  \"rows\": [\n");
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|row| {
-                format!(
-                    "    {{\"claim\": {}, \"scale\": {}, \"window\": {}, \
-                     \"trials\": {}, \"violations\": {}, \"lcb\": {:.6}, \
-                     \"bound\": {:.6}, \"pass\": {}}}",
-                    json_string(&row.claim),
-                    row.scale,
-                    row.window,
-                    row.trials,
-                    row.violations,
-                    row.lcb,
-                    row.bound,
-                    row.pass
-                )
-            })
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ],\n");
-        out.push_str("  \"violations\": [\n");
-        let violations: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| {
-                let script = match &v.script {
-                    Some(script) => format!(
-                        "[{}]",
-                        script
-                            .iter()
-                            .map(|p| p.to_string())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "    {{\"claim\": {}, \"scale\": {}, \"window\": {}, \
-                     \"seed\": {}, \"message\": {}, \"shrunk_from\": {}, \
-                     \"script\": {}}}",
-                    json_string(&v.claim),
-                    v.scale,
-                    v.window,
-                    v.seed,
-                    json_string(&v.message),
-                    v.shrunk_from,
-                    script
-                )
-            })
-            .collect();
-        out.push_str(&violations.join(",\n"));
-        out.push_str("\n  ]\n");
-        out.push_str("}\n");
-        out
+/// The tracked `BENCH_conformance.json` document: the full row
+/// trajectory plus violations. Deliberately carries no thread
+/// count — the bytes are invariant under `SIFT_THREADS`.
+impl From<&SoakReport> for Json {
+    fn from(report: &SoakReport) -> Json {
+        let rows = report.rows.iter().map(|row| {
+            Json::obj([
+                ("claim", row.claim.as_str().into()),
+                ("scale", row.scale.into()),
+                ("window", row.window.into()),
+                ("trials", row.trials.into()),
+                ("violations", row.violations.into()),
+                ("lcb", Json::fixed(row.lcb, 6)),
+                ("bound", Json::fixed(row.bound, 6)),
+                ("pass", row.pass.into()),
+            ])
+        });
+        let violations = report.violations.iter().map(|v| {
+            let script = v.script.as_ref().map_or(Json::Null, |script| {
+                Json::Arr(script.iter().map(|&pid| pid.into()).collect())
+            });
+            Json::obj([
+                ("claim", v.claim.as_str().into()),
+                ("scale", v.scale.into()),
+                ("window", v.window.into()),
+                ("seed", v.seed.into()),
+                ("message", v.message.as_str().into()),
+                ("shrunk_from", v.shrunk_from.into()),
+                ("script", script),
+            ])
+        });
+        let hex = |digest: u64| Json::Str(format!("{digest:#018x}"));
+        Json::obj([
+            ("suite", "soak".into()),
+            ("seed", report.config.seed.into()),
+            ("windows", report.windows_run.into()),
+            ("width", report.config.width.into()),
+            ("crashes", report.config.crashes.into()),
+            ("extended", report.config.extended.into()),
+            ("digest", hex(report.digest())),
+            ("service_digest", hex(report.service_digest)),
+            ("rows", Json::Arr(rows.collect())),
+            ("violations", Json::Arr(violations.collect())),
+        ])
     }
 }
 
@@ -1231,21 +1203,8 @@ pub(crate) fn main(config: &SoakConfig, secs: u64, json: Option<&Path>) -> ExitC
     let flagged = report.flagged().len();
 
     if let Some(path) = json {
-        if let Err(message) = crate::schema::validate_target(path) {
-            eprintln!("error: refusing to overwrite trajectory target: {message}");
-            return ExitCode::FAILURE;
-        }
-        let rendered = report.to_json();
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "BENCH_conformance.json".to_string());
-        if let Err(message) = crate::schema::validate_bench_json(&name, &rendered) {
-            eprintln!("error: rendered trajectory failed self-validation: {message}");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = std::fs::write(path, &rendered) {
-            eprintln!("error: cannot write {}: {e}", path.display());
+        if let Err(e) = crate::schema::write_tracked(path, &Json::from(&report)) {
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
         eprintln!("wrote conformance trajectory to {}", path.display());
@@ -1302,7 +1261,7 @@ mod tests {
         let a = run_soak(&tiny());
         let b = run_soak(&tiny());
         assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(Json::from(&a), Json::from(&b));
         let mut other = tiny();
         other.seed = 0x50AD;
         assert_ne!(a.digest(), run_soak(&other).digest());
@@ -1325,7 +1284,8 @@ mod tests {
     fn soak_json_validates_against_its_own_schema() {
         let _guard = crate::exec::override_lock();
         let report = run_soak(&tiny());
-        crate::schema::validate_bench_json("BENCH_conformance.json", &report.to_json())
+        let text = sift_obs::json::write(&Json::from(&report));
+        crate::schema::validate_bench_json("BENCH_conformance.json", &text)
             .expect("the soak trajectory must satisfy the tracked schema");
     }
 

@@ -10,6 +10,7 @@
 use std::process::Command;
 
 use sift_bench::cli::env_knob_names;
+use sift_obs::json::{self, Json};
 
 /// `exp <name>` with every knob unset, so the caller's environment
 /// cannot leak into a test.
@@ -119,20 +120,21 @@ fn exp_soak() -> Command {
     cmd
 }
 
-/// `BENCH_*` trajectory targets are append-style files tracked in git:
-/// clobbering a malformed one would silently destroy history, so the
-/// writer must refuse with exit 1 and leave the file untouched.
-#[test]
-fn malformed_tracked_soak_trajectory_target_is_refused() {
-    let dir = std::env::temp_dir().join(format!("sift-soak-neg-{}", std::process::id()));
+/// Points `cmd`'s `output` (a `SIFT_*_JSON` knob or `--obs-json`) at a
+/// tracked `BENCH_{kind}.json` holding `content`, and checks the refusal
+/// every writer shares: exit 1, the diagnostic, no panic, and the file
+/// left exactly as it was.
+fn assert_refuses_target(mut cmd: Command, output: &str, kind: &str, content: &[u8]) {
+    let dir = std::env::temp_dir().join(format!("sift-{output}-neg-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let target = dir.join("BENCH_conformance.json");
-    std::fs::write(&target, b"garbage{not json").unwrap();
-
-    let out = exp_soak()
-        .env("SIFT_SOAK_JSON", &target)
-        .output()
-        .expect("binary runs");
+    let target = dir.join(format!("BENCH_{kind}.json"));
+    std::fs::write(&target, content).unwrap();
+    if output.starts_with("--") {
+        cmd.arg(output).arg(&target);
+    } else {
+        cmd.env(output, &target);
+    }
+    let out = cmd.output().expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(
@@ -141,12 +143,26 @@ fn malformed_tracked_soak_trajectory_target_is_refused() {
     );
     assert!(!stderr.contains("panicked"), "must not panic: {stderr}");
     // The malformed file is evidence — it must survive the refusal.
-    assert_eq!(
-        std::fs::read(&target).unwrap(),
-        b"garbage{not json",
-        "the refused target must not be clobbered"
-    );
+    assert_eq!(std::fs::read(&target).unwrap(), content, "target clobbered");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `BENCH_*` trajectory targets are append-style files tracked in git:
+/// clobbering a malformed one would silently destroy history, so the
+/// writer must refuse with exit 1 and leave the file untouched.
+#[test]
+fn malformed_tracked_soak_trajectory_target_is_refused() {
+    assert_refuses_target(exp_soak(), "SIFT_SOAK_JSON", "conformance", b"garbage{");
+}
+
+/// Same refusal for `exp adversary`, which at the parent commit wrote
+/// `SIFT_ADVERSARY_JSON` with a bare `std::fs::write` and so clobbered a
+/// malformed tracked target.
+#[test]
+fn malformed_tracked_adversary_target_is_refused() {
+    let mut adversary = exp("adversary");
+    adversary.env("SIFT_TRIALS", "1");
+    assert_refuses_target(adversary, "SIFT_ADVERSARY_JSON", "adversary", b"not json");
 }
 
 /// Same refusal through the shared `--obs-json` path: a tracked
@@ -154,27 +170,8 @@ fn malformed_tracked_soak_trajectory_target_is_refused() {
 /// sliding-window fields) must abort the run.
 #[test]
 fn malformed_tracked_obs_target_is_refused() {
-    let dir = std::env::temp_dir().join(format!("sift-obs-neg-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let target = dir.join("BENCH_conformance.json");
-    std::fs::write(
-        &target,
-        br#"{"rows": [{"claim": "sift.steps", "trials": 8}]}"#,
-    )
-    .unwrap();
-
-    let out = exp_fuzz()
-        .arg("--obs-json")
-        .arg(&target)
-        .output()
-        .expect("binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(
-        stderr.contains("refusing to overwrite trajectory target"),
-        "diagnostic missing: {stderr}"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
+    let row_without_window = br#"{"rows": [{"claim": "sift.steps", "trials": 8}]}"#;
+    assert_refuses_target(exp_fuzz(), "--obs-json", "conformance", row_without_window);
 }
 
 /// Polarity for `--obs-json` on an experiment that builds its own
@@ -195,15 +192,10 @@ fn service_obs_json_carries_the_runs_counters() {
         .expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
-    let doc = sift_bench::schema::parse(&std::fs::read_to_string(&target).unwrap()).unwrap();
-    let count = |key| {
-        doc.get("counters")
-            .unwrap()
-            .get(key)
-            .and_then(|v| v.as_num())
-    };
-    assert_eq!(count("load.decided"), Some(200.0));
-    assert_eq!(count("service.decided"), Some(200.0));
+    let doc = json::parse(&std::fs::read_to_string(&target).unwrap()).unwrap();
+    let count = |key| doc.get("counters").unwrap().get(key).and_then(Json::as_u64);
+    assert_eq!(count("load.decided"), Some(200));
+    assert_eq!(count("service.decided"), Some(200));
     assert!(
         doc.get("histograms")
             .unwrap()
@@ -232,9 +224,12 @@ fn valid_soak_trajectory_target_is_overwritten_end_to_end() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "round {round} stderr: {stderr}");
     }
-    let body = std::fs::read_to_string(&target).unwrap();
-    sift_bench::schema::validate_bench_json("BENCH_conformance.json", &body)
-        .expect("written trajectory validates");
+    // `write_tracked` checked the row schema before writing.
+    let doc = json::parse(&std::fs::read_to_string(&target).unwrap()).unwrap();
+    assert!(doc
+        .get("rows")
+        .and_then(Json::items)
+        .is_some_and(|rows| !rows.is_empty()));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

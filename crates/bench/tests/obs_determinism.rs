@@ -27,7 +27,7 @@ fn sweep_json(threads: usize) -> String {
     );
     exec::set_threads(0);
     assert!(ops > 0, "sweep must execute operations");
-    sift_bench::obs::collect().to_json()
+    sift_obs::json::write(&sift_obs::json::Json::from(&sift_bench::obs::collect()))
 }
 
 #[test]

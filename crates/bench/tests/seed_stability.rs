@@ -16,6 +16,7 @@
 
 use sift_bench::fuzz::{run_fuzz, FuzzConfig};
 use sift_bench::{conformance, exec};
+use sift_obs::json::{self, Json};
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes tests that touch the global thread override (integration
@@ -166,7 +167,7 @@ fn soak_trajectory_matches_golden_across_thread_counts() {
     let jsons = std::cell::RefCell::new(Vec::new());
     for (t, digest) in [1, 4, 8].into_iter().zip(under_thread_counts(|| {
         let report = run_soak(&config);
-        jsons.borrow_mut().push(report.to_json());
+        jsons.borrow_mut().push(json::write(&Json::from(&report)));
         report.digest()
     })) {
         assert_eq!(

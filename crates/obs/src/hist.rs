@@ -21,6 +21,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::json::Json;
+
 /// Number of buckets: one for zero plus one per value bit.
 pub const BUCKETS: usize = 65;
 
@@ -142,27 +144,23 @@ impl Histogram {
         }
         u64::MAX
     }
+}
 
-    /// Renders the histogram as a stable JSON object: total count plus
-    /// a sparse `[lower_bound, count]` bucket list (empty buckets are
-    /// omitted, so the rendering does not depend on [`BUCKETS`]).
-    pub(crate) fn render_json(&self) -> String {
-        let mut out = String::from("{\"count\": ");
-        out.push_str(&self.count().to_string());
-        out.push_str(", \"buckets\": [");
-        let mut first = true;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("[{}, {}]", bucket_lower_bound(i), c));
-        }
-        out.push_str("]}");
-        out
+/// The histogram as a JSON object: total count plus a sparse
+/// `[lower_bound, count]` bucket list (empty buckets are omitted, so the
+/// value does not depend on [`BUCKETS`]).
+impl From<&Histogram> for Json {
+    fn from(hist: &Histogram) -> Json {
+        let buckets = hist
+            .counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(i, &c)| Json::Arr(vec![bucket_lower_bound(i).into(), c.into()]));
+        Json::obj([
+            ("count", hist.count().into()),
+            ("buckets", Json::Arr(buckets.collect())),
+        ])
     }
 }
 
@@ -301,8 +299,8 @@ mod tests {
         let mut h = Histogram::new();
         h.record(0);
         h.record_n(4, 3);
-        let json = h.render_json();
-        assert_eq!(json, "{\"count\": 4, \"buckets\": [[0, 1], [4, 3]]}");
+        let expected = r#"{"count": 4, "buckets": [[0, 1], [4, 3]]}"#;
+        assert_eq!(Ok(Json::from(&h)), crate::json::parse(expected));
     }
 
     #[test]

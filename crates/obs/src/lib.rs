@@ -14,9 +14,12 @@
 //!   the reclamation gate in `sift-shmem::lockfree`).
 //! * [`MaxTracker`] — a relaxed high-water-mark cell.
 //! * [`ObsReport`] — a named bag of counters, maxima, and histograms
-//!   with a commutative [`merge`](ObsReport::merge) and a stable,
-//!   dependency-free JSON rendering (`BTreeMap`-ordered keys, so the
-//!   byte output is deterministic).
+//!   with a commutative [`merge`](ObsReport::merge) and a stable JSON
+//!   value (`BTreeMap`-ordered keys, so the byte output is
+//!   deterministic).
+//! * [`json`] — the workspace's one JSON value type, writer and parser:
+//!   every file the workspace writes or reads back as JSON goes through
+//!   it.
 //! * [`WindowedReport`] — a sliding ring of per-window reports with an
 //!   on-demand merge of the retained windows (the soak tier's
 //!   sliding-window conformance statistics are folded through this).
@@ -38,6 +41,7 @@
 
 pub mod counter;
 pub mod hist;
+pub mod json;
 pub mod report;
 pub mod window;
 
@@ -45,35 +49,3 @@ pub use counter::{MaxTracker, StripedCounter};
 pub use hist::{bucket_lower_bound, bucket_of, AtomicHistogram, Histogram, BUCKETS};
 pub use report::ObsReport;
 pub use window::WindowedReport;
-
-/// Escapes `s` as a JSON string literal (shared by the JSON renderers
-/// here and in the harness).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_string("a\\b"), "\"a\\\\b\"");
-        assert_eq!(json_string("a\nb"), "\"a\\u000ab\"");
-    }
-}

@@ -1,9 +1,9 @@
-//! Mergeable observation reports with a stable JSON rendering.
+//! Mergeable observation reports with a stable JSON value.
 
 use std::collections::BTreeMap;
 
 use crate::hist::Histogram;
-use crate::json_string;
+use crate::json::Json;
 
 /// A named bag of observations: monotone counters, high-water maxima,
 /// and log-bucketed histograms.
@@ -117,20 +117,23 @@ impl ObsReport {
             self.hists.entry(k.clone()).or_default().merge(h);
         }
     }
+}
 
-    /// Renders the report as a stable JSON object. Key order is the
-    /// `BTreeMap` order, histograms render sparsely (see
-    /// `Histogram::render_json`), so equal reports produce byte-equal
-    /// JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        render_map(&mut out, &self.counters, |v| v.to_string());
-        out.push_str("},\n  \"maxima\": {");
-        render_map(&mut out, &self.maxima, |v| v.to_string());
-        out.push_str("},\n  \"histograms\": {");
-        render_map(&mut out, &self.hists, Histogram::render_json);
-        out.push_str("}\n}\n");
-        out
+/// The report as a JSON object of three sections. Key order is the
+/// `BTreeMap` order and histograms are sparse, so equal reports give
+/// equal values and [`json::write()`](crate::json::write()) byte-equal
+/// documents.
+impl From<&ObsReport> for Json {
+    fn from(report: &ObsReport) -> Json {
+        let section = |map: &BTreeMap<String, u64>| {
+            Json::obj(map.iter().map(|(k, &v)| (k.as_str(), v.into())))
+        };
+        let hists = report.hists.iter().map(|(k, h)| (k.as_str(), h.into()));
+        Json::obj([
+            ("counters", section(&report.counters)),
+            ("maxima", section(&report.maxima)),
+            ("histograms", Json::obj(hists)),
+        ])
     }
 }
 
@@ -145,26 +148,10 @@ fn with_slot<V: Default>(map: &mut BTreeMap<String, V>, name: &str, update: impl
     }
 }
 
-fn render_map<V>(out: &mut String, map: &BTreeMap<String, V>, render: impl Fn(&V) -> String) {
-    let mut first = true;
-    for (k, v) in map {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n    ");
-        out.push_str(&json_string(k));
-        out.push_str(": ");
-        out.push_str(&render(v));
-    }
-    if !map.is_empty() {
-        out.push_str("\n  ");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     fn sample(seed: u64) -> ObsReport {
         // A deterministic pseudo-random report (splitmix64 stream).
@@ -212,7 +199,6 @@ mod tests {
             let mut ba = b.clone();
             ba.merge(&a);
             assert_eq!(ab, ba, "merge must be commutative (seed {seed})");
-            assert_eq!(ab.to_json(), ba.to_json());
         }
     }
 
@@ -250,21 +236,27 @@ mod tests {
         r.add_count("a", 2);
         r.observe_max("m", 3);
         r.record_hist("h", 0);
-        let json = r.to_json();
-        // BTreeMap order: "a" before "z" regardless of insertion order.
-        assert!(json.find("\"a\"").unwrap() < json.find("\"z\"").unwrap());
-        assert!(json.contains("\"counters\""));
-        assert!(json.contains("\"maxima\""));
-        assert!(json.contains("\"histograms\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // Re-rendering is byte-identical.
-        assert_eq!(json, r.to_json());
+        // BTreeMap order: "a" before "z" regardless of insertion order;
+        // this is the `--obs-json` layout, byte for byte.
+        let expected = r#"{
+  "counters": {
+    "a": 2,
+    "z": 1
+  },
+  "maxima": {
+    "m": 3
+  },
+  "histograms": {
+    "h": {"count": 1, "buckets": [[0, 1]]}
+  }
+}
+"#;
+        assert_eq!(json::write(&Json::from(&r)), expected);
     }
 
     #[test]
     fn empty_report_renders_empty_sections() {
-        let json = ObsReport::new().to_json();
-        assert!(json.contains("\"counters\": {}"));
-        assert!(json.contains("\"histograms\": {}"));
+        let empty = r#"{"counters": {}, "maxima": {}, "histograms": {}}"#;
+        assert_eq!(Ok(Json::from(&ObsReport::new())), json::parse(empty));
     }
 }

@@ -115,7 +115,7 @@ mod tests {
         assert_eq!(merged.count("trials"), manual.count("trials"));
         assert_eq!(merged.count("violations"), manual.count("violations"));
         assert_eq!(merged.max("peak"), manual.max("peak"));
-        assert_eq!(merged.to_json(), manual.to_json());
+        assert_eq!(merged, manual);
     }
 
     #[test]

@@ -66,25 +66,6 @@ pub struct SubstrateSnapshot {
     pub combine_batch: Histogram,
 }
 
-impl SubstrateSnapshot {
-    /// Folds the snapshot into an `ObsReport` under `substrate.*` keys.
-    #[cfg(test)]
-    pub(crate) fn to_report(&self) -> sift_obs::ObsReport {
-        let mut r = sift_obs::ObsReport::new();
-        r.add_count("substrate.slot_cas_retries", self.slot_cas_retries);
-        r.add_count("substrate.republish_conflicts", self.republish_conflicts);
-        r.add_count("substrate.inline_write_retries", self.inline_write_retries);
-        r.add_count("substrate.inline_read_retries", self.inline_read_retries);
-        r.add_count("substrate.reclaim_passes", self.reclaim_passes);
-        r.add_count("substrate.reclaimed_nodes", self.reclaimed_nodes);
-        r.add_count("substrate.combine_installs", self.combine_installs);
-        r.observe_max("substrate.retire_pile_hwm", self.retire_pile_hwm);
-        r.merge_hist("substrate.reclaim_batch", &self.reclaim_batch);
-        r.merge_hist("substrate.combine_batch", &self.combine_batch);
-        r
-    }
-}
-
 static SLOT_CAS_RETRIES: StripedCounter = StripedCounter::new();
 static REPUBLISH_CONFLICTS: StripedCounter = StripedCounter::new();
 static INLINE_WRITE_RETRIES: StripedCounter = StripedCounter::new();
@@ -191,28 +172,5 @@ mod tests {
         assert!(snap.reclaim_batch.count() >= 1);
         assert!(snap.combine_installs >= 1);
         assert!(snap.combine_batch.count() >= 1);
-    }
-
-    #[test]
-    fn report_keys_are_prefixed_and_complete() {
-        let mut snap = SubstrateSnapshot {
-            slot_cas_retries: 3,
-            retire_pile_hwm: 9,
-            combine_installs: 5,
-            ..SubstrateSnapshot::default()
-        };
-        snap.combine_batch.record(4);
-        let report = snap.to_report();
-        assert_eq!(report.count("substrate.slot_cas_retries"), 3);
-        assert_eq!(report.max("substrate.retire_pile_hwm"), 9);
-        assert_eq!(report.count("substrate.combine_installs"), 5);
-        assert_eq!(report.hist("substrate.combine_batch").unwrap().count(), 1);
-        // One key per snapshot field, all under the prefix.
-        let keys: Vec<&str> = (report.counters().map(|(k, _)| k))
-            .chain(report.maxima().map(|(k, _)| k))
-            .chain(report.hists().map(|(k, _)| k))
-            .collect();
-        assert_eq!(keys.len(), 10);
-        assert!(keys.iter().all(|k| k.starts_with("substrate.")));
     }
 }

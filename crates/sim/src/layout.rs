@@ -110,64 +110,6 @@ impl Layout {
     pub fn max_register_count(&self) -> usize {
         self.max_registers
     }
-
-    /// Merges another layout after this one, returning the id offsets at
-    /// which the other layout's objects begin.
-    ///
-    /// Composite protocols (e.g. a conciliator plus an adopt-commit
-    /// object) build their layout by appending sub-layouts and shifting
-    /// the sub-protocol ids by the returned offsets.
-    #[cfg(test)]
-    pub(crate) fn append(&mut self, other: &Layout) -> LayoutOffsets {
-        let offsets = LayoutOffsets {
-            registers: self.registers,
-            snapshots: self.snapshots.len(),
-            max_registers: self.max_registers,
-        };
-        self.registers += other.registers;
-        self.snapshots.extend_from_slice(&other.snapshots);
-        self.max_registers += other.max_registers;
-        offsets
-    }
-}
-
-/// Id offsets returned by [`Layout::append`].
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LayoutOffsets {
-    /// Offset to add to the appended layout's register indices.
-    pub registers: usize,
-    /// Offset to add to the appended layout's snapshot indices.
-    pub snapshots: usize,
-    /// Offset to add to the appended layout's max-register indices.
-    pub max_registers: usize,
-}
-
-#[cfg(test)]
-impl LayoutOffsets {
-    /// Identity offsets (no shift).
-    pub(crate) fn zero() -> Self {
-        Self {
-            registers: 0,
-            snapshots: 0,
-            max_registers: 0,
-        }
-    }
-
-    /// Shifts a register id allocated against the appended layout.
-    pub(crate) fn register(&self, id: RegisterId) -> RegisterId {
-        RegisterId(id.index() + self.registers)
-    }
-
-    /// Shifts a snapshot id allocated against the appended layout.
-    pub(crate) fn snapshot(&self, id: SnapshotId) -> SnapshotId {
-        SnapshotId(id.index() + self.snapshots)
-    }
-
-    /// Shifts a max-register id allocated against the appended layout.
-    pub(crate) fn max_register(&self, id: MaxRegisterId) -> MaxRegisterId {
-        MaxRegisterId(id.index() + self.max_registers)
-    }
 }
 
 #[cfg(test)]
@@ -201,34 +143,5 @@ mod tests {
         assert_eq!(layout.register_count(), 3);
         assert_eq!(layout.snapshot_components(), &[7, 7]);
         assert_eq!(layout.max_register_count(), 2);
-    }
-
-    #[test]
-    fn append_shifts_ids() {
-        let mut outer = LayoutBuilder::new();
-        outer.registers(2);
-        outer.snapshot(4);
-        let mut outer = outer.build();
-
-        let mut inner = LayoutBuilder::new();
-        let r = inner.register();
-        let s = inner.snapshot(9);
-        let m = inner.max_register();
-        let inner = inner.build();
-
-        let off = outer.append(&inner);
-        assert_eq!(off.register(r).index(), 2);
-        assert_eq!(off.snapshot(s).index(), 1);
-        assert_eq!(off.max_register(m).index(), 0);
-        assert_eq!(outer.register_count(), 3);
-        assert_eq!(outer.snapshot_components(), &[4, 9]);
-    }
-
-    #[test]
-    fn zero_offsets_are_identity() {
-        let off = LayoutOffsets::zero();
-        assert_eq!(off.register(RegisterId(3)).index(), 3);
-        assert_eq!(off.snapshot(SnapshotId(2)).index(), 2);
-        assert_eq!(off.max_register(MaxRegisterId(1)).index(), 1);
     }
 }

@@ -17,6 +17,8 @@
 //! Slots map to microsecond timestamps — the unit-cost measure of the
 //! paper, not wall-clock time.
 
+use sift_obs::json::{self, Json};
+
 use crate::op::OpKind;
 use crate::trace::TraceEvent;
 
@@ -146,103 +148,64 @@ pub fn perfetto_trace_json<'a>(
     process_count: usize,
     survival: &[SurvivalPoint],
 ) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut emit = |out: &mut String, record: String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str("  ");
-        out.push_str(&record);
-    };
-
-    emit(
-        &mut out,
-        "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"sift-sim\"}}"
-            .to_string(),
-    );
-    for pid in 0..process_count {
-        emit(
-            &mut out,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{pid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"p{pid}\"}}}}"
-            ),
-        );
-    }
-    for event in events {
-        emit(
-            &mut out,
-            format!(
-                "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"dur\":1,\
-                 \"cat\":\"op\",\"name\":\"{name}\"}}",
-                tid = event.pid.index(),
-                ts = event.slot,
-                name = op_kind_name(event.kind),
-            ),
-        );
-    }
-    for &(round, survivors) in survival {
-        emit(
-            &mut out,
-            format!(
-                "{{\"ph\":\"C\",\"pid\":0,\"ts\":{round},\"name\":\"survivors\",\
-                 \"args\":{{\"count\":{survivors}}}}}"
-            ),
-        );
-    }
-    out.push_str("\n]}\n");
-    out
+    let name = |name: String| Json::obj([("name", name.into())]);
+    let mut records = vec![Json::obj([
+        ("ph", "M".into()),
+        ("pid", 0u64.into()),
+        ("name", "process_name".into()),
+        ("args", name("sift-sim".into())),
+    ])];
+    records.extend((0..process_count).map(|pid| {
+        Json::obj([
+            ("ph", "M".into()),
+            ("pid", 0u64.into()),
+            ("tid", pid.into()),
+            ("name", "thread_name".into()),
+            ("args", name(format!("p{pid}"))),
+        ])
+    }));
+    records.extend(events.into_iter().map(|event| {
+        Json::obj([
+            ("ph", "X".into()),
+            ("pid", 0u64.into()),
+            ("tid", event.pid.index().into()),
+            ("ts", event.slot.into()),
+            ("dur", 1u64.into()),
+            ("cat", "op".into()),
+            ("name", op_kind_name(event.kind).into()),
+        ])
+    }));
+    records.extend(survival.iter().map(|&(round, survivors)| {
+        Json::obj([
+            ("ph", "C".into()),
+            ("pid", 0u64.into()),
+            ("ts", round.into()),
+            ("name", "survivors".into()),
+            ("args", Json::obj([("count", survivors.into())])),
+        ])
+    }));
+    json::write(&Json::obj([("traceEvents", Json::Arr(records))]))
 }
 
-/// Convenience: exports a [`RingSink`]'s retained events (oldest
-/// first). `process_count` should cover every pid that appears; use
-/// the run's process count.
-pub fn perfetto_from_ring(
-    ring: &RingSink,
-    process_count: usize,
-    survival: &[SurvivalPoint],
-) -> String {
-    perfetto_trace_json(ring.events(), process_count, survival)
-}
-
-/// Checks the structural invariants of a Chrome trace file produced by
-/// [`perfetto_trace_json`]: one top-level `traceEvents` array whose
-/// records each carry a `ph` and a `pid`, with balanced braces and no
-/// trailing comma. Returns the number of records, or an error
-/// describing the first violation. (A schema check, not a JSON parser:
-/// the renderer controls the grammar, so line-shape validation is
-/// exact.)
-pub fn check_trace_shape(json: &str) -> Result<usize, String> {
-    let body = json
-        .strip_prefix("{\"traceEvents\":[\n")
-        .ok_or("missing traceEvents header")?
-        .strip_suffix("\n]}\n")
-        .ok_or("missing closing ]} with trailing newline")?;
-    if body.is_empty() {
-        return Ok(0);
+/// Checks a Chrome trace file: it parses ([`sift_obs::json::parse`]),
+/// and every record of its `traceEvents` array has a string `ph` and an
+/// integer `pid`; layout is not checked. Returns the number of records,
+/// or an error describing the first violation.
+pub fn check_trace_shape(text: &str) -> Result<usize, String> {
+    let doc = json::parse(text)?;
+    let records = doc
+        .get("traceEvents")
+        .and_then(Json::items)
+        .ok_or("missing traceEvents array")?;
+    for (i, record) in records.iter().enumerate() {
+        if record.get("ph").and_then(Json::as_str).is_none() {
+            return Err(format!("record {i} has no string ph"));
+        }
+        if record.get("pid").and_then(Json::as_u64).is_none() {
+            return Err(format!("record {i} has no integer pid"));
+        }
     }
-    let mut count = 0;
-    for line in body.split(",\n") {
-        let record = line
-            .strip_prefix("  ")
-            .ok_or_else(|| format!("record not indented: {line:?}"))?;
-        if !record.starts_with('{') || !record.ends_with('}') {
-            return Err(format!("record is not an object: {record:?}"));
-        }
-        if record.matches('{').count() != record.matches('}').count() {
-            return Err(format!("unbalanced braces: {record:?}"));
-        }
-        for key in ["\"ph\":", "\"pid\":"] {
-            if !record.contains(key) {
-                return Err(format!("record missing {key} {record:?}"));
-            }
-        }
-        count += 1;
-    }
-    Ok(count)
+    Ok(records.len())
 }
 
 #[cfg(test)]
@@ -286,37 +249,62 @@ mod tests {
         let _ = RingSink::new(0);
     }
 
+    /// `key` of every `traceEvents` record of an export.
+    fn column(text: &str, key: &str) -> Vec<Json> {
+        let doc = json::parse(text).expect("an export is JSON");
+        let records = doc.get("traceEvents").and_then(Json::items).unwrap();
+        records
+            .iter()
+            .map(|r| r.get(key).cloned().unwrap_or(Json::Null))
+            .collect()
+    }
+
     #[test]
     fn exporter_emits_one_record_per_event_plus_metadata() {
         let events = [
             ev(0, 0, OpKind::RegisterWrite),
             ev(1, 1, OpKind::SnapshotScan),
         ];
-        let json = perfetto_trace_json(events.iter(), 2, &[(0, 2), (1, 1)]);
+        let text = perfetto_trace_json(events.iter(), 2, &[(0, 2), (1, 1)]);
         // 1 process_name + 2 thread_name + 2 ops + 2 counter samples.
-        assert_eq!(check_trace_shape(&json), Ok(7));
-        assert!(json.contains("\"name\":\"register_write\""));
-        assert!(json.contains("\"name\":\"snapshot_scan\""));
-        assert!(json.contains("\"name\":\"survivors\""));
-        assert!(json.contains("\"count\":2"));
+        assert_eq!(check_trace_shape(&text), Ok(7));
+        assert_eq!(
+            column(&text, "ph"),
+            ["M", "M", "M", "X", "X", "C", "C"].map(Json::from)
+        );
+        assert_eq!(
+            column(&text, "name")[3..5],
+            ["register_write", "snapshot_scan"].map(Json::from)
+        );
+        let args = column(&text, "args");
+        let count = |i: usize| args[i].get("count").and_then(Json::as_u64);
+        assert_eq!((count(5), count(6)), (Some(2), Some(1)));
     }
 
     #[test]
     fn exporter_is_deterministic() {
         let events = [ev(3, 1, OpKind::MaxWrite)];
         let a = perfetto_trace_json(events.iter(), 2, &[]);
-        let b = perfetto_trace_json(events.iter(), 2, &[]);
-        assert_eq!(a, b);
+        assert_eq!(a, perfetto_trace_json(events.iter(), 2, &[]));
     }
 
     #[test]
     fn shape_check_rejects_malformed_traces() {
-        assert!(check_trace_shape("[]").is_err());
-        assert!(check_trace_shape("{\"traceEvents\":[\n]}\n").is_err());
-        let missing_pid = "{\"traceEvents\":[\n  {\"ph\":\"X\"}\n]}\n";
-        assert!(check_trace_shape(missing_pid).unwrap_err().contains("pid"));
-        let empty = perfetto_trace_json([].iter(), 0, &[]);
+        // Not JSON, or JSON of the wrong shape — each for its own reason.
+        for (bad, reason) in [
+            (r#"{"traceEvents": ["#, "expected a value"),
+            (r#"{"traceEvents": {}}"#, "traceEvents"),
+            (r#"{"traceEvents": [{"ph": "X"}]}"#, "pid"),
+            (r#"{"traceEvents": [{"ph": 1, "pid": 0}]}"#, "ph"),
+        ] {
+            let err = check_trace_shape(bad).unwrap_err();
+            assert!(err.contains(reason), "{bad}: {err}");
+        }
+        // Layout is not the check: a compact trace of the right shape passes.
+        let compact = r#"{"traceEvents":[{"ph":"M","pid":0},{"ph":"X","pid":0}]}"#;
+        assert_eq!(check_trace_shape(compact), Ok(2));
         // Even an empty export carries the process_name metadata record.
+        let empty = perfetto_trace_json([].iter(), 0, &[]);
         assert_eq!(check_trace_shape(&empty), Ok(1));
     }
 
@@ -326,11 +314,9 @@ mod tests {
         for slot in 0..4 {
             ring.push(ev(slot, 0, OpKind::MaxRead));
         }
-        let json = perfetto_from_ring(&ring, 1, &[]);
         // Only the two retained events appear.
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
-        assert!(json.contains("\"ts\":2") && json.contains("\"ts\":3"));
-        assert!(!json.contains("\"ts\":0,"));
+        let ts = column(&perfetto_trace_json(ring.events(), 1, &[]), "ts");
+        assert_eq!(ts[2..], [2u64, 3].map(Json::from));
     }
 
     #[test]

@@ -41,15 +41,6 @@ pub enum Op<V> {
 }
 
 impl<V> Op<V> {
-    /// Returns `true` if this operation only reads shared state.
-    #[cfg(test)]
-    pub(crate) fn is_read(&self) -> bool {
-        matches!(
-            self,
-            Op::RegisterRead(_) | Op::SnapshotScan(_) | Op::MaxRead(_)
-        )
-    }
-
     /// Returns a short human-readable operation kind, for traces.
     pub fn kind(&self) -> OpKind {
         match self {
@@ -209,17 +200,7 @@ impl<V: Value> OpResult<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{MaxRegisterId, RegisterId, SnapshotId};
-
-    #[test]
-    fn op_is_read_classification() {
-        assert!(Op::<u32>::RegisterRead(RegisterId(0)).is_read());
-        assert!(Op::<u32>::SnapshotScan(SnapshotId(0)).is_read());
-        assert!(Op::<u32>::MaxRead(MaxRegisterId(0)).is_read());
-        assert!(!Op::RegisterWrite(RegisterId(0), 1u32).is_read());
-        assert!(!Op::SnapshotUpdate(SnapshotId(0), 0, 1u32).is_read());
-        assert!(!Op::MaxWrite(MaxRegisterId(0), 5, 1u32).is_read());
-    }
+    use crate::ids::{RegisterId, SnapshotId};
 
     #[test]
     fn op_kind_matches() {

@@ -6,7 +6,7 @@
 //! this test and copy the "actual" output it prints into
 //! `tests/fixtures/perfetto_golden.json`.
 
-use sift_sim::obs::{check_trace_shape, perfetto_from_ring, perfetto_trace_json};
+use sift_sim::obs::{check_trace_shape, perfetto_trace_json};
 use sift_sim::schedule::FixedSchedule;
 use sift_sim::{Engine, LayoutBuilder, MaxRegisterId, Op, OpResult, Process, RegisterId, Step};
 
@@ -55,7 +55,7 @@ fn fixed_run_trace() -> String {
     assert_eq!(report.outputs, vec![Some(11), Some(11)]);
     let ring = report.ring.expect("ring enabled");
     // Both personae survive round 0; the bid 11 alone survives round 1.
-    perfetto_from_ring(&ring, 2, &[(0, 2), (1, 1)])
+    perfetto_trace_json(ring.events(), 2, &[(0, 2), (1, 1)])
 }
 
 #[test]

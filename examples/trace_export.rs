@@ -13,7 +13,7 @@
 use std::io::Write as _;
 
 use sift::core::{distinct_per_round, Conciliator, Epsilon, RoundHistory, SiftingConciliator};
-use sift::sim::obs::{check_trace_shape, perfetto_from_ring};
+use sift::sim::obs::{check_trace_shape, perfetto_trace_json};
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::RandomInterleave;
 use sift::sim::{Engine, LayoutBuilder};
@@ -41,7 +41,7 @@ fn main() {
             .map(|(round, count)| (round as u64, count as u64))
             .collect();
     let ring = report.ring.as_ref().expect("trace ring was enabled");
-    let json = perfetto_from_ring(ring, N, &survival);
+    let json = perfetto_trace_json(ring.events(), N, &survival);
     let records = check_trace_shape(&json).expect("exporter output passes its own schema check");
 
     match std::env::args().nth(1) {

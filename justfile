@@ -15,15 +15,17 @@ fmt-check:
 # Lint everything; warnings are errors, as in CI — `unreachable_pub`
 # among them (`[workspace.lints]`), and rustdoc's (a link from public
 # docs to a private item is one). The first grep keeps the two seed
-# labels (process coins, adversary schedule) inside rng.rs; the other
+# labels (process coins, adversary schedule) inside rng.rs; the next
 # two keep the workspace at one build configuration: no `cfg(feature …)`
-# in any source file, no `[features]` table in any manifest.
+# in any source file, no `[features]` table in any manifest; the last
+# keeps JSON in `sift_obs::json` — no hand-escaped key anywhere else.
 clippy: api-audit
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     ! grep -rnE '\.(stream|seed)\("(process|schedule)"' --include=*.rs --exclude=rng.rs crates src tests examples
     ! grep -rnE 'cfg!?\(.*feature' --include=*.rs crates src tests examples
     ! grep -rn '^\[features\]' Cargo.toml crates/*/Cargo.toml
+    ! grep -rnE '\\"[A-Za-z_.]+\\": ?' crates/*/src src examples --include=*.rs --exclude=json.rs
 
 # Per crate: how many distinct `pub` item names its `src/` declares, and
 # which of them no `.rs` file outside that `src/` mentions (DESIGN.md,

@@ -34,7 +34,6 @@ fn report_merge_is_commutative() {
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(&ab, &ba);
-        assert_eq!(ab.to_json(), ba.to_json());
     });
 }
 
