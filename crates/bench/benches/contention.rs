@@ -1,6 +1,7 @@
-//! Multi-threaded contention benches: lock-free vs lock-based
-//! substrate objects under a mixed read/write load, swept across
-//! thread counts.
+//! Multi-threaded contention benches: the lock-free substrate objects
+//! against the model under one lock (`Mutex<sift_sim::Memory<u64>>`,
+//! driven through `ExecuteOps` — the suites' reference) under a mixed
+//! read/write load, swept across thread counts.
 //!
 //! Worker threads are spawned once per benchmark, pinned round-robin
 //! to cores (when the platform supports it — the first line printed
@@ -17,15 +18,17 @@
 //! Every contention row's id ends in its thread count (`lockfree/t8`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, OnceLock};
+use std::sync::{Barrier, Mutex, OnceLock};
 use std::thread;
 
 use sift_bench::microbench::{Bencher, Criterion};
 use sift_bench::{criterion_group, criterion_main};
 use sift_shmem::affinity::pin_to_core;
-use sift_shmem::max_register::{LockFreeMaxRegister, LockMaxRegister};
-use sift_shmem::register::{LockFreeRegister, LockRegister};
-use sift_shmem::snapshot::{CoarseSnapshot, LockFreeSnapshot};
+use sift_shmem::max_register::LockFreeMaxRegister;
+use sift_shmem::register::LockFreeRegister;
+use sift_shmem::snapshot::LockFreeSnapshot;
+use sift_shmem::ExecuteOps;
+use sift_sim::{LayoutBuilder, Memory, Op};
 
 /// Operations per worker per round.
 const OPS: usize = 2048;
@@ -47,6 +50,14 @@ fn thread_counts(c: &Criterion) -> Vec<usize> {
         .unwrap_or_else(|| vec![2, 4, 8, 16])
 }
 
+/// The model's memory for a layout of the objects `declare` adds, under
+/// one lock, with the ids `declare` returned.
+fn model<T>(declare: impl FnOnce(&mut LayoutBuilder) -> T) -> (Mutex<Memory<u64>>, T) {
+    let mut b = LayoutBuilder::new();
+    let ids = declare(&mut b);
+    (Mutex::new(Memory::new(&b.build())), ids)
+}
+
 /// Whether workers can be pinned round-robin to cores, probed (and
 /// printed) once on a scratch thread: affinity calls fail on non-Linux
 /// or restricted hosts, and the scheduler places the workers there.
@@ -64,7 +75,7 @@ fn pin_workers() -> bool {
 /// released into the round together. Workers are pinned round-robin
 /// across the host's cores when `pin` holds. Prints the substrate's
 /// contention counters for the whole benchmark (warm-up included) once
-/// the workers have joined; the lock-based rows print zeros.
+/// the workers have joined; the model rows print zeros.
 fn bench_rounds(b: &mut Bencher, threads: usize, pin: bool, op: impl Fn(usize, usize) + Sync) {
     let cores = thread::available_parallelism().map_or(1, |n| n.get());
     let start = Barrier::new(threads + 1);
@@ -125,13 +136,17 @@ fn bench_snapshot_contention(c: &mut Criterion) {
                 }
             });
         });
-        group.bench_function(format!("coarse/t{t}"), |b| {
-            let snap: CoarseSnapshot<u64> = CoarseSnapshot::new(COMPONENTS);
+        group.bench_function(format!("model/t{t}"), |b| {
+            let (memory, snap) = model(|layout| layout.snapshot(COMPONENTS));
             bench_rounds(b, t, pin, |t, k| {
                 if k % WRITE_EVERY == 0 {
-                    snap.update(t % COMPONENTS, (t * OPS + k) as u64);
+                    memory.execute(Op::SnapshotUpdate(
+                        snap,
+                        t % COMPONENTS,
+                        (t * OPS + k) as u64,
+                    ));
                 } else {
-                    std::hint::black_box(snap.scan());
+                    std::hint::black_box(memory.execute(Op::SnapshotScan(snap)));
                 }
             });
         });
@@ -155,13 +170,13 @@ fn bench_register_contention(c: &mut Criterion) {
                 }
             });
         });
-        group.bench_function(format!("lock/t{t}"), |b| {
-            let reg: LockRegister<u64> = LockRegister::new();
+        group.bench_function(format!("model/t{t}"), |b| {
+            let (memory, reg) = model(LayoutBuilder::register);
             bench_rounds(b, t, pin, |t, k| {
                 if k % WRITE_EVERY == 0 {
-                    reg.write((t * OPS + k) as u64);
+                    memory.execute(Op::RegisterWrite(reg, (t * OPS + k) as u64));
                 } else {
-                    std::hint::black_box(reg.read());
+                    std::hint::black_box(memory.execute(Op::RegisterRead(reg)));
                 }
             });
         });
@@ -188,13 +203,13 @@ fn bench_max_register_contention(c: &mut Criterion) {
                 }
             });
         });
-        group.bench_function(format!("lock/t{t}"), |b| {
-            let max: LockMaxRegister<u64> = LockMaxRegister::new();
+        group.bench_function(format!("model/t{t}"), |b| {
+            let (memory, max) = model(LayoutBuilder::max_register);
             bench_rounds(b, t, pin, |t, k| {
                 if k % WRITE_EVERY == 0 {
-                    max.write((t * OPS + k) as u64, t as u64);
+                    memory.execute(Op::MaxWrite(max, (t * OPS + k) as u64, t as u64));
                 } else {
-                    std::hint::black_box(max.read());
+                    std::hint::black_box(memory.execute(Op::MaxRead(max)));
                 }
             });
         });
@@ -211,12 +226,12 @@ fn bench_quiescent_scan(c: &mut Criterion) {
         }
         b.iter(|| snap.scan());
     });
-    group.bench_function("coarse/n128", |b| {
-        let snap: CoarseSnapshot<u64> = CoarseSnapshot::new(COMPONENTS);
+    group.bench_function("model/n128", |b| {
+        let (memory, snap) = model(|layout| layout.snapshot(COMPONENTS));
         for i in 0..COMPONENTS {
-            snap.update(i, i as u64);
+            memory.execute(Op::SnapshotUpdate(snap, i, i as u64));
         }
-        b.iter(|| snap.scan());
+        b.iter(|| memory.execute(Op::SnapshotScan(snap)));
     });
     group.finish();
 }

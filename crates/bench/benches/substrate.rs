@@ -4,35 +4,14 @@
 use sift_bench::microbench::Criterion;
 use sift_bench::{criterion_group, criterion_main};
 use sift_core::{Conciliator, Epsilon, SiftingConciliator};
-use sift_shmem::max_register::{LockMaxRegister, TreeMaxRegister};
-use sift_shmem::register::LockRegister;
+use sift_shmem::max_register::TreeMaxRegister;
 use sift_shmem::runtime::run_threads;
-use sift_shmem::snapshot::{CoarseSnapshot, WaitFreeSnapshot};
+use sift_shmem::snapshot::WaitFreeSnapshot;
 use sift_sim::rng::SeedSplitter;
 use sift_sim::LayoutBuilder;
 
 fn bench_objects(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_objects");
-
-    group.bench_function("lock_register_write_read", |b| {
-        let r = LockRegister::new();
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            r.write(i);
-            r.read()
-        });
-    });
-
-    group.bench_function("coarse_snapshot_update_scan_n16", |b| {
-        let s = CoarseSnapshot::new(16);
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            s.update((i % 16) as usize, i);
-            s.scan()
-        });
-    });
 
     group.bench_function("waitfree_snapshot_update_scan_n16", |b| {
         let s = WaitFreeSnapshot::new(16);
@@ -41,16 +20,6 @@ fn bench_objects(c: &mut Criterion) {
             i += 1;
             s.update((i % 16) as usize, i);
             s.scan()
-        });
-    });
-
-    group.bench_function("lock_max_register_write_read", |b| {
-        let m = LockMaxRegister::new();
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            m.write(i % 1000, i);
-            m.read()
         });
     });
 

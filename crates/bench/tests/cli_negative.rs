@@ -8,6 +8,7 @@
 //! `exp fuzz` (the cheapest experiment at a tiny campaign size).
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sift_bench::cli::env_knob_names;
 use sift_obs::json::{self, Json};
@@ -125,7 +126,10 @@ fn exp_soak() -> Command {
 /// every writer shares: exit 1, the diagnostic, no panic, and the file
 /// left exactly as it was.
 fn assert_refuses_target(mut cmd: Command, output: &str, kind: &str, content: &[u8]) {
-    let dir = std::env::temp_dir().join(format!("sift-{output}-neg-{}", std::process::id()));
+    // One directory per call: two tests may refuse the same target kind.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("sift-{output}-neg-{}-{call}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let target = dir.join(format!("BENCH_{kind}.json"));
     std::fs::write(&target, content).unwrap();
@@ -163,6 +167,23 @@ fn malformed_tracked_adversary_target_is_refused() {
     let mut adversary = exp("adversary");
     adversary.env("SIFT_TRIALS", "1");
     assert_refuses_target(adversary, "SIFT_ADVERSARY_JSON", "adversary", b"not json");
+}
+
+/// A tracked target nested past `sift_obs::json::MAX_DEPTH` is refused
+/// like any other malformed one. (At the parent commit the parser
+/// recursed without a limit and the process aborted on a stack
+/// overflow instead.)
+#[test]
+fn deeply_nested_tracked_adversary_target_is_refused() {
+    let mut adversary = exp("adversary");
+    adversary.env("SIFT_TRIALS", "1");
+    let content = "[".repeat(100_000);
+    assert_refuses_target(
+        adversary,
+        "SIFT_ADVERSARY_JSON",
+        "adversary",
+        content.as_bytes(),
+    );
 }
 
 /// Same refusal through the shared `--obs-json` path: a tracked

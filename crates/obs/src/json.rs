@@ -139,14 +139,25 @@ fn quote(s: &str) -> String {
     out
 }
 
-/// Parses one RFC 8259 document (surrounding whitespace allowed).
+/// How deeply [`parse`] nests arrays and objects before refusing the
+/// document. Nothing the workspace writes nests deeper than five
+/// levels (`--obs-json`); a fixed bound keeps the recursive parser's
+/// stack bounded on any input.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one RFC 8259 document (surrounding whitespace allowed),
+/// nested at most [`MAX_DEPTH`] containers deep.
 ///
 /// # Errors
 ///
 /// A message naming the byte offset of the first thing that is not
-/// JSON.
+/// JSON, or of the container that nests deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { text, pos: 0 };
+    let mut p = Parser {
+        text,
+        pos: 0,
+        depth: 0,
+    };
     let value = p.parse_value()?;
     p.skip_ws();
     if p.pos != text.len() {
@@ -158,6 +169,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -211,22 +224,28 @@ impl Parser<'_> {
     }
 
     /// The opening bracket, then comma-separated items (each read by
-    /// `item`), then `close`.
+    /// `item`), then `close`, one nesting level deeper.
     fn parse_seq<T>(
         &mut self,
         close: u8,
         mut item: impl FnMut(&mut Self) -> Result<T, String>,
     ) -> Result<Vec<T>, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
         self.pos += 1;
         self.skip_ws();
         let mut items = Vec::new();
         if self.eat(&[close]) {
+            self.depth -= 1;
             return Ok(items);
         }
         loop {
             items.push(item(self)?);
             self.skip_ws();
             if !self.eat(b",") {
+                self.depth -= 1;
                 return self.expect(close).map(|()| items);
             }
         }

@@ -77,6 +77,34 @@ fn numbers_keep_their_text_and_escapes_decode() {
     assert_eq!(json::parse(&text), Ok(Json::from("\u{1F600} \u{FFFD}x /")));
 }
 
+/// Nesting is bounded: `MAX_DEPTH` containers parse, one more is refused
+/// with the offset of the container that crosses the limit, and so is a
+/// document deep enough to overflow an unbounded recursive parser's
+/// stack.
+#[test]
+fn nesting_deeper_than_the_limit_is_refused() {
+    let nested = |depth: usize, open: &str, close: &str| open.repeat(depth) + &close.repeat(depth);
+    let mut value = Json::Arr(vec![]);
+    for _ in 1..json::MAX_DEPTH {
+        value = Json::Arr(vec![value]);
+    }
+    assert_eq!(json::parse(&nested(json::MAX_DEPTH, "[", "]")), Ok(value));
+    let objects = nested(json::MAX_DEPTH, r#"{"k":"#, "}").replacen(r#"{"k":}"#, "{}", 1);
+    assert!(json::parse(&objects).is_ok(), "{objects}");
+
+    let past = json::MAX_DEPTH;
+    let refusal = format!("nesting deeper than {} at byte {past}", json::MAX_DEPTH);
+    assert_eq!(
+        json::parse(&nested(past + 1, "[", "]")),
+        Err(refusal.clone())
+    );
+    assert_eq!(json::parse(&"[".repeat(100_000)), Err(refusal));
+    let objects = nested(past + 1, r#"{"k":"#, "}");
+    let offset = past * r#"{"k":"#.len();
+    let refusal = format!("nesting deeper than {} at byte {offset}", json::MAX_DEPTH);
+    assert_eq!(json::parse(&objects), Err(refusal));
+}
+
 /// The two tracked verdict files were re-laid out once, onto the one
 /// rule: the parent's layouts — `BENCH_adversary.json`'s comma on a
 /// line of its own, `BENCH_conformance.json`'s blank line in an empty

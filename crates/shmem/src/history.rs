@@ -49,11 +49,10 @@ pub(crate) fn history_fingerprint<V: Value>(history: &History<V>) -> u64 {
 /// An [`ExecuteOps`] memory wrapped so that every operation is recorded
 /// with invocation/response timestamps.
 ///
-/// The memory is the caller's: wrap a
-/// [`LockFreeMemory`](crate::memory::LockFreeMemory) or a
-/// [`CoarseMemory`](crate::memory::CoarseMemory) via
-/// [`over`](RecordingMemory::over) for differential testing, or a
-/// deliberately broken memory to check that the linearizability
+/// The memory is the caller's: wrap an
+/// [`AtomicMemory`](crate::memory::AtomicMemory) or the model under a
+/// lock via [`over`](RecordingMemory::over) for differential testing,
+/// or a deliberately broken memory to check that the linearizability
 /// checker rejects its histories.
 #[derive(Debug)]
 pub struct RecordingMemory<V, M> {
@@ -103,20 +102,21 @@ impl<V: Value, M: ExecuteOps<V>> RecordingMemory<V, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{CoarseMemory, LockFreeMemory};
+    use crate::memory::AtomicMemory;
     use sift_sim::mc::check_linearizable;
-    use sift_sim::{Layout, LayoutBuilder};
+    use sift_sim::{Layout, LayoutBuilder, Memory};
 
-    /// Runs a test body once per named memory: `$recorder` builds a
-    /// fresh [`RecordingMemory`] over the lock-free objects on the
-    /// first pass and over their lock-based references on the second.
+    /// Runs a test body once per memory: `$recorder` builds a fresh
+    /// [`RecordingMemory`] over the lock-free objects on the first pass
+    /// and over the model under a lock on the second.
     macro_rules! on_both_memories {
         (|$recorder:ident| $body:block) => {{
             let $recorder =
-                |layout: &Layout| RecordingMemory::over(LockFreeMemory::<u64>::new(layout));
+                |layout: &Layout| RecordingMemory::over(AtomicMemory::<u64>::new(layout));
             $body
-            let $recorder =
-                |layout: &Layout| RecordingMemory::over(CoarseMemory::<u64>::new(layout));
+            let $recorder = |layout: &Layout| {
+                RecordingMemory::over(std::sync::Mutex::new(Memory::<u64>::new(layout)))
+            };
             $body
         }};
     }

@@ -6,11 +6,9 @@
 //!
 //! * [`register::LockFreeRegister`] — lock-free linearizable MWMR
 //!   register (an allocation-free inline seqlock cell for ≤16-byte
-//!   trivially-destructible values, pointer publication for the rest);
-//!   [`register::LockRegister`] is the lock-based reference.
+//!   trivially-destructible values, pointer publication for the rest).
 //! * [`snapshot::LockFreeSnapshot`] — lock-free snapshot: versioned
 //!   copy-on-write publication with `O(1)` wait-free scans.
-//!   [`snapshot::CoarseSnapshot`] is the lock-based reference;
 //!   [`snapshot::WaitFreeSnapshot`] is the Afek et al. construction
 //!   from single-writer registers, the one the paper's unit-cost
 //!   accounting abstracts away.
@@ -18,15 +16,15 @@
 //!   combining announce-array fast path for small values (concurrent
 //!   writers collapse into `O(1)` amortized CAS traffic) and a
 //!   compare-exchange publication path for the rest;
-//!   [`max_register::LockMaxRegister`] is the lock-based
-//!   reference and [`max_register::TreeMaxRegister`] the switch-trie
-//!   construction from monotone circuits (footnote 1's object, built
-//!   from plain bits).
+//!   [`max_register::TreeMaxRegister`] is the switch-trie construction
+//!   from monotone circuits (footnote 1's object, built from plain
+//!   bits).
 //! * [`memory::AtomicMemory`] + [`runtime::run_threads`] — instantiate a
-//!   protocol's [`Layout`](sift_sim::Layout) over these objects and run
-//!   its participants on threads. `AtomicMemory` is
-//!   [`memory::LockFreeMemory`]; the lock-based references assemble into
-//!   [`memory::CoarseMemory`], and the test suites run over both.
+//!   protocol's [`Layout`](sift_sim::Layout) over the lock-free objects
+//!   and run its participants on threads. [`ExecuteOps`] is also
+//!   implemented for `Mutex<sift_sim::Memory<V>>`, the model under one
+//!   lock: the one reference the test suites check `AtomicMemory`
+//!   against.
 //!
 //! Statistical claims are measured on the simulator, where the adversary
 //! is controlled; this crate shows the algorithms running on real
@@ -57,10 +55,10 @@ pub mod obs;
 pub mod register;
 pub mod runtime;
 pub mod snapshot;
-pub mod sync;
+mod sync;
 
 pub use history::RecordingMemory;
-pub use memory::{AtomicMemory, CoarseMemory, ExecuteOps, LockFreeMemory, ObjectMemory};
+pub use memory::{AtomicMemory, ExecuteOps};
 pub use runtime::{
     drive_threads, run_lockstep_on, run_lockstep_recorded, run_script_on, run_threads,
     run_threads_recorded, ThreadReport,

@@ -5,11 +5,8 @@
 //!   of concurrent writes; dominated writes finish with a single shared
 //!   load), falling back to a compare-exchange loop on the monotone key
 //!   for larger values; what
-//!   [`AtomicMemory`](crate::memory::AtomicMemory) uses by default.
-//! * [`LockMaxRegister`] — a mutex-guarded compare-and-keep cell; the
-//!   direct analogue of the simulator's object, kept as the reference
-//!   implementation ([`CoarseMemory`](crate::memory::CoarseMemory)
-//!   assembles it; the test suites run over both memories).
+//!   [`AtomicMemory`](crate::memory::AtomicMemory) uses. The suites
+//!   check it against the model's max register under one lock.
 //! * [`TreeMaxRegister`] — the Aspnes–Attiya–Censor-Hillel bounded max
 //!   register: a binary trie of atomic switch bits over the key space,
 //!   with values parked at the leaves. Reads and writes touch
@@ -17,10 +14,8 @@
 //!   assumed by the paper's footnote 1 are cheaply constructible from
 //!   plain shared bits.
 
-mod lock;
 mod lockfree;
 mod tree;
 
-pub use lock::LockMaxRegister;
 pub use lockfree::LockFreeMaxRegister;
 pub use tree::TreeMaxRegister;

@@ -1,50 +1,8 @@
 //! Linearizable multi-writer multi-reader registers for real threads.
 
 use crate::lockfree::{inline_ok, Pile, SeqCell, Slot};
-use crate::sync::RwLock;
 
 use sift_sim::Value;
-
-/// A linearizable MWMR register over any value type, built on a
-/// reader-writer lock.
-///
-/// Each operation holds the lock for a single load or store, so
-/// operations are trivially linearizable (the lock acquisition order is
-/// the linearization order). Not lock-free; [`LockFreeRegister`] is
-/// the lock-free counterpart this one is the reference for.
-///
-/// # Examples
-///
-/// ```
-/// use sift_shmem::register::LockRegister;
-/// let r: LockRegister<String> = LockRegister::new();
-/// assert_eq!(r.read(), None);
-/// r.write("hello".to_string());
-/// assert_eq!(r.read(), Some("hello".to_string()));
-/// ```
-#[derive(Debug, Default)]
-pub struct LockRegister<V> {
-    cell: RwLock<Option<V>>,
-}
-
-impl<V: Value> LockRegister<V> {
-    /// Creates a register holding ⊥.
-    pub fn new() -> Self {
-        Self {
-            cell: RwLock::new(None),
-        }
-    }
-
-    /// Reads the register (`None` is ⊥).
-    pub fn read(&self) -> Option<V> {
-        self.cell.read().clone()
-    }
-
-    /// Writes `value`.
-    pub fn write(&self, value: V) {
-        *self.cell.write() = Some(value);
-    }
-}
 
 /// A lock-free MWMR register over any value type, with an
 /// allocation-free inline fast path for small payloads.
@@ -154,34 +112,6 @@ impl<V: Value> LockFreeRegister<V> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn lock_register_last_write_wins() {
-        let r = LockRegister::new();
-        r.write(1u32);
-        r.write(2u32);
-        assert_eq!(r.read(), Some(2));
-    }
-
-    #[test]
-    fn concurrent_writers_leave_some_written_value() {
-        let r = Arc::new(LockRegister::new());
-        let handles: Vec<_> = (0..8u32)
-            .map(|i| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        r.write(i);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let v = r.read().expect("someone wrote");
-        assert!(v < 8);
-    }
 
     #[test]
     fn lock_free_register_round_trip() {

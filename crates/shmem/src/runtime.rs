@@ -148,11 +148,9 @@ where
 /// engine would use, single-threaded: [`sift_sim::drive_lockstep`] over
 /// the threaded objects. Outputs must match a simulator run under
 /// [`RoundRobin`](sift_sim::schedule::RoundRobin) exactly, which
-/// `tests/cross_runtime.rs` verifies on both substrates
-/// ([`LockFreeMemory`](crate::memory::LockFreeMemory) and
-/// [`CoarseMemory`](crate::memory::CoarseMemory)); the differential
-/// tests drive the *same* deterministic schedule through each and
-/// compare outcomes.
+/// `tests/cross_runtime.rs` verifies on [`AtomicMemory`] and on the
+/// model under a lock; the differential tests drive the *same*
+/// deterministic schedule through each and compare outcomes.
 pub fn run_lockstep_on<P: Process, M: ExecuteOps<P::Value>>(
     memory: &M,
     processes: Vec<P>,
@@ -179,10 +177,9 @@ pub fn run_lockstep_recorded<P: Process, M: ExecuteOps<P::Value>>(
 /// and processes the script starves end with `None`.
 ///
 /// This is the substrate half of the differential fuzz harness: the
-/// same script replayed here on
-/// [`LockFreeMemory`](crate::memory::LockFreeMemory) and
-/// [`CoarseMemory`](crate::memory::CoarseMemory) (or through the
-/// simulator's `replay_script`) must produce identical outputs.
+/// same script replayed here on [`AtomicMemory`] and on the model under
+/// a lock (or through the simulator's `replay_script`) must produce
+/// identical outputs.
 ///
 /// # Panics
 ///
@@ -225,17 +222,17 @@ pub fn run_script_on<P: Process, M: ExecuteOps<P::Value>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{CoarseMemory, LockFreeMemory};
     use sift_core::{
         CilConciliator, Conciliator, EmbeddedConciliator, Epsilon, SiftingConciliator,
         SnapshotConciliator,
     };
     use sift_sim::rng::SeedSplitter;
-    use sift_sim::{LayoutBuilder, ProcessId};
+    use sift_sim::{LayoutBuilder, Memory, ProcessId};
+    use std::sync::Mutex;
 
-    /// Runs `procs()` on threads over each named memory — the lock-free
-    /// objects, then their lock-based references — and hands each
-    /// report to `check`.
+    /// Runs `procs()` on threads over each memory — the lock-free
+    /// objects, then the model under a lock — and hands each report to
+    /// `check`.
     fn on_both_memories<P>(
         layout: &Layout,
         procs: impl Fn() -> Vec<P>,
@@ -244,10 +241,10 @@ mod tests {
         P: Process + Send,
         P::Output: Send,
     {
-        let lock_free = LockFreeMemory::new(layout);
+        let lock_free = AtomicMemory::new(layout);
         check(drive_threads(procs(), |_, op| lock_free.execute(op)));
-        let coarse = CoarseMemory::new(layout);
-        check(drive_threads(procs(), |_, op| coarse.execute(op)));
+        let model = Mutex::new(Memory::new(layout));
+        check(drive_threads(procs(), |_, op| model.execute(op)));
     }
 
     #[test]
@@ -321,10 +318,10 @@ mod tests {
 
         let sim_outputs = replay_script(&layout, make_procs(), &script);
         assert!(sim_outputs.iter().all(Option::is_some));
-        let on_lock_free = run_script_on(&LockFreeMemory::new(&layout), make_procs(), &script);
-        let on_coarse = run_script_on(&CoarseMemory::new(&layout), make_procs(), &script);
+        let on_lock_free = run_script_on(&AtomicMemory::new(&layout), make_procs(), &script);
+        let on_model = run_script_on(&Mutex::new(Memory::new(&layout)), make_procs(), &script);
         assert_eq!(sim_outputs, on_lock_free);
-        assert_eq!(sim_outputs, on_coarse);
+        assert_eq!(sim_outputs, on_model);
     }
 
     #[test]
@@ -337,9 +334,9 @@ mod tests {
         let procs = || split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
         // Only p0 is ever scheduled, and generously enough to finish.
         let script = vec![0usize; 4 * c.rounds()];
-        let on_lock_free = run_script_on(&LockFreeMemory::new(&layout), procs(), &script);
-        let on_coarse = run_script_on(&CoarseMemory::new(&layout), procs(), &script);
-        for outputs in [on_lock_free, on_coarse] {
+        let on_lock_free = run_script_on(&AtomicMemory::new(&layout), procs(), &script);
+        let on_model = run_script_on(&Mutex::new(Memory::new(&layout)), procs(), &script);
+        for outputs in [on_lock_free, on_model] {
             assert!(outputs[0].is_some());
             assert!(outputs[1].is_none());
             assert!(outputs[2].is_none());

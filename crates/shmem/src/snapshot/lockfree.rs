@@ -23,12 +23,12 @@
 //! two consecutive collects agree, escalating to updater *helping*
 //! under interference — [`WaitFreeSnapshot`](super::WaitFreeSnapshot)
 //! is exactly that construction and remains in the crate as the
-//! theory-faithful reference. As a *performance* substrate it is the
+//! theory-faithful one. As a *performance* substrate it is the
 //! wrong trade: with 8 threads mixing scans and updates, the aggregate
 //! update inter-arrival time drops to roughly the duration of a single
 //! collect, so clean double collects become vanishingly rare and every
-//! scan pays the helping path (measured: 7–12× *slower* than the
-//! lock-based [`CoarseSnapshot`](super::CoarseSnapshot) at 1-in-8
+//! scan pays the helping path (measured: 7–12× *slower* than a
+//! snapshot behind one reader-writer lock at 1-in-8
 //! writes). Versioned publication moves the `O(n)` cost onto the
 //! update, where the protocols in this repository — which scan at
 //! every step but publish comparatively rarely — can afford it, and
@@ -54,9 +54,9 @@ struct VersionedState<V> {
 
 /// A lock-free linearizable snapshot object.
 ///
-/// See the module docs for the algorithm and the comparison
-/// with [`CoarseSnapshot`](super::CoarseSnapshot) (the lock-based
-/// reference implementation).
+/// See the module docs for the algorithm and why it is not a double
+/// collect. The suites check it against the model's snapshot
+/// (`Mutex<sift_sim::Memory<V>>`).
 ///
 /// Linearization points:
 ///

@@ -15,10 +15,16 @@
 //! scans are wait-free with `O(n²)` register reads — the cost the
 //! paper's unit-cost snapshot model abstracts to 1 (compare the
 //! simulator's `CostModel::RegisterImplemented`).
+//!
+//! The registers are [`LockFreeRegister`]s. An entry carries a view, so
+//! it takes the published path: a write is one pointer swap and a read
+//! takes no lock. No operation waits on another thread's lock; the
+//! collect bound above counts register operations, each exactly as
+//! non-blocking as the register.
 
 use sift_sim::{ScanView, Value};
 
-use crate::register::LockRegister;
+use crate::register::LockFreeRegister;
 
 #[derive(Debug, Clone)]
 struct Entry<V> {
@@ -55,15 +61,15 @@ impl<V> Default for Entry<V> {
 /// assert_eq!(view[1], Some(20));
 /// ```
 #[derive(Debug)]
-pub struct WaitFreeSnapshot<V> {
-    registers: Vec<LockRegister<Entry<V>>>,
+pub struct WaitFreeSnapshot<V: Value> {
+    registers: Vec<LockFreeRegister<Entry<V>>>,
 }
 
 impl<V: Value> WaitFreeSnapshot<V> {
     /// Creates a snapshot object with `len` components, all ⊥.
     pub fn new(len: usize) -> Self {
         Self {
-            registers: (0..len).map(|_| LockRegister::new()).collect(),
+            registers: (0..len).map(|_| LockFreeRegister::new()).collect(),
         }
     }
 

@@ -1,23 +1,25 @@
-//! Thin wrappers over [`std::sync`] locks with a guard-returning API.
+//! A thin wrapper over [`std::sync::Mutex`] with a guard-returning API,
+//! for the crate's internal bookkeeping locks (the history log, the
+//! switch-trie's leaves).
 //!
 //! The substrate never hands lock guards across unwind boundaries, so a
 //! poisoned lock can only follow a panic that is already propagating;
-//! these wrappers recover the guard instead of double-panicking. Using
+//! the wrapper recovers the guard instead of double-panicking. Using
 //! std keeps the workspace free of external dependencies.
 
 /// A mutual-exclusion lock; [`lock`](Mutex::lock) returns the guard
 /// directly.
 #[derive(Debug, Default)]
-pub struct Mutex<T>(std::sync::Mutex<T>);
+pub(crate) struct Mutex<T>(std::sync::Mutex<T>);
 
 impl<T> Mutex<T> {
     /// Creates a lock holding `value`.
-    pub fn new(value: T) -> Self {
+    pub(crate) fn new(value: T) -> Self {
         Self(std::sync::Mutex::new(value))
     }
 
     /// Acquires the lock, recovering from poisoning.
-    pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
+    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, T> {
         self.0
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -25,35 +27,9 @@ impl<T> Mutex<T> {
 
     /// Consumes the lock and returns its contents, recovering from
     /// poisoning.
-    pub fn into_inner(self) -> T {
+    pub(crate) fn into_inner(self) -> T {
         self.0
             .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// A reader-writer lock; [`read`](RwLock::read) and
-/// [`write`](RwLock::write) return guards directly.
-#[derive(Debug, Default)]
-pub struct RwLock<T>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a lock holding `value`.
-    pub fn new(value: T) -> Self {
-        Self(std::sync::RwLock::new(value))
-    }
-
-    /// Acquires a shared read guard, recovering from poisoning.
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        self.0
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Acquires an exclusive write guard, recovering from poisoning.
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        self.0
-            .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
@@ -67,13 +43,5 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-    }
-
-    #[test]
-    fn rwlock_reads_and_writes() {
-        let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
     }
 }

@@ -31,9 +31,17 @@
 //! [`Memory`], their registers) materialize on
 //! first touch: a schedule that only ever exercises 100 of a million
 //! declared processes allocates proportionally to those 100. The
-//! pre-refactor per-step loop survives as
-//! [`LegacyEngine`](crate::legacy::LegacyEngine), and the regression
-//! suite holds the two bit-identical on every shipped schedule family.
+//! regression suite (`tests/determinism.rs`, `tests/mc_replay.rs`) pins
+//! a digest of the outputs, metrics, stop reason and trace of every
+//! shipped schedule family, crash subsets, fuzz genomes, slot limits
+//! and replay scripts — the answers the per-step loop this core
+//! replaced gave, cell for cell.
+//!
+//! One divergence from that loop is lazy-only: a process whose first
+//! step returns `Done` without issuing an operation announces its
+//! completion at its first scheduled slot (charged as a free skip)
+//! rather than before the run, because an untouched process cannot be
+//! observed.
 
 use crate::event::{ProcessTable, SlotQueue, Touched};
 use crate::ids::ProcessId;
@@ -340,9 +348,10 @@ impl<P: Process> Engine<P> {
     fn run_inner(&mut self, mut schedule: impl Schedule) -> StopReason {
         let support = schedule.support();
         let support_total = support.len();
-        // Legacy order: count finished support members, then tell the
-        // schedule about every process that finished without taking any
-        // steps (their first `step(None)` returned `Done`). A lazy
+        // In the order the pinned digests hold: count finished support
+        // members, then tell the schedule about every process that
+        // finished without taking any steps (their first `step(None)`
+        // returned `Done`). A lazy
         // table has materialized nothing yet, so these loops see only
         // eagerly built processes.
         let mut support_done = support
@@ -408,7 +417,7 @@ impl<P: Process> Engine<P> {
         // A lazy run materializes its untouched remainder now (in pid
         // order, deterministically) so the report stays dense; their
         // pending first operations were never executed, exactly like a
-        // never-scheduled process under the legacy engine.
+        // never-scheduled process in an eager run.
         for i in 0..n {
             let _ = self.table.touch(ProcessId(i));
         }

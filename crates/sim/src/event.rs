@@ -3,10 +3,9 @@
 //! positions), and the arena-backed process table with lazy
 //! materialization.
 //!
-//! The [`Engine`](crate::engine::Engine) used to hold `Vec<Slot<P>>`
-//! indexed by process id and pay one virtual `next_pid` call plus one
-//! enum-tag match per scheduled slot. The structures here replace that
-//! with:
+//! Instead of a `Vec<Slot<P>>` indexed by process id, with one virtual
+//! `next_pid` call plus one enum-tag match per scheduled slot, the
+//! [`Engine`](crate::engine::Engine) is built from:
 //!
 //! * [`BitSet`] — one bit per tracked flag (done processes, schedule
 //!   support), 64 processes per word.
@@ -17,8 +16,7 @@
 //!   [`completion_oblivious`](crate::schedule::Schedule::completion_oblivious);
 //!   completion-sensitive schedules (e.g.
 //!   [`BlockSequential`](crate::schedule::BlockSequential)) fall back to
-//!   a bucket of one, which reproduces the legacy pull-per-slot loop
-//!   exactly.
+//!   a bucket of one, which is exactly a pull-per-slot loop.
 //! * [`ProcessTable`] — process state machines live in an arena in
 //!   touch order; a dense `ProcessId → slot` table maps ids to arena
 //!   slots and a factory materializes never-before-scheduled processes
@@ -170,7 +168,7 @@ const UNMATERIALIZED: u32 = u32::MAX;
 /// parallel arrays indexed by slot. Slots are assigned in touch order;
 /// in eager mode (every process materialized at construction) slot `i`
 /// is process `i`, which keeps reports and adaptive-adversary views in
-/// the legacy pid order.
+/// pid order.
 pub(crate) struct ProcessTable<P: Process> {
     n: usize,
     /// Dense pid → arena slot; `UNMATERIALIZED` for untouched pids.
@@ -204,7 +202,7 @@ pub(crate) struct Touched {
 
 impl<P: Process> ProcessTable<P> {
     /// Eager construction: materializes every process now, in pid
-    /// order, exactly like the legacy engine did.
+    /// order.
     pub(crate) fn eager(processes: Vec<P>) -> Self {
         let n = processes.len();
         let mut table = Self::with_capacity(n, n, None);

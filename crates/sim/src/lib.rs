@@ -62,7 +62,6 @@ mod event;
 pub mod fuzz;
 pub mod ids;
 pub mod layout;
-pub mod legacy;
 pub mod lockstep;
 pub mod max_register;
 pub mod mc;
@@ -83,7 +82,6 @@ pub use adversary::{AdversaryStrength, DelayedChooser};
 pub use engine::{AdaptiveView, Engine, RunReport, SparseEntry, SparseReport, StopReason};
 pub use ids::{MaxRegisterId, ProcessId, RegisterId, SnapshotId};
 pub use layout::{Layout, LayoutBuilder};
-pub use legacy::LegacyEngine;
 pub use lockstep::drive_lockstep;
 pub use memory::{CostModel, Memory, RegisterSemantics, Resolution};
 pub use metrics::Metrics;

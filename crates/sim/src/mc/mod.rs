@@ -9,7 +9,9 @@
 //!   shared-memory operation set ([`Access`], [`McEvent`]) and canonical
 //!   Mazurkiewicz-trace signatures ([`trace_signature`]).
 //! * [`naive`] enumerates raw interleavings ([`explore_naive`]) — the
-//!   multinomial-cost baseline, kept as a correctness oracle.
+//!   multinomial-cost baseline. It stays as DPOR's oracle: its callers
+//!   compare the *set* of trace signatures it reaches with DPOR's, which
+//!   no pinned count can stand in for.
 //! * [`dpor`] is the sleep-set dynamic partial-order-reduced explorer
 //!   ([`explore_dpor`]): one interleaving per trace, with optional
 //!   crash-fault injection ([`McOptions::max_crashes`]).

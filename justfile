@@ -17,8 +17,10 @@ fmt-check:
 # docs to a private item is one). The first grep keeps the two seed
 # labels (process coins, adversary schedule) inside rng.rs; the next
 # two keep the workspace at one build configuration: no `cfg(feature …)`
-# in any source file, no `[features]` table in any manifest; the last
-# keeps JSON in `sift_obs::json` — no hand-escaped key anywhere else.
+# in any source file, no `[features]` table in any manifest; the next
+# keeps JSON in `sift_obs::json` — no hand-escaped key anywhere else;
+# the last keeps one reference per layer, the model (no lock-based
+# object copies, no frozen engine copy).
 clippy: api-audit
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -26,6 +28,7 @@ clippy: api-audit
     ! grep -rnE 'cfg!?\(.*feature' --include=*.rs crates src tests examples
     ! grep -rn '^\[features\]' Cargo.toml crates/*/Cargo.toml
     ! grep -rnE '\\"[A-Za-z_.]+\\": ?' crates/*/src src examples --include=*.rs --exclude=json.rs
+    ! grep -rnwE 'CoarseMemory|ObjectMemory|LegacyEngine|LockRegister|LockMaxRegister|CoarseSnapshot' --include=*.rs crates src tests examples
 
 # Per crate: how many distinct `pub` item names its `src/` declares, and
 # which of them no `.rs` file outside that `src/` mentions (DESIGN.md,
@@ -102,8 +105,8 @@ conformance:
 
 # Service-level suites: agreement/validity/decide-exactly-once under
 # concurrent async clients, golden-pinned deterministic commit streams,
-# the served-stack differential (lock-free, lock-based and simulator
-# memory agree on the stack the shard decides with), and the negative paths
+# the served-stack differential (lock-free and simulator memory agree on
+# the stack the shard decides with), and the negative paths
 # (evictions, zero capacity, cancellation) — each at worker counts
 # 1, 4, and 8 — the crash-recovery suite, the allocations-per-decision
 # gate, the served-stack ↔ engine pin in cross_runtime (phase 1 under

@@ -1,13 +1,36 @@
 //! Seeded case generation for the `*_properties` suites: each property
 //! runs a fixed number of cases drawn from the in-tree generators, so
 //! the suites build offline and a failure replays from its case index.
+//! Plus [`report_digest`], the engine suites' pinned answer per run.
 
 #![allow(dead_code)] // each suite uses its own subset of the generators
 
+use std::fmt::Debug;
 use std::ops::Range;
 
+use sift::sim::fuzz::FingerprintHasher;
 use sift::sim::rng::{SeedSplitter, Xoshiro256StarStar};
 use sift::sim::schedule::ScheduleKind;
+use sift::sim::{Process, RunReport};
+
+/// Everything observable about a run, digested: `FingerprintHasher`
+/// over the `Debug` rendering of its outputs, metrics, stop reason and
+/// trace events.
+pub(crate) fn report_digest<P: Process>(report: &RunReport<P>) -> u64
+where
+    P::Output: Debug,
+{
+    let text = format!(
+        "{:?}|{:?}|{:?}|{:?}",
+        report.outputs,
+        report.metrics,
+        report.stop_reason,
+        report.trace.as_ref().map(|t| t.events())
+    );
+    let mut h = FingerprintHasher::new();
+    h.write_bytes(text.as_bytes());
+    h.finish()
+}
 
 /// Names the failing case when a property panics.
 struct Case<'a>(&'a str, u64);

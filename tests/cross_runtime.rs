@@ -1,15 +1,17 @@
 //! Cross-runtime equivalence: the same protocol state machines run on
 //! the deterministic simulator and on the threaded substrate, and a
-//! lockstep driver over the threaded objects — the lock-free ones and
-//! their lock-based references — reproduces the simulator's outcome
+//! lockstep driver over the lock-free objects — and over the model
+//! under a lock, their reference — reproduces the simulator's outcome
 //! exactly. The last test pins the same boundary for the stack the
 //! service decides with: round robin, the served schedule, never leaves
 //! phase 1; a checked random interleaving does.
 
+use std::sync::Mutex;
+
 use sift::adopt_commit::GafniSnapshotAc;
 use sift::consensus::{ConsensusOutcome, ConsensusProtocol};
 use sift::core::{Conciliator, Epsilon, Persona, SiftingConciliator, SnapshotConciliator};
-use sift::shmem::{drive_threads, run_lockstep_on, CoarseMemory, LockFreeMemory};
+use sift::shmem::{drive_threads, run_lockstep_on, AtomicMemory, ExecuteOps};
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::{RandomInterleave, RoundRobin};
 use sift::sim::{drive_lockstep, Engine, Layout, LayoutBuilder, Memory, Process, ProcessId};
@@ -40,10 +42,13 @@ where
             .run(RoundRobin::new(n))
             .unwrap_outputs(),
     );
-    let lock_free = inputs(run_lockstep_on(&LockFreeMemory::new(&layout), build().1));
-    let coarse = inputs(run_lockstep_on(&CoarseMemory::new(&layout), build().1));
+    let lock_free = inputs(run_lockstep_on(&AtomicMemory::new(&layout), build().1));
+    let model = inputs(run_lockstep_on(
+        &Mutex::new(Memory::new(&layout)),
+        build().1,
+    ));
     assert_eq!(sim, lock_free, "seed {seed}: lock-free");
-    assert_eq!(sim, coarse, "seed {seed}: lock-based");
+    assert_eq!(sim, model, "seed {seed}: model under a lock");
 }
 
 #[test]
@@ -80,11 +85,11 @@ fn free_threads_preserve_protocol_invariants() {
         let mut b = LayoutBuilder::new();
         SiftingConciliator::allocate(&mut b, n, Epsilon::HALF).rounds() as u64
     };
-    let lock_free = LockFreeMemory::new(&layout);
-    let coarse = CoarseMemory::new(&layout);
+    let lock_free = AtomicMemory::new(&layout);
+    let model = Mutex::new(Memory::new(&layout));
     let reports = [
         drive_threads(procs, |_, op| lock_free.execute(op)),
-        drive_threads(sifting_participants(n, 5).1, |_, op| coarse.execute(op)),
+        drive_threads(sifting_participants(n, 5).1, |_, op| model.execute(op)),
     ];
     for report in reports {
         for p in &report.outputs {

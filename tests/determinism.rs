@@ -1,15 +1,16 @@
 //! Reproducibility: every simulated execution is a pure function of its
-//! seeds, and schedule randomness is independent of process randomness
-//! (the structural form of obliviousness).
+//! seeds, schedule randomness is independent of process randomness
+//! (the structural form of obliviousness), and the engine still gives
+//! its pinned answers.
 
+mod common;
+
+use common::report_digest;
 use sift::core::{Conciliator, Epsilon, SiftingConciliator, SnapshotConciliator};
 use sift::sim::fuzz::ScheduleGenome;
 use sift::sim::rng::{SeedSplitter, Xoshiro256StarStar};
 use sift::sim::schedule::{CrashSubset, RandomInterleave, Schedule, ScheduleKind};
-use sift::sim::{
-    Engine, LayoutBuilder, LegacyEngine, Metrics, ProcessId, RegisterSemantics, Resolution,
-    RunReport,
-};
+use sift::sim::{Engine, LayoutBuilder, Metrics, ProcessId, RegisterSemantics, Resolution};
 
 fn run_sifting(master: u64, schedule_seed: u64) -> (Vec<u64>, Metrics) {
     let n = 24;
@@ -80,116 +81,23 @@ fn schedule_seed_changes_only_the_schedule() {
     }
 }
 
-/// Builds the n=16 sifting instance used by the engine-differential
-/// tests below and runs it on the given engine under `schedule`.
-fn sifting_report(
-    master: u64,
-    schedule: impl FnOnce(usize) -> Box<dyn Schedule>,
-    legacy: bool,
-) -> RunReport<sift::core::SiftingParticipant> {
-    let n = 16;
-    let mut b = LayoutBuilder::new();
-    let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
-    let layout = b.build();
-    let split = SeedSplitter::new(master);
-    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
-    if legacy {
-        let mut engine = LegacyEngine::new(&layout, procs);
-        engine.enable_trace();
-        engine.run(schedule(n))
-    } else {
-        let mut engine = Engine::new(&layout, procs);
-        engine.enable_trace();
-        engine.run(schedule(n))
-    }
-}
+// ---------------------------------------------------------------------
+// The engine's pinned answers. Each digest (`common::report_digest`:
+// outputs, metrics, stop reason, trace events) is what the per-step
+// legacy engine this event core replaced produced on the same cell; the
+// two engines were checked digest-equal on every cell below before the
+// legacy one was deleted, so these tests hold `Engine` to the old
+// engine's behaviour without keeping its code.
+// ---------------------------------------------------------------------
 
-/// The differential digest: everything observable about a run that the
-/// two engines must agree on, bit for bit.
-fn assert_reports_identical<P: sift::sim::Process>(old: &RunReport<P>, new: &RunReport<P>)
-where
-    P::Output: PartialEq + std::fmt::Debug,
-{
-    assert_eq!(old.outputs, new.outputs);
-    assert_eq!(old.metrics, new.metrics);
-    assert_eq!(old.stop_reason, new.stop_reason);
-    assert_eq!(
-        old.trace.as_ref().map(|t| t.events()),
-        new.trace.as_ref().map(|t| t.events()),
-        "per-slot traces diverge"
-    );
-}
-
-#[test]
-fn event_engine_matches_legacy_on_every_schedule_family() {
-    for kind in ScheduleKind::all() {
-        for seed in [1u64, 17, 99] {
-            let old = sifting_report(seed, |n| kind.build(n, seed), true);
-            let new = sifting_report(seed, |n| kind.build(n, seed), false);
-            assert_reports_identical(&old, &new);
-        }
-    }
-}
-
-#[test]
-fn event_engine_matches_legacy_under_crashes() {
-    for seed in [3u64, 31] {
-        let crash = |n: usize| -> Box<dyn Schedule> {
-            Box::new(CrashSubset::new(
-                RandomInterleave::new(n, seed),
-                [ProcessId(0), ProcessId(5)],
-            ))
-        };
-        let old = sifting_report(seed, crash, true);
-        let new = sifting_report(seed, crash, false);
-        assert_reports_identical(&old, &new);
-    }
-}
-
-#[test]
-fn event_engine_matches_legacy_on_pinned_fuzz_genomes() {
-    // The fuzz corpus's pinned genome seeds: random genomes compiled to
-    // the exact schedules coverage-guided fuzzing replays.
-    for genome_seed in [0xC0FFEE_u64, 0xFEED, 0xDECAF, 7, 4242] {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(genome_seed);
-        let genome = ScheduleGenome::random(16, &mut rng);
-        let old = sifting_report(genome_seed, |n| Box::new(genome.compile(n)), true);
-        let new = sifting_report(genome_seed, |n| Box::new(genome.compile(n)), false);
-        assert_reports_identical(&old, &new);
-    }
-}
-
-#[test]
-fn event_engine_matches_legacy_under_slot_limits() {
-    // Budgets that land mid-round must stop both engines at the same
-    // slot with the same partial state.
-    for limit in [1u64, 7, 50, 173] {
-        let mut b = LayoutBuilder::new();
-        let c = SiftingConciliator::allocate(&mut b, 16, Epsilon::HALF);
-        let layout = b.build();
-        let split = SeedSplitter::new(5);
-        let build = |c: &SiftingConciliator| {
-            split.processes(16, |pid, rng| c.participant(pid, pid.index() as u64, rng))
-        };
-        let mut old_e = LegacyEngine::new(&layout, build(&c));
-        old_e.limit_slots(limit);
-        let old = old_e.run(RandomInterleave::new(16, 9));
-        let mut new_e = Engine::new(&layout, build(&c));
-        new_e.limit_slots(limit);
-        let new = new_e.run(RandomInterleave::new(16, 9));
-        assert_eq!(old.outputs, new.outputs);
-        assert_eq!(old.metrics, new.metrics);
-        assert_eq!(old.stop_reason, new.stop_reason);
-    }
-}
-
-/// Like [`sifting_report`], but on the event engine with explicit
-/// register semantics — the regular-substrate differentials below.
-fn sifting_report_with_semantics(
+/// Builds the n=16 sifting instance the pinned digests were taken on,
+/// runs it, traced, under `schedule` with `semantics`, and digests the
+/// report: everything observable about the run.
+fn sifting_digest(
     master: u64,
     schedule: impl FnOnce(usize) -> Box<dyn Schedule>,
     semantics: RegisterSemantics,
-) -> RunReport<sift::core::SiftingParticipant> {
+) -> u64 {
     let n = 16;
     let mut b = LayoutBuilder::new();
     let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
@@ -199,7 +107,95 @@ fn sifting_report_with_semantics(
     let mut engine = Engine::new(&layout, procs);
     engine.enable_trace();
     engine.set_register_semantics(semantics);
-    engine.run(schedule(n))
+    report_digest(&engine.run(schedule(n)))
+}
+
+/// [`sifting_digest`] on atomic registers.
+fn atomic_digest(master: u64, schedule: impl FnOnce(usize) -> Box<dyn Schedule>) -> u64 {
+    sifting_digest(master, schedule, RegisterSemantics::Atomic)
+}
+
+const ALWAYS_NEW: RegisterSemantics = RegisterSemantics::Regular(Resolution::AlwaysNew);
+
+/// The fuzz corpus's pinned genome seeds: random genomes compiled to
+/// the exact schedules coverage-guided fuzzing replays.
+const GENOME_SEEDS: [u64; 5] = [0xC0FFEE, 0xFEED, 0xDECAF, 7, 4242];
+
+fn genome(genome_seed: u64) -> ScheduleGenome {
+    ScheduleGenome::random(16, &mut Xoshiro256StarStar::seed_from_u64(genome_seed))
+}
+
+#[test]
+fn event_engine_matches_legacy_on_every_schedule_family() {
+    // Seeds 1, 17 and 99 of each family, in `ScheduleKind::all()` order.
+    let pinned = [
+        [0x991f4889570aebc7, 0xfcafdc40b4bc3570, 0xf9365ac83facc865], // round-robin
+        [0xad8e5c60dc9baf16, 0x2db732310c6809b8, 0xf3589db89acf18ef], // random
+        [0x0284ac44059ad8f7, 0x44105b26bf723085, 0xcc1a5f5b4cc854a4], // block-sequential
+        [0x70bf73199d23e3a4, 0xfda89845e962538c, 0x9d7c37981c3c334f], // block-rotation
+        [0x700959a5c0c3e927, 0x3ad8b8ae6e72a3b5, 0xf2ed6f900855e25f], // stutter
+    ];
+    assert_eq!(ScheduleKind::all().len(), pinned.len());
+    for (kind, digests) in ScheduleKind::all().into_iter().zip(pinned) {
+        for (seed, digest) in [1u64, 17, 99].into_iter().zip(digests) {
+            let got = atomic_digest(seed, |n| kind.build(n, seed));
+            assert_eq!(got, digest, "{}, seed {seed}: {got:#018x}", kind.name());
+        }
+    }
+}
+
+#[test]
+fn event_engine_matches_legacy_under_crashes() {
+    for (seed, digest) in [(3u64, 0x5b9a8ea6e8cf9407), (31, 0xdcdd7d6f26b9c72c)] {
+        let crash = |n: usize| -> Box<dyn Schedule> {
+            Box::new(CrashSubset::new(
+                RandomInterleave::new(n, seed),
+                [ProcessId(0), ProcessId(5)],
+            ))
+        };
+        let got = atomic_digest(seed, crash);
+        assert_eq!(got, digest, "crash seed {seed}: {got:#018x}");
+    }
+}
+
+#[test]
+fn event_engine_matches_legacy_on_pinned_fuzz_genomes() {
+    let pinned = [
+        0xd61febb7bbda8c64,
+        0xa4a363e96dcd8eeb,
+        0x3c873bc683af2ec1,
+        0x7e2f830395d73ce2,
+        0x6e292c7df9880871,
+    ];
+    for (genome_seed, digest) in GENOME_SEEDS.into_iter().zip(pinned) {
+        let genome = genome(genome_seed);
+        let got = atomic_digest(genome_seed, |n| Box::new(genome.compile(n)));
+        assert_eq!(got, digest, "genome {genome_seed:#x}: {got:#018x}");
+    }
+}
+
+#[test]
+fn event_engine_matches_legacy_under_slot_limits() {
+    // Budgets that land mid-round must stop at the same slot with the
+    // same partial state.
+    let pinned = [
+        (1u64, 0x3331db55d1b73b81),
+        (7, 0xb29e833de8373d78),
+        (50, 0x0ef71c436322b42d),
+        (173, 0xe79eafcef806e499),
+    ];
+    for (limit, digest) in pinned {
+        let mut b = LayoutBuilder::new();
+        let c = SiftingConciliator::allocate(&mut b, 16, Epsilon::HALF);
+        let layout = b.build();
+        let split = SeedSplitter::new(5);
+        let procs = split.processes(16, |pid, rng| c.participant(pid, pid.index() as u64, rng));
+        let mut engine = Engine::new(&layout, procs);
+        engine.enable_trace();
+        engine.limit_slots(limit);
+        let got = report_digest(&engine.run(RandomInterleave::new(16, 9)));
+        assert_eq!(got, digest, "limit {limit}: {got:#018x}");
+    }
 }
 
 /// Regular registers with every overlapping read resolved to the new
@@ -211,17 +207,9 @@ fn sifting_report_with_semantics(
 fn always_new_regular_semantics_match_atomic_on_every_schedule_family() {
     for kind in ScheduleKind::all() {
         for seed in [1u64, 17, 99] {
-            let atomic = sifting_report_with_semantics(
-                seed,
-                |n| kind.build(n, seed),
-                RegisterSemantics::Atomic,
-            );
-            let regular = sifting_report_with_semantics(
-                seed,
-                |n| kind.build(n, seed),
-                RegisterSemantics::Regular(Resolution::AlwaysNew),
-            );
-            assert_reports_identical(&atomic, &regular);
+            let regular = sifting_digest(seed, |n| kind.build(n, seed), ALWAYS_NEW);
+            let atomic = atomic_digest(seed, |n| kind.build(n, seed));
+            assert_eq!(regular, atomic, "{}, seed {seed}", kind.name());
         }
     }
 }
@@ -231,20 +219,11 @@ fn always_new_regular_semantics_match_atomic_on_every_schedule_family() {
 /// solo bursts, stalls, and crash-truncated prefixes.
 #[test]
 fn always_new_regular_semantics_match_atomic_on_pinned_fuzz_genomes() {
-    for genome_seed in [0xC0FFEE_u64, 0xFEED, 0xDECAF, 7, 4242] {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(genome_seed);
-        let genome = ScheduleGenome::random(16, &mut rng);
-        let atomic = sifting_report_with_semantics(
-            genome_seed,
-            |n| Box::new(genome.compile(n)),
-            RegisterSemantics::Atomic,
-        );
-        let regular = sifting_report_with_semantics(
-            genome_seed,
-            |n| Box::new(genome.compile(n)),
-            RegisterSemantics::Regular(Resolution::AlwaysNew),
-        );
-        assert_reports_identical(&atomic, &regular);
+    for genome_seed in GENOME_SEEDS {
+        let genome = genome(genome_seed);
+        let regular = sifting_digest(genome_seed, |n| Box::new(genome.compile(n)), ALWAYS_NEW);
+        let atomic = atomic_digest(genome_seed, |n| Box::new(genome.compile(n)));
+        assert_eq!(regular, atomic, "genome {genome_seed:#x}");
     }
 }
 
@@ -256,13 +235,10 @@ fn always_new_regular_semantics_match_atomic_on_pinned_fuzz_genomes() {
 #[test]
 fn regular_coin_runs_are_reproducible() {
     let run = |coin: u64| {
-        sifting_report_with_semantics(
-            42,
-            |n| kindless_random(n, 9),
-            RegisterSemantics::Regular(Resolution::Coin(coin)),
-        )
+        let coin = RegisterSemantics::Regular(Resolution::Coin(coin));
+        sifting_digest(42, |n| kindless_random(n, 9), coin)
     };
-    assert_reports_identical(&run(0xC01), &run(0xC01));
+    assert_eq!(run(0xC01), run(0xC01));
 }
 
 fn kindless_random(n: usize, seed: u64) -> Box<dyn Schedule> {

@@ -8,10 +8,14 @@
 //! generated from the in-tree seeded RNG (the workspace is offline, so
 //! no property-testing crate; seeds make every failure reproducible) and
 //! run both free-threaded and in lockstep, over the lock-free objects
-//! and over their lock-based references alike. A hand-built
-//! non-linearizable history keeps the checker itself honest.
+//! and over the model under a lock alike; the snapshot workload also
+//! runs over `WaitFreeSnapshot`. A hand-built non-linearizable history
+//! keeps the checker itself honest.
 
-use sift::shmem::{run_lockstep_recorded, run_threads_recorded, CoarseMemory, LockFreeMemory};
+use std::sync::Mutex;
+
+use sift::shmem::snapshot::WaitFreeSnapshot;
+use sift::shmem::{run_lockstep_recorded, run_threads_recorded, AtomicMemory, ExecuteOps};
 use sift::sim::mc::{check_linearizable, check_regular, History, HistoryEntry, ObjectKey};
 use sift::sim::rng::{SeedSplitter, Xoshiro256StarStar};
 use sift::sim::{
@@ -118,27 +122,40 @@ impl<V: Value> Process for TypedWorkload<V> {
     }
 }
 
-/// Captures a free-threaded history of `procs` over each memory — the
-/// lock-free objects, then their lock-based references — and checks
+/// Captures a free-threaded history of `procs` over `memory` and checks
 /// that it records all `expected_ops` operations, is well formed, and
 /// linearizes.
+fn check_threaded_history<P, M>(
+    layout: &Layout,
+    memory: M,
+    procs: Vec<P>,
+    expected_ops: usize,
+    seed: u64,
+) where
+    P: Process<Output = usize> + Send,
+    P::Value: PartialEq,
+    M: ExecuteOps<P::Value>,
+{
+    let (report, history) = run_threads_recorded(memory, procs);
+    assert_eq!(report.total_ops(), expected_ops as u64, "seed {seed}");
+    assert_eq!(history.len(), expected_ops, "seed {seed}");
+    history
+        .check_well_formed()
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    check_linearizable(layout, &history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+}
+
+/// [`check_threaded_history`] over each memory: the lock-free objects,
+/// then the model under a lock.
 fn check_threaded_histories<P>(layout: &Layout, procs: Vec<P>, expected_ops: usize, seed: u64)
 where
     P: Process<Output = usize> + Clone + Send,
     P::Value: PartialEq,
 {
-    let runs = [
-        run_threads_recorded(LockFreeMemory::new(layout), procs.clone()),
-        run_threads_recorded(CoarseMemory::new(layout), procs),
-    ];
-    for (report, history) in runs {
-        assert_eq!(report.total_ops(), expected_ops as u64, "seed {seed}");
-        assert_eq!(history.len(), expected_ops, "seed {seed}");
-        history
-            .check_well_formed()
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        check_linearizable(layout, &history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-    }
+    let lock_free = AtomicMemory::new(layout);
+    check_threaded_history(layout, lock_free, procs.clone(), expected_ops, seed);
+    let model = Mutex::new(Memory::new(layout));
+    check_threaded_history(layout, model, procs, expected_ops, seed);
 }
 
 /// Captures threaded register histories over value type `V` (4
@@ -202,7 +219,27 @@ fn threaded_register_histories_linearize() {
     check_register_histories("reg", |v| v);
 }
 
-/// Threaded histories of the snapshot alone must linearize.
+/// [`WaitFreeSnapshot`]s behind [`ExecuteOps`], for snapshot-only
+/// layouts: the Afek et al. construction is single-writer, so it may
+/// only run workloads where process `i` updates component `i` alone.
+struct WaitFreeSnapshots(Vec<WaitFreeSnapshot<u64>>);
+
+impl ExecuteOps<u64> for WaitFreeSnapshots {
+    fn execute(&self, op: Op<u64>) -> OpResult<u64> {
+        match op {
+            Op::SnapshotUpdate(s, component, v) => {
+                self.0[s.index()].update(component, v);
+                OpResult::Ack
+            }
+            Op::SnapshotScan(s) => OpResult::SnapshotView(self.0[s.index()].scan()),
+            other => unimplemented!("snapshot-only memory, got {other:?}"),
+        }
+    }
+}
+
+/// Threaded histories of the snapshot alone must linearize — on the
+/// lock-free snapshot, the model's, and the wait-free construction
+/// (every process updates only its own component).
 #[test]
 fn threaded_snapshot_histories_linearize() {
     for seed in 0..10 {
@@ -225,6 +262,8 @@ fn threaded_snapshot_histories_linearize() {
                 RandomWorkload { ops, next: 0 }
             })
             .collect();
+        let wait_free = WaitFreeSnapshots(vec![WaitFreeSnapshot::new(4)]);
+        check_threaded_history(&layout, wait_free, procs.clone(), 4 * 8, seed);
         check_threaded_histories(&layout, procs, 4 * 8, seed);
     }
 }
@@ -287,8 +326,8 @@ fn lockstep_histories_linearize() {
     for seed in 0..10 {
         let (layout, procs) = mixed_instance(seed, 5, 6);
         let runs = [
-            run_lockstep_recorded(LockFreeMemory::new(&layout), procs.clone()),
-            run_lockstep_recorded(CoarseMemory::new(&layout), procs),
+            run_lockstep_recorded(AtomicMemory::new(&layout), procs.clone()),
+            run_lockstep_recorded(Mutex::new(Memory::new(&layout)), procs),
         ];
         for (outputs, history) in runs {
             assert_eq!(outputs, vec![6; 5], "seed {seed}");

@@ -4,12 +4,13 @@
 //! [`FixedSchedule`] — the end-to-end contract of the counterexample
 //! reporter.
 
+mod common;
+
+use common::report_digest;
 use sift::adopt_commit::{try_check_ac_properties, AcOutput, Verdict};
 use sift::sim::mc::{check_dpor, replay_script, CheckError, McOptions};
 use sift::sim::schedule::FixedSchedule;
-use sift::sim::{
-    Engine, Layout, LayoutBuilder, LegacyEngine, Op, OpResult, Process, RegisterId, Step,
-};
+use sift::sim::{Engine, Layout, LayoutBuilder, Op, OpResult, Process, RegisterId, Step};
 
 /// A broken "adopt-commit" proposer (test-only mutant): write your code
 /// to one shared register, read it back, and commit if you see your own
@@ -155,28 +156,28 @@ fn replay_is_deterministic_across_engines() {
     assert!(a.iter().all(Option::is_some));
 }
 
-/// Differential contract for model-checking replays: the event engine
-/// and the pre-refactor legacy engine produce identical reports when
-/// replaying a violation script (and padded/truncated variants of it),
-/// so counterexamples found before the refactor replay unchanged.
+/// Contract for model-checking replays: a violation script (and
+/// padded/truncated variants of it) replays to the report digest both
+/// engines gave — the event engine and the per-step legacy one it
+/// replaced, checked equal on these scripts before the legacy engine
+/// was deleted — so counterexamples found before the refactor replay
+/// unchanged.
 #[test]
 fn mc_violation_scripts_replay_identically_on_both_engines() {
     let (layout, _, factory) = broken_instance();
-    let scripts: [&[usize]; 5] = [
-        &[0, 0, 1, 1],
-        &[1, 1, 0, 0],
-        &[0, 1, 0, 1],
+    let pinned: [(&[usize], u64); 5] = [
+        (&[0, 0, 1, 1], 0x6c356d84e0c77650),
+        (&[1, 1, 0, 0], 0xe31cd0116942c5c8),
+        (&[0, 1, 0, 1], 0x4d380327c1de2dc0),
         // Padded with free slots to a finished process.
-        &[0, 0, 0, 0, 1, 1, 0, 1],
+        (&[0, 0, 0, 0, 1, 1, 0, 1], 0x6bbfc41bbdbb464e),
         // Truncated mid-protocol: both stop exhausted with pending state.
-        &[0, 1],
+        (&[0, 1], 0xcd5323e8db82046e),
     ];
-    for script in scripts {
-        let old =
-            LegacyEngine::new(&layout, factory()).run(FixedSchedule::from_indices(script.to_vec()));
-        let new = Engine::new(&layout, factory()).run(FixedSchedule::from_indices(script.to_vec()));
-        assert_eq!(old.outputs, new.outputs, "script {script:?}");
-        assert_eq!(old.metrics, new.metrics, "script {script:?}");
-        assert_eq!(old.stop_reason, new.stop_reason, "script {script:?}");
+    for (script, digest) in pinned {
+        let mut engine = Engine::new(&layout, factory());
+        engine.enable_trace();
+        let got = report_digest(&engine.run(FixedSchedule::from_indices(script.to_vec())));
+        assert_eq!(got, digest, "script {script:?}: {got:#018x}");
     }
 }

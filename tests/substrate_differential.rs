@@ -1,36 +1,56 @@
-//! Differential testing of the two shared-memory substrates (and, for
-//! the served stack, the simulator memory the service decides on).
+//! Differential testing of the lock-free substrate against the model.
 //!
-//! `sift-shmem` ships a lock-free substrate (`LockFreeMemory`, what
-//! `AtomicMemory` names) and the original lock-based one
-//! (`CoarseMemory`, kept as the reference for exactly this purpose).
-//! Both are always compiled, so one binary drives the *same*
-//! deterministic lockstep schedule through each and demands
-//! observational equality: identical operation results on raw
-//! workloads, and identical conciliator outcomes end to end. Any
-//! divergence would mean one substrate is not implementing the atomic
-//! object semantics the protocols are verified against.
+//! `AtomicMemory` (the lock-free objects) has one reference: the model
+//! itself, `sift_sim::Memory` under one lock — the memory DPOR, the
+//! fuzzer, conformance and the service run on. Hadzilacos–Hu–Toueg
+//! (arXiv 2006.06771) is why the reference must be *obviously* atomic,
+//! and the sequential spec under a lock is. Each differential drives
+//! the *same* deterministic schedule through a subject memory and the
+//! model and returns the first divergence: every operation result of
+//! raw and interleaved workloads, every result a conciliator
+//! participant observes and the persona it ends with. The tests demand
+//! none for `AtomicMemory`; `differentials_catch_a_broken_lock_free_side`
+//! hands the same functions two test-side broken wrappers around it.
 
-use sift::core::{Conciliator, Epsilon, SiftingConciliator, SnapshotConciliator};
-use sift::shmem::{run_lockstep_on, run_script_on, CoarseMemory, LockFreeMemory};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
+
+use sift::core::{Conciliator, Epsilon, Persona, SiftingConciliator, SnapshotConciliator};
+use sift::shmem::{run_lockstep_on, run_script_on, AtomicMemory, ExecuteOps};
 use sift::sim::mc::replay_report;
 use sift::sim::rng::{SeedSplitter, Xoshiro256StarStar};
-use sift::sim::{LayoutBuilder, Op, OpResult, Process, ProcessId, Step, Value};
+use sift::sim::{Layout, LayoutBuilder, Memory, Op, OpResult, Process, ProcessId, Step, Value};
 use sift_bench::fuzz::{run_fuzz, FuzzConfig};
 
+/// A differential's verdict: `Err` names the first place the subject
+/// memory and the model disagree.
+type Divergence = Result<(), String>;
+
+/// The reference: the model's memory for `layout`, under one lock.
+fn model<V: Value>(layout: &Layout) -> Mutex<Memory<V>> {
+    Mutex::new(Memory::new(layout))
+}
+
+/// `Err` naming `context` and both answers if they differ.
+fn compare<T: PartialEq + std::fmt::Debug>(subject: T, model: T, context: String) -> Divergence {
+    if subject == model {
+        return Ok(());
+    }
+    Err(format!("{context}: subject {subject:?}, model {model:?}"))
+}
+
 /// Raw-operation differential: every operation of a seeded mixed
-/// workload must produce byte-identical results on both substrates when
-/// executed in the same sequential order.
-#[test]
-fn raw_operations_agree_across_substrates() {
+/// workload must produce the model's result when executed in the same
+/// sequential order.
+fn raw_ops_divergence<M: ExecuteOps<u64>>(subject: impl Fn(&Layout) -> M) -> Divergence {
     for seed in 0..10u64 {
         let mut b = LayoutBuilder::new();
         let registers = b.registers(3);
         let snapshot = b.snapshot(4);
         let max_regs = b.max_registers(2);
         let layout = b.build();
-        let lockfree: LockFreeMemory<u64> = LockFreeMemory::new(&layout);
-        let coarse: CoarseMemory<u64> = CoarseMemory::new(&layout);
+        let (memory, model) = (subject(&layout), model(&layout));
         let mut rng = SeedSplitter::new(seed).stream("raw-diff", 0);
         for step in 0..200 {
             let op = match rng.range_u64(6) {
@@ -47,38 +67,59 @@ fn raw_operations_agree_across_substrates() {
             };
             // `OpResult` carries `ScanView`s, which have no `PartialEq`;
             // the derived `Debug` rendering is a faithful value image.
-            let a = format!("{:?}", lockfree.execute(op.clone()));
-            let b = format!("{:?}", coarse.execute(op.clone()));
-            assert_eq!(a, b, "seed {seed}, step {step}, op {op:?}");
+            let got = format!("{:?}", memory.execute(op.clone()));
+            let want = format!("{:?}", model.execute(op.clone()));
+            compare(got, want, format!("seed {seed}, step {step}, op {op:?}"))?;
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn raw_operations_agree_across_substrates() {
+    assert_eq!(raw_ops_divergence(AtomicMemory::new), Ok(()));
+}
+
+/// Process `P`, also logging the `Debug` rendering of every result it
+/// receives — so two memories driven through the same schedule are
+/// compared operation by operation, not just on their final outputs.
+struct Observed<P> {
+    inner: P,
+    log: Vec<String>,
+}
+
+impl<P: Process> Process for Observed<P> {
+    type Value = P::Value;
+    type Output = (P::Output, Vec<String>);
+
+    fn step(&mut self, prev: Option<OpResult<P::Value>>) -> Step<P::Value, Self::Output> {
+        if let Some(r) = &prev {
+            self.log.push(format!("{r:?}"));
+        }
+        match self.inner.step(prev) {
+            Step::Issue(op) => Step::Issue(op),
+            Step::Done(output) => Step::Done((output, std::mem::take(&mut self.log))),
         }
     }
 }
 
-/// A pre-generated operation sequence over an arbitrary value type
-/// that logs the `Debug` rendering of every result it receives — so
-/// two substrates driven through the same schedule can be compared
-/// operation by operation, not just on their final state.
-#[derive(Clone)]
-struct ObservingWorkload<V> {
-    ops: Vec<Op<V>>,
-    next: usize,
-    log: Vec<String>,
+fn observed<P>(processes: Vec<P>) -> Vec<Observed<P>> {
+    let observe = |inner| Observed {
+        inner,
+        log: Vec::new(),
+    };
+    processes.into_iter().map(observe).collect()
 }
 
-impl<V: Value> Process for ObservingWorkload<V> {
-    type Value = V;
-    type Output = Vec<String>;
+/// A pre-generated operation sequence.
+struct OpSequence<V>(std::vec::IntoIter<Op<V>>);
 
-    fn step(&mut self, prev: Option<OpResult<V>>) -> Step<V, Vec<String>> {
-        if let Some(r) = prev {
-            self.log.push(format!("{r:?}"));
-        }
-        if self.next < self.ops.len() {
-            self.next += 1;
-            Step::Issue(self.ops[self.next - 1].clone())
-        } else {
-            Step::Done(self.log.clone())
-        }
+impl<V: Value> Process for OpSequence<V> {
+    type Value = V;
+    type Output = ();
+
+    fn step(&mut self, _prev: Option<OpResult<V>>) -> Step<V, ()> {
+        self.0.next().map_or(Step::Done(()), Step::Issue)
     }
 }
 
@@ -90,13 +131,13 @@ fn typed_workloads<V: Value>(
     ops_per_proc: usize,
     regs: &[sift::sim::RegisterId],
     max_regs: &[sift::sim::MaxRegisterId],
-    mut value: impl FnMut(u64) -> V,
-) -> Vec<ObservingWorkload<V>> {
+    value: impl Fn(u64) -> V,
+) -> Vec<OpSequence<V>> {
     let split = SeedSplitter::new(seed);
     (0..n)
         .map(|i| {
             let mut rng = split.stream("typed-diff", i as u64);
-            let ops = (0..ops_per_proc)
+            let ops: Vec<_> = (0..ops_per_proc)
                 .map(|_| match rng.range_u64(4) {
                     0 => Op::RegisterRead(regs[rng.range_u64(regs.len() as u64) as usize]),
                     1 => Op::RegisterWrite(
@@ -111,36 +152,23 @@ fn typed_workloads<V: Value>(
                     ),
                 })
                 .collect();
-            ObservingWorkload {
-                ops,
-                next: 0,
-                log: Vec::new(),
-            }
+            OpSequence(ops.into_iter())
         })
         .collect()
 }
 
-/// The inline register paths under randomized interleavings: a seeded
-/// random schedule script drives the same per-process workloads
-/// through the lock-free substrate (seqlock registers + combining max
-/// registers for these payloads) and the lock-based references, and
-/// every operation result must agree. The payload fills both inline
-/// words, so a torn read or a lost combining write would diverge here
-/// with a replayable (seed, script) witness.
-#[test]
-fn interleaved_inline_workloads_agree_across_substrates() {
-    run_interleaved_differential("inline", |v| (v, v.wrapping_mul(3)));
-}
-
-/// The same randomized-interleaving differential for oversized
-/// payloads, pinning the pointer-publication paths behind the new
-/// representation dispatch.
-#[test]
-fn interleaved_oversized_workloads_agree_across_substrates() {
-    run_interleaved_differential("oversized", |v| [v, v + 1, v + 2]);
-}
-
-fn run_interleaved_differential<V: Value + PartialEq>(tag: &str, mut value: impl FnMut(u64) -> V) {
+/// A seeded random schedule script drives the same per-process
+/// register/max-register workloads through the subject and the model,
+/// and every operation result must agree.
+fn interleaved_divergence<V, M>(
+    tag: &str,
+    value: impl Fn(u64) -> V,
+    subject: impl Fn(&Layout) -> M,
+) -> Divergence
+where
+    V: Value,
+    M: ExecuteOps<V>,
+{
     let (n, ops_per_proc) = (4, 12);
     for seed in 0..10u64 {
         let mut b = LayoutBuilder::new();
@@ -154,30 +182,70 @@ fn run_interleaved_differential<V: Value + PartialEq>(tag: &str, mut value: impl
         let script: Vec<usize> = (0..n * (ops_per_proc + 2) * 2)
             .map(|_| rng.range_u64(n as u64) as usize)
             .collect();
-        let mut make = |s| typed_workloads(s, n, ops_per_proc, &regs, &max_regs, &mut value);
-        let on_lockfree = run_script_on(&LockFreeMemory::new(&layout), make(seed), &script);
-        let on_coarse = run_script_on(&CoarseMemory::new(&layout), make(seed), &script);
-        assert_eq!(on_lockfree, on_coarse, "{tag}, seed {seed}");
+        let make = || {
+            observed(typed_workloads(
+                seed,
+                n,
+                ops_per_proc,
+                &regs,
+                &max_regs,
+                &value,
+            ))
+        };
+        let got = run_script_on(&subject(&layout), make(), &script);
+        let want = run_script_on(&model(&layout), make(), &script);
         assert!(
-            on_lockfree.iter().any(|o| o.is_some()),
+            want.iter().any(|o| o.is_some()),
             "{tag}, seed {seed}: schedule drained no process at all"
         );
+        compare(got, want, format!("{tag}, seed {seed}"))?;
     }
+    Ok(())
+}
+
+/// The inline register paths under randomized interleavings (seqlock
+/// registers + combining max registers for these payloads). The payload
+/// fills both inline words, so a torn read or a lost combining write
+/// would diverge here with a replayable (seed, script) witness.
+#[test]
+fn interleaved_inline_workloads_agree_across_substrates() {
+    assert_eq!(
+        interleaved_divergence("inline", inline_payload, AtomicMemory::new),
+        Ok(())
+    );
+}
+
+/// The same randomized-interleaving differential for oversized
+/// payloads, pinning the pointer-publication paths behind the
+/// representation dispatch.
+#[test]
+fn interleaved_oversized_workloads_agree_across_substrates() {
+    assert_eq!(
+        interleaved_divergence("oversized", oversized_payload, AtomicMemory::new),
+        Ok(())
+    );
+}
+
+fn inline_payload(v: u64) -> (u64, u64) {
+    (v, v.wrapping_mul(3))
+}
+
+fn oversized_payload(v: u64) -> [u64; 3] {
+    [v, v + 1, v + 2]
 }
 
 /// Genuinely threaded combining-max differential: unique keys make the
 /// final state deterministic, so after all writers join, the combining
-/// register must hold exactly what the lock-based reference holds
-/// after the same (sequentially applied) write set.
+/// register must hold exactly what the model's max register holds
+/// after the same write set, applied as a sequence of `MaxWrite`s.
 #[test]
 fn threaded_combining_max_final_state_matches_lock_reference() {
-    use sift::shmem::max_register::{LockFreeMaxRegister, LockMaxRegister};
+    use sift::shmem::max_register::LockFreeMaxRegister;
     use std::sync::Arc;
 
     let (threads, writes) = (8u64, 400u64);
     let combining: Arc<LockFreeMaxRegister<(u32, u32)>> = Arc::new(LockFreeMaxRegister::new());
     assert!(combining.is_combining());
-    let reference: LockMaxRegister<(u32, u32)> = LockMaxRegister::new();
     let handles: Vec<_> = (0..threads)
         .map(|t| {
             let combining = Arc::clone(&combining);
@@ -194,100 +262,128 @@ fn threaded_combining_max_final_state_matches_lock_reference() {
     for h in handles {
         h.join().unwrap();
     }
+    let mut b = LayoutBuilder::new();
+    let m = b.max_register();
+    let mut reference = Memory::new(&b.build());
     for t in 0..threads {
         for k in 0..writes {
-            reference.write(k * threads + t, (t as u32, k as u32));
+            let write = Op::MaxWrite(m, k * threads + t, (t as u32, k as u32));
+            reference.execute(write).expect_ack();
         }
     }
-    assert_eq!(combining.read(), reference.read());
+    assert_eq!(
+        combining.read(),
+        reference.execute(Op::MaxRead(m)).expect_max()
+    );
 }
 
-/// The sifting conciliator, run in lockstep from identical seeds, must
-/// produce identical personas on both substrates.
-#[test]
-fn sifting_conciliator_outcomes_agree_across_substrates() {
-    let n = 8;
+/// A conciliator, run in lockstep from identical seeds, must observe
+/// the model's results and produce the model's personas: `n`
+/// participants of `allocate`'s conciliator with inputs
+/// `first_input..`, ten seeds.
+fn conciliator_divergence<C: Conciliator, M: ExecuteOps<Persona>>(
+    n: usize,
+    allocate: fn(&mut LayoutBuilder, usize, Epsilon) -> C,
+    first_input: u64,
+    subject: impl Fn(&Layout) -> M,
+) -> Divergence {
     for seed in 0..10u64 {
         let mut b = LayoutBuilder::new();
-        let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
+        let c = allocate(&mut b, n, Epsilon::HALF);
         let layout = b.build();
-        let make_procs = || {
-            let split = SeedSplitter::new(seed);
-            split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng))
+        let procs = || {
+            observed(SeedSplitter::new(seed).processes(n, |pid, rng| {
+                c.participant(pid, first_input + pid.index() as u64, rng)
+            }))
         };
-        let on_lockfree = run_lockstep_on(&LockFreeMemory::new(&layout), make_procs());
-        let on_coarse = run_lockstep_on(&CoarseMemory::new(&layout), make_procs());
-        assert_eq!(on_lockfree, on_coarse, "seed {seed}");
+        let got = run_lockstep_on(&subject(&layout), procs());
+        let want = run_lockstep_on(&model(&layout), procs());
+        compare(got, want, format!("seed {seed}"))?;
     }
+    Ok(())
 }
 
-/// The fuzzer's coverage-novel schedules, replayed as differential
-/// inputs: every corpus script — an adversary interleaving the fuzzer
-/// found interesting enough to keep — must drive both substrates *and*
+fn sifting_divergence<M: ExecuteOps<Persona>>(subject: impl Fn(&Layout) -> M) -> Divergence {
+    conciliator_divergence(8, SiftingConciliator::allocate, 0, subject)
+}
+
+/// The snapshot conciliator's scan-heavy access pattern exercises the
+/// copy-on-write scan views hardest.
+fn snapshot_divergence<M: ExecuteOps<Persona>>(subject: impl Fn(&Layout) -> M) -> Divergence {
+    conciliator_divergence(6, SnapshotConciliator::allocate, 100, subject)
+}
+
+#[test]
+fn sifting_conciliator_outcomes_agree_across_substrates() {
+    assert_eq!(sifting_divergence(AtomicMemory::new), Ok(()));
+}
+
+#[test]
+fn snapshot_conciliator_outcomes_agree_across_substrates() {
+    assert_eq!(snapshot_divergence(AtomicMemory::new), Ok(()));
+}
+
+/// The process count of the fuzz campaign below.
+const CORPUS_N: usize = 6;
+
+/// The corpus of one fuzz campaign against the unmodified sifter,
+/// run once per test binary.
+fn corpus() -> &'static [Vec<usize>] {
+    static CORPUS: OnceLock<Vec<Vec<usize>>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let config = FuzzConfig {
+            n: CORPUS_N,
+            generations: 4,
+            population: 8,
+            seed: 0xD1FF,
+            ..FuzzConfig::default()
+        };
+        let campaign = run_fuzz(&config);
+        assert!(
+            campaign.violations.is_empty(),
+            "the unmodified sifter must be clean: {}",
+            campaign.violations[0]
+        );
+        assert!(
+            !campaign.corpus_scripts.is_empty(),
+            "corpus must not be empty"
+        );
+        campaign.corpus_scripts
+    })
+}
+
+/// The fuzzer's coverage-novel schedules as differential inputs: every
+/// corpus script — an adversary interleaving the fuzzer found
+/// interesting enough to keep — must drive the subject, the model and
 /// the simulator engine to identical decisions (and hence identical
 /// survivor sets). Coverage-guided schedules exercise interleavings
 /// hand-written differential seeds never reach: solo bursts, stalled
 /// front-runners, crash-truncated prefixes.
-#[test]
-fn fuzz_corpus_replays_agree_across_substrates_and_engine() {
-    let config = FuzzConfig {
-        n: 6,
-        generations: 4,
-        population: 8,
-        seed: 0xD1FF,
-        ..FuzzConfig::default()
-    };
-    let campaign = run_fuzz(&config);
-    assert!(
-        campaign.violations.is_empty(),
-        "the unmodified sifter must be clean: {}",
-        campaign.violations[0]
-    );
-    assert!(
-        !campaign.corpus_scripts.is_empty(),
-        "corpus must not be empty"
-    );
-
+fn fuzz_corpus_divergence<M: ExecuteOps<Persona>>(subject: impl Fn(&Layout) -> M) -> Divergence {
     let mut b = LayoutBuilder::new();
-    let c = SiftingConciliator::allocate(&mut b, config.n, Epsilon::HALF);
+    let c = SiftingConciliator::allocate(&mut b, CORPUS_N, Epsilon::HALF);
     let layout = b.build();
     let make_procs = |seed: u64| {
         let split = SeedSplitter::new(seed);
-        split.processes(config.n, |pid, rng| {
+        split.processes(CORPUS_N, |pid, rng| {
             c.participant(pid, pid.index() as u64, rng)
         })
     };
-
-    for (idx, script) in campaign.corpus_scripts.iter().enumerate() {
+    for (idx, script) in corpus().iter().enumerate() {
         // Corpus scripts name processes 0..n of the campaign's size.
         let seed = 900 + idx as u64;
         let on_engine = replay_report(&layout, make_procs(seed), script).outputs;
-        let on_lockfree = run_script_on(&LockFreeMemory::new(&layout), make_procs(seed), script);
-        let on_coarse = run_script_on(&CoarseMemory::new(&layout), make_procs(seed), script);
-        assert_eq!(
-            on_engine, on_lockfree,
-            "corpus script {idx}: engine vs lock-free"
-        );
-        assert_eq!(
-            on_lockfree, on_coarse,
-            "corpus script {idx}: lock-free vs coarse"
-        );
-        // Survivor sets: the distinct decided personas must coincide.
-        // Personas are identified by their origin process (no Ord on
-        // the full struct), which is exactly the survivor identity the
-        // round histories track.
-        let survivors = |outs: &[Option<sift::core::Persona>]| {
-            let mut s: Vec<_> = outs.iter().flatten().map(|p| p.origin()).collect();
-            s.sort();
-            s.dedup();
-            s
-        };
-        assert_eq!(
-            survivors(&on_engine),
-            survivors(&on_coarse),
-            "corpus script {idx}: survivor sets diverge"
-        );
+        let on_model = run_script_on(&model(&layout), make_procs(seed), script);
+        assert_eq!(on_engine, on_model, "corpus script {idx}: engine vs model");
+        let on_subject = run_script_on(&subject(&layout), make_procs(seed), script);
+        compare(on_subject, on_model, format!("corpus script {idx}"))?;
     }
+    Ok(())
+}
+
+#[test]
+fn fuzz_corpus_replays_agree_across_substrates_and_engine() {
+    assert_eq!(fuzz_corpus_divergence(AtomicMemory::new), Ok(()));
 }
 
 /// Regular-register mode with every overlap resolved to the new value
@@ -328,55 +424,113 @@ fn fuzz_corpus_replays_agree_between_atomic_and_always_new_regular() {
             let mut engine = sift::sim::Engine::new(&layout, make_procs(seed));
             engine.enable_trace();
             engine.set_register_semantics(semantics);
-            engine.run(FixedSchedule::from_indices(script.iter().copied()))
+            let report = engine.run(FixedSchedule::from_indices(script.iter().copied()));
+            let events = report.trace.map(|t| t.events().to_vec());
+            (report.outputs, report.metrics, events)
         };
         let atomic = replay_under(RegisterSemantics::Atomic);
         let regular = replay_under(RegisterSemantics::Regular(Resolution::AlwaysNew));
-        assert_eq!(
-            atomic.outputs, regular.outputs,
-            "corpus script {idx}: outputs diverge"
-        );
-        assert_eq!(
-            atomic.metrics, regular.metrics,
-            "corpus script {idx}: metrics diverge"
-        );
-        assert_eq!(
-            atomic.trace.as_ref().map(|t| t.events()),
-            regular.trace.as_ref().map(|t| t.events()),
-            "corpus script {idx}: traces diverge"
-        );
+        assert_eq!(regular, atomic, "corpus script {idx}");
     }
 }
 
-/// Same differential for the snapshot conciliator, whose scan-heavy
-/// access pattern exercises the copy-on-write scan views hardest.
-#[test]
-fn snapshot_conciliator_outcomes_agree_across_substrates() {
-    let n = 6;
-    for seed in 0..10u64 {
-        let mut b = LayoutBuilder::new();
-        let c = SnapshotConciliator::allocate(&mut b, n, Epsilon::HALF);
-        let layout = b.build();
-        let make_procs = || {
-            let split = SeedSplitter::new(seed);
-            split.processes(n, |pid, rng| {
-                c.participant(pid, 100 + pid.index() as u64, rng)
-            })
-        };
-        let on_lockfree = run_lockstep_on(&LockFreeMemory::new(&layout), make_procs());
-        let on_coarse = run_lockstep_on(&CoarseMemory::new(&layout), make_procs());
-        assert_eq!(on_lockfree, on_coarse, "seed {seed}");
+/// The two test-side faults of [`Mutant`].
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// Every `k`-th write (register, snapshot component or max
+    /// register) is acknowledged and dropped.
+    DropsWrite(u64),
+    /// Every `k`-th scan of an object returns the view its previous
+    /// scan returned.
+    StaleScan(u64),
+}
+
+/// `AtomicMemory` broken by one [`Fault`]. The differentials run it in
+/// lockstep, so its op counter makes the fault deterministic.
+struct Mutant<V: Value> {
+    memory: AtomicMemory<V>,
+    fault: Fault,
+    count: AtomicU64,
+    last_scans: Mutex<HashMap<usize, OpResult<V>>>,
+}
+
+impl<V: Value> Mutant<V> {
+    fn build(fault: Fault) -> impl Fn(&Layout) -> Self {
+        move |layout: &Layout| Mutant {
+            memory: AtomicMemory::new(layout),
+            fault,
+            count: AtomicU64::new(0),
+            last_scans: Mutex::new(HashMap::new()),
+        }
     }
+
+    /// Counts one faultable operation; true on every `k`-th.
+    fn kth(&self, k: u64) -> bool {
+        (self.count.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(k)
+    }
+}
+
+impl<V: Value> ExecuteOps<V> for Mutant<V> {
+    fn execute(&self, op: Op<V>) -> OpResult<V> {
+        match (self.fault, &op) {
+            (
+                Fault::DropsWrite(k),
+                Op::RegisterWrite(..) | Op::SnapshotUpdate(..) | Op::MaxWrite(..),
+            ) if self.kth(k) => OpResult::Ack,
+            (Fault::StaleScan(k), &Op::SnapshotScan(s)) => {
+                let fresh = self.memory.execute(op);
+                let mut last = self.last_scans.lock().unwrap();
+                match last.insert(s.index(), fresh.clone()) {
+                    Some(previous) if self.kth(k) => previous,
+                    _ => fresh,
+                }
+            }
+            _ => self.memory.execute(op),
+        }
+    }
+}
+
+/// Each differential still catches a broken lock-free side: every one
+/// reports the dropped writes (the tests above demand that the
+/// unmodified `AtomicMemory` never diverges). Only the raw workload
+/// sees the stale scans: the interleaved workloads never scan, and the
+/// conciliators run in lockstep round robin, where every update of a
+/// round lands before any scan, so consecutive scans see one view.
+#[test]
+fn differentials_catch_a_broken_lock_free_side() {
+    let caught = |name: &str, expected: [bool; 2], differential: &dyn Fn(Fault) -> Divergence| {
+        let mutants = [Fault::DropsWrite(3), Fault::StaleScan(3)];
+        let verdicts = mutants.map(|fault| differential(fault).is_err());
+        assert_eq!(verdicts, expected, "{name}: caught {mutants:?}");
+    };
+    caught("raw ops", [true, true], &|f| {
+        raw_ops_divergence(Mutant::build(f))
+    });
+    caught("inline", [true, false], &|f| {
+        interleaved_divergence("inline", inline_payload, Mutant::build(f))
+    });
+    caught("oversized", [true, false], &|f| {
+        interleaved_divergence("oversized", oversized_payload, Mutant::build(f))
+    });
+    caught("sifting", [true, false], &|f| {
+        sifting_divergence(Mutant::build(f))
+    });
+    caught("snapshot", [true, false], &|f| {
+        snapshot_divergence(Mutant::build(f))
+    });
+    caught("fuzz corpus", [true, false], &|f| {
+        fuzz_corpus_divergence(Mutant::build(f))
+    });
 }
 
 /// Served-stack differential: the stack `ShardCore` decides a batch
 /// with — a `ConsensusProtocol` of `SnapshotConciliator` and
 /// `GafniSnapshotAc` phases, one participant per proposal, randomness
 /// from the service's `(seed, shard, instance)` streams — built fresh
-/// here for every batch and driven by the one lockstep loop over both
-/// threaded substrates *and* the simulator's `Memory` the service
-/// decides on. Any substrate divergence that survives the protocol stack
-/// would surface here as a different decided value, phase count or step
+/// here for every batch and driven by the one lockstep loop over
+/// `AtomicMemory` *and* the simulator's `Memory` the service decides
+/// on. Any substrate divergence that survives the protocol stack would
+/// surface here as a different decided value, phase count or step
 /// count.
 ///
 /// Each batch is also put through real `DeterministicService`s, whose
@@ -422,7 +576,7 @@ fn service_commit_streams_agree_across_substrates() {
 
 /// Replays `fact`'s instance — `values` proposed in order to shard 0 of
 /// a one-shard service under `config` — on a fresh full stack at the
-/// shard's phase budget: the three memories must agree, and the run must
+/// shard's phase budget: the two memories must agree, and the run must
 /// have decided the fact's `(value, phases)`.
 fn assert_fact_names_a_fresh_stacks_outcome(
     config: &sift::service::ShardConfig,
@@ -431,8 +585,7 @@ fn assert_fact_names_a_fresh_stacks_outcome(
 ) {
     use sift::adopt_commit::GafniSnapshotAc;
     use sift::consensus::{ConsensusOutcome, ConsensusProtocol};
-    use sift::core::Persona;
-    use sift::sim::{drive_lockstep, Memory};
+    use sift::sim::drive_lockstep;
 
     let k = values.len();
     let shard_seed = SeedSplitter::new(config.seed).seed("shard", 0);
@@ -457,15 +610,13 @@ fn assert_fact_names_a_fresh_stacks_outcome(
             })
             .collect::<Vec<_>>()
     };
-    let on_lockfree = run_lockstep_on(&LockFreeMemory::new(&layout), participants());
-    let on_coarse = run_lockstep_on(&CoarseMemory::new(&layout), participants());
+    let on_lockfree = run_lockstep_on(&AtomicMemory::new(&layout), participants());
     let mut served: Memory<Persona> = Memory::new(&layout);
     let on_served = drive_lockstep(participants(), |_, op| served.execute(op));
     let context = format!(
         "service seed {}, instance {}, batch {k}",
         config.seed, fact.instance
     );
-    assert_eq!(on_lockfree, on_coarse, "{context}: substrates diverge");
     assert_eq!(on_lockfree, on_served, "{context}: served memory diverges");
 
     let decision = on_served
