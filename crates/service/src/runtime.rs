@@ -11,6 +11,7 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
+use std::time::{Duration, Instant};
 
 /// One-shot channel: a [`Sender`](oneshot::Sender) half that delivers at
 /// most one value and a [`Receiver`](oneshot::Receiver) half that is a
@@ -35,7 +36,9 @@ pub mod oneshot {
 
     /// The sending half; delivering is infallible bookkeeping even if
     /// the receiver has been dropped (the value is simply discarded).
-    pub struct Sender<T>(Arc<Inner<T>>);
+    /// `send` takes the channel out, so the drop path only runs for a
+    /// sender that never sent.
+    pub struct Sender<T>(Option<Arc<Inner<T>>>);
 
     impl<T> std::fmt::Debug for Sender<T> {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -70,15 +73,16 @@ pub mod oneshot {
         let inner = Arc::new(Inner {
             state: Mutex::new(State::Empty(None)),
         });
-        (Sender(Arc::clone(&inner)), Receiver(inner))
+        (Sender(Some(Arc::clone(&inner))), Receiver(inner))
     }
 
     impl<T> Sender<T> {
         /// Delivers `value`. Returns it back if the receiver is gone —
         /// callers that treat cancellation as uninteresting can ignore
         /// the result.
-        pub fn send(self, value: T) -> Result<(), T> {
-            let mut state = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
+        pub fn send(mut self, value: T) -> Result<(), T> {
+            let inner = self.0.take().expect("only `send` takes the channel");
+            let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
             match std::mem::replace(&mut *state, State::Closed) {
                 State::Empty(waker) => {
                     *state = State::Value(value);
@@ -98,10 +102,11 @@ pub mod oneshot {
 
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            let mut state = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
-            // `send` consumes the sender, so this also runs right after
-            // a successful send — only a still-empty channel means the
-            // sender is going away without a value.
+            // After `send` there is no channel left to lock.
+            let Some(inner) = self.0.take() else { return };
+            let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
+            // The receiver may already be gone (`Closed`); only a
+            // still-empty channel learns that no value is coming.
             if matches!(*state, State::Empty(_)) {
                 if let State::Empty(waker) = std::mem::replace(&mut *state, State::SenderGone) {
                     drop(state);
@@ -150,8 +155,19 @@ impl Wake for ThreadUnparker {
     }
 }
 
-/// Drives `future` to completion on the current thread, parking between
-/// polls. This is how plain (OS-thread) clients wait on a proposal.
+/// How long [`block_on`] spins on a pending future before it parks:
+/// long enough to cover a shard worker's wake-up plus a k = 8 tick.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// Drives `future` to completion on the current thread. This is how
+/// plain (OS-thread) clients wait on a proposal.
+///
+/// After a `Pending` poll it spins for up to `SPIN` (50 µs) watching
+/// for the wake, then parks. A reply that lands inside the window costs
+/// the waking thread no futex wake (`unpark` of a running thread is a
+/// store) and this thread no trip through the scheduler. Such a wake
+/// leaves the thread's park token set; the park loop absorbs it, so a
+/// later wait still waits.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let mut future = std::pin::pin!(future);
     let unparker = Arc::new(ThreadUnparker {
@@ -163,6 +179,10 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
     loop {
         if let Poll::Ready(out) = future.as_mut().poll(&mut cx) {
             return out;
+        }
+        let give_up = Instant::now() + SPIN;
+        while !unparker.notified.load(Ordering::Relaxed) && Instant::now() < give_up {
+            std::hint::spin_loop();
         }
         while !unparker.notified.swap(false, Ordering::Acquire) {
             std::thread::park();
@@ -203,6 +223,37 @@ mod tests {
             tx.send(99u64).unwrap();
         });
         assert_eq!(block_on(rx), Ok(99));
+        sender.join().unwrap();
+    }
+
+    /// Pending on its first poll, but wakes itself before returning, the
+    /// way a reply that lands during the spin does: `block_on` sees the
+    /// wake without parking, so the thread's park token stays set.
+    struct WakesWhilePending(bool);
+
+    impl Future for WakesWhilePending {
+        type Output = u8;
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<u8> {
+            if std::mem::replace(&mut self.0, true) {
+                return Poll::Ready(1);
+            }
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        }
+    }
+
+    #[test]
+    fn block_on_after_a_spun_wake_still_waits() {
+        assert_eq!(block_on(WakesWhilePending(false)), 1);
+        // The leftover token makes the next `park` return at once; the
+        // second wait must absorb it and keep waiting for the send.
+        let (tx, rx) = oneshot::channel();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            tx.send(2u8).unwrap();
+        });
+        assert_eq!(block_on(rx), Ok(2));
         sender.join().unwrap();
     }
 }

@@ -8,10 +8,21 @@
 //! already-decided instance resolve immediately from the table;
 //! proposals that land on an open instance within the same shard tick
 //! are batched into one consensus run.
+//!
+//! Each worker has a doorbell, a `parked` flag. A worker that finds
+//! nothing to do raises its flag, re-checks its shards' `dirty` flags
+//! and the stop flags, and parks only if all are clear; `propose` raises
+//! `dirty` and then unparks the owning worker only if its flag is up.
+//! Both sides store, then load, under `SeqCst`, so at least one sees the
+//! other's store and no wake-up is lost; no timeout backs it up.
+//! Stopping unparks every worker unconditionally. A waiting client
+//! spins briefly before it parks ([`block_on`]); a worker never spins,
+//! so it does not snatch the first proposal of a burst and the rest
+//! still batch with it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use sift_obs::ObsReport;
 
@@ -53,15 +64,8 @@ struct Inner {
     /// Crash injection: when set, workers exit *without* the shutdown
     /// drain, leaving queued proposals in their shards' inboxes.
     abort: AtomicBool,
-    wake_lock: Mutex<()>,
-    wake: Condvar,
-}
-
-impl Inner {
-    fn notify(&self) {
-        let _guard = self.wake_lock.lock().unwrap_or_else(|e| e.into_inner());
-        self.wake.notify_all();
-    }
+    /// Worker `w`'s doorbell: up while it is about to park or parked.
+    parked: Vec<AtomicBool>,
 }
 
 /// The running service. Cheap to share behind an [`Arc`]; consumed by
@@ -105,10 +109,11 @@ impl Service {
                 .collect(),
             shutdown: AtomicBool::new(false),
             abort: AtomicBool::new(false),
-            wake_lock: Mutex::new(()),
-            wake: Condvar::new(),
+            parked: (0..config.workers)
+                .map(|_| AtomicBool::new(false))
+                .collect(),
         });
-        let workers = spawn_workers(&inner, config.workers);
+        let workers = spawn_workers(&inner);
         Self {
             inner,
             workers,
@@ -143,8 +148,11 @@ impl Service {
             })
         };
         if pending {
-            slot.dirty.store(true, Ordering::Release);
-            self.inner.notify();
+            slot.dirty.store(true, Ordering::SeqCst);
+            let owner = shard % self.inner.parked.len();
+            if self.inner.parked[owner].load(Ordering::SeqCst) {
+                self.workers[owner].thread().unpark();
+            }
         }
         ProposeFuture { receiver: rx }
     }
@@ -216,18 +224,13 @@ impl Service {
     /// identically — the recovery invariant `tests/service_crash.rs`
     /// checks.
     pub fn restart_workers(&mut self) {
-        let count = self.workers.len();
-        self.inner.abort.store(true, Ordering::Release);
-        self.inner.notify();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.inner.abort.store(true, Ordering::SeqCst);
+        self.join_workers();
         self.inner.abort.store(false, Ordering::Release);
         for slot in &self.inner.slots {
             slot.dirty.store(true, Ordering::Release);
         }
-        self.workers = spawn_workers(&self.inner, count);
-        self.inner.notify();
+        self.workers = spawn_workers(&self.inner);
     }
 
     /// Stops the workers, drains every shard one final time (pending
@@ -244,11 +247,19 @@ impl Service {
         self.obs_report()
     }
 
-    /// Raises `shutdown`, wakes every worker and joins them (each
-    /// drains its shards before exiting).
+    /// Raises `shutdown` and joins the workers (each drains its shards
+    /// before exiting).
     fn stop_workers(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.notify();
+        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.join_workers();
+    }
+
+    /// Unparks every worker, whatever its doorbell says, and joins them
+    /// all; the caller has raised `shutdown` or `abort`.
+    fn join_workers(&mut self) {
+        for worker in &self.workers {
+            worker.thread().unpark();
+        }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -257,29 +268,32 @@ impl Service {
 
 /// A service that goes out of scope without [`shutdown`](Service::shutdown)
 /// (an early return, a panicking test) still stops its workers: left
-/// detached they would hold the shard tables and wake every millisecond
-/// for the life of the process. After `shutdown` there is nothing left
-/// to join.
+/// detached they would stay parked holding the shard tables for the
+/// life of the process. After `shutdown` there is nothing left to join.
 impl Drop for Service {
     fn drop(&mut self) {
         self.stop_workers();
     }
 }
 
-fn spawn_workers(inner: &Arc<Inner>, count: usize) -> Vec<std::thread::JoinHandle<()>> {
-    (0..count)
+/// One worker per doorbell; worker `w` owns shards `w, w + workers, …`.
+fn spawn_workers(inner: &Arc<Inner>) -> Vec<std::thread::JoinHandle<()>> {
+    (0..inner.parked.len())
         .map(|w| {
             let inner = Arc::clone(inner);
             std::thread::Builder::new()
                 .name(format!("sift-shard-{w}"))
-                .spawn(move || worker_loop(&inner, w, count))
+                .spawn(move || worker_loop(&inner, w))
                 .expect("spawn shard worker")
         })
         .collect()
 }
 
-fn worker_loop(inner: &Arc<Inner>, worker: usize, stride: usize) {
-    let owned: Vec<usize> = (worker..inner.slots.len()).step_by(stride).collect();
+fn worker_loop(inner: &Arc<Inner>, worker: usize) {
+    let owned: Vec<usize> = (worker..inner.slots.len())
+        .step_by(inner.parked.len())
+        .collect();
+    let doorbell = &inner.parked[worker];
     loop {
         if inner.abort.load(Ordering::Acquire) {
             // Simulated crash: die without the shutdown drain; queued
@@ -309,13 +323,19 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize, stride: usize) {
             }
             return;
         }
-        // The timeout bounds the residual lost-wakeup window (a client
-        // can set `dirty` between our scan and this wait).
-        let guard = inner.wake_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = inner
-            .wake
-            .wait_timeout(guard, Duration::from_millis(1))
-            .unwrap_or_else(|e| e.into_inner());
+        // Raise the doorbell, then look again: a `propose` that set
+        // `dirty` after our scan either shows here or sees the doorbell
+        // up and unparks us (both sides store, then load, `SeqCst`).
+        doorbell.store(true, Ordering::SeqCst);
+        let woken = owned
+            .iter()
+            .any(|&index| inner.slots[index].dirty.load(Ordering::SeqCst))
+            || inner.shutdown.load(Ordering::SeqCst)
+            || inner.abort.load(Ordering::SeqCst);
+        if !woken {
+            std::thread::park();
+        }
+        doorbell.store(false, Ordering::Relaxed);
     }
 }
 
@@ -344,6 +364,8 @@ impl std::future::Future for ProposeFuture {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
 
     #[test]
     fn propose_decides_and_is_idempotent() {
@@ -376,6 +398,50 @@ mod tests {
         assert!(value < 8, "validity");
         assert!(facts.iter().all(|f| *f == facts[0]), "agreement");
         Arc::try_unwrap(service).ok().unwrap().shutdown();
+    }
+
+    /// With no polling timeout behind the doorbell, a lost wake-up is a
+    /// client blocked forever, so every configuration runs under a
+    /// watchdog: 20 000 closed-loop round trips on fresh instances.
+    #[test]
+    fn closed_loop_round_trips_never_lose_a_wakeup() {
+        const ROUND_TRIPS: u64 = 20_000;
+        const WATCHDOG: Duration = Duration::from_secs(60);
+        for (workers, shards, clients) in [(1, 1, 1), (1, 4, 1), (2, 4, 1), (4, 8, 1), (4, 8, 4)] {
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let service = Arc::new(Service::start(ServiceConfig {
+                    shards,
+                    workers,
+                    ..ServiceConfig::default()
+                }));
+                let per_client = ROUND_TRIPS / clients;
+                let handles: Vec<_> = (0..clients)
+                    .map(|c| {
+                        let service = Arc::clone(&service);
+                        std::thread::spawn(move || {
+                            for i in c * per_client..(c + 1) * per_client {
+                                let fact = service.propose_sync(InstanceId(i), i % 16).unwrap();
+                                assert_eq!(fact.value, i % 16);
+                            }
+                        })
+                    })
+                    .collect();
+                for handle in handles {
+                    handle.join().unwrap();
+                }
+                let report = Arc::try_unwrap(service).ok().unwrap().shutdown();
+                done.send(report.count("service.decided")).unwrap();
+            });
+            let config = format!("{workers} workers, {shards} shards, {clients} clients");
+            match finished.recv_timeout(WATCHDOG) {
+                Ok(decided) => assert_eq!(decided, ROUND_TRIPS, "{config}"),
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("{config}: no progress in {WATCHDOG:?}, a wake-up was lost")
+                }
+                Err(RecvTimeoutError::Disconnected) => panic!("{config}: a client failed"),
+            }
+        }
     }
 
     #[test]
@@ -454,11 +520,8 @@ mod tests {
         });
         // Kill the worker so the first poll is certain to find the
         // proposal undecided.
-        service.inner.abort.store(true, Ordering::Release);
-        service.inner.notify();
-        for worker in service.workers.drain(..) {
-            worker.join().unwrap();
-        }
+        service.inner.abort.store(true, Ordering::SeqCst);
+        service.join_workers();
         let mut future = std::pin::pin!(service.propose(InstanceId(3), 9));
         let wakes = Arc::new(CountingWaker(Default::default()));
         let waker = Waker::from(Arc::clone(&wakes));
@@ -468,7 +531,7 @@ mod tests {
 
         // A new worker finds the shard dirty and decides.
         service.inner.abort.store(false, Ordering::Release);
-        service.workers = spawn_workers(&service.inner, 1);
+        service.workers = spawn_workers(&service.inner);
         let deadline = Instant::now() + Duration::from_secs(30);
         while wakes.0.load(Ordering::Acquire) == 0 {
             assert!(

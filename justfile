@@ -19,8 +19,9 @@ fmt-check:
 # two keep the workspace at one build configuration: no `cfg(feature …)`
 # in any source file, no `[features]` table in any manifest; the next
 # keeps JSON in `sift_obs::json` — no hand-escaped key anywhere else;
-# the last keeps one reference per layer, the model (no lock-based
-# object copies, no frozen engine copy).
+# the next keeps one reference per layer, the model (no lock-based
+# object copies, no frozen engine copy); the last keeps the service's
+# workers behind their doorbells (no condvar, no polling timeout).
 clippy: api-audit
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -29,6 +30,7 @@ clippy: api-audit
     ! grep -rn '^\[features\]' Cargo.toml crates/*/Cargo.toml
     ! grep -rnE '\\"[A-Za-z_.]+\\": ?' crates/*/src src examples --include=*.rs --exclude=json.rs
     ! grep -rnwE 'CoarseMemory|ObjectMemory|LegacyEngine|LockRegister|LockMaxRegister|CoarseSnapshot' --include=*.rs crates src tests examples
+    ! grep -rnE 'Condvar|wait_timeout|notify_all|wake_lock' crates/service/src
 
 # Per crate: how many distinct `pub` item names its `src/` declares, and
 # which of them no `.rs` file outside that `src/` mentions (DESIGN.md,
@@ -110,9 +112,10 @@ conformance:
 # (evictions, zero capacity, cancellation) — each at worker counts
 # 1, 4, and 8 — the crash-recovery suite, the allocations-per-decision
 # gate, the served-stack ↔ engine pin in cross_runtime (phase 1 under
-# round robin, phase 2 reachable when interleaved), plus a small
-# load-generator smoke run. The first two lines keep the
-# sift-service → sift-shmem and sift-bench → sift-shmem edges cut.
+# round robin, phase 2 reachable when interleaved), the doorbell
+# stress test at release speed, plus a small load-generator smoke run.
+# The first two lines keep the sift-service → sift-shmem and
+# sift-bench → sift-shmem edges cut.
 service:
     ! cargo tree -p sift-service -e normal --offline | grep -q sift-shmem
     ! cargo tree -p sift-bench -e normal --offline | grep -q sift-shmem
@@ -120,6 +123,7 @@ service:
         --test service_negative --test substrate_differential \
         --test decide_allocations --test service_crash --test cross_runtime
     cargo test -q -p sift-service
+    cargo test -q --release -p sift-service closed_loop
     SIFT_SERVICE_PROPOSALS=50000 SIFT_SERVICE_INSTANCES=5000 \
         cargo run --release -p sift-bench --bin exp -- service
 
