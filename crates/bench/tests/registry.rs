@@ -1,7 +1,9 @@
 //! The registry is the only list of experiments. These tests hold
 //! everything derived from it — `run_all`, `exp list`, `--help`, the
 //! README's experiment table — to it, and hold it to the order `exp_all`
-//! ran its tables in before the registry existed.
+//! ran its tables in before the registry existed. The last test holds
+//! `examples/` to the same standard: every example is run by CI and listed
+//! by the README.
 
 use std::process::Command;
 
@@ -163,5 +165,53 @@ fn readme_experiment_table_equals_exp_list() {
         table,
         exp_list(),
         "README's experiment table is stale: paste the output of `exp list`"
+    );
+}
+
+/// The names `--example <name>` picks out of `text`, in order.
+fn example_args(text: &str) -> Vec<String> {
+    text.split("--example")
+        .skip(1)
+        .filter_map(|rest| rest.split_whitespace().next())
+        .map(str::to_owned)
+        .collect()
+}
+
+/// Every file in `examples/` is run by CI, and README's "Runnable
+/// examples" block lists exactly those files: an example nothing runs is
+/// an example nothing checks.
+#[test]
+fn every_example_is_run_by_ci_and_listed_in_readme() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let mut examples: Vec<String> = std::fs::read_dir(format!("{root}/examples"))
+        .expect("examples/ at the workspace root")
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+        .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    examples.sort();
+
+    let ci = std::fs::read_to_string(format!("{root}/.github/workflows/ci.yml"))
+        .expect("the CI workflow");
+    let run_by_ci = example_args(&ci);
+    let unrun: Vec<&String> = examples
+        .iter()
+        .filter(|name| !run_by_ci.contains(name))
+        .collect();
+    assert!(
+        unrun.is_empty(),
+        "examples no CI job runs with `--example <name>`: {unrun:?}"
+    );
+
+    let readme = std::fs::read_to_string(format!("{root}/README.md")).expect("README.md");
+    let (_, after) = readme
+        .split_once("Runnable examples:\n\n```console\n")
+        .expect("README has a `Runnable examples:` ```console block");
+    let (block, _) = after.split_once("```").expect("the block is closed");
+    let mut listed = example_args(block);
+    listed.sort();
+    assert_eq!(
+        listed, examples,
+        "README's `Runnable examples` block must list exactly the files in examples/"
     );
 }

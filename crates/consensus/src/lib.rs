@@ -16,22 +16,16 @@
 //! * [`linear_work_consensus`] — Corollary 3: additionally `O(n)`
 //!   expected total steps.
 //! * [`cil_consensus`] — the Chor–Israeli–Li baseline.
-//!
-//! On top of single-shot consensus, [`log::ReplicatedLog`] provides
-//! state-machine replication: a sequence of slots, each decided by one
-//! consensus instance, with per-proposer FIFO commit order.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod framework;
-pub mod log;
 pub mod protocols;
 
 pub use framework::{
     check_consensus, ConsensusOutcome, ConsensusParticipant, ConsensusProtocol, Decision,
 };
-pub use log::{LogParticipant, ReplicatedLog};
 pub use protocols::{
     cil_consensus, linear_work_consensus, max_register_consensus, sifting_consensus,
     snapshot_consensus, CilConsensus, LinearWorkConsensus, MaxRegisterConsensus, SiftingConsensus,

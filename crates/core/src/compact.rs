@@ -31,7 +31,8 @@ use crate::params::Epsilon;
 ///
 /// ```
 /// use sift_core::compact::PackedPersona;
-/// let p = PackedPersona::pack(5, &[true, false, true], false, 4);
+/// // coin 0 | chooseWrite bits 1,0,1 (round 2 first) | input 5 in 4 bits
+/// let p = PackedPersona(0b0_101_0101);
 /// assert_eq!(p.input(4), 5);
 /// assert!(p.wants_write(0, 4));
 /// assert!(!p.wants_write(1, 4));
@@ -49,7 +50,7 @@ impl PackedPersona {
     ///
     /// Panics if the pieces do not fit in 64 bits or the input code is
     /// too large.
-    pub fn pack(input: u64, choose_write: &[bool], coin: bool, input_bits: u32) -> Self {
+    pub(crate) fn pack(input: u64, choose_write: &[bool], coin: bool, input_bits: u32) -> Self {
         assert!(
             input_bits + (choose_write.len() as u32) < 64,
             "packed persona needs {} bits, only 64 available",

@@ -153,13 +153,6 @@ pub fn sifting_p(n: u64, i: u32) -> f64 {
     p.clamp(f64::MIN_POSITIVE, 1.0)
 }
 
-/// Harmonic number `H_k = Σ_{j=1..k} 1/j` (used in Lemma 1's analysis
-/// checks).
-#[cfg(test)]
-pub(crate) fn harmonic(k: u64) -> f64 {
-    (1..=k).map(|j| 1.0 / j as f64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,15 +281,5 @@ mod tests {
     fn sifting_p_degenerate_n() {
         assert_eq!(sifting_p(1, 1), 1.0);
         assert_eq!(sifting_p(2, 1), 1.0);
-    }
-
-    #[test]
-    fn harmonic_values() {
-        assert!((harmonic(1) - 1.0).abs() < 1e-12);
-        assert!((harmonic(4) - (1.0 + 0.5 + 1.0 / 3.0 + 0.25)).abs() < 1e-12);
-        // H_k <= ln k + 1.
-        for k in [10u64, 100, 1000] {
-            assert!(harmonic(k) <= (k as f64).ln() + 1.0);
-        }
     }
 }

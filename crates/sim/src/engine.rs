@@ -755,6 +755,7 @@ mod tests {
         let procs = vec![WriteRead::new(r, 7), WriteRead::new(r, 8)];
         let mut saw_write = false;
         let mut saw_read = false;
+        let mut ops_seen = 0;
         let report = Engine::new(&layout, procs).run_adaptive(|view| {
             for (_, _, op) in view.live {
                 match op {
@@ -763,13 +764,15 @@ mod tests {
                     _ => {}
                 }
             }
-            let _ = view.memory.peek_register(r);
+            ops_seen = view.memory.ops_executed();
             view.live.iter().map(|(pid, _, _)| *pid).max().unwrap()
         });
         assert!(
             saw_write && saw_read,
             "adversary observes pending operations"
         );
+        // The last choice is made with three of the four ops executed.
+        assert_eq!(ops_seen, 3, "adversary observes memory");
         assert!(report.all_decided());
     }
 

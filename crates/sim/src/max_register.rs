@@ -29,36 +29,25 @@ use crate::value::Value;
 #[derive(Debug, Clone)]
 pub struct MaxRegister<V> {
     entry: Option<(u64, V)>,
-    writes: u64,
-    reads: u64,
 }
 
 // Manual impl: the derive would demand `V: Default`, but an empty max
 // register is ⊥ for any value type (required by the paged lazy memory).
 impl<V> Default for MaxRegister<V> {
     fn default() -> Self {
-        Self {
-            entry: None,
-            writes: 0,
-            reads: 0,
-        }
+        Self { entry: None }
     }
 }
 
 impl<V: Value> MaxRegister<V> {
     /// Creates an empty max register.
     pub fn new() -> Self {
-        Self {
-            entry: None,
-            writes: 0,
-            reads: 0,
-        }
+        Self::default()
     }
 
     /// Writes `(key, value)`; retained only if `key` strictly exceeds the
     /// current maximum key.
     pub fn write(&mut self, key: u64, value: V) {
-        self.writes += 1;
         match &self.entry {
             Some((current, _)) if *current >= key => {}
             _ => self.entry = Some((key, value)),
@@ -67,26 +56,7 @@ impl<V: Value> MaxRegister<V> {
 
     /// Reads the current maximum entry; `None` if never written.
     pub fn read(&mut self) -> Option<(u64, &V)> {
-        self.reads += 1;
         self.entry.as_ref().map(|(k, v)| (*k, v))
-    }
-
-    /// Returns the current maximum entry without counting a read.
-    #[cfg(test)]
-    pub(crate) fn peek(&self) -> Option<(u64, &V)> {
-        self.entry.as_ref().map(|(k, v)| (*k, v))
-    }
-
-    /// Number of write operations executed.
-    #[cfg(test)]
-    pub(crate) fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Number of read operations executed.
-    #[cfg(test)]
-    pub(crate) fn read_count(&self) -> u64 {
-        self.reads
     }
 }
 
@@ -130,15 +100,5 @@ mod tests {
             assert!(k >= last_key, "max register key must be monotone");
             last_key = k;
         }
-    }
-
-    #[test]
-    fn counts_ops() {
-        let mut m = MaxRegister::new();
-        m.write(1, ());
-        let _ = m.read();
-        assert_eq!(m.write_count(), 1);
-        assert_eq!(m.read_count(), 1);
-        assert!(m.peek().is_some());
     }
 }

@@ -263,21 +263,6 @@ impl<V: Value> Memory<V> {
         self.ops_executed
     }
 
-    /// Read-only access to a register, for probes and assertions.
-    /// Registers never operated on read as ⊥ without materializing.
-    #[cfg(test)]
-    pub(crate) fn peek_register(&self, id: RegisterId) -> Option<&V> {
-        self.registers.get(id.index()).and_then(Register::peek)
-    }
-
-    /// Read-only access to a max register, for probes and assertions.
-    #[cfg(test)]
-    pub(crate) fn peek_max_register(&self, id: MaxRegisterId) -> Option<(u64, &V)> {
-        self.max_registers
-            .get(id.index())
-            .and_then(MaxRegister::peek)
-    }
-
     /// Register slots whose backing page has been materialized — an
     /// allocation probe for the lazy-memory guarantee (untouched slots
     /// cost nothing beyond the page table).
@@ -376,17 +361,16 @@ mod tests {
         let mut mem: Memory<u32> = Memory::new(&b.build());
         assert_eq!(mem.materialized_registers(), 0);
         assert_eq!(mem.materialized_max_registers(), 0);
-        // Peeks see ⊥ without materializing anything.
-        assert_eq!(mem.peek_register(regs[999_999]), None);
-        assert_eq!(mem.peek_max_register(maxes[0]), None);
-        assert_eq!(mem.materialized_registers(), 0);
         // An operation materializes only the touched page.
         mem.execute(Op::RegisterWrite(regs[123_456], 5))
             .expect_ack();
         mem.execute(Op::MaxWrite(maxes[7], 1, 2)).expect_ack();
         assert!(mem.materialized_registers() < 5_000);
         assert!(mem.materialized_max_registers() < 5_000);
-        assert_eq!(mem.peek_register(regs[123_456]), Some(&5));
+        assert_eq!(
+            mem.execute(Op::RegisterRead(regs[123_456])).expect_register(),
+            Some(5)
+        );
     }
 
     #[test]
@@ -482,14 +466,5 @@ mod tests {
         mem.execute(Op::RegisterWrite(r, 1)).expect_ack();
         mem.execute(Op::RegisterWrite(r, 2)).expect_ack();
         assert_eq!(mem.execute(Op::RegisterRead(r)).expect_register(), Some(2));
-    }
-
-    #[test]
-    fn peeks_do_not_count() {
-        let (mut mem, r, _, m) = small_memory();
-        mem.execute(Op::RegisterWrite(r, 1)).expect_ack();
-        assert_eq!(mem.peek_register(r), Some(&1));
-        assert_eq!(mem.peek_max_register(m), None);
-        assert_eq!(mem.ops_executed(), 1);
     }
 }

@@ -86,19 +86,6 @@ impl<T: Default + Clone> Paged<T> {
     pub(crate) fn clear(&mut self) {
         self.pages.fill(None);
     }
-
-    /// Iterates the materialized entries as `(index, &entry)`.
-    #[cfg(test)]
-    pub(crate) fn iter_materialized(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.pages.iter().enumerate().flat_map(|(p, page)| {
-            page.iter().flat_map(move |entries| {
-                entries
-                    .iter()
-                    .enumerate()
-                    .map(move |(j, e)| (p * PAGE + j, e))
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -122,19 +109,6 @@ mod tests {
         assert_eq!(p.get(1), Some(&0), "same page defaults are visible");
         assert_eq!(p.get(5 * PAGE + 3), Some(&2));
         assert_eq!(p.get(2 * PAGE), None);
-    }
-
-    #[test]
-    fn iter_materialized_yields_touched_pages_in_order() {
-        let mut p: Paged<u32> = Paged::new(3 * PAGE);
-        *p.get_mut(2 * PAGE) = 9;
-        let firsts: Vec<usize> = p
-            .iter_materialized()
-            .filter(|&(_, v)| *v == 9)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(firsts, vec![2 * PAGE]);
-        assert_eq!(p.iter_materialized().count(), PAGE);
     }
 
     #[test]

@@ -27,8 +27,6 @@ pub struct Register<V> {
     /// (0 = never written; the clock starts at 1).
     first_write_at: u64,
     last_write_at: u64,
-    writes: u64,
-    reads: u64,
 }
 
 // Manual impl: the derive would demand `V: Default`, but an empty
@@ -40,8 +38,6 @@ impl<V> Default for Register<V> {
             prev: None,
             first_write_at: 0,
             last_write_at: 0,
-            writes: 0,
-            reads: 0,
         }
     }
 }
@@ -54,13 +50,11 @@ impl<V: Value> Register<V> {
 
     /// Reads the register; `None` is ⊥.
     pub fn read(&mut self) -> Option<&V> {
-        self.reads += 1;
         self.value.as_ref()
     }
 
     /// Writes `value`.
     pub fn write(&mut self, value: V) {
-        self.writes += 1;
         self.prev = self.value.replace(value);
     }
 
@@ -91,7 +85,6 @@ impl<V: Value> Register<V> {
     ///   it executed after `epoch` it overlaps the read. Either way a
     ///   regular register may return it.
     pub(crate) fn read_stale(&mut self, epoch: u64) -> Option<&V> {
-        self.reads += 1;
         if self.last_write_at <= epoch {
             self.value.as_ref()
         } else if self.first_write_at > epoch {
@@ -107,25 +100,6 @@ impl<V: Value> Register<V> {
     pub(crate) fn written_since(&self, epoch: u64) -> bool {
         self.last_write_at > epoch
     }
-
-    /// Returns the current value without counting a read (for probes and
-    /// assertions, not for protocol logic).
-    #[cfg(test)]
-    pub(crate) fn peek(&self) -> Option<&V> {
-        self.value.as_ref()
-    }
-
-    /// Number of write operations executed.
-    #[cfg(test)]
-    pub(crate) fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Number of read operations executed.
-    #[cfg(test)]
-    pub(crate) fn read_count(&self) -> u64 {
-        self.reads
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +110,6 @@ mod tests {
     fn starts_at_bottom() {
         let mut r: Register<u64> = Register::new();
         assert_eq!(r.read(), None);
-        assert_eq!(r.peek(), None);
     }
 
     #[test]
@@ -145,17 +118,6 @@ mod tests {
         r.write(1u8);
         r.write(2u8);
         assert_eq!(r.read(), Some(&2));
-    }
-
-    #[test]
-    fn counts_ops() {
-        let mut r = Register::new();
-        r.write(1u8);
-        let _ = r.read();
-        let _ = r.read();
-        let _ = r.peek();
-        assert_eq!(r.write_count(), 1);
-        assert_eq!(r.read_count(), 2);
     }
 
     #[test]
@@ -175,7 +137,6 @@ mod tests {
         assert_eq!(r.read_stale(0), None);
         assert!(r.written_since(5));
         assert!(!r.written_since(7));
-        assert_eq!(r.read_count(), 5);
     }
 
     #[test]

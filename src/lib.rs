@@ -24,3 +24,8 @@ pub use sift_service as service;
 pub use sift_shmem as shmem;
 pub use sift_sim as sim;
 pub use sift_tas as tas;
+
+// README's quick start runs as a doc-test of this crate.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
