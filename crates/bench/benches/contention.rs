@@ -111,13 +111,8 @@ fn bench_rounds(b: &mut Bencher, threads: usize, pin: bool, op: impl Fn(usize, u
     });
     let snap = sift_shmem::obs::snapshot();
     println!(
-        "substrate: cas_retries={} republish_conflicts={} inline_write_retries={} \
-         inline_read_retries={} reclaim_passes={}",
-        snap.slot_cas_retries,
-        snap.republish_conflicts,
-        snap.inline_write_retries,
-        snap.inline_read_retries,
-        snap.reclaim_passes,
+        "substrate: cas_retries={} republish_conflicts={} reclaim_passes={}",
+        snap.slot_cas_retries, snap.republish_conflicts, snap.reclaim_passes,
     );
 }
 
@@ -161,7 +156,6 @@ fn bench_register_contention(c: &mut Criterion) {
     for t in sweep {
         group.bench_function(format!("lockfree/t{t}"), |b| {
             let reg: LockFreeRegister<u64> = LockFreeRegister::new();
-            assert!(reg.is_inline(), "u64 registers must take the inline path");
             bench_rounds(b, t, pin, |t, k| {
                 if k % WRITE_EVERY == 0 {
                     reg.write((t * OPS + k) as u64);
@@ -191,10 +185,6 @@ fn bench_max_register_contention(c: &mut Criterion) {
     for t in sweep {
         group.bench_function(format!("lockfree/t{t}"), |b| {
             let max: LockFreeMaxRegister<u64> = LockFreeMaxRegister::new();
-            assert!(
-                max.is_combining(),
-                "u64 max registers must take the combining path"
-            );
             bench_rounds(b, t, pin, |t, k| {
                 if k % WRITE_EVERY == 0 {
                     max.write((t * OPS + k) as u64, t as u64);

@@ -5,17 +5,14 @@
 //! machines on OS threads:
 //!
 //! * [`register::LockFreeRegister`] — lock-free linearizable MWMR
-//!   register (an allocation-free inline seqlock cell for ≤16-byte
-//!   trivially-destructible values, pointer publication for the rest).
+//!   register: pointer publication with interval-stamp reclamation.
 //! * [`snapshot::LockFreeSnapshot`] — lock-free snapshot: versioned
 //!   copy-on-write publication with `O(1)` wait-free scans.
 //!   [`snapshot::WaitFreeSnapshot`] is the Afek et al. construction
 //!   from single-writer registers, the one the paper's unit-cost
 //!   accounting abstracts away.
-//! * [`max_register::LockFreeMaxRegister`] — max register with a
-//!   combining announce-array fast path for small values (concurrent
-//!   writers collapse into `O(1)` amortized CAS traffic) and a
-//!   compare-exchange publication path for the rest;
+//! * [`max_register::LockFreeMaxRegister`] — max register: a
+//!   compare-exchange publication loop on the monotone key;
 //!   [`max_register::TreeMaxRegister`] is the switch-trie construction
 //!   from monotone circuits (footnote 1's object, built from plain
 //!   bits).
@@ -32,8 +29,8 @@
 //!
 //! All `unsafe` in the crate lives in two audited leaf modules: the
 //! private `lockfree` module (pointer publication with reader-gated
-//! reclamation, plus the inline seqlock cells' bitwise payload
-//! encoding) and the tiny [`affinity`] module (one raw
+//! reclamation, the one publication scheme every object above is built
+//! from) and the tiny [`affinity`] module (one raw
 //! `sched_setaffinity` syscall for bench core pinning); everything
 //! else forbids it.
 //!

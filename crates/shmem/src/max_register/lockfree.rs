@@ -1,41 +1,19 @@
-//! Lock-free max register: a combining announce array for small
-//! payloads, a compare-exchange loop on a monotone key for the rest.
+//! Lock-free max register: a compare-exchange loop on a monotone key.
 
-use crate::lockfree::{inline_ok, CombiningMax, Pile, Slot};
+use crate::lockfree::{Pile, Slot};
 
 use sift_sim::Value;
 
-/// A lock-free linearizable max register with a combining fast path.
+/// A lock-free linearizable max register over any value type.
 ///
-/// The representation is chosen once, at construction, from the value
-/// type (the branch is const-foldable, so each monomorphization
-/// compiles to a single path):
-///
-/// * **Combining** — values that fit 16 bytes and have no destructor
-///   use an allocation-free combining cell (`CombiningMax` in the
-///   `lockfree` module): the authoritative maximum lives inline behind
-///   a monotone claim/done stamp pair, concurrent writers publish into
-///   per-thread cache-padded announce cells, and a single claim winner
-///   installs the batch maximum — so `w` concurrent writes collapse
-///   into `O(1)` amortized CAS traffic on the hot word, and a dominated
-///   write finishes with one shared load and **zero RMWs**. Reads are
-///   pure loads validated on the stamp.
-/// * **Published** — larger or `Drop`-carrying values keep the original
-///   path: the maximum lives in one publication slot, `write` runs a
-///   compare-exchange loop that re-reads and re-decides on every
-///   conflict, and displaced nodes go through interval-stamp
-///   reclamation.
-///
-/// Both paths keep the same semantics: the published key sequence is
-/// strictly increasing, ties keep the first value (matching the
-/// simulator's [`MaxRegister`](sift_sim::max_register::MaxRegister)),
-/// and a dropped write linearizes at the load that observed a key at
-/// least as large. DESIGN.md ("Combining max register") carries the
-/// correctness sketch — in particular why a losing combiner's value is
-/// always covered by the winner's install.
-///
-/// Keys must stay below `u64::MAX` (the combining stamp encoding
-/// reserves it); both paths enforce this.
+/// The maximum lives in one publication slot; `write` runs a
+/// compare-exchange loop that re-reads and re-decides on every
+/// conflict, and displaced nodes go through interval-stamp
+/// reclamation. The published key sequence is strictly increasing,
+/// ties keep the first value (matching the simulator's
+/// [`MaxRegister`](sift_sim::max_register::MaxRegister)), and a dropped
+/// write linearizes at the load that observed a key at least as large
+/// (DESIGN.md, "Linearization points"). Every `u64` is a valid key.
 ///
 /// # Examples
 ///
@@ -49,17 +27,9 @@ use sift_sim::Value;
 /// ```
 #[derive(Debug)]
 pub struct LockFreeMaxRegister<V: Value> {
-    repr: MaxRepr<V>,
-}
-
-/// The two max-register representations, both boxed: the combining
-/// cell carries a cache-padded announce array (~2 KiB) and the
-/// published form a dormant `Pile` of the same order, so the register
-/// itself stays pointer-sized either way.
-#[derive(Debug)]
-enum MaxRepr<V: Value> {
-    Combining(Box<CombiningMax<V>>),
-    Published(Box<PublishedMax<V>>),
+    /// Boxed: a `Pile` is ~2 KiB of cache-padded stripes, and the
+    /// register stays pointer-sized.
+    cell: Box<PublishedMax<V>>,
 }
 
 #[derive(Debug)]
@@ -71,44 +41,25 @@ struct PublishedMax<V: Value> {
 impl<V: Value> LockFreeMaxRegister<V> {
     /// Creates an empty max register.
     pub fn new() -> Self {
-        let repr = if inline_ok::<V>() {
-            MaxRepr::Combining(Box::new(CombiningMax::new()))
-        } else {
-            MaxRepr::Published(Box::new(PublishedMax {
+        Self {
+            cell: Box::new(PublishedMax {
                 pile: Pile::new(),
                 slot: Slot::new(),
-            }))
-        };
-        Self { repr }
-    }
-
-    /// Whether this register uses the inline combining path
-    /// (diagnostic; decided by the value type at construction).
-    pub fn is_combining(&self) -> bool {
-        matches!(self.repr, MaxRepr::Combining(_))
+            }),
+        }
     }
 
     /// Writes `(key, value)`, kept only if `key` exceeds the current
-    /// maximum. Panics if `key == u64::MAX` (reserved by the stamp
-    /// encoding).
+    /// maximum.
     pub fn write(&self, key: u64, value: V) {
-        assert!(key < u64::MAX, "max-register keys must be below u64::MAX");
-        match &self.repr {
-            MaxRepr::Combining(cell) => cell.write(key, value),
-            MaxRepr::Published(p) => {
-                let guard = p.pile.enter();
-                p.slot
-                    .publish_max((key, value), &p.pile, &guard, |current| current.0 >= key);
-            }
-        }
+        let PublishedMax { pile, slot } = &*self.cell;
+        let guard = pile.enter();
+        slot.publish_max((key, value), pile, &guard, |current| current.0 >= key);
     }
 
     /// Reads the current maximum entry.
     pub fn read(&self) -> Option<(u64, V)> {
-        match &self.repr {
-            MaxRepr::Combining(cell) => cell.read(),
-            MaxRepr::Published(p) => p.slot.read_cloned(&p.pile),
-        }
+        self.cell.slot.read_cloned(&self.cell.pile)
     }
 }
 
@@ -135,14 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn representation_follows_value_type() {
-        assert!(LockFreeMaxRegister::<u64>::new().is_combining());
-        assert!(LockFreeMaxRegister::<(u32, u32)>::new().is_combining());
-        assert!(!LockFreeMaxRegister::<String>::new().is_combining());
-        assert!(!LockFreeMaxRegister::<[u64; 3]>::new().is_combining());
-    }
-
-    #[test]
     fn published_path_keeps_maximum_and_first_on_tie() {
         let m: LockFreeMaxRegister<String> = LockFreeMaxRegister::new();
         assert_eq!(m.read(), None);
@@ -151,13 +94,6 @@ mod tests {
         m.write(7, "c".into());
         m.write(7, "d".into());
         assert_eq!(m.read(), Some((7, "c".to_string())));
-    }
-
-    #[test]
-    #[should_panic(expected = "below u64::MAX")]
-    fn reserved_key_is_rejected_on_every_path() {
-        let m: LockFreeMaxRegister<String> = LockFreeMaxRegister::new();
-        m.write(u64::MAX, "x".into());
     }
 
     #[test]
@@ -196,9 +132,7 @@ mod tests {
 
     #[test]
     fn concurrent_writes_on_published_path_keep_global_maximum() {
-        // Oversized payloads force the pointer-publication path.
         let m: Arc<LockFreeMaxRegister<[u64; 3]>> = Arc::new(LockFreeMaxRegister::new());
-        assert!(!m.is_combining());
         let writers: Vec<_> = (0..4u64)
             .map(|t| {
                 let m = Arc::clone(&m);

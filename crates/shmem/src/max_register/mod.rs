@@ -1,10 +1,7 @@
 //! Max registers for real threads.
 //!
-//! * [`LockFreeMaxRegister`] — a combining announce array for ≤16-byte
-//!   trivially-destructible values (one winner installs a whole batch
-//!   of concurrent writes; dominated writes finish with a single shared
-//!   load), falling back to a compare-exchange loop on the monotone key
-//!   for larger values; what
+//! * [`LockFreeMaxRegister`] — a compare-exchange loop on the monotone
+//!   key over one publication slot, for any value type; what
 //!   [`AtomicMemory`](crate::memory::AtomicMemory) uses. The suites
 //!   check it against the model's max register under one lock.
 //! * [`TreeMaxRegister`] — the Aspnes–Attiya–Censor-Hillel bounded max

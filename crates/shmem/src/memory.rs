@@ -3,11 +3,10 @@
 //! Two memories execute the model's [`Op`]s from any thread:
 //!
 //! * [`AtomicMemory`] — the lock-free objects ([`LockFreeRegister`],
-//!   [`LockFreeSnapshot`], [`LockFreeMaxRegister`]); registers and max
-//!   registers holding small `Copy`-like payloads take allocation-free
-//!   inline fast paths (seqlock cells and a combining announce array)
-//!   instead of pointer publication. What the runtime's conveniences
-//!   and the benchmark ledger use.
+//!   [`LockFreeSnapshot`], [`LockFreeMaxRegister`]), every one of them
+//!   pointer publication with interval-stamp reclamation, whatever the
+//!   payload. What the runtime's conveniences and the benchmark ledger
+//!   use.
 //! * `Mutex<sift_sim::Memory<V>>` — the model itself, the sequential
 //!   spec under one lock: obviously atomic, and the one reference the
 //!   runtime, history, cross-runtime, linearizability and differential
@@ -151,6 +150,23 @@ mod tests {
 
         exercise(&AtomicMemory::new(&layout), (r, s, m));
         exercise(&Mutex::new(Memory::new(&layout)), (r, s, m));
+    }
+
+    /// Every `u64` is a max-register key, `u64::MAX` included: the
+    /// model takes it, so the lock-free side must too.
+    #[test]
+    fn max_write_takes_every_key_like_the_model() {
+        let mut b = LayoutBuilder::new();
+        let m = b.max_register();
+        let layout = b.build();
+        let run = |mem: &dyn ExecuteOps<u32>| {
+            mem.execute(Op::MaxWrite(m, u64::MAX, 7)).expect_ack();
+            mem.execute(Op::MaxWrite(m, 3, 8)).expect_ack();
+            mem.execute(Op::MaxRead(m)).expect_max()
+        };
+        let model = run(&Mutex::new(Memory::new(&layout)));
+        assert_eq!(model, Some((u64::MAX, 7)));
+        assert_eq!(run(&AtomicMemory::new(&layout)), model);
     }
 
     #[test]

@@ -1,35 +1,16 @@
 //! Linearizable multi-writer multi-reader registers for real threads.
 
-use crate::lockfree::{inline_ok, Pile, SeqCell, Slot};
+use crate::lockfree::{Pile, Slot};
 
 use sift_sim::Value;
 
-/// A lock-free MWMR register over any value type, with an
-/// allocation-free inline fast path for small payloads.
+/// A lock-free MWMR register over any value type.
 ///
-/// The representation is chosen once, at construction, from the value
-/// type (the branch is const-foldable, so each monomorphization
-/// compiles to a single path):
-///
-/// * **Inline** — values that fit 16 bytes and have no destructor live
-///   directly in a seqlock cell (`SeqCell` in the `lockfree` module):
-///   writes are a claim CAS plus plain stores, reads are pure loads
-///   with sequence validation. No allocation, no node retirement, no
-///   reader guards anywhere on the path. Writes linearize at the
-///   sequence publish store, reads at the first sequence load of the
-///   validated attempt.
-/// * **Published** — larger or `Drop`-carrying values keep the original
-///   pointer-publication path: writes publish an immutable heap node
-///   with a single swap (wait-free), reads dereference and clone under
-///   a reader guard, and displaced nodes go through interval-stamp
-///   reclamation. A write linearizes at its swap, a read at its pointer
-///   load.
-///
-/// On the inline path writers serialize on the claim word (a stalled
-/// mid-publication writer delays other writers and makes readers of
-/// that cell retry); the published path keeps the stronger lock-free
-/// guarantee. DESIGN.md ("Inline seqlock registers") argues the
-/// linearizability of both.
+/// Writes publish an immutable heap node with a single swap
+/// (wait-free), reads dereference and clone under a reader guard, and
+/// displaced nodes go through interval-stamp reclamation. A write
+/// linearizes at its swap, a read at its pointer load (DESIGN.md,
+/// "Linearization points").
 ///
 /// # Examples
 ///
@@ -39,24 +20,12 @@ use sift_sim::Value;
 /// assert_eq!(r.read(), None);
 /// r.write("hello".to_string());
 /// assert_eq!(r.read(), Some("hello".to_string()));
-///
-/// let small: LockFreeRegister<(u64, u64)> = LockFreeRegister::new();
-/// assert!(small.is_inline());
-/// small.write((1, 2));
-/// assert_eq!(small.read(), Some((1, 2)));
 /// ```
 #[derive(Debug)]
 pub struct LockFreeRegister<V: Value> {
-    repr: Repr<V>,
-}
-
-/// The two register representations. `Published` is boxed so an inline
-/// register stays a cache-line pair instead of carrying a dormant
-/// `Pile` (which is ~2 KiB of stripes) in its footprint.
-#[derive(Debug)]
-enum Repr<V: Value> {
-    Inline(SeqCell<V>),
-    Published(Box<Published<V>>),
+    /// Boxed: a `Pile` is ~2 KiB of cache-padded stripes, and the
+    /// register stays pointer-sized.
+    cell: Box<Published<V>>,
 }
 
 #[derive(Debug)]
@@ -74,37 +43,22 @@ impl<V: Value> Default for LockFreeRegister<V> {
 impl<V: Value> LockFreeRegister<V> {
     /// Creates a register holding ⊥.
     pub fn new() -> Self {
-        let repr = if inline_ok::<V>() {
-            Repr::Inline(SeqCell::new())
-        } else {
-            Repr::Published(Box::new(Published {
+        Self {
+            cell: Box::new(Published {
                 pile: Pile::new(),
                 slot: Slot::new(),
-            }))
-        };
-        Self { repr }
-    }
-
-    /// Whether this register uses the inline seqlock path (diagnostic;
-    /// decided by the value type at construction).
-    pub fn is_inline(&self) -> bool {
-        matches!(self.repr, Repr::Inline(_))
+            }),
+        }
     }
 
     /// Reads the register (`None` is ⊥).
     pub fn read(&self) -> Option<V> {
-        match &self.repr {
-            Repr::Inline(cell) => cell.read(),
-            Repr::Published(p) => p.slot.read_cloned(&p.pile),
-        }
+        self.cell.slot.read_cloned(&self.cell.pile)
     }
 
     /// Writes `value`.
     pub fn write(&self, value: V) {
-        match &self.repr {
-            Repr::Inline(cell) => cell.write(value),
-            Repr::Published(p) => p.slot.store(value, &p.pile),
-        }
+        self.cell.slot.store(value, &self.cell.pile);
     }
 }
 
@@ -120,17 +74,6 @@ mod tests {
         r.write("a".to_string());
         r.write("b".to_string());
         assert_eq!(r.read(), Some("b".to_string()));
-    }
-
-    #[test]
-    fn representation_follows_value_type() {
-        // Small trivially-destructible payloads take the inline path.
-        assert!(LockFreeRegister::<u64>::new().is_inline());
-        assert!(LockFreeRegister::<(u64, u64)>::new().is_inline());
-        assert!(LockFreeRegister::<[u8; 16]>::new().is_inline());
-        // Oversized or Drop-carrying payloads keep pointer publication.
-        assert!(!LockFreeRegister::<String>::new().is_inline());
-        assert!(!LockFreeRegister::<[u64; 3]>::new().is_inline());
     }
 
     #[test]

@@ -30,6 +30,7 @@ clippy: api-audit
     ! grep -rn '^\[features\]' Cargo.toml crates/*/Cargo.toml
     ! grep -rnE '\\"[A-Za-z_.]+\\": ?' crates/*/src src examples --include=*.rs --exclude=json.rs
     ! grep -rnwE 'CoarseMemory|ObjectMemory|LegacyEngine|LockRegister|LockMaxRegister|CoarseSnapshot' --include=*.rs crates src tests examples
+    ! grep -rnwE 'SeqCell|PairCell|CombiningMax|inline_ok|is_inline|is_combining' --include=*.rs crates src tests examples
     ! grep -rnE 'Condvar|wait_timeout|notify_all|wake_lock' crates/service/src
 
 # Per crate: how many distinct `pub` item names its `src/` declares, and

@@ -99,9 +99,8 @@ fn mixed_instance(seed: u64, n: usize, ops_per_proc: usize) -> (Layout, Vec<Rand
 }
 
 /// A pre-generated operation sequence over an arbitrary value type —
-/// the value-generic sibling of [`RandomWorkload`], for histories of
-/// the register paths whose representation depends on the value type
-/// (inline seqlock for ≤16-byte payloads, pointer publication beyond).
+/// the value-generic sibling of [`RandomWorkload`], for register and
+/// max-register histories over payloads wider than a word.
 #[derive(Clone)]
 struct TypedWorkload<V> {
     ops: Vec<Op<V>>,
@@ -274,34 +273,16 @@ fn threaded_max_register_histories_linearize() {
     check_max_register_histories("max", |v| v);
 }
 
-/// The inline seqlock register path (16-byte payloads): threaded
-/// histories must linearize. `(u64, u64)` fills both inline words, so a
-/// torn read — half of one write, half of another — would be caught
-/// here as a value no write produced.
-#[test]
-fn threaded_inline_register_histories_linearize() {
-    check_register_histories("inline-reg", |v| (v, v.wrapping_mul(3)));
-}
-
-/// The pointer-publication register path (oversized payloads):
-/// threaded histories must still linearize after the inline-path
-/// refactor pushed it behind a representation dispatch.
+/// Threaded register histories over a three-word payload must
+/// linearize: a torn read — part of one write, part of another — would
+/// be caught as a value no write produced.
 #[test]
 fn threaded_published_register_histories_linearize() {
     check_register_histories("boxed-reg", |v| [v, v + 1, v + 2]);
 }
 
-/// The combining max-register path (inline payloads): threaded
-/// histories must linearize — in particular, a write that returned
-/// because a combiner covered it must be explainable as a dominated
-/// write at some point inside its invocation interval.
-#[test]
-fn threaded_combining_max_register_histories_linearize() {
-    check_max_register_histories("combine-max", |v| (v, v.wrapping_mul(7)));
-}
-
-/// The pointer-publication max-register path (oversized payloads) must
-/// still linearize behind the representation dispatch.
+/// Threaded max-register histories over a three-word payload must
+/// linearize.
 #[test]
 fn threaded_published_max_register_histories_linearize() {
     check_max_register_histories("boxed-max", |v| [v, v + 1, v + 2]);
