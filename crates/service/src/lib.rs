@@ -41,9 +41,7 @@ use sift_obs::ObsReport;
 /// Merges per-shard observation reports into one: every key appears
 /// both per shard (`shardNNN.<key>`) and aggregated (`service.<key>`).
 /// Shard ids render zero-padded so the JSON key order is shard order.
-pub(crate) fn shard_obs_report<'a>(
-    shards: impl Iterator<Item = (u16, &'a ObsReport)>,
-) -> ObsReport {
+pub(crate) fn shard_obs_report(shards: impl Iterator<Item = (u16, ObsReport)>) -> ObsReport {
     let mut merged = ObsReport::new();
     for (id, obs) in shards {
         for (key, value) in obs.counters() {
@@ -76,7 +74,7 @@ mod tests {
         b.add_count("proposals", 4);
         b.observe_max("max_batch", 5);
         b.record_hist("batch_size", 1);
-        let merged = shard_obs_report([(0u16, &a), (1u16, &b)].into_iter());
+        let merged = shard_obs_report([(0u16, a), (1u16, b)].into_iter());
         assert_eq!(merged.count("shard000.proposals"), 3);
         assert_eq!(merged.count("shard001.proposals"), 4);
         assert_eq!(merged.count("service.proposals"), 7);

@@ -28,7 +28,7 @@ use sift_obs::ObsReport;
 
 use crate::fact::{CommitFact, InstanceId, ServiceError};
 use crate::runtime::{block_on, oneshot};
-use crate::shard::{shard_of, Proposal, ShardConfig, ShardCore, ShardStats};
+use crate::shard::{shard_of, Proposal, ShardConfig, ShardCore, ShardObs, ShardStats};
 use crate::shard_obs_report;
 
 /// Service-wide configuration.
@@ -197,18 +197,20 @@ impl Service {
     }
 
     /// A live snapshot of the merged observation report (per-shard
-    /// `shardNNN.*` keys plus `service.*` aggregates).
+    /// `shardNNN.*` keys plus `service.*` aggregates). Each shard's
+    /// typed record is copied under its lock and rendered after the
+    /// lock is released.
     pub(crate) fn obs_report(&self) -> ObsReport {
-        let shards: Vec<(u16, ObsReport)> = self
+        let shards: Vec<(u16, ShardObs)> = self
             .inner
             .slots
             .iter()
             .map(|slot| {
                 let core = slot.core.lock().unwrap_or_else(|e| e.into_inner());
-                (core.id(), core.obs().clone())
+                (core.id(), core.observations())
             })
             .collect();
-        shard_obs_report(shards.iter().map(|(id, obs)| (*id, obs)))
+        shard_obs_report(shards.into_iter().map(|(id, obs)| (id, obs.render())))
     }
 
     /// Crash injection: kills every worker thread *without* the
@@ -381,7 +383,8 @@ mod tests {
         let report = service.shutdown();
         assert_eq!(report.count("service.decided"), 1);
         assert_eq!(report.count("service.idempotent"), 1);
-        assert!(report.hist("service.latency_ns").is_some());
+        let latency = report.hist("service.latency_ns").unwrap();
+        assert_eq!(latency.count(), 2, "one latency per proposal resolved");
     }
 
     #[test]

@@ -28,6 +28,10 @@
 //! this layer does not provide"). Nothing here touches the threaded
 //! substrate (`sift-shmem`).
 //!
+//! A shard observes itself through a `Copy` record of typed fields —
+//! the hot paths add to a counter or record into a histogram, and the
+//! string-keyed [`ObsReport`] exists only once someone reads it.
+//!
 //! The core is single-owner and synchronous; the async frontend in
 //! [`service`](crate::service) wraps one core per shard in a mutex and
 //! ticks it from a worker thread, and the deterministic mode in
@@ -41,7 +45,7 @@ use std::time::Instant;
 use sift_adopt_commit::GafniSnapshotAc;
 use sift_consensus::{ConsensusOutcome, ConsensusProtocol};
 use sift_core::{Epsilon, Persona, SnapshotConciliator};
-use sift_obs::ObsReport;
+use sift_obs::{Histogram, ObsReport};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::{drive_lockstep, LayoutBuilder, Memory, ProcessId};
 
@@ -139,9 +143,69 @@ pub struct ShardCore {
     /// re-deciding a fresh instance.
     evicted: HashSet<InstanceId>,
     seq: u64,
-    obs: ObsReport,
+    obs: ShardObs,
     stacks: StackCache,
     grouping: Grouping,
+}
+
+/// What one shard has observed, one typed field per observation: the
+/// hot paths record with a plain add, `max` or [`Histogram::record`] —
+/// no key is looked up or built per proposal — and
+/// [`render`](Self::render) names the fields only when the report is
+/// read.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ShardObs {
+    proposals: u64,
+    idempotent: u64,
+    evicted_rejects: u64,
+    decided: u64,
+    cancelled: u64,
+    evictions: u64,
+    /// Shared-memory operations the served decisions executed, the
+    /// paper's cost unit; a lone proposer executes none.
+    ops: u64,
+    max_batch: u64,
+    batch_size: Histogram,
+    phases: Histogram,
+    latency_ns: Histogram,
+}
+
+impl ShardObs {
+    /// The record as an [`ObsReport`] under the keys a string-keyed
+    /// report would have grown: a key appears once something was
+    /// recorded into it, so a zero counter, the maximum of a shard that
+    /// decided nothing and an empty histogram are left out.
+    pub(crate) fn render(&self) -> ObsReport {
+        let mut report = ObsReport::new();
+        let counters = [
+            ("proposals", self.proposals),
+            ("idempotent", self.idempotent),
+            ("evicted_rejects", self.evicted_rejects),
+            ("decided", self.decided),
+            ("cancelled", self.cancelled),
+            ("evictions", self.evictions),
+            ("ops", self.ops),
+        ];
+        for (name, n) in counters {
+            if n > 0 {
+                report.add_count(name, n);
+            }
+        }
+        if self.decided > 0 {
+            report.observe_max("max_batch", self.max_batch);
+        }
+        let hists = [
+            ("batch_size", &self.batch_size),
+            ("phases", &self.phases),
+            ("latency_ns", &self.latency_ns),
+        ];
+        for (name, hist) in hists {
+            if !hist.is_empty() {
+                report.merge_hist(name, hist);
+            }
+        }
+        report
+    }
 }
 
 /// The stack every batch of two or more is decided by.
@@ -229,7 +293,7 @@ impl ShardCore {
             decided_order: VecDeque::new(),
             evicted: HashSet::new(),
             seq: 0,
-            obs: ObsReport::new(),
+            obs: ShardObs::default(),
             grouping: Grouping::default(),
         }
     }
@@ -246,15 +310,15 @@ impl ShardCore {
     /// Returns `true` if the proposal is waiting for a tick (the
     /// caller should schedule one).
     pub fn submit(&mut self, proposal: Proposal) -> bool {
-        self.obs.add_count("proposals", 1);
+        self.obs.proposals += 1;
         if let Some(fact) = self.decided.get(&proposal.instance) {
-            self.obs.add_count("idempotent", 1);
+            self.obs.idempotent += 1;
             let fact = fact.clone();
             self.complete(proposal, Ok(fact));
             return false;
         }
         if self.evicted.contains(&proposal.instance) {
-            self.obs.add_count("evicted_rejects", 1);
+            self.obs.evicted_rejects += 1;
             let instance = proposal.instance;
             self.complete(proposal, Err(ServiceError::Evicted(instance)));
             return false;
@@ -364,10 +428,10 @@ impl ShardCore {
             },
         };
         self.seq += 1;
-        self.obs.add_count("decided", 1);
-        self.obs.record_hist("batch_size", batch.len() as u64);
-        self.obs.record_hist("phases", decider_phases as u64);
-        self.obs.observe_max("max_batch", batch.len() as u64);
+        self.obs.decided += 1;
+        self.obs.batch_size.record(batch.len() as u64);
+        self.obs.phases.record(decider_phases as u64);
+        self.obs.max_batch = self.obs.max_batch.max(batch.len() as u64);
         fact
     }
 
@@ -387,6 +451,7 @@ impl ShardCore {
             })
             .collect();
         let outcomes = drive_lockstep(participants, |_, op| memory.execute(op));
+        self.obs.ops += memory.ops_executed();
         // Agreement is absolute, so the first decider speaks for all;
         // exhausted participants would have adopted the same value had
         // they been given more phases.
@@ -418,11 +483,12 @@ impl ShardCore {
     fn complete(&mut self, proposal: Proposal, result: Result<CommitFact, ServiceError>) {
         if let Some(submitted) = proposal.submitted {
             self.obs
-                .record_hist("latency_ns", submitted.elapsed().as_nanos() as u64);
+                .latency_ns
+                .record(submitted.elapsed().as_nanos() as u64);
         }
         if let Some(waiter) = proposal.waiter {
             if waiter.send(result).is_err() {
-                self.obs.add_count("cancelled", 1);
+                self.obs.cancelled += 1;
             }
         }
     }
@@ -434,7 +500,7 @@ impl ShardCore {
             };
             self.decided.remove(&oldest);
             self.evicted.insert(oldest);
-            self.obs.add_count("evictions", 1);
+            self.obs.evictions += 1;
         }
     }
 
@@ -447,7 +513,7 @@ impl ShardCore {
         }
         self.decided_order.retain(|&id| id != instance);
         self.evicted.insert(instance);
-        self.obs.add_count("evictions", 1);
+        self.obs.evictions += 1;
         true
     }
 
@@ -466,9 +532,15 @@ impl ShardCore {
         }
     }
 
-    /// This shard's observations so far.
-    pub(crate) fn obs(&self) -> &ObsReport {
-        &self.obs
+    /// This shard's observations so far, as a copy of the typed record
+    /// (cheap enough to take under a lock and render after it).
+    pub(crate) fn observations(&self) -> ShardObs {
+        self.obs
+    }
+
+    /// This shard's observations so far, rendered.
+    pub(crate) fn obs(&self) -> ObsReport {
+        self.obs.render()
     }
 }
 

@@ -368,7 +368,8 @@ mod tests {
         assert!(mem.materialized_registers() < 5_000);
         assert!(mem.materialized_max_registers() < 5_000);
         assert_eq!(
-            mem.execute(Op::RegisterRead(regs[123_456])).expect_register(),
+            mem.execute(Op::RegisterRead(regs[123_456]))
+                .expect_register(),
             Some(5)
         );
     }

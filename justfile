@@ -32,6 +32,7 @@ clippy: api-audit
     ! grep -rnwE 'CoarseMemory|ObjectMemory|LegacyEngine|LockRegister|LockMaxRegister|CoarseSnapshot' --include=*.rs crates src tests examples
     ! grep -rnwE 'SeqCell|PairCell|CombiningMax|inline_ok|is_inline|is_combining' --include=*.rs crates src tests examples
     ! grep -rnE 'Condvar|wait_timeout|notify_all|wake_lock' crates/service/src
+    ! grep -rnE '\bobs: ObsReport\b' crates/service/src
 
 # Per crate: how many distinct `pub` item names its `src/` declares, and
 # which of them no `.rs` file outside that `src/` mentions (DESIGN.md,

@@ -7,10 +7,13 @@
 //! `base_phases: 2`, ticked every 64 instances — under a counting
 //! `#[global_allocator]`, so a change that brings per-decision
 //! construction back (a stack, a memory, a grouping map or an
-//! observation key built per batch) fails `cargo test`. The
-//! `ObsReport` recording methods sit on the same per-proposal and
-//! per-decision paths and are held to zero here too; the library crates
-//! forbid `unsafe`, so the allocator lives in this test binary.
+//! observation key built per batch) fails `cargo test`. A repeat
+//! proposal on a decided instance — the table hit a repeat-heavy
+//! workload is made of — is held to zero. The served path records into
+//! typed fields, not through `ObsReport`; the simulator and the
+//! experiment harness still do, so its recording methods are held to
+//! zero on existing keys too. The library crates forbid `unsafe`, so the
+//! allocator lives in this test binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -105,6 +108,24 @@ fn a_batch_of_eight_allocates_at_most_thirty_five_times() {
         per_decision <= 35.0,
         "{per_decision} allocations per decision"
     );
+}
+
+#[test]
+fn a_repeat_proposal_never_allocates() {
+    let mut svc = DeterministicService::new(4, ShardConfig::default());
+    for instance in 0..1_000 {
+        svc.propose(InstanceId(instance), instance % 16, 0);
+    }
+    svc.tick_all();
+    let repeats = allocations_during(|| {
+        for i in 0..10_000u64 {
+            svc.propose(InstanceId(i * 7 % 1_000), i % 16, i);
+        }
+    });
+    assert_eq!(repeats, 0, "a table hit must not allocate");
+    let report = svc.obs_report();
+    assert_eq!(report.count("service.idempotent"), 10_000);
+    assert_eq!(svc.stats().pending, 0);
 }
 
 #[test]

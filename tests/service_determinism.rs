@@ -15,6 +15,8 @@
 //!    shifts them — bump the constants consciously in the same commit
 //!    and say why, exactly like a golden-file test.
 
+use sift::core::math::log_star;
+use sift::obs::json::Json;
 use sift::service::det::{uniform_script, DeterministicService};
 use sift::service::{InstanceId, ShardConfig};
 
@@ -183,3 +185,108 @@ fn every_batch_commits_in_phase_one_at_every_budget() {
     let digests = [1, 2, 4, 8].map(digest);
     assert_eq!(digests, [digests[0]; 4], "the phase budget moved a fact");
 }
+
+/// A served decision priced in the paper's unit, shared-memory
+/// operations: each of a batch's k participants takes 2R(k) steps in
+/// the snapshot conciliator, R(k) = log*(k) + 2 at ε = 1/2 (Theorem 1),
+/// and 5 in adopt-commit, so k·(2R(k) + 5) in all (22, 39, 52, 75, 90,
+/// 105 and 120 for k = 2..=8), whatever the seed and phase budget,
+/// because every batch commits in phase 1.
+#[test]
+fn service_ops_count_k_times_two_r_plus_five_per_decision() {
+    let per_decision = |k: u64| k * (2 * (u64::from(log_star(k)) + 2) + 5);
+    assert_eq!(
+        (2..=8).map(per_decision).collect::<Vec<_>>(),
+        [22, 39, 52, 75, 90, 105, 120]
+    );
+    for base_phases in [1, 2, 4] {
+        for k in 2..=8u64 {
+            let config = ShardConfig {
+                seed: 0x5EED + k,
+                base_phases,
+                ..ShardConfig::default()
+            };
+            let mut svc = DeterministicService::new(4, config);
+            for instance in 0..64u64 {
+                for i in 0..k {
+                    svc.propose(InstanceId(instance), (instance + i * 3) % k, i);
+                }
+            }
+            svc.tick_all();
+            assert_eq!(svc.stream().len(), 64);
+            assert_eq!(
+                svc.obs_report().count("service.ops"),
+                64 * per_decision(k),
+                "k={k} base_phases={base_phases}"
+            );
+        }
+    }
+}
+
+/// Every observation key a deterministic run can reach — batches of one
+/// and of eight, idempotent repeats, capacity evictions and a rejected
+/// proposal on an evicted instance — rendered through the JSON writer.
+/// The shard records typed fields and names them only when the report
+/// is read, so this document pins the names, the key set (a key appears
+/// once something is recorded into it) and the values. Shard 1 decides
+/// only batches of one, which execute no shared-memory operation, so it
+/// has no `ops` key.
+#[test]
+fn det_obs_report_renders_every_reachable_key() {
+    let config = ShardConfig {
+        seed: 0x0B5,
+        capacity: 3,
+        base_phases: 2,
+    };
+    let mut svc = DeterministicService::new(2, config);
+    svc.propose(InstanceId(1), 10, 0);
+    for tag in 0..8 {
+        svc.propose(InstanceId(2), tag % 3, tag);
+    }
+    svc.tick_all();
+    svc.propose(InstanceId(1), 11, 8);
+    svc.propose(InstanceId(2), 12, 9);
+    for instance in 3..=12 {
+        svc.propose(InstanceId(instance), instance, instance);
+    }
+    svc.tick_all();
+    assert!(svc.fact(InstanceId(1)).is_none(), "instance 1 was evicted");
+    svc.propose(InstanceId(1), 13, 13);
+    svc.tick_all();
+    let rendered = sift::obs::json::write(&Json::from(&svc.obs_report()));
+    assert_eq!(rendered, PINNED_DET_REPORT.to_owned() + "\n");
+}
+
+const PINNED_DET_REPORT: &str = r#"{
+  "counters": {
+    "service.decided": 12,
+    "service.evicted_rejects": 1,
+    "service.evictions": 6,
+    "service.idempotent": 2,
+    "service.ops": 120,
+    "service.proposals": 22,
+    "shard000.decided": 7,
+    "shard000.evictions": 4,
+    "shard000.idempotent": 1,
+    "shard000.ops": 120,
+    "shard000.proposals": 15,
+    "shard001.decided": 5,
+    "shard001.evicted_rejects": 1,
+    "shard001.evictions": 2,
+    "shard001.idempotent": 1,
+    "shard001.proposals": 7
+  },
+  "maxima": {
+    "service.max_batch": 8,
+    "shard000.max_batch": 8,
+    "shard001.max_batch": 1
+  },
+  "histograms": {
+    "service.batch_size": {"count": 12, "buckets": [[1, 11], [8, 1]]},
+    "service.phases": {"count": 12, "buckets": [[1, 12]]},
+    "shard000.batch_size": {"count": 7, "buckets": [[1, 6], [8, 1]]},
+    "shard000.phases": {"count": 7, "buckets": [[1, 7]]},
+    "shard001.batch_size": {"count": 5, "buckets": [[1, 5]]},
+    "shard001.phases": {"count": 5, "buckets": [[1, 5]]}
+  }
+}"#;
