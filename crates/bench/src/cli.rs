@@ -1,13 +1,9 @@
 //! The `exp` command line: every knob of the harness, parsed once.
 //!
 //! This is the only module of `sift-bench` that reads the process
-//! environment or arguments, bar one: the bench targets' three
-//! `SIFT_BENCH_*` knobs are read by
-//! [`microbench`](crate::microbench::BenchKnobs), through the same
-//! typed reader and under the same error contract. [`main`] parses the
-//! subcommand, the one flag (`--obs-json PATH`) and every `SIFT_*`
-//! variable in `ENV_KNOBS` before anything runs, hands the common
-//! ones to the library's setters
+//! environment or arguments. [`main`] parses the subcommand, the one
+//! flag (`--obs-json PATH`) and every `SIFT_*` variable in `ENV_KNOBS`
+//! before anything runs, hands the common ones to the library's setters
 //! ([`exec::set_threads`], `exec::set_master_seed`,
 //! [`runner::set_trials`], [`obs::set_output`]) and the rest to the
 //! experiment as a [`Knobs`].
@@ -186,15 +182,11 @@ fn parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Comman
 }
 
 /// Typed reads over an environment lookup.
-pub(crate) struct Env<F>(pub(crate) F);
+struct Env<F>(F);
 
 impl<F: Fn(&str) -> Option<String>> Env<F> {
     /// An unsigned integer, nonzero if `positive`.
-    pub(crate) fn number<T: TryFrom<u64>>(
-        &self,
-        name: &str,
-        positive: bool,
-    ) -> Result<Option<T>, String> {
+    fn number<T: TryFrom<u64>>(&self, name: &str, positive: bool) -> Result<Option<T>, String> {
         let Some(text) = (self.0)(name) else {
             return Ok(None);
         };
@@ -213,21 +205,7 @@ impl<F: Fn(&str) -> Option<String>> Env<F> {
             })
     }
 
-    /// A comma-separated list of positive integers.
-    pub(crate) fn positive_list(&self, name: &str) -> Result<Option<Vec<usize>>, String> {
-        let Some(text) = (self.0)(name) else {
-            return Ok(None);
-        };
-        text.split(',')
-            .map(|item| item.trim().parse::<usize>().ok().filter(|&x| x > 0))
-            .collect::<Option<Vec<usize>>>()
-            .map(Some)
-            .ok_or_else(|| {
-                format!("{name} must be a comma-separated list of positive integers, got {text:?}")
-            })
-    }
-
-    pub(crate) fn path(&self, name: &str) -> Option<PathBuf> {
+    fn path(&self, name: &str) -> Option<PathBuf> {
         (self.0)(name).filter(|p| !p.is_empty()).map(PathBuf::from)
     }
 

@@ -16,7 +16,6 @@ pub mod conformance;
 pub mod exec;
 pub mod experiments;
 pub mod fuzz;
-pub mod microbench;
 pub mod obs;
 pub mod runner;
 mod schema;
@@ -27,6 +26,6 @@ pub mod table;
 
 pub use conformance::{all_pass, ClaimResult};
 pub use exec::{map_reduce, Batch, Merge, TrialSpec};
-pub use runner::{run_trial, Trial};
+pub use runner::Trial;
 pub use stats::{Peak, RateCounter, RoundExcess, Summary, Welford};
 pub use table::Table;

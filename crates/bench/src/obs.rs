@@ -6,9 +6,7 @@
 //! process-global [`ObsReport`], and [`try_finish`] writes the merged
 //! report as JSON. Disabled (the default), recording is a single
 //! relaxed atomic load per trial. Every experiment runs on the
-//! simulator, so the report carries trial and service keys only — the
-//! threaded substrate's counters (`sift_shmem::obs`) are read where
-//! threads actually contend, by `benches/contention.rs`.
+//! simulator, so the report carries trial and service keys only.
 //!
 //! # Determinism
 //!

@@ -1,6 +1,6 @@
 //! Shared trial machinery: build a protocol, run it under a schedule,
 //! collect agreement/step/survivor data. [`TrialFixture`] is the one
-//! place a conciliator trial is built; the experiments' [`run_trial`]
+//! place a conciliator trial is built; the experiments' `run_trial`
 //! and the checkers ([`fuzz`](crate::fuzz), [`soak`](crate::soak),
 //! [`conformance`](crate::conformance)) all mint their participants
 //! from it.
@@ -207,7 +207,7 @@ where
 }
 
 /// Runs one trial of any conciliator (no survivor collection).
-pub fn run_trial<C>(
+pub(crate) fn run_trial<C>(
     n: usize,
     seed: u64,
     kind: ScheduleKind,

@@ -6,20 +6,10 @@
 //! standard trade for latency and batch-size distributions, where the
 //! interesting structure spans many decades.
 //!
-//! Two flavors share the bucketing:
-//!
-//! * [`Histogram`] — plain counts, for single-threaded accumulation and
-//!   for merged snapshots. [`merge`](Histogram::merge) adds bucket-wise
-//!   and therefore never loses counts; it is commutative and
-//!   associative (integer sums), which is what makes parallel
-//!   aggregation order-independent.
-//! * [`AtomicHistogram`] — relaxed atomic counts, for concurrent
-//!   recording from substrate hot paths; [`snapshot`] freezes it into a
-//!   [`Histogram`].
-//!
-//! [`snapshot`]: AtomicHistogram::snapshot
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! [`Histogram`] holds plain counts. [`merge`](Histogram::merge) adds
+//! bucket-wise and therefore never loses counts; it is commutative and
+//! associative (integer sums), which is what makes parallel aggregation
+//! order-independent.
 
 use crate::json::Json;
 
@@ -164,58 +154,6 @@ impl From<&Histogram> for Json {
     }
 }
 
-/// A log-bucketed histogram with relaxed atomic buckets, recordable
-/// from any thread without coordination.
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    counts: [AtomicU64; BUCKETS],
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AtomicHistogram {
-    /// Creates an empty histogram (usable in `static` position).
-    pub const fn new() -> Self {
-        Self {
-            counts: [const { AtomicU64::new(0) }; BUCKETS],
-        }
-    }
-
-    /// Records one observation of `value` (relaxed, saturating).
-    ///
-    /// Saturation needs a CAS loop instead of `fetch_add`; the loop
-    /// only ever retries under contention on the *same* bucket, and a
-    /// pinned `u64::MAX` bucket never retries at all.
-    pub fn record(&self, value: u64) {
-        let _ =
-            self.counts[bucket_of(value)].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
-                (c != u64::MAX).then(|| c + 1)
-            });
-    }
-
-    /// Freezes the current counts into a plain [`Histogram`]. Exact
-    /// once concurrent recorders have quiesced; approximate while they
-    /// are still running.
-    pub fn snapshot(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for (dst, src) in h.counts.iter_mut().zip(&self.counts) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        h
-    }
-
-    /// Zeroes every bucket.
-    pub fn reset(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,38 +239,5 @@ mod tests {
         h.record_n(4, 3);
         let expected = r#"{"count": 4, "buckets": [[0, 1], [4, 3]]}"#;
         assert_eq!(Ok(Json::from(&h)), crate::json::parse(expected));
-    }
-
-    #[test]
-    fn atomic_histogram_snapshot_round_trip() {
-        let h = AtomicHistogram::new();
-        h.record(5);
-        h.record(5);
-        h.record(1 << 30);
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 3);
-        assert_eq!(snap.count_at(5), 2);
-        h.reset();
-        assert!(h.snapshot().is_empty());
-    }
-
-    #[test]
-    fn atomic_histogram_concurrent_records_all_land() {
-        use std::sync::Arc;
-        let h = Arc::new(AtomicHistogram::new());
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let h = Arc::clone(&h);
-                std::thread::spawn(move || {
-                    for k in 0..1000u64 {
-                        h.record(t * 1000 + k);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        assert_eq!(h.snapshot().count(), 4000);
     }
 }

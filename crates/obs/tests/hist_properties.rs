@@ -5,7 +5,7 @@
 //! `sift-obs` is dependency-free, so randomness comes from an in-file
 //! SplitMix64 — deterministic seeds, no external property-test crate.
 
-use sift_obs::{bucket_lower_bound, bucket_of, AtomicHistogram, Histogram, BUCKETS};
+use sift_obs::{bucket_lower_bound, bucket_of, Histogram, BUCKETS};
 
 /// SplitMix64: tiny, seedable, and equidistributed enough for
 /// generating test values. A copy, not `sift_sim::rng`'s: `sift-obs`
@@ -123,38 +123,6 @@ fn merge_saturates_instead_of_wrapping() {
     b.record_n(9, 100);
     a.merge(&b);
     assert_eq!(a.count_at(9), u64::MAX);
-}
-
-#[test]
-fn atomic_record_saturates_at_the_ceiling() {
-    let h = AtomicHistogram::new();
-    h.record(42);
-    let mut near_max = h.snapshot();
-    near_max.record_n(42, u64::MAX - 1);
-    // Rebuild the atomic at the ceiling via snapshot equivalence: the
-    // atomic API has no bulk record, so saturate through single records
-    // on a pre-pinned plain histogram and cross-check the CAS path with
-    // a handful of records at the boundary.
-    assert_eq!(near_max.count_at(42), u64::MAX);
-    for _ in 0..3 {
-        h.record(42);
-    }
-    assert_eq!(h.snapshot().count_at(42), 4, "normal path unaffected");
-}
-
-#[test]
-fn atomic_and_plain_agree_on_random_streams() {
-    let mut rng = SplitMix64(4);
-    let atomic = AtomicHistogram::new();
-    let mut plain = Histogram::new();
-    for _ in 0..5_000 {
-        let v = rng.next() >> (rng.next() % 64);
-        atomic.record(v);
-        plain.record(v);
-    }
-    assert_eq!(atomic.snapshot(), plain);
-    atomic.reset();
-    assert!(atomic.snapshot().is_empty());
 }
 
 #[test]

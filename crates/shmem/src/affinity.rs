@@ -1,13 +1,13 @@
-//! Thread-to-core pinning for the contention benches.
+//! Thread-to-core pinning for the ledger's timed workloads.
 //!
-//! The bench harness pins each worker thread to a core so the measured
-//! contention profile is a property of the primitives, not of where the
-//! scheduler happened to place the threads; the contention bench prints
-//! whether pinning actually took effect. The workspace carries
-//! no `libc` dependency, so on x86-64 Linux the single call this needs
-//! — `sched_setaffinity(2)` on the calling thread — is made as a raw
-//! syscall; everywhere else [`pin_to_core`] reports failure and the
-//! benches fall back to unpinned runs.
+//! The ledger under `benchmark/` pins each worker thread to a core so a
+//! measured profile is a property of the primitives, not of where the
+//! scheduler happened to place the threads, and reports whether pinning
+//! actually took effect. The workspace carries no `libc` dependency, so
+//! on x86-64 Linux the single call this needs — `sched_setaffinity(2)`
+//! on the calling thread — is made as a raw syscall; everywhere else
+//! [`pin_to_core`] reports failure and the caller falls back to an
+//! unpinned run.
 
 /// Pins the **calling thread** to `core` (0-based). Returns `true` on
 /// success; `false` when the core does not exist, the kernel refuses,

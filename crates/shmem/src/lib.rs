@@ -16,8 +16,8 @@
 //!   [`max_register::TreeMaxRegister`] is the switch-trie construction
 //!   from monotone circuits (footnote 1's object, built from plain
 //!   bits).
-//! * [`memory::AtomicMemory`] + [`runtime::run_threads`] — instantiate a
-//!   protocol's [`Layout`](sift_sim::Layout) over the lock-free objects
+//! * [`memory::AtomicMemory`] + [`runtime::drive_threads`] — instantiate
+//!   a protocol's [`Layout`](sift_sim::Layout) over the lock-free objects
 //!   and run its participants on threads. [`ExecuteOps`] is also
 //!   implemented for `Mutex<sift_sim::Memory<V>>`, the model under one
 //!   lock: the one reference the test suites check `AtomicMemory`
@@ -25,18 +25,17 @@
 //!
 //! Statistical claims are measured on the simulator, where the adversary
 //! is controlled; this crate shows the algorithms running on real
-//! atomics and provides the substrate for wall-clock benches.
+//! atomics. Wall-clock cost is measured in one place, the ledger under
+//! `benchmark/`, whose `shmem-persona` workload times this crate.
 //!
 //! All `unsafe` in the crate lives in two audited leaf modules: the
 //! private `lockfree` module (pointer publication with reader-gated
 //! reclamation, the one publication scheme every object above is built
 //! from) and the tiny [`affinity`] module (one raw
-//! `sched_setaffinity` syscall for bench core pinning); everything
-//! else forbids it.
-//!
-//! The [`obs`] module's contention and reclamation counters are
-//! compiled into every build; each hook sits off the uncontended fast
-//! path.
+//! `sched_setaffinity` syscall for the ledger's core pinning);
+//! everything else forbids it. Each object owns its reader stripes and
+//! retire pile; the one `static` in the crate hands each thread its
+//! stripe index.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -48,7 +47,6 @@ pub mod history;
 mod lockfree;
 pub mod max_register;
 pub mod memory;
-pub mod obs;
 pub mod register;
 pub mod runtime;
 pub mod snapshot;
@@ -57,6 +55,6 @@ mod sync;
 pub use history::RecordingMemory;
 pub use memory::{AtomicMemory, ExecuteOps};
 pub use runtime::{
-    drive_threads, run_lockstep_on, run_lockstep_recorded, run_script_on, run_threads,
-    run_threads_recorded, ThreadReport,
+    drive_threads, run_lockstep_on, run_lockstep_recorded, run_script_on, run_threads_recorded,
+    ThreadReport,
 };

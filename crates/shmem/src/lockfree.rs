@@ -252,7 +252,6 @@ impl<T: Send> Pile<T> {
         let mut keep_head: *mut Node<T> = ptr::null_mut();
         let mut keep_tail: *mut Node<T> = ptr::null_mut();
         let mut cur = head;
-        let (mut freed, mut kept) = (0u64, 0u64);
         while !cur.is_null() {
             // Safety: the detached chain is exclusively ours.
             let next = unsafe { (*cur).next.load(Ordering::Relaxed) };
@@ -260,18 +259,15 @@ impl<T: Send> Pile<T> {
                 // Safety: retired before every active reader pinned —
                 // unreachable (module docs).
                 drop(unsafe { Box::from_raw(cur) });
-                freed += 1;
             } else {
                 unsafe { (*cur).next.store(keep_head, Ordering::Relaxed) };
                 if keep_head.is_null() {
                     keep_tail = cur;
                 }
                 keep_head = cur;
-                kept += 1;
             }
             cur = next;
         }
-        crate::obs::note_reclaim(freed, kept);
         if !keep_head.is_null() {
             // Safety: `keep_head..keep_tail` is an exclusively owned
             // chain; splice it back for a later attempt.
@@ -434,10 +430,7 @@ impl<T: Send> Slot<T> {
                     }
                     return true;
                 }
-                Err(now) => {
-                    crate::obs::note_cas_retry();
-                    current = now;
-                }
+                Err(now) => current = now,
             }
         }
     }
@@ -480,7 +473,6 @@ impl<T: Send> Slot<T> {
                     return;
                 }
                 Err(now) => {
-                    crate::obs::note_republish_conflict();
                     current = now;
                     // Bounded backoff: under a write burst, each failed
                     // CAS costs a full `make` rebuild, so a short pause
@@ -557,21 +549,19 @@ mod tests {
         assert_eq!(slot.read_cloned(&pile), Some(String::from("second")));
     }
 
+    /// A payload that counts its drops.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
     #[test]
     fn drop_counts_are_exact_under_churn() {
         // Every publication's value must be dropped exactly once, no
         // matter how reclamation interleaves with readers.
-        struct Counted(Arc<std::sync::atomic::AtomicUsize>);
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        impl Clone for Counted {
-            fn clone(&self) -> Self {
-                Counted(Arc::clone(&self.0))
-            }
-        }
         let drops = Arc::new(AtomicUsize::new(0));
         let published = Arc::new(AtomicUsize::new(0));
         {
@@ -611,6 +601,47 @@ mod tests {
             published.load(Ordering::SeqCst),
             "every published node dropped exactly once"
         );
+    }
+
+    #[test]
+    fn reclamation_frees_exactly_what_no_guard_can_reach() {
+        // 256 stores retire 255 displaced values; a pass runs on every
+        // `RECLAIM_INTERVAL`-th retire, so three passes run.
+        const STORES: usize = 256;
+        let store_all = |slot: &Slot<Counted>, pile: &Pile<Counted>, drops: &Arc<AtomicUsize>| {
+            for _ in 0..STORES {
+                slot.store(Counted(Arc::clone(drops)), pile);
+            }
+        };
+
+        // No guard held: each pass frees everything retired so far.
+        let drops = Arc::new(AtomicUsize::new(0));
+        {
+            let (pile, slot) = (Pile::new(), Slot::new());
+            store_all(&slot, &pile, &drops);
+            assert_eq!(drops.load(Ordering::SeqCst), 3 * RECLAIM_INTERVAL);
+        }
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            STORES,
+            "slot and pile drop the rest"
+        );
+
+        // A guard entered before the stores pins every retired value.
+        let drops = Arc::new(AtomicUsize::new(0));
+        let (pile, slot) = (Pile::new(), Slot::new());
+        let guard = pile.enter();
+        store_all(&slot, &pile, &drops);
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            0,
+            "a held guard pins every retire"
+        );
+        drop(guard);
+        // The next store is the 256th retire: its pass frees the 255
+        // values retired while the guard was held, and its own.
+        slot.store(Counted(Arc::clone(&drops)), &pile);
+        assert_eq!(drops.load(Ordering::SeqCst), STORES);
     }
 
     #[test]

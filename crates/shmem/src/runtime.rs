@@ -7,22 +7,20 @@
 //! Golab–Higham–Woelfel) that linearizable implementations do not in
 //! general preserve the probabilistic guarantees proved for atomic
 //! objects. The statistical experiments therefore run on the simulator;
-//! this runtime demonstrates the algorithms working on real atomics and
-//! measures wall-clock cost.
+//! this runtime demonstrates the algorithms working on real atomics.
 //!
 //! A run is processes + memory + driver. The processes come from
 //! [`SeedSplitter::processes`](sift_sim::rng::SeedSplitter::processes);
-//! the memory is an argument (any [`ExecuteOps`]) or, in the
-//! [`run_threads`] convenience, the one default, [`AtomicMemory`]; and
-//! there are two drivers — [`drive_threads`] here and
-//! [`sift_sim::drive_lockstep`] — of which every `run_*` function below
-//! is a short call.
+//! the memory is an argument (any [`ExecuteOps`], usually an
+//! [`AtomicMemory`](crate::AtomicMemory)); and there are two drivers —
+//! [`drive_threads`] here and [`sift_sim::drive_lockstep`] — of which
+//! every `run_*` function below is a short call.
 
 use sift_sim::mc::History;
-use sift_sim::{drive_lockstep, Layout, Op, OpResult, Process, ProcessId, Step};
+use sift_sim::{drive_lockstep, Op, OpResult, Process, ProcessId, Step};
 
 use crate::history::RecordingMemory;
-use crate::memory::{AtomicMemory, ExecuteOps};
+use crate::memory::ExecuteOps;
 
 /// Outcome of one threaded run.
 #[derive(Debug)]
@@ -50,6 +48,26 @@ impl<O> ThreadReport<O> {
 ///
 /// Panics if a process thread panics (after the other threads have run
 /// to completion; the scope joins them all).
+///
+/// # Examples
+///
+/// ```
+/// use sift_core::{Conciliator, Epsilon, SiftingConciliator};
+/// use sift_shmem::runtime::drive_threads;
+/// use sift_shmem::{AtomicMemory, ExecuteOps};
+/// use sift_sim::rng::SeedSplitter;
+/// use sift_sim::LayoutBuilder;
+///
+/// let n = 4;
+/// let mut b = LayoutBuilder::new();
+/// let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
+/// let layout = b.build();
+/// let memory = AtomicMemory::new(&layout);
+/// let split = SeedSplitter::new(1);
+/// let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
+/// let report = drive_threads(procs, |_, op| memory.execute(op));
+/// assert_eq!(report.outputs.len(), n);
+/// ```
 pub fn drive_threads<P>(
     processes: Vec<P>,
     execute: impl Fn(ProcessId, Op<P::Value>) -> OpResult<P::Value> + Sync,
@@ -87,40 +105,6 @@ where
     ThreadReport { outputs, ops }
 }
 
-/// Runs each process state machine on its own OS thread against a
-/// fresh [`AtomicMemory`] built from `layout`, blocking until all
-/// finish.
-///
-/// # Examples
-///
-/// ```
-/// use sift_core::{Conciliator, Epsilon, SiftingConciliator};
-/// use sift_shmem::runtime::run_threads;
-/// use sift_sim::rng::SeedSplitter;
-/// use sift_sim::LayoutBuilder;
-///
-/// let n = 4;
-/// let mut b = LayoutBuilder::new();
-/// let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
-/// let layout = b.build();
-/// let split = SeedSplitter::new(1);
-/// let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
-/// let report = run_threads(&layout, procs);
-/// assert_eq!(report.outputs.len(), n);
-/// ```
-///
-/// # Panics
-///
-/// Panics if a process thread panics.
-pub fn run_threads<P>(layout: &Layout, processes: Vec<P>) -> ThreadReport<P::Output>
-where
-    P: Process + Send,
-    P::Output: Send,
-{
-    let memory = AtomicMemory::new(layout);
-    drive_threads(processes, |_, op| memory.execute(op))
-}
-
 /// [`drive_threads`] over a [`RecordingMemory`] wrapped around
 /// `memory`: returns the report together with the captured concurrent
 /// [`History`] (see
@@ -148,9 +132,10 @@ where
 /// engine would use, single-threaded: [`sift_sim::drive_lockstep`] over
 /// the threaded objects. Outputs must match a simulator run under
 /// [`RoundRobin`](sift_sim::schedule::RoundRobin) exactly, which
-/// `tests/cross_runtime.rs` verifies on [`AtomicMemory`] and on the
-/// model under a lock; the differential tests drive the *same*
-/// deterministic schedule through each and compare outcomes.
+/// `tests/cross_runtime.rs` verifies on
+/// [`AtomicMemory`](crate::AtomicMemory) and on the model under a lock;
+/// the differential tests drive the *same* deterministic schedule
+/// through each and compare outcomes.
 pub fn run_lockstep_on<P: Process, M: ExecuteOps<P::Value>>(
     memory: &M,
     processes: Vec<P>,
@@ -177,9 +162,9 @@ pub fn run_lockstep_recorded<P: Process, M: ExecuteOps<P::Value>>(
 /// and processes the script starves end with `None`.
 ///
 /// This is the substrate half of the differential fuzz harness: the
-/// same script replayed here on [`AtomicMemory`] and on the model under
-/// a lock (or through the simulator's `replay_script`) must produce
-/// identical outputs.
+/// same script replayed here on [`AtomicMemory`](crate::AtomicMemory)
+/// and on the model under a lock (or through the simulator's
+/// `replay_script`) must produce identical outputs.
 ///
 /// # Panics
 ///
@@ -222,12 +207,13 @@ pub fn run_script_on<P: Process, M: ExecuteOps<P::Value>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::AtomicMemory;
     use sift_core::{
         CilConciliator, Conciliator, EmbeddedConciliator, Epsilon, SiftingConciliator,
         SnapshotConciliator,
     };
     use sift_sim::rng::SeedSplitter;
-    use sift_sim::{LayoutBuilder, Memory, ProcessId};
+    use sift_sim::{Layout, LayoutBuilder, Memory, ProcessId};
     use std::sync::Mutex;
 
     /// Runs `procs()` on threads over each memory — the lock-free
@@ -280,7 +266,7 @@ mod tests {
         }
     }
 
-    /// The documented contract of `run_threads`: a panicking process
+    /// The documented contract of `drive_threads`: a panicking process
     /// fails the run — it neither hangs the join nor yields a report.
     #[test]
     #[should_panic(expected = "process thread panicked")]

@@ -45,12 +45,9 @@ macro_rules! object_id {
                 self.0
             }
 
-            /// Builds an id from a raw index.
-            ///
-            /// Intended for runtimes (such as `sift-shmem`) that mirror a
-            /// [`Layout`](crate::layout::Layout) into their own object
-            /// arenas; indices must come from the same layout.
-            pub fn from_index(index: usize) -> Self {
+            /// Builds an id from a raw dense index: how
+            /// [`LayoutBuilder`](crate::layout::LayoutBuilder) mints ids.
+            pub(crate) fn from_index(index: usize) -> Self {
                 Self(index)
             }
         }

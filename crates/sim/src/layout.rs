@@ -41,7 +41,7 @@ impl LayoutBuilder {
 
     /// Allocates one register (initially ⊥).
     pub fn register(&mut self) -> RegisterId {
-        let id = RegisterId(self.registers);
+        let id = RegisterId::from_index(self.registers);
         self.registers += 1;
         id
     }
@@ -53,7 +53,7 @@ impl LayoutBuilder {
 
     /// Allocates a snapshot object with `components` components.
     pub fn snapshot(&mut self, components: usize) -> SnapshotId {
-        let id = SnapshotId(self.snapshots.len());
+        let id = SnapshotId::from_index(self.snapshots.len());
         self.snapshots.push(components);
         id
     }
@@ -66,7 +66,7 @@ impl LayoutBuilder {
 
     /// Allocates one max register.
     pub fn max_register(&mut self) -> MaxRegisterId {
-        let id = MaxRegisterId(self.max_registers);
+        let id = MaxRegisterId::from_index(self.max_registers);
         self.max_registers += 1;
         id
     }

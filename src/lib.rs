@@ -9,8 +9,8 @@
 //! * [`adopt_commit`] — adopt-commit objects.
 //! * [`consensus`] — consensus from conciliator/adopt-commit alternation.
 //! * [`tas`] — test-and-set from sifting (the §5 connection).
-//! * [`obs`] — mergeable observation primitives (striped counters,
-//!   log-bucketed histograms, reports) behind the observability layer.
+//! * [`obs`] — mergeable observation primitives (log-bucketed
+//!   histograms, reports, JSON) behind the observability layer.
 //! * [`service`] — consensus-as-a-service: a sharded multi-instance
 //!   frontend batching proposals into per-instance consensus runs.
 

@@ -7,7 +7,19 @@
 //! simulator: the probes ([`Engine::materialized_count`],
 //! [`Memory::materialized_registers`]) measure real allocation, so a
 //! regression to eager `O(n)` preallocation fails here immediately.
+//!
+//! The sifting-round tests hold the simulator's scale budget: one full
+//! round of Algorithm 2 over `n` lazily built participants finishes in
+//! under ten seconds of wall clock. n = 10^5 runs with every `cargo
+//! test`; n = 10^6 is `#[ignore]`d and runs in release in the nightly
+//! tier (`--include-ignored`). The ledger's `sim-sift` workload is where
+//! this layer's speed is tracked; the bound here only catches a scaling
+//! collapse.
 
+use std::time::{Duration, Instant};
+
+use sift::core::{Conciliator, Epsilon, SiftingConciliator};
+use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::{FixedSchedule, RoundRobin};
 use sift::sim::{Engine, LayoutBuilder, Op, OpResult, Process, RegisterId, Step, StopReason};
 
@@ -117,4 +129,43 @@ fn eager_engines_still_report_full_materialization() {
     assert_eq!(engine.materialized_count(), 8);
     let report = engine.run(RoundRobin::new(8));
     assert!(report.all_decided());
+}
+
+/// Wall-clock bound on one full sifting round, at any scale tested.
+const ROUND_BUDGET: Duration = Duration::from_secs(10);
+
+/// One full round of Algorithm 2 on the lazy engine: every participant
+/// writes its persona to the round-0 register and reads it back, `2n`
+/// charged slots in all. Asserts the slot budget stops the run, that
+/// every slot was a charged operation, and the wall-clock bound.
+fn sifting_round_within_budget(n: usize) {
+    let mut b = LayoutBuilder::new();
+    let conciliator = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
+    let layout = b.build();
+    let split = SeedSplitter::new(1);
+    let start = Instant::now();
+    let mut engine = Engine::lazy(&layout, n, move |pid| {
+        let mut rng = split.process_stream(pid);
+        conciliator.participant(pid, pid.index() as u64, &mut rng)
+    });
+    engine.limit_slots(2 * n as u64);
+    let report = engine.run_sparse(RoundRobin::new(n));
+    let elapsed = start.elapsed();
+    assert_eq!(report.stop_reason, StopReason::SlotLimit);
+    assert_eq!(report.metrics.total_ops, 2 * n as u64);
+    assert!(
+        elapsed < ROUND_BUDGET,
+        "n = {n} sifting round took {elapsed:?}, over the {ROUND_BUDGET:?} budget"
+    );
+}
+
+#[test]
+fn sifting_round_at_n_1e5_fits_the_wall_clock_budget() {
+    sifting_round_within_budget(100_000);
+}
+
+#[test]
+#[ignore = "n = 10^6: run in release with --include-ignored"]
+fn sifting_round_at_n_1e6_fits_the_wall_clock_budget() {
+    sifting_round_within_budget(N);
 }

@@ -9,11 +9,13 @@
 //! no property-testing crate; seeds make every failure reproducible) and
 //! run both free-threaded and in lockstep, over the lock-free objects
 //! and over the model under a lock alike; the snapshot workload also
-//! runs over `WaitFreeSnapshot`. A hand-built non-linearizable history
-//! keeps the checker itself honest.
+//! runs over `WaitFreeSnapshot`, and the max-register workloads over
+//! `TreeMaxRegister` — the substitution table's two constructions. A
+//! hand-built non-linearizable history keeps the checker itself honest.
 
 use std::sync::Mutex;
 
+use sift::shmem::max_register::TreeMaxRegister;
 use sift::shmem::snapshot::WaitFreeSnapshot;
 use sift::shmem::{run_lockstep_recorded, run_threads_recorded, AtomicMemory, ExecuteOps};
 use sift::sim::mc::{check_linearizable, check_regular, History, HistoryEntry, ObjectKey};
@@ -185,8 +187,27 @@ fn check_register_histories<V: Value + PartialEq>(tag: &str, mut value: impl FnM
     }
 }
 
+/// [`TreeMaxRegister`]s behind [`ExecuteOps`], for max-register-only
+/// layouts. Keys must fit the trie: `new(4)` holds `0..16`.
+struct TreeMaxRegisters<V>(Vec<TreeMaxRegister<V>>);
+
+impl<V: Value> ExecuteOps<V> for TreeMaxRegisters<V> {
+    fn execute(&self, op: Op<V>) -> OpResult<V> {
+        match op {
+            Op::MaxWrite(m, key, v) => {
+                self.0[m.index()].write(key, v);
+                OpResult::Ack
+            }
+            Op::MaxRead(m) => OpResult::MaxValue(self.0[m.index()].read()),
+            other => unimplemented!("max-register-only memory, got {other:?}"),
+        }
+    }
+}
+
 /// Captures threaded max-register histories over value type `V` and
-/// checks each against Wing–Gong.
+/// checks each against Wing–Gong: on the lock-free max register, the
+/// model's, and the switch-trie construction (keys are drawn from
+/// `0..10`, inside the trie's `0..16`).
 fn check_max_register_histories<V: Value + PartialEq>(tag: &str, mut value: impl FnMut(u64) -> V) {
     for seed in 0..10 {
         let mut b = LayoutBuilder::new();
@@ -208,6 +229,8 @@ fn check_max_register_histories<V: Value + PartialEq>(tag: &str, mut value: impl
                 TypedWorkload { ops, next: 0 }
             })
             .collect();
+        let tree = TreeMaxRegisters(vec![TreeMaxRegister::new(4)]);
+        check_threaded_history(&layout, tree, procs.clone(), 4 * 8, seed);
         check_threaded_histories(&layout, procs, 4 * 8, seed);
     }
 }
