@@ -25,7 +25,10 @@
 //! of *processes*, not on the code space, so any `u64` code is accepted.
 //! Values are compared through a caller-supplied code extractor
 //! (equal values ⇒ equal codes), which is how personae wrapping the same
-//! input are recognized as the same proposal.
+//! input are recognized as the same proposal. The extractor is a plain
+//! `fn` pointer, so it cannot capture state: [`GafniSnapshotAc`] is
+//! `Copy`, and minting a proposer copies a few words and touches no
+//! reference count.
 
 use std::sync::Arc;
 
@@ -35,9 +38,9 @@ use sift_sim::{
 
 use crate::spec::{AcOutput, AdoptCommit, Verdict};
 
-/// Shared code extractor: recovers a value's code. Must agree with the
-/// codes passed to [`AdoptCommit::proposer`].
-pub(crate) type CodeOf<V> = Arc<dyn Fn(&V) -> u64 + Send + Sync>;
+/// Code extractor: recovers a value's code. Must agree with the codes
+/// passed to [`AdoptCommit::proposer`].
+pub(crate) type CodeOf<V> = fn(&V) -> u64;
 
 fn decide<V: Value>(
     cand: bool,
@@ -93,7 +96,6 @@ fn decide<V: Value>(
 /// let report = Engine::new(&layout, procs).run(RoundRobin::new(3));
 /// assert!(report.unwrap_outputs().iter().all(|o| o.is_commit()));
 /// ```
-#[derive(Clone)]
 pub struct GafniSnapshotAc<V> {
     a: SnapshotId,
     bcand: SnapshotId,
@@ -109,21 +111,26 @@ impl<V: Value> GafniSnapshotAc<V> {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn allocate(
-        builder: &mut LayoutBuilder,
-        n: usize,
-        code_of: impl Fn(&V) -> u64 + Send + Sync + 'static,
-    ) -> Self {
+    pub fn allocate(builder: &mut LayoutBuilder, n: usize, code_of: fn(&V) -> u64) -> Self {
         assert!(n > 0, "need at least one process");
         Self {
             a: builder.snapshot(n),
             bcand: builder.snapshot(n),
             braw: builder.snapshot(n),
             n,
-            code_of: Arc::new(code_of),
+            code_of,
         }
     }
 }
+
+// Manual impls: a derive would require `V: Copy`, and `Persona` is not.
+impl<V> Clone for GafniSnapshotAc<V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<V> Copy for GafniSnapshotAc<V> {}
 
 impl<V> std::fmt::Debug for GafniSnapshotAc<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -147,7 +154,7 @@ impl<V: Value> AdoptCommit<V> for GafniSnapshotAc<V> {
             "code extractor disagrees with the proposed code"
         );
         GafniSnapshotProposer {
-            shared: self.clone(),
+            shared: *self,
             pid,
             code,
             value,
@@ -290,18 +297,14 @@ impl<V: Value> GafniRegisterAc<V> {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn allocate(
-        builder: &mut LayoutBuilder,
-        n: usize,
-        code_of: impl Fn(&V) -> u64 + Send + Sync + 'static,
-    ) -> Self {
+    pub fn allocate(builder: &mut LayoutBuilder, n: usize, code_of: fn(&V) -> u64) -> Self {
         assert!(n > 0, "need at least one process");
         Self {
             a: Arc::new(builder.registers(n)),
             bcand: Arc::new(builder.registers(n)),
             braw: Arc::new(builder.registers(n)),
             n,
-            code_of: Arc::new(code_of),
+            code_of,
         }
     }
 }
@@ -615,6 +618,20 @@ mod tests {
         for o in outs {
             assert_eq!(o.unwrap().verdict, Verdict::Commit);
         }
+    }
+
+    /// The served stack mints a `GafniSnapshotAc<Persona>` proposer per
+    /// process and phase, so the object must stay a plain copy.
+    /// `Persona` (an `Arc` newtype) lives in `sift-core`, which depends
+    /// on this crate, so the pin holds for every payload: an `Arc` field
+    /// would fail to compile here.
+    #[test]
+    fn snapshot_ac_is_a_plain_copy() {
+        fn assert_copy<T: Copy>() {}
+        fn for_any_payload<V>() {
+            assert_copy::<GafniSnapshotAc<V>>();
+        }
+        for_any_payload::<Arc<u64>>();
     }
 
     #[test]

@@ -256,10 +256,13 @@ impl<C: Conciliator, A: AdoptCommit<Persona>> Process for ConsensusParticipant<C
     type Output = ConsensusOutcome;
 
     fn step(&mut self, mut prev: Option<OpResult<Persona>>) -> Step<Persona, ConsensusOutcome> {
+        // The stage is matched in place and assigned only on a
+        // transition, so a sub-participant is never moved out and back.
         loop {
-            match std::mem::replace(&mut self.stage, Stage::Finished) {
+            match &mut self.stage {
                 Stage::StartPhase => {
                     if self.phase_index == self.shared.max_phases() {
+                        self.stage = Stage::Finished;
                         return Step::Done(ConsensusOutcome::Exhausted {
                             last_preference: self.preference,
                         });
@@ -272,21 +275,16 @@ impl<C: Conciliator, A: AdoptCommit<Persona>> Process for ConsensusParticipant<C
                     };
                     // Fall through to drive the new conciliator.
                 }
-                Stage::Conciliate { mut sub, started } => {
-                    let step = if started {
-                        sub.step(prev.take())
-                    } else {
-                        sub.step(None)
-                    };
-                    match step {
+                Stage::Conciliate { sub, started } => {
+                    match sub.step(if *started { prev.take() } else { None }) {
                         Step::Issue(op) => {
+                            *started = true;
                             self.conciliator_steps += 1;
-                            self.stage = Stage::Conciliate { sub, started: true };
                             return Step::Issue(op);
                         }
                         Step::Done(persona) => {
                             let (_, ac) = &self.shared.phases[self.phase_index];
-                            let proposer = ac.proposer(self.pid, persona.input(), persona.clone());
+                            let proposer = ac.proposer(self.pid, persona.input(), persona);
                             self.stage = Stage::Propose {
                                 sub: proposer,
                                 started: false,
@@ -295,16 +293,11 @@ impl<C: Conciliator, A: AdoptCommit<Persona>> Process for ConsensusParticipant<C
                         }
                     }
                 }
-                Stage::Propose { mut sub, started } => {
-                    let step = if started {
-                        sub.step(prev.take())
-                    } else {
-                        sub.step(None)
-                    };
-                    match step {
+                Stage::Propose { sub, started } => {
+                    match sub.step(if *started { prev.take() } else { None }) {
                         Step::Issue(op) => {
+                            *started = true;
                             self.adopt_commit_steps += 1;
-                            self.stage = Stage::Propose { sub, started: true };
                             return Step::Issue(op);
                         }
                         Step::Done(AcOutput {
@@ -514,6 +507,106 @@ mod tests {
         assert!(protocol.exhaustion_probability() < 1e-15);
         let (_, small) = snapshot_stack(4, 2);
         assert!((small.exhaustion_probability() - 0.25).abs() < 1e-12);
+    }
+
+    /// A zero-op conciliator: each participant returns its own persona
+    /// on its first step, so the adopt-commit object sees the raw
+    /// inputs.
+    struct Identity;
+
+    struct IdentityParticipant(Persona);
+
+    impl Process for IdentityParticipant {
+        type Value = Persona;
+        type Output = Persona;
+
+        fn step(&mut self, _: Option<OpResult<Persona>>) -> Step<Persona, Persona> {
+            Step::Done(self.0.clone())
+        }
+    }
+
+    impl Conciliator for Identity {
+        type Participant = IdentityParticipant;
+
+        fn participant(
+            &self,
+            pid: ProcessId,
+            input: u64,
+            _: &mut Xoshiro256StarStar,
+        ) -> IdentityParticipant {
+            IdentityParticipant(Persona::bare(pid, input))
+        }
+
+        fn steps_bound(&self) -> Option<u64> {
+            Some(0)
+        }
+
+        fn agreement_probability(&self) -> f64 {
+            0.0
+        }
+    }
+
+    /// Runs the identity stack with one phase under round robin and
+    /// returns the finished participants with their outcomes.
+    fn run_identity_stack(
+        inputs: &[u64],
+    ) -> Vec<(
+        ConsensusParticipant<Identity, GafniSnapshotAc<Persona>>,
+        ConsensusOutcome,
+    )> {
+        let n = inputs.len();
+        let mut b = LayoutBuilder::new();
+        let protocol = ConsensusProtocol::allocate(
+            &mut b,
+            n,
+            1,
+            |_| Identity,
+            |b| GafniSnapshotAc::<Persona>::allocate(b, n, |p| p.input()),
+        );
+        let layout = b.build();
+        let procs = SeedSplitter::new(0).processes(n, |pid, rng| {
+            protocol.participant(pid, inputs[pid.index()], rng)
+        });
+        let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
+        let outcomes = report
+            .outputs
+            .into_iter()
+            .map(|o| o.expect("round robin finishes"));
+        report.processes.into_iter().zip(outcomes).collect()
+    }
+
+    fn assert_step_panics(
+        participant: &mut ConsensusParticipant<Identity, GafniSnapshotAc<Persona>>,
+    ) {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = participant.step(None);
+        }))
+        .expect_err("a finished participant must not step again");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or_default();
+        assert_eq!(message, "participant stepped after completion");
+    }
+
+    #[test]
+    fn exhausted_and_decided_participants_stay_finished() {
+        // Two raw proposers under round robin both see the other's
+        // announcement, so neither commits: with one phase, each adopts
+        // its own input and runs out of phases holding it.
+        let inputs = [3, 7];
+        for ((mut participant, outcome), last_preference) in
+            run_identity_stack(&inputs).into_iter().zip(inputs)
+        {
+            assert_eq!(outcome, ConsensusOutcome::Exhausted { last_preference });
+            assert_step_panics(&mut participant);
+        }
+        // Unanimous inputs commit in the one phase.
+        for (mut participant, outcome) in run_identity_stack(&[5, 5]) {
+            assert_eq!(outcome.value(), Some(5));
+            assert_step_panics(&mut participant);
+        }
     }
 
     #[test]

@@ -177,9 +177,12 @@ impl SnapshotParticipant {
             .present()
             .map(|(_, p)| p)
             .max_by_key(|p| (p.priority(round), p.origin()))
-            .expect("own update precedes the scan, so the view is non-empty")
-            .clone();
-        self.persona = best;
+            .expect("own update precedes the scan, so the view is non-empty");
+        // Personae are equal by origin: the held one stays (no reference
+        // count to bump) unless another process's persona wins.
+        if best.origin() != self.persona.origin() {
+            self.persona = best.clone();
+        }
     }
 }
 

@@ -186,3 +186,20 @@ bench-json:
     cargo run --release -p sift-bench --bin exp -- adversary
     SIFT_SOAK_JSON={{justfile_directory()}}/BENCH_conformance.json \
     cargo run --release -p sift-bench --bin exp -- soak
+
+# Where a ledger workload spends its time (a developer tool: it needs
+# gprofng, which CI runners may lack, so `ci` does not run it). Builds
+# `ledger` with line tables into its own target dir, samples one 4 s run
+# with gprofng's clock profiler, and prints the 15 functions with the
+# most exclusive time. The build rewrites benchmark/Cargo.lock; the
+# recipe restores it.
+profile workload:
+    #!/usr/bin/env bash
+    set -eu
+    target=target/profile
+    trap 'git checkout --quiet benchmark/Cargo.lock' EXIT
+    CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo build --release --offline --quiet \
+        --manifest-path benchmark/Cargo.toml --target-dir "$target" --bin ledger
+    gprofng collect app -p on -O "$target/{{workload}}.er" \
+        "$target/release/ledger" --workload {{workload}} --seconds 4 > /dev/null
+    gprofng display text -limit 15 -functions "$target/{{workload}}.er"
