@@ -213,6 +213,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_types)] // a check, not a table on the served path
     fn every_instance_decides_exactly_once() {
         let script = uniform_script(3, 100, 10, 5);
         let mut svc = DeterministicService::new(3, ShardConfig::default());

@@ -28,6 +28,10 @@
 //! this layer does not provide"). Nothing here touches the threaded
 //! substrate (`sift-shmem`).
 //!
+//! The instance tables — decided facts, tombstones and a tick's
+//! grouping index — hash an id with one keyed multiply-mix
+//! (`InstanceHashing`) instead of std's SipHash.
+//!
 //! A shard observes itself through a `Copy` record of typed fields —
 //! the hot paths add to a counter or record into a histogram, and the
 //! string-keyed [`ObsReport`] exists only once someone reads it.
@@ -39,7 +43,8 @@
 //! execute this exact code, so the deterministic suite exercises the
 //! same batching and decision logic the threaded service runs.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
+use std::hash::{BuildHasher, Hasher, RandomState};
 use std::time::Instant;
 
 use sift_adopt_commit::GafniSnapshotAc;
@@ -135,13 +140,13 @@ pub struct ShardCore {
     /// Proposals accepted since the last tick, in arrival order.
     inbox: Vec<Proposal>,
     /// Decided instances and their immutable facts.
-    decided: HashMap<InstanceId, CommitFact>,
+    decided: InstanceMap<CommitFact>,
     /// Decision order, for FIFO eviction under `capacity`.
     decided_order: VecDeque<InstanceId>,
     /// Tombstones: evicted instances are remembered (one u64 each) so
     /// late proposals get a definite rejection instead of silently
     /// re-deciding a fresh instance.
-    evicted: HashSet<InstanceId>,
+    evicted: InstanceSet,
     seq: u64,
     obs: ShardObs,
     stacks: StackCache,
@@ -266,11 +271,11 @@ impl StackCache {
 
 /// What [`ShardCore::tick_crashing`] groups an inbox with, kept between
 /// ticks so a tick allocates nothing to group: the instance → batch
-/// index (empty between ticks) and the batch vectors (each empty
-/// between ticks, capacity retained).
-#[derive(Debug, Default)]
+/// index (empty between ticks, its key drawn once with the shard) and
+/// the batch vectors (each empty between ticks, capacity retained).
+#[derive(Debug)]
 struct Grouping {
-    index: HashMap<InstanceId, usize>,
+    index: InstanceMap<usize>,
     batches: Vec<Vec<Proposal>>,
 }
 
@@ -289,12 +294,15 @@ impl ShardCore {
             stacks: StackCache::new(config.base_phases.max(1)),
             config,
             inbox: Vec::new(),
-            decided: HashMap::new(),
+            decided: InstanceMap::with_hasher(InstanceHashing::new()),
             decided_order: VecDeque::new(),
-            evicted: HashSet::new(),
+            evicted: InstanceSet::with_hasher(InstanceHashing::new()),
             seq: 0,
             obs: ShardObs::default(),
-            grouping: Grouping::default(),
+            grouping: Grouping {
+                index: InstanceMap::with_hasher(InstanceHashing::new()),
+                batches: Vec::new(),
+            },
         }
     }
 
@@ -350,10 +358,7 @@ impl ShardCore {
             return Vec::new();
         }
         let mut inbox = std::mem::take(&mut self.inbox);
-        let Grouping {
-            mut index,
-            mut batches,
-        } = std::mem::take(&mut self.grouping);
+        let Grouping { index, batches } = &mut self.grouping;
         let proposals = inbox.len();
         // Group by instance, keeping both first-arrival instance order
         // and intra-batch arrival order — the batch order is what makes
@@ -370,6 +375,9 @@ impl ShardCore {
             batches[slot].push(proposal);
         }
         index.clear();
+        // Deciding needs `&mut self`, so the batches leave the shard
+        // for the loop; the index, and with it its key, stays.
+        let mut batches = std::mem::take(batches);
         self.inbox = inbox;
         let mut facts = Vec::with_capacity(groups.min(crash_after));
         for (position, batch) in batches[..groups].iter_mut().enumerate() {
@@ -391,8 +399,9 @@ impl ShardCore {
             self.enforce_capacity();
         }
         if proposals <= Grouping::KEEP_UP_TO {
-            self.grouping = Grouping { index, batches };
+            self.grouping.batches = batches;
         } else {
+            self.grouping.index.shrink_to_fit();
             self.inbox.shrink_to(Grouping::KEEP_UP_TO);
         }
         facts
@@ -544,6 +553,86 @@ impl ShardCore {
     }
 }
 
+/// A table keyed by instance id, hashed by [`InstanceHashing`]. This
+/// alias and [`InstanceSet`] are where the crate names std's hash
+/// tables; `clippy.toml` refuses them anywhere else.
+#[allow(clippy::disallowed_types)]
+type InstanceMap<V> = std::collections::HashMap<InstanceId, V, InstanceHashing>;
+
+/// The set of instance ids [`InstanceMap`] is the map of.
+#[allow(clippy::disallowed_types)]
+type InstanceSet = std::collections::HashSet<InstanceId, InstanceHashing>;
+
+/// How the instance tables hash an id: one keyed mix, SplitMix64's
+/// finalizer over `id ^ key`, where std's tables would run SipHash-1-3.
+///
+/// - *Keyed, one key per table*, drawn from std's [`RandomState`] — the
+///   key source std's tables use — when the shard builds the table, and
+///   kept for its life. Instance ids come from clients; under an
+///   unkeyed mix a client could precompute ids that share a bucket.
+/// - *Not [`shard_of`]'s mix.* A table takes an id's home bucket from
+///   the low bits of its hash, and every id shard `s` of `S` holds has
+///   `shard_of`'s mix ≡ `s` (mod `S`): reused here, with `S` a power of
+///   two, it would leave all but one in `S` of every table's home
+///   buckets empty.
+/// - *Not cryptographic.* The mix is a bijection on `u64`, so distinct
+///   ids never share a whole hash, but the key is all that hides their
+///   buckets: it is no defence against a client that learns the key,
+///   from timings or otherwise.
+#[derive(Debug, Clone, Copy)]
+struct InstanceHashing {
+    key: u64,
+}
+
+impl InstanceHashing {
+    /// A hasher under a fresh key from std's [`RandomState`].
+    fn new() -> Self {
+        Self {
+            key: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl BuildHasher for InstanceHashing {
+    type Hasher = InstanceHasher;
+
+    fn build_hasher(&self) -> InstanceHasher {
+        InstanceHasher { state: self.key }
+    }
+}
+
+/// One hash in progress under an [`InstanceHashing`] key. An
+/// [`InstanceId`] reaches it as a single `write_u64`: one mix.
+struct InstanceHasher {
+    state: u64,
+}
+
+impl Hasher for InstanceHasher {
+    fn write_u64(&mut self, word: u64) {
+        self.state = splitmix_finalize(self.state ^ word);
+    }
+
+    /// Anything that is not one `u64`, eight bytes at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+/// SplitMix64's output finalizer, a bijection on `u64`.
+fn splitmix_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
 /// Maps an instance id onto one of `shards` shards with a fixed
 /// splitmix-style mix, so placement is stable across runs, workers, and
 /// processes.
@@ -553,10 +642,7 @@ impl ShardCore {
 /// Panics if `shards == 0`.
 pub fn shard_of(instance: InstanceId, shards: usize) -> usize {
     assert!(shards > 0, "need at least one shard");
-    let mut z = instance.0.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^= z >> 31;
+    let z = splitmix_finalize(instance.0.wrapping_add(0x9E3779B97F4A7C15));
     (z % shards as u64) as usize
 }
 
@@ -837,6 +923,38 @@ mod tests {
         assert_eq!(retry[0].meta.seq, 1);
         let fact = crate::runtime::block_on(rx).unwrap().unwrap();
         assert_eq!(fact.value, 20);
+    }
+
+    #[test]
+    fn instance_hashing_spreads_the_ids_of_one_shard() {
+        // Two id sets a table must not cluster: the ids one shard of
+        // four holds (they agree on `shard_of`'s mix mod 4) and ids that
+        // differ only above bit 32. Each lands in 4096 buckets by the
+        // low 12 bits of its hash, as in a table of 2500 ids (a
+        // `hot-zipf` shard); at 16 ids a bucket on average, a mix as
+        // good as random leaves none empty and loads none past 3x that.
+        let hashing = InstanceHashing {
+            key: 0x243F_6A88_85A3_08D3,
+        };
+        let count = 1 << 16;
+        let one_shard: Vec<u64> = (0..)
+            .filter(|&id| shard_of(InstanceId(id), 4) == 0)
+            .take(count)
+            .collect();
+        let high_bits: Vec<u64> = (0..count as u64).map(|i| i << 32).collect();
+        for (name, ids) in [
+            ("shard 0 of 4", one_shard),
+            ("multiples of 2^32", high_bits),
+        ] {
+            let mut load = vec![0u32; 4096];
+            for id in ids {
+                load[(hashing.hash_one(InstanceId(id)) % 4096) as usize] += 1;
+            }
+            let empty = load.iter().filter(|&&n| n == 0).count();
+            let max = load.iter().max().copied().unwrap_or(0);
+            assert_eq!(empty, 0, "{name}: {empty} of 4096 buckets never hit");
+            assert!(max < 48, "{name}: a bucket holds {max} ids");
+        }
     }
 
     #[test]

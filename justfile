@@ -203,3 +203,83 @@ profile workload:
     gprofng collect app -p on -O "$target/{{workload}}.er" \
         "$target/release/ledger" --workload {{workload}} --seconds 4 > /dev/null
     gprofng display text -limit 15 -functions "$target/{{workload}}.er"
+
+# Alternating before/after pairs of one ledger workload (a developer
+# tool, like `profile`: it needs jq, and `ci` does not run it). Builds
+# `ledger` at `rev` from a `git archive` export under
+# target/ledger-pairs/ and the working tree's `ledger` beside it, then
+# runs `pairs` pairs of `seconds`-long runs. The side that runs first
+# alternates, and each pair draws a fresh seed, printed with it. For
+# every end-to-end metric in BENCHMARK.json it prints each pair, both
+# sides' median and quartiles, and how many pairs the working tree won.
+# The build rewrites benchmark/Cargo.lock; the recipe restores it.
+ledger-pairs rev workload pairs="10" seconds="24":
+    #!/usr/bin/env bash
+    set -euo pipefail
+    trap 'git checkout --quiet benchmark/Cargo.lock' EXIT
+    root=target/ledger-pairs
+    sha=$(git rev-parse --short "{{rev}}^{commit}")
+    src="$root/src-$sha"
+    if [ ! -d "$src" ]; then
+        rm -rf "$src.part" && mkdir -p "$src.part"
+        git archive "$sha" | tar -x -C "$src.part"
+        mv "$src.part" "$src"
+    fi
+    build() {
+        cargo build --release --offline --quiet --manifest-path "$1/Cargo.toml" \
+            --target-dir "$2" --bin ledger
+    }
+    build "$src/benchmark" "$root/target-$sha"
+    build benchmark "$root/target-work"
+    base="$root/target-$sha/release/ledger" work="$root/target-work/release/ledger"
+    runs="$root/runs-{{workload}}.txt"
+    : > "$runs"
+    first_seed=$((RANDOM * 32768 + RANDOM))
+    echo "ledger-pairs: {{workload}}, {{pairs}} pairs of {{seconds}} s, before = $sha, after = working tree"
+    for ((i = 0; i < {{pairs}}; i++)); do
+        seed=$((first_seed + i))
+        order="base work"
+        [ $((i % 2)) -eq 0 ] || order="work base"
+        for side in $order; do
+            bin=$base
+            [ "$side" = base ] || bin=$work
+            line=$("$bin" --workload {{workload}} --seed "$seed" --seconds {{seconds}} | tail -n 1)
+            jq -e '.correct' <<<"$line" > /dev/null ||
+                echo "ledger-pairs: pair $((i + 1)) $side failed a correctness check" >&2
+            jq -r --arg pair "$((i + 1))" --arg seed "$seed" --arg side "$side" \
+                --arg first "${order%% *}" '.metrics | to_entries[] |
+                [$pair, $seed, $first, $side, .key, .value.value] | @tsv' <<<"$line" >> "$runs"
+        done
+    done
+    jq -r '.end_to_end[] | [.name, .unit, .better] | @tsv' BENCHMARK.json |
+    while IFS=$'\t' read -r metric unit better; do
+        awk -F'\t' -v metric="$metric" -v unit="$unit" -v better="$better" '
+            function sorted(v, n, s,   i, j, x) {
+                for (i = 1; i <= n; i++) {
+                    x = v[i]
+                    for (j = i - 1; j >= 1 && s[j] > x; j--) s[j + 1] = s[j]
+                    s[j + 1] = x
+                }
+            }
+            function summary(s, n) {
+                return sprintf("median %.6g  q1 %.6g  q3 %.6g", quantile(s, n, 0.5), quantile(s, n, 0.25), quantile(s, n, 0.75))
+            }
+            function quantile(s, n, q,   pos, lo) {
+                pos = 1 + (n - 1) * q; lo = int(pos)
+                return lo >= n ? s[n] : s[lo] + (pos - lo) * (s[lo + 1] - s[lo])
+            }
+            $5 == metric { seed[$1] = $2; first[$1] = $3; value[$1, $4] = $6; if ($1 + 0 > n) n = $1 + 0 }
+            END {
+                if (n == 0) exit
+                printf "%s (%s, %s is better)\n", metric, unit, better
+                for (p = 1; p <= n; p++) {
+                    b = value[p, "base"]; a = value[p, "work"]; before[p] = b; after[p] = a
+                    won = better == "higher" ? a > b : a < b; wins += won
+                    printf "  pair %2d  seed %-10s %s first  %12.6g -> %-12.6g %s\n", p, seed[p], first[p] == "base" ? "before" : "after ", b, a, won ? "win" : ""
+                }
+                sorted(before, n, b_sorted); sorted(after, n, a_sorted)
+                printf "  before: %s\n  after:  %s\n", summary(b_sorted, n), summary(a_sorted, n)
+                m = quantile(b_sorted, n, 0.5)
+                printf "  after won %d/%d pairs; median %+.1f %%\n", wins, n, m ? 100 * (quantile(a_sorted, n, 0.5) - m) / m : 0
+            }' "$runs"
+    done
