@@ -17,7 +17,6 @@ use std::process::ExitCode;
 
 use crate::experiments::{self, Experiment};
 use crate::fuzz::FuzzConfig;
-use crate::service_load::{LoadConfig, LoadMode};
 use crate::soak::SoakConfig;
 use crate::{exec, obs, runner};
 
@@ -34,9 +33,6 @@ pub(crate) const ENV_KNOBS: &str = "\
   SIFT_FUZZ_POPULATION    fuzz: candidates per generation (16)
   SIFT_FUZZ_EXTENDED      fuzz, soak: any value but 0 adds the adversary-strength and register-semantics genes
   SIFT_FUZZ_OUT           fuzz: also write the campaign report to this path
-  SIFT_SERVICE_PROPOSALS  service: total proposals (1000000)
-  SIFT_SERVICE_INSTANCES  service: instance-id space (100000)
-  SIFT_SERVICE_MODE       service: client model, `closed` (default) or `open`
   SIFT_SOAK_SECS          soak: wall-clock budget in seconds; 0, the default, is the deterministic tick budget
   SIFT_SOAK_WINDOWS       soak: windows in tick-budget mode (6)
   SIFT_SOAK_WIDTH         soak: sliding-window width of the checker (4)
@@ -65,8 +61,6 @@ pub struct Knobs {
     pub fuzz: FuzzConfig,
     /// `SIFT_FUZZ_OUT`.
     pub fuzz_out: Option<PathBuf>,
-    /// `SIFT_SERVICE_{PROPOSALS,INSTANCES,MODE}`.
-    pub service: LoadConfig,
     /// `SIFT_SOAK_{WINDOWS,WIDTH}` and `SIFT_FUZZ_EXTENDED`.
     pub soak: SoakConfig,
     /// `SIFT_SOAK_SECS`.
@@ -221,15 +215,7 @@ impl Knobs {
     ) -> Result<Knobs, String> {
         let extended = env.switch("SIFT_FUZZ_EXTENDED");
         let fuzz = FuzzConfig::default();
-        let service = LoadConfig::default();
         let soak = SoakConfig::default();
-        let mode = (env.0)("SIFT_SERVICE_MODE")
-            .map(|text| {
-                LoadMode::parse(&text).ok_or_else(|| {
-                    format!("SIFT_SERVICE_MODE must be 'open' or 'closed', got {text:?}")
-                })
-            })
-            .transpose()?;
         Ok(Knobs {
             threads: env.number("SIFT_THREADS", true)?,
             trials: env.number("SIFT_TRIALS", true)?,
@@ -248,16 +234,6 @@ impl Knobs {
                 ..fuzz
             },
             fuzz_out: env.path("SIFT_FUZZ_OUT"),
-            service: LoadConfig {
-                proposals: env
-                    .number("SIFT_SERVICE_PROPOSALS", true)?
-                    .unwrap_or(service.proposals),
-                instances: env
-                    .number("SIFT_SERVICE_INSTANCES", true)?
-                    .unwrap_or(service.instances),
-                mode: mode.unwrap_or(service.mode),
-                ..service
-            },
             soak: SoakConfig {
                 windows: env
                     .number("SIFT_SOAK_WINDOWS", true)?
@@ -309,10 +285,6 @@ mod tests {
             (soak.seed, true, 0)
         );
         assert!(!k.fuzz.extended && !k.soak.extended);
-        let load = LoadConfig::default();
-        assert_eq!(k.service.proposals, load.proposals);
-        assert_eq!(k.service.instances, load.instances);
-        assert_eq!(k.service.mode, LoadMode::Closed);
     }
 
     #[test]
@@ -323,7 +295,6 @@ mod tests {
             ("SIFT_SEED", "9"),
             ("SIFT_FUZZ_N", "5"),
             ("SIFT_FUZZ_EXTENDED", "1"),
-            ("SIFT_SERVICE_MODE", "OPEN"),
             ("SIFT_SOAK_SECS", "30"),
             ("SIFT_SOAK_JSON", "t.json"),
             ("SIFT_ADVERSARY_JSON", ""),
@@ -331,7 +302,6 @@ mod tests {
         assert_eq!((k.threads, k.trials, k.seed), (Some(3), Some(20), Some(9)));
         assert_eq!(k.fuzz.n, 5);
         assert!(k.fuzz.extended && k.soak.extended);
-        assert_eq!(k.service.mode, LoadMode::Open);
         assert_eq!(k.soak_secs, 30);
         assert_eq!(k.soak_json, Some(PathBuf::from("t.json")));
         assert_eq!(k.adversary_json, None, "an empty path is unset");
@@ -373,7 +343,7 @@ mod tests {
     #[test]
     fn help_documents_every_knob() {
         let text = help(None);
-        assert_eq!(env_knob_names().count(), 16);
+        assert_eq!(env_knob_names().count(), 13);
         assert!(env_knob_names().all(|name| name.starts_with("SIFT_")));
         assert!(text.contains(ENV_KNOBS) && text.contains(&experiments::list()));
     }

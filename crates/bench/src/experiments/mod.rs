@@ -65,7 +65,7 @@ pub enum Entry {
 use Entry::{Main, Tables};
 
 /// Every experiment, in the order `exp list` prints and `exp all` runs.
-pub static REGISTRY: [Experiment; 20] = [
+pub static REGISTRY: [Experiment; 19] = [
     Experiment {
         name: "survivors",
         index: "E1/E4/E5",
@@ -165,15 +165,6 @@ pub static REGISTRY: [Experiment; 20] = [
         about: "every bound as a one-sided 99% test; exit 1 if a claim is refuted",
         entry: Main {
             run: |_| crate::conformance::main(),
-            in_all: None,
-        },
-    },
-    Experiment {
-        name: "service",
-        index: "E23",
-        about: "Zipf-skewed load on the sharded service; exit 1 if an instance is undecided",
-        entry: Main {
-            run: |knobs| crate::service_load::main(&knobs.service),
             in_all: None,
         },
     },

@@ -19,7 +19,6 @@ pub mod fuzz;
 pub mod obs;
 pub mod runner;
 mod schema;
-mod service_load;
 pub mod soak;
 pub mod stats;
 pub mod table;

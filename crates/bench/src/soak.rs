@@ -53,14 +53,13 @@ use sift_service::runtime::block_on;
 use sift_service::{InstanceId, Service, ServiceConfig, ShardConfig};
 use sift_sim::fuzz::{CorpusEntry, Evaluation, FingerprintHasher, Fuzzer, Gene, ScheduleGenome};
 use sift_sim::mc::{replay_report, shrink_schedule_with};
-use sift_sim::rng::SeedSplitter;
+use sift_sim::rng::{SeedSplitter, Xoshiro256StarStar};
 use sift_sim::schedule::{CrashSubset, RandomInterleave, Schedule};
 use sift_sim::{Engine, LayoutBuilder, Process, RunReport, StopReason};
 
 use crate::conformance::{ALPHA, SLACK};
 use crate::exec::map_reduce;
 use crate::runner::{sifter, TrialFixture};
-use crate::service_load::Zipf;
 use crate::stats::cp_lower;
 use crate::table::Table;
 
@@ -102,6 +101,43 @@ const SERVICE_EVICTED_LAG: u64 = 4;
 pub(crate) const FUZZ_N: usize = 6;
 /// Fuzz candidates evaluated per window.
 const FUZZ_POPULATION: usize = 6;
+
+/// Zipf(θ) sampler over ranks `0..n` via inverse CDF on a precomputed
+/// cumulative table (deterministic given the caller's RNG). The service
+/// lane draws its instance popularity from it.
+#[derive(Debug)]
+pub struct Zipf {
+    cumulative: Vec<f64>,
+}
+
+impl Zipf {
+    /// Builds the table for `n` ranks with skew `theta` (0 = uniform;
+    /// ~0.99 = classic web-cache skew).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `theta` is negative or non-finite.
+    pub fn new(n: u64, theta: f64) -> Self {
+        assert!(n > 0, "need at least one rank");
+        assert!(theta >= 0.0 && theta.is_finite(), "bad zipf theta {theta}");
+        let mut cumulative = Vec::with_capacity(n as usize);
+        let mut total = 0.0f64;
+        for rank in 0..n {
+            total += 1.0 / ((rank + 1) as f64).powf(theta);
+            cumulative.push(total);
+        }
+        for c in &mut cumulative {
+            *c /= total;
+        }
+        Self { cumulative }
+    }
+
+    /// Draws one rank.
+    pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> u64 {
+        let u = rng.unit_f64();
+        self.cumulative.partition_point(|&c| c < u) as u64
+    }
+}
 
 /// Parameters of a soak run.
 #[derive(Debug, Clone)]
@@ -1287,6 +1323,24 @@ mod tests {
         let text = sift_obs::json::write(&Json::from(&report));
         crate::schema::validate_bench_json("BENCH_conformance.json", &text)
             .expect("the soak trajectory must satisfy the tracked schema");
+    }
+
+    #[test]
+    fn zipf_is_skewed_and_in_range() {
+        let zipf = Zipf::new(1000, 0.99);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(7);
+        let mut head = 0u64;
+        let draws = 10_000;
+        for _ in 0..draws {
+            let rank = zipf.sample(&mut rng);
+            assert!(rank < 1000);
+            if rank < 10 {
+                head += 1;
+            }
+        }
+        // With θ = 0.99 the top-10 ranks carry roughly 40% of the mass;
+        // uniform would give 1%.
+        assert!(head > draws / 5, "zipf head too light: {head}/{draws}");
     }
 
     #[test]

@@ -195,38 +195,6 @@ fn malformed_tracked_obs_target_is_refused() {
     assert_refuses_target(exp_fuzz(), "--obs-json", "conformance", row_without_window);
 }
 
-/// Polarity for `--obs-json` on an experiment that builds its own
-/// report: `exp service` must hand it to the collector. (At the parent
-/// commit the flag was accepted and the file held none of the run's
-/// counters — no `load.*`, `service.*` or `shardNNN.*` key.)
-#[test]
-fn service_obs_json_carries_the_runs_counters() {
-    let dir = std::env::temp_dir().join(format!("sift-service-obs-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let target = dir.join("obs.json");
-    let out = exp("service")
-        .env("SIFT_SERVICE_PROPOSALS", "2000")
-        .env("SIFT_SERVICE_INSTANCES", "200")
-        .arg("--obs-json")
-        .arg(&target)
-        .output()
-        .expect("binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
-    let doc = json::parse(&std::fs::read_to_string(&target).unwrap()).unwrap();
-    let count = |key| doc.get("counters").unwrap().get(key).and_then(Json::as_u64);
-    assert_eq!(count("load.decided"), Some(200));
-    assert_eq!(count("service.decided"), Some(200));
-    assert!(
-        doc.get("histograms")
-            .unwrap()
-            .get("shard000.latency_ns")
-            .is_some(),
-        "per-shard latency histograms ride along"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
 /// Polarity: a well-formed existing trajectory is a legal overwrite
 /// target, and the freshly written trajectory must itself be valid.
 #[test]
@@ -256,16 +224,13 @@ fn valid_soak_trajectory_target_is_overwritten_end_to_end() {
 
 /// Every knob with a value space smaller than "any string", and
 /// values outside it.
-const MALFORMED: [(&str, &[&str]); 12] = [
+const MALFORMED: [(&str, &[&str]); 9] = [
     ("SIFT_TRIALS", &["many", "0", "-3", ""]),
     ("SIFT_THREADS", &["many", "0", "2.5"]),
     ("SIFT_SEED", &["seven", "-1", "0x10"]),
     ("SIFT_FUZZ_N", &["zero", "0"]),
     ("SIFT_FUZZ_GENERATIONS", &["zero", "0"]),
     ("SIFT_FUZZ_POPULATION", &["zero", "0"]),
-    ("SIFT_SERVICE_PROPOSALS", &["lots", "0"]),
-    ("SIFT_SERVICE_INSTANCES", &["lots", "0"]),
-    ("SIFT_SERVICE_MODE", &["ajar", ""]),
     ("SIFT_SOAK_SECS", &["soon", "-1", "1.5"]),
     ("SIFT_SOAK_WINDOWS", &["zero", "0"]),
     ("SIFT_SOAK_WIDTH", &["zero", "0"]),

@@ -788,6 +788,25 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_receiver_is_counted_as_cancelled() {
+        let mut core = ShardCore::new(0, ShardConfig::default());
+        let (tx, rx) = oneshot::channel();
+        core.submit(Proposal {
+            instance: InstanceId(3),
+            value: 8,
+            tag: 0,
+            waiter: Some(tx),
+            submitted: None,
+        });
+        // The client walks away before the tick answers it.
+        drop(rx);
+        let facts = core.tick();
+        assert_eq!(facts.len(), 1, "a cancelled proposal still decides");
+        assert_eq!(core.obs().count("cancelled"), 1);
+        assert_eq!(core.stats().waiters, 0);
+    }
+
+    #[test]
     fn explicit_evict_only_touches_decided_instances() {
         let mut core = ShardCore::new(0, ShardConfig::default());
         assert!(!core.evict(InstanceId(9)), "unknown instance");

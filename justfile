@@ -22,9 +22,11 @@ fmt-check:
 # the next keeps one reference per layer, the model (no lock-based
 # object copies, no frozen engine copy); the next keeps the service's
 # workers behind their doorbells (no condvar, no polling timeout); the
-# next keeps observations on the served path typed; the last keeps one
+# next keeps observations on the served path typed; the next keeps one
 # performance harness: wall-clock is measured by the ledger under
-# `benchmark/`, and no crate carries a `cargo bench` target.
+# `benchmark/`, and no crate carries a `cargo bench` target; the last
+# keeps one service load harness, that ledger, with E23's checks in
+# tests/service_agreement.rs.
 clippy: api-audit
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -37,6 +39,7 @@ clippy: api-audit
     ! grep -rnE 'Condvar|wait_timeout|notify_all|wake_lock' crates/service/src
     ! grep -rnE '\bobs: ObsReport\b' crates/service/src
     ! grep -n '^\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml
+    ! grep -rnE 'SIFT_SERVIC[E]_|service_loa[d]|exp -- servic[e]' crates src tests examples justfile
 
 # Per crate: how many distinct `pub` item names its `src/` declares, and
 # which of them no `.rs` file outside that `src/` mentions (DESIGN.md,
@@ -94,10 +97,11 @@ mc:
 
 # The full model-checking tier, including the `#[ignore]`d 4-proposer
 # instances (hundreds of thousands of explored interleavings; release
-# mode is mandatory — debug would take many minutes) and the n = 10^6
-# lazy sifting round under its wall-clock bound.
+# mode is mandatory — debug would take many minutes), the n = 10^6
+# lazy sifting round under its wall-clock bound, and E23's load script
+# at 10^6 proposals over 10^5 instances.
 mc-full:
-    cargo test --release --test exhaustive --test linearizability --test mc_replay --test lazy_scale -- --include-ignored
+    cargo test --release --test exhaustive --test linearizability --test mc_replay --test lazy_scale --test service_agreement -- --include-ignored
 
 # The statistical conformance suite (E22): every quantitative claim of
 # the paper as a one-sided 99% hypothesis test, plus the mutation tests
@@ -116,8 +120,9 @@ conformance:
 # (evictions, zero capacity, cancellation) — each at worker counts
 # 1, 4, and 8 — the crash-recovery suite, the allocations-per-decision
 # gate, the served-stack ↔ engine pin in cross_runtime (phase 1 under
-# round robin, phase 2 reachable when interleaved), the doorbell
-# stress test at release speed, plus a small load-generator smoke run.
+# round robin, phase 2 reachable when interleaved; service_agreement
+# also runs E23's Zipf load script at 50 000 proposals), and the
+# doorbell stress test at release speed.
 # The first two lines keep the sift-service → sift-shmem edge cut, and
 # every sift-bench → sift-shmem edge, dev-dependencies included.
 service:
@@ -128,15 +133,6 @@ service:
         --test decide_allocations --test service_crash --test cross_runtime
     cargo test -q -p sift-service
     cargo test -q --release -p sift-service closed_loop
-    SIFT_SERVICE_PROPOSALS=50000 SIFT_SERVICE_INSTANCES=5000 \
-        cargo run --release -p sift-bench --bin exp -- service
-
-# The full E23 load tier: one million proposals over 100k Zipf-skewed
-# instances in one run (the acceptance bound for the service layer),
-# both client models.
-service-load:
-    cargo run --release -p sift-bench --bin exp -- service
-    SIFT_SERVICE_MODE=open cargo run --release -p sift-bench --bin exp -- service
 
 # A coverage-guided adversary fuzzing campaign against the sifting
 # conciliator's schedule-independent invariants. Knobs:

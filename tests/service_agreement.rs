@@ -16,11 +16,22 @@
 //! The whole suite runs at worker counts 1, 4, and 8, since the shard
 //! scheduler degenerates differently at each (single worker = strictly
 //! sequential ticks; workers > shards = idle spinners).
+//!
+//! The last three cases run E23's load script, a warm sweep over every
+//! instance and then Zipf(0.99)-skewed repeats: closed loop and open
+//! loop at 50 000 proposals in every run, and both at the acceptance
+//! size of 10^6 proposals over 10^5 instances in the `#[ignore]`d heavy tier
+//! (`cargo test --release --test service_agreement -- --include-ignored`).
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use sift::service::runtime::block_on;
-use sift::service::{CommitFact, InstanceId, Service, ServiceConfig, ShardConfig};
+use sift::service::{
+    CommitFact, InstanceId, ProposeFuture, Service, ServiceConfig, ServiceError, ShardConfig,
+};
+use sift::sim::rng::SeedSplitter;
+use sift_bench::soak::Zipf;
 
 /// Worker counts every scenario is exercised at (acceptance criterion).
 const WORKER_COUNTS: [usize; 3] = [1, 4, 8];
@@ -194,5 +205,146 @@ fn interleaved_instances_decide_independently() {
         }
         assert_eq!(service.stats().decided, instances as usize);
         service.shutdown();
+    }
+}
+
+/// Shards of an E23 service.
+const E23_SHARDS: usize = 16;
+/// Client threads of an E23 load run.
+const E23_CLIENTS: usize = 8;
+/// E23 proposals carry values in `0..E23_VALUES`.
+const E23_VALUES: u64 = 16;
+
+/// How an E23 client waits for its answers.
+#[derive(Debug, Clone, Copy)]
+enum Clients {
+    /// Each proposal waits for its answer before the next is issued,
+    /// like RPC callers.
+    Closed,
+    /// Proposals are issued without waiting and their answers drained
+    /// 4096 at a time, like a queue fed from outside.
+    Open,
+}
+
+/// What one E23 load run saw.
+#[derive(Debug, Default)]
+struct Answers {
+    /// Proposals answered with an error.
+    rejected: u64,
+    /// Answers that differ from the first fact for their instance, or
+    /// name another instance, or decide a value nobody proposes.
+    diverged: u64,
+}
+
+/// E23's script: `E23_CLIENTS` threads share the proposal positions
+/// `0..proposals` round robin. Position `p < instances` proposes to
+/// instance `p`, a warm sweep that touches every instance once; every
+/// later position draws its instance from Zipf(0.99). Each answer is
+/// checked against the first fact any client got for its instance.
+fn e23_load(service: &Service, clients: Clients, proposals: u64, instances: u64) -> Answers {
+    let zipf = Zipf::new(instances, 0.99);
+    let first: Vec<OnceLock<CommitFact>> = (0..instances).map(|_| OnceLock::new()).collect();
+    let check =
+        |seen: &mut Answers, instance: InstanceId, answer: Result<CommitFact, ServiceError>| {
+            match answer {
+                Err(_) => seen.rejected += 1,
+                Ok(fact) => {
+                    let reference = first[instance.0 as usize].get_or_init(|| fact.clone());
+                    let valid = fact.instance == instance && fact.value < E23_VALUES;
+                    seen.diverged += u64::from(!valid || fact != *reference);
+                }
+            }
+        };
+    let split = SeedSplitter::new(0);
+    let (zipf, check) = (&zipf, &check);
+    run_clients(E23_CLIENTS, |client| {
+        let mut rng = split.stream("load-client", client as u64);
+        async move {
+            let mut seen = Answers::default();
+            let mut open: Vec<(InstanceId, ProposeFuture)> = Vec::new();
+            for position in (client as u64..proposals).step_by(E23_CLIENTS) {
+                let instance = if position < instances {
+                    InstanceId(position)
+                } else {
+                    InstanceId(zipf.sample(&mut rng))
+                };
+                let future = service.propose(instance, rng.range_u64(E23_VALUES));
+                match clients {
+                    Clients::Closed => check(&mut seen, instance, future.await),
+                    Clients::Open => {
+                        open.push((instance, future));
+                        if open.len() == 4096 {
+                            for (instance, future) in open.drain(..) {
+                                check(&mut seen, instance, future.await);
+                            }
+                        }
+                    }
+                }
+            }
+            for (instance, future) in open {
+                check(&mut seen, instance, future.await);
+            }
+            seen
+        }
+    })
+    .into_iter()
+    .fold(Answers::default(), |a, b| Answers {
+        rejected: a.rejected + b.rejected,
+        diverged: a.diverged + b.diverged,
+    })
+}
+
+/// Runs E23's script and checks what E23 checked: every instance
+/// decided exactly once, nothing rejected, every re-proposal answered
+/// with its instance's first fact, and per-shard latency histograms in
+/// the report `shutdown` returns.
+fn check_e23(workers: usize, clients: Clients, proposals: u64, instances: u64) {
+    let context = format!("workers={workers} {clients:?} loop");
+    let service = Service::start(ServiceConfig {
+        shards: E23_SHARDS,
+        workers,
+        shard: ShardConfig {
+            seed: 0,
+            capacity: usize::MAX,
+            // Every batch commits in phase 1 (round robin), so the
+            // budget only sizes each stack's layout.
+            base_phases: 2,
+        },
+    });
+    let answers = e23_load(&service, clients, proposals, instances);
+    assert_eq!(answers.rejected, 0, "{context}");
+    assert_eq!(
+        answers.diverged, 0,
+        "{context}: answers differing from their instance's first fact"
+    );
+    assert_eq!(service.stats().decided, instances as usize, "{context}");
+    let obs = service.shutdown();
+    assert_eq!(obs.count("service.decided"), instances, "{context}");
+    assert_eq!(obs.count("service.proposals"), proposals, "{context}");
+    for shard in 0..E23_SHARDS {
+        let key = format!("shard{shard:03}.latency_ns");
+        assert!(obs.hist(&key).is_some(), "{context}: no {key}");
+    }
+}
+
+#[test]
+fn zipf_closed_loop_decides_every_instance_once() {
+    for workers in WORKER_COUNTS {
+        check_e23(workers, Clients::Closed, 50_000, 5_000);
+    }
+}
+
+#[test]
+fn zipf_open_loop_decides_every_instance_once() {
+    for workers in WORKER_COUNTS {
+        check_e23(workers, Clients::Open, 50_000, 5_000);
+    }
+}
+
+#[test]
+#[ignore = "heavy tier: E23's acceptance size, run in release"]
+fn zipf_load_at_a_million_proposals_decides_every_instance_once() {
+    for clients in [Clients::Closed, Clients::Open] {
+        check_e23(4, clients, 1_000_000, 100_000);
     }
 }
