@@ -620,11 +620,11 @@ mod tests {
         }
     }
 
-    /// The served stack mints a `GafniSnapshotAc<Persona>` proposer per
-    /// process and phase, so the object must stay a plain copy.
-    /// `Persona` (an `Arc` newtype) lives in `sift-core`, which depends
-    /// on this crate, so the pin holds for every payload: an `Arc` field
-    /// would fail to compile here.
+    /// The served stack mints a `GafniSnapshotAc` proposer per process
+    /// and phase, so the object must stay a plain copy. The persona
+    /// payloads live in `sift-core`, which depends on this crate, so the
+    /// pin holds for every payload: an `Arc` field would fail to compile
+    /// here.
     #[test]
     fn snapshot_ac_is_a_plain_copy() {
         fn assert_copy<T: Copy>() {}

@@ -14,11 +14,16 @@
 //! (returns [`ConsensusOutcome::Exhausted`]) with probability at most
 //! `(1-δ)^max_phases`, which the default of 64 phases makes negligible;
 //! allocation is cheap because snapshot objects materialize lazily.
+//!
+//! The stack is generic over the persona representation `V` its objects
+//! store ([`PersonaRepr`]), [`Persona`] by default: the conciliator
+//! hands a `V` to the adopt-commit object, which proposes its input.
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use sift_adopt_commit::{AcOutput, AdoptCommit, Verdict};
-use sift_core::{Conciliator, Persona};
+use sift_core::{Conciliator, Persona, PersonaRepr};
 use sift_sim::rng::Xoshiro256StarStar;
 use sift_sim::{LayoutBuilder, OpResult, Process, ProcessId, Step};
 
@@ -76,7 +81,7 @@ pub struct Decision {
 }
 
 /// A consensus protocol: `max_phases` pre-allocated
-/// (conciliator, adopt-commit) pairs.
+/// (conciliator, adopt-commit) pairs over personae of type `V`.
 ///
 /// # Examples
 ///
@@ -111,24 +116,27 @@ pub struct Decision {
 /// assert!(values.windows(2).all(|w| w[0] == w[1]), "agreement is absolute");
 /// ```
 #[derive(Debug)]
-pub struct ConsensusProtocol<C, A> {
+pub struct ConsensusProtocol<C, A, V = Persona> {
     phases: Arc<Vec<(C, A)>>,
     n: usize,
+    value: PhantomData<fn() -> V>,
 }
 
-impl<C, A> Clone for ConsensusProtocol<C, A> {
+impl<C, A, V> Clone for ConsensusProtocol<C, A, V> {
     fn clone(&self) -> Self {
         Self {
             phases: Arc::clone(&self.phases),
             n: self.n,
+            value: PhantomData,
         }
     }
 }
 
-impl<C, A> ConsensusProtocol<C, A>
+impl<C, A, V> ConsensusProtocol<C, A, V>
 where
-    C: Conciliator,
-    A: AdoptCommit<Persona>,
+    V: PersonaRepr,
+    C: Conciliator<V>,
+    A: AdoptCommit<V>,
 {
     /// Allocates `max_phases` phases, building each phase's conciliator
     /// and adopt-commit object with the given constructors.
@@ -151,6 +159,7 @@ where
         Self {
             phases: Arc::new(phases),
             n,
+            value: PhantomData,
         }
     }
 
@@ -162,6 +171,11 @@ where
     /// Number of processes.
     pub fn process_count(&self) -> usize {
         self.n
+    }
+
+    /// Each phase's conciliator, in phase order.
+    pub fn conciliators(&self) -> impl ExactSizeIterator<Item = &C> {
+        self.phases.iter().map(|(conciliator, _)| conciliator)
     }
 
     /// Upper bound on the probability of exhausting all phases:
@@ -182,7 +196,7 @@ where
         pid: ProcessId,
         input: u64,
         rng: &mut Xoshiro256StarStar,
-    ) -> ConsensusParticipant<C, A> {
+    ) -> ConsensusParticipant<C, A, V> {
         assert!(pid.index() < self.n, "{pid} out of range 0..{}", self.n);
         let own = Xoshiro256StarStar::seed_from_u64(rng.next_u64());
         ConsensusParticipant {
@@ -198,7 +212,7 @@ where
     }
 }
 
-enum Stage<C: Conciliator, A: AdoptCommit<Persona>> {
+enum Stage<C: Conciliator<V>, A: AdoptCommit<V>, V: PersonaRepr> {
     /// About to mint the next phase's conciliator participant.
     StartPhase,
     /// Driving the conciliator.
@@ -214,7 +228,7 @@ enum Stage<C: Conciliator, A: AdoptCommit<Persona>> {
     Finished,
 }
 
-impl<C: Conciliator, A: AdoptCommit<Persona>> std::fmt::Debug for Stage<C, A> {
+impl<C: Conciliator<V>, A: AdoptCommit<V>, V: PersonaRepr> std::fmt::Debug for Stage<C, A, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
             Stage::StartPhase => "StartPhase",
@@ -228,19 +242,24 @@ impl<C: Conciliator, A: AdoptCommit<Persona>> std::fmt::Debug for Stage<C, A> {
 
 /// Single-use consensus participant.
 #[derive(Debug)]
-pub struct ConsensusParticipant<C: Conciliator, A: AdoptCommit<Persona>> {
-    shared: ConsensusProtocol<C, A>,
+pub struct ConsensusParticipant<C, A, V = Persona>
+where
+    V: PersonaRepr,
+    C: Conciliator<V>,
+    A: AdoptCommit<V>,
+{
+    shared: ConsensusProtocol<C, A, V>,
     pid: ProcessId,
     preference: u64,
     rng: Xoshiro256StarStar,
     phase_index: usize,
-    stage: Stage<C, A>,
+    stage: Stage<C, A, V>,
     conciliator_steps: u64,
     adopt_commit_steps: u64,
 }
 
-impl<C: Conciliator, A: AdoptCommit<Persona>> ConsensusParticipant<C, A> {
-    fn decide(&mut self, value: u64) -> Step<Persona, ConsensusOutcome> {
+impl<C: Conciliator<V>, A: AdoptCommit<V>, V: PersonaRepr> ConsensusParticipant<C, A, V> {
+    fn decide(&mut self, value: u64) -> Step<V, ConsensusOutcome> {
         self.stage = Stage::Finished;
         Step::Done(ConsensusOutcome::Decided(Decision {
             value,
@@ -251,11 +270,13 @@ impl<C: Conciliator, A: AdoptCommit<Persona>> ConsensusParticipant<C, A> {
     }
 }
 
-impl<C: Conciliator, A: AdoptCommit<Persona>> Process for ConsensusParticipant<C, A> {
-    type Value = Persona;
+impl<C: Conciliator<V>, A: AdoptCommit<V>, V: PersonaRepr> Process
+    for ConsensusParticipant<C, A, V>
+{
+    type Value = V;
     type Output = ConsensusOutcome;
 
-    fn step(&mut self, mut prev: Option<OpResult<Persona>>) -> Step<Persona, ConsensusOutcome> {
+    fn step(&mut self, mut prev: Option<OpResult<V>>) -> Step<V, ConsensusOutcome> {
         // The stage is matched in place and assigned only on a
         // transition, so a sub-participant is never moved out and back.
         loop {
@@ -389,6 +410,50 @@ mod tests {
             let report = Engine::new(&layout, procs).run(RandomInterleave::new(n, seed + 100));
             let outcomes = report.unwrap_outputs();
             check_consensus(&inputs, outcomes.iter());
+        }
+    }
+
+    /// Runs Algorithm 1's stack holding personae as `V` on `k`
+    /// conflicting proposers; returns every outcome and the run's
+    /// operation counts.
+    fn run_stack_as<V: PersonaRepr>(
+        k: usize,
+        seed: u64,
+        random: bool,
+    ) -> (Vec<Option<ConsensusOutcome>>, sift_sim::Metrics) {
+        let mut b = LayoutBuilder::new();
+        let protocol: ConsensusProtocol<_, _, V> = ConsensusProtocol::allocate(
+            &mut b,
+            k,
+            16,
+            |b| SnapshotConciliator::allocate_as(b, k, Epsilon::HALF),
+            |b| GafniSnapshotAc::allocate(b, k, |p: &V| p.input()),
+        );
+        let layout = b.build();
+        let procs = SeedSplitter::new(seed).processes(k, |pid, rng| {
+            protocol.participant(pid, (pid.index() as u64 * 7 + seed) % 5, rng)
+        });
+        let engine = Engine::new(&layout, procs);
+        let report = if random {
+            engine.run(RandomInterleave::new(k, seed + 1))
+        } else {
+            engine.run(RoundRobin::new(k))
+        };
+        (report.outputs, report.metrics)
+    }
+
+    #[test]
+    fn the_name_stack_decides_as_the_persona_stack_does() {
+        for k in 2..=8 {
+            for seed in 0..64 {
+                for random in [false, true] {
+                    assert_eq!(
+                        run_stack_as::<sift_core::PersonaName>(k, seed, random),
+                        run_stack_as::<Persona>(k, seed, random),
+                        "k={k} seed={seed} random={random}"
+                    );
+                }
+            }
         }
     }
 

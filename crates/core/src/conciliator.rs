@@ -18,12 +18,14 @@ use crate::persona::Persona;
 ///
 /// Implementations hold the shared-object ids (allocated from a
 /// [`LayoutBuilder`](sift_sim::LayoutBuilder)) and mint one single-use
-/// participant per process. All participants of `sift-core` store
-/// [`Persona`] values in shared memory and return the persona they
-/// settled on; the caller extracts [`Persona::input`].
-pub trait Conciliator {
+/// participant per process. Its participants store personae of type
+/// `V` in shared memory and return the persona they settled on; the
+/// caller extracts the input. Every conciliator of `sift-core` stores
+/// [`Persona`] values, and Algorithm 1 can store any
+/// [`PersonaRepr`](crate::persona::PersonaRepr).
+pub trait Conciliator<V = Persona> {
     /// The participant state machine type.
-    type Participant: Process<Value = Persona, Output = Persona>;
+    type Participant: Process<Value = V, Output = V>;
 
     /// Creates the participant for process `pid` with input `input`.
     ///

@@ -77,6 +77,6 @@ pub use embedded::{EmbeddedConciliator, EmbeddedParticipant};
 pub use escalating::{EscalatingCilConciliator, EscalatingCilParticipant};
 pub use max_conciliator::{MaxConciliator, MaxParticipant};
 pub use params::{Epsilon, InvalidEpsilon};
-pub use persona::{Persona, PersonaSpec};
+pub use persona::{CoinTable, Persona, PersonaName, PersonaRepr, PersonaSpec};
 pub use sifting::{SiftingConciliator, SiftingParticipant};
 pub use snapshot_conciliator::{SnapshotConciliator, SnapshotParticipant};

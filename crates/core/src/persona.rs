@@ -8,13 +8,24 @@
 //! personae — not surviving processes — is the progress measure of both
 //! conciliators.
 //!
-//! A [`Persona`] is cheap to clone (`Arc`-backed) and is the value type
-//! stored in shared memory by every protocol in `sift-core`.
+//! A persona has two representations ([`PersonaRepr`]):
+//!
+//! - a [`Persona`] carries its own bits behind an `Arc`, so a clone is a
+//!   reference-count increment. Every conciliator in `sift-core` can
+//!   store it, and every one but Algorithm 1 does: the simulator's
+//!   experiments and `sift-shmem`'s substrate run on it.
+//! - a [`PersonaName`] is the persona's origin and input, 16 bytes and
+//!   `Copy`; its bits live in the [`CoinTable`] of the conciliator
+//!   instance that minted it. Algorithm 1 can store either, and the
+//!   served stack (`sift-service`) stores names, so a served operation
+//!   touches no persona reference count.
 
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sift_sim::rng::Xoshiro256StarStar;
-use sift_sim::ProcessId;
+use sift_sim::{ProcessId, Value};
 
 #[derive(Debug)]
 struct PersonaData {
@@ -170,6 +181,175 @@ impl std::fmt::Display for Persona {
     }
 }
 
+/// How a protocol holds a persona: whole, as a [`Persona`], or by its
+/// [`PersonaName`], with its coins in the instance's [`CoinTable`].
+/// Algorithm 1 ([`SnapshotConciliator`](crate::SnapshotConciliator)) is
+/// generic over it, and both representations mint the same coins from
+/// the same generator, so they decide alike.
+pub trait PersonaRepr: Value {
+    /// Where one conciliator instance keeps its personae's coins: `()`
+    /// for a [`Persona`], which carries its own.
+    type Coins: fmt::Debug + Send + Sync;
+
+    /// Coin storage for `n` origins of `rounds` priorities each.
+    fn coins(n: usize, rounds: usize) -> Self::Coins;
+
+    /// Mints the persona for `input` at `origin`, drawing its bits from
+    /// `rng` with the calls, in the order, of [`Persona::generate`].
+    fn mint(
+        origin: ProcessId,
+        input: u64,
+        spec: &PersonaSpec,
+        rng: &mut Xoshiro256StarStar,
+        coins: &Self::Coins,
+    ) -> Self;
+
+    /// The process that generated the persona's bits.
+    fn origin(&self) -> ProcessId;
+
+    /// The input value the persona carries.
+    fn input(&self) -> u64;
+
+    /// The Algorithm 1 priority for round `round` (0-based).
+    fn priority(&self, round: usize, coins: &Self::Coins) -> u64;
+}
+
+impl PersonaRepr for Persona {
+    type Coins = ();
+
+    fn coins(_: usize, _: usize) {}
+
+    fn mint(
+        origin: ProcessId,
+        input: u64,
+        spec: &PersonaSpec,
+        rng: &mut Xoshiro256StarStar,
+        _: &(),
+    ) -> Self {
+        Persona::generate(origin, input, spec, rng)
+    }
+
+    #[inline]
+    fn origin(&self) -> ProcessId {
+        self.0.origin
+    }
+
+    #[inline]
+    fn input(&self) -> u64 {
+        self.0.input
+    }
+
+    #[inline]
+    fn priority(&self, round: usize, _: &()) -> u64 {
+        self.0.priorities[round]
+    }
+}
+
+/// A persona by name: its origin and input. Within one conciliator
+/// instance the origin determines every bit, which the instance's
+/// [`CoinTable`] holds, so the name is all shared memory needs to store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PersonaName {
+    /// The process that generated the persona's bits.
+    pub origin: ProcessId,
+    /// The input value the persona carries.
+    pub input: u64,
+}
+
+impl PersonaRepr for PersonaName {
+    type Coins = CoinTable;
+
+    fn coins(n: usize, rounds: usize) -> CoinTable {
+        CoinTable {
+            rounds,
+            priorities: (0..n * rounds).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    fn mint(
+        origin: ProcessId,
+        input: u64,
+        spec: &PersonaSpec,
+        rng: &mut Xoshiro256StarStar,
+        coins: &CoinTable,
+    ) -> Self {
+        debug_assert_eq!(spec.priority_rounds, coins.rounds);
+        assert!(spec.priority_range > 0, "priority range must be positive");
+        let slot = coins.slot(origin);
+        assert_eq!(slot[0].load(Ordering::Relaxed), 0, "{origin} minted twice");
+        for priority in slot {
+            priority.store(
+                rng.range_u64_inclusive_from_one(spec.priority_range),
+                Ordering::Relaxed,
+            );
+        }
+        // The rest of `Persona::generate`'s draws, which the table does
+        // not keep: Algorithm 1 reads neither.
+        for &p in &spec.write_probs {
+            rng.bernoulli(p);
+        }
+        rng.coin();
+        PersonaName { origin, input }
+    }
+
+    #[inline]
+    fn origin(&self) -> ProcessId {
+        self.origin
+    }
+
+    #[inline]
+    fn input(&self) -> u64 {
+        self.input
+    }
+
+    #[inline]
+    fn priority(&self, round: usize, coins: &CoinTable) -> u64 {
+        let priority = coins.slot(self.origin)[round].load(Ordering::Relaxed);
+        assert_ne!(
+            priority, 0,
+            "{} looked up before it was minted",
+            self.origin
+        );
+        priority
+    }
+}
+
+/// The coins of one conciliator instance's [`PersonaName`]s: `rounds`
+/// priorities per origin, 0 until the origin is minted (a priority is at
+/// least 1). A slot is written once per run, by the mint, and read
+/// after: the memory operation that shows a name to another participant
+/// follows its mint, so a lookup finds its slot filled, on one thread or
+/// many. [`clear`](Self::clear) readies the table for the next run and
+/// keeps its storage.
+#[derive(Debug)]
+pub struct CoinTable {
+    rounds: usize,
+    priorities: Box<[AtomicU64]>,
+}
+
+impl CoinTable {
+    #[inline]
+    fn slot(&self, origin: ProcessId) -> &[AtomicU64] {
+        let start = origin.index() * self.rounds;
+        &self.priorities[start..start + self.rounds]
+    }
+
+    /// Forgets every minted origin. Call it between runs, never while a
+    /// participant that reads the table is live.
+    pub fn clear(&self) {
+        for priority in self.priorities.iter() {
+            priority.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Whether no origin is minted.
+    pub fn is_empty(&self) -> bool {
+        self.priorities
+            .iter()
+            .all(|p| p.load(Ordering::Relaxed) == 0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,6 +446,50 @@ mod tests {
     fn display_is_informative() {
         let p = Persona::bare(ProcessId(2), 9);
         assert_eq!(p.to_string(), "persona(9 from p2)");
+    }
+
+    #[test]
+    fn a_name_mints_what_generate_draws() {
+        let spec = PersonaSpec {
+            priority_rounds: 5,
+            priority_range: 1_000,
+            write_probs: vec![0.5; 3],
+        };
+        let table = PersonaName::coins(4, 5);
+        let (mut by_name, mut whole) = (rng(6), rng(6));
+        let name = PersonaName::mint(ProcessId(3), 8, &spec, &mut by_name, &table);
+        let persona = Persona::generate(ProcessId(3), 8, &spec, &mut whole);
+        for r in 0..5 {
+            assert_eq!(name.priority(r, &table), persona.priority(r));
+        }
+        assert_eq!(by_name.next_u64(), whole.next_u64(), "same draws");
+        assert!(!table.is_empty());
+        table.clear();
+        assert!(table.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "p1 minted twice")]
+    fn minting_an_origin_twice_in_one_run_panics() {
+        let spec = PersonaSpec {
+            priority_rounds: 2,
+            priority_range: 10,
+            write_probs: Vec::new(),
+        };
+        let table = PersonaName::coins(2, 2);
+        PersonaName::mint(ProcessId(1), 0, &spec, &mut rng(0), &table);
+        PersonaName::mint(ProcessId(1), 0, &spec, &mut rng(1), &table);
+    }
+
+    #[test]
+    #[should_panic(expected = "p0 looked up before it was minted")]
+    fn an_unminted_name_has_no_priority() {
+        let table = PersonaName::coins(1, 1);
+        let name = PersonaName {
+            origin: ProcessId(0),
+            input: 0,
+        };
+        name.priority(0, &table);
     }
 
     #[test]

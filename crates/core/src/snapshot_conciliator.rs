@@ -10,6 +10,11 @@
 //! per round (Lemma 1), so after `R = log* n + ⌈log(1/ε)⌉ + 1` rounds a
 //! single persona survives with probability at least `1 - ε`
 //! (Theorem 1). Each participant takes exactly `2R` operations.
+//!
+//! The instance is generic over how it holds a persona
+//! ([`PersonaRepr`]): whole, the default, or by name, with the coins in
+//! the instance's [`CoinTable`](crate::persona::CoinTable). The steps
+//! are the same code either way.
 
 use std::sync::Arc;
 
@@ -19,7 +24,7 @@ use sift_sim::{LayoutBuilder, Op, OpResult, Process, ProcessId, ScanView, Snapsh
 use crate::conciliator::{Conciliator, RoundHistory};
 use crate::math::{ceil_log2, log_star};
 use crate::params::Epsilon;
-use crate::persona::{Persona, PersonaSpec};
+use crate::persona::{Persona, PersonaRepr, PersonaSpec};
 
 /// Shared state of an Algorithm 1 instance.
 ///
@@ -43,24 +48,45 @@ use crate::persona::{Persona, PersonaSpec};
 /// assert!(outputs.iter().all(|p| p.input() < n as u64));
 /// ```
 #[derive(Debug, Clone)]
-pub struct SnapshotConciliator {
-    arrays: Arc<Vec<SnapshotId>>,
+pub struct SnapshotConciliator<P: PersonaRepr = Persona> {
+    shared: Arc<Shared<P>>,
     n: usize,
     rounds: usize,
     priority_range: u64,
     epsilon: Epsilon,
 }
 
+/// What every participant of one instance reads: one `Arc` for both.
+#[derive(Debug)]
+struct Shared<P: PersonaRepr> {
+    arrays: Vec<SnapshotId>,
+    coins: P::Coins,
+}
+
 impl SnapshotConciliator {
     /// Allocates an instance for `n` processes with failure budget
     /// `epsilon`, using the paper's parameters:
     /// `R = log* n + ⌈log(1/ε)⌉ + 1` rounds and priorities drawn from
-    /// `1..=⌈R n²/ε⌉`.
+    /// `1..=⌈R n²/ε⌉`. Its personae are held whole; see
+    /// [`allocate_as`](SnapshotConciliator::allocate_as) for another
+    /// representation.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn allocate(builder: &mut LayoutBuilder, n: usize, epsilon: Epsilon) -> Self {
+        Self::allocate_as(builder, n, epsilon)
+    }
+}
+
+impl<P: PersonaRepr> SnapshotConciliator<P> {
+    /// [`allocate`](SnapshotConciliator::allocate), holding personae as
+    /// `P`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn allocate_as(builder: &mut LayoutBuilder, n: usize, epsilon: Epsilon) -> Self {
         assert!(n > 0, "need at least one process");
         let rounds = (log_star(n as u64) + ceil_log2(epsilon.inverse()) + 1) as usize;
         let priority_range =
@@ -85,7 +111,10 @@ impl SnapshotConciliator {
         assert!(rounds > 0, "need at least one round");
         assert!(priority_range > 0, "priority range must be positive");
         Self {
-            arrays: Arc::new(builder.snapshots(rounds, n)),
+            shared: Arc::new(Shared {
+                arrays: builder.snapshots(rounds, n),
+                coins: P::coins(n, rounds),
+            }),
             n,
             rounds,
             priority_range,
@@ -103,6 +132,15 @@ impl SnapshotConciliator {
         self.priority_range
     }
 
+    /// Where this instance's personae keep their coins.
+    pub fn coins(&self) -> &P::Coins {
+        &self.shared.coins
+    }
+
+    fn array(&self, round: usize) -> SnapshotId {
+        self.shared.arrays[round]
+    }
+
     fn spec(&self) -> PersonaSpec {
         PersonaSpec {
             priority_rounds: self.rounds,
@@ -112,20 +150,20 @@ impl SnapshotConciliator {
     }
 }
 
-impl Conciliator for SnapshotConciliator {
-    type Participant = SnapshotParticipant;
+impl<P: PersonaRepr> Conciliator<P> for SnapshotConciliator<P> {
+    type Participant = SnapshotParticipant<P>;
 
     fn participant(
         &self,
         pid: ProcessId,
         input: u64,
         rng: &mut Xoshiro256StarStar,
-    ) -> SnapshotParticipant {
+    ) -> SnapshotParticipant<P> {
         assert!(pid.index() < self.n, "{pid} out of range 0..{}", self.n);
         SnapshotParticipant {
             shared: self.clone(),
             pid,
-            persona: Persona::generate(pid, input, &self.spec(), rng),
+            persona: P::mint(pid, input, &self.spec(), rng, self.coins()),
             round: 0,
             phase: Phase::Update,
             history: Vec::with_capacity(self.rounds),
@@ -151,18 +189,18 @@ enum Phase {
 /// Single-use participant of [`SnapshotConciliator`]: exactly `2R`
 /// snapshot operations.
 #[derive(Debug, Clone)]
-pub struct SnapshotParticipant {
-    shared: SnapshotConciliator,
+pub struct SnapshotParticipant<P: PersonaRepr = Persona> {
+    shared: SnapshotConciliator<P>,
     pid: ProcessId,
-    persona: Persona,
+    persona: P,
     round: usize,
     phase: Phase,
     history: Vec<ProcessId>,
 }
 
-impl SnapshotParticipant {
+impl<P: PersonaRepr> SnapshotParticipant<P> {
     /// The persona currently held (the output once finished).
-    pub fn persona(&self) -> &Persona {
+    pub fn persona(&self) -> &P {
         &self.persona
     }
 
@@ -171,13 +209,19 @@ impl SnapshotParticipant {
         self.round
     }
 
-    fn adopt_best(&mut self, view: &ScanView<Persona>) {
-        let round = self.round;
-        let best = view
-            .present()
-            .map(|(_, p)| p)
-            .max_by_key(|p| (p.priority(round), p.origin()))
-            .expect("own update precedes the scan, so the view is non-empty");
+    fn adopt_best(&mut self, view: &ScanView<P>) {
+        let (round, coins) = (self.round, self.shared.coins());
+        // A plain loop rather than `max_by_key`: this is generic, so it
+        // is compiled in the crate that drives the stack, where the
+        // adapter's fold may be left out of line, once per scan.
+        let mut best: Option<((u64, ProcessId), &P)> = None;
+        for p in view.iter().flatten() {
+            let key = (p.priority(round, coins), p.origin());
+            if best.is_none_or(|(most, _)| key > most) {
+                best = Some((key, p));
+            }
+        }
+        let (_, best) = best.expect("own update precedes the scan, so the view is non-empty");
         // Personae are equal by origin: the held one stays (no reference
         // count to bump) unless another process's persona wins.
         if best.origin() != self.persona.origin() {
@@ -186,22 +230,22 @@ impl SnapshotParticipant {
     }
 }
 
-impl Process for SnapshotParticipant {
-    type Value = Persona;
-    type Output = Persona;
+impl<P: PersonaRepr> Process for SnapshotParticipant<P> {
+    type Value = P;
+    type Output = P;
 
-    fn step(&mut self, prev: Option<OpResult<Persona>>) -> Step<Persona, Persona> {
+    fn step(&mut self, prev: Option<OpResult<P>>) -> Step<P, P> {
         match self.phase {
             Phase::Update => {
                 self.phase = Phase::Scan;
                 Step::Issue(Op::SnapshotUpdate(
-                    self.shared.arrays[self.round],
+                    self.shared.array(self.round),
                     self.pid.index(),
                     self.persona.clone(),
                 ))
             }
             Phase::Scan => match prev.expect("resumed with update ack or scan view") {
-                OpResult::Ack => Step::Issue(Op::SnapshotScan(self.shared.arrays[self.round])),
+                OpResult::Ack => Step::Issue(Op::SnapshotScan(self.shared.array(self.round))),
                 OpResult::SnapshotView(view) => {
                     self.adopt_best(&view);
                     self.history.push(self.persona.origin());
@@ -221,7 +265,7 @@ impl Process for SnapshotParticipant {
     }
 }
 
-impl RoundHistory for SnapshotParticipant {
+impl<P: PersonaRepr> RoundHistory for SnapshotParticipant<P> {
     fn history(&self) -> &[ProcessId] {
         &self.history
     }

@@ -49,7 +49,7 @@ use std::time::Instant;
 
 use sift_adopt_commit::GafniSnapshotAc;
 use sift_consensus::{ConsensusOutcome, ConsensusProtocol};
-use sift_core::{Epsilon, Persona, SnapshotConciliator};
+use sift_core::{Epsilon, PersonaName, SnapshotConciliator};
 use sift_obs::{Histogram, ObsReport};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::{drive_lockstep, LayoutBuilder, Memory, ProcessId};
@@ -213,8 +213,18 @@ impl ShardObs {
     }
 }
 
+/// What the served memory stores: persona *names*, each phase's coins
+/// sitting in that phase's conciliator, so an operation copies 16 bytes
+/// and touches no reference count. `Copy`, checked at compile time.
+type Held = PersonaName;
+
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<Held>()
+};
+
 /// The stack every batch of two or more is decided by.
-type ServedProtocol = ConsensusProtocol<SnapshotConciliator, GafniSnapshotAc<Persona>>;
+type ServedProtocol = ConsensusProtocol<SnapshotConciliator<Held>, GafniSnapshotAc<Held>, Held>;
 
 /// The stacks this shard has built, each with the memory it runs on,
 /// keyed by batch size — all that a stack's layout depends on, the
@@ -222,7 +232,7 @@ type ServedProtocol = ConsensusProtocol<SnapshotConciliator, GafniSnapshotAc<Per
 #[derive(Debug)]
 struct StackCache {
     phases: usize,
-    stacks: Vec<(ServedProtocol, Memory<Persona>)>,
+    stacks: Vec<(ServedProtocol, Memory<Held>)>,
 }
 
 impl StackCache {
@@ -240,13 +250,15 @@ impl StackCache {
         }
     }
 
-    /// The stack for `n` participants, its memory fresh. This is the
-    /// one place a stack is built.
-    fn checkout(&mut self, n: usize) -> &mut (ServedProtocol, Memory<Persona>) {
+    /// The stack for `n` participants, its memory and coin tables
+    /// fresh. This is the one place a stack is built.
+    fn checkout(&mut self, n: usize) -> &mut (ServedProtocol, Memory<Held>) {
         let cached = self.stacks.iter().position(|(p, _)| p.process_count() == n);
         let index = match cached {
             Some(index) => {
-                self.stacks[index].1.reset();
+                let (protocol, memory) = &mut self.stacks[index];
+                memory.reset();
+                protocol.conciliators().for_each(|c| c.coins().clear());
                 index
             }
             None => {
@@ -258,8 +270,8 @@ impl StackCache {
                     &mut builder,
                     n,
                     self.phases,
-                    |b| SnapshotConciliator::allocate(b, n, Epsilon::HALF),
-                    |b| GafniSnapshotAc::allocate(b, n, |p: &Persona| p.input()),
+                    |b| SnapshotConciliator::allocate_as(b, n, Epsilon::HALF),
+                    |b| GafniSnapshotAc::allocate(b, n, |p: &Held| p.input),
                 );
                 self.stacks.push((protocol, Memory::new(&builder.build())));
                 self.stacks.len() - 1
@@ -887,6 +899,7 @@ mod tests {
             let (protocol, memory) = cache.checkout(n);
             assert_eq!((protocol.process_count(), protocol.max_phases()), (n, 2));
             assert_eq!(memory.ops_executed(), 0, "handed out fresh");
+            assert!(protocol.conciliators().all(|c| c.coins().is_empty()));
             let split = SeedSplitter::new(seed);
             let participants: Vec<_> = (0..n)
                 .map(|i| {

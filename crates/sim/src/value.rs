@@ -7,8 +7,12 @@ use core::fmt;
 /// This is a blanket alias: any `Clone + Debug + Send + Sync + 'static`
 /// type qualifies, so user code never needs to implement it by hand.
 /// Registers are unbounded in the model (§1.1 of the paper), so no size
-/// restriction is imposed; cheaply clonable values (indices,
-/// `Arc`-backed personae) keep simulations fast.
+/// restriction is imposed, but a value is cloned on every write and
+/// every read, so cheap clones keep simulations fast. `sift-core` has
+/// two persona values: the simulator's experiments store the
+/// `Arc`-backed `Persona` (a clone is a reference-count increment), and
+/// the served stack stores the `Copy` `PersonaName` (a clone is a
+/// 16-byte copy).
 ///
 /// # Examples
 ///

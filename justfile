@@ -24,9 +24,10 @@ fmt-check:
 # workers behind their doorbells (no condvar, no polling timeout); the
 # next keeps observations on the served path typed; the next keeps one
 # performance harness: wall-clock is measured by the ledger under
-# `benchmark/`, and no crate carries a `cargo bench` target; the last
+# `benchmark/`, and no crate carries a `cargo bench` target; the next
 # keeps one service load harness, that ledger, with E23's checks in
-# tests/service_agreement.rs.
+# tests/service_agreement.rs; the last keeps the served memory storing
+# persona names, not `Arc`ed personae.
 clippy: api-audit
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -40,6 +41,7 @@ clippy: api-audit
     ! grep -rnE '\bobs: ObsReport\b' crates/service/src
     ! grep -n '^\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml
     ! grep -rnE 'SIFT_SERVIC[E]_|service_loa[d]|exp -- servic[e]' crates src tests examples justfile
+    ! grep -rnE 'Memory<Persona>|GafniSnapshotAc<Persona>' crates/service/src
 
 # Per crate: how many distinct `pub` item names its `src/` declares, and
 # which of them no `.rs` file outside that `src/` mentions (DESIGN.md,

@@ -102,10 +102,10 @@ fn a_batch_of_one_allocates_at_most_three_times() {
 }
 
 #[test]
-fn a_batch_of_eight_allocates_at_most_thirty_five_times() {
+fn a_batch_of_eight_allocates_at_most_twelve_times() {
     let per_decision = allocations_per_decision(2_000, 8);
     assert!(
-        per_decision <= 35.0,
+        per_decision <= 12.0,
         "{per_decision} allocations per decision"
     );
 }
