@@ -17,13 +17,13 @@
 //! can at least falsify that claim on real captured histories.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use sift_sim::fuzz::FingerprintHasher;
 use sift_sim::mc::{History, HistoryEntry, ObjectKey};
 use sift_sim::{Op, OpResult, ProcessId, Value};
 
 use crate::memory::ExecuteOps;
-use crate::sync::Mutex;
 
 /// Digests a history's register-write interleaving signature: the
 /// sequence of `(process, operation kind, object)` triples in recording
@@ -77,25 +77,37 @@ impl<V: Value, M: ExecuteOps<V>> RecordingMemory<V, M> {
         let invoked = self.clock.fetch_add(1, Ordering::SeqCst);
         let result = self.memory.execute(op.clone());
         let responded = self.clock.fetch_add(1, Ordering::SeqCst);
-        self.log.lock().push(HistoryEntry {
-            pid,
-            op,
-            result: result.clone(),
-            invoked,
-            responded,
-        });
+        self.log
+            .lock()
+            .expect("history log poisoned by a panicking recorder")
+            .push(HistoryEntry {
+                pid,
+                op,
+                result: result.clone(),
+                invoked,
+                responded,
+            });
         result
     }
 
     /// The `history_fingerprint` of everything recorded so far,
     /// without consuming the recorder.
     pub fn fingerprint(&self) -> u64 {
-        history_fingerprint(&History::from_entries(self.log.lock().clone()))
+        history_fingerprint(&History::from_entries(
+            self.log
+                .lock()
+                .expect("history log poisoned by a panicking recorder")
+                .clone(),
+        ))
     }
 
     /// Consumes the recorder and returns the captured history.
     pub fn into_history(self) -> History<V> {
-        History::from_entries(self.log.into_inner())
+        History::from_entries(
+            self.log
+                .into_inner()
+                .expect("history log poisoned by a panicking recorder"),
+        )
     }
 }
 
@@ -107,15 +119,16 @@ mod tests {
     use sift_sim::{Layout, LayoutBuilder, Memory};
 
     /// Runs a test body once per memory: `$recorder` builds a fresh
-    /// [`RecordingMemory`] over the lock-free objects on the first pass
-    /// and over the model under a lock on the second.
+    /// [`RecordingMemory`] over an [`AtomicMemory`] (one lock per
+    /// object) on the first pass and over the whole model under one
+    /// lock on the second.
     macro_rules! on_both_memories {
         (|$recorder:ident| $body:block) => {{
             let $recorder =
                 |layout: &Layout| RecordingMemory::over(AtomicMemory::<u64>::new(layout));
             $body
             let $recorder = |layout: &Layout| {
-                RecordingMemory::over(std::sync::Mutex::new(Memory::<u64>::new(layout)))
+                RecordingMemory::over(Mutex::new(Memory::<u64>::new(layout)))
             };
             $body
         }};

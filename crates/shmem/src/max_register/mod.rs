@@ -1,18 +1,28 @@
 //! Max registers for real threads.
 //!
-//! * [`LockFreeMaxRegister`] — a compare-exchange loop on the monotone
-//!   key over one publication slot, for any value type; what
-//!   [`AtomicMemory`](crate::memory::AtomicMemory) uses. The suites
-//!   check it against the model's max register under one lock.
-//! * [`TreeMaxRegister`] — the Aspnes–Attiya–Censor-Hillel bounded max
-//!   register: a binary trie of atomic switch bits over the key space,
-//!   with values parked at the leaves. Reads and writes touch
-//!   `O(log key_space)` switches, demonstrating that the max registers
-//!   assumed by the paper's footnote 1 are cheaply constructible from
-//!   plain shared bits.
+//! [`TreeMaxRegister`] is the Aspnes–Attiya–Censor-Hillel bounded max
+//! register: a binary trie of atomic switch bits over the key space,
+//! with values parked at the leaves. Reads and writes touch
+//! `O(log key_space)` switches, demonstrating that the max registers
+//! assumed by the paper's footnote 1 are cheaply constructible from
+//! plain shared bits. [`AtomicMemory`](crate::memory::AtomicMemory)
+//! serves the model's own max register under a lock instead.
+//!
+//! # Examples
+//!
+//! ```
+//! use sift_shmem::AtomicMemory;
+//! use sift_sim::{LayoutBuilder, Op};
+//!
+//! let mut b = LayoutBuilder::new();
+//! let m = b.max_register();
+//! let mem: AtomicMemory<u64> = AtomicMemory::new(&b.build());
+//! for (key, v) in [(2, 10), (9, 90), (4, 40)] {
+//!     mem.execute(Op::MaxWrite(m, key, v)).expect_ack();
+//! }
+//! assert_eq!(mem.execute(Op::MaxRead(m)).expect_max(), Some((9, 90)));
+//! ```
 
-mod lockfree;
 mod tree;
 
-pub use lockfree::LockFreeMaxRegister;
 pub use tree::TreeMaxRegister;

@@ -14,8 +14,7 @@
 //! which is why writers set switches bottom-up.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-
-use crate::sync::Mutex;
+use std::sync::Mutex;
 
 use sift_sim::Value;
 
@@ -74,7 +73,9 @@ impl<V: Value> TreeMaxRegister<V> {
         {
             // Park the value before any switch becomes visible; first
             // writer of a key wins (the tie rule of the model object).
-            let mut leaf = self.leaves[key as usize].lock();
+            let mut leaf = self.leaves[key as usize]
+                .lock()
+                .expect("leaf poisoned by a panicking write");
             if leaf.is_none() {
                 *leaf = Some(value);
             }
@@ -110,7 +111,11 @@ impl<V: Value> TreeMaxRegister<V> {
             key = (key << 1) | u64::from(bit);
             node = 2 * node + usize::from(bit);
         }
-        self.leaves[key as usize].lock().clone().map(|v| (key, v))
+        self.leaves[key as usize]
+            .lock()
+            .expect("leaf poisoned by a panicking write")
+            .clone()
+            .map(|v| (key, v))
     }
 }
 

@@ -216,9 +216,9 @@ mod tests {
     use sift_sim::{Layout, LayoutBuilder, Memory, ProcessId};
     use std::sync::Mutex;
 
-    /// Runs `procs()` on threads over each memory — the lock-free
-    /// objects, then the model under a lock — and hands each report to
-    /// `check`.
+    /// Runs `procs()` on threads over each memory — an
+    /// [`AtomicMemory`], then the whole model under one lock — and
+    /// hands each report to `check`.
     fn on_both_memories<P>(
         layout: &Layout,
         procs: impl Fn() -> Vec<P>,
@@ -227,8 +227,8 @@ mod tests {
         P: Process + Send,
         P::Output: Send,
     {
-        let lock_free = AtomicMemory::new(layout);
-        check(drive_threads(procs(), |_, op| lock_free.execute(op)));
+        let atomic = AtomicMemory::new(layout);
+        check(drive_threads(procs(), |_, op| atomic.execute(op)));
         let model = Mutex::new(Memory::new(layout));
         check(drive_threads(procs(), |_, op| model.execute(op)));
     }
@@ -304,9 +304,9 @@ mod tests {
 
         let sim_outputs = replay_script(&layout, make_procs(), &script);
         assert!(sim_outputs.iter().all(Option::is_some));
-        let on_lock_free = run_script_on(&AtomicMemory::new(&layout), make_procs(), &script);
+        let on_atomic = run_script_on(&AtomicMemory::new(&layout), make_procs(), &script);
         let on_model = run_script_on(&Mutex::new(Memory::new(&layout)), make_procs(), &script);
-        assert_eq!(sim_outputs, on_lock_free);
+        assert_eq!(sim_outputs, on_atomic);
         assert_eq!(sim_outputs, on_model);
     }
 
@@ -320,9 +320,9 @@ mod tests {
         let procs = || split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
         // Only p0 is ever scheduled, and generously enough to finish.
         let script = vec![0usize; 4 * c.rounds()];
-        let on_lock_free = run_script_on(&AtomicMemory::new(&layout), procs(), &script);
+        let on_atomic = run_script_on(&AtomicMemory::new(&layout), procs(), &script);
         let on_model = run_script_on(&Mutex::new(Memory::new(&layout)), procs(), &script);
-        for outputs in [on_lock_free, on_model] {
+        for outputs in [on_atomic, on_model] {
             assert!(outputs[0].is_some());
             assert!(outputs[1].is_none());
             assert!(outputs[2].is_none());

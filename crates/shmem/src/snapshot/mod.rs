@@ -1,21 +1,33 @@
 //! Snapshot objects for real threads.
 //!
-//! Two implementations of the same linearizable scan/update interface:
+//! [`WaitFreeSnapshot`] is the classic Afek et al. construction from
+//! single-writer registers (double collect with embedded-scan helping).
+//! Built here to demonstrate that the model's snapshot object is
+//! implementable from registers alone; its operations cost `O(n)`
+//! register accesses, which is exactly the gap the paper's "unit-cost
+//! snapshot" accounting abstracts away (and which the simulator's
+//! `CostModel::RegisterImplemented` charges).
+//! [`AtomicMemory`](crate::memory::AtomicMemory) serves the model's own
+//! snapshot object under a lock instead.
 //!
-//! * [`LockFreeSnapshot`] — versioned copy-on-write publication with
-//!   `O(1)` wait-free scans. What
-//!   [`AtomicMemory`](crate::memory::AtomicMemory) uses; the suites
-//!   check it against the model's snapshot under one lock.
-//! * [`WaitFreeSnapshot`] — the classic Afek et al. construction from
-//!   single-writer registers (double collect with embedded-scan
-//!   helping), over lock-free registers. Built here to demonstrate that
-//!   the model's snapshot object is implementable from registers alone;
-//!   its operations cost `O(n)` register accesses, which is exactly the
-//!   gap the paper's "unit-cost snapshot" accounting abstracts away (and
-//!   which the simulator's `CostModel::RegisterImplemented` charges).
+//! # Examples
+//!
+//! ```
+//! use sift_shmem::{snapshot::WaitFreeSnapshot, AtomicMemory};
+//! use sift_sim::{LayoutBuilder, Op};
+//!
+//! let mut b = LayoutBuilder::new();
+//! let s = b.snapshot(3);
+//! let mem: AtomicMemory<u32> = AtomicMemory::new(&b.build());
+//! mem.execute(Op::SnapshotUpdate(s, 1, 7)).expect_ack();
+//! let view = mem.execute(Op::SnapshotScan(s)).expect_view();
+//! assert_eq!(&view[..], &[None, Some(7), None]);
+//!
+//! let snap = WaitFreeSnapshot::new(3);
+//! snap.update(1, 7u32);
+//! assert_eq!(&snap.scan()[..], &view[..]);
+//! ```
 
-mod lockfree;
 mod waitfree;
 
-pub use lockfree::LockFreeSnapshot;
 pub use waitfree::WaitFreeSnapshot;

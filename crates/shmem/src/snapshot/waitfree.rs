@@ -16,15 +16,14 @@
 //! paper's unit-cost snapshot model abstracts to 1 (compare the
 //! simulator's `CostModel::RegisterImplemented`).
 //!
-//! The registers are [`LockFreeRegister`]s. An entry carries a view, so
-//! it takes the published path: a write is one pointer swap and a read
-//! takes no lock. No operation waits on another thread's lock; the
-//! collect bound above counts register operations, each exactly as
-//! non-blocking as the register.
+//! Each register is one `Mutex<Entry<V>>` cell: a read clones the entry
+//! under its lock and a write replaces it, so every register operation
+//! is atomic, as the original construction assumes. The collect bound
+//! above counts these register operations.
+
+use std::sync::{Mutex, MutexGuard};
 
 use sift_sim::{ScanView, Value};
-
-use crate::register::LockFreeRegister;
 
 #[derive(Debug, Clone)]
 struct Entry<V> {
@@ -62,22 +61,26 @@ impl<V> Default for Entry<V> {
 /// ```
 #[derive(Debug)]
 pub struct WaitFreeSnapshot<V: Value> {
-    registers: Vec<LockFreeRegister<Entry<V>>>,
+    registers: Vec<Mutex<Entry<V>>>,
+}
+
+/// Locks one register, refusing to serve it after a panic inside it.
+fn lock<V>(register: &Mutex<Entry<V>>) -> MutexGuard<'_, Entry<V>> {
+    register
+        .lock()
+        .expect("snapshot register poisoned by a panicking operation")
 }
 
 impl<V: Value> WaitFreeSnapshot<V> {
     /// Creates a snapshot object with `len` components, all ⊥.
     pub fn new(len: usize) -> Self {
         Self {
-            registers: (0..len).map(|_| LockFreeRegister::new()).collect(),
+            registers: (0..len).map(|_| Mutex::default()).collect(),
         }
     }
 
     fn collect(&self) -> Vec<Entry<V>> {
-        self.registers
-            .iter()
-            .map(|r| r.read().unwrap_or_default())
-            .collect()
+        self.registers.iter().map(|r| lock(r).clone()).collect()
     }
 
     /// Sets component `component` to `value` (single-writer: only one
@@ -88,12 +91,12 @@ impl<V: Value> WaitFreeSnapshot<V> {
     /// Panics if `component` is out of range.
     pub fn update(&self, component: usize, value: V) {
         let view = self.scan();
-        let seq = self.registers[component].read().map(|e| e.seq).unwrap_or(0);
-        self.registers[component].write(Entry {
+        let seq = lock(&self.registers[component]).seq;
+        *lock(&self.registers[component]) = Entry {
             value: Some(value),
             seq: seq + 1,
             view: Some(view),
-        });
+        };
     }
 
     /// Returns a linearizable view of all components.

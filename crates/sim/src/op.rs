@@ -96,24 +96,6 @@ impl<V> ScanView<V> {
         }
     }
 
-    /// Builds a view that shares an already-`Arc`ed component vector.
-    ///
-    /// This is the zero-copy entry point for runtimes that publish
-    /// immutable component vectors themselves (e.g. the lock-free
-    /// snapshot in `sift-shmem`): handing out a view is one refcount
-    /// increment, with no per-scan clone of the components.
-    pub fn from_arc(components: Arc<Vec<Option<V>>>) -> Self {
-        Self { components }
-    }
-
-    /// The shared component vector backing this view.
-    ///
-    /// Lets a runtime republish a view it obtained earlier (again
-    /// without copying), e.g. to cache the last materialized scan.
-    pub fn as_arc(&self) -> &Arc<Vec<Option<V>>> {
-        &self.components
-    }
-
     /// Iterates over `(component, value)` pairs for non-empty components.
     pub fn present(&self) -> impl Iterator<Item = (usize, &V)> {
         self.components
@@ -212,18 +194,6 @@ mod tests {
             Op::<u32>::SnapshotScan(SnapshotId(2)).kind(),
             OpKind::SnapshotScan
         );
-    }
-
-    #[test]
-    fn scan_view_from_arc_shares_components() {
-        use std::sync::Arc;
-        let arc = Arc::new(vec![Some(1u32), None]);
-        let view = ScanView::from_arc(Arc::clone(&arc));
-        assert_eq!(&view[..], &[Some(1), None]);
-        assert!(Arc::ptr_eq(view.as_arc(), &arc));
-        // Republishing via the shared Arc is allocation-free.
-        let again = ScanView::from_arc(Arc::clone(view.as_arc()));
-        assert!(Arc::ptr_eq(again.as_arc(), &arc));
     }
 
     #[test]

@@ -37,6 +37,8 @@ clippy: api-audit
     ! grep -rnE '\\"[A-Za-z_.]+\\": ?' crates/*/src src examples --include=*.rs --exclude=json.rs
     ! grep -rnwE 'CoarseMemory|ObjectMemory|LegacyEngine|LockRegister|LockMaxRegister|CoarseSnapshot' --include=*.rs crates src tests examples
     ! grep -rnwE 'SeqCell|PairCell|CombiningMax|inline_ok|is_inline|is_combining' --include=*.rs crates src tests examples
+    ! grep -rnwE 'LockFreeRegister|LockFreeSnapshot|LockFreeMaxRegister|Pile|ReadGuard|publish_with|publish_max' --include=*.rs crates src tests examples
+    ! grep -rnE 'unsafe *(\{|fn|impl)' crates/shmem/src --exclude=affinity.rs
     ! grep -rnE 'Condvar|wait_timeout|notify_all|wake_lock' crates/service/src
     ! grep -rnE '\bobs: ObsReport\b' crates/service/src
     ! grep -n '^\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml
@@ -117,7 +119,7 @@ conformance:
 
 # Service-level suites: agreement/validity/decide-exactly-once under
 # concurrent async clients, golden-pinned deterministic commit streams,
-# the served-stack differential (lock-free and simulator memory agree on
+# the served-stack differential (`AtomicMemory` and the model agree on
 # the stack the shard decides with), and the negative paths
 # (evictions, zero capacity, cancellation) — each at worker counts
 # 1, 4, and 8 — the crash-recovery suite, the allocations-per-decision

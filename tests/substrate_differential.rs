@@ -219,35 +219,32 @@ fn oversized_payload(v: u64) -> [u64; 3] {
 }
 
 /// Genuinely threaded max-register differential: unique keys make the
-/// final state deterministic, so after all writers join, the lock-free
-/// register must hold exactly what the model's max register holds
+/// final state deterministic, so after all writers join, the threaded
+/// max register must hold exactly what the model's max register holds
 /// after the same write set, applied as a sequence of `MaxWrite`s.
 #[test]
 fn threaded_max_register_final_state_matches_the_model() {
-    use sift::shmem::max_register::LockFreeMaxRegister;
-    use std::sync::Arc;
-
     let (threads, writes) = (8u64, 400u64);
-    let lock_free: Arc<LockFreeMaxRegister<(u32, u32)>> = Arc::new(LockFreeMaxRegister::new());
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let lock_free = Arc::clone(&lock_free);
-            std::thread::spawn(move || {
+    let mut b = LayoutBuilder::new();
+    let m = b.max_register();
+    let layout = b.build();
+    let threaded: AtomicMemory<(u32, u32)> = AtomicMemory::new(&layout);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let threaded = &threaded;
+            scope.spawn(move || {
                 // Interleave key ranges across threads so the running
                 // maximum keeps changing hands.
                 for k in 0..writes {
                     let key = k * threads + t;
-                    lock_free.write(key, (t as u32, k as u32));
+                    threaded
+                        .execute(Op::MaxWrite(m, key, (t as u32, k as u32)))
+                        .expect_ack();
                 }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let mut b = LayoutBuilder::new();
-    let m = b.max_register();
-    let mut reference = Memory::new(&b.build());
+            });
+        }
+    });
+    let mut reference = Memory::new(&layout);
     for t in 0..threads {
         for k in 0..writes {
             let write = Op::MaxWrite(m, k * threads + t, (t as u32, k as u32));
@@ -255,7 +252,7 @@ fn threaded_max_register_final_state_matches_the_model() {
         }
     }
     assert_eq!(
-        lock_free.read(),
+        threaded.execute(Op::MaxRead(m)).expect_max(),
         reference.execute(Op::MaxRead(m)).expect_max()
     );
 }
