@@ -43,7 +43,7 @@ use sift_core::analysis::{
 };
 use sift_core::math::ceil_log_log;
 use sift_core::{
-    distinct_per_round, Conciliator, EmbeddedConciliator, Epsilon, RoundHistory,
+    distinct_per_round, Conciliator, EmbeddedConciliator, Epsilon, RoundHistory, RoundState,
     SnapshotConciliator,
 };
 use sift_sim::adversary::AdversaryStrength;
@@ -429,7 +429,7 @@ pub fn sifting_claims<C>(
 ) -> Vec<ClaimResult>
 where
     C: Conciliator,
-    C::Participant: RoundHistory,
+    C::Participant: RoundState,
 {
     assert!(scale > 0, "scale must be positive");
     let n = SIFTING_N;
@@ -511,11 +511,11 @@ fn conciliator_trial<C>(
 ) -> ConciliatorTrial
 where
     C: Conciliator,
-    C::Participant: RoundHistory,
+    C::Participant: RoundState,
 {
     let fixture = TrialFixture::new(n, build);
     let split = SeedSplitter::new(seed);
-    let mut engine = Engine::new(fixture.layout(), fixture.participants(&split));
+    let mut engine = Engine::new(fixture.layout(), fixture.recorded(&split));
     // A livelocking mutant must terminate the trial instead of hanging
     // the suite.
     engine.limit_slots(fixture.slot_budget());
@@ -664,7 +664,7 @@ fn environment_trial(
 ) -> Vec<usize> {
     let fixture = TrialFixture::new(n, |b| sifter(b, n));
     let split = SeedSplitter::new(seed);
-    let mut engine = Engine::new(fixture.layout(), fixture.participants(&split));
+    let mut engine = Engine::new(fixture.layout(), fixture.recorded(&split));
     engine.limit_slots(fixture.slot_budget());
     engine.set_register_semantics(semantics);
     let report = match strength.delay() {

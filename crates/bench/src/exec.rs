@@ -33,7 +33,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use sift_core::{Conciliator, Persona, RoundHistory};
+use sift_core::{Conciliator, Persona, RoundState};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::ScheduleKind;
 use sift_sim::{LayoutBuilder, Process};
@@ -350,9 +350,9 @@ impl Batch {
         )
     }
 
-    /// Like [`Batch::run`], for participants that record round history
-    /// (survivor experiments): every trial collects per-round survivor
-    /// counts.
+    /// Like [`Batch::run`], for round-structured participants (survivor
+    /// experiments): every trial records their history and collects
+    /// per-round survivor counts.
     pub fn run_with_history<C, P, A>(
         &self,
         build: impl Fn(&mut LayoutBuilder) -> C + Sync,
@@ -361,7 +361,7 @@ impl Batch {
     ) -> A
     where
         C: Conciliator<Participant = P>,
-        P: Process<Value = Persona, Output = Persona> + RoundHistory,
+        P: Process<Value = Persona, Output = Persona> + RoundState,
         A: Merge + Send,
     {
         map_reduce(

@@ -3,7 +3,7 @@
 
 use sift_core::analysis::{lemma1_expected_excess, sifting_expected_excess};
 use sift_core::{
-    Conciliator, Epsilon, Persona, RoundHistory, SiftingConciliator, SnapshotConciliator,
+    Conciliator, Epsilon, Persona, RoundState, SiftingConciliator, SnapshotConciliator,
 };
 use sift_sim::schedule::ScheduleKind;
 use sift_sim::{LayoutBuilder, Process};
@@ -21,7 +21,7 @@ fn mean_excess_per_round<C, P>(
 ) -> Vec<f64>
 where
     C: Conciliator<Participant = P>,
-    P: Process<Value = Persona, Output = Persona> + RoundHistory,
+    P: Process<Value = Persona, Output = Persona> + RoundState,
 {
     Batch::new(n, trials, kind)
         .run_with_history(build, RoundExcess::new, |acc, t| {

@@ -36,7 +36,10 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use sift_core::{distinct_per_round, try_check_validity, Conciliator, Persona, RoundHistory};
+use sift_core::{
+    distinct_per_round, try_check_validity, Conciliator, Persona, Recorder, RoundHistory,
+    RoundState,
+};
 use sift_sim::fuzz::{
     interleaving_signature, Evaluation, FingerprintHasher, FuzzFailure, FuzzViolation, Fuzzer,
     ScheduleGenome,
@@ -181,7 +184,7 @@ pub fn run_fuzz_with<C>(
 ) -> FuzzReport
 where
     C: Conciliator,
-    C::Participant: RoundHistory,
+    C::Participant: RoundState,
 {
     assert!(config.n > 0, "need at least one process");
     assert!(config.population > 0, "need a nonempty generation");
@@ -237,13 +240,13 @@ pub(crate) fn evaluate<C>(
 ) -> Evaluation
 where
     C: Conciliator,
-    C::Participant: RoundHistory,
+    C::Participant: RoundState,
 {
     let fixture = TrialFixture::new(n, |b| build(b, n));
     let layout = fixture.layout();
     let steps_bound = fixture.steps_bound();
     let case = SeedSplitter::new(case_seed);
-    let factory = || fixture.participants(&case);
+    let factory = || fixture.recorded(&case);
 
     let env = genome.environment();
     let schedule = genome.compile(n);
@@ -277,7 +280,8 @@ where
     let fingerprint = h.finish();
 
     let oblivious = env.strength.is_oblivious();
-    let property = |r: &RunReport<C::Participant>| check_invariants(n, steps_bound, oblivious, r);
+    let property =
+        |r: &RunReport<Recorder<C::Participant>>| check_invariants(n, steps_bound, oblivious, r);
     let failure = property(&report).err().map(|message| {
         // A violation that reproduces under deterministic replay of the
         // charged script shrinks to a 1-minimal script; one that
@@ -409,7 +413,7 @@ mod tests {
     #[test]
     fn invariant_checker_accepts_a_clean_run() {
         let fixture = TrialFixture::new(4, |b| sifter(b, 4));
-        let procs = fixture.participants(&SeedSplitter::new(5));
+        let procs = fixture.recorded(&SeedSplitter::new(5));
         let report =
             Engine::new(fixture.layout(), procs).run(sift_sim::schedule::RoundRobin::new(4));
         assert_eq!(report.stop_reason, StopReason::AllDone);

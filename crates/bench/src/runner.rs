@@ -12,7 +12,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sift_core::{
-    distinct_per_round, Conciliator, Epsilon, Persona, RoundHistory, SiftingConciliator,
+    distinct_per_round, Conciliator, Epsilon, Persona, Recorder, RoundHistory, RoundState,
+    SiftingConciliator,
 };
 use sift_sim::adversary::DelayedChooser;
 use sift_sim::rng::SeedSplitter;
@@ -36,7 +37,7 @@ pub struct Trial {
     /// execution; aggregations count truncations separately (see
     /// `Truncations`).
     pub stop_reason: StopReason,
-    /// Distinct-persona counts per round, when the participant records
+    /// Distinct-persona counts per round, when the trial recorded
     /// history.
     pub survivors: Option<Vec<usize>>,
 }
@@ -67,14 +68,13 @@ pub(crate) fn default_trials(wanted: usize) -> usize {
 /// adversary can inspect process state.
 pub(crate) fn breaker_extract<P>(view: &AdaptiveView<'_, P>) -> ProcessId
 where
-    P: Process + RoundHistory,
+    P: Process + RoundState,
 {
     view.live
         .iter()
         .min_by_key(|(pid, proc, op)| {
             let is_writer = matches!(op, Op::RegisterWrite(_, _));
-            // One history entry per completed round.
-            (proc.history().len(), is_writer, pid.index())
+            (proc.round(), is_writer, pid.index())
         })
         .map(|(pid, _, _)| *pid)
         .expect("run_adaptive only consults a nonempty live set")
@@ -97,7 +97,7 @@ pub(crate) fn breaker_decide(stale: Option<&ProcessId>, live: &[ProcessId]) -> P
 /// every caller drives byte-identical adversary behavior).
 pub(crate) fn run_sifting_breaker<P>(engine: Engine<P>, delay: usize) -> RunReport<P>
 where
-    P: Process + RoundHistory,
+    P: Process + RoundState,
 {
     let mut chooser = DelayedChooser::new(delay, breaker_extract, breaker_decide);
     engine.run_adaptive(|view| chooser.choose(&view))
@@ -172,25 +172,39 @@ impl<C: Conciliator> TrialFixture<C> {
             self.conciliator.participant(pid, pid.index() as u64, rng)
         })
     }
+
+    /// [`participants`](Self::participants), each wrapped in a
+    /// [`Recorder`] so the run's [`RoundHistory`] is kept.
+    pub fn recorded(&self, split: &SeedSplitter) -> Vec<Recorder<C::Participant>>
+    where
+        C::Participant: RoundState,
+    {
+        self.participants(split)
+            .into_iter()
+            .map(Recorder::new)
+            .collect()
+    }
 }
 
 /// Runs `build`'s conciliator under the `kind` schedule, both seeded
-/// from `seed`. Returns the report and the inputs.
-fn run_once<C: Conciliator>(
+/// from `seed`, over the participants `mint` makes of the fixture.
+/// Returns the report and the inputs.
+fn run_once<C: Conciliator, P: Process>(
     n: usize,
     seed: u64,
     kind: ScheduleKind,
     build: impl Fn(&mut LayoutBuilder) -> C,
-) -> (RunReport<C::Participant>, Vec<u64>) {
+    mint: impl Fn(&TrialFixture<C>, &SeedSplitter) -> Vec<P>,
+) -> (RunReport<P>, Vec<u64>) {
     let fixture = TrialFixture::new(n, build);
     let split = SeedSplitter::new(seed);
     let schedule = kind.build(n, split.schedule_seed());
-    let report = Engine::new(fixture.layout(), fixture.participants(&split)).run(schedule);
+    let report = Engine::new(fixture.layout(), mint(&fixture, &split)).run(schedule);
     (report, fixture.inputs())
 }
 
-/// Runs one trial of a history-recording conciliator, collecting
-/// per-round survivor counts.
+/// Runs one trial of a round-structured conciliator, recording its
+/// history to collect per-round survivor counts.
 pub(crate) fn run_trial_with_history<C, P>(
     n: usize,
     seed: u64,
@@ -199,9 +213,9 @@ pub(crate) fn run_trial_with_history<C, P>(
 ) -> Trial
 where
     C: Conciliator<Participant = P>,
-    P: Process<Value = Persona, Output = Persona> + RoundHistory,
+    P: Process<Value = Persona, Output = Persona> + RoundState,
 {
-    let (report, inputs) = run_once(n, seed, kind, build);
+    let (report, inputs) = run_once(n, seed, kind, build, TrialFixture::recorded);
     let survivors = distinct_per_round(report.processes.iter().map(|p| p.history()));
     summarize(report, &inputs, Some(survivors))
 }
@@ -216,7 +230,7 @@ pub(crate) fn run_trial<C>(
 where
     C: Conciliator,
 {
-    let (report, inputs) = run_once(n, seed, kind, build);
+    let (report, inputs) = run_once(n, seed, kind, build, TrialFixture::participants);
     summarize(report, &inputs, None)
 }
 

@@ -46,7 +46,10 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use sift_core::{try_check_validity, Conciliator, Persona, RoundHistory, SiftingConciliator};
+use sift_core::{
+    try_check_validity, Conciliator, Persona, Recorder, RoundHistory, RoundState,
+    SiftingConciliator,
+};
 use sift_obs::{json::Json, ObsReport, WindowedReport};
 use sift_service::det::DeterministicService;
 use sift_service::runtime::block_on;
@@ -429,7 +432,7 @@ impl Soak {
 impl<C> Soak<C>
 where
     C: Conciliator,
-    C::Participant: RoundHistory,
+    C::Participant: RoundState,
 {
     fn with_build(config: SoakConfig, build: Build<C>) -> Self {
         assert!(config.width > 0, "need at least one window of width");
@@ -937,7 +940,7 @@ fn sift_trial<C>(
 ) -> SiftOutcome
 where
     C: Conciliator,
-    C::Participant: RoundHistory,
+    C::Participant: RoundState,
 {
     let fixture = TrialFixture::new(n, |b| build(b, n));
     let steps_bound = fixture.steps_bound();
@@ -1069,14 +1072,14 @@ fn shrink_with<C>(
 ) -> Option<(Vec<usize>, String)>
 where
     C: Conciliator,
-    C::Participant: RoundHistory,
+    C::Participant: RoundState,
 {
     let fixture = TrialFixture::new(n, |b| build(b, n));
     let layout = fixture.layout();
     let steps_bound = fixture.steps_bound();
     let split = SeedSplitter::new(trial_seed);
-    let factory = || fixture.participants(&split);
-    let check = |r: &RunReport<C::Participant>| check_replay(property, n, steps_bound, r);
+    let factory = || fixture.recorded(&split);
+    let check = |r: &RunReport<Recorder<C::Participant>>| check_replay(property, n, steps_bound, r);
     if check(&replay_report(layout, factory(), &script)).is_err() {
         Some(shrink_schedule_with(layout, &factory, script, &check))
     } else {
@@ -1102,13 +1105,13 @@ pub fn replay_violation_with<C>(
 ) -> Option<String>
 where
     C: Conciliator,
-    C::Participant: RoundHistory,
+    C::Participant: RoundState,
 {
     let script = violation.script.as_ref()?;
     let property = replay_property_of(&violation.claim)?;
     let n = violation.scale;
     let fixture = TrialFixture::new(n, |b| build(b, n));
-    let procs = fixture.participants(&SeedSplitter::new(violation.seed));
+    let procs = fixture.recorded(&SeedSplitter::new(violation.seed));
     let report = replay_report(fixture.layout(), procs, script);
     check_replay(property, n, fixture.steps_bound(), &report).err()
 }
@@ -1130,7 +1133,7 @@ pub fn run_soak_with<C>(
 ) -> SoakReport
 where
     C: Conciliator,
-    C::Participant: RoundHistory,
+    C::Participant: RoundState,
 {
     let mut soak = Soak::with_build(config.clone(), Box::new(build));
     for _ in 0..config.windows {

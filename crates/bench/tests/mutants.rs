@@ -19,7 +19,7 @@
 use sift_bench::conformance;
 use sift_bench::fuzz::{run_fuzz_with, FuzzConfig};
 use sift_bench::runner::{sifter, TrialFixture};
-use sift_core::{Conciliator, Epsilon, Persona, RoundHistory, SiftingConciliator};
+use sift_core::{Conciliator, Epsilon, Persona, RoundHistory, RoundState, SiftingConciliator};
 use sift_sim::rng::{SeedSplitter, Xoshiro256StarStar};
 use sift_sim::schedule::{FixedSchedule, RepeatingSchedule};
 use sift_sim::{
@@ -68,9 +68,13 @@ impl<P: Process<Value = Persona>> Process for StuckRead<P> {
     }
 }
 
-impl<P: RoundHistory> RoundHistory for StuckRead<P> {
-    fn history(&self) -> &[ProcessId] {
-        self.inner.history()
+impl<P: RoundState> RoundState for StuckRead<P> {
+    fn round(&self) -> usize {
+        self.inner.round()
+    }
+
+    fn held_origin(&self) -> ProcessId {
+        self.inner.held_origin()
     }
 }
 
@@ -132,11 +136,11 @@ fn stuck_read_is_transparent_while_no_read_returns_empty() {
     // below is the reissued read's doing, not the wrapping's.
     let n = 4;
     let split = SeedSplitter::new(3);
-    let plain = TrialFixture::new(n, |b| sifter(b, n)).participants(&split);
-    let wrapped = TrialFixture::new(n, |b| stuck_read(b, n)).participants(&split);
+    let plain = TrialFixture::new(n, |b| sifter(b, n)).recorded(&split);
+    let wrapped = TrialFixture::new(n, |b| stuck_read(b, n)).recorded(&split);
     let mut reads = 0;
     for (mut plain, mut wrapped) in plain.into_iter().zip(wrapped) {
-        let seen = plain.persona().clone();
+        let seen = plain.participant().persona().clone();
         let mut prev = None;
         loop {
             let step = plain.step(prev.clone());

@@ -9,7 +9,7 @@
 //! (`sift-consensus`).
 
 use sift_sim::rng::Xoshiro256StarStar;
-use sift_sim::{Process, ProcessId};
+use sift_sim::{OpResult, Process, ProcessId, Step};
 
 use crate::persona::Persona;
 
@@ -75,17 +75,108 @@ pub fn try_check_validity(inputs: &[u64], outputs: &[Option<Persona>]) -> Result
     Ok(())
 }
 
+/// What an observer reads of a round-structured participant: how many
+/// rounds it completed and whose persona it holds. The protocol itself
+/// never reads it; [`Recorder`] and adversaries that inspect process
+/// state do.
+pub trait RoundState {
+    /// Rounds completed so far (equivalently, the 0-based round about
+    /// to run).
+    fn round(&self) -> usize;
+
+    /// Origin of the persona held now.
+    fn held_origin(&self) -> ProcessId;
+}
+
 /// Round-by-round persona history, for survivor-decay experiments
 /// (E1, E4, E5).
 ///
-/// Participants of the round-structured conciliators record which
-/// persona they held after each round; aggregating over processes gives
-/// the number of distinct surviving personae per round — the paper's
-/// progress measure `Y_i`.
+/// Participants keep no history: an observer records it. [`Recorder`]
+/// wraps a participant and notes which persona it held after each
+/// round it completed; aggregating over processes gives the number of
+/// distinct surviving personae per round — the paper's progress
+/// measure `Y_i` ([`distinct_per_round`]).
 pub trait RoundHistory {
     /// `history()[i]` is the origin of the persona held after round
     /// `i+1` (i.e. one entry per completed round).
     fn history(&self) -> &[ProcessId];
+}
+
+/// A participant wrapped so that its [`RoundHistory`] is recorded.
+///
+/// Steps are forwarded unchanged; after each one the recorder appends
+/// the held persona's origin once for every round the participant
+/// completed in it. A participant that crashes or is starved mid-run
+/// has recorded exactly the rounds it finished.
+///
+/// # Examples
+///
+/// ```
+/// use sift_core::{Conciliator, Epsilon, Recorder, RoundHistory, SiftingConciliator};
+/// use sift_sim::rng::SeedSplitter;
+/// use sift_sim::schedule::RoundRobin;
+/// use sift_sim::{Engine, LayoutBuilder};
+///
+/// let n = 16;
+/// let mut b = LayoutBuilder::new();
+/// let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
+/// let layout = b.build();
+/// let split = SeedSplitter::new(4);
+/// let procs = split.processes(n, |pid, rng| {
+///     Recorder::new(c.participant(pid, pid.index() as u64, rng))
+/// });
+/// let report = Engine::new(&layout, procs).run(RoundRobin::new(n));
+/// assert!(report.processes.iter().all(|p| p.history().len() == c.rounds()));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Recorder<P> {
+    participant: P,
+    history: Vec<ProcessId>,
+}
+
+impl<P> Recorder<P> {
+    /// Starts recording `participant`, which has not stepped yet.
+    pub fn new(participant: P) -> Self {
+        Self {
+            participant,
+            history: Vec::new(),
+        }
+    }
+
+    /// The wrapped participant.
+    pub fn participant(&self) -> &P {
+        &self.participant
+    }
+}
+
+impl<P: Process + RoundState> Process for Recorder<P> {
+    type Value = P::Value;
+    type Output = P::Output;
+
+    fn step(&mut self, prev: Option<OpResult<P::Value>>) -> Step<P::Value, P::Output> {
+        let step = self.participant.step(prev);
+        let done = self.participant.round();
+        if done > self.history.len() {
+            self.history.resize(done, self.participant.held_origin());
+        }
+        step
+    }
+}
+
+impl<P: RoundState> RoundState for Recorder<P> {
+    fn round(&self) -> usize {
+        self.participant.round()
+    }
+
+    fn held_origin(&self) -> ProcessId {
+        self.participant.held_origin()
+    }
+}
+
+impl<P> RoundHistory for Recorder<P> {
+    fn history(&self) -> &[ProcessId] {
+        &self.history
+    }
 }
 
 /// Counts distinct personae held after each round, across participants.
@@ -144,5 +235,48 @@ mod tests {
     fn empty_input_is_empty() {
         let counts = distinct_per_round(std::iter::empty());
         assert!(counts.is_empty());
+    }
+
+    #[test]
+    fn a_starved_participant_records_exactly_the_rounds_it_completed() {
+        use crate::{Epsilon, SiftingConciliator};
+        use sift_sim::rng::SeedSplitter;
+        use sift_sim::schedule::RoundRobin;
+        use sift_sim::{Engine, LayoutBuilder, StopReason};
+
+        let n = 4;
+        let mut b = LayoutBuilder::new();
+        let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
+        let layout = b.build();
+        let run = |limit: u64| {
+            let split = SeedSplitter::new(5);
+            let procs = split.processes(n, |pid, rng| {
+                Recorder::new(c.participant(pid, pid.index() as u64, rng))
+            });
+            let mut engine = Engine::new(&layout, procs);
+            engine.limit_slots(limit);
+            engine.run(RoundRobin::new(n))
+        };
+        let full = run(u64::MAX);
+        // A slot runs one register operation, which ends one round. Two
+        // round-robin passes plus one slot: process 0 has completed
+        // three rounds, the others two, and nobody finished.
+        assert!(c.rounds() > 3);
+        let starved = run(2 * n as u64 + 1);
+        assert_eq!(starved.stop_reason, StopReason::SlotLimit);
+        let completed: Vec<usize> = starved
+            .processes
+            .iter()
+            .map(|p| p.history().len())
+            .collect();
+        assert_eq!(completed, vec![3, 2, 2, 2]);
+        for (cut, whole) in starved.processes.iter().zip(&full.processes) {
+            assert_eq!(cut.history().len(), cut.participant().round());
+            assert_eq!(cut.history(), &whole.history()[..cut.history().len()]);
+        }
+        assert!(full
+            .processes
+            .iter()
+            .all(|p| p.history().len() == c.rounds()));
     }
 }

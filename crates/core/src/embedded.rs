@@ -146,7 +146,7 @@ impl Conciliator for EmbeddedConciliator {
         let mut own = Xoshiro256StarStar::seed_from_u64(rng.next_u64());
         let (persona, inner_run) = match &self.inner {
             Inner::Sifting(c) => {
-                let persona = Persona::generate(pid, input, &c.persona_spec(), &mut own);
+                let persona = Persona::generate(pid, input, c.persona_spec(), &mut own);
                 let run = InnerRun::Sifting(c.participant_with_persona(persona.clone()));
                 (persona, run)
             }

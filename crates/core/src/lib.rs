@@ -72,7 +72,9 @@ pub mod snapshot_conciliator;
 
 pub use cil::{CilConciliator, CilParticipant};
 pub use compact::{CompactSiftingConciliator, CompactSiftingParticipant, PackedPersona};
-pub use conciliator::{distinct_per_round, try_check_validity, Conciliator, RoundHistory};
+pub use conciliator::{
+    distinct_per_round, try_check_validity, Conciliator, Recorder, RoundHistory, RoundState,
+};
 pub use embedded::{EmbeddedConciliator, EmbeddedParticipant};
 pub use escalating::{EscalatingCilConciliator, EscalatingCilParticipant};
 pub use max_conciliator::{MaxConciliator, MaxParticipant};

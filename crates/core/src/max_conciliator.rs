@@ -14,7 +14,7 @@ use std::sync::Arc;
 use sift_sim::rng::Xoshiro256StarStar;
 use sift_sim::{LayoutBuilder, MaxRegisterId, Op, OpResult, Process, ProcessId, Step};
 
-use crate::conciliator::{Conciliator, RoundHistory};
+use crate::conciliator::{Conciliator, RoundState};
 use crate::math::{ceil_log2, log_star};
 use crate::params::Epsilon;
 use crate::persona::{Persona, PersonaSpec};
@@ -91,7 +91,6 @@ impl Conciliator for MaxConciliator {
             persona: Persona::generate(pid, input, &self.spec(), rng),
             round: 0,
             phase: Phase::Write,
-            history: Vec::with_capacity(self.rounds),
         }
     }
 
@@ -119,7 +118,6 @@ pub struct MaxParticipant {
     persona: Persona,
     round: usize,
     phase: Phase,
-    history: Vec<ProcessId>,
 }
 
 impl MaxParticipant {
@@ -150,7 +148,6 @@ impl Process for MaxParticipant {
                     let (_, persona) =
                         entry.expect("own write precedes the read, so the register is non-empty");
                     self.persona = persona;
-                    self.history.push(self.persona.origin());
                     self.round += 1;
                     if self.round == self.shared.rounds {
                         self.phase = Phase::Finished;
@@ -167,26 +164,36 @@ impl Process for MaxParticipant {
     }
 }
 
-impl RoundHistory for MaxParticipant {
-    fn history(&self) -> &[ProcessId] {
-        &self.history
+impl RoundState for MaxParticipant {
+    fn round(&self) -> usize {
+        self.round
+    }
+
+    fn held_origin(&self) -> ProcessId {
+        self.persona.origin()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conciliator::distinct_per_round;
+    use crate::conciliator::{distinct_per_round, Recorder, RoundHistory};
     use sift_sim::rng::SeedSplitter;
     use sift_sim::schedule::{RandomInterleave, RoundRobin, Schedule};
     use sift_sim::Engine;
 
-    fn run(n: usize, seed: u64, schedule: impl Schedule) -> sift_sim::RunReport<MaxParticipant> {
+    fn run(
+        n: usize,
+        seed: u64,
+        schedule: impl Schedule,
+    ) -> sift_sim::RunReport<Recorder<MaxParticipant>> {
         let mut b = LayoutBuilder::new();
         let c = MaxConciliator::allocate(&mut b, n, Epsilon::HALF);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
+        let procs = split.processes(n, |pid, rng| {
+            Recorder::new(c.participant(pid, pid.index() as u64, rng))
+        });
         Engine::new(&layout, procs).run(schedule)
     }
 
@@ -210,7 +217,7 @@ mod tests {
     #[test]
     fn uses_exactly_2r_steps() {
         let report = run(5, 1, RoundRobin::new(5));
-        let rounds = report.processes[0].shared.rounds as u64;
+        let rounds = report.processes[0].participant().shared.rounds as u64;
         for &steps in &report.metrics.per_process_steps {
             assert_eq!(steps, 2 * rounds);
         }
@@ -249,7 +256,7 @@ mod tests {
         let n = 10_000;
         let report = run(n, 3, RoundRobin::new(n));
         assert!(report.all_decided());
-        let rounds = report.processes[0].shared.rounds as u64;
+        let rounds = report.processes[0].participant().shared.rounds as u64;
         assert_eq!(report.metrics.total_steps, 2 * rounds * n as u64);
     }
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use sift_sim::rng::Xoshiro256StarStar;
 use sift_sim::{LayoutBuilder, Op, OpResult, Process, ProcessId, RegisterId, Step};
 
-use crate::conciliator::{Conciliator, RoundHistory};
+use crate::conciliator::{Conciliator, RoundState};
 use crate::math::{ceil_log_4_3, ceil_log_log, sifting_p};
 use crate::params::Epsilon;
 use crate::persona::{Persona, PersonaSpec};
@@ -47,7 +47,8 @@ use crate::persona::{Persona, PersonaSpec};
 #[derive(Debug, Clone)]
 pub struct SiftingConciliator {
     registers: Arc<Vec<RegisterId>>,
-    probs: Arc<Vec<f64>>,
+    /// Built once: every participant's persona is minted from it.
+    spec: Arc<PersonaSpec>,
     n: usize,
     epsilon: Epsilon,
 }
@@ -102,7 +103,11 @@ impl SiftingConciliator {
         );
         Self {
             registers: Arc::new(builder.registers(probs.len())),
-            probs: Arc::new(probs),
+            spec: Arc::new(PersonaSpec {
+                priority_rounds: 0,
+                priority_range: 0,
+                write_probs: probs,
+            }),
             n,
             epsilon,
         }
@@ -110,25 +115,17 @@ impl SiftingConciliator {
 
     /// Number of rounds `R`.
     pub fn rounds(&self) -> usize {
-        self.probs.len()
+        self.spec.write_probs.len()
     }
 
     /// The per-round write probabilities.
     pub fn write_probabilities(&self) -> &[f64] {
-        &self.probs
+        &self.spec.write_probs
     }
 
     /// Number of aggressive (tuned-probability) rounds `⌈log log n⌉`.
     pub fn aggressive_rounds(&self) -> usize {
         ceil_log_log(self.n as u64) as usize
-    }
-
-    fn spec(&self) -> PersonaSpec {
-        PersonaSpec {
-            priority_rounds: 0,
-            priority_range: 0,
-            write_probs: self.probs.as_ref().clone(),
-        }
     }
 
     /// Creates a participant that carries a pre-built persona (used by
@@ -142,15 +139,14 @@ impl SiftingConciliator {
             shared: self.clone(),
             persona,
             round: 0,
-            history: Vec::with_capacity(self.rounds()),
             finished: false,
         }
     }
 
-    /// The persona spec participants use (exposed so embedding protocols
-    /// can extend it).
-    pub(crate) fn persona_spec(&self) -> PersonaSpec {
-        self.spec()
+    /// The persona spec participants use, lent to embedding protocols
+    /// that mint their own personae from it.
+    pub(crate) fn persona_spec(&self) -> &PersonaSpec {
+        &self.spec
     }
 }
 
@@ -164,7 +160,7 @@ impl Conciliator for SiftingConciliator {
         rng: &mut Xoshiro256StarStar,
     ) -> SiftingParticipant {
         assert!(pid.index() < self.n, "{pid} out of range 0..{}", self.n);
-        self.participant_with_persona(Persona::generate(pid, input, &self.spec(), rng))
+        self.participant_with_persona(Persona::generate(pid, input, &self.spec, rng))
     }
 
     fn steps_bound(&self) -> Option<u64> {
@@ -183,7 +179,6 @@ pub struct SiftingParticipant {
     shared: SiftingConciliator,
     persona: Persona,
     round: usize,
-    history: Vec<ProcessId>,
     finished: bool,
 }
 
@@ -215,7 +210,6 @@ impl Process for SiftingParticipant {
                 OpResult::RegisterValue(None) => {} // empty register: survive
                 other => panic!("unexpected result {other:?}"),
             }
-            self.history.push(self.persona.origin());
             self.round += 1;
         }
         if self.round == self.shared.rounds() {
@@ -231,16 +225,20 @@ impl Process for SiftingParticipant {
     }
 }
 
-impl RoundHistory for SiftingParticipant {
-    fn history(&self) -> &[ProcessId] {
-        &self.history
+impl RoundState for SiftingParticipant {
+    fn round(&self) -> usize {
+        self.round
+    }
+
+    fn held_origin(&self) -> ProcessId {
+        self.persona.origin()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conciliator::distinct_per_round;
+    use crate::conciliator::{distinct_per_round, Recorder, RoundHistory};
     use crate::math::sifting_x;
     use sift_sim::rng::SeedSplitter;
     use sift_sim::schedule::{BlockSequential, RandomInterleave, RoundRobin, Schedule};
@@ -251,12 +249,14 @@ mod tests {
         epsilon: Epsilon,
         seed: u64,
         schedule: impl Schedule,
-    ) -> sift_sim::RunReport<SiftingParticipant> {
+    ) -> sift_sim::RunReport<Recorder<SiftingParticipant>> {
         let mut b = LayoutBuilder::new();
         let c = SiftingConciliator::allocate(&mut b, n, epsilon);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
-        let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
+        let procs = split.processes(n, |pid, rng| {
+            Recorder::new(c.participant(pid, pid.index() as u64, rng))
+        });
         Engine::new(&layout, procs).run(schedule)
     }
 
@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn each_participant_takes_exactly_r_steps() {
         let report = run(32, Epsilon::HALF, 2, RoundRobin::new(32));
-        let rounds = report.processes[0].shared.rounds() as u64;
+        let rounds = report.processes[0].participant().shared.rounds() as u64;
         for &steps in &report.metrics.per_process_steps {
             assert_eq!(steps, rounds);
         }
@@ -312,7 +312,7 @@ mod tests {
         // from a register someone wrote).
         use std::collections::HashSet;
         let report = run(24, Epsilon::HALF, 7, RandomInterleave::new(24, 8));
-        let rounds = report.processes[0].shared.rounds();
+        let rounds = report.processes[0].participant().shared.rounds();
         for round in 1..rounds {
             let prev: HashSet<_> = report
                 .processes
@@ -362,7 +362,7 @@ mod tests {
         let mut aggressive = 0;
         for seed in 0..trials {
             let report = run(n, Epsilon::HALF, seed as u64, RoundRobin::new(n));
-            aggressive = report.processes[0].shared.aggressive_rounds();
+            aggressive = report.processes[0].participant().shared.aggressive_rounds();
             let counts = distinct_per_round(report.processes.iter().map(|p| p.history()));
             total_after_aggressive += (counts[aggressive - 1] - 1) as f64;
         }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use sift_sim::rng::Xoshiro256StarStar;
 use sift_sim::{LayoutBuilder, Op, OpResult, Process, ProcessId, ScanView, SnapshotId, Step};
 
-use crate::conciliator::{Conciliator, RoundHistory};
+use crate::conciliator::{Conciliator, RoundState};
 use crate::math::{ceil_log2, log_star};
 use crate::params::Epsilon;
 use crate::persona::{Persona, PersonaRepr, PersonaSpec};
@@ -166,7 +166,6 @@ impl<P: PersonaRepr> Conciliator<P> for SnapshotConciliator<P> {
             persona: P::mint(pid, input, &self.spec(), rng, self.coins()),
             round: 0,
             phase: Phase::Update,
-            history: Vec::with_capacity(self.rounds),
         }
     }
 
@@ -195,7 +194,6 @@ pub struct SnapshotParticipant<P: PersonaRepr = Persona> {
     persona: P,
     round: usize,
     phase: Phase,
-    history: Vec<ProcessId>,
 }
 
 impl<P: PersonaRepr> SnapshotParticipant<P> {
@@ -248,7 +246,6 @@ impl<P: PersonaRepr> Process for SnapshotParticipant<P> {
                 OpResult::Ack => Step::Issue(Op::SnapshotScan(self.shared.array(self.round))),
                 OpResult::SnapshotView(view) => {
                     self.adopt_best(&view);
-                    self.history.push(self.persona.origin());
                     self.round += 1;
                     if self.round == self.shared.rounds {
                         self.phase = Phase::Finished;
@@ -265,16 +262,20 @@ impl<P: PersonaRepr> Process for SnapshotParticipant<P> {
     }
 }
 
-impl<P: PersonaRepr> RoundHistory for SnapshotParticipant<P> {
-    fn history(&self) -> &[ProcessId] {
-        &self.history
+impl<P: PersonaRepr> RoundState for SnapshotParticipant<P> {
+    fn round(&self) -> usize {
+        self.round
+    }
+
+    fn held_origin(&self) -> ProcessId {
+        self.persona.origin()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conciliator::distinct_per_round;
+    use crate::conciliator::{distinct_per_round, Recorder, RoundHistory};
     use sift_sim::rng::SeedSplitter;
     use sift_sim::schedule::{BlockSequential, RandomInterleave, RoundRobin, Schedule};
     use sift_sim::Engine;
@@ -284,13 +285,13 @@ mod tests {
         epsilon: Epsilon,
         seed: u64,
         schedule: impl Schedule,
-    ) -> sift_sim::RunReport<SnapshotParticipant> {
+    ) -> sift_sim::RunReport<Recorder<SnapshotParticipant>> {
         let mut b = LayoutBuilder::new();
         let c = SnapshotConciliator::allocate(&mut b, n, epsilon);
         let layout = b.build();
         let split = SeedSplitter::new(seed);
         let procs = split.processes(n, |pid, rng| {
-            c.participant(pid, 100 + pid.index() as u64, rng)
+            Recorder::new(c.participant(pid, 100 + pid.index() as u64, rng))
         });
         Engine::new(&layout, procs).run(schedule)
     }
@@ -335,7 +336,7 @@ mod tests {
     #[test]
     fn termination_uses_exactly_2r_steps_each() {
         let report = run(5, Epsilon::HALF, 3, RoundRobin::new(5));
-        let rounds = report.processes[0].shared.rounds as u64;
+        let rounds = report.processes[0].participant().shared.rounds as u64;
         for &steps in &report.metrics.per_process_steps {
             assert_eq!(steps, 2 * rounds);
         }
@@ -372,7 +373,10 @@ mod tests {
             for w in counts.windows(2) {
                 assert!(w[1] <= w[0], "seed {seed}: survivors increased {counts:?}");
             }
-            assert_eq!(counts.len(), report.processes[0].shared.rounds);
+            assert_eq!(
+                counts.len(),
+                report.processes[0].participant().shared.rounds
+            );
         }
     }
 
@@ -411,7 +415,7 @@ mod tests {
     fn history_has_one_entry_per_round() {
         let report = run(3, Epsilon::QUARTER, 9, RoundRobin::new(3));
         for p in &report.processes {
-            assert_eq!(p.history().len(), p.shared.rounds);
+            assert_eq!(p.history().len(), p.participant().shared.rounds);
         }
     }
 

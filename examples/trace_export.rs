@@ -12,7 +12,9 @@
 
 use std::io::Write as _;
 
-use sift::core::{distinct_per_round, Conciliator, Epsilon, RoundHistory, SiftingConciliator};
+use sift::core::{
+    distinct_per_round, Conciliator, Epsilon, Recorder, RoundHistory, SiftingConciliator,
+};
 use sift::sim::obs::{check_trace_shape, perfetto_trace_json};
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::RandomInterleave;
@@ -27,7 +29,7 @@ fn main() {
     let layout = builder.build();
     let split = SeedSplitter::new(12);
     let processes = split.processes(N, |pid, rng| {
-        conciliator.participant(pid, pid.index() as u64, rng)
+        Recorder::new(conciliator.participant(pid, pid.index() as u64, rng))
     });
 
     let mut engine = Engine::new(&layout, processes);

@@ -44,6 +44,7 @@ clippy: api-audit
     ! grep -n '^\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml
     ! grep -rnE 'SIFT_SERVIC[E]_|service_loa[d]|exp -- servic[e]' crates src tests examples justfile
     ! grep -rnE 'Memory<Persona>|GafniSnapshotAc<Persona>' crates/service/src
+    ! grep -rnE 'history\.push|history: Vec' crates/core/src --exclude=conciliator.rs
 
 # Per crate: how many distinct `pub` item names its `src/` declares, and
 # which of them no `.rs` file outside that `src/` mentions (DESIGN.md,

@@ -8,7 +8,7 @@ use common::{cases, schedule_kind, size_in};
 
 use sift::core::{
     distinct_per_round, CilConciliator, Conciliator, EmbeddedConciliator, Epsilon, MaxConciliator,
-    RoundHistory, SiftingConciliator, SnapshotConciliator,
+    Recorder, RoundHistory, SiftingConciliator, SnapshotConciliator,
 };
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::ScheduleKind;
@@ -116,13 +116,17 @@ fn survivors_shrink_monotonically() {
         let counts = if use_sifting {
             let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
             let layout = b.build();
-            let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
+            let procs = split.processes(n, |pid, rng| {
+                Recorder::new(c.participant(pid, pid.index() as u64, rng))
+            });
             let report = Engine::new(&layout, procs).run(schedule);
             distinct_per_round(report.processes.iter().map(|p| p.history()))
         } else {
             let c = SnapshotConciliator::allocate(&mut b, n, Epsilon::HALF);
             let layout = b.build();
-            let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
+            let procs = split.processes(n, |pid, rng| {
+                Recorder::new(c.participant(pid, pid.index() as u64, rng))
+            });
             let report = Engine::new(&layout, procs).run(schedule);
             distinct_per_round(report.processes.iter().map(|p| p.history()))
         };

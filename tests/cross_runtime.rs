@@ -1,6 +1,7 @@
 //! Cross-runtime equivalence: the same protocol state machines run on
 //! the deterministic simulator and on the threaded substrate, and a
-//! lockstep driver over the lock-free objects — and over the model
+//! lockstep driver over `AtomicMemory`, the model's objects one lock
+//! each — and over the model
 //! under a lock, their reference — reproduces the simulator's outcome
 //! exactly. The last test pins the same boundary for the stack the
 //! service decides with: round robin, the served schedule, never leaves

@@ -12,15 +12,19 @@
 //! workload is made of — is held to zero. The served path records into
 //! typed fields, not through `ObsReport`; the simulator and the
 //! experiment harness still do, so its recording methods are held to
-//! zero on existing keys too. The library crates forbid `unsafe`, so the
-//! allocator lives in this test binary.
+//! zero on existing keys too. Below the service, minting an Algorithm 2
+//! participant is held to its persona's two allocations. The library
+//! crates forbid `unsafe`, so the allocator lives in this test binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use sift::core::{Conciliator, Epsilon, SiftingConciliator};
 use sift::obs::{Histogram, ObsReport};
 use sift::service::det::DeterministicService;
 use sift::service::{InstanceId, ShardConfig};
+use sift::sim::rng::Xoshiro256StarStar;
+use sift::sim::{LayoutBuilder, ProcessId};
 
 thread_local! {
     // Const-initialised and without a destructor: touching it from
@@ -102,11 +106,31 @@ fn a_batch_of_one_allocates_at_most_three_times() {
 }
 
 #[test]
-fn a_batch_of_eight_allocates_at_most_twelve_times() {
+fn a_batch_of_eight_allocates_at_most_four_times() {
     let per_decision = allocations_per_decision(2_000, 8);
     assert!(
-        per_decision <= 12.0,
+        per_decision <= 4.0,
         "{per_decision} allocations per decision"
+    );
+}
+
+#[test]
+fn a_sifting_participant_allocates_only_its_persona() {
+    // The persona's `Arc` and its per-round write choices: the instance
+    // lends its persona spec, and the participant keeps no history.
+    let n = 1_000;
+    let conciliator = SiftingConciliator::allocate(&mut LayoutBuilder::new(), n, Epsilon::HALF);
+    let mut rng = Xoshiro256StarStar::seed_from_u64(7);
+    let mut participants = Vec::with_capacity(n);
+    let allocations = allocations_during(|| {
+        for pid in 0..n {
+            participants.push(conciliator.participant(ProcessId(pid), pid as u64, &mut rng));
+        }
+    });
+    let per_participant = allocations as f64 / n as f64;
+    assert!(
+        per_participant <= 2.0,
+        "{per_participant} allocations per participant"
     );
 }
 

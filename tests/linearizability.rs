@@ -7,8 +7,8 @@
 //! histories instead of taking the locks' word for it. Workloads are
 //! generated from the in-tree seeded RNG (the workspace is offline, so
 //! no property-testing crate; seeds make every failure reproducible) and
-//! run both free-threaded and in lockstep, over the lock-free objects
-//! and over the model under a lock alike; the snapshot workload also
+//! run both free-threaded and in lockstep, over `AtomicMemory` (one lock
+//! per object) and over the model under a lock alike; the snapshot workload also
 //! runs over `WaitFreeSnapshot`, and the max-register workloads over
 //! `TreeMaxRegister` — the substitution table's two constructions. A
 //! hand-built non-linearizable history keeps the checker itself honest.
@@ -146,8 +146,8 @@ fn check_threaded_history<P, M>(
     check_linearizable(layout, &history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
 }
 
-/// [`check_threaded_history`] over each memory: the lock-free objects,
-/// then the model under a lock.
+/// [`check_threaded_history`] over each memory: `AtomicMemory`, one
+/// lock per object, then the model under one lock.
 fn check_threaded_histories<P>(layout: &Layout, procs: Vec<P>, expected_ops: usize, seed: u64)
 where
     P: Process<Output = usize> + Clone + Send,
@@ -205,7 +205,7 @@ impl<V: Value> ExecuteOps<V> for TreeMaxRegisters<V> {
 }
 
 /// Captures threaded max-register histories over value type `V` and
-/// checks each against Wing–Gong: on the lock-free max register, the
+/// checks each against Wing–Gong: on `AtomicMemory`'s max register, the
 /// model's, and the switch-trie construction (keys are drawn from
 /// `0..10`, inside the trie's `0..16`).
 fn check_max_register_histories<V: Value + PartialEq>(tag: &str, mut value: impl FnMut(u64) -> V) {
@@ -260,7 +260,7 @@ impl ExecuteOps<u64> for WaitFreeSnapshots {
 }
 
 /// Threaded histories of the snapshot alone must linearize — on the
-/// lock-free snapshot, the model's, and the wait-free construction
+/// `AtomicMemory`'s snapshot, the model's, and the wait-free construction
 /// (every process updates only its own component).
 #[test]
 fn threaded_snapshot_histories_linearize() {

@@ -7,8 +7,8 @@
 
 use sift::core::analysis::{lemma1_expected_excess, sifting_expected_excess};
 use sift::core::{
-    distinct_per_round, Conciliator, EmbeddedConciliator, Epsilon, RoundHistory,
-    SiftingConciliator, SnapshotConciliator,
+    distinct_per_round, Conciliator, EmbeddedConciliator, Epsilon, Recorder, RoundHistory,
+    RoundState, SiftingConciliator, SnapshotConciliator,
 };
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::RandomInterleave;
@@ -23,13 +23,15 @@ fn run_survivors<C>(
 ) -> (Vec<usize>, bool, u64)
 where
     C: Conciliator,
-    C::Participant: RoundHistory,
+    C::Participant: RoundState,
 {
     let mut b = LayoutBuilder::new();
     let c = build(&mut b);
     let layout = b.build();
     let split = SeedSplitter::new(seed);
-    let procs = split.processes(n, |pid, rng| c.participant(pid, pid.index() as u64, rng));
+    let procs = split.processes(n, |pid, rng| {
+        Recorder::new(c.participant(pid, pid.index() as u64, rng))
+    });
     let report = Engine::new(&layout, procs).run(RandomInterleave::new(n, split.schedule_seed()));
     let counts = distinct_per_round(report.processes.iter().map(|p| p.history()));
     let total = report.metrics.total_steps;
@@ -48,7 +50,7 @@ fn mean_excess<C>(
 ) -> Vec<f64>
 where
     C: Conciliator,
-    C::Participant: RoundHistory,
+    C::Participant: RoundState,
 {
     map_reduce(
         trials,

@@ -1,16 +1,17 @@
-//! Differential testing of the lock-free substrate against the model.
+//! Differential testing of the threaded substrate against the model.
 //!
-//! `AtomicMemory` (the lock-free objects) has one reference: the model
-//! itself, `sift_sim::Memory` under one lock — the memory DPOR, the
-//! fuzzer, conformance and the service run on. Hadzilacos–Hu–Toueg
-//! (arXiv 2006.06771) is why the reference must be *obviously* atomic,
-//! and the sequential spec under a lock is. Each differential drives
-//! the *same* deterministic schedule through a subject memory and the
-//! model and returns the first divergence: every operation result of
-//! raw and interleaved workloads, every result a conciliator
-//! participant observes and the persona it ends with. The tests demand
-//! none for `AtomicMemory`; `differentials_catch_a_broken_lock_free_side`
-//! hands the same functions two test-side broken wrappers around it.
+//! `AtomicMemory` (the model's objects, one lock each) has one
+//! reference: the model itself, `sift_sim::Memory` under one lock — the
+//! memory DPOR, the fuzzer, conformance and the service run on.
+//! Hadzilacos–Hu–Toueg (arXiv 2006.06771) is why the reference must be
+//! *obviously* atomic, and the sequential spec under a lock is. Each
+//! differential drives the *same* deterministic schedule through a
+//! subject memory and the model and returns the first divergence: every
+//! operation result of raw and interleaved workloads, every result a
+//! conciliator participant observes and the persona it ends with. The
+//! tests demand none for `AtomicMemory`;
+//! `differentials_catch_a_broken_threaded_side` hands the same functions
+//! two test-side broken wrappers around it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -470,14 +471,14 @@ impl<V: Value> ExecuteOps<V> for Mutant<V> {
     }
 }
 
-/// Each differential still catches a broken lock-free side: every one
+/// Each differential still catches a broken threaded side: every one
 /// reports the dropped writes (the tests above demand that the
 /// unmodified `AtomicMemory` never diverges). Only the raw workload
 /// sees the stale scans: the interleaved workloads never scan, and the
 /// conciliators run in lockstep round robin, where every update of a
 /// round lands before any scan, so consecutive scans see one view.
 #[test]
-fn differentials_catch_a_broken_lock_free_side() {
+fn differentials_catch_a_broken_threaded_side() {
     let caught = |name: &str, expected: [bool; 2], differential: &dyn Fn(Fault) -> Divergence| {
         let mutants = [Fault::DropsWrite(3), Fault::StaleScan(3)];
         let verdicts = mutants.map(|fault| differential(fault).is_err());
