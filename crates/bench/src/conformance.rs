@@ -47,13 +47,13 @@ use sift_core::{
     SnapshotConciliator,
 };
 use sift_sim::adversary::AdversaryStrength;
-use sift_sim::fuzz::FingerprintHasher;
+use sift_sim::fuzz::{Environment, FingerprintHasher};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::RandomInterleave;
 use sift_sim::{Engine, LayoutBuilder, RegisterSemantics, Resolution, StopReason};
 
 use crate::exec::{map_reduce, Merge};
-use crate::runner::{sifter, TrialFixture};
+use crate::runner::{run_in, sifter, TrialFixture};
 use crate::stats::{cp_lower, Welford, Z_99};
 use crate::table::{fmt_f64, Table};
 
@@ -367,7 +367,9 @@ fn algorithm1_claims(scale: usize) -> Vec<ClaimResult> {
         trials,
         |index| {
             let seed = crate::exec::trial_seed(master, index);
-            conciliator_trial(n, seed, |b| SnapshotConciliator::allocate(b, n, eps))
+            conciliator_trial(n, seed, Environment::default(), |b| {
+                SnapshotConciliator::allocate(b, n, eps)
+            })
         },
         || (PerRound::default(), 0u64, 0u64),
         |(per_round, steps, disagree), t| {
@@ -448,7 +450,7 @@ where
         trials,
         |index| {
             let seed = crate::exec::trial_seed(master, index);
-            conciliator_trial(n, seed, |b| build(b, n))
+            conciliator_trial(n, seed, Environment::default(), |b| build(b, n))
         },
         || (PerRound::default(), 0u64, 0u64),
         |(per_round, steps, disagree), t| {
@@ -495,8 +497,9 @@ where
     ]
 }
 
-/// A slot-limited conciliator trial under the oblivious
-/// [`RandomInterleave`] adversary, with round history.
+/// A slot-limited conciliator trial in an environment (see
+/// [`run_in`]) whose oblivious tier runs the [`RandomInterleave`]
+/// schedule, with round history.
 struct ConciliatorTrial {
     agreed: bool,
     ops: Vec<u64>,
@@ -507,6 +510,7 @@ struct ConciliatorTrial {
 fn conciliator_trial<C>(
     n: usize,
     seed: u64,
+    env: Environment,
     build: impl Fn(&mut LayoutBuilder) -> C,
 ) -> ConciliatorTrial
 where
@@ -519,7 +523,7 @@ where
     // A livelocking mutant must terminate the trial instead of hanging
     // the suite.
     engine.limit_slots(fixture.slot_budget());
-    let report = engine.run(RandomInterleave::new(n, split.schedule_seed()));
+    let report = run_in(engine, env, RandomInterleave::new(n, split.schedule_seed()));
     let survivors = distinct_per_round(report.processes.iter().map(|p| p.history()));
     let agreed = report.all_decided() && report.outputs_agree();
     ConciliatorTrial {
@@ -585,7 +589,11 @@ pub fn run_negative(scale: usize) -> Vec<ClaimResult> {
         .into_iter()
         .enumerate()
         .map(|(idx, (id, strength, semantics, expect_hold))| {
-            negative_decay_case(scale, 10 + idx as u64, id, strength, semantics, expect_hold)
+            let env = Environment {
+                strength,
+                semantics,
+            };
+            negative_decay_case(scale, 10 + idx as u64, id, env, expect_hold)
         })
         .collect()
 }
@@ -603,8 +611,7 @@ fn negative_decay_case(
     scale: usize,
     seed_idx: u64,
     id: &str,
-    strength: AdversaryStrength,
-    semantics: RegisterSemantics,
+    env: Environment,
     expect_hold: bool,
 ) -> ClaimResult {
     let n = SIFTING_N;
@@ -621,7 +628,7 @@ fn negative_decay_case(
         trials,
         |index| {
             let seed = crate::exec::trial_seed(master, index);
-            environment_trial(n, seed, strength, semantics)
+            conciliator_trial(n, seed, env, |b| sifter(b, n)).survivors
         },
         PerRound::default,
         |per_round, survivors| per_round.record(&survivors, &bounds),
@@ -629,8 +636,8 @@ fn negative_decay_case(
 
     let statement = format!(
         "Alg 2 aggressive decay under the {} adversary on {} registers",
-        strength.name(),
-        substrate_name(semantics)
+        env.strength.name(),
+        substrate_name(env.semantics)
     );
     let inner = decay_claim(
         id,
@@ -649,29 +656,6 @@ fn negative_decay_case(
         pass: inner.pass == expect_hold,
         ..inner
     }
-}
-
-/// A sifting trial under an explicit environment: the given register
-/// semantics plus an adversary-lattice point — oblivious runs the fixed
-/// [`RandomInterleave`] schedule, stronger points the `k`-stale sifting
-/// breaker ([`crate::runner::run_sifting_breaker`]). Returns the
-/// per-round survivor counts.
-fn environment_trial(
-    n: usize,
-    seed: u64,
-    strength: AdversaryStrength,
-    semantics: RegisterSemantics,
-) -> Vec<usize> {
-    let fixture = TrialFixture::new(n, |b| sifter(b, n));
-    let split = SeedSplitter::new(seed);
-    let mut engine = Engine::new(fixture.layout(), fixture.recorded(&split));
-    engine.limit_slots(fixture.slot_budget());
-    engine.set_register_semantics(semantics);
-    let report = match strength.delay() {
-        None => engine.run(RandomInterleave::new(n, split.schedule_seed())),
-        Some(delay) => crate::runner::run_sifting_breaker(engine, delay),
-    };
-    distinct_per_round(report.processes.iter().map(|p| p.history()))
 }
 
 // ---------------------------------------------------------------------

@@ -16,12 +16,14 @@
 //! (Attiya–Censor) the paper contrasts itself against.
 
 use sift_core::{Epsilon, SnapshotConciliator};
+use sift_sim::adversary::AdversaryStrength;
+use sift_sim::fuzz::Environment;
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::RandomInterleave;
 use sift_sim::{Engine, Op};
 
 use crate::exec::Batch;
-use crate::runner::{default_trials, sifter, TrialFixture};
+use crate::runner::{default_trials, run_in, sifter, TrialFixture};
 use crate::stats::{RateCounter, Welford};
 use crate::table::{fmt_f64, Table};
 
@@ -41,21 +43,18 @@ fn sifting_run(n: usize, seed: u64, adaptive: bool) -> (bool, usize) {
     let fixture = TrialFixture::new(n, |b| sifter(b, n));
     let split = SeedSplitter::new(seed);
     let engine = Engine::new(fixture.layout(), fixture.participants(&split));
-    let report = if adaptive {
-        // Readers of the earliest round go first: nobody is ever sifted.
-        engine.run_adaptive(|view| {
-            view.live
-                .iter()
-                .min_by_key(|(pid, proc, op)| {
-                    let is_writer = matches!(op, Op::RegisterWrite(_, _));
-                    (proc.round(), is_writer, pid.index())
-                })
-                .map(|(pid, _, _)| *pid)
-                .expect("live processes exist")
-        })
+    // The adaptive sifting breaker: readers of the earliest round go
+    // first, so nobody is ever sifted.
+    let strength = if adaptive {
+        AdversaryStrength::Adaptive
     } else {
-        engine.run(RandomInterleave::new(n, split.schedule_seed()))
+        AdversaryStrength::Oblivious
     };
+    let env = Environment {
+        strength,
+        ..Environment::default()
+    };
+    let report = run_in(engine, env, RandomInterleave::new(n, split.schedule_seed()));
     let distinct = distinct_outputs(&report, |p| p.origin());
     (distinct <= 1, distinct)
 }

@@ -13,14 +13,14 @@ use sift_core::{
 };
 use sift_obs::json::Json;
 use sift_sim::adversary::AdversaryStrength;
-use sift_sim::fuzz::FingerprintHasher;
+use sift_sim::fuzz::{Environment, FingerprintHasher};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::{CrashSubset, RandomInterleave, RoundRobin, Schedule, ScheduleKind};
 use sift_sim::{Engine, LayoutBuilder, RegisterSemantics, Resolution};
 
 use crate::conformance::{self, ClaimResult};
 use crate::exec::Batch;
-use crate::runner::{default_trials, sifter, TrialFixture};
+use crate::runner::{default_trials, run_in, sifter, TrialFixture};
 use crate::stats::RateCounter;
 use crate::table::{fmt_f64, Table};
 
@@ -249,10 +249,10 @@ pub fn run_lattice(n: usize, trials: usize) -> LatticeReport {
     LatticeReport { n, cells }
 }
 
-/// One sifting trial under a lattice point and substrate: oblivious
-/// strengths run the fixed [`RandomInterleave`] schedule; stronger
-/// points drive a [`DelayedChooser`] running the E20 sifting breaker on
-/// `k`-stale observations.
+/// One sifting trial under a lattice point and substrate (see
+/// [`run_in`]): oblivious strengths run the fixed [`RandomInterleave`]
+/// schedule, stronger points the E20 sifting breaker on `k`-stale
+/// observations.
 fn lattice_trial(
     n: usize,
     seed: u64,
@@ -261,12 +261,12 @@ fn lattice_trial(
 ) -> (bool, usize) {
     let fixture = TrialFixture::new(n, |b| sifter(b, n));
     let split = SeedSplitter::new(seed);
-    let mut engine = Engine::new(fixture.layout(), fixture.participants(&split));
-    engine.set_register_semantics(semantics_of(split.seed("regular", 0)));
-    let report = match strength.delay() {
-        None => engine.run(RandomInterleave::new(n, split.schedule_seed())),
-        Some(delay) => crate::runner::run_sifting_breaker(engine, delay),
+    let engine = Engine::new(fixture.layout(), fixture.participants(&split));
+    let env = Environment {
+        strength,
+        semantics: semantics_of(split.seed("regular", 0)),
     };
+    let report = run_in(engine, env, RandomInterleave::new(n, split.schedule_seed()));
     use std::collections::HashSet;
     let distinct: HashSet<u64> = report
         .outputs

@@ -10,7 +10,7 @@
 //! under deterministic replay of its charged script — greedily shrunk
 //! to a 1-minimal
 //! [`FixedSchedule`](sift_sim::schedule::FixedSchedule) script via
-//! [`shrink_schedule_with`].
+//! [`shrink_schedule_with`](sift_sim::mc::shrink_schedule_with).
 //!
 //! The invariants hold for **every** oblivious schedule, so any failure
 //! is a protocol bug (or a deliberately broken conciliator handed to
@@ -36,20 +36,16 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use sift_core::{
-    distinct_per_round, try_check_validity, Conciliator, Persona, Recorder, RoundHistory,
-    RoundState,
-};
+use sift_core::{distinct_per_round, Conciliator, Persona, Recorder, RoundHistory, RoundState};
 use sift_sim::fuzz::{
     interleaving_signature, Evaluation, FingerprintHasher, FuzzFailure, FuzzViolation, Fuzzer,
     ScheduleGenome,
 };
-use sift_sim::mc::{replay_report, shrink_schedule_with};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::{Engine, LayoutBuilder, Process, RunReport, StopReason};
 
 use crate::exec::map_reduce;
-use crate::runner::{sifter, TrialFixture};
+use crate::runner::{run_in, sifter, TrialFixture};
 
 /// Parameters of one fuzzing campaign.
 #[derive(Debug, Clone)]
@@ -191,23 +187,16 @@ where
     let split = SeedSplitter::new(config.seed);
     let mut fuzzer =
         Fuzzer::new(config.n, split.seed("proposals", 0)).with_extended_genes(config.extended);
-
     for generation in 0..config.generations {
-        let candidates = fuzzer.propose(config.population);
-        // Evaluations are pure; fan out and fold back in index order
-        // (Vec's Merge concatenates chunk results in chunk order).
-        let evals: Vec<Evaluation> = map_reduce(
-            candidates.len(),
-            |index| {
-                let case = split.seed("case", (generation * config.population) as u64 + index);
-                evaluate(config.n, case, &candidates[index as usize], build)
-            },
-            Vec::new,
-            |acc, eval| acc.push(eval),
+        let first_case = (generation * config.population) as u64;
+        run_generation(
+            &mut fuzzer,
+            config.n,
+            config.population,
+            &split,
+            first_case,
+            build,
         );
-        for (genome, eval) in candidates.into_iter().zip(evals) {
-            fuzzer.absorb(genome, eval);
-        }
     }
 
     FuzzReport {
@@ -230,9 +219,52 @@ where
     }
 }
 
-/// Evaluates one candidate genome: run, fingerprint, invariant check,
-/// replay pre-check, shrink.
-pub(crate) fn evaluate<C>(
+/// One generation of `fuzzer`: propose `population` candidates,
+/// evaluate candidate `i` under case seed `split.seed("case",
+/// first_case + i)`, and absorb the evaluations in proposal order.
+/// Evaluations are pure, so they fan out over [`map_reduce`] (Vec's
+/// Merge concatenates chunk results in chunk order). Returns the
+/// generation's violations, each with the case seed it ran under.
+pub(crate) fn run_generation<C>(
+    fuzzer: &mut Fuzzer,
+    n: usize,
+    population: usize,
+    split: &SeedSplitter,
+    first_case: u64,
+    build: &(impl Fn(&mut LayoutBuilder, usize) -> C + Sync),
+) -> Vec<(u64, FuzzViolation)>
+where
+    C: Conciliator,
+    C::Participant: RoundState,
+{
+    let candidates = fuzzer.propose(population);
+    let evals: Vec<(u64, Evaluation)> = map_reduce(
+        population,
+        |index| {
+            let seed = split.seed("case", first_case + index);
+            (seed, evaluate(n, seed, &candidates[index as usize], build))
+        },
+        Vec::new,
+        |acc, eval| acc.push(eval),
+    );
+    let mut found = Vec::new();
+    for (genome, (seed, eval)) in candidates.into_iter().zip(evals) {
+        let failed = eval.failure.is_some();
+        fuzzer.absorb(genome, eval);
+        if failed {
+            let violation = fuzzer
+                .violations()
+                .last()
+                .expect("absorb records a failure");
+            found.push((seed, violation.clone()));
+        }
+    }
+    found
+}
+
+/// Evaluates one candidate genome: run in the genome's environment,
+/// fingerprint, invariant check, replay pre-check, shrink.
+fn evaluate<C>(
     n: usize,
     case_seed: u64,
     genome: &ScheduleGenome,
@@ -243,28 +275,18 @@ where
     C::Participant: RoundState,
 {
     let fixture = TrialFixture::new(n, |b| build(b, n));
-    let layout = fixture.layout();
-    let steps_bound = fixture.steps_bound();
     let case = SeedSplitter::new(case_seed);
-    let factory = || fixture.recorded(&case);
-
     let env = genome.environment();
     let schedule = genome.compile(n);
     // The livelock budget starts counting past the compiled prefix.
     let budget = schedule.prefix_len() as u64 + fixture.slot_budget();
-    let mut engine = Engine::new(layout, factory());
+    let mut engine = Engine::new(fixture.layout(), fixture.recorded(&case));
     engine.enable_trace();
     engine.limit_slots(budget);
-    engine.set_register_semantics(env.semantics);
-    let report = match env.strength.delay() {
-        // Oblivious: the compiled genome schedule, fixed before the run.
-        None => engine.run(schedule),
-        // Stronger lattice points replace the compiled schedule with a
-        // k-stale reactive chooser running the E20-style sifting
-        // breaker: prefer the earliest-round reader, so first-round
-        // reads land before the writes they should have seen.
-        Some(delay) => crate::runner::run_sifting_breaker(engine, delay),
-    };
+    // Stronger lattice points replace the compiled schedule with the
+    // k-stale sifting breaker: the earliest-round reader goes first, so
+    // first-round reads land before the writes they should have seen.
+    let report = run_in(engine, env, schedule);
 
     let trace = report.trace.as_ref().expect("trace recording was enabled");
     let script: Vec<usize> = trace.events().iter().map(|e| e.pid.index()).collect();
@@ -280,27 +302,13 @@ where
     let fingerprint = h.finish();
 
     let oblivious = env.strength.is_oblivious();
-    let property =
-        |r: &RunReport<Recorder<C::Participant>>| check_invariants(n, steps_bound, oblivious, r);
-    let failure = property(&report).err().map(|message| {
-        // A violation that reproduces under deterministic replay of the
-        // charged script shrinks to a 1-minimal script; one that
-        // depends on the infinite schedule tail (the slot-limit
-        // livelock — replays of the finite script exhaust the schedule
-        // instead) is reported unshrunk.
-        if property(&replay_report(layout, factory(), &script)).is_err() {
-            let (shrunk, message) =
-                shrink_schedule_with(layout, &factory, script.clone(), &property);
-            FuzzFailure {
-                message,
-                shrunk: Some(shrunk),
-            }
-        } else {
-            FuzzFailure {
-                message,
-                shrunk: None,
-            }
-        }
+    let check = |r: &RunReport<Recorder<C::Participant>>| check_invariants(&fixture, oblivious, r);
+    let failure = check(&report).err().map(|message| {
+        let (shrunk, message) = match fixture.shrink(&case, script.clone(), check) {
+            Some((shrunk, message)) => (Some(shrunk), message),
+            None => (None, message),
+        };
+        FuzzFailure { message, shrunk }
     });
 
     Evaluation {
@@ -317,24 +325,17 @@ where
 /// are *oblivious-tier* claims (the paper states its complexity bounds
 /// against the oblivious adversary only), so runs driven by a
 /// stronger-than-oblivious chooser skip them.
-pub(crate) fn check_invariants<P>(
-    n: usize,
-    steps_bound: u64,
+pub(crate) fn check_invariants<C, P>(
+    fixture: &TrialFixture<C>,
     oblivious: bool,
     report: &RunReport<P>,
 ) -> Result<(), String>
 where
+    C: Conciliator,
     P: Process<Output = Persona> + RoundHistory,
 {
     if oblivious {
-        for (pid, &ops) in report.metrics.per_process_ops.iter().enumerate() {
-            if ops > steps_bound {
-                return Err(format!(
-                    "step bound violated: process {pid} performed {ops} charged ops \
-                     (bound {steps_bound})"
-                ));
-            }
-        }
+        fixture.check_steps(report)?;
     }
     let survivors = distinct_per_round(report.processes.iter().map(|p| p.history()));
     if let Some(w) = survivors.windows(2).find(|w| w[1] > w[0]) {
@@ -344,8 +345,7 @@ where
             w[1], w[0]
         ));
     }
-    let inputs: Vec<u64> = (0..n as u64).collect();
-    try_check_validity(&inputs, &report.outputs)?;
+    fixture.check_validity(report)?;
     if oblivious && report.stop_reason == StopReason::SlotLimit {
         return Err(format!(
             "slot budget exhausted after {} charged ops + {} skipped slots — livelock",
@@ -417,7 +417,7 @@ mod tests {
         let report =
             Engine::new(fixture.layout(), procs).run(sift_sim::schedule::RoundRobin::new(4));
         assert_eq!(report.stop_reason, StopReason::AllDone);
-        check_invariants(4, fixture.steps_bound(), true, &report).unwrap();
+        check_invariants(&fixture, true, &report).unwrap();
     }
 
     /// The extended pool drives candidates through every environment —

@@ -3,7 +3,10 @@
 //! place a conciliator trial is built; the experiments' `run_trial`
 //! and the checkers ([`fuzz`](crate::fuzz), [`soak`](crate::soak),
 //! [`conformance`](crate::conformance)) all mint their participants
-//! from it.
+//! from it. The checkers also share its property checks
+//! (`check_steps`, `check_validity`, with `check_agreement` beside it)
+//! and its replay-then-shrink (`shrink`), and every run in an
+//! adversary-lattice environment goes through `run_in`.
 //!
 //! Builders are reusable (`Fn`, not `FnOnce`) so one closure can be
 //! shared by every worker of the parallel executor
@@ -12,12 +15,14 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sift_core::{
-    distinct_per_round, Conciliator, Epsilon, Persona, Recorder, RoundHistory, RoundState,
-    SiftingConciliator,
+    distinct_per_round, try_check_validity, Conciliator, Epsilon, Persona, Recorder, RoundHistory,
+    RoundState, SiftingConciliator,
 };
 use sift_sim::adversary::DelayedChooser;
+use sift_sim::fuzz::Environment;
+use sift_sim::mc::{replay_report, shrink_schedule_with};
 use sift_sim::rng::SeedSplitter;
-use sift_sim::schedule::ScheduleKind;
+use sift_sim::schedule::{Schedule, ScheduleKind};
 use sift_sim::{
     AdaptiveView, Engine, Layout, LayoutBuilder, Metrics, Op, Process, ProcessId, RunReport,
     StopReason,
@@ -66,7 +71,7 @@ pub(crate) fn default_trials(wanted: usize) -> usize {
 /// Starving first-round reads of the writes they should have seen keeps
 /// every persona alive — the construction that defeats sifting once the
 /// adversary can inspect process state.
-pub(crate) fn breaker_extract<P>(view: &AdaptiveView<'_, P>) -> ProcessId
+fn breaker_extract<P>(view: &AdaptiveView<'_, P>) -> ProcessId
 where
     P: Process + RoundState,
 {
@@ -84,23 +89,35 @@ where
 /// process is still live, else fall back to the first live process
 /// (liveness knowledge is always current; see
 /// [`sift_sim::adversary`]).
-pub(crate) fn breaker_decide(stale: Option<&ProcessId>, live: &[ProcessId]) -> ProcessId {
+fn breaker_decide(stale: Option<&ProcessId>, live: &[ProcessId]) -> ProcessId {
     stale
         .copied()
         .filter(|p| live.contains(p))
         .unwrap_or_else(|| live[0])
 }
 
-/// Runs `engine` to completion under the `delay`-stale sifting breaker:
-/// delay 0 is the fully adaptive adversary, larger delays the weaker
-/// `Delayed(k)` lattice points (free functions rather than closures so
-/// every caller drives byte-identical adversary behavior).
-pub(crate) fn run_sifting_breaker<P>(engine: Engine<P>, delay: usize) -> RunReport<P>
+/// Runs `engine` to completion in `env`, the one place a checked run
+/// states which adversary and which registers it ran under: the
+/// engine's registers take `env.semantics`; the oblivious tier runs the
+/// fixed `schedule`, and every stronger lattice point replaces it with
+/// the sifting breaker on `k`-stale observations (delay 0 is the fully
+/// adaptive adversary of E20).
+pub(crate) fn run_in<P>(
+    mut engine: Engine<P>,
+    env: Environment,
+    schedule: impl Schedule,
+) -> RunReport<P>
 where
     P: Process + RoundState,
 {
-    let mut chooser = DelayedChooser::new(delay, breaker_extract, breaker_decide);
-    engine.run_adaptive(|view| chooser.choose(&view))
+    engine.set_register_semantics(env.semantics);
+    match env.strength.delay() {
+        None => engine.run(schedule),
+        Some(delay) => {
+            let mut chooser = DelayedChooser::new(delay, breaker_extract, breaker_decide);
+            engine.run_adaptive(|view| chooser.choose(&view))
+        }
+    }
 }
 
 /// The unmodified Algorithm 2 build (`ε = 1/2`) every checker runs
@@ -183,6 +200,75 @@ impl<C: Conciliator> TrialFixture<C> {
             .into_iter()
             .map(Recorder::new)
             .collect()
+    }
+
+    /// Replays the charged `script` over [`recorded`](Self::recorded)
+    /// participants minted from `split`.
+    pub(crate) fn replay(
+        &self,
+        split: &SeedSplitter,
+        script: &[usize],
+    ) -> RunReport<Recorder<C::Participant>>
+    where
+        C::Participant: RoundState,
+    {
+        replay_report(&self.layout, self.recorded(split), script)
+    }
+
+    /// Replays a violating run's charged `script`; if `check` still
+    /// fails, greedily shrinks the script to a 1-minimal one and returns
+    /// it with the failure message. `None` means the violation does not
+    /// reproduce from the finite script — it depends on the schedule's
+    /// infinite tail (a slot-limit livelock) — and is reported unshrunk.
+    pub(crate) fn shrink(
+        &self,
+        split: &SeedSplitter,
+        script: Vec<usize>,
+        check: impl Fn(&RunReport<Recorder<C::Participant>>) -> Result<(), String>,
+    ) -> Option<(Vec<usize>, String)>
+    where
+        C::Participant: RoundState,
+    {
+        check(&self.replay(split, &script)).err()?;
+        let factory = || self.recorded(split);
+        Some(shrink_schedule_with(&self.layout, &factory, script, &check))
+    }
+
+    /// The step-bound property: no participant performed more than
+    /// [`steps_bound`](Self::steps_bound) charged ops.
+    pub(crate) fn check_steps<P: Process>(&self, report: &RunReport<P>) -> Result<(), String> {
+        let steps_bound = self.steps_bound();
+        for (pid, &ops) in report.metrics.per_process_ops.iter().enumerate() {
+            if ops > steps_bound {
+                return Err(format!(
+                    "step bound violated: process {pid} performed {ops} charged ops \
+                     (bound {steps_bound})"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Validity: every decided persona carries one of the
+    /// [`inputs`](Self::inputs).
+    pub(crate) fn check_validity<P>(&self, report: &RunReport<P>) -> Result<(), String>
+    where
+        P: Process<Output = Persona>,
+    {
+        try_check_validity(&self.inputs(), &report.outputs)
+    }
+}
+
+/// Agreement: every decided output is the same.
+pub(crate) fn check_agreement<P>(report: &RunReport<P>) -> Result<(), String>
+where
+    P: Process,
+    P::Output: PartialEq,
+{
+    if report.outputs_agree() {
+        Ok(())
+    } else {
+        Err("decided outputs disagree".to_string())
     }
 }
 

@@ -23,7 +23,7 @@
 //!    support, agreement, and validity are re-checked per trial, and
 //!    any replayable violation is greedily shrunk to a 1-minimal
 //!    [`FixedSchedule`](sift_sim::schedule::FixedSchedule) script via
-//!    [`shrink_schedule_with`].
+//!    [`shrink_schedule_with`](sift_sim::mc::shrink_schedule_with).
 //! 3. **Fuzz lane** — one generation of the coverage-guided adversary
 //!    fuzzer per window, with the corpus carried across windows and
 //!    seeded with schedules harvested from the sifting lane
@@ -46,23 +46,20 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use sift_core::{
-    try_check_validity, Conciliator, Persona, Recorder, RoundHistory, RoundState,
-    SiftingConciliator,
-};
+use sift_core::{Conciliator, Recorder, RoundState, SiftingConciliator};
 use sift_obs::{json::Json, ObsReport, WindowedReport};
 use sift_service::det::DeterministicService;
 use sift_service::runtime::block_on;
 use sift_service::{InstanceId, Service, ServiceConfig, ShardConfig};
-use sift_sim::fuzz::{CorpusEntry, Evaluation, FingerprintHasher, Fuzzer, Gene, ScheduleGenome};
-use sift_sim::mc::{replay_report, shrink_schedule_with};
+use sift_sim::fuzz::{CorpusEntry, FingerprintHasher, Fuzzer, Gene, ScheduleGenome};
 use sift_sim::rng::{SeedSplitter, Xoshiro256StarStar};
 use sift_sim::schedule::{CrashSubset, RandomInterleave, Schedule};
-use sift_sim::{Engine, LayoutBuilder, Process, RunReport, StopReason};
+use sift_sim::{Engine, LayoutBuilder, RunReport, StopReason};
 
 use crate::conformance::{ALPHA, SLACK};
 use crate::exec::map_reduce;
-use crate::runner::{sifter, TrialFixture};
+use crate::fuzz::{check_invariants, run_generation};
+use crate::runner::{check_agreement, sifter, TrialFixture};
 use crate::stats::cp_lower;
 use crate::table::Table;
 
@@ -712,36 +709,27 @@ where
             });
         }
 
+        // Tally each claim, and shrink the first violating trial per
+        // claim (disagreement bound is a rate, not zero — still record
+        // the witness). Crashed runs are exempt from the step claim.
         let crash_free = outcomes.iter().filter(|o| !o.crashed).count() as u64;
         let all = outcomes.len() as u64;
-        let steps_violations = outcomes
-            .iter()
-            .filter(|o| !o.crashed && !o.steps_ok)
-            .count();
-        let live_violations = outcomes.iter().filter(|o| !o.live_ok).count();
-        let agree_violations = outcomes.iter().filter(|o| !o.agree_ok).count();
-        let valid_violations = outcomes.iter().filter(|o| !o.valid_ok).count();
-        add_tally(tally, "sift.steps", n, crash_free, steps_violations as u64);
-        add_tally(tally, "sift.liveness", n, all, live_violations as u64);
-        add_tally(tally, "sift.disagreement", n, all, agree_violations as u64);
-        add_tally(tally, "sift.validity", n, all, valid_violations as u64);
-
-        // Shrink the first violating trial per claim (disagreement
-        // bound is a rate, not zero — still record the witness).
         type Picker = fn(&SiftOutcome) -> bool;
-        let picks: [(&str, Picker); 4] = [
-            ("sift.steps", |o| !o.crashed && !o.steps_ok),
-            ("sift.liveness", |o| !o.live_ok),
-            ("sift.disagreement", |o| !o.agree_ok),
-            ("sift.validity", |o| !o.valid_ok),
+        let claims: [(&str, u64, Picker); 4] = [
+            ("sift.steps", crash_free, |o| !o.crashed && !o.steps_ok),
+            ("sift.liveness", all, |o| !o.live_ok),
+            ("sift.disagreement", all, |o| !o.agree_ok),
+            ("sift.validity", all, |o| !o.valid_ok),
         ];
-        for (claim, is_violation) in picks {
+        for (claim, trials, is_violation) in claims {
+            let violations = outcomes.iter().filter(|o| is_violation(o)).count() as u64;
+            add_tally(tally, claim, n, trials, violations);
             // Disagreement is an expected event under the conciliator's
             // ε = 1/2 bound, so individual disagreeing runs are not
             // violations. Unanimous disagreement across a whole window
             // is (probability ≤ ε^T on correct code, certain under the
             // biased-coin mutant) — keep a shrinkable witness for it.
-            if claim == "sift.disagreement" && agree_violations < outcomes.len() {
+            if claim == "sift.disagreement" && violations < all {
                 continue;
             }
             if let Some(outcome) = outcomes.iter().find(|o| is_violation(o)) {
@@ -760,61 +748,40 @@ where
         n: usize,
         outcome: &SiftOutcome,
     ) -> SoakViolation {
-        let message = match claim {
-            "sift.steps" => format!(
-                "step-count exactness violated (over_bound: {})",
-                outcome.over_bound
-            ),
-            "sift.liveness" => "a surviving process failed to decide".to_string(),
-            "sift.disagreement" => {
-                "every trial in the window disagreed — ε-bound refuted pointwise".to_string()
-            }
-            "sift.validity" => "a decided value was nobody's input".to_string(),
-            other => format!("{other} violated"),
-        };
-        let mut script = None;
-        let mut shrunk_from = outcome.script.len();
-        let replayable = match claim {
-            // Exact-R step counts cannot be re-checked on a truncated
-            // replay script; only the over-bound direction replays.
-            "sift.steps" => outcome.over_bound.then_some(ReplayProperty::StepOverBound),
-            "sift.disagreement" => Some(ReplayProperty::Disagreement),
-            "sift.validity" => Some(ReplayProperty::Validity),
-            // Liveness depends on the schedule tail.
-            _ => None,
-        };
-        if let Some(property) = replayable {
-            if outcome.script.len() <= SHRINK_CAP {
-                if let Some((shrunk, shrunk_message)) = shrink_with(
-                    &self.build,
-                    property,
-                    n,
-                    outcome.seed,
-                    outcome.script.clone(),
-                ) {
-                    shrunk_from = outcome.script.len();
-                    script = Some(shrunk);
-                    return SoakViolation {
-                        window,
-                        claim: claim.to_string(),
-                        scale: n,
-                        seed: outcome.seed,
-                        message: shrunk_message,
-                        script,
-                        shrunk_from,
-                    };
-                }
-            }
-        }
-        SoakViolation {
+        let mut violation = SoakViolation {
             window,
             claim: claim.to_string(),
             scale: n,
             seed: outcome.seed,
-            message,
-            script,
-            shrunk_from,
+            message: match claim {
+                "sift.steps" => format!(
+                    "step-count exactness violated (over_bound: {})",
+                    outcome.over_bound
+                ),
+                "sift.liveness" => "a surviving process failed to decide".to_string(),
+                "sift.disagreement" => {
+                    "every trial in the window disagreed — ε-bound refuted pointwise".to_string()
+                }
+                "sift.validity" => "a decided value was nobody's input".to_string(),
+                other => format!("{other} violated"),
+            },
+            script: None,
+            shrunk_from: outcome.script.len(),
+        };
+        // Exact-R step counts cannot be re-checked on a truncated
+        // replay script; only the over-bound direction replays.
+        let replayable =
+            (claim != "sift.steps" || outcome.over_bound) && outcome.script.len() <= SHRINK_CAP;
+        if let Some(check) = replay_check(claim).filter(|_| replayable) {
+            let fixture = TrialFixture::new(n, |b| (self.build)(b, n));
+            let split = SeedSplitter::new(outcome.seed);
+            let shrunk = fixture.shrink(&split, outcome.script.clone(), |r| check(&fixture, r));
+            if let Some((script, message)) = shrunk {
+                violation.script = Some(script);
+                violation.message = message;
+            }
         }
+        violation
     }
 
     /// One fuzz generation: carry the corpus forward, seed it with the
@@ -827,47 +794,23 @@ where
         let window = self.window;
         let mut fuzzer =
             Fuzzer::new(FUZZ_N, wsplit.seed("fuzz", 0)).with_extended_genes(self.config.extended);
-        let carried = std::mem::take(&mut self.carried);
-        fuzzer.seed_corpus(carried);
-        let candidates = fuzzer.propose(FUZZ_POPULATION);
-        let evals: Vec<Evaluation> = {
-            let build = &self.build;
-            map_reduce(
-                candidates.len(),
-                |index| {
-                    crate::fuzz::evaluate(
-                        FUZZ_N,
-                        wsplit.seed("case", index),
-                        &candidates[index as usize],
-                        build,
-                    )
-                },
-                Vec::new,
-                |acc, eval| acc.push(eval),
-            )
-        };
-        for (genome, eval) in candidates.iter().cloned().zip(evals) {
-            fuzzer.absorb(genome, eval);
-        }
+        fuzzer.seed_corpus(std::mem::take(&mut self.carried));
+        let found = run_generation(&mut fuzzer, FUZZ_N, FUZZ_POPULATION, wsplit, 0, &self.build);
         add_tally(
             tally,
             "fuzz.invariants",
             FUZZ_N,
-            candidates.len() as u64,
-            fuzzer.violations().len() as u64,
+            FUZZ_POPULATION as u64,
+            found.len() as u64,
         );
-        for violation in fuzzer.violations() {
-            let index = candidates
-                .iter()
-                .position(|genome| genome == &violation.genome)
-                .unwrap_or(0);
+        for (seed, violation) in found {
             self.violations.push(SoakViolation {
                 window,
                 claim: "fuzz.invariants".to_string(),
                 scale: FUZZ_N,
-                seed: wsplit.seed("case", index as u64),
-                message: violation.failure.message.clone(),
-                script: violation.failure.shrunk.clone(),
+                seed,
+                message: violation.failure.message,
+                script: violation.failure.shrunk,
                 shrunk_from: violation.script.len(),
             });
         }
@@ -967,11 +910,7 @@ where
     }
     let fingerprint = h.finish();
 
-    let over_bound = report
-        .metrics
-        .per_process_ops
-        .iter()
-        .any(|&ops| ops > steps_bound);
+    let over_bound = fixture.check_steps(&report).is_err();
     // A crash-free run of a correct sifter finishes every process in
     // exactly R charged ops; a crashed run never reaches AllDone (the
     // crashed processes cannot decide) and is exempt.
@@ -983,9 +922,8 @@ where
             .iter()
             .all(|&ops| ops == steps_bound);
     let live_ok = support.iter().all(|&pid| report.outputs[pid].is_some());
-    let agree_ok = report.outputs_agree();
-    let inputs: Vec<u64> = (0..n as u64).collect();
-    let valid_ok = try_check_validity(&inputs, &report.outputs).is_ok();
+    let agree_ok = check_agreement(&report).is_ok();
+    let valid_ok = fixture.check_validity(&report).is_ok();
     SiftOutcome {
         seed,
         schedule_seed,
@@ -1000,90 +938,28 @@ where
     }
 }
 
-/// The replayable subset of soak claims: properties a finite
+/// A property a finite replay of a witness script re-checks.
+type ReplayCheck<C> = fn(
+    &TrialFixture<C>,
+    &RunReport<Recorder<<C as Conciliator>::Participant>>,
+) -> Result<(), String>;
+
+/// The check a `claim`'s witness is shrunk against and replayed under.
+/// `None` for claims no finite
 /// [`FixedSchedule`](sift_sim::schedule::FixedSchedule) replay can
-/// re-check (and therefore shrink against).
-#[derive(Debug, Clone, Copy)]
-enum ReplayProperty {
-    StepOverBound,
-    Disagreement,
-    Validity,
-    FuzzInvariants,
-}
-
-fn replay_property_of(claim: &str) -> Option<ReplayProperty> {
-    match claim {
-        "sift.steps" => Some(ReplayProperty::StepOverBound),
-        "sift.disagreement" => Some(ReplayProperty::Disagreement),
-        "sift.validity" => Some(ReplayProperty::Validity),
-        "fuzz.invariants" => Some(ReplayProperty::FuzzInvariants),
-        _ => None,
-    }
-}
-
-fn check_replay<P>(
-    property: ReplayProperty,
-    n: usize,
-    steps_bound: u64,
-    report: &RunReport<P>,
-) -> Result<(), String>
-where
-    P: Process<Output = Persona> + RoundHistory,
-{
-    match property {
-        ReplayProperty::StepOverBound => {
-            for (pid, &ops) in report.metrics.per_process_ops.iter().enumerate() {
-                if ops > steps_bound {
-                    return Err(format!(
-                        "step bound violated: process {pid} performed {ops} charged ops \
-                         (bound {steps_bound})"
-                    ));
-                }
-            }
-            Ok(())
-        }
-        ReplayProperty::Disagreement => {
-            if report.outputs_agree() {
-                Ok(())
-            } else {
-                Err("decided outputs disagree".to_string())
-            }
-        }
-        ReplayProperty::Validity => {
-            let inputs: Vec<u64> = (0..n as u64).collect();
-            try_check_validity(&inputs, &report.outputs)
-        }
-        ReplayProperty::FuzzInvariants => {
-            crate::fuzz::check_invariants(n, steps_bound, true, report)
-        }
-    }
-}
-
-/// Rebuilds the trial from its seed, pre-checks that the violation
-/// reproduces under deterministic replay of the charged script, and
-/// greedily shrinks it. `None` means the violation did not reproduce
-/// from the finite script (tail-dependent) — reported unshrunk.
-fn shrink_with<C>(
-    build: &impl Fn(&mut LayoutBuilder, usize) -> C,
-    property: ReplayProperty,
-    n: usize,
-    trial_seed: u64,
-    script: Vec<usize>,
-) -> Option<(Vec<usize>, String)>
+/// witness: liveness depends on the schedule's tail, and the service
+/// lane has no script.
+fn replay_check<C>(claim: &str) -> Option<ReplayCheck<C>>
 where
     C: Conciliator,
     C::Participant: RoundState,
 {
-    let fixture = TrialFixture::new(n, |b| build(b, n));
-    let layout = fixture.layout();
-    let steps_bound = fixture.steps_bound();
-    let split = SeedSplitter::new(trial_seed);
-    let factory = || fixture.recorded(&split);
-    let check = |r: &RunReport<Recorder<C::Participant>>| check_replay(property, n, steps_bound, r);
-    if check(&replay_report(layout, factory(), &script)).is_err() {
-        Some(shrink_schedule_with(layout, &factory, script, &check))
-    } else {
-        None
+    match claim {
+        "sift.steps" => Some(|fixture, report| fixture.check_steps(report)),
+        "sift.disagreement" => Some(|_, report| check_agreement(report)),
+        "sift.validity" => Some(|fixture, report| fixture.check_validity(report)),
+        "fuzz.invariants" => Some(|fixture, report| check_invariants(fixture, true, report)),
+        _ => None,
     }
 }
 
@@ -1108,12 +984,11 @@ where
     C::Participant: RoundState,
 {
     let script = violation.script.as_ref()?;
-    let property = replay_property_of(&violation.claim)?;
+    let check = replay_check(&violation.claim)?;
     let n = violation.scale;
     let fixture = TrialFixture::new(n, |b| build(b, n));
-    let procs = fixture.recorded(&SeedSplitter::new(violation.seed));
-    let report = replay_report(fixture.layout(), procs, script);
-    check_replay(property, n, fixture.steps_bound(), &report).err()
+    let report = fixture.replay(&SeedSplitter::new(violation.seed), script);
+    check(&fixture, &report).err()
 }
 
 /// Runs a soak for `config.windows` windows against the unmodified

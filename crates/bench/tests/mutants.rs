@@ -370,4 +370,34 @@ mod soak_mutants {
             "the witness script must be clean on the unmodified protocol"
         );
     }
+
+    #[test]
+    fn every_shrunk_soak_witness_replays_under_its_seed() {
+        let report = run_soak_with(&config(2), stuck_read);
+        let witnesses: Vec<_> = report
+            .violations
+            .iter()
+            .filter(|v| v.script.is_some())
+            .collect();
+        assert!(
+            witnesses.iter().any(|v| v.claim == "fuzz.invariants"),
+            "the fuzz lane must leave a shrunk witness under StuckRead"
+        );
+        // Each witness names the seed its own trial ran under: no two
+        // fuzz candidates of a window share one, and a from-seed
+        // rebuild of the mutant fails on the witness's script.
+        let mut cases = std::collections::HashSet::new();
+        for witness in witnesses {
+            if witness.claim == "fuzz.invariants" {
+                assert!(
+                    cases.insert((witness.window, witness.seed)),
+                    "two fuzz witnesses of one window name the same case:\n{witness}"
+                );
+            }
+            assert!(
+                replay_violation_with(witness, &stuck_read).is_some(),
+                "witness does not reproduce under its own seed:\n{witness}"
+            );
+        }
+    }
 }

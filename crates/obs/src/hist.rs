@@ -109,31 +109,6 @@ impl Histogram {
             *a = a.saturating_add(*b);
         }
     }
-
-    /// An upper bound on the `q`-quantile (`0.0 ..= 1.0`): the exclusive
-    /// upper edge of the first bucket at which the cumulative count
-    /// reaches `q · total`. Returns 0 for an empty histogram.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                // Bucket 0 holds exactly {0}; bucket i ≥ 1 tops out at
-                // 2^i − 1 (saturating for the final bucket).
-                return match i {
-                    0 => 0,
-                    64 => u64::MAX,
-                    _ => (1u64 << i) - 1,
-                };
-            }
-        }
-        u64::MAX
-    }
 }
 
 /// The histogram as a JSON object: total count plus a sparse
@@ -215,21 +190,6 @@ mod tests {
         assert_eq!(a.count(), ca + cb);
         assert_eq!(a.count_at(3), 2);
         assert_eq!(a.count_at(u64::MAX), 1);
-    }
-
-    #[test]
-    fn quantile_bounds_bracket_the_data() {
-        let mut h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        // The true median is 500; the bucketed bound must be within the
-        // enclosing power-of-two bucket.
-        let med = h.quantile_upper_bound(0.5);
-        assert!((500..=1023).contains(&med), "median bound {med}");
-        assert_eq!(h.quantile_upper_bound(0.0), h.quantile_upper_bound(0.001));
-        let h_empty = Histogram::new();
-        assert_eq!(h_empty.quantile_upper_bound(0.5), 0);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! digests in `crates/bench/tests/seed_stability.rs`).
 
 use sift_obs::ObsReport;
+use sift_sim::fuzz::FingerprintHasher;
 use sift_sim::rng::Xoshiro256StarStar;
 
 use crate::fact::{CommitFact, InstanceId};
@@ -139,24 +140,18 @@ impl DeterministicService {
     /// Two runs produce equal digests iff they decided the same values
     /// with the same batches, phases, and deciding proposals.
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf29ce484222325;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(0x100000001b3);
-            }
-        };
+        let mut h = FingerprintHasher::new();
         for fact in &self.stream {
-            mix(fact.instance.0);
-            mix(fact.value);
-            mix(fact.meta.shard as u64);
-            mix(fact.meta.seq);
-            mix(fact.meta.batch_size as u64);
-            mix(fact.meta.attempts as u64);
-            mix(fact.meta.phases as u64);
-            mix(fact.meta.deciding_tag);
+            h.write_u64(fact.instance.0);
+            h.write_u64(fact.value);
+            h.write_u64(u64::from(fact.meta.shard));
+            h.write_u64(fact.meta.seq);
+            h.write_u64(u64::from(fact.meta.batch_size));
+            h.write_u64(u64::from(fact.meta.attempts));
+            h.write_u64(u64::from(fact.meta.phases));
+            h.write_u64(fact.meta.deciding_tag);
         }
-        hash
+        h.finish()
     }
 
     /// Aggregated table introspection across shards.

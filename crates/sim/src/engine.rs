@@ -48,7 +48,6 @@ use crate::ids::ProcessId;
 use crate::layout::Layout;
 use crate::memory::{Memory, RegisterSemantics};
 use crate::metrics::Metrics;
-use crate::obs::RingSink;
 use crate::op::Op;
 use crate::process::Process;
 use crate::schedule::Schedule;
@@ -100,7 +99,6 @@ pub struct Engine<P: Process> {
     table: ProcessTable<P>,
     metrics: Metrics,
     trace: Option<Trace>,
-    ring: Option<RingSink>,
     slot_limit: u64,
     /// Per-slot reader epochs: the memory op-clock value when the slot's
     /// process last executed an operation (0 before its first). Indexed
@@ -125,7 +123,6 @@ impl<P: Process> Engine<P> {
             table: ProcessTable::eager(processes),
             metrics: Metrics::new(n),
             trace: None,
-            ring: None,
             slot_limit: u64::MAX,
             epochs: Vec::new(),
         }
@@ -161,7 +158,6 @@ impl<P: Process> Engine<P> {
             table: ProcessTable::lazy(n, Box::new(factory)),
             metrics: Metrics::new(0),
             trace: None,
-            ring: None,
             slot_limit: u64::MAX,
             epochs: Vec::new(),
         }
@@ -170,20 +166,6 @@ impl<P: Process> Engine<P> {
     /// Enables trace recording (off by default; traces can be large).
     pub fn enable_trace(&mut self) -> &mut Self {
         self.trace = Some(Trace::new());
-        self
-    }
-
-    /// Enables the bounded step-event ring: the last `capacity` charged
-    /// operations are retained in [`RunReport::ring`], at fixed memory
-    /// cost regardless of run length (unlike
-    /// [`enable_trace`](Self::enable_trace), which keeps everything).
-    /// Both sinks can be on at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn enable_trace_ring(&mut self, capacity: usize) -> &mut Self {
-        self.ring = Some(RingSink::new(capacity));
         self
     }
 
@@ -231,16 +213,12 @@ impl<P: Process> Engine<P> {
             self.epochs.resize(slot + 1, 0);
         }
         self.epochs[slot] = self.memory.ops_executed();
-        let event = TraceEvent {
-            slot: self.metrics.total_ops,
-            pid,
-            kind,
-        };
         if let Some(trace) = &mut self.trace {
-            trace.push(event);
-        }
-        if let Some(ring) = &mut self.ring {
-            ring.push(event);
+            trace.push(TraceEvent {
+                slot: self.metrics.total_ops,
+                pid,
+                kind,
+            });
         }
         self.metrics.record(pid.index(), kind, cost);
 
@@ -340,7 +318,6 @@ impl<P: Process> Engine<P> {
             metrics: self.metrics,
             memory: self.memory,
             trace: self.trace,
-            ring: self.ring,
             stop_reason: reason,
         }
     }
@@ -440,7 +417,6 @@ impl<P: Process> Engine<P> {
             metrics: self.metrics,
             memory: self.memory,
             trace: self.trace,
-            ring: self.ring,
             stop_reason: reason,
         }
     }
@@ -481,9 +457,6 @@ pub struct RunReport<P: Process> {
     pub memory: Memory<P::Value>,
     /// The execution trace, if recording was enabled.
     pub trace: Option<Trace>,
-    /// The bounded step-event ring, if enabled (see
-    /// [`Engine::enable_trace_ring`]).
-    pub ring: Option<RingSink>,
     /// Why the run ended.
     pub stop_reason: StopReason,
 }
@@ -552,8 +525,6 @@ pub struct SparseReport<P: Process> {
     pub memory: Memory<P::Value>,
     /// The execution trace, if recording was enabled.
     pub trace: Option<Trace>,
-    /// The bounded step-event ring, if enabled.
-    pub ring: Option<RingSink>,
     /// Why the run ended.
     pub stop_reason: StopReason,
 }
@@ -710,24 +681,6 @@ mod tests {
         let trace = report.trace.expect("trace enabled");
         assert_eq!(trace.len(), 4);
         assert_eq!(trace.by_process(ProcessId(0)).count(), 2);
-    }
-
-    #[test]
-    fn trace_ring_keeps_last_events_at_fixed_cost() {
-        let (layout, r) = one_register();
-        let procs = vec![WriteRead::new(r, 1), WriteRead::new(r, 2)];
-        let mut engine = Engine::new(&layout, procs);
-        engine.enable_trace_ring(2);
-        let report = engine.run(RoundRobin::new(2));
-        let ring = report.ring.expect("ring enabled");
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.dropped(), 2);
-        // The last two charged slots are the two reads.
-        let slots: Vec<u64> = ring.events().map(|e| e.slot).collect();
-        assert_eq!(slots, vec![2, 3]);
-        assert!(ring
-            .events()
-            .all(|e| e.kind == crate::op::OpKind::RegisterRead));
     }
 
     #[test]

@@ -1,13 +1,5 @@
-//! Run observability: a bounded ring sink for step events and a
-//! Chrome-trace (Perfetto) JSON exporter.
-//!
-//! The engine's full [`Trace`](crate::trace::Trace) keeps every charged
-//! operation, which is the right tool for linearizability checks but
-//! grows linearly with the run. For observability — "what were the
-//! processes doing near the end?", "export this run for a trace
-//! viewer" — a bounded [`RingSink`] keeps the last `capacity` events
-//! and counts what it dropped, so enabling it on a million-slot run
-//! costs a fixed allocation.
+//! Run observability: a Chrome-trace (Perfetto) JSON exporter for the
+//! step events of the engine's [`Trace`](crate::trace::Trace).
 //!
 //! [`perfetto_trace_json`] renders step events in the Chrome trace
 //! event format (the JSON flavour Perfetto and `chrome://tracing`
@@ -32,87 +24,6 @@ pub fn op_kind_name(kind: OpKind) -> &'static str {
         OpKind::SnapshotScan => "snapshot_scan",
         OpKind::MaxRead => "max_read",
         OpKind::MaxWrite => "max_write",
-    }
-}
-
-/// A bounded sink of the most recent step events.
-///
-/// Pushes beyond the capacity overwrite the oldest event;
-/// [`dropped`](RingSink::dropped) reports how many were lost. The
-/// engine records into one when
-/// [`enable_trace_ring`](crate::engine::Engine::enable_trace_ring) is
-/// on.
-///
-/// # Examples
-///
-/// ```
-/// use sift_sim::obs::RingSink;
-/// use sift_sim::trace::TraceEvent;
-/// use sift_sim::{OpKind, ProcessId};
-///
-/// let mut ring = RingSink::new(2);
-/// for slot in 0..5 {
-///     ring.push(TraceEvent { slot, pid: ProcessId(0), kind: OpKind::RegisterRead });
-/// }
-/// assert_eq!(ring.dropped(), 3);
-/// let kept: Vec<u64> = ring.events().map(|e| e.slot).collect();
-/// assert_eq!(kept, vec![3, 4]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    buf: Vec<TraceEvent>,
-    capacity: usize,
-    /// Index of the oldest event once the buffer has wrapped.
-    head: usize,
-    pushed: u64,
-}
-
-impl RingSink {
-    /// Creates a sink keeping the last `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        Self {
-            buf: Vec::with_capacity(capacity.min(1024)),
-            capacity,
-            head: 0,
-            pushed: 0,
-        }
-    }
-
-    /// Records one event, evicting the oldest if full.
-    pub fn push(&mut self, event: TraceEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(event);
-        } else {
-            self.buf[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
-        }
-        self.pushed += 1;
-    }
-
-    /// Number of currently retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Returns `true` if nothing was pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events evicted to stay within capacity.
-    pub fn dropped(&self) -> u64 {
-        self.pushed - self.buf.len() as u64
-    }
-
-    /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        let (wrapped, start) = self.buf.split_at(self.head);
-        start.iter().chain(wrapped.iter())
     }
 }
 
@@ -221,34 +132,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ring_keeps_most_recent_events() {
-        let mut ring = RingSink::new(3);
-        assert!(ring.is_empty());
-        for slot in 0..7 {
-            ring.push(ev(slot, slot as usize % 2, OpKind::RegisterRead));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 4);
-        let slots: Vec<u64> = ring.events().map(|e| e.slot).collect();
-        assert_eq!(slots, vec![4, 5, 6]);
-    }
-
-    #[test]
-    fn ring_below_capacity_keeps_everything() {
-        let mut ring = RingSink::new(10);
-        ring.push(ev(0, 0, OpKind::MaxRead));
-        ring.push(ev(1, 1, OpKind::MaxWrite));
-        assert_eq!(ring.dropped(), 0);
-        assert_eq!(ring.events().count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_ring_is_rejected() {
-        let _ = RingSink::new(0);
-    }
-
     /// `key` of every `traceEvents` record of an export.
     fn column(text: &str, key: &str) -> Vec<Json> {
         let doc = json::parse(text).expect("an export is JSON");
@@ -306,17 +189,6 @@ mod tests {
         // Even an empty export carries the process_name metadata record.
         let empty = perfetto_trace_json([].iter(), 0, &[]);
         assert_eq!(check_trace_shape(&empty), Ok(1));
-    }
-
-    #[test]
-    fn ring_round_trips_through_exporter() {
-        let mut ring = RingSink::new(2);
-        for slot in 0..4 {
-            ring.push(ev(slot, 0, OpKind::MaxRead));
-        }
-        // Only the two retained events appear.
-        let ts = column(&perfetto_trace_json(ring.events(), 1, &[]), "ts");
-        assert_eq!(ts[2..], [2u64, 3].map(Json::from));
     }
 
     #[test]

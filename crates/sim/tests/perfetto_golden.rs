@@ -50,12 +50,12 @@ fn fixed_run_trace() -> String {
         })
         .collect();
     let mut engine = Engine::new(&layout, procs);
-    engine.enable_trace_ring(16);
+    engine.enable_trace();
     let report = engine.run(FixedSchedule::from_indices([0, 1, 0, 1, 0, 1]));
     assert_eq!(report.outputs, vec![Some(11), Some(11)]);
-    let ring = report.ring.expect("ring enabled");
+    let trace = report.trace.expect("trace enabled");
     // Both personae survive round 0; the bid 11 alone survives round 1.
-    perfetto_trace_json(ring.events(), 2, &[(0, 2), (1, 1)])
+    perfetto_trace_json(trace.events(), 2, &[(0, 2), (1, 1)])
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Export a conciliator run as a Chrome trace (Perfetto) JSON file.
 //!
 //! Runs Algorithm 2 (the sifting conciliator) for a small `n` with the
-//! engine's bounded trace ring enabled, attaches the per-round persona
+//! engine's trace enabled, attaches the per-round persona
 //! survival counter track, and writes the trace to the path given as
 //! the first argument (stdout when omitted). Open the file in
 //! <https://ui.perfetto.dev> or `chrome://tracing`: one track per
@@ -21,7 +21,6 @@ use sift::sim::schedule::RandomInterleave;
 use sift::sim::{Engine, LayoutBuilder};
 
 const N: usize = 16;
-const RING_CAPACITY: usize = 4096;
 
 fn main() {
     let mut builder = LayoutBuilder::new();
@@ -33,7 +32,7 @@ fn main() {
     });
 
     let mut engine = Engine::new(&layout, processes);
-    engine.enable_trace_ring(RING_CAPACITY);
+    engine.enable_trace();
     let report = engine.run(RandomInterleave::new(N, split.schedule_seed()));
 
     let survival: Vec<(u64, u64)> =
@@ -42,18 +41,14 @@ fn main() {
             .enumerate()
             .map(|(round, count)| (round as u64, count as u64))
             .collect();
-    let ring = report.ring.as_ref().expect("trace ring was enabled");
-    let json = perfetto_trace_json(ring.events(), N, &survival);
+    let trace = report.trace.as_ref().expect("trace was enabled");
+    let json = perfetto_trace_json(trace.events(), N, &survival);
     let records = check_trace_shape(&json).expect("exporter output passes its own schema check");
 
     match std::env::args().nth(1) {
         Some(path) => {
             std::fs::write(&path, &json).expect("write trace file");
-            eprintln!(
-                "wrote {path}: {records} records ({} ops retained, {} dropped)",
-                ring.len(),
-                ring.dropped()
-            );
+            eprintln!("wrote {path}: {records} records ({} ops)", trace.len());
         }
         None => {
             std::io::stdout()

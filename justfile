@@ -12,38 +12,81 @@ fmt:
 fmt-check:
     cargo fmt --all -- --check
 
-# Lint everything; warnings are errors, as in CI — `unreachable_pub`
-# among them (`[workspace.lints]`), and rustdoc's (a link from public
-# docs to a private item is one). The first grep keeps the two seed
-# labels (process coins, adversary schedule) inside rng.rs; the next
-# two keep the workspace at one build configuration: no `cfg(feature …)`
-# in any source file, no `[features]` table in any manifest; the next
-# keeps JSON in `sift_obs::json` — no hand-escaped key anywhere else;
-# the next keeps one reference per layer, the model (no lock-based
-# object copies, no frozen engine copy); the next keeps the service's
-# workers behind their doorbells (no condvar, no polling timeout); the
-# next keeps observations on the served path typed; the next keeps one
-# performance harness: wall-clock is measured by the ledger under
-# `benchmark/`, and no crate carries a `cargo bench` target; the next
-# keeps one service load harness, that ledger, with E23's checks in
-# tests/service_agreement.rs; the last keeps the served memory storing
-# persona names, not `Arc`ed personae.
+# Lint everything; warnings are errors. CI's lint job runs this recipe
+# (after `fmt-check`), so each guard below is written once, with its
+# reason above it; any line that fails fails the recipe.
 clippy: api-audit
+    # `unreachable_pub` is on for every crate ([workspace.lints]): a
+    # `pub` on an item no crate root exports fails here.
     cargo clippy --workspace --all-targets -- -D warnings
+    # Unresolved links and links from public docs to private items are
+    # errors.
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+    # Seed labels are spelled only in rng.rs: process coins and the
+    # adversary's schedule are separated by two stream labels private to
+    # SeedSplitter; every golden digest depends on them, so no other
+    # file may spell them.
     ! grep -rnE '\.(stream|seed)\("(process|schedule)"' --include=*.rs --exclude=rng.rs crates src tests examples
+    # No build modes: the workspace has one configuration, no cargo
+    # feature, so no code compiled only for mutants, a torn register or
+    # instrumentation. Negative testing is test-side wrappers
+    # (crates/bench/tests/mutants.rs) and the model's
+    # RegisterSemantics::Regular (tests/linearizability.rs).
     ! grep -rnE 'cfg!?\(.*feature' --include=*.rs crates src tests examples
     ! grep -rn '^\[features\]' Cargo.toml crates/*/Cargo.toml
+    # No hand-rolled JSON: every JSON document is a
+    # `sift_obs::json::Json` value rendered by its one writer and read
+    # back by its one parser; a hand-escaped key anywhere else is a
+    # second JSON writer.
     ! grep -rnE '\\"[A-Za-z_.]+\\": ?' crates/*/src src examples --include=*.rs --exclude=json.rs
+    # No second reference: one reference per layer, and it is the model.
+    # The threaded substrate is checked against
+    # `Mutex<sift_sim::Memory>`, the engine against pinned digests. The
+    # deleted lock-based objects and the frozen engine copy must not
+    # come back.
     ! grep -rnwE 'CoarseMemory|ObjectMemory|LegacyEngine|LockRegister|LockMaxRegister|CoarseSnapshot' --include=*.rs crates src tests examples
+    # One publication scheme: the deleted inline seqlock and combining
+    # cells must not come back.
     ! grep -rnwE 'SeqCell|PairCell|CombiningMax|inline_ok|is_inline|is_combining' --include=*.rs crates src tests examples
+    # One substrate: the threaded memory is the model's own objects, one
+    # lock each. The deleted lock-free objects and their pointer
+    # publication must not come back, and `sift-shmem` keeps no `unsafe`
+    # outside the core-pinning syscall in `affinity.rs`.
     ! grep -rnwE 'LockFreeRegister|LockFreeSnapshot|LockFreeMaxRegister|Pile|ReadGuard|publish_with|publish_max' --include=*.rs crates src tests examples
     ! grep -rnE 'unsafe *(\{|fn|impl)' crates/shmem/src --exclude=affinity.rs
+    # No polling park in the service: shard workers sleep behind a
+    # per-worker doorbell with no timeout; a condvar wait with a timeout
+    # would hide a lost wake-up that
+    # `closed_loop_round_trips_never_lose_a_wakeup` otherwise turns into
+    # a hang.
     ! grep -rnE 'Condvar|wait_timeout|notify_all|wake_lock' crates/service/src
+    # Typed observations on the served path: a shard records into typed
+    # fields and renders an `ObsReport` only when read; a string-keyed
+    # report on `ShardCore` puts two `BTreeMap` lookups back on every
+    # table hit. The ledger's `hot-zipf` `phase1_per_s` and
+    # `ledger-traced` `shard.submit_ns_per_proposal` rows price the
+    # difference (ROADMAP, Recent: "Typed shard observations").
     ! grep -rnE '\bobs: ObsReport\b' crates/service/src
+    # One performance harness: wall-clock is measured in one place, the
+    # ledger under `benchmark/` (`bash benchmark/run.sh`). No crate
+    # carries a `cargo bench` target beside it.
     ! grep -n '^\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml
+    # One service load harness: the ledger's cold-single, cold-batch8
+    # and hot-zipf workloads time the service; what E23's load generator
+    # checked is a test (tests/service_agreement.rs). No second load
+    # generator, and no knob for one. (Each pattern brackets a letter so
+    # that the guard does not match its own line in this file.)
     ! grep -rnE 'SIFT_SERVIC[E]_|service_loa[d]|exp -- servic[e]' crates src tests examples justfile
+    # The served memory stores persona names: the served stack holds
+    # personae by `PersonaName`, a `Copy` origin and input whose coins
+    # sit in each phase's coin table, so a served operation touches no
+    # persona reference count. The ledger's cold-batch8 `phase1_per_s`
+    # prices the difference.
     ! grep -rnE 'Memory<Persona>|GafniSnapshotAc<Persona>' crates/service/src
+    # Participants keep no history: the persona history per round (the
+    # paper's Y_i) is an observation about a run that no protocol step
+    # reads. One recorder, `sift_core::Recorder` in conciliator.rs,
+    # keeps it for the readers that wrap their participants in it.
     ! grep -rnE 'history\.push|history: Vec' crates/core/src --exclude=conciliator.rs
 
 # Per crate: how many distinct `pub` item names its `src/` declares, and
