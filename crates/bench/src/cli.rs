@@ -35,7 +35,6 @@ pub(crate) const ENV_KNOBS: &str = "\
   SIFT_FUZZ_OUT           fuzz: also write the campaign report to this path
   SIFT_SOAK_SECS          soak: wall-clock budget in seconds; 0, the default, is the deterministic tick budget
   SIFT_SOAK_WINDOWS       soak: windows in tick-budget mode (6)
-  SIFT_SOAK_WIDTH         soak: sliding-window width of the checker (4)
   SIFT_SOAK_JSON          soak: write the conformance trajectory to this path
 ";
 
@@ -238,7 +237,6 @@ impl Knobs {
                 windows: env
                     .number("SIFT_SOAK_WINDOWS", true)?
                     .unwrap_or(soak.windows),
-                width: env.number("SIFT_SOAK_WIDTH", true)?.unwrap_or(soak.width),
                 extended,
                 ..soak
             },
@@ -343,7 +341,7 @@ mod tests {
     #[test]
     fn help_documents_every_knob() {
         let text = help(None);
-        assert_eq!(env_knob_names().count(), 13);
+        assert_eq!(env_knob_names().count(), 12);
         assert!(env_knob_names().all(|name| name.starts_with("SIFT_")));
         assert!(text.contains(ENV_KNOBS) && text.contains(&experiments::list()));
     }

@@ -53,7 +53,7 @@ use sift_sim::schedule::RandomInterleave;
 use sift_sim::{Engine, LayoutBuilder, RegisterSemantics, Resolution, StopReason};
 
 use crate::exec::{map_reduce, Merge};
-use crate::runner::{run_in, sifter, TrialFixture};
+use crate::runner::{sifter, TrialFixture};
 use crate::stats::{cp_lower, Welford, Z_99};
 use crate::table::{fmt_f64, Table};
 
@@ -498,8 +498,8 @@ where
 }
 
 /// A slot-limited conciliator trial in an environment (see
-/// [`run_in`]) whose oblivious tier runs the [`RandomInterleave`]
-/// schedule, with round history.
+/// [`TrialFixture::run`]) whose oblivious tier runs the
+/// [`RandomInterleave`] schedule, with round history.
 struct ConciliatorTrial {
     agreed: bool,
     ops: Vec<u64>,
@@ -519,11 +519,10 @@ where
 {
     let fixture = TrialFixture::new(n, build);
     let split = SeedSplitter::new(seed);
-    let mut engine = Engine::new(fixture.layout(), fixture.recorded(&split));
+    let schedule = RandomInterleave::new(n, split.schedule_seed());
     // A livelocking mutant must terminate the trial instead of hanging
     // the suite.
-    engine.limit_slots(fixture.slot_budget());
-    let report = run_in(engine, env, RandomInterleave::new(n, split.schedule_seed()));
+    let report = fixture.run(&split, env, schedule, Some(0));
     let survivors = distinct_per_round(report.processes.iter().map(|p| p.history()));
     let agreed = report.all_decided() && report.outputs_agree();
     ConciliatorTrial {

@@ -17,47 +17,15 @@
 
 use sift_core::{Epsilon, SnapshotConciliator};
 use sift_sim::adversary::AdversaryStrength;
-use sift_sim::fuzz::Environment;
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::RandomInterleave;
-use sift_sim::{Engine, Op};
+use sift_sim::{Engine, Op, RegisterSemantics};
 
+use super::adversary::{distinct_origins, lattice_trial};
 use crate::exec::Batch;
-use crate::runner::{default_trials, run_in, sifter, TrialFixture};
+use crate::runner::{default_trials, TrialFixture};
 use crate::stats::{RateCounter, Welford};
 use crate::table::{fmt_f64, Table};
-
-fn distinct_outputs<P, O: std::hash::Hash + Eq>(
-    report: &sift_sim::RunReport<P>,
-    key: impl Fn(&P::Output) -> O,
-) -> usize
-where
-    P: sift_sim::Process,
-{
-    use std::collections::HashSet;
-    let set: HashSet<O> = report.outputs.iter().flatten().map(key).collect();
-    set.len()
-}
-
-fn sifting_run(n: usize, seed: u64, adaptive: bool) -> (bool, usize) {
-    let fixture = TrialFixture::new(n, |b| sifter(b, n));
-    let split = SeedSplitter::new(seed);
-    let engine = Engine::new(fixture.layout(), fixture.participants(&split));
-    // The adaptive sifting breaker: readers of the earliest round go
-    // first, so nobody is ever sifted.
-    let strength = if adaptive {
-        AdversaryStrength::Adaptive
-    } else {
-        AdversaryStrength::Oblivious
-    };
-    let env = Environment {
-        strength,
-        ..Environment::default()
-    };
-    let report = run_in(engine, env, RandomInterleave::new(n, split.schedule_seed()));
-    let distinct = distinct_outputs(&report, |p| p.origin());
-    (distinct <= 1, distinct)
-}
 
 fn snapshot_run(n: usize, seed: u64, adaptive: bool) -> (bool, usize) {
     let fixture = TrialFixture::new(n, |b| SnapshotConciliator::allocate(b, n, Epsilon::HALF));
@@ -83,7 +51,7 @@ fn snapshot_run(n: usize, seed: u64, adaptive: bool) -> (bool, usize) {
     } else {
         engine.run(RandomInterleave::new(n, split.schedule_seed()))
     };
-    let distinct = distinct_outputs(&report, |p| p.origin());
+    let distinct = distinct_origins(&report);
     (distinct <= 1, distinct)
 }
 
@@ -105,7 +73,17 @@ pub(super) fn run() -> Vec<Table> {
     type RunFn = fn(usize, u64, bool) -> (bool, usize);
     for (name, runner) in [
         ("Alg 1 (snapshot)", snapshot_run as RunFn),
-        ("Alg 2 (sifting)", sifting_run as RunFn),
+        // E24's lattice trial at the lattice's two ends, on atomic
+        // registers: the adaptive sifting breaker runs readers of the
+        // earliest round first, so nobody is ever sifted.
+        ("Alg 2 (sifting)", |n, seed, adaptive| {
+            let strength = if adaptive {
+                AdversaryStrength::Adaptive
+            } else {
+                AdversaryStrength::Oblivious
+            };
+            lattice_trial(n, seed, strength, |_| RegisterSemantics::Atomic)
+        }),
     ] {
         for adaptive in [false, true] {
             let (agree, distinct) = Batch::new(

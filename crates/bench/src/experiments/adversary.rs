@@ -4,11 +4,12 @@
 //! k-delayed → late → adaptive) on both the atomic and the regular
 //! register substrate.
 
+use std::collections::HashSet;
 use std::path::Path;
 use std::process::ExitCode;
 
 use sift_core::{
-    CilConciliator, Conciliator, EmbeddedConciliator, Epsilon, EscalatingCilConciliator,
+    CilConciliator, Conciliator, EmbeddedConciliator, Epsilon, EscalatingCilConciliator, Persona,
     SiftingConciliator, SnapshotConciliator,
 };
 use sift_obs::json::Json;
@@ -16,11 +17,11 @@ use sift_sim::adversary::AdversaryStrength;
 use sift_sim::fuzz::{Environment, FingerprintHasher};
 use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::{CrashSubset, RandomInterleave, RoundRobin, Schedule, ScheduleKind};
-use sift_sim::{Engine, LayoutBuilder, RegisterSemantics, Resolution};
+use sift_sim::{LayoutBuilder, Process, ProcessId, RegisterSemantics, Resolution, RunReport};
 
 use crate::conformance::{self, ClaimResult};
 use crate::exec::Batch;
-use crate::runner::{default_trials, run_in, sifter, TrialFixture};
+use crate::runner::{default_trials, sifter, TrialFixture};
 use crate::stats::RateCounter;
 use crate::table::{fmt_f64, Table};
 
@@ -250,10 +251,11 @@ pub fn run_lattice(n: usize, trials: usize) -> LatticeReport {
 }
 
 /// One sifting trial under a lattice point and substrate (see
-/// [`run_in`]): oblivious strengths run the fixed [`RandomInterleave`]
-/// schedule, stronger points the E20 sifting breaker on `k`-stale
-/// observations.
-fn lattice_trial(
+/// [`TrialFixture::run`]): oblivious strengths run the fixed
+/// [`RandomInterleave`] schedule, stronger points the E20 sifting
+/// breaker on `k`-stale observations. Returns whether the decided
+/// outputs agree and how many distinct ones there are.
+pub(super) fn lattice_trial(
     n: usize,
     seed: u64,
     strength: AdversaryStrength,
@@ -261,20 +263,24 @@ fn lattice_trial(
 ) -> (bool, usize) {
     let fixture = TrialFixture::new(n, |b| sifter(b, n));
     let split = SeedSplitter::new(seed);
-    let engine = Engine::new(fixture.layout(), fixture.participants(&split));
     let env = Environment {
         strength,
         semantics: semantics_of(split.seed("regular", 0)),
     };
-    let report = run_in(engine, env, RandomInterleave::new(n, split.schedule_seed()));
-    use std::collections::HashSet;
-    let distinct: HashSet<u64> = report
+    let schedule = RandomInterleave::new(n, split.schedule_seed());
+    let distinct = distinct_origins(&fixture.run(&split, env, schedule, None));
+    (distinct <= 1, distinct)
+}
+
+/// How many distinct personae a run decided, told apart by origin.
+pub(super) fn distinct_origins<P: Process<Output = Persona>>(report: &RunReport<P>) -> usize {
+    let origins: HashSet<ProcessId> = report
         .outputs
         .iter()
         .flatten()
-        .map(|p| p.origin().index() as u64)
+        .map(|p| p.origin())
         .collect();
-    (distinct.len() <= 1, distinct.len())
+    origins.len()
 }
 
 type BatchFn = Box<dyn Fn(ScheduleKind, usize) -> RateCounter>;
@@ -404,7 +410,7 @@ fn crash_run(n: usize, fraction: f64, seed: u64) -> (usize, usize, bool) {
     let split = SeedSplitter::new(seed);
     let schedule = CrashSubset::random(RoundRobin::new(n), n, fraction, split.schedule_seed());
     let live = schedule.support().len();
-    let report = Engine::new(fixture.layout(), fixture.participants(&split)).run(schedule);
+    let report = fixture.run(&split, Environment::default(), schedule, None);
     let decided = report.decided().count();
     let valid = report.decided().all(|p| p.input() < n as u64);
     (live, decided, valid)

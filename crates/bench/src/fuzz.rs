@@ -2,15 +2,16 @@
 //!
 //! [`sift_sim::fuzz`] owns proposal, coverage, and the corpus; this
 //! module owns what needs a concrete protocol: candidate *evaluation*.
-//! Each candidate genome is compiled to an oblivious schedule, run
-//! against a fresh instance of the conciliator under test (any
-//! round-structured [`Conciliator`]; [`run_fuzz`] picks the unmodified
-//! sifter) under a generous slot budget, checked against the protocol's
-//! schedule-independent invariants, and — when a violation reproduces
-//! under deterministic replay of its charged script — greedily shrunk
-//! to a 1-minimal
-//! [`FixedSchedule`](sift_sim::schedule::FixedSchedule) script via
-//! [`shrink_schedule_with`](sift_sim::mc::shrink_schedule_with).
+//! Each candidate genome is compiled to an oblivious schedule and run
+//! in the genome's environment (adversary-lattice point and register
+//! semantics, [`TrialFixture::run`]) against a fresh instance of the
+//! conciliator under test (any round-structured [`Conciliator`];
+//! [`sifter`] is the unmodified one) under a generous slot budget,
+//! checked against the protocol's schedule-independent invariants at
+//! the genome's adversary tier, and — when a violation reproduces under
+//! deterministic replay of its charged script on the run's own
+//! registers — greedily shrunk there to a 1-minimal
+//! [`FixedSchedule`](sift_sim::schedule::FixedSchedule) script.
 //!
 //! The invariants hold for **every** oblivious schedule, so any failure
 //! is a protocol bug (or a deliberately broken conciliator handed to
@@ -37,15 +38,16 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use sift_core::{distinct_per_round, Conciliator, Persona, Recorder, RoundHistory, RoundState};
+use sift_sim::adversary::AdversaryStrength;
 use sift_sim::fuzz::{
     interleaving_signature, Evaluation, FingerprintHasher, FuzzFailure, FuzzViolation, Fuzzer,
     ScheduleGenome,
 };
 use sift_sim::rng::SeedSplitter;
-use sift_sim::{Engine, LayoutBuilder, Process, RunReport, StopReason};
+use sift_sim::{LayoutBuilder, Process, RunReport, StopReason};
 
 use crate::exec::map_reduce;
-use crate::runner::{run_in, sifter, TrialFixture};
+use crate::runner::{sifter, TrialFixture};
 
 /// Parameters of one fuzzing campaign.
 #[derive(Debug, Clone)]
@@ -88,8 +90,9 @@ pub struct FuzzReport {
     pub corpus_len: usize,
     /// Total candidates evaluated.
     pub evaluated: usize,
-    /// Every invariant violation found, in evaluation order.
-    pub violations: Vec<FuzzViolation>,
+    /// Every invariant violation found, in evaluation order, each with
+    /// the case seed its participants drew their coins from.
+    pub violations: Vec<(u64, FuzzViolation)>,
     /// Corpus fingerprints in insertion order (the deterministic part
     /// of the corpus — [`CoverageMap`](sift_sim::fuzz::CoverageMap)
     /// itself is a hash set with no stable iteration order).
@@ -114,14 +117,6 @@ impl FuzzReport {
     }
 }
 
-/// Runs a fuzzing campaign against the unmodified
-/// [`SiftingConciliator`](sift_core::SiftingConciliator). On correct
-/// code this finds schedules, not bugs: expect `violations` to be empty
-/// and the corpus to grow.
-pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
-    run_fuzz_with(config, &sifter)
-}
-
 /// `exp fuzz`: one campaign and its coverage report. Every violation
 /// prints with its shrunk `FixedSchedule` replay script when one
 /// exists; `out` (`SIFT_FUZZ_OUT`) receives the same text — what the
@@ -130,7 +125,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
 /// Exit code 1 if any violation was found or `out` could not be written.
 pub(crate) fn main(config: &FuzzConfig, out: Option<&Path>) -> ExitCode {
     let start = std::time::Instant::now();
-    let report = run_fuzz(config);
+    let report = run_fuzz_with(config, &sifter);
 
     let mut summary = String::new();
     summary.push_str(&format!(
@@ -145,7 +140,7 @@ pub(crate) fn main(config: &FuzzConfig, out: Option<&Path>) -> ExitCode {
         report.violations.len()
     ));
     summary.push_str(&format!("campaign digest: {:#018x}\n", report.digest()));
-    for violation in &report.violations {
+    for (_, violation) in &report.violations {
         summary.push_str(&format!("\n{violation}\n"));
     }
     print!("{summary}");
@@ -171,9 +166,11 @@ pub(crate) fn main(config: &FuzzConfig, out: Option<&Path>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// [`run_fuzz`] against any round-structured conciliator `build`
-/// allocates for the campaign's `n` — how the mutation tests hand the
-/// fuzzer a deliberately broken sifter.
+/// Runs a fuzzing campaign against the round-structured conciliator
+/// `build` allocates for the campaign's `n`. Against the unmodified
+/// [`sifter`] it finds schedules, not bugs: expect `violations` to be
+/// empty and the corpus to grow. Handed a deliberately broken sifter
+/// (the mutation tests), it must find and shrink the bug.
 pub fn run_fuzz_with<C>(
     config: &FuzzConfig,
     build: &(impl Fn(&mut LayoutBuilder, usize) -> C + Sync),
@@ -187,35 +184,27 @@ where
     let split = SeedSplitter::new(config.seed);
     let mut fuzzer =
         Fuzzer::new(config.n, split.seed("proposals", 0)).with_extended_genes(config.extended);
+    let mut violations = Vec::new();
     for generation in 0..config.generations {
         let first_case = (generation * config.population) as u64;
-        run_generation(
+        violations.extend(run_generation(
             &mut fuzzer,
             config.n,
             config.population,
             &split,
             first_case,
             build,
-        );
+        ));
     }
 
+    let entries = fuzzer.corpus().entries();
     FuzzReport {
         coverage: fuzzer.coverage(),
-        corpus_len: fuzzer.corpus().len(),
+        corpus_len: entries.len(),
         evaluated: fuzzer.evaluated(),
-        corpus_fingerprints: fuzzer
-            .corpus()
-            .entries()
-            .iter()
-            .map(|e| e.fingerprint)
-            .collect(),
-        corpus_scripts: fuzzer
-            .corpus()
-            .entries()
-            .iter()
-            .map(|e| e.script.clone())
-            .collect(),
-        violations: fuzzer.violations().to_vec(),
+        corpus_fingerprints: entries.iter().map(|e| e.fingerprint).collect(),
+        corpus_scripts: entries.iter().map(|e| e.script.clone()).collect(),
+        violations,
     }
 }
 
@@ -263,7 +252,8 @@ where
 }
 
 /// Evaluates one candidate genome: run in the genome's environment,
-/// fingerprint, invariant check, replay pre-check, shrink.
+/// fingerprint, invariant check at the genome's tier, and a replay
+/// pre-check and shrink on the run's own registers.
 fn evaluate<C>(
     n: usize,
     case_seed: u64,
@@ -279,14 +269,11 @@ where
     let env = genome.environment();
     let schedule = genome.compile(n);
     // The livelock budget starts counting past the compiled prefix.
-    let budget = schedule.prefix_len() as u64 + fixture.slot_budget();
-    let mut engine = Engine::new(fixture.layout(), fixture.recorded(&case));
-    engine.enable_trace();
-    engine.limit_slots(budget);
+    let prefix = schedule.prefix_len();
     // Stronger lattice points replace the compiled schedule with the
     // k-stale sifting breaker: the earliest-round reader goes first, so
     // first-round reads land before the writes they should have seen.
-    let report = run_in(engine, env, schedule);
+    let report = fixture.run(&case, env, schedule, Some(prefix));
 
     let trace = report.trace.as_ref().expect("trace recording was enabled");
     let script: Vec<usize> = trace.events().iter().map(|e| e.pid.index()).collect();
@@ -301,13 +288,10 @@ where
     }
     let fingerprint = h.finish();
 
-    let oblivious = env.strength.is_oblivious();
-    let check = |r: &RunReport<Recorder<C::Participant>>| check_invariants(&fixture, oblivious, r);
+    let check =
+        |r: &RunReport<Recorder<C::Participant>>| check_invariants(&fixture, env.strength, r);
     let failure = check(&report).err().map(|message| {
-        let (shrunk, message) = match fixture.shrink(&case, script.clone(), check) {
-            Some((shrunk, message)) => (Some(shrunk), message),
-            None => (None, message),
-        };
+        let (shrunk, message) = fixture.shrink(&case, env, script.clone(), message, check);
         FuzzFailure { message, shrunk }
     });
 
@@ -323,17 +307,18 @@ where
 /// Survivor monotonicity and validity hold for every environment the
 /// extended genome can ask for. The step-bound and livelock invariants
 /// are *oblivious-tier* claims (the paper states its complexity bounds
-/// against the oblivious adversary only), so runs driven by a
-/// stronger-than-oblivious chooser skip them.
-pub(crate) fn check_invariants<C, P>(
+/// against the oblivious adversary only), so a run whose adversary
+/// `strength` is stronger than oblivious skips them.
+pub fn check_invariants<C, P>(
     fixture: &TrialFixture<C>,
-    oblivious: bool,
+    strength: AdversaryStrength,
     report: &RunReport<P>,
 ) -> Result<(), String>
 where
     C: Conciliator,
     P: Process<Output = Persona> + RoundHistory,
 {
+    let oblivious = strength.is_oblivious();
     if oblivious {
         fixture.check_steps(report)?;
     }
@@ -372,7 +357,7 @@ mod tests {
     #[test]
     fn clean_campaign_finds_coverage_and_no_violations() {
         let _guard = crate::exec::override_lock();
-        let report = run_fuzz(&tiny());
+        let report = run_fuzz_with(&tiny(), &sifter);
         assert_eq!(report.evaluated, 18);
         assert!(report.coverage >= 2, "schedule diversity should show up");
         assert_eq!(report.corpus_len, report.corpus_fingerprints.len());
@@ -380,19 +365,19 @@ mod tests {
         assert!(
             report.violations.is_empty(),
             "unexpected violations: {}",
-            report.violations[0]
+            report.violations[0].1
         );
     }
 
     #[test]
     fn campaign_digest_is_reproducible_and_seed_sensitive() {
         let _guard = crate::exec::override_lock();
-        let a = run_fuzz(&tiny());
-        let b = run_fuzz(&tiny());
+        let a = run_fuzz_with(&tiny(), &sifter);
+        let b = run_fuzz_with(&tiny(), &sifter);
         assert_eq!(a.digest(), b.digest());
         let mut other = tiny();
         other.seed = 12;
-        assert_ne!(a.digest(), run_fuzz(&other).digest());
+        assert_ne!(a.digest(), run_fuzz_with(&other, &sifter).digest());
     }
 
     #[test]
@@ -402,7 +387,7 @@ mod tests {
             .into_iter()
             .map(|t| {
                 crate::exec::set_threads(t);
-                run_fuzz(&tiny()).digest()
+                run_fuzz_with(&tiny(), &sifter).digest()
             })
             .collect();
         crate::exec::set_threads(0);
@@ -413,11 +398,11 @@ mod tests {
     #[test]
     fn invariant_checker_accepts_a_clean_run() {
         let fixture = TrialFixture::new(4, |b| sifter(b, 4));
-        let procs = fixture.recorded(&SeedSplitter::new(5));
-        let report =
-            Engine::new(fixture.layout(), procs).run(sift_sim::schedule::RoundRobin::new(4));
+        let env = sift_sim::fuzz::Environment::default();
+        let schedule = sift_sim::schedule::RoundRobin::new(4);
+        let report = fixture.run(&SeedSplitter::new(5), env, schedule, None);
         assert_eq!(report.stop_reason, StopReason::AllDone);
-        check_invariants(&fixture, true, &report).unwrap();
+        check_invariants(&fixture, AdversaryStrength::Oblivious, &report).unwrap();
     }
 
     /// The extended pool drives candidates through every environment —
@@ -431,14 +416,14 @@ mod tests {
             generations: 4,
             ..tiny()
         };
-        let a = run_fuzz(&config);
+        let a = run_fuzz_with(&config, &sifter);
         assert!(
             a.violations.is_empty(),
             "unexpected violations: {}",
-            a.violations[0]
+            a.violations[0].1
         );
         assert!(a.coverage >= 2);
-        assert_eq!(a.digest(), run_fuzz(&config).digest());
+        assert_eq!(a.digest(), run_fuzz_with(&config, &sifter).digest());
         // The extended pool draws a different proposal stream, so the
         // campaign must diverge from the base pool's.
         let base = FuzzConfig {
@@ -446,6 +431,6 @@ mod tests {
             generations: 4,
             ..tiny()
         };
-        assert_ne!(a.digest(), run_fuzz(&base).digest());
+        assert_ne!(a.digest(), run_fuzz_with(&base, &sifter).digest());
     }
 }

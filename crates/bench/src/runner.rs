@@ -1,12 +1,13 @@
 //! Shared trial machinery: build a protocol, run it under a schedule,
 //! collect agreement/step/survivor data. [`TrialFixture`] is the one
-//! place a conciliator trial is built; the experiments' `run_trial`
-//! and the checkers ([`fuzz`](crate::fuzz), [`soak`](crate::soak),
-//! [`conformance`](crate::conformance)) all mint their participants
-//! from it. The checkers also share its property checks
-//! (`check_steps`, `check_validity`, with `check_agreement` beside it)
-//! and its replay-then-shrink (`shrink`), and every run in an
-//! adversary-lattice environment goes through `run_in`.
+//! place a conciliator trial is built: the experiments' `run_trial`
+//! mints its participants from it, and every checked Algorithm 2 run —
+//! the fuzzer's, the soak's, E22's and the E20/E24 lattice runs — is
+//! its [`run`](TrialFixture::run). A witness goes back through the same
+//! method: it is replayed ([`replay`](TrialFixture::replay)) and shrunk
+//! (`shrink`) on the registers of the run that found it, and checked at
+//! its adversary's tier with the shared property checks (`check_steps`,
+//! `check_validity`, with `check_agreement` beside it).
 //!
 //! Builders are reusable (`Fn`, not `FnOnce`) so one closure can be
 //! shared by every worker of the parallel executor
@@ -18,11 +19,11 @@ use sift_core::{
     distinct_per_round, try_check_validity, Conciliator, Epsilon, Persona, Recorder, RoundHistory,
     RoundState, SiftingConciliator,
 };
-use sift_sim::adversary::DelayedChooser;
+use sift_sim::adversary::{AdversaryStrength, DelayedChooser};
 use sift_sim::fuzz::Environment;
-use sift_sim::mc::{replay_report, shrink_schedule_with};
+use sift_sim::mc::shrink_schedule_with;
 use sift_sim::rng::SeedSplitter;
-use sift_sim::schedule::{Schedule, ScheduleKind};
+use sift_sim::schedule::{FixedSchedule, Schedule, ScheduleKind};
 use sift_sim::{
     AdaptiveView, Engine, Layout, LayoutBuilder, Metrics, Op, Process, ProcessId, RunReport,
     StopReason,
@@ -96,30 +97,6 @@ fn breaker_decide(stale: Option<&ProcessId>, live: &[ProcessId]) -> ProcessId {
         .unwrap_or_else(|| live[0])
 }
 
-/// Runs `engine` to completion in `env`, the one place a checked run
-/// states which adversary and which registers it ran under: the
-/// engine's registers take `env.semantics`; the oblivious tier runs the
-/// fixed `schedule`, and every stronger lattice point replaces it with
-/// the sifting breaker on `k`-stale observations (delay 0 is the fully
-/// adaptive adversary of E20).
-pub(crate) fn run_in<P>(
-    mut engine: Engine<P>,
-    env: Environment,
-    schedule: impl Schedule,
-) -> RunReport<P>
-where
-    P: Process + RoundState,
-{
-    engine.set_register_semantics(env.semantics);
-    match env.strength.delay() {
-        None => engine.run(schedule),
-        Some(delay) => {
-            let mut chooser = DelayedChooser::new(delay, breaker_extract, breaker_decide);
-            engine.run_adaptive(|view| chooser.choose(&view))
-        }
-    }
-}
-
 /// The unmodified Algorithm 2 build (`ε = 1/2`) every checker runs
 /// against by default.
 pub fn sifter(builder: &mut LayoutBuilder, n: usize) -> SiftingConciliator {
@@ -168,14 +145,6 @@ impl<C: Conciliator> TrialFixture<C> {
             .expect("a checked trial needs a worst-case step bound")
     }
 
-    /// Scheduled slots after which a run counts as livelocked: a
-    /// correct participant finishes in `steps_bound` charged ops, and
-    /// skipped slots of finished processes count too, so leave 4×
-    /// headroom over `n · (steps_bound + 2)`.
-    pub(crate) fn slot_budget(&self) -> u64 {
-        4 * self.n as u64 * (self.steps_bound() + 2)
-    }
-
     /// The inputs [`participants`](Self::participants) propose:
     /// process `i` proposes `i`.
     pub(crate) fn inputs(&self) -> Vec<u64> {
@@ -202,36 +171,80 @@ impl<C: Conciliator> TrialFixture<C> {
             .collect()
     }
 
-    /// Replays the charged `script` over [`recorded`](Self::recorded)
-    /// participants minted from `split`.
-    pub(crate) fn replay(
+    /// Runs a traced trial of [`recorded`](Self::recorded) participants
+    /// minted from `split` in `env`, the one place a checked run states
+    /// its adversary and registers: the registers take `env.semantics`;
+    /// the oblivious tier runs `schedule`, every stronger lattice point
+    /// the sifting breaker on `k`-stale observations (delay 0 is E20's
+    /// adaptive adversary). `budget_from: Some(prefix)` stops a run as
+    /// livelocked after `prefix` slots plus `4·n·(R + 2)`, 4× headroom
+    /// over a correct run's slots, skipped ones included; `None` never.
+    pub fn run(
         &self,
         split: &SeedSplitter,
+        env: Environment,
+        schedule: impl Schedule,
+        budget_from: Option<usize>,
+    ) -> RunReport<Recorder<C::Participant>>
+    where
+        C::Participant: RoundState,
+    {
+        let mut engine = Engine::new(&self.layout, self.recorded(split));
+        engine.enable_trace();
+        if let Some(prefix) = budget_from {
+            let budget = 4 * self.n as u64 * (self.steps_bound() + 2);
+            engine.limit_slots(prefix as u64 + budget);
+        }
+        engine.set_register_semantics(env.semantics);
+        match env.strength.delay() {
+            None => engine.run(schedule),
+            Some(delay) => {
+                let mut chooser = DelayedChooser::new(delay, breaker_extract, breaker_decide);
+                engine.run_adaptive(|view| chooser.choose(&view))
+            }
+        }
+    }
+
+    /// Replays a run's charged `script` as a fixed schedule on the run's
+    /// registers, `env.semantics`; unlimited, as the script is finite.
+    pub fn replay(
+        &self,
+        split: &SeedSplitter,
+        env: Environment,
         script: &[usize],
     ) -> RunReport<Recorder<C::Participant>>
     where
         C::Participant: RoundState,
     {
-        replay_report(&self.layout, self.recorded(split), script)
+        let schedule = FixedSchedule::from_indices(script.iter().copied());
+        let strength = AdversaryStrength::Oblivious;
+        self.run(split, Environment { strength, ..env }, schedule, None)
     }
 
-    /// Replays a violating run's charged `script`; if `check` still
-    /// fails, greedily shrinks the script to a 1-minimal one and returns
-    /// it with the failure message. `None` means the violation does not
-    /// reproduce from the finite script — it depends on the schedule's
-    /// infinite tail (a slot-limit livelock) — and is reported unshrunk.
+    /// Replays a violating run's charged `script` in its `env`; if
+    /// `check` still fails, greedily shrinks the script to a 1-minimal
+    /// one in that same environment and returns it with its failure
+    /// message. Otherwise the violation does not reproduce from the
+    /// finite script (it depends on the schedule's infinite tail, as a
+    /// slot-limit livelock does) and is reported unshrunk, with the
+    /// run's own `message`.
     pub(crate) fn shrink(
         &self,
         split: &SeedSplitter,
+        env: Environment,
         script: Vec<usize>,
+        message: String,
         check: impl Fn(&RunReport<Recorder<C::Participant>>) -> Result<(), String>,
-    ) -> Option<(Vec<usize>, String)>
+    ) -> (Option<Vec<usize>>, String)
     where
         C::Participant: RoundState,
     {
-        check(&self.replay(split, &script)).err()?;
-        let factory = || self.recorded(split);
-        Some(shrink_schedule_with(&self.layout, &factory, script, &check))
+        if check(&self.replay(split, env, &script)).is_ok() {
+            return (None, message);
+        }
+        let replay = |script: &[usize]| self.replay(split, env, script);
+        let (script, message) = shrink_schedule_with(replay, script, &check);
+        (Some(script), message)
     }
 
     /// The step-bound property: no participant performed more than

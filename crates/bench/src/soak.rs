@@ -22,13 +22,18 @@
 //!    exactness (crash-free trials), liveness of the surviving
 //!    support, agreement, and validity are re-checked per trial, and
 //!    any replayable violation is greedily shrunk to a 1-minimal
-//!    [`FixedSchedule`](sift_sim::schedule::FixedSchedule) script via
-//!    [`shrink_schedule_with`](sift_sim::mc::shrink_schedule_with).
+//!    [`FixedSchedule`](sift_sim::schedule::FixedSchedule) script.
 //! 3. **Fuzz lane** — one generation of the coverage-guided adversary
 //!    fuzzer per window, with the corpus carried across windows and
 //!    seeded with schedules harvested from the sifting lane
 //!    ([`Fuzzer::seed_corpus`]), so live traffic feeds the mutation
 //!    pool.
+//!
+//! Every claim is one row of one table — id, scales, bound and what it
+//! checks — and every violation carries its run's environment (the
+//! sifting lane's default, the fuzz genome's), in which its witness is
+//! replayed, shrunk on the registers that found it and re-checked at
+//! its adversary's tier ([`replay_violation_with`]).
 //!
 //! Each claim keeps a [`WindowedReport`] ring of the last `width`
 //! windows; the emitted row carries the Clopper–Pearson lower
@@ -40,7 +45,7 @@
 //! fan out over [`map_reduce`] and fold back in index order), which
 //! is what lets `BENCH_conformance.json` be golden-pinned.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::path::Path;
 use std::process::ExitCode;
@@ -51,10 +56,13 @@ use sift_obs::{json::Json, ObsReport, WindowedReport};
 use sift_service::det::DeterministicService;
 use sift_service::runtime::block_on;
 use sift_service::{InstanceId, Service, ServiceConfig, ShardConfig};
-use sift_sim::fuzz::{CorpusEntry, FingerprintHasher, Fuzzer, Gene, ScheduleGenome};
+use sift_sim::fuzz::{
+    interleaving_signature, CorpusEntry, Environment, FingerprintHasher, Fuzzer, Gene,
+    ScheduleGenome,
+};
 use sift_sim::rng::{SeedSplitter, Xoshiro256StarStar};
 use sift_sim::schedule::{CrashSubset, RandomInterleave, Schedule};
-use sift_sim::{Engine, LayoutBuilder, RunReport, StopReason};
+use sift_sim::{LayoutBuilder, RunReport, StopReason};
 
 use crate::conformance::{ALPHA, SLACK};
 use crate::exec::map_reduce;
@@ -145,7 +153,7 @@ pub struct SoakConfig {
     /// Master seed; every window derives its traffic, schedules, and
     /// crash plans from disjoint labelled streams of it.
     pub seed: u64,
-    /// Windows to run under [`run_soak`] (a wall-clock driver calls
+    /// Windows to run under [`run_soak_with`] (a wall-clock driver calls
     /// `Soak::step` directly instead).
     pub windows: usize,
     /// Sliding-window width of the conformance checker.
@@ -177,7 +185,7 @@ pub struct SoakRow {
     /// Window index the row was emitted after.
     pub window: u64,
     /// Claim identifier (`sift.*`, `service.*`, `fuzz.*`).
-    pub claim: String,
+    pub claim: &'static str,
     /// Scale the claim ran at (processes, shards, or fuzz `n`).
     pub scale: usize,
     /// Trials in the retained window set.
@@ -198,12 +206,15 @@ pub struct SoakViolation {
     /// Window the violating trial ran in.
     pub window: u64,
     /// The violated claim.
-    pub claim: String,
+    pub claim: &'static str,
     /// Scale of the violating trial.
     pub scale: usize,
     /// Trial seed — enough to rebuild the layout and participants for
-    /// replay (see [`replay_violation`]).
+    /// replay (see [`replay_violation_with`]).
     pub seed: u64,
+    /// The violating run's environment — the genome's in the fuzz lane,
+    /// else the default — which a replay of the witness runs in.
+    pub env: Environment,
     /// What went wrong.
     pub message: String,
     /// The 1-minimal replay script when the violation reproduced under
@@ -217,11 +228,15 @@ pub struct SoakViolation {
 
 impl fmt::Display for SoakViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
+        write!(
             f,
-            "soak violation [window {} claim {} n={} seed {:#x}]: {}",
-            self.window, self.claim, self.scale, self.seed, self.message
+            "soak violation [window {} claim {} n={} seed {:#x}",
+            self.window, self.claim, self.scale, self.seed
         )?;
+        if self.env != Environment::default() {
+            write!(f, " {:?}", self.env)?;
+        }
+        writeln!(f, "]: {}", self.message)?;
         match &self.script {
             Some(script) => write!(
                 f,
@@ -313,7 +328,7 @@ impl SoakReport {
         let last = self.windows_run.saturating_sub(1);
         for row in self.rows.iter().filter(|r| r.window == last) {
             table.row(vec![
-                row.claim.clone(),
+                row.claim.to_string(),
                 row.scale.to_string(),
                 row.window.to_string(),
                 row.trials.to_string(),
@@ -344,7 +359,7 @@ impl From<&SoakReport> for Json {
     fn from(report: &SoakReport) -> Json {
         let rows = report.rows.iter().map(|row| {
             Json::obj([
-                ("claim", row.claim.as_str().into()),
+                ("claim", row.claim.into()),
                 ("scale", row.scale.into()),
                 ("window", row.window.into()),
                 ("trials", row.trials.into()),
@@ -359,7 +374,7 @@ impl From<&SoakReport> for Json {
                 Json::Arr(script.iter().map(|&pid| pid.into()).collect())
             });
             Json::obj([
-                ("claim", v.claim.as_str().into()),
+                ("claim", v.claim.into()),
                 ("scale", v.scale.into()),
                 ("window", v.window.into()),
                 ("seed", v.seed.into()),
@@ -388,7 +403,7 @@ impl From<&SoakReport> for Json {
 type Build<C> = Box<dyn Fn(&mut LayoutBuilder, usize) -> C + Sync>;
 
 /// The incremental soak driver: one [`step`](Soak::step) is one
-/// deterministic window. [`run_soak`] wraps it for a fixed window
+/// deterministic window. [`run_soak_with`] wraps it for a fixed window
 /// budget; the wall-clock mode of [`main`] (`SIFT_SOAK_SECS > 0`) calls
 /// `step` until a deadline instead.
 pub(crate) struct Soak<C = SiftingConciliator> {
@@ -400,7 +415,8 @@ pub(crate) struct Soak<C = SiftingConciliator> {
     shadow: DeterministicService,
     decided_ever: HashSet<InstanceId>,
     proposed_values: HashMap<InstanceId, BTreeSet<u64>>,
-    rings: BTreeMap<(String, usize), WindowedReport>,
+    /// One ring per claim row, in [`claim_rows`] order.
+    rings: Vec<WindowedReport>,
     rows: Vec<SoakRow>,
     violations: Vec<SoakViolation>,
     carried: Vec<CorpusEntry>,
@@ -416,13 +432,6 @@ impl<C> fmt::Debug for Soak<C> {
             .field("rows", &self.rows.len())
             .field("violations", &self.violations.len())
             .finish_non_exhaustive()
-    }
-}
-
-impl Soak {
-    /// A soak against the unmodified [`SiftingConciliator`].
-    pub(crate) fn new(config: SoakConfig) -> Self {
-        Self::with_build(config, Box::new(sifter))
     }
 }
 
@@ -447,7 +456,9 @@ where
             shadow: DeterministicService::new(SERVICE_SHARDS, shard_config),
             decided_ever: HashSet::new(),
             proposed_values: HashMap::new(),
-            rings: BTreeMap::new(),
+            rings: claim_rows()
+                .map(|_| WindowedReport::new(config.width))
+                .collect(),
             rows: Vec::new(),
             violations: Vec::new(),
             carried: Vec::new(),
@@ -463,10 +474,7 @@ where
     pub(crate) fn step(&mut self) -> &[SoakRow] {
         let window = self.window;
         let wsplit = SeedSplitter::new(self.split.seed("window", window));
-        let mut tally: BTreeMap<(String, usize), (u64, u64)> = claim_keys()
-            .into_iter()
-            .map(|(claim, scale)| ((claim.to_string(), scale), (0, 0)))
-            .collect();
+        let mut tally: Tally = claim_rows().map(|_| (0, 0)).collect();
 
         let row_start = self.rows.len();
         self.service_window(&wsplit, &mut tally);
@@ -475,15 +483,12 @@ where
         }
         self.fuzz_window(&wsplit, &mut tally);
 
-        for ((claim, scale), (trials, violations)) in tally {
+        for (((claim, scale), (trials, violations)), ring) in
+            claim_rows().zip(tally).zip(&mut self.rings)
+        {
             let mut report = ObsReport::new();
             report.add_count("trials", trials);
             report.add_count("violations", violations);
-            let width = self.config.width;
-            let ring = self
-                .rings
-                .entry((claim.clone(), scale))
-                .or_insert_with(|| WindowedReport::new(width));
             ring.push(report);
             let merged = ring.merged();
             let trials = merged.count("trials");
@@ -493,16 +498,15 @@ where
             } else {
                 cp_lower(violations, trials, ALPHA)
             };
-            let bound = bound_of(&claim);
             self.rows.push(SoakRow {
                 window,
-                claim,
+                claim: claim.id,
                 scale,
                 trials,
                 violations,
                 lcb,
-                bound,
-                pass: lcb <= bound + SLACK,
+                bound: claim.bound,
+                pass: lcb <= claim.bound + SLACK,
             });
         }
         self.window += 1;
@@ -525,11 +529,7 @@ where
 
     /// One service window: Zipf traffic plus revisits against the
     /// live/shadow pair, crashes injected on the live copy only.
-    fn service_window(
-        &mut self,
-        wsplit: &SeedSplitter,
-        tally: &mut BTreeMap<(String, usize), (u64, u64)>,
-    ) {
+    fn service_window(&mut self, wsplit: &SeedSplitter, tally: &mut Tally) {
         let window = self.window;
         let mut rng = wsplit.stream("traffic", 0);
         let zipf = Zipf::new(SERVICE_INSTANCES, SERVICE_THETA);
@@ -599,31 +599,32 @@ where
             self.shadow.tick_all();
         }
 
+        // A service-lane violation has no run to replay.
+        let shards = SERVICE_SHARDS;
+        let violation = |claim: &Claim, message| SoakViolation {
+            window,
+            claim: claim.id,
+            scale: shards,
+            seed: wsplit.seed("traffic", 0),
+            env: Environment::default(),
+            message,
+            script: None,
+            shrunk_from: 0,
+        };
+
         // Recovery: crash + restart must leave the canonical stream
         // identical to the never-crashed shadow's.
         let recovered = self.live.canonical_stream() == self.shadow.canonical_stream();
-        add_tally(
-            tally,
-            "service.recovery",
-            SERVICE_SHARDS,
-            1,
-            !recovered as u64,
-        );
+        add_tally(tally, &SERVICE_RECOVERY, shards, 1, !recovered as u64);
         if !recovered {
-            self.violations.push(SoakViolation {
-                window,
-                claim: "service.recovery".to_string(),
-                scale: SERVICE_SHARDS,
-                seed: wsplit.seed("traffic", 0),
-                message: format!(
-                    "crash-injected canonical stream diverged from shadow \
-                     ({} vs {} facts)",
+            self.violations.push(violation(
+                &SERVICE_RECOVERY,
+                format!(
+                    "crash-injected canonical stream diverged from shadow ({} vs {} facts)",
                     self.live.stream().len(),
                     self.shadow.stream().len()
                 ),
-                script: None,
-                shrunk_from: 0,
-            });
+            ));
         }
 
         // Exactly-once and validity over this window's new facts.
@@ -633,15 +634,9 @@ where
         for fact in &new_facts {
             if !self.decided_ever.insert(fact.instance) {
                 duplicates += 1;
-                self.violations.push(SoakViolation {
-                    window,
-                    claim: "service.exactly_once".to_string(),
-                    scale: SERVICE_SHARDS,
-                    seed: wsplit.seed("traffic", 0),
-                    message: format!("{} decided a second time", fact.instance),
-                    script: None,
-                    shrunk_from: 0,
-                });
+                let message = format!("{} decided a second time", fact.instance);
+                self.violations
+                    .push(violation(&SERVICE_EXACTLY_ONCE, message));
             }
             let proposed = self
                 .proposed_values
@@ -649,39 +644,21 @@ where
                 .is_some_and(|values| values.contains(&fact.value));
             if !proposed {
                 invalid += 1;
-                self.violations.push(SoakViolation {
-                    window,
-                    claim: "service.validity".to_string(),
-                    scale: SERVICE_SHARDS,
-                    seed: wsplit.seed("traffic", 0),
-                    message: format!(
-                        "{} decided value {} that nobody proposed",
-                        fact.instance, fact.value
-                    ),
-                    script: None,
-                    shrunk_from: 0,
-                });
+                let message = format!(
+                    "{} decided value {} that nobody proposed",
+                    fact.instance, fact.value
+                );
+                self.violations.push(violation(&SERVICE_VALIDITY, message));
             }
         }
         let trials = new_facts.len() as u64;
-        add_tally(
-            tally,
-            "service.exactly_once",
-            SERVICE_SHARDS,
-            trials,
-            duplicates,
-        );
-        add_tally(tally, "service.validity", SERVICE_SHARDS, trials, invalid);
+        add_tally(tally, &SERVICE_EXACTLY_ONCE, shards, trials, duplicates);
+        add_tally(tally, &SERVICE_VALIDITY, shards, trials, invalid);
     }
 
     /// One sifting window at scale `n`: seeded trials under random
     /// interleaving, half crash-injected, checked per trial.
-    fn sift_window(
-        &mut self,
-        wsplit: &SeedSplitter,
-        n: usize,
-        tally: &mut BTreeMap<(String, usize), (u64, u64)>,
-    ) {
+    fn sift_window(&mut self, wsplit: &SeedSplitter, n: usize, tally: &mut Tally) {
         let window = self.window;
         let crashes = self.config.crashes;
         let outcomes: Vec<SiftOutcome> = {
@@ -710,87 +687,58 @@ where
         }
 
         // Tally each claim, and shrink the first violating trial per
-        // claim (disagreement bound is a rate, not zero — still record
-        // the witness). Crashed runs are exempt from the step claim.
-        let crash_free = outcomes.iter().filter(|o| !o.crashed).count() as u64;
-        let all = outcomes.len() as u64;
-        type Picker = fn(&SiftOutcome) -> bool;
-        let claims: [(&str, u64, Picker); 4] = [
-            ("sift.steps", crash_free, |o| !o.crashed && !o.steps_ok),
-            ("sift.liveness", all, |o| !o.live_ok),
-            ("sift.disagreement", all, |o| !o.agree_ok),
-            ("sift.validity", all, |o| !o.valid_ok),
-        ];
-        for (claim, trials, is_violation) in claims {
-            let violations = outcomes.iter().filter(|o| is_violation(o)).count() as u64;
+        // claim.
+        for claim in CLAIMS {
+            // Each trial's verdict, unless the claim exempts it.
+            let verdicts: Vec<(&SiftOutcome, bool)> = outcomes
+                .iter()
+                .filter_map(|o| Some((o, claim.check.violated(o)?)))
+                .collect();
+            if verdicts.is_empty() {
+                continue; // outside the sifting lane, or every trial exempt
+            }
+            let trials = verdicts.len() as u64;
+            let mut violating = verdicts.iter().filter(|(_, v)| *v).map(|(o, _)| *o);
+            let violations = violating.clone().count() as u64;
             add_tally(tally, claim, n, trials, violations);
-            // Disagreement is an expected event under the conciliator's
-            // ε = 1/2 bound, so individual disagreeing runs are not
-            // violations. Unanimous disagreement across a whole window
-            // is (probability ≤ ε^T on correct code, certain under the
-            // biased-coin mutant) — keep a shrinkable witness for it.
-            if claim == "sift.disagreement" && violations < all {
+            // A nonzero rate bound (disagreement, ε = 1/2) expects
+            // violating trials; only a window in which every trial
+            // violates (probability ≤ ε^T on correct code, certain under
+            // the biased-coin mutant) leaves a shrinkable witness.
+            if claim.bound > 0.0 && violations < trials {
                 continue;
             }
-            if let Some(outcome) = outcomes.iter().find(|o| is_violation(o)) {
-                let violation = self.describe_sift_violation(window, claim, n, outcome);
-                self.violations.push(violation);
-            }
+            let Some(outcome) = violating.next() else {
+                continue;
+            };
+            // The lane runs in the default environment, so a witness is
+            // replayed and shrunk there.
+            let env = Environment::default();
+            let message = claim.check.witness(outcome);
+            let (script, message) = if outcome.script.len() <= SHRINK_CAP {
+                let fixture = TrialFixture::new(n, |b| (self.build)(b, n));
+                let split = SeedSplitter::new(outcome.seed);
+                let check = |r: &_| claim.check.replay(&fixture, env, r);
+                fixture.shrink(&split, env, outcome.script.clone(), message, check)
+            } else {
+                (None, message)
+            };
+            self.violations.push(SoakViolation {
+                window,
+                claim: claim.id,
+                scale: n,
+                seed: outcome.seed,
+                env,
+                message,
+                script,
+                shrunk_from: outcome.script.len(),
+            });
         }
-    }
-
-    /// Builds (and, when replayable, shrinks) the violation record for
-    /// a failed sifting trial.
-    fn describe_sift_violation(
-        &self,
-        window: u64,
-        claim: &str,
-        n: usize,
-        outcome: &SiftOutcome,
-    ) -> SoakViolation {
-        let mut violation = SoakViolation {
-            window,
-            claim: claim.to_string(),
-            scale: n,
-            seed: outcome.seed,
-            message: match claim {
-                "sift.steps" => format!(
-                    "step-count exactness violated (over_bound: {})",
-                    outcome.over_bound
-                ),
-                "sift.liveness" => "a surviving process failed to decide".to_string(),
-                "sift.disagreement" => {
-                    "every trial in the window disagreed — ε-bound refuted pointwise".to_string()
-                }
-                "sift.validity" => "a decided value was nobody's input".to_string(),
-                other => format!("{other} violated"),
-            },
-            script: None,
-            shrunk_from: outcome.script.len(),
-        };
-        // Exact-R step counts cannot be re-checked on a truncated
-        // replay script; only the over-bound direction replays.
-        let replayable =
-            (claim != "sift.steps" || outcome.over_bound) && outcome.script.len() <= SHRINK_CAP;
-        if let Some(check) = replay_check(claim).filter(|_| replayable) {
-            let fixture = TrialFixture::new(n, |b| (self.build)(b, n));
-            let split = SeedSplitter::new(outcome.seed);
-            let shrunk = fixture.shrink(&split, outcome.script.clone(), |r| check(&fixture, r));
-            if let Some((script, message)) = shrunk {
-                violation.script = Some(script);
-                violation.message = message;
-            }
-        }
-        violation
     }
 
     /// One fuzz generation: carry the corpus forward, seed it with the
     /// harvested sifting schedules, evaluate one population.
-    fn fuzz_window(
-        &mut self,
-        wsplit: &SeedSplitter,
-        tally: &mut BTreeMap<(String, usize), (u64, u64)>,
-    ) {
+    fn fuzz_window(&mut self, wsplit: &SeedSplitter, tally: &mut Tally) {
         let window = self.window;
         let mut fuzzer =
             Fuzzer::new(FUZZ_N, wsplit.seed("fuzz", 0)).with_extended_genes(self.config.extended);
@@ -798,7 +746,7 @@ where
         let found = run_generation(&mut fuzzer, FUZZ_N, FUZZ_POPULATION, wsplit, 0, &self.build);
         add_tally(
             tally,
-            "fuzz.invariants",
+            &FUZZ_INVARIANTS,
             FUZZ_N,
             FUZZ_POPULATION as u64,
             found.len() as u64,
@@ -806,9 +754,10 @@ where
         for (seed, violation) in found {
             self.violations.push(SoakViolation {
                 window,
-                claim: "fuzz.invariants".to_string(),
+                claim: FUZZ_INVARIANTS.id,
                 scale: FUZZ_N,
                 seed,
+                env: violation.genome.environment(),
                 message: violation.failure.message,
                 script: violation.failure.shrunk,
                 shrunk_from: violation.script.len(),
@@ -820,43 +769,147 @@ where
     }
 }
 
-/// Every claim key checked each window.
-fn claim_keys() -> Vec<(&'static str, usize)> {
-    let mut keys = vec![
-        ("service.recovery", SERVICE_SHARDS),
-        ("service.exactly_once", SERVICE_SHARDS),
-        ("service.validity", SERVICE_SHARDS),
-        ("fuzz.invariants", FUZZ_N),
-    ];
-    for &n in &SIFT_SCALES {
-        keys.push(("sift.steps", n));
-        keys.push(("sift.liveness", n));
-        keys.push(("sift.disagreement", n));
-        keys.push(("sift.validity", n));
-    }
-    keys
+/// One soak claim, stated once: each window emits one row per scale.
+struct Claim {
+    /// Identifier (`sift.*`, `service.*`, `fuzz.*`).
+    id: &'static str,
+    /// Scales it is checked at (processes, shards, or fuzz `n`).
+    scales: &'static [usize],
+    /// Violation-rate bound: zero, except for disagreement, which the
+    /// conciliator is only required to avoid with probability `1 - ε`
+    /// (ε = 1/2 here).
+    bound: f64,
+    /// What it checks.
+    check: Check,
 }
 
-/// Violation-rate bound of a claim. Zero except for disagreement,
-/// which the conciliator is only required to reach with probability
-/// `1 - ε` (ε = 1/2 here).
-fn bound_of(claim: &str) -> f64 {
-    match claim {
-        "sift.disagreement" => 0.5,
-        _ => 0.0,
+impl Claim {
+    const fn new(id: &'static str, scales: &'static [usize], bound: f64, check: Check) -> Self {
+        Self {
+            id,
+            scales,
+            bound,
+            check,
+        }
     }
 }
 
-fn add_tally(
-    tally: &mut BTreeMap<(String, usize), (u64, u64)>,
-    claim: &str,
-    scale: usize,
-    trials: u64,
-    violations: u64,
-) {
-    let entry = tally.entry((claim.to_string(), scale)).or_insert((0, 0));
-    entry.0 += trials;
-    entry.1 += violations;
+static FUZZ_INVARIANTS: Claim = Claim::new("fuzz.invariants", &[FUZZ_N], 0.0, Check::Invariants);
+static SERVICE_EXACTLY_ONCE: Claim = Claim::new(
+    "service.exactly_once",
+    &[SERVICE_SHARDS],
+    0.0,
+    Check::Service,
+);
+static SERVICE_RECOVERY: Claim =
+    Claim::new("service.recovery", &[SERVICE_SHARDS], 0.0, Check::Service);
+static SERVICE_VALIDITY: Claim =
+    Claim::new("service.validity", &[SERVICE_SHARDS], 0.0, Check::Service);
+static SIFT_DISAGREEMENT: Claim =
+    Claim::new("sift.disagreement", &SIFT_SCALES, 0.5, Check::Agreement);
+static SIFT_LIVENESS: Claim = Claim::new("sift.liveness", &SIFT_SCALES, 0.0, Check::Liveness);
+static SIFT_STEPS: Claim = Claim::new("sift.steps", &SIFT_SCALES, 0.0, Check::Steps);
+static SIFT_VALIDITY: Claim = Claim::new("sift.validity", &SIFT_SCALES, 0.0, Check::Validity);
+
+/// Every claim checked each window, in the order of its rows: by id,
+/// then scale.
+static CLAIMS: [&Claim; 8] = [
+    &FUZZ_INVARIANTS,
+    &SERVICE_EXACTLY_ONCE,
+    &SERVICE_RECOVERY,
+    &SERVICE_VALIDITY,
+    &SIFT_DISAGREEMENT,
+    &SIFT_LIVENESS,
+    &SIFT_STEPS,
+    &SIFT_VALIDITY,
+];
+
+/// What a claim checks: how the sifting lane judges a trial and words
+/// its witness, and what a replay of a witness's script re-checks.
+#[derive(Clone, Copy)]
+enum Check {
+    /// A service-lane property: no run, so no script to replay.
+    Service,
+    /// The fuzz lane's invariants, at the witness's adversary tier.
+    Invariants,
+    Agreement,
+    /// Liveness depends on the schedule's tail, so no finite script
+    /// replays it.
+    Liveness,
+    /// Exact-R step counts; a truncated replay script re-checks only
+    /// the over-bound direction.
+    Steps,
+    Validity,
+}
+
+impl Check {
+    /// A sifting trial's verdict: whether it violates the check, `None`
+    /// for a trial the check exempts (a crashed one, from step
+    /// exactness) and outside the sifting lane.
+    fn violated(self, o: &SiftOutcome) -> Option<bool> {
+        match self {
+            Self::Service | Self::Invariants => None,
+            Self::Agreement => Some(!o.agree_ok),
+            Self::Liveness => Some(!o.live_ok),
+            Self::Steps => (!o.crashed).then_some(!o.steps_ok),
+            Self::Validity => Some(!o.valid_ok),
+        }
+    }
+
+    /// What a violating sifting trial's witness says.
+    fn witness(self, o: &SiftOutcome) -> String {
+        match self {
+            Self::Agreement => {
+                "every trial in the window disagreed — ε-bound refuted pointwise".into()
+            }
+            Self::Liveness => "a surviving process failed to decide".into(),
+            Self::Steps => format!(
+                "step-count exactness violated (over_bound: {})",
+                o.over_bound
+            ),
+            Self::Validity => "a decided value was nobody's input".into(),
+            Self::Service | Self::Invariants => unreachable!("not a sifting-lane check"),
+        }
+    }
+
+    /// Re-checks a witness's replay in its `env`. A check no finite
+    /// script replays passes every replay.
+    fn replay<C>(
+        self,
+        fixture: &TrialFixture<C>,
+        env: Environment,
+        report: &RunReport<Recorder<C::Participant>>,
+    ) -> Result<(), String>
+    where
+        C: Conciliator,
+        C::Participant: RoundState,
+    {
+        match self {
+            Self::Service | Self::Liveness => Ok(()),
+            Self::Invariants => check_invariants(fixture, env.strength, report),
+            Self::Agreement => check_agreement(report),
+            Self::Steps => fixture.check_steps(report),
+            Self::Validity => fixture.check_validity(report),
+        }
+    }
+}
+
+/// Every `(claim, scale)` row a window emits, in emission order.
+fn claim_rows() -> impl Iterator<Item = (&'static Claim, usize)> {
+    CLAIMS
+        .into_iter()
+        .flat_map(|claim| claim.scales.iter().map(move |&scale| (claim, scale)))
+}
+
+/// A window's `(trials, violations)` per row, in [`claim_rows`] order.
+type Tally = Vec<(u64, u64)>;
+
+fn add_tally(tally: &mut Tally, claim: &Claim, scale: usize, trials: u64, violations: u64) {
+    let row = claim_rows()
+        .position(|(c, s)| std::ptr::eq(c, claim) && s == scale)
+        .expect("every claim is tallied at one of its scales");
+    tally[row].0 += trials;
+    tally[row].1 += violations;
 }
 
 /// Per-trial outcome of the sifting lane.
@@ -888,23 +941,21 @@ where
     let fixture = TrialFixture::new(n, |b| build(b, n));
     let steps_bound = fixture.steps_bound();
     let split = SeedSplitter::new(seed);
-    let mut engine = Engine::new(fixture.layout(), fixture.participants(&split));
-    engine.enable_trace();
-    engine.limit_slots(fixture.slot_budget());
     let schedule_seed = split.schedule_seed();
     let base = RandomInterleave::new(n, schedule_seed);
-    let (report, support): (RunReport<C::Participant>, Vec<usize>) = if crash {
+    let env = Environment::default();
+    let (report, support): (_, Vec<usize>) = if crash {
         let schedule = CrashSubset::random(base, n, SIFT_CRASH_FRACTION, split.seed("crash", 0));
         let support = schedule.support().iter().map(|p| p.index()).collect();
-        (engine.run(schedule), support)
+        (fixture.run(&split, env, schedule, Some(0)), support)
     } else {
-        (engine.run(base), (0..n).collect())
+        (fixture.run(&split, env, base, Some(0)), (0..n).collect())
     };
 
     let trace = report.trace.as_ref().expect("trace recording was enabled");
     let script: Vec<usize> = trace.events().iter().map(|e| e.pid.index()).collect();
     let mut h = FingerprintHasher::new();
-    h.write_u64(sift_sim::fuzz::interleaving_signature(trace));
+    h.write_u64(interleaving_signature(trace));
     for &ops in &report.metrics.per_process_ops {
         h.write_u64(ops);
     }
@@ -938,43 +989,13 @@ where
     }
 }
 
-/// A property a finite replay of a witness script re-checks.
-type ReplayCheck<C> = fn(
-    &TrialFixture<C>,
-    &RunReport<Recorder<<C as Conciliator>::Participant>>,
-) -> Result<(), String>;
-
-/// The check a `claim`'s witness is shrunk against and replayed under.
-/// `None` for claims no finite
-/// [`FixedSchedule`](sift_sim::schedule::FixedSchedule) replay can
-/// witness: liveness depends on the schedule's tail, and the service
-/// lane has no script.
-fn replay_check<C>(claim: &str) -> Option<ReplayCheck<C>>
-where
-    C: Conciliator,
-    C::Participant: RoundState,
-{
-    match claim {
-        "sift.steps" => Some(|fixture, report| fixture.check_steps(report)),
-        "sift.disagreement" => Some(|_, report| check_agreement(report)),
-        "sift.validity" => Some(|fixture, report| fixture.check_validity(report)),
-        "fuzz.invariants" => Some(|fixture, report| check_invariants(fixture, true, report)),
-        _ => None,
-    }
-}
-
-/// Replays a shrunk violation script against the unmodified protocol
-/// and returns the reproduced error message, or `None` when the script
-/// no longer violates (as expected on correct code). Only claims with
-/// a replayable property are supported; service-lane violations return
+/// Replays a shrunk violation script against the conciliator `build`
+/// allocates — in the violation's own environment, checked at its
+/// adversary's tier — and returns the reproduced error message, or
+/// `None` when the script no longer violates (as it should against the
+/// unmodified [`sifter`]). Only claims with a
+/// replayable property are supported; service-lane violations return
 /// `None`.
-pub fn replay_violation(violation: &SoakViolation) -> Option<String> {
-    replay_violation_with(violation, &sifter)
-}
-
-/// [`replay_violation`] against the conciliator `build` allocates —
-/// verifies that a script shrunk from a [`run_soak_with`] run still
-/// witnesses the bug under a from-seed rebuild.
 pub fn replay_violation_with<C>(
     violation: &SoakViolation,
     build: &impl Fn(&mut LayoutBuilder, usize) -> C,
@@ -984,24 +1005,21 @@ where
     C::Participant: RoundState,
 {
     let script = violation.script.as_ref()?;
-    let check = replay_check(&violation.claim)?;
+    let claim = CLAIMS.into_iter().find(|c| c.id == violation.claim)?;
     let n = violation.scale;
     let fixture = TrialFixture::new(n, |b| build(b, n));
-    let report = fixture.replay(&SeedSplitter::new(violation.seed), script);
-    check(&fixture, &report).err()
+    let env = violation.env;
+    let report = fixture.replay(&SeedSplitter::new(violation.seed), env, script);
+    claim.check.replay(&fixture, env, &report).err()
 }
 
-/// Runs a soak for `config.windows` windows against the unmodified
-/// protocol. On correct code expect every row to pass and the
-/// violation list to stay empty.
-pub fn run_soak(config: &SoakConfig) -> SoakReport {
-    run_soak_with(config, sifter)
-}
-
-/// [`run_soak`] against any round-structured conciliator `build`
-/// allocates. Handed a deliberately broken sifter (the mutation tests
-/// in `tests/mutants.rs`), the sliding-window checker must flag it
-/// within a bounded number of windows and shrink a replayable witness.
+/// Runs a soak for `config.windows` windows against the
+/// round-structured conciliator `build` allocates. Against the
+/// unmodified [`sifter`] expect every row to
+/// pass and the violation list to stay empty; handed a deliberately
+/// broken sifter (the mutation tests in `tests/mutants.rs`), the
+/// sliding-window checker must flag it within a bounded number of
+/// windows and shrink a replayable witness.
 pub fn run_soak_with<C>(
     config: &SoakConfig,
     build: impl Fn(&mut LayoutBuilder, usize) -> C + Sync + 'static,
@@ -1086,7 +1104,7 @@ fn exercise_live_service(seed: u64, deadline: Instant) -> Result<(u64, u64), Str
 pub(crate) fn main(config: &SoakConfig, secs: u64, json: Option<&Path>) -> ExitCode {
     let start = Instant::now();
     let report = if secs == 0 {
-        run_soak(config)
+        run_soak_with(config, sifter)
     } else {
         // Wall-clock soak: reserve a slice of the budget for the
         // threaded frontend, spend the rest on deterministic windows.
@@ -1103,7 +1121,7 @@ pub(crate) fn main(config: &SoakConfig, secs: u64, json: Option<&Path>) -> ExitC
                 }
             }
         }
-        let mut soak = Soak::new(config.clone());
+        let mut soak = Soak::with_build(config.clone(), Box::new(sifter));
         loop {
             soak.step();
             if Instant::now() >= deadline {
@@ -1155,7 +1173,7 @@ mod tests {
     #[test]
     fn clean_soak_passes_every_claim() {
         let _guard = crate::exec::override_lock();
-        let report = run_soak(&tiny());
+        let report = run_soak_with(&tiny(), sifter);
         assert_eq!(report.windows_run, 2);
         assert!(
             report.violations.is_empty(),
@@ -1163,8 +1181,12 @@ mod tests {
             report.violations[0]
         );
         assert!(report.all_pass(), "flagged: {:?}", report.flagged());
-        // Every claim key appears in every window.
-        assert_eq!(report.rows.len(), 2 * claim_keys().len());
+        // Every claim row appears in every window, by id, then scale.
+        assert_eq!(report.rows.len(), 2 * claim_rows().count());
+        let window = &report.rows[..claim_rows().count()];
+        assert!(window
+            .windows(2)
+            .all(|w| (w[0].claim, w[0].scale) < (w[1].claim, w[1].scale)));
         assert!(report.fuzz_evaluated > 0);
         assert!(report.service_decided > 0);
     }
@@ -1172,13 +1194,13 @@ mod tests {
     #[test]
     fn soak_digest_is_reproducible_and_seed_sensitive() {
         let _guard = crate::exec::override_lock();
-        let a = run_soak(&tiny());
-        let b = run_soak(&tiny());
+        let a = run_soak_with(&tiny(), sifter);
+        let b = run_soak_with(&tiny(), sifter);
         assert_eq!(a.digest(), b.digest());
         assert_eq!(Json::from(&a), Json::from(&b));
         let mut other = tiny();
         other.seed = 0x50AD;
-        assert_ne!(a.digest(), run_soak(&other).digest());
+        assert_ne!(a.digest(), run_soak_with(&other, sifter).digest());
     }
 
     #[test]
@@ -1186,8 +1208,8 @@ mod tests {
         let _guard = crate::exec::override_lock();
         let mut calm = tiny();
         calm.crashes = false;
-        let crashed = run_soak(&tiny());
-        let calm = run_soak(&calm);
+        let crashed = run_soak_with(&tiny(), sifter);
+        let calm = run_soak_with(&calm, sifter);
         // Both must pass, but they take different trajectories (the
         // sift lane runs different schedules).
         assert!(crashed.all_pass() && calm.all_pass());
@@ -1197,7 +1219,7 @@ mod tests {
     #[test]
     fn soak_json_validates_against_its_own_schema() {
         let _guard = crate::exec::override_lock();
-        let report = run_soak(&tiny());
+        let report = run_soak_with(&tiny(), sifter);
         let text = sift_obs::json::write(&Json::from(&report));
         crate::schema::validate_bench_json("BENCH_conformance.json", &text)
             .expect("the soak trajectory must satisfy the tracked schema");
@@ -1225,11 +1247,11 @@ mod tests {
     fn stepwise_driver_matches_run_soak() {
         let _guard = crate::exec::override_lock();
         let config = tiny();
-        let mut soak = Soak::new(config.clone());
+        let mut soak = Soak::with_build(config.clone(), Box::new(sifter));
         let first = soak.step().len();
-        assert_eq!(first, claim_keys().len());
+        assert_eq!(first, claim_rows().count());
         soak.step();
         let stepped = soak.finish();
-        assert_eq!(stepped.digest(), run_soak(&config).digest());
+        assert_eq!(stepped.digest(), run_soak_with(&config, sifter).digest());
     }
 }

@@ -112,12 +112,10 @@ fn unknown_flags_keep_exiting_two() {
     assert!(stderr.contains("--no-such-flag"), "stderr: {stderr}");
 }
 
-/// A throwaway-cheap `exp soak` invocation (one window, width 1).
+/// A throwaway-cheap `exp soak` invocation (one window).
 fn exp_soak() -> Command {
     let mut cmd = exp("soak");
-    cmd.env("SIFT_SOAK_WINDOWS", "1")
-        .env("SIFT_SOAK_WIDTH", "1")
-        .env("SIFT_THREADS", "1");
+    cmd.env("SIFT_SOAK_WINDOWS", "1").env("SIFT_THREADS", "1");
     cmd
 }
 
@@ -224,7 +222,7 @@ fn valid_soak_trajectory_target_is_overwritten_end_to_end() {
 
 /// Every knob with a value space smaller than "any string", and
 /// values outside it.
-const MALFORMED: [(&str, &[&str]); 9] = [
+const MALFORMED: [(&str, &[&str]); 8] = [
     ("SIFT_TRIALS", &["many", "0", "-3", ""]),
     ("SIFT_THREADS", &["many", "0", "2.5"]),
     ("SIFT_SEED", &["seven", "-1", "0x10"]),
@@ -233,7 +231,6 @@ const MALFORMED: [(&str, &[&str]); 9] = [
     ("SIFT_FUZZ_POPULATION", &["zero", "0"]),
     ("SIFT_SOAK_SECS", &["soon", "-1", "1.5"]),
     ("SIFT_SOAK_WINDOWS", &["zero", "0"]),
-    ("SIFT_SOAK_WIDTH", &["zero", "0"]),
 ];
 
 /// The knobs any string is a legal value of: three output paths and the

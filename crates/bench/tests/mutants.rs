@@ -17,13 +17,15 @@
 //!   find both and shrink the reproducible one to a minimal script.
 
 use sift_bench::conformance;
-use sift_bench::fuzz::{run_fuzz_with, FuzzConfig};
+use sift_bench::fuzz::{check_invariants, run_fuzz_with, FuzzConfig};
 use sift_bench::runner::{sifter, TrialFixture};
 use sift_core::{Conciliator, Epsilon, Persona, RoundHistory, RoundState, SiftingConciliator};
+use sift_sim::fuzz::Environment;
 use sift_sim::rng::{SeedSplitter, Xoshiro256StarStar};
 use sift_sim::schedule::{FixedSchedule, RepeatingSchedule};
 use sift_sim::{
-    Engine, LayoutBuilder, Op, OpResult, Process, ProcessId, RegisterId, Step, StopReason,
+    Engine, LayoutBuilder, Metrics, Op, OpResult, Process, ProcessId, RegisterId,
+    RegisterSemantics, Step, StopReason,
 };
 
 /// Every write probability doubled (`min(1, 2·p_i)`): the `1/2` tail
@@ -254,7 +256,7 @@ fn fuzzer_catches_and_shrinks_the_stuck_read_mutant() {
     let shrunk = report
         .violations
         .iter()
-        .filter_map(|v| v.failure.shrunk.as_ref().map(|s| (v, s)))
+        .filter_map(|(_, v)| v.failure.shrunk.as_ref().map(|s| (v, s)))
         .min_by_key(|(_, s)| s.len())
         .expect("at least one violation should shrink to a finite replay script");
     let (violation, script) = shrunk;
@@ -273,6 +275,88 @@ fn fuzzer_catches_and_shrinks_the_stuck_read_mutant() {
     assert!(rendered.contains("FixedSchedule::from_indices"));
 }
 
+#[test]
+fn regular_register_witnesses_replay_and_shrink_in_their_own_environment() {
+    // The extended pool draws environment genes; this pinned campaign
+    // (4 generations of 8 at n = 8) leaves five stuck-read witnesses
+    // whose genomes ask for regular registers.
+    let config = FuzzConfig {
+        generations: 4,
+        population: 8,
+        extended: true,
+        ..FuzzConfig::default()
+    };
+    let n = config.n;
+    let fixture = TrialFixture::new(n, |b| stuck_read(b, n));
+    let report = run_fuzz_with(&config, &stuck_read);
+    let (mut regular, mut stale) = (0, 0);
+    for (seed, violation) in &report.violations {
+        let env = violation.genome.environment();
+        if !matches!(env.semantics, RegisterSemantics::Regular(_)) {
+            continue;
+        }
+        regular += 1;
+        let split = SeedSplitter::new(*seed);
+        let schedule = violation.genome.compile(n);
+        let prefix = schedule.prefix_len();
+        let run = fixture.run(&split, env, schedule, Some(prefix));
+        let trace = run.trace.as_ref().expect("a checked run is traced");
+        let charged: Vec<usize> = trace.events().iter().map(|e| e.pid.index()).collect();
+        assert_eq!(charged, violation.script, "the rerun is the violating run");
+
+        // Its full charged script replays to the run, byte for byte. A
+        // script gives no slot to a finished process, and it ends where
+        // the run's charged ops did: with every process done, or
+        // exhausted where the run hit its slot limit or left crashed
+        // processes undecided.
+        let replay = fixture.replay(&split, env, &violation.script);
+        let metrics = Metrics {
+            skipped_slots: 0,
+            ..run.metrics.clone()
+        };
+        let stop = if run.all_decided() {
+            StopReason::AllDone
+        } else {
+            StopReason::ScheduleExhausted
+        };
+        assert_eq!(
+            format!(
+                "{:?}",
+                (&replay.outputs, &replay.metrics, replay.stop_reason)
+            ),
+            format!("{:?}", (&run.outputs, &metrics, stop)),
+            "the charged script does not replay in its own environment:\n{violation}"
+        );
+        let atomic = Environment {
+            semantics: RegisterSemantics::Atomic,
+            ..env
+        };
+        if fixture.replay(&split, atomic, &violation.script).metrics != replay.metrics {
+            stale += 1;
+        }
+
+        // Its shrunk script still fails the check for its tier, on its
+        // own registers.
+        let shrunk = violation
+            .failure
+            .shrunk
+            .as_ref()
+            .expect("a stuck-read witness shrinks to a finite script");
+        let shrunk_run = fixture.replay(&split, env, shrunk);
+        assert!(
+            check_invariants(&fixture, env.strength, &shrunk_run).is_err(),
+            "the shrunk script passes its own tier's check:\n{violation}"
+        );
+    }
+    assert_eq!(
+        regular, 5,
+        "the pinned campaign's regular-register witnesses"
+    );
+    // Non-vacuity: some witness read stale values, so a replay on
+    // atomic registers would not reproduce its run.
+    assert!(stale > 0, "no witness read a stale value");
+}
+
 mod soak_mutants {
     //! The soak tier's half of mutation testing: the sliding-window
     //! checker must flag an injected mutant within a bounded number of
@@ -281,7 +365,8 @@ mod soak_mutants {
     //! a from-seed rebuild of the mutant — the claims in E26.
 
     use super::{biased_coin, stuck_read};
-    use sift_bench::soak::{replay_violation, replay_violation_with, run_soak_with, SoakConfig};
+    use sift_bench::runner::sifter;
+    use sift_bench::soak::{replay_violation_with, run_soak_with, SoakConfig};
 
     /// The soak must flag a mutant no later than this window (both
     /// mutants empirically flag in window 0; 2 leaves slack for claim
@@ -365,7 +450,7 @@ mod soak_mutants {
         // Polarity: the same script must NOT witness on the intact
         // protocol — the bug is the mutation's, not the schedule's.
         assert_eq!(
-            replay_violation(witness),
+            replay_violation_with(witness, &sifter),
             None,
             "the witness script must be clean on the unmodified protocol"
         );

@@ -14,7 +14,8 @@
 //!    seeding will shift them — bump the constants consciously in the
 //!    same commit and say why, exactly like a golden-file test.
 
-use sift_bench::fuzz::{run_fuzz, FuzzConfig};
+use sift_bench::fuzz::{run_fuzz_with, FuzzConfig};
+use sift_bench::runner::sifter;
 use sift_bench::{conformance, exec};
 use sift_obs::json::{self, Json};
 use std::sync::{Mutex, MutexGuard};
@@ -53,10 +54,9 @@ fn fuzzer_digests_match_golden_across_thread_counts() {
             seed,
             ..FuzzConfig::default()
         };
-        for (t, digest) in [1, 4, 8]
-            .into_iter()
-            .zip(under_thread_counts(|| run_fuzz(&config).digest()))
-        {
+        for (t, digest) in [1, 4, 8].into_iter().zip(under_thread_counts(|| {
+            run_fuzz_with(&config, &sifter).digest()
+        })) {
             assert_eq!(
                 digest, golden,
                 "fuzz seed {seed} at {t} threads: digest {digest:#018x}, \
@@ -161,12 +161,12 @@ const SOAK_GOLDEN: u64 = 0xc649731a5c911fa8;
 
 #[test]
 fn soak_trajectory_matches_golden_across_thread_counts() {
-    use sift_bench::soak::{run_soak, SoakConfig};
+    use sift_bench::soak::{run_soak_with, SoakConfig};
     let _guard = threads_lock();
     let config = SoakConfig::default();
     let jsons = std::cell::RefCell::new(Vec::new());
     for (t, digest) in [1, 4, 8].into_iter().zip(under_thread_counts(|| {
-        let report = run_soak(&config);
+        let report = run_soak_with(&config, sifter);
         jsons.borrow_mut().push(json::write(&Json::from(&report)));
         report.digest()
     })) {
@@ -185,9 +185,9 @@ fn soak_trajectory_matches_golden_across_thread_counts() {
 
 #[test]
 fn soak_keeps_passing_at_the_golden_shape() {
-    use sift_bench::soak::{run_soak, SoakConfig};
+    use sift_bench::soak::{run_soak_with, SoakConfig};
     let _guard = threads_lock();
-    let report = run_soak(&SoakConfig::default());
+    let report = run_soak_with(&SoakConfig::default(), sifter);
     assert!(
         report.violations.is_empty(),
         "unexpected violation: {}",

@@ -14,7 +14,9 @@
 //! the memory is an argument (any [`ExecuteOps`], usually an
 //! [`AtomicMemory`](crate::AtomicMemory)); and there are two drivers —
 //! [`drive_threads`] here and [`sift_sim::drive_lockstep`] — of which
-//! every `run_*` function below is a short call.
+//! every `run_*` function below but one is a short call.
+//! [`run_script_on`] is its own sequential loop: it steps the processes
+//! in a fixed script's order, not round robin.
 
 use sift_sim::mc::History;
 use sift_sim::{drive_lockstep, Op, OpResult, Process, ProcessId, Step};

@@ -1,5 +1,5 @@
-//! The round-robin lockstep driver: the workspace's one sequential
-//! loop that runs [`Process`] state machines to completion against a
+//! The round-robin lockstep driver: a sequential loop that runs
+//! [`Process`] state machines to completion, round robin, against a
 //! caller-supplied memory.
 //!
 //! The [`Engine`](crate::engine::Engine) resumes a state machine
@@ -10,7 +10,9 @@
 //! metrics, traces, crash sets, lazy process tables — which is what
 //! makes it the right driver for a batch of one. `sift-service` calls
 //! it over [`Memory`](crate::memory::Memory); `sift_shmem::runtime`
-//! calls it over the threaded substrates.
+//! calls it over the threaded substrates, except for
+//! `run_script_on`, which keeps its own loop to step the processes in
+//! a fixed script's order.
 
 use crate::ids::ProcessId;
 use crate::op::{Op, OpResult};

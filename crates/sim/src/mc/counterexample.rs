@@ -84,29 +84,31 @@ pub(crate) fn shrink_schedule<P, O>(
 where
     P: Process<Output = O>,
 {
-    shrink_schedule_with(layout, factory, script, &|report: &RunReport<P>| {
+    let replay = |script: &[usize]| replay_report(layout, factory(), script);
+    shrink_schedule_with(replay, script, &|report: &RunReport<P>| {
         property(&report.outputs)
     })
 }
 
-/// Like `shrink_schedule`, but the property judges the full replay
-/// [`RunReport`] — final process state machines, metrics, and stop
-/// reason included — which is what the fuzzer's deterministic
-/// invariants (survivor monotonicity, exact step bounds) need.
+/// Like `shrink_schedule`, but `replay` runs a candidate script —
+/// in whatever environment the violation was found in — and the
+/// property judges the full replay [`RunReport`]: final process state
+/// machines, metrics, and stop reason included, which is what the
+/// fuzzer's deterministic invariants (survivor monotonicity, exact step
+/// bounds) need. `replay` must be deterministic.
 ///
 /// # Panics
 ///
 /// Panics if the initial `script` does not reproduce a failure.
 pub fn shrink_schedule_with<P>(
-    layout: &Layout,
-    factory: &impl Fn() -> Vec<P>,
+    replay: impl Fn(&[usize]) -> RunReport<P>,
     mut script: Vec<usize>,
     property: &impl Fn(&RunReport<P>) -> Result<(), String>,
 ) -> (Vec<usize>, String)
 where
     P: Process,
 {
-    let mut message = property(&replay_report(layout, factory(), &script))
+    let mut message = property(&replay(&script))
         .expect_err("shrink_schedule requires a script that reproduces the violation");
     loop {
         let mut deleted_any = false;
@@ -114,7 +116,7 @@ where
         while i < script.len() {
             let mut candidate = script.clone();
             candidate.remove(i);
-            match property(&replay_report(layout, factory(), &candidate)) {
+            match property(&replay(&candidate)) {
                 Err(msg) => {
                     script = candidate;
                     message = msg;

@@ -88,6 +88,13 @@ clippy: api-audit
     # reads. One recorder, `sift_core::Recorder` in conciliator.rs,
     # keeps it for the readers that wrap their participants in it.
     ! grep -rnE 'history\.push|history: Vec' crates/core/src --exclude=conciliator.rs
+    # One replay path: a checked sifting run, its witness's replay and
+    # its shrink all go through `TrialFixture` in runner.rs, on the
+    # registers of the run that found the witness. A checker that named
+    # the simulator's default-engine replay, the bare shrink or a second
+    # environment run could re-check a witness found on `Regular`
+    # registers on atomic ones, so only runner.rs may name them.
+    ! grep -rnwE 'replay_report|shrink_schedule_with|run_in' crates/bench/src --exclude=runner.rs
 
 # Per crate: how many distinct `pub` item names its `src/` declares, and
 # which of them no `.rs` file outside that `src/` mentions (DESIGN.md,

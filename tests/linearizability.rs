@@ -297,18 +297,18 @@ fn threaded_max_register_histories_linearize() {
 }
 
 /// Threaded register histories over a three-word payload must
-/// linearize: a torn read — part of one write, part of another — would
-/// be caught as a value no write produced.
+/// linearize: a read that mixed the words of two writes would be caught
+/// as a value no write produced.
 #[test]
-fn threaded_published_register_histories_linearize() {
-    check_register_histories("boxed-reg", |v| [v, v + 1, v + 2]);
+fn threaded_multiword_register_histories_linearize() {
+    check_register_histories("multiword-reg", |v| [v, v + 1, v + 2]);
 }
 
 /// Threaded max-register histories over a three-word payload must
 /// linearize.
 #[test]
-fn threaded_published_max_register_histories_linearize() {
-    check_max_register_histories("boxed-max", |v| [v, v + 1, v + 2]);
+fn threaded_multiword_max_register_histories_linearize() {
+    check_max_register_histories("multiword-max", |v| [v, v + 1, v + 2]);
 }
 
 /// Free-running threads over `RecordingMemory`: every captured
@@ -500,7 +500,7 @@ fn reader_saw(r: RegisterId, value: Option<u64>, span: (u64, u64)) -> HistoryEnt
 /// Lamport regularity permits and atomicity forbids. The checker pair
 /// must agree with the theory on both counts.
 #[test]
-fn torn_publication_histories_are_regular_but_not_atomic() {
+fn new_old_inversion_histories_are_regular_but_not_atomic() {
     let (layout, registers, mut mem) = regular_registers(1, Resolution::AlwaysNew);
     let r = registers[0];
     mem.execute_for(Op::RegisterWrite(r, 10), 0).expect_ack();
@@ -540,11 +540,11 @@ fn torn_publication_histories_are_regular_but_not_atomic() {
 }
 
 /// While the first-ever write is in flight (reader epoch 0) the old
-/// value is ⊥: atomically inexplicable once a read has already
-/// returned the new value, but regular — the write has not responded,
-/// so no completed write precedes the ⊥ read.
+/// value is ⊥: a ⊥ read after a read has already returned the new
+/// value is atomically inexplicable, but regular — the write has not
+/// responded, so no completed write precedes the ⊥ read.
 #[test]
-fn first_torn_window_bottom_reads_are_regular_but_not_atomic() {
+fn bottom_reads_during_the_first_write_are_regular_but_not_atomic() {
     let (layout, registers, mut mem) = regular_registers(1, Resolution::AlwaysNew);
     let r = registers[0];
     mem.execute_for(Op::RegisterWrite(r, 7), 0).expect_ack();

@@ -22,7 +22,8 @@ use sift::shmem::{run_lockstep_on, run_script_on, AtomicMemory, ExecuteOps};
 use sift::sim::mc::replay_report;
 use sift::sim::rng::{SeedSplitter, Xoshiro256StarStar};
 use sift::sim::{Layout, LayoutBuilder, Memory, Op, OpResult, Process, ProcessId, Step, Value};
-use sift_bench::fuzz::{run_fuzz, FuzzConfig};
+use sift_bench::fuzz::{run_fuzz_with, FuzzConfig};
+use sift_bench::runner::sifter;
 
 /// A differential's verdict: `Err` names the first place the subject
 /// memory and the model disagree.
@@ -205,17 +206,18 @@ where
 }
 
 /// Registers and max registers under randomized interleavings, with a
-/// three-word payload: a torn read or a lost write would diverge here
-/// with a replayable (seed, script) witness.
+/// three-word payload: a read that mixed the words of two writes, or a
+/// lost write, would diverge here with a replayable (seed, script)
+/// witness.
 #[test]
-fn interleaved_oversized_workloads_agree_across_substrates() {
+fn interleaved_multiword_workloads_agree_across_substrates() {
     assert_eq!(
-        interleaved_divergence("oversized", oversized_payload, AtomicMemory::new),
+        interleaved_divergence("multiword", multiword_payload, AtomicMemory::new),
         Ok(())
     );
 }
 
-fn oversized_payload(v: u64) -> [u64; 3] {
+fn multiword_payload(v: u64) -> [u64; 3] {
     [v, v + 1, v + 2]
 }
 
@@ -319,11 +321,11 @@ fn corpus() -> &'static [Vec<usize>] {
             seed: 0xD1FF,
             ..FuzzConfig::default()
         };
-        let campaign = run_fuzz(&config);
+        let campaign = run_fuzz_with(&config, &sifter);
         assert!(
             campaign.violations.is_empty(),
             "the unmodified sifter must be clean: {}",
-            campaign.violations[0]
+            campaign.violations[0].1
         );
         assert!(
             !campaign.corpus_scripts.is_empty(),
@@ -385,7 +387,7 @@ fn fuzz_corpus_replays_agree_between_atomic_and_always_new_regular() {
         seed: 0xA70_11C,
         ..FuzzConfig::default()
     };
-    let campaign = run_fuzz(&config);
+    let campaign = run_fuzz_with(&config, &sifter);
     assert!(campaign.violations.is_empty());
     assert!(!campaign.corpus_scripts.is_empty());
 
@@ -487,8 +489,8 @@ fn differentials_catch_a_broken_threaded_side() {
     caught("raw ops", [true, true], &|f| {
         raw_ops_divergence(Mutant::build(f))
     });
-    caught("oversized", [true, false], &|f| {
-        interleaved_divergence("oversized", oversized_payload, Mutant::build(f))
+    caught("multiword", [true, false], &|f| {
+        interleaved_divergence("multiword", multiword_payload, Mutant::build(f))
     });
     caught("sifting", [true, false], &|f| {
         sifting_divergence(Mutant::build(f))
