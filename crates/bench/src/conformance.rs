@@ -1,4 +1,5 @@
-//! Statistical conformance suite for the paper's probability bounds.
+//! Statistical conformance suite for the paper's probability bounds,
+//! and the one verdict row every conformance tier emits.
 //!
 //! Every quantitative claim of the paper — Lemmas 1–4, Theorems 1–3,
 //! Corollaries 1–3 — is phrased as a one-sided hypothesis test: run `N`
@@ -12,7 +13,7 @@
 //! `tests/mutants.rs` hands to [`sifting_claims`]) is refuted
 //! decisively.
 //!
-//! Two claim shapes:
+//! Two claim shapes, the two kinds of [`Measure`]:
 //!
 //! * **Event claims** (`disagreement ≤ ε`, `steps = bound exactly`,
 //!   `phase exhaustion ≤ (1-δ)^max`): count violating trials directly;
@@ -26,16 +27,20 @@
 //!   *lower* confidence bound does not exceed the paper's bound (only
 //!   then does the data exclude the claimed expectation).
 //!
-//! Trials fan out over [`map_reduce`] with
+//! E22 ([`run`]), E25 ([`run_negative`]) and the E26 soak all emit one
+//! [`Verdict`] row, judged by `Verdict::judge` and rendered, digested
+//! and written one way. Trials fan out over [`map_reduce`] with
 //! per-claim fixed master seeds, so the whole suite — including the
-//! [`digest`] of its rendered verdicts — is byte-identical for any
+//! [`digest`] of its verdicts — is byte-identical for any
 //! `SIFT_THREADS`. `scale` multiplies every trial count: 1 is the CI
 //! smoke tier, larger values are the nightly/heavy tier.
 
 use std::process::ExitCode;
 
+use sift_adopt_commit::AdoptCommit;
 use sift_consensus::{
     linear_work_consensus, max_register_consensus, sifting_consensus, ConsensusOutcome,
+    ConsensusProtocol,
 };
 use sift_core::analysis::{
     expected_consensus_phases, lemma1_expected_excess, sifting_expected_excess,
@@ -43,9 +48,10 @@ use sift_core::analysis::{
 };
 use sift_core::math::ceil_log_log;
 use sift_core::{
-    distinct_per_round, Conciliator, EmbeddedConciliator, Epsilon, RoundHistory, RoundState,
-    SnapshotConciliator,
+    distinct_per_round, Conciliator, EmbeddedConciliator, Epsilon, Persona, RoundHistory,
+    RoundState, SnapshotConciliator,
 };
+use sift_obs::json::{self, Json};
 use sift_sim::adversary::AdversaryStrength;
 use sift_sim::fuzz::{Environment, FingerprintHasher};
 use sift_sim::rng::SeedSplitter;
@@ -53,38 +59,162 @@ use sift_sim::schedule::RandomInterleave;
 use sift_sim::{Engine, LayoutBuilder, RegisterSemantics, Resolution, StopReason};
 
 use crate::exec::{map_reduce, Merge};
-use crate::runner::{sifter, TrialFixture};
+use crate::runner::{sifter, TrialFixture, SIFTER_EPS};
 use crate::stats::{cp_lower, Welford, Z_99};
 use crate::table::{fmt_f64, Table};
 
 /// Confidence level of every test: claims fail only when excluded at
 /// `1 - ALPHA` confidence.
-pub(crate) const ALPHA: f64 = 0.01;
+const ALPHA: f64 = 0.01;
 
 /// Markov's inequality at threshold `4·bound` caps the event
 /// probability at 1/4.
 const MARKOV_CAP: f64 = 0.25;
 
 /// Numeric slack for comparisons against exact bounds.
-pub(crate) const SLACK: f64 = 1e-9;
+const SLACK: f64 = 1e-9;
 
-/// The verdict on one claim of the paper.
+/// What a [`Verdict`] measured over its trials.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Measure {
+    /// Trials that violated the claimed event.
+    Violations(u64),
+    /// A claimed expectation, tested through Markov's inequality.
+    Mean {
+        /// The sample mean.
+        mean: f64,
+        /// Trials at or above the Markov threshold `4·bound`.
+        markov: u64,
+        /// The sample mean's one-sided 99% lower confidence bound.
+        lcb: f64,
+        /// The round a per-round decay claim reports — its worst,
+        /// counting from 1; `None` for a single expectation.
+        round: Option<usize>,
+    },
+}
+
+impl Measure {
+    fn mean(wf: &Welford, markov: u64, round: Option<usize>) -> Self {
+        Self::Mean {
+            mean: wf.mean(),
+            markov,
+            lcb: wf.mean_lcb(Z_99),
+            round,
+        }
+    }
+}
+
+/// The verdict on one claim of the paper in one environment: the row
+/// E22 ([`run`]), E25 ([`run_negative`]) and the E26 soak all emit.
 #[derive(Debug, Clone)]
-pub struct ClaimResult {
-    /// Short identifier, e.g. `"T2.disagreement"`.
+pub struct Verdict {
+    /// Claim identifier, e.g. `"T2.disagreement"`.
     pub id: String,
-    /// The bound being tested, in words.
+    /// The claim in words — display only, neither digested nor written.
     pub statement: String,
-    /// Number of trials behind the verdict.
+    /// The adversary and register semantics the trials ran in.
+    pub env: Environment,
+    /// Processes per trial (shards in the soak's service lane).
+    pub scale: usize,
+    /// Trials behind the verdict.
     pub trials: u64,
-    /// What was measured (violation count / worst mean).
-    pub observed: String,
-    /// The paper's bound, rendered.
-    pub bound: String,
-    /// The confidence computation backing the verdict.
-    pub cp: String,
-    /// `true` iff the data does not exclude the bound at 99% confidence.
+    /// What was measured.
+    pub measure: Measure,
+    /// The paper's bound: on the violation rate, or on the expectation.
+    pub bound: f64,
+    /// Clopper–Pearson 99% lower bound on the violation (Markov event) rate.
+    pub lcb: f64,
+    /// Whether the bound should hold: `false` for E25's breakers.
+    pub expect_hold: bool,
+    /// `true` iff the data's verdict on the bound is the expected one.
     pub pass: bool,
+}
+
+impl Verdict {
+    /// Judges `measure` over `trials` in the paper's environment: the
+    /// `bound` holds unless the data excludes it at 99% confidence (see
+    /// the module docs). No trials exclude nothing.
+    pub(crate) fn judge(
+        id: &str,
+        statement: &str,
+        scale: usize,
+        trials: usize,
+        measure: Measure,
+        bound: f64,
+    ) -> Self {
+        let (events, cap, mean_holds) = match measure {
+            Measure::Violations(violations) => (violations, bound, true),
+            Measure::Mean { markov, lcb, .. } => (markov, MARKOV_CAP, lcb <= bound + SLACK),
+        };
+        let lcb = if trials == 0 {
+            0.0
+        } else {
+            cp_lower(events, trials as u64, ALPHA)
+        };
+        Self {
+            id: id.into(),
+            statement: statement.into(),
+            env: Environment::default(),
+            scale,
+            trials: trials as u64,
+            measure,
+            bound,
+            lcb,
+            expect_hold: true,
+            pass: lcb <= cap + SLACK && mean_holds,
+        }
+    }
+
+    /// The row as a JSON object — the one row shape of both
+    /// `BENCH_*.json` files — with the soak's `window` after its scale.
+    pub(crate) fn to_json(&self, window: Option<u64>) -> Json {
+        let mut fields = vec![
+            ("claim", self.id.as_str().into()),
+            ("env", env_json(self.env)),
+            ("scale", self.scale.into()),
+        ];
+        fields.extend(window.map(|window| ("window", window.into())));
+        fields.push(("trials", self.trials.into()));
+        match self.measure {
+            Measure::Violations(violations) => fields.push(("violations", violations.into())),
+            Measure::Mean {
+                mean,
+                markov,
+                lcb,
+                round,
+            } => fields.extend([
+                ("mean", Json::fixed(mean, 6)),
+                ("markov", markov.into()),
+                ("mean_lcb", Json::fixed(lcb, 6)),
+                ("round", round.map_or(Json::Null, Json::from)),
+            ]),
+        }
+        fields.extend([
+            ("lcb", Json::fixed(self.lcb, 6)),
+            ("bound", Json::fixed(self.bound, 6)),
+            ("expect_hold", self.expect_hold.into()),
+            ("pass", self.pass.into()),
+        ]);
+        Json::obj(fields)
+    }
+}
+
+/// An environment in full: the adversary's lattice name and the
+/// register semantics, a `Coin` resolution's seed included.
+pub(crate) fn env_json(env: Environment) -> Json {
+    Json::obj([
+        ("strength", env.strength.name().into()),
+        ("registers", registers_name(env.semantics).into()),
+    ])
+}
+
+fn registers_name(semantics: RegisterSemantics) -> String {
+    match semantics {
+        RegisterSemantics::Atomic => "atomic".into(),
+        RegisterSemantics::Regular(Resolution::AlwaysNew) => "regular/new".into(),
+        RegisterSemantics::Regular(Resolution::AlwaysOld) => "regular/old".into(),
+        RegisterSemantics::Regular(Resolution::Coin(seed)) => format!("regular/coin({seed})"),
+    }
 }
 
 /// Runs the full conformance suite. `scale` multiplies every per-claim
@@ -93,11 +223,11 @@ pub struct ClaimResult {
 /// # Panics
 ///
 /// Panics if `scale == 0`.
-pub fn run(scale: usize) -> Vec<ClaimResult> {
+pub fn run(scale: usize) -> Vec<Verdict> {
     assert!(scale > 0, "scale must be positive");
     let mut results = Vec::new();
     results.extend(algorithm1_claims(scale));
-    results.extend(sifting_claims(scale, "", &sifter));
+    results.extend(sifting_claims(scale, &sifter));
     results.extend(theorem3_claims(scale));
     results.extend(consensus_claims(scale));
     results
@@ -125,15 +255,15 @@ pub(crate) fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `true` iff every claim passed.
-pub fn all_pass(results: &[ClaimResult]) -> bool {
+/// `true` iff every verdict passed.
+pub fn all_pass(results: &[Verdict]) -> bool {
     results.iter().all(|r| r.pass)
 }
 
 /// Renders the suite as one table (the layout recorded in
 /// `EXPERIMENTS.md`).
-pub(crate) fn render(results: &[ClaimResult]) -> Table {
-    let mut table = claims_table(
+pub(crate) fn render(results: &[Verdict]) -> Table {
+    let mut table = verdict_table(
         "E22 — conformance: the paper's bounds as 99% hypothesis tests",
         results,
     );
@@ -147,8 +277,8 @@ pub(crate) fn render(results: &[ClaimResult]) -> Table {
 }
 
 /// Renders the negative tier (see [`run_negative`]) as its own table.
-pub(crate) fn render_negative(results: &[ClaimResult]) -> Table {
-    let mut table = claims_table(
+pub(crate) fn render_negative(results: &[Verdict]) -> Table {
+    let mut table = verdict_table(
         "E25 — negative conformance: the obliviousness boundary as expected-failure tests",
         results,
     );
@@ -160,7 +290,12 @@ pub(crate) fn render_negative(results: &[ClaimResult]) -> Table {
     table
 }
 
-fn claims_table(title: &str, results: &[ClaimResult]) -> Table {
+/// The one renderer of verdict rows. A table holding a row expected to
+/// be refuted (E25's, all decay claims) states every row's verdict on
+/// the bound and its expected polarity after the CP check.
+pub(crate) fn verdict_table<'a>(title: &str, rows: impl IntoIterator<Item = &'a Verdict>) -> Table {
+    let rows: Vec<&Verdict> = rows.into_iter().collect();
+    let polarity = rows.iter().any(|r| !r.expect_hold);
     let mut table = Table::new(
         title,
         &[
@@ -173,32 +308,54 @@ fn claims_table(title: &str, results: &[ClaimResult]) -> Table {
             "verdict",
         ],
     );
-    for r in results {
+    for r in rows {
+        let cp = format!("CP99 lower {}", fmt_f64(r.lcb));
+        let (observed, bound, mut check) = match r.measure {
+            Measure::Violations(violations) => (format!("{violations} violating"), "≤", cp),
+            Measure::Mean {
+                mean,
+                markov,
+                lcb,
+                round,
+            } => (
+                format!(
+                    "{}mean {}, {markov} ≥ 4·bound",
+                    round.map_or(String::new(), |round| format!("worst round {round}: ")),
+                    fmt_f64(mean)
+                ),
+                "E ≤",
+                format!("mean LCB {}, {cp}", fmt_f64(lcb)),
+            ),
+        };
+        if polarity {
+            let holds = if r.pass == r.expect_hold {
+                "holds"
+            } else {
+                "refuted"
+            };
+            let expected = if r.expect_hold { "hold" } else { "be refuted" };
+            check += &format!("; decay {holds}, expected to {expected}");
+        }
         table.row(vec![
             r.id.clone(),
             r.statement.clone(),
             r.trials.to_string(),
-            r.observed.clone(),
-            r.bound.clone(),
-            r.cp.clone(),
+            observed,
+            format!("{bound} {}", fmt_f64(r.bound)),
+            check,
             if r.pass { "pass" } else { "FAIL" }.to_string(),
         ]);
     }
     table
 }
 
-/// FNV digest of the rendered verdicts — the seed-stability regression
-/// hook. Byte-identical across `SIFT_THREADS` for a fixed `scale`.
-pub fn digest(results: &[ClaimResult]) -> u64 {
+/// FNV digest of the verdict rows as written — the seed-stability
+/// regression hook. Byte-identical across `SIFT_THREADS` for a fixed
+/// `scale`.
+pub fn digest(results: &[Verdict]) -> u64 {
+    let rows = Json::Arr(results.iter().map(|r| r.to_json(None)).collect());
     let mut h = FingerprintHasher::new();
-    for r in results {
-        h.write_bytes(r.id.as_bytes());
-        h.write_u64(r.trials);
-        h.write_bytes(r.observed.as_bytes());
-        h.write_bytes(r.bound.as_bytes());
-        h.write_bytes(r.cp.as_bytes());
-        h.write_u64(r.pass as u64);
-    }
+    h.write_bytes(json::write(&rows).as_bytes());
     h.finish()
 }
 
@@ -208,138 +365,68 @@ pub(crate) fn claim_seed(idx: u64) -> u64 {
     SeedSplitter::new(0x5EED_C0F0).seed("claim", idx)
 }
 
-pub(crate) fn event_claim(
-    id: &str,
-    statement: &str,
-    bound: f64,
-    trials: u64,
-    violations: u64,
-) -> ClaimResult {
-    let lo = cp_lower(violations, trials, ALPHA);
-    ClaimResult {
-        id: id.into(),
-        statement: statement.into(),
-        trials,
-        observed: format!("{violations} violating"),
-        bound: format!("≤ {}", fmt_f64(bound)),
-        cp: format!("CP99 lower {}", fmt_f64(lo)),
-        pass: lo <= bound + SLACK,
-    }
-}
-
-pub(crate) fn mean_claim(
-    id: &str,
-    statement: &str,
-    bound: f64,
-    wf: &Welford,
-    markov: u64,
-) -> ClaimResult {
-    let trials = wf.count() as u64;
-    let lo = cp_lower(markov, trials, ALPHA);
-    let lcb = wf.mean_lcb(Z_99);
-    ClaimResult {
-        id: id.into(),
-        statement: statement.into(),
-        trials,
-        observed: format!("mean {}, {markov} ≥ 4·bound", fmt_f64(wf.mean())),
-        bound: format!("E ≤ {}", fmt_f64(bound)),
-        cp: format!("mean LCB {}, CP99 lower {}", fmt_f64(lcb), fmt_f64(lo)),
-        pass: lo <= MARKOV_CAP + SLACK && lcb <= bound + SLACK,
-    }
-}
-
-/// Per-round decay accumulator: a [`Welford`] of the excess plus a
-/// Markov-event counter per round.
+/// Per-round decay accumulator: per round, a [`Welford`] of the excess
+/// and its count of Markov events.
 #[derive(Debug, Clone, Default)]
-struct PerRound {
-    wf: Vec<Welford>,
-    markov: Vec<u64>,
-}
+struct PerRound(Vec<(Welford, u64)>);
 
 impl PerRound {
     fn record(&mut self, survivors: &[usize], bounds: &[f64]) {
-        if self.wf.len() < survivors.len() {
-            self.wf.resize_with(survivors.len(), Welford::new);
-            self.markov.resize(survivors.len(), 0);
-        }
+        self.grow(survivors.len());
         for (i, &s) in survivors.iter().enumerate() {
             let excess = s.saturating_sub(1) as f64;
-            self.wf[i].push(excess);
+            self.0[i].0.push(excess);
             // Markov threshold 4·bound; any positive threshold is valid.
-            if excess >= 4.0 * bounds[i] {
-                self.markov[i] += 1;
-            }
+            self.0[i].1 += u64::from(excess >= 4.0 * bounds[i]);
+        }
+    }
+
+    fn grow(&mut self, rounds: usize) {
+        if self.0.len() < rounds {
+            self.0.resize(rounds, (Welford::new(), 0));
         }
     }
 }
 
 impl Merge for PerRound {
     fn merge(&mut self, other: Self) {
-        if self.wf.len() < other.wf.len() {
-            self.wf.resize_with(other.wf.len(), Welford::new);
-            self.markov.resize(other.markov.len(), 0);
-        }
-        for (a, b) in self.wf.iter_mut().zip(other.wf) {
-            a.merge(b);
-        }
-        for (a, b) in self.markov.iter_mut().zip(other.markov) {
-            *a += b;
+        self.grow(other.0.len());
+        for ((wf, markov), (other_wf, other_markov)) in self.0.iter_mut().zip(other.0) {
+            wf.merge(other_wf);
+            *markov += other_markov;
         }
     }
 }
 
 /// Collapses a round range of a [`PerRound`] into one claim: every
-/// round must pass its own mean + Markov test; the reported figures are
-/// the worst round's (largest mean-to-bound ratio).
+/// round must pass its own mean claim; the row reports the worst
+/// round's (largest mean-to-bound ratio).
 fn decay_claim(
     id: &str,
     statement: &str,
+    n: usize,
     per_round: &PerRound,
     bounds: &[f64],
     rounds: std::ops::Range<usize>,
-) -> ClaimResult {
+) -> Verdict {
     let mut pass = true;
-    let mut worst: Option<(usize, f64)> = None;
-    for i in rounds {
-        if i >= per_round.wf.len() {
-            break;
-        }
-        let wf = &per_round.wf[i];
-        let trials = wf.count() as u64;
-        let lo = cp_lower(per_round.markov[i], trials, ALPHA);
-        let lcb = wf.mean_lcb(Z_99);
-        if lo > MARKOV_CAP + SLACK || lcb > bounds[i] + SLACK {
-            pass = false;
-        }
+    let mut worst: Option<(Verdict, f64)> = None;
+    for i in rounds.take_while(|&i| i < per_round.0.len()) {
+        let (wf, markov) = &per_round.0[i];
+        let measure = Measure::mean(wf, *markov, Some(i + 1));
+        let verdict = Verdict::judge(id, statement, n, wf.count(), measure, bounds[i]);
+        pass &= verdict.pass;
         let ratio = if bounds[i] > 0.0 {
             wf.mean() / bounds[i]
         } else {
             f64::INFINITY
         };
-        if worst.is_none_or(|(_, w)| ratio > w) {
-            worst = Some((i, ratio));
+        if worst.as_ref().is_none_or(|(_, w)| ratio > *w) {
+            worst = Some((verdict, ratio));
         }
     }
-    let (round, _) = worst.expect("decay claim needs at least one round");
-    let wf = &per_round.wf[round];
-    ClaimResult {
-        id: id.into(),
-        statement: statement.into(),
-        trials: wf.count() as u64,
-        observed: format!(
-            "worst round {}: mean {}, {} ≥ 4·bound",
-            round + 1,
-            fmt_f64(wf.mean()),
-            per_round.markov[round]
-        ),
-        bound: format!("E ≤ {}", fmt_f64(bounds[round])),
-        cp: format!(
-            "mean LCB {}, CP99 lower {}",
-            fmt_f64(wf.mean_lcb(Z_99)),
-            fmt_f64(cp_lower(per_round.markov[round], wf.count() as u64, ALPHA))
-        ),
-        pass,
-    }
+    let (worst, _) = worst.expect("decay claim needs at least one round");
+    Verdict { pass, ..worst }
 }
 
 // ---------------------------------------------------------------------
@@ -349,14 +436,13 @@ fn decay_claim(
 const ALG1_N: usize = 128;
 const ALG1_TRIALS: usize = 60;
 
-fn algorithm1_claims(scale: usize) -> Vec<ClaimResult> {
+fn algorithm1_claims(scale: usize) -> Vec<Verdict> {
     let n = ALG1_N;
     let eps = Epsilon::HALF;
     let trials = ALG1_TRIALS * scale;
     let master = claim_seed(1);
 
-    let mut b = LayoutBuilder::new();
-    let probe = SnapshotConciliator::allocate(&mut b, n, eps);
+    let probe = SnapshotConciliator::allocate(&mut LayoutBuilder::new(), n, eps);
     let steps_bound = probe.steps_bound().expect("Algorithm 1 is bounded");
     let rounds = (steps_bound / 2) as usize;
     let bounds: Vec<f64> = (1..=rounds)
@@ -383,23 +469,26 @@ fn algorithm1_claims(scale: usize) -> Vec<ClaimResult> {
         decay_claim(
             "L1.decay",
             &format!("Alg 1 mean excess after round i ≤ f^(i)(n-1), n={n}"),
+            n,
             &per_round,
             &bounds,
             0..rounds,
         ),
-        event_claim(
+        Verdict::judge(
             "T1.steps",
             &format!("Alg 1 takes exactly 2R = {steps_bound} ops per process"),
+            n,
+            trials,
+            Measure::Violations(step_violations),
             0.0,
-            trials as u64,
-            step_violations,
         ),
-        event_claim(
+        Verdict::judge(
             "T1.disagreement",
             &format!("Alg 1 disagreement ≤ ε = {eps}, n={n}"),
+            n,
+            trials,
+            Measure::Violations(disagreements),
             eps.get(),
-            trials as u64,
-            disagreements,
         ),
     ]
 }
@@ -413,22 +502,35 @@ fn algorithm1_claims(scale: usize) -> Vec<ClaimResult> {
 const SIFTING_N: usize = 128;
 const SIFTING_TRIALS: usize = 60;
 
-/// The Algorithm 2 claims (Lemmas 2–4, Theorem 2), ids prefixed with
-/// `prefix`, against the sifter `build` allocates for the suite's `n`.
-/// [`run`] passes the unmodified protocol; the mutation tests pass a
-/// biased-coin sifter, whose disagreement and decay claims must fail
-/// at smoke trial counts. A conciliator that can livelock under an
-/// infinite schedule is truncated by the slot budget and fails the
-/// step claim.
+/// The Algorithm 2 claims (Lemmas 2–4, Theorem 2) against the sifter
+/// `build` allocates for the suite's `n`. [`run`] passes the
+/// unmodified protocol; the mutation tests pass a biased-coin sifter,
+/// whose disagreement and decay claims must fail at smoke trial
+/// counts. A conciliator that can livelock under an infinite schedule
+/// is truncated by the slot budget and fails the step claim.
 ///
 /// # Panics
 ///
 /// Panics if `scale == 0`.
 pub fn sifting_claims<C>(
     scale: usize,
-    prefix: &str,
     build: &(impl Fn(&mut LayoutBuilder, usize) -> C + Sync),
-) -> Vec<ClaimResult>
+) -> Vec<Verdict>
+where
+    C: Conciliator,
+    C::Participant: RoundState,
+{
+    sifting_rows(scale, 2, Environment::default(), build)
+}
+
+/// The Algorithm 2 rows of [`sifting_claims`], from trials in `env`
+/// under claim group `idx`'s seeds.
+fn sifting_rows<C>(
+    scale: usize,
+    idx: u64,
+    env: Environment,
+    build: &(impl Fn(&mut LayoutBuilder, usize) -> C + Sync),
+) -> Vec<Verdict>
 where
     C: Conciliator,
     C::Participant: RoundState,
@@ -436,7 +538,7 @@ where
     assert!(scale > 0, "scale must be positive");
     let n = SIFTING_N;
     let trials = SIFTING_TRIALS * scale;
-    let master = claim_seed(2);
+    let master = claim_seed(idx);
 
     // Theorem 2: one charged op per round, so the step bound is R.
     let steps_bound = TrialFixture::new(n, |b| build(b, n)).steps_bound();
@@ -450,7 +552,7 @@ where
         trials,
         |index| {
             let seed = crate::exec::trial_seed(master, index);
-            conciliator_trial(n, seed, Environment::default(), |b| build(b, n))
+            conciliator_trial(n, seed, env, |b| build(b, n))
         },
         || (PerRound::default(), 0u64, 0u64),
         |(per_round, steps, disagree), t| {
@@ -464,37 +566,43 @@ where
         },
     );
 
-    let eps = Epsilon::HALF;
-    vec![
+    let eps = SIFTER_EPS;
+    let mut rows = vec![
         decay_claim(
-            &format!("{prefix}L2-3.decay"),
+            "L2-3.decay",
             &format!("Alg 2 mean excess in rounds 1..⌈loglog n⌉ ≤ x_i, n={n}"),
+            n,
             &per_round,
             &bounds,
             0..aggressive.min(rounds),
         ),
         decay_claim(
-            &format!("{prefix}L4.tail"),
+            "L4.tail",
             "Alg 2 tail excess decays as 8·(3/4)^j past the switch",
+            n,
             &per_round,
             &bounds,
             aggressive.min(rounds)..rounds,
         ),
-        event_claim(
-            &format!("{prefix}T2.steps"),
+        Verdict::judge(
+            "T2.steps",
             &format!("Alg 2 takes exactly R = {steps_bound} ops per process"),
+            n,
+            trials,
+            Measure::Violations(step_violations),
             0.0,
-            trials as u64,
-            step_violations,
         ),
-        event_claim(
-            &format!("{prefix}T2.disagreement"),
+        Verdict::judge(
+            "T2.disagreement",
             &format!("Alg 2 disagreement ≤ ε = {eps}, n={n}"),
+            n,
+            trials,
+            Measure::Violations(disagreements),
             eps.get(),
-            trials as u64,
-            disagreements,
         ),
-    ]
+    ];
+    rows.iter_mut().for_each(|row| row.env = env);
+    rows
 }
 
 /// A slot-limited conciliator trial in an environment (see
@@ -545,10 +653,11 @@ where
 /// the bound must hold, while the adaptive sifting breaker and the
 /// always-old regular substrate must *refute* it at 99% confidence
 /// (`cp_lower` excludes the Markov cap, or the sample-mean LCB exceeds
-/// the bound). A case passes when the inner verdict matches its
-/// expected polarity, so the suite pins the obliviousness boundary from
-/// both sides: the paper's model still conforms, and the known breakers
-/// are decisively detected rather than silently absorbed.
+/// the bound). A case passes when the data's verdict matches its
+/// [`expect_hold`](Verdict::expect_hold), so the suite pins the
+/// obliviousness boundary from both sides: the paper's model still
+/// conforms, and the known breakers are decisively detected rather than
+/// silently absorbed.
 ///
 /// Seeds are fixed per case (independent of `SIFT_SEED`), making the
 /// verdicts — and [`digest`] over them — golden-stable.
@@ -556,33 +665,16 @@ where
 /// # Panics
 ///
 /// Panics if `scale == 0`.
-pub fn run_negative(scale: usize) -> Vec<ClaimResult> {
+pub fn run_negative(scale: usize) -> Vec<Verdict> {
     assert!(scale > 0, "scale must be positive");
-    let cases: [(&str, AdversaryStrength, RegisterSemantics, bool); 4] = [
-        (
-            "NEG.oblivious.control",
-            AdversaryStrength::Oblivious,
-            RegisterSemantics::Atomic,
-            true,
-        ),
-        (
-            "NEG.alwaysnew.control",
-            AdversaryStrength::Oblivious,
-            RegisterSemantics::Regular(Resolution::AlwaysNew),
-            true,
-        ),
-        (
-            "NEG.adaptive.decay",
-            AdversaryStrength::Adaptive,
-            RegisterSemantics::Atomic,
-            false,
-        ),
-        (
-            "NEG.regular.decay",
-            AdversaryStrength::Oblivious,
-            RegisterSemantics::Regular(Resolution::AlwaysOld),
-            false,
-        ),
+    use AdversaryStrength::{Adaptive, Oblivious};
+    use RegisterSemantics::{Atomic, Regular};
+    use Resolution::{AlwaysNew, AlwaysOld};
+    let cases = [
+        ("NEG.oblivious.control", Oblivious, Atomic, true),
+        ("NEG.alwaysnew.control", Oblivious, Regular(AlwaysNew), true),
+        ("NEG.adaptive.decay", Adaptive, Atomic, false),
+        ("NEG.regular.decay", Oblivious, Regular(AlwaysOld), false),
     ];
     cases
         .into_iter()
@@ -592,69 +684,22 @@ pub fn run_negative(scale: usize) -> Vec<ClaimResult> {
                 strength,
                 semantics,
             };
-            negative_decay_case(scale, 10 + idx as u64, id, env, expect_hold)
+            // The aggressive-decay row (Lemmas 2–3) of these trials.
+            let decay = sifting_rows(scale, 10 + idx as u64, env, &sifter).swap_remove(0);
+            let statement = format!(
+                "Alg 2 aggressive decay under the {} adversary on {} registers",
+                strength.name(),
+                registers_name(semantics)
+            );
+            Verdict {
+                id: id.into(),
+                statement,
+                pass: decay.pass == expect_hold,
+                expect_hold,
+                ..decay
+            }
         })
         .collect()
-}
-
-fn substrate_name(semantics: RegisterSemantics) -> &'static str {
-    match semantics {
-        RegisterSemantics::Atomic => "atomic",
-        RegisterSemantics::Regular(Resolution::AlwaysNew) => "regular/new",
-        RegisterSemantics::Regular(Resolution::AlwaysOld) => "regular/old",
-        RegisterSemantics::Regular(Resolution::Coin(_)) => "regular/coin",
-    }
-}
-
-fn negative_decay_case(
-    scale: usize,
-    seed_idx: u64,
-    id: &str,
-    env: Environment,
-    expect_hold: bool,
-) -> ClaimResult {
-    let n = SIFTING_N;
-    let trials = SIFTING_TRIALS * scale;
-    let master = claim_seed(seed_idx);
-
-    let rounds = TrialFixture::new(n, |b| sifter(b, n)).steps_bound() as usize;
-    let aggressive = ceil_log_log(n as u64) as usize;
-    let bounds: Vec<f64> = (1..=rounds)
-        .map(|i| sifting_expected_excess(n as u64, i as u32))
-        .collect();
-
-    let per_round = map_reduce(
-        trials,
-        |index| {
-            let seed = crate::exec::trial_seed(master, index);
-            conciliator_trial(n, seed, env, |b| sifter(b, n)).survivors
-        },
-        PerRound::default,
-        |per_round, survivors| per_round.record(&survivors, &bounds),
-    );
-
-    let statement = format!(
-        "Alg 2 aggressive decay under the {} adversary on {} registers",
-        env.strength.name(),
-        substrate_name(env.semantics)
-    );
-    let inner = decay_claim(
-        id,
-        &statement,
-        &per_round,
-        &bounds,
-        0..aggressive.min(rounds),
-    );
-    ClaimResult {
-        cp: format!(
-            "{}; decay {}, expected to {}",
-            inner.cp,
-            if inner.pass { "holds" } else { "refuted" },
-            if expect_hold { "hold" } else { "be refuted" },
-        ),
-        pass: inner.pass == expect_hold,
-        ..inner
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -664,7 +709,7 @@ fn negative_decay_case(
 const ALG3_N: usize = 64;
 const ALG3_TRIALS: usize = 100;
 
-fn theorem3_claims(scale: usize) -> Vec<ClaimResult> {
+fn theorem3_claims(scale: usize) -> Vec<Verdict> {
     let n = ALG3_N;
     let trials = ALG3_TRIALS * scale;
     let master = claim_seed(3);
@@ -693,26 +738,29 @@ fn theorem3_claims(scale: usize) -> Vec<ClaimResult> {
     );
 
     vec![
-        event_claim(
+        Verdict::judge(
             "T3.individual",
             &format!("Alg 3 individual ops ≤ {indiv_bound} = 2(R'+1)+9, n={n}"),
+            n,
+            trials,
+            Measure::Violations(indiv_violations),
             0.0,
-            trials as u64,
-            indiv_violations,
         ),
-        event_claim(
+        Verdict::judge(
             "T3.failure",
             &format!("Alg 3 disagreement ≤ 7/8, n={n}"),
+            n,
+            trials,
+            Measure::Violations(disagreements),
             7.0 / 8.0,
-            trials as u64,
-            disagreements,
         ),
-        mean_claim(
+        Verdict::judge(
             "T3.total",
             &format!("Alg 3 expected total ops ≤ 21n = {}", total_bound as u64),
+            n,
+            total_wf.count(),
+            Measure::mean(&total_wf, total_markov, None),
             total_bound,
-            &total_wf,
-            total_markov,
         ),
     ]
 }
@@ -725,136 +773,133 @@ const CONSENSUS_N: usize = 16;
 const CONSENSUS_M: u64 = 4;
 const CONSENSUS_TRIALS: usize = 60;
 
-struct StackTrial {
-    consistent: bool,
-    exhausted: bool,
-    phases_p0: u64,
+fn consensus_claims(scale: usize) -> Vec<Verdict> {
+    let (n, m) = (CONSENSUS_N, CONSENSUS_M);
+    [
+        stack_claims(scale, 4, "Cor1", 0.5, |b| max_register_consensus(b, n)),
+        stack_claims(scale, 5, "Cor2", 0.5, |b| sifting_consensus(b, n, m, 2)),
+        stack_claims(scale, 6, "Cor3", 0.125, |b| {
+            linear_work_consensus(b, n, m, 2)
+        }),
+    ]
+    .concat()
 }
 
-fn consensus_trial<C, A>(
-    layout: sift_sim::Layout,
-    protocol: sift_consensus::ConsensusProtocol<C, A>,
-    n: usize,
-    m: u64,
-    seed: u64,
-) -> StackTrial
+/// Corollary `name`'s three claims on the stack `allocate` builds, each
+/// trial on a fresh allocation, under claim group `idx`'s seeds; `delta`
+/// is its conciliator's agreement probability.
+fn stack_claims<C, A>(
+    scale: usize,
+    idx: u64,
+    name: &str,
+    delta: f64,
+    allocate: impl Fn(&mut LayoutBuilder) -> ConsensusProtocol<C, A> + Sync,
+) -> Vec<Verdict>
 where
     C: Conciliator,
-    A: sift_adopt_commit::AdoptCommit<sift_core::Persona>,
+    A: AdoptCommit<Persona>,
 {
-    let split = SeedSplitter::new(seed);
-    let mut input_rng = split.stream("inputs", 0);
-    let inputs: Vec<u64> = (0..n).map(|_| input_rng.range_u64(m)).collect();
-    let procs = split.processes(n, |pid, rng| {
-        protocol.participant(pid, inputs[pid.index()], rng)
-    });
-    let report = Engine::new(&layout, procs).run(RandomInterleave::new(n, split.schedule_seed()));
-    let outcomes = report.unwrap_outputs();
-    let exhausted = outcomes
-        .iter()
-        .any(|o| matches!(o, ConsensusOutcome::Exhausted { .. }));
-    let decided: Vec<u64> = outcomes.iter().filter_map(|o| o.value()).collect();
-    let consistent =
-        decided.windows(2).all(|w| w[0] == w[1]) && decided.iter().all(|v| inputs.contains(v));
-    let phases_p0 = match &outcomes[0] {
-        ConsensusOutcome::Decided(d) => d.phases as u64,
-        ConsensusOutcome::Exhausted { .. } => u64::MAX,
-    };
-    StackTrial {
-        consistent,
-        exhausted,
-        phases_p0,
-    }
-}
-
-fn consensus_claims(scale: usize) -> Vec<ClaimResult> {
-    let n = CONSENSUS_N;
-    let m = CONSENSUS_M;
+    let (n, m) = (CONSENSUS_N, CONSENSUS_M);
     let trials = CONSENSUS_TRIALS * scale;
-    let mut results = Vec::new();
+    let master = claim_seed(idx);
+    let phase_bound = expected_consensus_phases(delta);
+    let exhaustion_bound = allocate(&mut LayoutBuilder::new()).exhaustion_probability();
 
-    for (idx, name, delta) in [(4u64, "Cor1", 0.5), (5, "Cor2", 0.5), (6, "Cor3", 0.125)] {
-        let master = claim_seed(idx);
-        let phase_bound = expected_consensus_phases(delta);
-        let exhaustion_bound = {
-            // Probe the stack for its exhaustion probability.
+    let (phase_wf, phase_markov, inconsistent, exhausted) = map_reduce(
+        trials,
+        |index| {
+            let split = SeedSplitter::new(crate::exec::trial_seed(master, index));
             let mut b = LayoutBuilder::new();
-            match name {
-                "Cor1" => max_register_consensus(&mut b, n).exhaustion_probability(),
-                "Cor2" => sifting_consensus(&mut b, n, m, 2).exhaustion_probability(),
-                _ => linear_work_consensus(&mut b, n, m, 2).exhaustion_probability(),
+            let protocol = allocate(&mut b);
+            let mut input_rng = split.stream("inputs", 0);
+            let inputs: Vec<u64> = (0..n).map(|_| input_rng.range_u64(m)).collect();
+            let procs = split.processes(n, |pid, rng| {
+                protocol.participant(pid, inputs[pid.index()], rng)
+            });
+            let schedule = RandomInterleave::new(n, split.schedule_seed());
+            let outcomes = Engine::new(&b.build(), procs)
+                .run(schedule)
+                .unwrap_outputs();
+            let decided: Vec<u64> = outcomes.iter().filter_map(|o| o.value()).collect();
+            let consistent = decided.windows(2).all(|w| w[0] == w[1])
+                && decided.iter().all(|v| inputs.contains(v));
+            let phases_p0 = match &outcomes[0] {
+                ConsensusOutcome::Decided(d) => Some(d.phases as f64),
+                ConsensusOutcome::Exhausted { .. } => None,
+            };
+            // A process that decided nothing exhausted its phases.
+            (consistent, decided.len() < n, phases_p0)
+        },
+        || (Welford::new(), 0u64, 0u64, 0u64),
+        |(wf, markov, inconsistent, exhausted), (consistent, exhaustion, phases)| {
+            if let Some(phases) = phases {
+                wf.push(phases);
+                *markov += u64::from(phases >= 4.0 * phase_bound);
             }
-        };
+            *inconsistent += u64::from(!consistent);
+            *exhausted += u64::from(exhaustion);
+        },
+    );
 
-        let (phase_wf, phase_markov, inconsistent, exhausted) = map_reduce(
-            trials,
-            |index| {
-                let seed = crate::exec::trial_seed(master, index);
-                let mut b = LayoutBuilder::new();
-                match name {
-                    "Cor1" => {
-                        let p = max_register_consensus(&mut b, n);
-                        consensus_trial(b.build(), p, n, m, seed)
-                    }
-                    "Cor2" => {
-                        let p = sifting_consensus(&mut b, n, m, 2);
-                        consensus_trial(b.build(), p, n, m, seed)
-                    }
-                    _ => {
-                        let p = linear_work_consensus(&mut b, n, m, 2);
-                        consensus_trial(b.build(), p, n, m, seed)
-                    }
-                }
-            },
-            || (Welford::new(), 0u64, 0u64, 0u64),
-            |(wf, markov, inconsistent, exhausted), t| {
-                if t.phases_p0 != u64::MAX {
-                    wf.push(t.phases_p0 as f64);
-                    *markov += u64::from(t.phases_p0 as f64 >= 4.0 * phase_bound);
-                }
-                *inconsistent += u64::from(!t.consistent);
-                *exhausted += u64::from(t.exhausted);
-            },
-        );
-
-        results.push(event_claim(
+    vec![
+        Verdict::judge(
             &format!("{name}.agreement"),
             &format!("{name} stack: agreement + validity absolute, n={n}"),
+            n,
+            trials,
+            Measure::Violations(inconsistent),
             0.0,
-            trials as u64,
-            inconsistent,
-        ));
-        results.push(event_claim(
+        ),
+        Verdict::judge(
             &format!("{name}.exhaustion"),
             &format!("{name} stack: phase exhaustion ≤ (1-δ)^max_phases"),
+            n,
+            trials,
+            Measure::Violations(exhausted),
             exhaustion_bound,
-            trials as u64,
-            exhausted,
-        ));
-        results.push(mean_claim(
+        ),
+        Verdict::judge(
             &format!("{name}.phases"),
             &format!("{name} stack: E[phases] ≤ 1/δ = {}", fmt_f64(phase_bound)),
+            n,
+            phase_wf.count(),
+            Measure::mean(&phase_wf, phase_markov, None),
             phase_bound,
-            &phase_wf,
-            phase_markov,
-        ));
-    }
-    results
+        ),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn event_claim(bound: f64, trials: usize, violations: u64) -> Verdict {
+        Verdict::judge("x", "s", 1, trials, Measure::Violations(violations), bound)
+    }
+
+    fn mean_claim(bound: f64, wf: &Welford, markov: u64) -> Verdict {
+        Verdict::judge(
+            "x",
+            "s",
+            1,
+            wf.count(),
+            Measure::mean(wf, markov, None),
+            bound,
+        )
+    }
+
     #[test]
     fn event_claim_passes_within_and_fails_beyond_the_bound() {
         // 5/100 with bound 1/4: CP99 lower on 0.05 is far below 0.25.
-        assert!(event_claim("x", "s", 0.25, 100, 5).pass);
+        assert!(event_claim(0.25, 100, 5).pass);
         // 60/100 with bound 1/4: excluded decisively.
-        assert!(!event_claim("x", "s", 0.25, 100, 60).pass);
+        assert!(!event_claim(0.25, 100, 60).pass);
         // Deterministic claim: one violation refutes it.
-        assert!(event_claim("x", "s", 0.0, 100, 0).pass);
-        assert!(!event_claim("x", "s", 0.0, 100, 1).pass);
+        assert!(event_claim(0.0, 100, 0).pass);
+        assert!(!event_claim(0.0, 100, 1).pass);
+        // No trials (an empty soak window) exclude nothing.
+        let empty = event_claim(0.0, 0, 0);
+        assert!(empty.pass && empty.lcb == 0.0);
     }
 
     #[test]
@@ -864,12 +909,12 @@ mod tests {
             tight.push(1.0);
         }
         // Mean 1 with bound 10, no Markov events: passes.
-        assert!(mean_claim("x", "s", 10.0, &tight, 0).pass);
+        assert!(mean_claim(10.0, &tight, 0).pass);
         // Same sample with bound 0.5: the mean-LCB test refutes it
         // (a constant sample's LCB is its mean).
-        assert!(!mean_claim("x", "s", 0.5, &tight, 0).pass);
+        assert!(!mean_claim(0.5, &tight, 0).pass);
         // Markov events on most trials: the CP test refutes it.
-        assert!(!mean_claim("x", "s", 10.0, &tight, 40).pass);
+        assert!(!mean_claim(10.0, &tight, 40).pass);
     }
 
     #[test]
@@ -891,8 +936,9 @@ mod tests {
             right.record(t, &bounds);
         }
         left.merge(right);
-        assert_eq!(serial.markov, left.markov);
-        for (a, b) in serial.wf.iter().zip(&left.wf) {
+        assert_eq!(serial.0.len(), left.0.len());
+        for ((a, a_markov), (b, b_markov)) in serial.0.iter().zip(&left.0) {
+            assert_eq!(a_markov, b_markov);
             assert_eq!(a.count(), b.count());
             assert!((a.mean() - b.mean()).abs() < 1e-12);
         }
@@ -900,10 +946,18 @@ mod tests {
 
     #[test]
     fn digest_is_sensitive_to_every_field() {
-        let base = vec![event_claim("a", "s", 0.5, 10, 1)];
-        let mut other = base.clone();
-        other[0].observed = "2 violating".into();
-        assert_ne!(digest(&base), digest(&other));
+        let base = vec![event_claim(0.5, 10, 1)];
+        let mutations: [fn(&mut Verdict); 4] = [
+            |v| v.measure = Measure::Violations(2),
+            |v| v.env.strength = AdversaryStrength::Adaptive,
+            |v| v.scale = 2,
+            |v| v.expect_hold = false,
+        ];
+        for mutate in mutations {
+            let mut other = base.clone();
+            mutate(&mut other[0]);
+            assert_ne!(digest(&base), digest(&other));
+        }
         assert_eq!(digest(&base), digest(&base.clone()));
     }
 
@@ -942,5 +996,15 @@ mod tests {
         }
         let table = render(&results);
         assert_eq!(table.rows().len(), results.len());
+        // EXPERIMENTS.md records the E22 and E25 tables verbatim.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let recorded = std::fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap();
+        for table in [table, render_negative(&run_negative(1))] {
+            let rendered = table.render();
+            assert!(
+                recorded.contains(&rendered),
+                "EXPERIMENTS.md does not record this table verbatim:\n{rendered}"
+            );
+        }
     }
 }

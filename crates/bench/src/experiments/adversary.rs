@@ -19,7 +19,7 @@ use sift_sim::rng::SeedSplitter;
 use sift_sim::schedule::{CrashSubset, RandomInterleave, RoundRobin, Schedule, ScheduleKind};
 use sift_sim::{LayoutBuilder, Process, ProcessId, RegisterSemantics, Resolution, RunReport};
 
-use crate::conformance::{self, ClaimResult};
+use crate::conformance::{self, Verdict};
 use crate::exec::Batch;
 use crate::runner::{default_trials, sifter, TrialFixture};
 use crate::stats::RateCounter;
@@ -168,7 +168,7 @@ impl LatticeReport {
     /// The sweep, its [`digest`](Self::digest) and the negative tier's
     /// verdicts as a small JSON document (tracked in
     /// `BENCH_adversary.json`).
-    pub(crate) fn to_json(&self, negative: &[ClaimResult]) -> Json {
+    pub(crate) fn to_json(&self, negative: &[Verdict]) -> Json {
         let cells = self.cells.iter().map(|c| {
             Json::obj([
                 ("strength", c.strength.as_str().into()),
@@ -179,13 +179,7 @@ impl LatticeReport {
                 ("mean_distinct", Json::fixed(c.mean_distinct(), 4)),
             ])
         });
-        let negative = negative.iter().map(|r| {
-            Json::obj([
-                ("id", r.id.as_str().into()),
-                ("trials", r.trials.into()),
-                ("pass", r.pass.into()),
-            ])
-        });
+        let negative = negative.iter().map(|r| r.to_json(None));
         Json::obj([
             ("n", self.n.into()),
             ("cells", Json::Arr(cells.collect())),

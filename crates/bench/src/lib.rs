@@ -23,7 +23,7 @@ pub mod soak;
 pub mod stats;
 pub mod table;
 
-pub use conformance::{all_pass, ClaimResult};
+pub use conformance::{all_pass, Verdict};
 pub use exec::{map_reduce, Batch, Merge, TrialSpec};
 pub use runner::Trial;
 pub use stats::{Peak, RateCounter, RoundExcess, Summary, Welford};

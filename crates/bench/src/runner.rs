@@ -97,10 +97,13 @@ fn breaker_decide(stale: Option<&ProcessId>, live: &[ProcessId]) -> ProcessId {
         .unwrap_or_else(|| live[0])
 }
 
+/// ε of [`sifter`]: `T2.disagreement`'s bound in E22 and in the soak.
+pub(crate) const SIFTER_EPS: Epsilon = Epsilon::HALF;
+
 /// The unmodified Algorithm 2 build (`ε = 1/2`) every checker runs
 /// against by default.
 pub fn sifter(builder: &mut LayoutBuilder, n: usize) -> SiftingConciliator {
-    SiftingConciliator::allocate(builder, n, Epsilon::HALF)
+    SiftingConciliator::allocate(builder, n, SIFTER_EPS)
 }
 
 /// The seed-independent ingredients of a conciliator trial, built in

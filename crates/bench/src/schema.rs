@@ -9,11 +9,13 @@
 //! when the existing content does not parse as the schema its filename
 //! promises:
 //!
-//! * `BENCH_conformance*.json` — a `rows` array where every row
-//!   carries the sliding-window fields: string `claim`, numeric
-//!   `scale`/`window`/`trials`/`violations`/`lcb`/`bound`, boolean
-//!   `pass`.
+//! * `BENCH_conformance*.json` — a `rows` array of verdict rows, each
+//!   with the soak's numeric `window`;
+//! * `BENCH_adversary*.json` — a `negative` array of verdict rows;
 //! * any other `BENCH_*.json` — well-formed JSON.
+//!
+//! A verdict row is [`Verdict`](crate::conformance::Verdict)'s JSON,
+//! checked field by field by one rule.
 //!
 //! Parsing and rendering are [`sift_obs::json`]'s; this module holds
 //! only the domain rules.
@@ -28,26 +30,46 @@ use sift_obs::json::{self, Json};
 /// need to be well-formed JSON.
 pub(crate) fn validate_bench_json(name: &str, text: &str) -> Result<(), String> {
     let doc = json::parse(text)?;
-    if name.starts_with("BENCH_conformance") {
-        let rows = doc
-            .get("rows")
-            .and_then(Json::items)
-            .ok_or("BENCH_conformance: missing \"rows\" array")?;
-        for (i, row) in rows.iter().enumerate() {
-            let context = format!("BENCH_conformance row {i}");
-            if row.get("claim").and_then(Json::as_str).is_none() {
-                return Err(format!("{context}: missing string field \"claim\""));
-            }
-            for field in ["scale", "window", "trials", "violations", "lcb", "bound"] {
-                match row.get(field) {
-                    Some(Json::Num(_)) => {}
-                    Some(_) => return Err(format!("{context}: field {field:?} is not a number")),
-                    None => return Err(format!("{context}: missing required field {field:?}")),
-                }
-            }
-            if row.get("pass").and_then(Json::as_bool).is_none() {
-                return Err(format!("{context}: missing boolean field \"pass\""));
-            }
+    // Each verdict file's row array, and the fields its rows add.
+    let (kind, key, extra): (_, _, &[&str]) = if name.starts_with("BENCH_conformance") {
+        ("BENCH_conformance", "rows", &["window"])
+    } else if name.starts_with("BENCH_adversary") {
+        ("BENCH_adversary", "negative", &[])
+    } else {
+        return Ok(());
+    };
+    let rows = doc
+        .get(key)
+        .and_then(Json::items)
+        .ok_or(format!("{kind}: missing {key:?} array"))?;
+    for (i, row) in rows.iter().enumerate() {
+        check_row(row, extra).map_err(|e| format!("{kind} row {i}: {e}"))?;
+    }
+    Ok(())
+}
+
+/// The one rule of a verdict row (see the module docs), plus the
+/// numeric fields in `extra`.
+fn check_row(row: &Json, extra: &[&str]) -> Result<(), String> {
+    let env = row.get("env").ok_or("missing object field \"env\"")?;
+    for (object, field) in [(row, "claim"), (env, "strength"), (env, "registers")] {
+        if object.get(field).and_then(Json::as_str).is_none() {
+            return Err(format!("missing string field {field:?}"));
+        }
+    }
+    let measure: &[&str] = match row.get("violations") {
+        Some(_) => &["violations"],
+        None => &["mean", "markov", "mean_lcb"],
+    };
+    let numbers = ["scale", "trials", "lcb", "bound"];
+    for &field in numbers.iter().chain(extra).chain(measure) {
+        if !matches!(row.get(field), Some(Json::Num(_))) {
+            return Err(format!("missing numeric field {field:?}"));
+        }
+    }
+    for field in ["expect_hold", "pass"] {
+        if row.get(field).and_then(Json::as_bool).is_none() {
+            return Err(format!("missing boolean field {field:?}"));
         }
     }
     Ok(())
@@ -141,19 +163,42 @@ mod tests {
         }
     }
 
+    const ENV: &str = r#""env": {"strength": "oblivious", "registers": "atomic"}"#;
+
     #[test]
     fn conformance_rows_need_the_window_fields() {
-        let good = r#"{"rows": [
-            {"claim": "sift.steps", "scale": 16, "window": 0, "trials": 8,
-             "violations": 0, "lcb": 0.0, "bound": 0.0, "pass": true}
-        ]}"#;
-        validate_bench_json("BENCH_conformance.json", good).unwrap();
-        let missing = r#"{"rows": [
-            {"claim": "sift.steps", "scale": 16, "trials": 8,
-             "violations": 0, "lcb": 0.0, "bound": 0.0, "pass": true}
-        ]}"#;
-        let err = validate_bench_json("BENCH_conformance.json", missing).unwrap_err();
+        let good = format!(
+            r#"{{"rows": [
+            {{"claim": "T2.steps", {ENV}, "scale": 16, "window": 0, "trials": 8,
+             "violations": 0, "lcb": 0.0, "bound": 0.0, "expect_hold": true, "pass": true}}
+        ]}}"#
+        );
+        validate_bench_json("BENCH_conformance.json", &good).unwrap();
+        let missing = good.replace(r#""window": 0, "#, "");
+        let err = validate_bench_json("BENCH_conformance.json", &missing).unwrap_err();
         assert!(err.contains("window"), "{err}");
+    }
+
+    #[test]
+    fn adversary_rows_follow_the_same_rule() {
+        let good = format!(
+            r#"{{"negative": [
+            {{"claim": "NEG.adaptive.decay", {ENV}, "scale": 128, "trials": 60,
+             "mean": 127.0, "markov": 60, "mean_lcb": 127.0, "round": 3, "lcb": 0.93,
+             "bound": 6.16, "expect_hold": false, "pass": true}}
+        ]}}"#
+        );
+        validate_bench_json("BENCH_adversary.json", &good).unwrap();
+        for (field, broken) in [
+            ("markov", good.replace(r#""markov": 60, "#, "")),
+            ("registers", good.replace(r#", "registers": "atomic""#, "")),
+            ("expect_hold", good.replace(r#""expect_hold": false, "#, "")),
+        ] {
+            let err = validate_bench_json("BENCH_adversary.json", &broken).unwrap_err();
+            assert!(err.contains(field), "{err}");
+        }
+        let err = validate_bench_json("BENCH_adversary.json", "{}").unwrap_err();
+        assert!(err.contains("negative"), "{err}");
     }
 
     #[test]

@@ -30,15 +30,16 @@
 //!    pool.
 //!
 //! Every claim is one row of one table — id, scales, bound and what it
-//! checks — and every violation carries its run's environment (the
+//! checks; a claim E22 also checks takes E22's id and ε. Every
+//! violation carries its run's environment (the
 //! sifting lane's default, the fuzz genome's), in which its witness is
 //! replayed, shrunk on the registers that found it and re-checked at
 //! its adversary's tier ([`replay_violation_with`]).
 //!
 //! Each claim keeps a [`WindowedReport`] ring of the last `width`
-//! windows; the emitted row carries the Clopper–Pearson lower
-//! confidence bound of the violation rate over the retained windows,
-//! so one bad window cannot hide inside an ever-growing denominator.
+//! windows; after each window it emits one [`Verdict`] — E22's row,
+//! judged by the same rule — over the retained windows, so one bad
+//! window cannot hide inside an ever-growing denominator.
 //! A window is one deterministic unit of work: for a fixed
 //! [`SoakConfig`] the whole trajectory — rows, violations, shrunk
 //! scripts, digest — is byte-identical for any `SIFT_THREADS` (trials
@@ -52,7 +53,8 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use sift_core::{Conciliator, Recorder, RoundState, SiftingConciliator};
-use sift_obs::{json::Json, ObsReport, WindowedReport};
+use sift_obs::json::{self, Json};
+use sift_obs::{ObsReport, WindowedReport};
 use sift_service::det::DeterministicService;
 use sift_service::runtime::block_on;
 use sift_service::{InstanceId, Service, ServiceConfig, ShardConfig};
@@ -64,11 +66,10 @@ use sift_sim::rng::{SeedSplitter, Xoshiro256StarStar};
 use sift_sim::schedule::{CrashSubset, RandomInterleave, Schedule};
 use sift_sim::{LayoutBuilder, RunReport, StopReason};
 
-use crate::conformance::{ALPHA, SLACK};
+use crate::conformance::{env_json, verdict_table, Measure, Verdict};
 use crate::exec::map_reduce;
 use crate::fuzz::{check_invariants, run_generation};
-use crate::runner::{check_agreement, sifter, TrialFixture};
-use crate::stats::cp_lower;
+use crate::runner::{check_agreement, sifter, TrialFixture, SIFTER_EPS};
 use crate::table::Table;
 
 /// Sifting-lane scales checked every window.
@@ -179,27 +180,6 @@ impl Default for SoakConfig {
     }
 }
 
-/// One conformance row: a claim's sliding-window state after a window.
-#[derive(Debug, Clone)]
-pub struct SoakRow {
-    /// Window index the row was emitted after.
-    pub window: u64,
-    /// Claim identifier (`sift.*`, `service.*`, `fuzz.*`).
-    pub claim: &'static str,
-    /// Scale the claim ran at (processes, shards, or fuzz `n`).
-    pub scale: usize,
-    /// Trials in the retained window set.
-    pub trials: u64,
-    /// Violations in the retained window set.
-    pub violations: u64,
-    /// Clopper–Pearson lower confidence bound of the violation rate.
-    pub lcb: f64,
-    /// The claim's violation-rate bound.
-    pub bound: f64,
-    /// `lcb <= bound` (with floating-point slack).
-    pub pass: bool,
-}
-
 /// A concrete violation observed during a soak window.
 #[derive(Debug, Clone)]
 pub struct SoakViolation {
@@ -256,8 +236,9 @@ pub struct SoakReport {
     /// Windows actually run (wall-clock drivers may not hit
     /// `config.windows`).
     pub windows_run: u64,
-    /// Every emitted row, in window order then claim order.
-    pub rows: Vec<SoakRow>,
+    /// Every emitted verdict over its retained windows, with the window
+    /// it was emitted after, in window order then claim order.
+    pub rows: Vec<(u64, Verdict)>,
     /// Every concrete violation, in detection order.
     pub violations: Vec<SoakViolation>,
     /// Total fuzz candidates evaluated across windows.
@@ -274,70 +255,61 @@ pub struct SoakReport {
 impl SoakReport {
     /// `true` iff every row passed its sliding-window check.
     pub fn all_pass(&self) -> bool {
-        self.rows.iter().all(|row| row.pass)
+        self.rows.iter().all(|(_, row)| row.pass)
     }
 
     /// Rows that failed their check, in emission order.
-    pub fn flagged(&self) -> Vec<&SoakRow> {
-        self.rows.iter().filter(|row| !row.pass).collect()
+    pub fn flagged(&self) -> Vec<&(u64, Verdict)> {
+        self.rows.iter().filter(|(_, row)| !row.pass).collect()
     }
 
-    /// FNV digest of the whole trajectory: every row field, every
-    /// violation (message and script included), and the service stream
-    /// digest. The seed-stability regression hook — byte-identical
-    /// across `SIFT_THREADS` for a fixed config.
+    /// FNV digest of the whole trajectory as written: every row (its
+    /// window and [`Verdict`]), every violation (environment, message
+    /// and script included), and the service stream digest. The
+    /// seed-stability regression hook — byte-identical across
+    /// `SIFT_THREADS` for a fixed config.
     pub fn digest(&self) -> u64 {
         let mut h = FingerprintHasher::new();
         h.write_u64(self.windows_run);
-        for row in &self.rows {
-            h.write_bytes(row.claim.as_bytes());
-            h.write_usize(row.scale);
-            h.write_u64(row.window);
-            h.write_u64(row.trials);
-            h.write_u64(row.violations);
-            h.write_u64(row.lcb.to_bits());
-            h.write_u64(row.pass as u64);
-        }
-        for violation in &self.violations {
-            h.write_bytes(violation.claim.as_bytes());
-            h.write_u64(violation.window);
-            h.write_u64(violation.seed);
-            h.write_bytes(violation.message.as_bytes());
-            match &violation.script {
-                Some(script) => {
-                    h.write_usize(script.len());
-                    for &pid in script {
-                        h.write_usize(pid);
-                    }
-                }
-                None => h.write_usize(usize::MAX),
-            }
+        for part in self.trajectory() {
+            h.write_bytes(json::write(&part).as_bytes());
         }
         h.write_u64(self.service_digest);
         h.finish()
     }
 
+    /// The rows and the violations, as written to JSON.
+    fn trajectory(&self) -> [Json; 2] {
+        let rows = self
+            .rows
+            .iter()
+            .map(|(window, row)| row.to_json(Some(*window)));
+        let violations = self.violations.iter().map(|v| {
+            let script = v.script.as_ref().map_or(Json::Null, |script| {
+                Json::Arr(script.iter().map(|&pid| pid.into()).collect())
+            });
+            Json::obj([
+                ("claim", v.claim.into()),
+                ("scale", v.scale.into()),
+                ("window", v.window.into()),
+                ("seed", v.seed.into()),
+                ("env", env_json(v.env)),
+                ("message", v.message.as_str().into()),
+                ("shrunk_from", v.shrunk_from.into()),
+                ("script", script),
+            ])
+        });
+        [Json::Arr(rows.collect()), Json::Arr(violations.collect())]
+    }
+
     /// Renders the final window's rows as a console table.
     pub(crate) fn render(&self) -> Table {
-        let mut table = Table::new(
-            "E26 soak conformance (sliding-window LCBs, final window)",
-            &[
-                "claim", "n", "window", "trials", "viol", "lcb", "bound", "pass",
-            ],
-        );
         let last = self.windows_run.saturating_sub(1);
-        for row in self.rows.iter().filter(|r| r.window == last) {
-            table.row(vec![
-                row.claim.to_string(),
-                row.scale.to_string(),
-                row.window.to_string(),
-                row.trials.to_string(),
-                row.violations.to_string(),
-                format!("{:.4}", row.lcb),
-                format!("{:.4}", row.bound),
-                if row.pass { "yes" } else { "NO" }.to_string(),
-            ]);
-        }
+        let rows = self.rows.iter().filter(|(window, _)| *window == last);
+        let mut table = verdict_table(
+            "E26 soak conformance (sliding-window LCBs, final window)",
+            rows.map(|(_, row)| row),
+        );
         table.note(format!(
             "{} windows, {} rows, {} violations, fuzz {} evaluated, \
              service {} decided, digest {:#018x}",
@@ -357,32 +329,7 @@ impl SoakReport {
 /// count — the bytes are invariant under `SIFT_THREADS`.
 impl From<&SoakReport> for Json {
     fn from(report: &SoakReport) -> Json {
-        let rows = report.rows.iter().map(|row| {
-            Json::obj([
-                ("claim", row.claim.into()),
-                ("scale", row.scale.into()),
-                ("window", row.window.into()),
-                ("trials", row.trials.into()),
-                ("violations", row.violations.into()),
-                ("lcb", Json::fixed(row.lcb, 6)),
-                ("bound", Json::fixed(row.bound, 6)),
-                ("pass", row.pass.into()),
-            ])
-        });
-        let violations = report.violations.iter().map(|v| {
-            let script = v.script.as_ref().map_or(Json::Null, |script| {
-                Json::Arr(script.iter().map(|&pid| pid.into()).collect())
-            });
-            Json::obj([
-                ("claim", v.claim.into()),
-                ("scale", v.scale.into()),
-                ("window", v.window.into()),
-                ("seed", v.seed.into()),
-                ("message", v.message.as_str().into()),
-                ("shrunk_from", v.shrunk_from.into()),
-                ("script", script),
-            ])
-        });
+        let [rows, violations] = report.trajectory();
         let hex = |digest: u64| Json::Str(format!("{digest:#018x}"));
         Json::obj([
             ("suite", "soak".into()),
@@ -393,8 +340,8 @@ impl From<&SoakReport> for Json {
             ("extended", report.config.extended.into()),
             ("digest", hex(report.digest())),
             ("service_digest", hex(report.service_digest)),
-            ("rows", Json::Arr(rows.collect())),
-            ("violations", Json::Arr(violations.collect())),
+            ("rows", rows),
+            ("violations", violations),
         ])
     }
 }
@@ -417,7 +364,7 @@ pub(crate) struct Soak<C = SiftingConciliator> {
     proposed_values: HashMap<InstanceId, BTreeSet<u64>>,
     /// One ring per claim row, in [`claim_rows`] order.
     rings: Vec<WindowedReport>,
-    rows: Vec<SoakRow>,
+    rows: Vec<(u64, Verdict)>,
     violations: Vec<SoakViolation>,
     carried: Vec<CorpusEntry>,
     fuzz_evaluated: usize,
@@ -471,7 +418,7 @@ where
     /// Runs one window: service traffic with crash injection, sifting
     /// trials, one fuzz generation, then the sliding-window check.
     /// Returns the rows emitted for this window.
-    pub(crate) fn step(&mut self) -> &[SoakRow] {
+    pub(crate) fn step(&mut self) -> &[(u64, Verdict)] {
         let window = self.window;
         let wsplit = SeedSplitter::new(self.split.seed("window", window));
         let mut tally: Tally = claim_rows().map(|_| (0, 0)).collect();
@@ -491,23 +438,14 @@ where
             report.add_count("violations", violations);
             ring.push(report);
             let merged = ring.merged();
-            let trials = merged.count("trials");
-            let violations = merged.count("violations");
-            let lcb = if trials == 0 {
-                0.0
-            } else {
-                cp_lower(violations, trials, ALPHA)
+            let (trials, bound) = (merged.count("trials") as usize, claim.bound());
+            let measure = Measure::Violations(merged.count("violations"));
+            let statement = match claim.check {
+                Check::Service => format!("{scale} shards"),
+                _ => format!("n={scale}"),
             };
-            self.rows.push(SoakRow {
-                window,
-                claim: claim.id,
-                scale,
-                trials,
-                violations,
-                lcb,
-                bound: claim.bound,
-                pass: lcb <= claim.bound + SLACK,
-            });
+            let row = Verdict::judge(claim.id, &statement, scale, trials, measure, bound);
+            self.rows.push((window, row));
         }
         self.window += 1;
         &self.rows[row_start..]
@@ -601,9 +539,9 @@ where
 
         // A service-lane violation has no run to replay.
         let shards = SERVICE_SHARDS;
-        let violation = |claim: &Claim, message| SoakViolation {
+        let violation = |claim, message| SoakViolation {
             window,
-            claim: claim.id,
+            claim,
             scale: shards,
             seed: wsplit.seed("traffic", 0),
             env: Environment::default(),
@@ -615,10 +553,10 @@ where
         // Recovery: crash + restart must leave the canonical stream
         // identical to the never-crashed shadow's.
         let recovered = self.live.canonical_stream() == self.shadow.canonical_stream();
-        add_tally(tally, &SERVICE_RECOVERY, shards, 1, !recovered as u64);
+        add_tally(tally, "service.recovery", shards, 1, !recovered as u64);
         if !recovered {
             self.violations.push(violation(
-                &SERVICE_RECOVERY,
+                "service.recovery",
                 format!(
                     "crash-injected canonical stream diverged from shadow ({} vs {} facts)",
                     self.live.stream().len(),
@@ -636,7 +574,7 @@ where
                 duplicates += 1;
                 let message = format!("{} decided a second time", fact.instance);
                 self.violations
-                    .push(violation(&SERVICE_EXACTLY_ONCE, message));
+                    .push(violation("service.exactly_once", message));
             }
             let proposed = self
                 .proposed_values
@@ -648,12 +586,12 @@ where
                     "{} decided value {} that nobody proposed",
                     fact.instance, fact.value
                 );
-                self.violations.push(violation(&SERVICE_VALIDITY, message));
+                self.violations.push(violation("service.validity", message));
             }
         }
         let trials = new_facts.len() as u64;
-        add_tally(tally, &SERVICE_EXACTLY_ONCE, shards, trials, duplicates);
-        add_tally(tally, &SERVICE_VALIDITY, shards, trials, invalid);
+        add_tally(tally, "service.exactly_once", shards, trials, duplicates);
+        add_tally(tally, "service.validity", shards, trials, invalid);
     }
 
     /// One sifting window at scale `n`: seeded trials under random
@@ -688,7 +626,7 @@ where
 
         // Tally each claim, and shrink the first violating trial per
         // claim.
-        for claim in CLAIMS {
+        for claim in &CLAIMS {
             // Each trial's verdict, unless the claim exempts it.
             let verdicts: Vec<(&SiftOutcome, bool)> = outcomes
                 .iter()
@@ -700,12 +638,12 @@ where
             let trials = verdicts.len() as u64;
             let mut violating = verdicts.iter().filter(|(_, v)| *v).map(|(o, _)| *o);
             let violations = violating.clone().count() as u64;
-            add_tally(tally, claim, n, trials, violations);
+            add_tally(tally, claim.id, n, trials, violations);
             // A nonzero rate bound (disagreement, ε = 1/2) expects
             // violating trials; only a window in which every trial
             // violates (probability ≤ ε^T on correct code, certain under
             // the biased-coin mutant) leaves a shrinkable witness.
-            if claim.bound > 0.0 && violations < trials {
+            if claim.bound() > 0.0 && violations < trials {
                 continue;
             }
             let Some(outcome) = violating.next() else {
@@ -744,17 +682,12 @@ where
             Fuzzer::new(FUZZ_N, wsplit.seed("fuzz", 0)).with_extended_genes(self.config.extended);
         fuzzer.seed_corpus(std::mem::take(&mut self.carried));
         let found = run_generation(&mut fuzzer, FUZZ_N, FUZZ_POPULATION, wsplit, 0, &self.build);
-        add_tally(
-            tally,
-            &FUZZ_INVARIANTS,
-            FUZZ_N,
-            FUZZ_POPULATION as u64,
-            found.len() as u64,
-        );
+        let (trials, violations) = (FUZZ_POPULATION as u64, found.len() as u64);
+        add_tally(tally, "fuzz.invariants", FUZZ_N, trials, violations);
         for (seed, violation) in found {
             self.violations.push(SoakViolation {
                 window,
-                claim: FUZZ_INVARIANTS.id,
+                claim: "fuzz.invariants",
                 scale: FUZZ_N,
                 seed,
                 env: violation.genome.environment(),
@@ -771,57 +704,44 @@ where
 
 /// One soak claim, stated once: each window emits one row per scale.
 struct Claim {
-    /// Identifier (`sift.*`, `service.*`, `fuzz.*`).
+    /// Identifier: E22's where E22 checks the same claim.
     id: &'static str,
     /// Scales it is checked at (processes, shards, or fuzz `n`).
     scales: &'static [usize],
-    /// Violation-rate bound: zero, except for disagreement, which the
-    /// conciliator is only required to avoid with probability `1 - ε`
-    /// (ε = 1/2 here).
-    bound: f64,
     /// What it checks.
     check: Check,
 }
 
 impl Claim {
-    const fn new(id: &'static str, scales: &'static [usize], bound: f64, check: Check) -> Self {
-        Self {
-            id,
-            scales,
-            bound,
-            check,
+    const fn new(id: &'static str, check: Check) -> Self {
+        let scales: &[usize] = match check {
+            Check::Service => &[SERVICE_SHARDS],
+            Check::Invariants => &[FUZZ_N],
+            _ => &SIFT_SCALES,
+        };
+        Self { id, scales, check }
+    }
+
+    /// The violation rate allowed: ε for disagreement, else zero.
+    fn bound(&self) -> f64 {
+        match self.check {
+            Check::Agreement => SIFTER_EPS.get(),
+            _ => 0.0,
         }
     }
 }
 
-static FUZZ_INVARIANTS: Claim = Claim::new("fuzz.invariants", &[FUZZ_N], 0.0, Check::Invariants);
-static SERVICE_EXACTLY_ONCE: Claim = Claim::new(
-    "service.exactly_once",
-    &[SERVICE_SHARDS],
-    0.0,
-    Check::Service,
-);
-static SERVICE_RECOVERY: Claim =
-    Claim::new("service.recovery", &[SERVICE_SHARDS], 0.0, Check::Service);
-static SERVICE_VALIDITY: Claim =
-    Claim::new("service.validity", &[SERVICE_SHARDS], 0.0, Check::Service);
-static SIFT_DISAGREEMENT: Claim =
-    Claim::new("sift.disagreement", &SIFT_SCALES, 0.5, Check::Agreement);
-static SIFT_LIVENESS: Claim = Claim::new("sift.liveness", &SIFT_SCALES, 0.0, Check::Liveness);
-static SIFT_STEPS: Claim = Claim::new("sift.steps", &SIFT_SCALES, 0.0, Check::Steps);
-static SIFT_VALIDITY: Claim = Claim::new("sift.validity", &SIFT_SCALES, 0.0, Check::Validity);
-
 /// Every claim checked each window, in the order of its rows: by id,
 /// then scale.
-static CLAIMS: [&Claim; 8] = [
-    &FUZZ_INVARIANTS,
-    &SERVICE_EXACTLY_ONCE,
-    &SERVICE_RECOVERY,
-    &SERVICE_VALIDITY,
-    &SIFT_DISAGREEMENT,
-    &SIFT_LIVENESS,
-    &SIFT_STEPS,
-    &SIFT_VALIDITY,
+static CLAIMS: [Claim; 8] = [
+    Claim::new("T2.disagreement", Check::Agreement),
+    Claim::new("T2.steps", Check::Steps),
+    Claim::new("fuzz.invariants", Check::Invariants),
+    Claim::new("service.exactly_once", Check::Service),
+    Claim::new("service.recovery", Check::Service),
+    Claim::new("service.validity", Check::Service),
+    Claim::new("sift.liveness", Check::Liveness),
+    Claim::new("sift.validity", Check::Validity),
 ];
 
 /// What a claim checks: how the sifting lane judges a trial and words
@@ -832,6 +752,7 @@ enum Check {
     Service,
     /// The fuzz lane's invariants, at the witness's adversary tier.
     Invariants,
+    /// Every decided value agrees (Theorem 2's ε-bounded event).
     Agreement,
     /// Liveness depends on the schedule's tail, so no finite script
     /// replays it.
@@ -839,6 +760,7 @@ enum Check {
     /// Exact-R step counts; a truncated replay script re-checks only
     /// the over-bound direction.
     Steps,
+    /// Every decided value is some process's input.
     Validity,
 }
 
@@ -897,16 +819,16 @@ impl Check {
 /// Every `(claim, scale)` row a window emits, in emission order.
 fn claim_rows() -> impl Iterator<Item = (&'static Claim, usize)> {
     CLAIMS
-        .into_iter()
+        .iter()
         .flat_map(|claim| claim.scales.iter().map(move |&scale| (claim, scale)))
 }
 
 /// A window's `(trials, violations)` per row, in [`claim_rows`] order.
 type Tally = Vec<(u64, u64)>;
 
-fn add_tally(tally: &mut Tally, claim: &Claim, scale: usize, trials: u64, violations: u64) {
+fn add_tally(tally: &mut Tally, id: &str, scale: usize, trials: u64, violations: u64) {
     let row = claim_rows()
-        .position(|(c, s)| std::ptr::eq(c, claim) && s == scale)
+        .position(|(c, s)| c.id == id && s == scale)
         .expect("every claim is tallied at one of its scales");
     tally[row].0 += trials;
     tally[row].1 += violations;
@@ -1005,7 +927,7 @@ where
     C::Participant: RoundState,
 {
     let script = violation.script.as_ref()?;
-    let claim = CLAIMS.into_iter().find(|c| c.id == violation.claim)?;
+    let claim = CLAIMS.iter().find(|c| c.id == violation.claim)?;
     let n = violation.scale;
     let fixture = TrialFixture::new(n, |b| build(b, n));
     let env = violation.env;
@@ -1159,6 +1081,8 @@ pub(crate) fn main(config: &SoakConfig, secs: u64, json: Option<&Path>) -> ExitC
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sift_sim::adversary::AdversaryStrength;
+    use sift_sim::{RegisterSemantics, Resolution};
 
     fn tiny() -> SoakConfig {
         SoakConfig {
@@ -1186,7 +1110,7 @@ mod tests {
         let window = &report.rows[..claim_rows().count()];
         assert!(window
             .windows(2)
-            .all(|w| (w[0].claim, w[0].scale) < (w[1].claim, w[1].scale)));
+            .all(|w| (&w[0].1.id, w[0].1.scale) < (&w[1].1.id, w[1].1.scale)));
         assert!(report.fuzz_evaluated > 0);
         assert!(report.service_decided > 0);
     }
@@ -1223,6 +1147,48 @@ mod tests {
         let text = sift_obs::json::write(&Json::from(&report));
         crate::schema::validate_bench_json("BENCH_conformance.json", &text)
             .expect("the soak trajectory must satisfy the tracked schema");
+    }
+
+    #[test]
+    fn a_violation_is_written_and_digested_in_its_environment() {
+        let env = Environment {
+            strength: AdversaryStrength::Delayed(8),
+            semantics: RegisterSemantics::Regular(Resolution::Coin(7)),
+        };
+        let mut report = SoakReport {
+            config: tiny(),
+            windows_run: 1,
+            rows: Vec::new(),
+            violations: vec![SoakViolation {
+                window: 0,
+                claim: "fuzz.invariants",
+                scale: FUZZ_N,
+                seed: 3,
+                env,
+                message: "step bound exceeded".into(),
+                script: Some(vec![0, 1, 0]),
+                shrunk_from: 9,
+            }],
+            fuzz_evaluated: 1,
+            fuzz_coverage: 1,
+            service_digest: 0,
+            service_decided: 0,
+        };
+        let doc = Json::from(&report);
+        let violations = doc.get("violations").and_then(Json::items).unwrap();
+        let written = violations[0]
+            .get("env")
+            .expect("the violation names its environment");
+        let field = |key| written.get(key).and_then(Json::as_str);
+        assert_eq!(field("strength"), Some("delayed(8)"));
+        assert_eq!(field("registers"), Some("regular/coin(7)"));
+        let digest = report.digest();
+        report.violations[0].env = Environment::default();
+        assert_ne!(
+            report.digest(),
+            digest,
+            "the digest must cover the environment"
+        );
     }
 
     #[test]

@@ -189,7 +189,7 @@ fn deeply_nested_tracked_adversary_target_is_refused() {
 /// sliding-window fields) must abort the run.
 #[test]
 fn malformed_tracked_obs_target_is_refused() {
-    let row_without_window = br#"{"rows": [{"claim": "sift.steps", "trials": 8}]}"#;
+    let row_without_window = br#"{"rows": [{"claim": "T2.steps", "trials": 8}]}"#;
     assert_refuses_target(exp_fuzz(), "--obs-json", "conformance", row_without_window);
 }
 

@@ -227,7 +227,7 @@ fn stuck_read_livelocks_where_the_correct_protocol_terminates() {
 
 #[test]
 fn conformance_refutes_the_biased_coin_mutant() {
-    let results = conformance::sifting_claims(1, "mutant.", &biased_coin);
+    let results = conformance::sifting_claims(1, &biased_coin);
     assert!(
         !conformance::all_pass(&results),
         "the biased-coin mutant must fail at least one sifting claim"
@@ -236,7 +236,7 @@ fn conformance_refutes_the_biased_coin_mutant() {
     // bound must be excluded at 99% confidence.
     let disagreement = results
         .iter()
-        .find(|r| r.id == "mutant.T2.disagreement")
+        .find(|r| r.id == "T2.disagreement")
         .expect("disagreement claim present");
     assert!(
         !disagreement.pass,
@@ -366,7 +366,9 @@ mod soak_mutants {
 
     use super::{biased_coin, stuck_read};
     use sift_bench::runner::sifter;
-    use sift_bench::soak::{replay_violation_with, run_soak_with, SoakConfig};
+    use sift_bench::soak::{replay_violation_with, run_soak_with, SoakConfig, SoakViolation};
+    use sift_sim::adversary::AdversaryStrength;
+    use sift_sim::fuzz::Environment;
 
     /// The soak must flag a mutant no later than this window (both
     /// mutants empirically flag in window 0; 2 leaves slack for claim
@@ -388,8 +390,8 @@ mod soak_mutants {
         let first_flag = report
             .rows
             .iter()
-            .filter(|row| !row.pass && row.claim == "sift.disagreement")
-            .map(|row| row.window)
+            .filter(|(_, row)| !row.pass && row.id == "T2.disagreement")
+            .map(|(window, _)| *window)
             .min()
             .expect("the biased coin must flag the disagreement claim");
         assert!(
@@ -402,7 +404,7 @@ mod soak_mutants {
         let witness = report
             .violations
             .iter()
-            .find(|v| v.claim == "sift.disagreement" && v.script.is_some())
+            .find(|v| v.claim == "T2.disagreement" && v.script.is_some())
             .expect("unanimous disagreement must leave a shrunk witness");
         assert!(
             witness.script.as_ref().unwrap().len() <= witness.shrunk_from,
@@ -419,12 +421,12 @@ mod soak_mutants {
         // The schedule-dependent mutant: the fuzz lane's step-bound
         // invariant and the sifting lane's step/liveness claims all
         // see it.
-        for claim in ["fuzz.invariants", "sift.steps", "sift.liveness"] {
+        for claim in ["fuzz.invariants", "T2.steps", "sift.liveness"] {
             let first_flag = report
                 .rows
                 .iter()
-                .filter(|row| !row.pass && row.claim == claim)
-                .map(|row| row.window)
+                .filter(|(_, row)| !row.pass && row.id == claim)
+                .map(|(window, _)| *window)
                 .min()
                 .unwrap_or_else(|| panic!("{claim} must flag under StuckRead"));
             assert!(
@@ -472,7 +474,7 @@ mod soak_mutants {
         // fuzz candidates of a window share one, and a from-seed
         // rebuild of the mutant fails on the witness's script.
         let mut cases = std::collections::HashSet::new();
-        for witness in witnesses {
+        for &witness in &witnesses {
             if witness.claim == "fuzz.invariants" {
                 assert!(
                     cases.insert((witness.window, witness.seed)),
@@ -484,5 +486,25 @@ mod soak_mutants {
                 "witness does not reproduce under its own seed:\n{witness}"
             );
         }
+        // A replay is checked at its witness's tier: `StuckRead` breaks
+        // only the step and livelock invariants, which hold only
+        // against the oblivious adversary, so the same witness under a
+        // delayed chooser replays clean.
+        let fuzz = witnesses
+            .iter()
+            .find(|v| v.claim == "fuzz.invariants")
+            .expect("checked above");
+        let delayed = SoakViolation {
+            env: Environment {
+                strength: AdversaryStrength::Delayed(8),
+                ..fuzz.env
+            },
+            ..(*fuzz).clone()
+        };
+        assert_eq!(
+            replay_violation_with(&delayed, &stuck_read),
+            None,
+            "a delayed-tier replay must not check the oblivious-tier invariants:\n{delayed}"
+        );
     }
 }

@@ -67,9 +67,9 @@ fn fuzzer_digests_match_golden_across_thread_counts() {
 }
 
 const CONFORMANCE_GOLDEN: [(usize, u64); 3] = [
-    (1, 0x384ff6e9b823604d),
-    (2, 0x11afe05423e2dd3d),
-    (3, 0x38ef119c4456cee3),
+    (1, 0x366a8d3013d1fe80),
+    (2, 0xb53228729194d695),
+    (3, 0x542f2b86106f459a),
 ];
 
 #[test]
@@ -123,8 +123,8 @@ fn adversary_lattice_digest_matches_golden_across_thread_counts() {
 
 /// Golden digest of the negative conformance tier at scale 1. Pins
 /// both the verdicts (adaptive/always-old refuted, controls hold) and
-/// the rendered statistics behind them.
-const NEGATIVE_GOLDEN: u64 = 0xce7e13b2f9f68eca;
+/// the statistics, environments and polarities behind them.
+const NEGATIVE_GOLDEN: u64 = 0x4be9f1e4d3dd2a8e;
 
 #[test]
 fn negative_conformance_digest_matches_golden_across_thread_counts() {
@@ -153,11 +153,10 @@ fn negative_conformance_keeps_its_expected_polarities() {
 
 /// Golden digest of the default soak trajectory (E26: 6 windows of
 /// width 4, crashes on, seed `0x50AC`). Covers every emitted row
-/// (claim, window, trials, violations, LCB bits, verdict), every
-/// violation, and the live service's commit-stream digest — the same
+/// (its window and verdict row), every violation, and the live service's commit-stream digest — the same
 /// digest `BENCH_conformance.json` records, so this test is what
 /// keeps the tracked trajectory honest.
-const SOAK_GOLDEN: u64 = 0xc649731a5c911fa8;
+const SOAK_GOLDEN: u64 = 0xe9dec1cff7d9a52c;
 
 #[test]
 fn soak_trajectory_matches_golden_across_thread_counts() {

@@ -227,10 +227,12 @@ experiments:
     cargo run --release -p sift-bench --bin exp -- all | tee target/experiments_output.txt
 
 # Regenerate the two tracked verdict files: BENCH_adversary.json (the
-# E24 lattice sweep plus the E25 negative-tier verdicts) and
-# BENCH_conformance.json (the E26 deterministic soak trajectory:
-# per-claim sliding-window LCBs). Both are byte-identical for a fixed
-# seed, so `git diff --exit-code BENCH_*.json` must stay clean.
+# E24 lattice sweep plus the E25 negative-tier verdict rows) and
+# BENCH_conformance.json (the E26 deterministic soak trajectory: one
+# sliding-window verdict row per claim and window, under E22's ids
+# `T2.disagreement` / `T2.steps` where the claims overlap). Both are
+# byte-identical for a fixed seed, so `git diff --exit-code BENCH_*.json`
+# must stay clean; CI diffs both.
 # Performance is tracked by the ledger (`bash benchmark/run.sh`).
 bench-json:
     SIFT_ADVERSARY_JSON={{justfile_directory()}}/BENCH_adversary.json \
